@@ -25,6 +25,7 @@
 #include "core/ctr_rng.h"
 #include "core/random_function.h"
 #include "core/rng.h"
+#include "core/shamir.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
 #include "protocols/phase_async_lead.h"
@@ -225,6 +226,39 @@ void BM_GraphTrialReused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_GraphTrialReused)->Arg(8)->Arg(16);
+
+// ---- Shamir reconstruction: generic oracle vs the (n, t) weight table -----
+//
+// One honest sharing at Shamir-LEAD's default threshold t = n/2 + 1,
+// reconstructed with verification over all n points (items/sec = calls).
+// The release-perf job gates the table row at >= 10x the oracle at n = 16.
+
+std::vector<Share> honest_sharing(int n) {
+  Xoshiro256 rng(static_cast<std::uint64_t>(n));
+  return shamir_share(Fp::random(rng), n / 2 + 1, n, rng);
+}
+
+void BM_ShamirReconstructChecked(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::vector<Share> shares = honest_sharing(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(shamir_reconstruct_checked(shares, n / 2 + 1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShamirReconstructChecked)->Arg(8)->Arg(16);
+
+void BM_ShamirWeightsReconstructChecked(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const ShamirWeights weights(n, n / 2 + 1);
+  std::vector<Fp> ys;
+  for (const Share& s : honest_sharing(n)) ys.push_back(s.y);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(weights.reconstruct_checked(ys));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ShamirWeightsReconstructChecked)->Arg(8)->Arg(16);
 
 void BM_SyncTrialConstructEach(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

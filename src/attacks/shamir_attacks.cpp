@@ -186,33 +186,29 @@ class ShamirForgeStrategy final : public ShamirLeadStrategy {
     for (ProcessorId p = 0; p < params_.n; ++p) {
       if (coalition_.contains(p)) {
         if (p != id_ && !member_vecs_[static_cast<std::size_t>(p)].has_value()) return;
-      } else if (!reveals_[static_cast<std::size_t>(p)].has_value()) {
+      } else if (revealed_from_[static_cast<std::size_t>(p)] == 0) {
         return;
       }
     }
     forged_ = true;
 
     // Reconstruct the full running sum from true points (honest reveals +
-    // coalition-held vectors).
+    // coalition-held vectors) of holders 0..t-1: the table's P(0) row.
     const auto nv = static_cast<Value>(params_.n);
     auto point_of = [&](ProcessorId holder, ProcessorId owner) {
-      const Fp x(static_cast<std::uint64_t>(holder) + 1);
-      if (holder == id_) return Share{x, *held_[static_cast<std::size_t>(owner)]};
+      if (holder == id_) return *held_[static_cast<std::size_t>(owner)];
       if (coalition_.contains(holder)) {
-        return Share{x,
-                     (*member_vecs_[static_cast<std::size_t>(holder)])[static_cast<std::size_t>(
-                         owner)]};
+        return (*member_vecs_[static_cast<std::size_t>(holder)])[static_cast<std::size_t>(owner)];
       }
-      return Share{
-          x, (*reveals_[static_cast<std::size_t>(holder)])[static_cast<std::size_t>(owner)]};
+      return revealed_points(owner)[static_cast<std::size_t>(holder)];
     };
     Value sum = 0;
+    std::vector<Fp> basis(static_cast<std::size_t>(params_.t));
     for (ProcessorId o = 0; o < params_.n; ++o) {
-      std::vector<Share> pts;
       for (ProcessorId holder = 0; holder < params_.t; ++holder) {
-        pts.push_back(point_of(holder, o));
+        basis[static_cast<std::size_t>(holder)] = point_of(holder, o);
       }
-      sum = (sum + shamir_reconstruct(pts).value() % nv) % nv;
+      sum = (sum + params_.weights->reconstruct(basis).value() % nv) % nv;
     }
     // Shift our own secret so the sum becomes the target:
     // new value v = secret + (w - sum); c = (v - secret) / Z(0).
@@ -235,7 +231,7 @@ class ShamirForgeStrategy final : public ShamirLeadStrategy {
       if (o == owner) y = y + c * z_at(Fp(static_cast<std::uint64_t>(id_) + 1));
       values.push_back(y);
     }
-    broadcast_reveal(ctx, std::move(values));
+    broadcast_reveal(ctx, values);
   }
 
   Value target_;

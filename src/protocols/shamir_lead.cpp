@@ -1,8 +1,13 @@
 #include "protocols/shamir_lead.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace fle {
+
+ShamirLeadProtocol::ShamirLeadProtocol(ShamirParams params) : params_(std::move(params)) {
+  params_.weights = std::make_shared<const ShamirWeights>(params_.n, params_.t);
+}
 
 std::unique_ptr<GraphStrategy> ShamirLeadProtocol::make_strategy(ProcessorId id,
                                                                  int n) const {
@@ -17,10 +22,17 @@ GraphStrategy* ShamirLeadProtocol::emplace_strategy(StrategyArena& arena, Proces
 }
 
 ShamirLeadStrategy::ShamirLeadStrategy(ProcessorId id, ShamirParams params)
-    : id_(id), params_(params) {
-  held_.assign(static_cast<std::size_t>(params_.n), std::nullopt);
-  ready_from_.assign(static_cast<std::size_t>(params_.n), 0);
-  reveals_.assign(static_cast<std::size_t>(params_.n), std::nullopt);
+    : id_(id), params_(std::move(params)) {
+  if (!params_.weights || params_.weights->n() != params_.n ||
+      params_.weights->t() != params_.t) {
+    throw std::invalid_argument(
+        "ShamirParams.weights must be the (n, t) table of a ShamirLeadProtocol");
+  }
+  const auto n = static_cast<std::size_t>(params_.n);
+  held_.assign(n, std::nullopt);
+  ready_from_.assign(n, 0);
+  reveals_.assign(n * n, Fp(0));
+  revealed_from_.assign(n, 0);
 }
 
 void ShamirLeadStrategy::on_init(GraphContext& ctx) {
@@ -72,18 +84,31 @@ void ShamirLeadStrategy::send_reveal(GraphContext& ctx) {
   std::vector<Fp> mine;
   mine.reserve(static_cast<std::size_t>(params_.n));
   for (const auto& h : held_) mine.push_back(*h);
-  broadcast_reveal(ctx, std::move(mine));
+  broadcast_reveal(ctx, mine);
 }
 
-void ShamirLeadStrategy::broadcast_reveal(GraphContext& ctx, std::vector<Fp> values) {
-  GraphMessage m{static_cast<Value>(ShamirTag::kReveal)};
+void ShamirLeadStrategy::broadcast_reveal(GraphContext& ctx, std::span<const Fp> values) {
+  if (values.size() != static_cast<std::size_t>(params_.n)) {
+    throw std::invalid_argument("broadcast_reveal: need one value per owner");
+  }
+  GraphMessage m;
+  m.reserve(values.size() + 1);
+  m.push_back(static_cast<Value>(ShamirTag::kReveal));
   for (const Fp v : values) m.push_back(v.value());
   for (ProcessorId j = 0; j < params_.n; ++j) {
     if (j != id_) ctx.send(j, m);
   }
-  reveals_[static_cast<std::size_t>(id_)] = std::move(values);
-  ++reveal_count_;
+  record_reveal(id_, std::span<const Value>(m).subspan(1));
   if (reveal_count_ == params_.n) finalize(ctx);
+}
+
+void ShamirLeadStrategy::record_reveal(ProcessorId revealer, std::span<const Value> values) {
+  const auto n = static_cast<std::size_t>(params_.n);
+  for (std::size_t owner = 0; owner < n; ++owner) {
+    reveals_[owner * n + static_cast<std::size_t>(revealer)] = Fp(values[owner]);
+  }
+  revealed_from_[static_cast<std::size_t>(revealer)] = 1;
+  ++reveal_count_;
 }
 
 void ShamirLeadStrategy::on_receive(GraphContext& ctx, ProcessorId from,
@@ -109,14 +134,10 @@ void ShamirLeadStrategy::on_receive(GraphContext& ctx, ProcessorId from,
     }
     case ShamirTag::kReveal: {
       if (m.size() != static_cast<std::size_t>(params_.n) + 1 ||
-          reveals_[static_cast<std::size_t>(from)].has_value()) {
+          revealed_from_[static_cast<std::size_t>(from)] != 0) {
         return fail(ctx);
       }
-      std::vector<Fp> v;
-      v.reserve(static_cast<std::size_t>(params_.n));
-      for (std::size_t i = 1; i < m.size(); ++i) v.emplace_back(m[i]);
-      reveals_[static_cast<std::size_t>(from)] = std::move(v);
-      ++reveal_count_;
+      record_reveal(from, std::span<const Value>(m).subspan(1));
       break;
     }
     default:
@@ -125,16 +146,14 @@ void ShamirLeadStrategy::on_receive(GraphContext& ctx, ProcessorId from,
   maybe_advance(ctx);
 }
 
+std::span<const Fp> ShamirLeadStrategy::revealed_points(ProcessorId owner) const {
+  const auto n = static_cast<std::size_t>(params_.n);
+  return std::span<const Fp>(reveals_).subspan(static_cast<std::size_t>(owner) * n, n);
+}
+
 std::optional<Fp> ShamirLeadStrategy::reconstruct(ProcessorId owner) const {
-  std::vector<Share> points;
-  points.reserve(static_cast<std::size_t>(params_.n));
-  for (ProcessorId j = 0; j < params_.n; ++j) {
-    const auto& rev = reveals_[static_cast<std::size_t>(j)];
-    if (!rev.has_value()) return std::nullopt;
-    points.push_back(Share{Fp(static_cast<std::uint64_t>(j) + 1),
-                           (*rev)[static_cast<std::size_t>(owner)]});
-  }
-  return shamir_reconstruct_checked(points, params_.t);
+  if (reveal_count_ != params_.n) return std::nullopt;
+  return params_.weights->reconstruct_checked(revealed_points(owner));
 }
 
 void ShamirLeadStrategy::finalize(GraphContext& ctx) {

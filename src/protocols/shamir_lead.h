@@ -15,6 +15,10 @@
 //     honest points pin it, so lies are detected), verifies its own secret
 //     survived, and outputs sum(d_i) mod n.
 //
+// Reconstruction runs through one ShamirWeights table per protocol
+// (core/shamir.h), built in the constructor and shared read-only with every
+// strategy and attack via ShamirParams::weights.
+//
 // Resilience boundary (reproduced in attacks/shamir_attacks.h):
 //  * k <= ceil(n/2) - 1: coalitions hold < t shares (learn nothing early)
 //    and honest points >= t (lies detected)  ->  unbiased.
@@ -24,6 +28,9 @@
 //    control, matching the paper's k >= n/2 impossibility.
 //  * k >= floor(n/2)+1:  the coalition reconstructs every honest secret
 //    before committing its own — full control (rushing).
+
+#include <memory>
+#include <span>
 
 #include "core/shamir.h"
 #include "sim/graph_engine.h"
@@ -38,16 +45,25 @@ enum class ShamirTag : Value {
 };
 
 struct ShamirParams {
+  // Constructors rather than an aggregate: `ShamirParams{n, t}` then
+  // leaves `weights` unset without a missing-initializer warning.
+  ShamirParams() = default;
+  ShamirParams(int n, int t) : n(n), t(t) {}
+
   int n = 0;
   int t = 0;  ///< reconstruction threshold (degree t-1 polynomials)
+  /// The (n, t) Lagrange table; ShamirLeadProtocol's constructor builds it.
+  std::shared_ptr<const ShamirWeights> weights;
 
   static ShamirParams defaults(int n) { return ShamirParams{n, n / 2 + 1}; }
 };
 
 class ShamirLeadProtocol final : public GraphProtocol {
  public:
-  explicit ShamirLeadProtocol(int n) : params_(ShamirParams::defaults(n)) {}
-  explicit ShamirLeadProtocol(ShamirParams params) : params_(params) {}
+  explicit ShamirLeadProtocol(int n) : ShamirLeadProtocol(ShamirParams::defaults(n)) {}
+  /// Builds the weight table; throws std::invalid_argument unless n >= 2
+  /// and 1 <= t <= n.
+  explicit ShamirLeadProtocol(ShamirParams params);
 
   std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id, int n) const override;
   GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
@@ -65,6 +81,8 @@ class ShamirLeadProtocol final : public GraphProtocol {
 /// The honest state machine, exposed so the attacks can reuse its phases.
 class ShamirLeadStrategy : public GraphStrategy {
  public:
+  /// `params.weights` must hold the (n, t) table (ShamirLeadProtocol's
+  /// params() do); throws std::invalid_argument otherwise.
   ShamirLeadStrategy(ProcessorId id, ShamirParams params);
 
   void on_init(GraphContext& ctx) override;
@@ -76,15 +94,19 @@ class ShamirLeadStrategy : public GraphStrategy {
   void distribute(GraphContext& ctx, Value secret);
   /// Phase 3 broadcast (virtual so the forging adversary can rewrite it).
   virtual void send_reveal(GraphContext& ctx);
-  /// Broadcasts an explicit reveal vector (used by send_reveal and by the
-  /// forging adversary's rewritten reveal).
-  void broadcast_reveal(GraphContext& ctx, std::vector<Fp> values);
+  /// Broadcasts an explicit reveal vector of n values, by owner (used by
+  /// send_reveal and by the forging adversary's rewritten reveal).
+  void broadcast_reveal(GraphContext& ctx, std::span<const Fp> values);
   /// Called once all reveals are in; default reconstructs + terminates.
   virtual void finalize(GraphContext& ctx);
 
   /// Reconstructs secret of `owner` from the reveal matrix; nullopt on
   /// inconsistency.  Valid only after all reveals arrived.
   [[nodiscard]] std::optional<Fp> reconstruct(ProcessorId owner) const;
+
+  /// Owner's revealed points, by revealer: entry j is P_owner(j + 1) as
+  /// revealer j claimed it (meaningful once j's reveal arrived).
+  [[nodiscard]] std::span<const Fp> revealed_points(ProcessorId owner) const;
 
   void fail(GraphContext& ctx);
 
@@ -93,16 +115,19 @@ class ShamirLeadStrategy : public GraphStrategy {
   bool distributed_ = false;
   bool dead_ = false;
   Value secret_ = 0;
-  std::vector<std::optional<Fp>> held_;                 ///< my share, by owner
+  std::vector<std::optional<Fp>> held_;  ///< my share, by owner
   std::vector<char> ready_from_;
   int ready_count_ = 0;
   bool revealed_ = false;
-  std::vector<std::optional<std::vector<Fp>>> reveals_;  ///< by revealer
+  std::vector<Fp> reveals_;         ///< n x n, owner-major: [owner * n + revealer]
+  std::vector<char> revealed_from_;  ///< by revealer
   int reveal_count_ = 0;
   int shares_count_ = 0;
 
  private:
   void maybe_advance(GraphContext& ctx);
+  /// Stores one revealer's n values (by owner) into its reveal column.
+  void record_reveal(ProcessorId revealer, std::span<const Value> values);
 };
 
 }  // namespace fle

@@ -15,6 +15,7 @@
 #include "attacks/deviation.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
+#include "protocols/shamir_lead.h"
 #include "sim/arena.h"
 #include "sim/engine.h"
 #include "sim/graph_engine.h"
@@ -177,6 +178,40 @@ TEST(ZeroAllocation, ReusedGraphTrialSubstrateIsAllocationFree) {
   const std::uint64_t after = allocations();
   EXPECT_TRUE(outcome.valid());
   EXPECT_EQ(after - before, 0u) << "steady-state graph trial allocated";
+}
+
+TEST(ZeroAllocation, ShamirLeadTrialAllocatesOnlyPayloadsAndSetup) {
+  // Shamir-LEAD sends real payloads, and a GraphMessage is a std::vector,
+  // so each send still allocates once.  Everything else is bounded by a
+  // few buffers per processor: the reveal matrix is one flat vector read
+  // in place by the shared weight table, so reconstruction allocates
+  // nothing.  Budget: one allocation per message plus 10 per processor.
+  for (const int n : {8, 16}) {
+    const ShamirLeadProtocol protocol(n);
+    GraphEngine engine(n, 1);
+    StrategyArena arena;
+    std::vector<GraphStrategy*> profile;
+
+    const auto trial = [&](std::uint64_t seed) {
+      engine.reset(seed, /*schedule_seed=*/seed);
+      arena.rewind();
+      profile.clear();
+      for (ProcessorId p = 0; p < n; ++p) {
+        profile.push_back(protocol.emplace_strategy(arena, p, n));
+      }
+      return engine.run(std::span<GraphStrategy* const>(profile));
+    };
+
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) ASSERT_TRUE(trial(seed).valid());
+
+    const std::uint64_t before = allocations();
+    const Outcome outcome = trial(1234);
+    const std::uint64_t made = allocations() - before;
+    EXPECT_TRUE(outcome.valid());
+    const std::uint64_t budget = engine.stats().total_sent + 10ull * static_cast<std::uint64_t>(n);
+    EXPECT_LE(made, budget) << "n=" << n << ": " << engine.stats().total_sent
+                            << " messages sent";
+  }
 }
 
 // Sync counterpart: round 1 everyone broadcasts an empty message, round 2

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "attacks/shamir_attacks.h"
 #include "core/field.h"
@@ -110,7 +113,122 @@ TEST(Shamir, PencilShiftIsUndetectableWhenHonestBelowT)  {
             (Fp(10) + c * z_at(Fp(0))).value());  // shifted
 }
 
+TEST(Shamir, RepeatedEvaluationPointIsRejected) {
+  // Lagrange divides by x_i - x_j, and the Fermat "inverse" of zero is
+  // zero: without the check a repeated x drops its terms and returns a
+  // wrong secret with no error.
+  Xoshiro256 rng(19);
+  const auto shares = shamir_share(Fp(42), 3, 5, rng);
+  std::vector<Share> repeated = {shares[0], shares[1], shares[1]};
+  EXPECT_THROW((void)shamir_reconstruct(repeated), std::invalid_argument);
+  repeated[2].y = shares[2].y;  // same x, different y
+  EXPECT_THROW((void)interpolate_at(repeated, Fp(7)), std::invalid_argument);
+  std::vector<Share> with_tail = {shares[0], shares[0], shares[1], shares[2]};
+  EXPECT_THROW((void)shamir_reconstruct_checked(with_tail, 2), std::invalid_argument);
+  // Distinct x in any order is fine.
+  const std::vector<Share> shuffled = {shares[4], shares[0], shares[2]};
+  EXPECT_EQ(shamir_reconstruct(shuffled), Fp(42));
+}
+
+// --- the Lagrange weight table ----------------------------------------------
+
+std::vector<Fp> ys_of(const std::vector<Share>& shares) {
+  std::vector<Fp> ys;
+  for (const Share& s : shares) ys.push_back(s.y);
+  return ys;
+}
+
+/// The table must agree with the generic oracle on these shares, whether
+/// the oracle returns a secret or nullopt.
+void expect_matches_oracle(const ShamirWeights& weights, const std::vector<Share>& shares,
+                           const std::string& what) {
+  const std::optional<Fp> oracle = shamir_reconstruct_checked(shares, weights.t());
+  const std::optional<Fp> table = weights.reconstruct_checked(ys_of(shares));
+  ASSERT_EQ(table.has_value(), oracle.has_value()) << what;
+  if (oracle) {
+    EXPECT_EQ(table->value(), oracle->value()) << what;
+  }
+}
+
+TEST(ShamirWeights, MatchesOracleOnEverySchemeUpToN24) {
+  Xoshiro256 rng(23);
+  for (int n = 2; n <= 24; ++n) {
+    for (int t = 1; t <= n; ++t) {
+      const ShamirWeights weights(n, t);
+      const std::string scheme = "n=" + std::to_string(n) + " t=" + std::to_string(t);
+      const Fp secret = Fp::random(rng);
+      const auto shares = shamir_share(secret, t, n, rng);
+
+      // Honest sharing: both paths recover the secret.
+      expect_matches_oracle(weights, shares, scheme + " honest");
+      EXPECT_EQ(weights.reconstruct_checked(ys_of(shares)), secret) << scheme;
+      EXPECT_EQ(weights.reconstruct(ys_of(shares)),
+                shamir_reconstruct(std::span<const Share>(shares).first(
+                    static_cast<std::size_t>(t))))
+          << scheme;
+
+      // Each single tampered point, in the basis (j < t) and in the tail.
+      for (int j = 0; j < n; ++j) {
+        auto tampered = shares;
+        tampered[static_cast<std::size_t>(j)].y =
+            tampered[static_cast<std::size_t>(j)].y + Fp(1 + rng.below(1000));
+        expect_matches_oracle(weights, tampered, scheme + " tampered j=" + std::to_string(j));
+      }
+
+      // The pencil shift P + c*Z with t-1 honest points at random positions:
+      // Z vanishes on them, so the shift stays consistent but moves P(0).
+      std::vector<std::size_t> order(static_cast<std::size_t>(n));
+      for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
+      for (std::size_t j = order.size() - 1; j > 0; --j) {
+        std::swap(order[j], order[rng.below(j + 1)]);
+      }
+      std::vector<char> honest(order.size(), 0);
+      for (int h = 0; h < t - 1; ++h) honest[order[static_cast<std::size_t>(h)]] = 1;
+      const auto z_at = [&](Fp x) {
+        Fp z(1);
+        for (std::size_t h = 0; h < shares.size(); ++h) {
+          if (honest[h]) z = z * (x - shares[h].x);
+        }
+        return z;
+      };
+      const Fp c = Fp(1) + Fp::random(rng);
+      auto shifted = shares;
+      for (Share& s : shifted) s.y = s.y + c * z_at(s.x);
+      expect_matches_oracle(weights, shifted, scheme + " pencil");
+      EXPECT_EQ(weights.reconstruct_checked(ys_of(shifted)), secret + c * z_at(Fp(0)))
+          << scheme;
+    }
+  }
+}
+
+TEST(ShamirWeights, RejectsBadSchemesAndPointCounts) {
+  EXPECT_THROW(ShamirWeights(1, 1), std::invalid_argument);
+  EXPECT_THROW(ShamirWeights(8, 0), std::invalid_argument);
+  EXPECT_THROW(ShamirWeights(8, 9), std::invalid_argument);
+  const ShamirWeights weights(5, 3);
+  const std::vector<Fp> four(4, Fp(1));
+  EXPECT_THROW((void)weights.reconstruct_checked(four), std::invalid_argument);
+  EXPECT_THROW((void)weights.reconstruct(std::span<const Fp>(four).first(2)),
+               std::invalid_argument);
+}
+
 // --- protocol ---------------------------------------------------------------
+
+TEST(ShamirLead, ThresholdIsValidatedAtConstruction) {
+  try {
+    ShamirLeadProtocol protocol(ShamirParams{8, 9});
+    FAIL() << "t = 9 > n = 8 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("threshold t"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(ShamirLeadProtocol{ShamirParams(8, 0)}, std::invalid_argument);
+  EXPECT_THROW(ShamirLeadProtocol{1}, std::invalid_argument);
+  const ShamirLeadProtocol all_shares(ShamirParams{8, 8});
+  EXPECT_EQ(all_shares.params().weights->t(), 8);
+  EXPECT_TRUE(run_honest_graph(all_shares, 8, 5).valid());
+  // A strategy needs the protocol-built table.
+  EXPECT_THROW(ShamirLeadStrategy(0, ShamirParams{8, 5}), std::invalid_argument);
+}
 
 TEST(ShamirLead, HonestElectsValidLeader) {
   for (int n : {3, 4, 5, 8, 13, 20}) {
