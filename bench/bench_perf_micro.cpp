@@ -22,7 +22,6 @@
 #include "api/scenario.h"
 #include "api/sweep.h"
 #include "attacks/coalition.h"
-#include "core/ctr_rng.h"
 #include "core/random_function.h"
 #include "core/rng.h"
 #include "core/shamir.h"
@@ -79,22 +78,6 @@ void BM_XoshiroBelow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_XoshiroBelow);
-
-void BM_CtrRngBelow(benchmark::State& state) {
-  CtrRng rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.below(1000));
-  }
-}
-BENCHMARK(BM_CtrRngBelow);
-
-void BM_CtrRngAt(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CtrRng::at(7, ++i));
-  }
-}
-BENCHMARK(BM_CtrRngAt);
 
 void BM_RandomFunctionEvaluate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -297,9 +280,7 @@ BENCHMARK(BM_SyncTrialReused)->Arg(16)->Arg(64);
 
 void BM_LaneEngineRing(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  LaneEngineOptions options;
-  options.lanes = 8;
-  LaneEngine engine(n, LaneKernelId::kBasicLead, options);
+  LaneEngine engine(n, LaneKernelId::kBasicLead);
   std::vector<std::uint64_t> seeds(256);
   std::vector<LaneTrialResult> results(seeds.size());
   std::uint64_t base = 0;
@@ -320,7 +301,6 @@ BENCHMARK(BM_LaneEngineRing)->Arg(32)->Arg(128);
 void BM_LaneEngineRingGeneral(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   LaneEngineOptions options;
-  options.lanes = 8;
   options.fast_paths = false;
   LaneEngine engine(n, LaneKernelId::kBasicLead, options);
   std::vector<std::uint64_t> seeds(256);
@@ -342,7 +322,6 @@ void BM_LaneEngineRingDeviated(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Coalition coalition = Coalition::equally_spaced(n, n / 4, 1);
   LaneEngineOptions options;
-  options.lanes = 8;
   options.fast_paths = false;
   options.deviation.id = LaneDeviationId::kRushing;
   options.deviation.members = coalition.members();
@@ -366,9 +345,7 @@ BENCHMARK(BM_LaneEngineRingDeviated)->Arg(32)->Arg(128);
 // kernel (compare BM_SyncTrialReused for the scalar per-trial cost).
 void BM_SyncLaneEngine(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  SyncLaneEngineOptions options;
-  options.lanes = 8;
-  SyncLaneEngine engine(n, SyncLaneKernelId::kSyncBroadcast, options);
+  SyncLaneEngine engine(n, SyncLaneKernelId::kSyncBroadcast);
   std::vector<std::uint64_t> seeds(256);
   std::vector<LaneTrialResult> results(seeds.size());
   std::uint64_t base = 0;

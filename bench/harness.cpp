@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "api/specialize.h"
 #include "verify/fuzzer.h"
 #include "verify/shard.h"
 
@@ -231,8 +232,7 @@ JsonObject Harness::display_row(const ScenarioSpec& spec, const std::string& lab
       .set("seed", spec.seed)
       .set("scheduler", to_string(spec.scheduler))
       .set("threads", spec.threads)
-      .set("engine", to_string(spec.engine))
-      .set("lanes", spec.lanes)
+      .set("engine", route_to_lanes(spec) ? "lanes" : "scalar")
       .set("target", spec.target)
       .set("fail_rate", result.outcomes.fail_rate())
       .set("target_rate",

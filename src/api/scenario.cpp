@@ -65,22 +65,6 @@ std::optional<EngineKind> parse_engine(const std::string& name) {
   return std::nullopt;
 }
 
-const char* to_string(RngKind kind) {
-  switch (kind) {
-    case RngKind::kXoshiro:
-      return "xoshiro";
-    case RngKind::kCtr:
-      return "ctr";
-  }
-  return "unknown";
-}
-
-std::optional<RngKind> parse_rng(const std::string& name) {
-  if (name == "xoshiro") return RngKind::kXoshiro;
-  if (name == "ctr") return RngKind::kCtr;
-  return std::nullopt;
-}
-
 const char* to_string(GraphAdjacency adjacency) {
   switch (adjacency) {
     case GraphAdjacency::kComplete:
@@ -408,23 +392,9 @@ WorkspaceFactory workspace_factory() {
   return [] { return std::static_pointer_cast<void>(std::make_shared<Workspace>()); };
 }
 
-/// rng=ctr streams exist only where the ring engines plumb the kind into
-/// the tapes; every other runtime is pinned to the xoshiro reference
-/// streams.  Shared by prepare_scenario_job and run_ring_scenario.
-void require_rng_supported(const ScenarioSpec& spec) {
-  if (spec.rng != RngKind::kXoshiro && spec.topology != TopologyKind::kRing) {
-    throw std::invalid_argument(
-        "ScenarioSpec.rng = '" + std::string(to_string(spec.rng)) +
-        "' is ring-only (other runtimes' tapes are pinned to the xoshiro reference "
-        "streams); got topology '" +
-        to_string(spec.topology) + "'");
-  }
-}
-
 void fill_ring_job(ScenarioJob& job, RingTrialFactories factories) {
   const ScenarioSpec& spec = job.spec;
   require_n(spec, 2);
-  require_rng_supported(spec);
   job.result = ScenarioResult(spec.n);
   {
     const auto named = factories.protocol(spec.seed);
@@ -458,12 +428,10 @@ void fill_ring_job(ScenarioJob& job, RingTrialFactories factories) {
       // The workspace may come from another scenario with the same (ring, n)
       // key: rebuild whenever the engine shape differs, not just on first use.
       if (!ws.engine || ws.engine->step_limit() != step_limit ||
-          ws.engine->scheduler_kind() != spec.scheduler ||
-          ws.engine->rng_kind() != spec.rng) {
+          ws.engine->scheduler_kind() != spec.scheduler) {
         EngineOptions options;
         options.step_limit = step_limit;
         options.scheduler_kind = spec.scheduler;
-        options.rng = spec.rng;
         ws.engine = std::make_unique<RingEngine>(spec.n, trial_seed, std::move(options));
       } else {
         ws.engine->reset(trial_seed);
@@ -534,21 +502,18 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     }
   }
 
-  const int width = lane_width(spec);
   ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, step_limit, width, deviation](std::size_t begin, std::size_t end,
-                                                             void* raw) {
+  job.chunk_body = [j, kernel, step_limit, deviation](std::size_t begin, std::size_t end,
+                                                      void* raw) {
     const ScenarioSpec& spec = j->spec;
     auto& ws = *static_cast<LaneWorkspace*>(raw);
     if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
         ws.engine->step_limit() != step_limit ||
-        ws.engine->scheduler_kind() != spec.scheduler || ws.engine->rng_kind() != spec.rng ||
-        ws.engine->lanes() != width || !(ws.engine->deviation() == deviation)) {
+        ws.engine->scheduler_kind() != spec.scheduler ||
+        !(ws.engine->deviation() == deviation)) {
       LaneEngineOptions options;
       options.step_limit = step_limit;
       options.scheduler_kind = spec.scheduler;
-      options.rng = spec.rng;
-      options.lanes = width;
       options.deviation = deviation;
       ws.engine = std::make_unique<LaneEngine>(spec.n, kernel, options);
     }
@@ -612,17 +577,14 @@ void fill_sync_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry) {
                                        : named->round_bound(spec.n);
   }
 
-  const int width = lane_width(spec);
   ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, round_limit, width](std::size_t begin, std::size_t end,
-                                                   void* raw) {
+  job.chunk_body = [j, kernel, round_limit](std::size_t begin, std::size_t end, void* raw) {
     const ScenarioSpec& spec = j->spec;
     auto& ws = *static_cast<SyncLaneWorkspace*>(raw);
     if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
-        ws.engine->round_limit() != round_limit || ws.engine->lanes() != width) {
+        ws.engine->round_limit() != round_limit) {
       SyncLaneEngineOptions options;
       options.round_limit = round_limit;
-      options.lanes = width;
       ws.engine = std::make_unique<SyncLaneEngine>(spec.n, kernel, options);
     }
     const std::size_t count = end - begin;
@@ -906,10 +868,8 @@ void arm_transcripts(ScenarioJob& job) {
 }
 
 /// Validates the spec's plain fields, resolves the registries, and builds
-/// the executor-ready job.  Shared by run_scenario and run_sweep; `census`
-/// is the submission-wide shape census the specializer routes on.
-std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec,
-                                                  const ShapeCensus& census) {
+/// the executor-ready job.  Shared by run_scenario and run_sweep.
+std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
   if (spec.protocol.empty()) {
     throw std::invalid_argument("ScenarioSpec.protocol must name a registered protocol");
   }
@@ -920,16 +880,11 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec,
     throw std::invalid_argument("ScenarioSpec.n must be >= 2 (got " +
                                 std::to_string(spec.n) + ")");
   }
-  if (spec.lanes < 0) {
-    throw std::invalid_argument("ScenarioSpec.lanes must be >= 0 (got " +
-                                std::to_string(spec.lanes) + ")");
-  }
   build_coalition(spec.coalition, spec.n);  // throws with the offending field
   require_transcribable(spec);
-  require_rng_supported(spec);
   // The routing decision (and the engine=lanes eligibility error) comes
   // before any factory runs, like every other spec-field validation.
-  const bool lanes = route_to_lanes(spec, census);
+  const bool lanes = route_to_lanes(spec);
   register_builtin_scenarios();
   const ProtocolEntry* protocol_entry = &ProtocolRegistry::instance().at(spec.protocol);
   const DeviationEntry* deviation_entry =
@@ -994,11 +949,7 @@ ScenarioResult run_ring_scenario(const ScenarioSpec& spec,
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   const auto start = std::chrono::steady_clock::now();
-  // A single-spec submission is its own census: the spec's shape carries
-  // the full trial weight, so eligible specs route to lanes under kAuto.
-  ShapeCensus census;
-  census.add(spec);
-  const std::unique_ptr<ScenarioJob> job = prepare_scenario_job(spec, census);
+  const std::unique_ptr<ScenarioJob> job = prepare_scenario_job(spec);
   Executor::Batch batch = batch_of(*job);
   Executor::shared().run(std::span<Executor::Batch>(&batch, 1), spec.threads);
   reduce_job(*job);
@@ -1013,22 +964,11 @@ std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) {
   // in-process path below.
   if (SweepBackend* backend = sweep_backend()) return backend->run_sweep(sweep);
   const auto start = std::chrono::steady_clock::now();
-  // First pass: the shape census the specializer routes on.  Window
-  // resolution can throw, so census errors carry the scenario index too.
-  ShapeCensus census;
-  for (std::size_t i = 0; i < sweep.scenarios.size(); ++i) {
-    try {
-      census.add(sweep.scenarios[i]);
-    } catch (const std::invalid_argument& error) {
-      throw std::invalid_argument("SweepSpec.scenarios[" + std::to_string(i) +
-                                  "]: " + error.what());
-    }
-  }
   std::vector<std::unique_ptr<ScenarioJob>> jobs;
   jobs.reserve(sweep.scenarios.size());
   for (std::size_t i = 0; i < sweep.scenarios.size(); ++i) {
     try {
-      jobs.push_back(prepare_scenario_job(sweep.scenarios[i], census));
+      jobs.push_back(prepare_scenario_job(sweep.scenarios[i]));
     } catch (const std::invalid_argument& error) {
       throw std::invalid_argument("SweepSpec.scenarios[" + std::to_string(i) +
                                   "]: " + error.what());

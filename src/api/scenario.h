@@ -33,7 +33,6 @@
 
 #include "analysis/stats.h"
 #include "attacks/coalition.h"
-#include "core/rng.h"
 #include "core/types.h"
 #include "sim/scheduler.h"
 #include "sim/transcript.h"
@@ -60,15 +59,14 @@ std::optional<TopologyKind> parse_topology(const std::string& name);
 /// Which execution engine serves a scenario's trials (ring and sync
 /// topologies; other runtimes have no lane engines and ignore this).
 ///
-///  * kAuto   — the transcript-digest-guided specializer (api/specialize.h)
-///              routes shapes that dominate the submission to the batched
-///              lane engines when a devirtualized kernel exists — honest or
-///              deviated (basic-single, rushing) ring specs, honest sync
-///              specs — and falls back to the scalar engines elsewhere.
-///              Results are bit-identical either way (the lane
-///              differentials gate it), so this is purely a performance
-///              decision.
-///  * kScalar — always the scalar reference engine.
+///  * kAuto   — the specializer (api/specialize.h) runs every spec that has
+///              a devirtualized lane kernel — honest or deviated
+///              (basic-single, rushing) ring specs, honest sync specs — on
+///              the batched lane engines, and everything else on the
+///              scalar engines.  Results are bit-identical either way (the
+///              lane differentials gate it), so this is purely a
+///              performance decision.
+///  * kScalar — always the scalar reference engine (the oracle).
 ///  * kLanes  — force the batched lane engine; rejected (invalid_argument
 ///              with the lane_ineligible_reason) when the spec has no lane
 ///              kernel.
@@ -76,9 +74,6 @@ enum class EngineKind { kAuto, kScalar, kLanes };
 
 const char* to_string(EngineKind kind);
 std::optional<EngineKind> parse_engine(const std::string& name);
-
-const char* to_string(RngKind kind);
-std::optional<RngKind> parse_rng(const std::string& name);
 
 /// Adjacency restriction for kGraph scenarios (GraphEngineOptions::
 /// adjacency underneath).  kComplete is the fully-connected default;
@@ -153,14 +148,6 @@ struct ScenarioSpec {
   GraphAdjacency adjacency = GraphAdjacency::kComplete;
   /// Engine selection (see EngineKind); lanes serve ring and sync specs.
   EngineKind engine = EngineKind::kAuto;
-  /// Lane width W for the lane engine; 0 = the default width (8).
-  int lanes = 0;
-  /// Generator family behind the processors' random tapes (core/rng.h).
-  /// kCtr is opt-in and ring/threaded-only: the counter-based streams are
-  /// position-independent but distinct from the Xoshiro reference streams,
-  /// so the conformance suite envelope-checks their honest distributions
-  /// instead of comparing against recorded golden outcomes.
-  RngKind rng = RngKind::kXoshiro;
 
   // Protocol / deviation knobs (consumed by the registered factories that
   // care; ignored by the rest).

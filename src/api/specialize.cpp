@@ -1,10 +1,6 @@
 #include "api/specialize.h"
 
-#include <bit>
-#include <span>
 #include <stdexcept>
-
-#include "sim/transcript.h"
 
 namespace fle {
 
@@ -69,76 +65,7 @@ std::string lane_ineligible_reason(const ScenarioSpec& spec) {
   }
 }
 
-int lane_width(const ScenarioSpec& spec) { return spec.lanes > 0 ? spec.lanes : 8; }
-
-namespace {
-
-/// Byte-by-byte string fold (length first, so "ab"+"c" and "a"+"bc"
-/// differ), in the same event-word style the transcript digest uses.
-std::uint64_t fold_string(const std::string& text) {
-  std::uint64_t word = static_cast<std::uint64_t>(text.size());
-  std::uint64_t key = transcript_fold(std::span<const std::uint64_t>(&word, 1));
-  for (const char c : text) {
-    word = static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    key ^= transcript_fold(std::span<const std::uint64_t>(&word, 1)) * 0x9E3779B97F4A7C15ull;
-  }
-  return key;
-}
-
-}  // namespace
-
-std::uint64_t engine_shape_key(const ScenarioSpec& spec) {
-  // Deviated lane engines are additionally specialized on the coalition
-  // placement and target (they bake the member overlay into the register
-  // file), so the placement words fold in too.  Custom member lists fold
-  // like a string.
-  std::uint64_t members = static_cast<std::uint64_t>(spec.coalition.members.size());
-  for (const ProcessorId m : spec.coalition.members) {
-    std::uint64_t word = static_cast<std::uint64_t>(m);
-    members ^= transcript_fold(std::span<const std::uint64_t>(&word, 1)) * 0x9E3779B97F4A7C15ull;
-  }
-  const std::uint64_t words[12] = {
-      static_cast<std::uint64_t>(spec.topology),
-      fold_string(spec.protocol),
-      fold_string(spec.deviation),
-      static_cast<std::uint64_t>(spec.n),
-      static_cast<std::uint64_t>(spec.scheduler),
-      static_cast<std::uint64_t>(spec.rng),
-      spec.target,
-      static_cast<std::uint64_t>(spec.coalition.placement),
-      static_cast<std::uint64_t>(spec.coalition.k),
-      static_cast<std::uint64_t>(spec.coalition.first),
-      spec.coalition.placement_seed ^ std::bit_cast<std::uint64_t>(spec.coalition.density),
-      members,
-  };
-  return transcript_fold(std::span<const std::uint64_t>(words, 12));
-}
-
-void ShapeCensus::add(const ScenarioSpec& spec) {
-  const TrialWindow window = scenario_trial_window(spec);
-  const std::uint64_t weight = static_cast<std::uint64_t>(window.count);
-  total_ += weight;
-  if (!lane_eligible(spec)) return;  // ineligible shapes never route; skip
-  const std::uint64_t key = engine_shape_key(spec);
-  for (Cell& cell : cells_) {
-    if (cell.key == key) {
-      cell.weight += weight;
-      return;
-    }
-  }
-  cells_.push_back(Cell{key, weight});
-}
-
-bool ShapeCensus::dominant(const ScenarioSpec& spec) const {
-  if (total_ == 0) return false;
-  const std::uint64_t key = engine_shape_key(spec);
-  for (const Cell& cell : cells_) {
-    if (cell.key == key) return cell.weight * 16 >= total_;
-  }
-  return false;
-}
-
-bool route_to_lanes(const ScenarioSpec& spec, const ShapeCensus& census) {
+bool route_to_lanes(const ScenarioSpec& spec) {
   switch (spec.engine) {
     case EngineKind::kScalar:
       return false;
@@ -148,7 +75,7 @@ bool route_to_lanes(const ScenarioSpec& spec, const ShapeCensus& census) {
       }
       return true;
     case EngineKind::kAuto:
-      return lane_eligible(spec) && census.dominant(spec);
+      return lane_eligible(spec);
   }
   return false;
 }

@@ -1,9 +1,10 @@
 #pragma once
-// Transcript-digest-guided engine specialization (DESIGN.md §10).
+// Engine specialization (DESIGN.md §10).
 //
 // The sweep planner decides, per scenario, whether trials run on the
 // batched lane engines (sim/lane_engine.h, sim/sync_engine.h) or the
-// general scalar runtimes.  Eligibility is structural:
+// general scalar runtimes.  The decision reads the spec alone, and
+// eligibility is structural:
 //
 //  * a ring spec whose protocol has a devirtualized lane kernel
 //    (basic-lead, chang-roberts, alead-uni) running either the honest
@@ -13,21 +14,14 @@
 //  * a sync spec whose protocol has a sync lane kernel
 //    (sync-broadcast-lead, sync-ring-lead) with an honest profile.
 //
-// Routing is guided by shape weight: every scenario folds its engine
-// shape — (topology, protocol, deviation + coalition, n, scheduler, rng),
-// the tuple a lane engine instance is specialized on — into a content key
-// with the same FNV-1a fold the transcript digests use, so equal shapes
-// collide deterministically, and a ShapeCensus over the submission counts
-// trial weight per key.  Shapes that dominate the submission run on
-// lanes; rare shapes stay on the scalar engines, whose per-trial
-// workspace cache already serves them well.  engine=scalar /
-// engine=lanes override the census per spec.
+// engine=auto runs every eligible spec on lanes, engine=scalar pins the
+// scalar reference engines, and engine=lanes forces lanes (rejecting an
+// ineligible spec).
 //
 // The decision is invisible in results: the lane engines are gated
 // bit-identical to the scalar runtimes (ScenarioResults and transcript
 // digests), so specialization is purely a throughput choice.
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -56,37 +50,10 @@ bool lane_eligible(const ScenarioSpec& spec);
 /// per-line pre-validation).  Empty string when the spec IS eligible.
 std::string lane_ineligible_reason(const ScenarioSpec& spec);
 
-/// Effective lane width for `spec` (spec.lanes, or the default of 8).
-int lane_width(const ScenarioSpec& spec);
-
-/// The content key of a spec's engine shape — transcript_fold over
-/// (topology, protocol, deviation, coalition placement, target, n,
-/// scheduler, rng), the tuple a lane engine instance is specialized on.
-std::uint64_t engine_shape_key(const ScenarioSpec& spec);
-
-/// Trial-weight census over one submission's scenarios (a sweep, or the
-/// single spec of run_scenario).  dominant() is the digest-guided routing
-/// predicate: a shape qualifies when it carries at least 1/16 of the
-/// submission's trial weight — below that, lane startup/teardown and the
-/// extra engine cache entry are not worth it.
-class ShapeCensus {
- public:
-  void add(const ScenarioSpec& spec);
-  [[nodiscard]] bool dominant(const ScenarioSpec& spec) const;
-
- private:
-  struct Cell {
-    std::uint64_t key = 0;
-    std::uint64_t weight = 0;
-  };
-  std::vector<Cell> cells_;  ///< tiny per submission; linear probe is fine
-  std::uint64_t total_ = 0;
-};
-
-/// The final routing decision for `spec` within a submission counted by
-/// `census`.  Throws std::invalid_argument naming ScenarioSpec.engine
-/// (with the lane_ineligible_reason) when engine=lanes is forced on an
+/// The routing decision for `spec`: true when its trials run on a lane
+/// engine.  Throws std::invalid_argument naming ScenarioSpec.engine (with
+/// the lane_ineligible_reason) when engine=lanes is forced on an
 /// ineligible spec.
-bool route_to_lanes(const ScenarioSpec& spec, const ShapeCensus& census);
+bool route_to_lanes(const ScenarioSpec& spec);
 
 }  // namespace fle

@@ -3,22 +3,14 @@
 //
 // The paper gives every processor an infinite random input string and lets it
 // act deterministically (Section 2).  We reproduce that with per-processor
-// counter-based deterministic generators derived from a single trial seed, so
-// every execution is replayable bit-for-bit.
+// xoshiro256** streams derived from a single trial seed, so every execution
+// is replayable bit-for-bit.
 
 #include <cstdint>
 
-#include "core/ctr_rng.h"
 #include "core/types.h"
 
 namespace fle {
-
-/// Which generator family backs a random tape's bounded draws.
-///  * kXoshiro — the stateful xoshiro256** reference streams (default;
-///    every recorded transcript and golden expectation pins these).
-///  * kCtr    — the counter-based splittable CtrRng (core/ctr_rng.h),
-///    opt-in via the `rng=ctr` spec field; position-independent draws.
-enum class RngKind { kXoshiro, kCtr };
 
 /// SplitMix64 step; also used as a standalone 64-bit finalizer/mixer.
 std::uint64_t splitmix64(std::uint64_t& state);
@@ -57,32 +49,18 @@ class Xoshiro256 {
 class RandomTape {
  public:
   RandomTape(std::uint64_t trial_seed, ProcessorId owner)
-      : RandomTape(trial_seed, owner, RngKind::kXoshiro) {}
-
-  RandomTape(std::uint64_t trial_seed, ProcessorId owner, RngKind kind)
-      : kind_(kind), rng_(key(trial_seed, owner)), ctr_(key(trial_seed, owner)) {}
-
-  /// The per-processor stream key both generator families split on.
-  static std::uint64_t key(std::uint64_t trial_seed, ProcessorId owner) {
-    return mix64(trial_seed ^ mix64(0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(owner)));
-  }
+      : rng_(mix64(trial_seed ^
+                   mix64(0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(owner)))) {}
 
   /// Uniform draw from [0, bound) — the paper's Uniform([n]) / Uniform([m]).
-  Value uniform(Value bound) {
-    return kind_ == RngKind::kCtr ? ctr_.below(bound) : rng_.below(bound);
-  }
+  Value uniform(Value bound) { return rng_.below(bound); }
 
-  [[nodiscard]] RngKind kind() const { return kind_; }
-
-  /// The xoshiro reference stream, regardless of kind().  Strategies that
-  /// reach past uniform() (custom deviations) stay pinned to the reference
-  /// stream so recorded expectations survive an rng= switch.
+  /// The underlying stream, for strategies that draw more than uniform()
+  /// offers (e.g. Shamir-LEAD's polynomial coefficients).
   Xoshiro256& raw() { return rng_; }
 
  private:
-  RngKind kind_;
   Xoshiro256 rng_;
-  CtrRng ctr_;
 };
 
 }  // namespace fle

@@ -11,11 +11,9 @@ namespace fle {
 class RingEngine::Context final : public RingContext {
  public:
   Context(RingEngine& engine, ProcessorId id, std::uint64_t trial_seed)
-      : engine_(&engine), id_(id), tape_(trial_seed, id, engine.rng_kind_) {}
+      : engine_(&engine), id_(id), tape_(trial_seed, id) {}
 
-  void reseed(std::uint64_t trial_seed) {
-    tape_ = RandomTape(trial_seed, id_, engine_->rng_kind_);
-  }
+  void reseed(std::uint64_t trial_seed) { tape_ = RandomTape(trial_seed, id_); }
 
   void send(Value v) override {
     if (engine_->terminated_[static_cast<std::size_t>(id_)]) {
@@ -58,7 +56,6 @@ RingEngine::RingEngine(int n, std::uint64_t trial_seed, EngineOptions options)
                       : 8ull * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n) +
                             1024),
       scheduler_kind_(options.scheduler_kind),
-      rng_kind_(options.rng),
       scheduler_(std::move(options.scheduler)),
       observer_(std::move(options.observer)),
       sched_rng_(trial_seed) {
@@ -262,8 +259,7 @@ Outcome run_honest(const RingProtocol& protocol, int n, std::uint64_t trial_seed
 
   if (!ws.engine || ws.engine->has_custom_hooks() || ws.engine->n() != n ||
       ws.engine->step_limit() != options.step_limit ||
-      ws.engine->scheduler_kind() != options.scheduler_kind ||
-      ws.engine->rng_kind() != options.rng) {
+      ws.engine->scheduler_kind() != options.scheduler_kind) {
     ws.engine = std::make_unique<RingEngine>(n, trial_seed, std::move(options));
   } else {
     ws.engine->reset(trial_seed);

@@ -63,10 +63,6 @@ struct EngineOptions {
   /// stateless or intentionally persistent schedulers.
   std::unique_ptr<Scheduler> scheduler;
   DeliveryObserver observer;
-  /// Generator family behind every processor tape's uniform() draws
-  /// (core/rng.h).  The scheduler RNG stays on the xoshiro reference
-  /// stream regardless — rng= only switches the processors' private tapes.
-  RngKind rng = RngKind::kXoshiro;
 };
 
 /// Runs one execution of a strategy vector on an n-ring.
@@ -103,7 +99,6 @@ class RingEngine {
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] std::uint64_t step_limit() const { return step_limit_; }
   [[nodiscard]] SchedulerKind scheduler_kind() const { return scheduler_kind_; }
-  [[nodiscard]] RngKind rng_kind() const { return rng_kind_; }
 
   /// Attaches (or, with nullptr, detaches) an execution transcript: every
   /// delivery and every terminate/abort decision is recorded into it.  The
@@ -133,7 +128,6 @@ class RingEngine {
   std::uint64_t trial_seed_;
   std::uint64_t step_limit_;
   SchedulerKind scheduler_kind_;
-  RngKind rng_kind_;
   std::unique_ptr<Scheduler> scheduler_;  ///< custom override; usually null
   DeliveryObserver observer_;
   ExecutionTranscript* transcript_ = nullptr;  ///< optional event recording

@@ -41,18 +41,16 @@ const char* to_string(LaneDeviationId deviation) {
 struct LaneEngine::BasicLeadKernel {
   static constexpr bool kNeedsIds = false;
 
-  static void init(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
-                   std::uint64_t seed) {
-    const std::size_t i = e.slot(lane, p);
+  static void init(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p, std::uint64_t seed) {
+    const std::size_t i = static_cast<std::size_t>(p);
     const Value n = static_cast<Value>(e.n_);
     const Value d = e.tape_uniform(seed, p, n);
     e.reg_a_[i] = d;
-    e.lane_send(hot, lane, p, d);
+    e.lane_send(hot, p, d);
   }
 
-  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
-                      Value v) {
-    const std::size_t i = hot.base + static_cast<std::size_t>(p);
+  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p, Value v) {
+    const std::size_t i = static_cast<std::size_t>(p);
     const Value n = hot.n;
     if (v >= n) v %= n;
     const std::uint64_t count = ++hot.cnt[i];
@@ -60,13 +58,13 @@ struct LaneEngine::BasicLeadKernel {
     if (sum >= n) sum -= n;
     hot.reg_b[i] = sum;
     if (count < n) {
-      e.lane_send(hot, lane, p, v);
+      e.lane_send(hot, p, v);
       return;
     }
     if (v == hot.reg_a[i]) {
-      e.lane_finish(hot, lane, p, false, sum);
+      e.lane_finish(hot, p, false, sum);
     } else {
-      e.lane_finish(hot, lane, p, true, 0);
+      e.lane_finish(hot, p, true, 0);
     }
   }
 };
@@ -77,34 +75,33 @@ struct LaneEngine::BasicLeadKernel {
 struct LaneEngine::ChangRobertsKernel {
   static constexpr bool kNeedsIds = true;
 
-  static void init(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
+  static void init(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p,
                    std::uint64_t /*seed*/) {
-    const std::size_t i = e.slot(lane, p);
+    const std::size_t i = static_cast<std::size_t>(p);
     e.reg_a_[i] = e.cr_ids_[i];
-    e.lane_send(hot, lane, p, e.reg_a_[i]);
+    e.lane_send(hot, p, e.reg_a_[i]);
   }
 
-  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
-                      Value v) {
-    const std::size_t i = hot.base + static_cast<std::size_t>(p);
+  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p, Value v) {
+    const std::size_t i = static_cast<std::size_t>(p);
     if (hot.flag_b[i]) return;
     const Value announce_base = hot.n;
     if (v >= announce_base) {
       const Value leader = v - announce_base;
       if (hot.flag_a[i]) {
-        e.lane_finish(hot, lane, p, false, leader);
+        e.lane_finish(hot, p, false, leader);
       } else {
-        e.lane_send(hot, lane, p, v);
-        e.lane_finish(hot, lane, p, false, leader);
+        e.lane_send(hot, p, v);
+        e.lane_finish(hot, p, false, leader);
       }
       hot.flag_b[i] = 1;
       return;
     }
     if (v > hot.reg_a[i]) {
-      e.lane_send(hot, lane, p, v);
+      e.lane_send(hot, p, v);
     } else if (v == hot.reg_a[i]) {
       hot.flag_a[i] = 1;
-      e.lane_send(hot, lane, p, announce_base + static_cast<Value>(p));
+      e.lane_send(hot, p, announce_base + static_cast<Value>(p));
     }
     // Smaller candidates are swallowed.
   }
@@ -115,47 +112,45 @@ struct LaneEngine::ChangRobertsKernel {
 struct LaneEngine::ALeadUniKernel {
   static constexpr bool kNeedsIds = false;
 
-  static void init(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
-                   std::uint64_t seed) {
-    const std::size_t i = e.slot(lane, p);
+  static void init(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p, std::uint64_t seed) {
+    const std::size_t i = static_cast<std::size_t>(p);
     const Value n = static_cast<Value>(e.n_);
     const Value d = e.tape_uniform(seed, p, n);
     e.reg_a_[i] = d;
     if (p == 0) {
-      e.lane_send(hot, lane, p, d);
+      e.lane_send(hot, p, d);
     } else {
       e.reg_c_[i] = d;  // commit: the secret leaves the buffer first
     }
   }
 
-  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
-                      Value v) {
-    const std::size_t i = hot.base + static_cast<std::size_t>(p);
+  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p, Value v) {
+    const std::size_t i = static_cast<std::size_t>(p);
     const Value n = hot.n;
     v %= n;
     if (p == 0) {
       const std::uint64_t count = ++hot.cnt[i];
       hot.reg_b[i] = (hot.reg_b[i] + v) % n;
       if (count < n) {
-        e.lane_send(hot, lane, p, v);
+        e.lane_send(hot, p, v);
         return;
       }
       if (v == hot.reg_a[i]) {
-        e.lane_finish(hot, lane, p, false, hot.reg_b[i]);
+        e.lane_finish(hot, p, false, hot.reg_b[i]);
       } else {
-        e.lane_finish(hot, lane, p, true, 0);
+        e.lane_finish(hot, p, true, 0);
       }
       return;
     }
-    e.lane_send(hot, lane, p, hot.reg_c[i]);  // delayed value first
+    e.lane_send(hot, p, hot.reg_c[i]);  // delayed value first
     hot.reg_c[i] = v;
     const std::uint64_t count = ++hot.cnt[i];
     hot.reg_b[i] = (hot.reg_b[i] + v) % n;
     if (count == n) {
       if (v == hot.reg_a[i]) {
-        e.lane_finish(hot, lane, p, false, hot.reg_b[i]);
+        e.lane_finish(hot, p, false, hot.reg_b[i]);
       } else {
-        e.lane_finish(hot, lane, p, true, 0);
+        e.lane_finish(hot, p, true, 0);
       }
     }
   }
@@ -172,7 +167,7 @@ struct LaneEngine::ALeadUniKernel {
 /// The honest profile: no member cells, the dispatch branch compiles away.
 struct LaneEngine::HonestDev {
   static constexpr bool kActive = false;
-  static void receive(LaneEngine&, LaneEngine::TrialHot&, std::size_t, ProcessorId, Value) {}
+  static void receive(LaneEngine&, LaneEngine::TrialHot&, ProcessorId, Value) {}
 };
 
 /// basic-single (Appendix B): buffer the n-1 honest values, then cancel
@@ -181,13 +176,12 @@ struct LaneEngine::HonestDev {
 struct LaneEngine::BasicSingleDev {
   static constexpr bool kActive = true;
 
-  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
-                      Value v) {
-    const std::size_t i = hot.base + static_cast<std::size_t>(p);
+  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p, Value v) {
+    const std::size_t i = static_cast<std::size_t>(p);
     if (hot.flag_b[i]) return;
     const Value n = hot.n;
     v %= n;
-    Value* aux = e.aux_.data() + hot.base + e.dev_aux_[static_cast<std::size_t>(p)];
+    Value* aux = e.aux_.data() + e.dev_aux_[static_cast<std::size_t>(p)];
     aux[hot.cnt[i]] = v;
     hot.reg_b[i] += v;
     if (hot.reg_b[i] >= n) hot.reg_b[i] -= n;
@@ -196,10 +190,10 @@ struct LaneEngine::BasicSingleDev {
 
     // All n-1 honest values collected: cancel them out.
     const Value m = (e.dev_target_ + n - hot.reg_b[i]) % n;
-    e.lane_send(hot, lane, p, m);
-    for (std::uint64_t j = 0; j < count; ++j) e.lane_send(hot, lane, p, aux[j]);
+    e.lane_send(hot, p, m);
+    for (std::uint64_t j = 0; j < count; ++j) e.lane_send(hot, p, aux[j]);
     hot.flag_b[i] = 1;
-    e.lane_finish(hot, lane, p, false, e.dev_target_);
+    e.lane_finish(hot, p, false, e.dev_target_);
   }
 };
 
@@ -212,26 +206,25 @@ struct LaneEngine::BasicSingleDev {
 struct LaneEngine::RushingDev {
   static constexpr bool kActive = true;
 
-  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, std::size_t lane, ProcessorId p,
-                      Value v) {
-    const std::size_t i = hot.base + static_cast<std::size_t>(p);
+  static void receive(LaneEngine& e, LaneEngine::TrialHot& hot, ProcessorId p, Value v) {
+    const std::size_t i = static_cast<std::size_t>(p);
     if (hot.flag_b[i]) return;
     const Value n = hot.n;
     v %= n;
     const int lj = e.dev_lj_[static_cast<std::size_t>(p)];
-    Value* win = e.aux_.data() + hot.base + e.dev_aux_[static_cast<std::size_t>(p)];
+    Value* win = e.aux_.data() + e.dev_aux_[static_cast<std::size_t>(p)];
     if (lj > 0) win[hot.cnt[i] % static_cast<std::uint64_t>(lj)] = v;
     hot.reg_b[i] += v;
     if (hot.reg_b[i] >= n) hot.reg_b[i] -= n;
     const std::uint64_t received = ++hot.cnt[i];
     if (received < e.dev_honest_total_) {
-      e.lane_send(hot, lane, p, v);  // rush: pipe instead of buffering
+      e.lane_send(hot, p, v);  // rush: pipe instead of buffering
       return;
     }
     if (received > e.dev_honest_total_) return;  // late traffic is ignored
 
     // received == n-k: pipe this one too, then burst the remaining k sends.
-    e.lane_send(hot, lane, p, v);
+    e.lane_send(hot, p, v);
     const std::uint64_t honest_total = e.dev_honest_total_;
     Value s_segment = 0;
     for (int j = 0; j < lj; ++j) {
@@ -240,14 +233,14 @@ struct LaneEngine::RushingDev {
       if (s_segment >= n) s_segment -= n;
     }
     const Value m = (e.dev_target_ + 2 * n - hot.reg_b[i] - s_segment) % n;
-    e.lane_send(hot, lane, p, m);
-    for (int j = 0; j < e.dev_k_ - lj - 1; ++j) e.lane_send(hot, lane, p, 0);
+    e.lane_send(hot, p, m);
+    for (int j = 0; j < e.dev_k_ - lj - 1; ++j) e.lane_send(hot, p, 0);
     for (int j = 0; j < lj; ++j) {
       const std::uint64_t idx = honest_total - static_cast<std::uint64_t>(lj - j);
-      e.lane_send(hot, lane, p, win[idx % static_cast<std::uint64_t>(lj)]);
+      e.lane_send(hot, p, win[idx % static_cast<std::uint64_t>(lj)]);
     }
     hot.flag_b[i] = 1;
-    e.lane_finish(hot, lane, p, false, e.dev_target_);
+    e.lane_finish(hot, p, false, e.dev_target_);
   }
 };
 
@@ -261,11 +254,8 @@ LaneEngine::LaneEngine(int n, LaneKernelId kernel, LaneEngineOptions options)
                       : 8ull * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n) +
                             1024),
       scheduler_kind_(options.scheduler_kind),
-      rng_kind_(options.rng),
-      lanes_(options.lanes),
       deviation_(std::move(options.deviation)) {
   if (n_ < 2) throw std::invalid_argument("ring needs at least 2 processors");
-  if (lanes_ < 1) throw std::invalid_argument("lane width must be at least 1");
 
   // An empty coalition is the honest profile whatever the deviation id
   // says (Bernoulli placements may legitimately sample k = 0).
@@ -310,12 +300,12 @@ LaneEngine::LaneEngine(int n, LaneKernelId kernel, LaneEngineOptions options)
     }
     if (aux_offset > static_cast<std::uint32_t>(n_)) {
       // basic-single stores n-1 values; rushing windows sum to n-k.  One
-      // n-wide column per lane therefore always suffices.
+      // n-wide column therefore always suffices.
       throw std::invalid_argument("lane deviation replay storage exceeds one column");
     }
   }
 
-  const std::size_t cells = static_cast<std::size_t>(lanes_) * static_cast<std::size_t>(n_);
+  const std::size_t cells = static_cast<std::size_t>(n_);
   inbox_.configure(cells);
   reg_a_.resize(cells);
   reg_b_.resize(cells);
@@ -329,21 +319,17 @@ LaneEngine::LaneEngine(int n, LaneKernelId kernel, LaneEngineOptions options)
   out_value_.resize(cells);
   sent_.resize(cells);
   if (deviation_.id != LaneDeviationId::kNone) aux_.resize(cells);
-  lane_.resize(static_cast<std::size_t>(lanes_));
-  for (LaneState& lane : lane_) {
-    // One scratch slot past n: the predicated insert writes ready[count]
-    // even when the processor is already listed (count then stays put).
-    lane.ready.assign(static_cast<std::size_t>(n_) + 1, 0);
-    lane.ready_pos.assign(static_cast<std::size_t>(n_), -1);
-    // Every kernel/deviation pair sends at most n+1 messages per processor
-    // (chang-roberts' max-id owner: wake-up + n-1 forwards + announce), so
-    // presizing the sync-gap histogram keeps the steady state allocation
-    // free; lane_send retains the growth fallback for safety.
-    lane.sent_freq.assign(static_cast<std::size_t>(n_) + 4, 0);
-    lane.sent_freq[0] = static_cast<std::uint64_t>(n_);
-  }
+  // One scratch slot past n: the predicated insert writes ready[count]
+  // even when the processor is already listed (count then stays put).
+  ready_.assign(cells + 1, 0);
+  ready_pos_.assign(cells, -1);
+  // Every kernel/deviation pair sends at most n+1 messages per processor
+  // (chang-roberts' max-id owner: wake-up + n-1 forwards + announce), so
+  // presizing the sync-gap histogram keeps the steady state allocation
+  // free; lane_send retains the growth fallback for safety.
+  sent_freq_.assign(cells + 4, 0);
   cr_ids_.resize(cells);
-  cr_scratch_.resize(static_cast<std::size_t>(n_));
+  cr_scratch_.resize(cells);
 
   fast_kind_ = resolve_fast_kind(options.fast_paths);
   if (fast_kind_ == FastKind::kNone) fast_state_ = FastState::kDisabled;
@@ -385,7 +371,7 @@ LaneEngine::FastKind LaneEngine::resolve_fast_kind(bool fast_paths) const {
 Value LaneEngine::tape_uniform(std::uint64_t seed, ProcessorId p, Value bound) const {
   // The kernels draw from the tape at most once, at wake-up, so a
   // transient tape reproduces the scalar Context's stream exactly.
-  RandomTape tape(seed, p, rng_kind_);
+  RandomTape tape(seed, p);
   return tape.uniform(bound);
 }
 
@@ -412,17 +398,17 @@ void LaneEngine::unmark_at(TrialHot& hot, std::size_t idx, ProcessorId p) {
   hot.ready_pos[static_cast<std::size_t>(p)] = -1;
 }
 
-std::size_t LaneEngine::pick_index(LaneState& lane, TrialHot& hot) {
+std::size_t LaneEngine::pick_index(TrialHot& hot) {
   switch (scheduler_kind_) {
     case SchedulerKind::kRoundRobin:
       break;
     case SchedulerKind::kRandom:
-      return lane.sched_rng.below(hot.ready_count);
+      return sched_rng_.below(hot.ready_count);
     case SchedulerKind::kPriority: {
       std::size_t best = 0;
       for (std::size_t i = 1; i < hot.ready_count; ++i) {
-        if (lane.priority[static_cast<std::size_t>(hot.ready[i])] <
-            lane.priority[static_cast<std::size_t>(hot.ready[best])]) {
+        if (priority_[static_cast<std::size_t>(hot.ready[i])] <
+            priority_[static_cast<std::size_t>(hot.ready[best])]) {
           best = i;
         }
       }
@@ -434,11 +420,11 @@ std::size_t LaneEngine::pick_index(LaneState& lane, TrialHot& hot) {
   return hot.rr_cursor++;
 }
 
-void LaneEngine::lane_send(TrialHot& hot, std::size_t lane_index, ProcessorId from, Value v) {
+void LaneEngine::lane_send(TrialHot& hot, ProcessorId from, Value v) {
   ProcessorId to = from + 1;
   if (static_cast<Value>(to) == hot.n) to = 0;
 
-  const std::uint64_t s = hot.sent[hot.base + static_cast<std::size_t>(from)]++;
+  const std::uint64_t s = hot.sent[static_cast<std::size_t>(from)]++;
   if (!hot.gap_frozen) {
     // Same trace as the scalar histogram with the two scans collapsed:
     // counts move up one level at a time, so when level s drains and s was
@@ -446,10 +432,9 @@ void LaneEngine::lane_send(TrialHot& hot, std::size_t lane_index, ProcessorId fr
     // incremented); and max - min grows only when max does, so the gap
     // folds under that test alone.
     if (s + 2 >= hot.sent_freq_size) [[unlikely]] {
-      LaneState& lane = lane_[lane_index];
-      lane.sent_freq.resize(s + 3, 0);
-      hot.sent_freq = lane.sent_freq.data();
-      hot.sent_freq_size = lane.sent_freq.size();
+      sent_freq_.resize(s + 3, 0);
+      hot.sent_freq = sent_freq_.data();
+      hot.sent_freq_size = sent_freq_.size();
     }
     std::uint64_t* freq = hot.sent_freq;
     assert(freq[s] > 0);
@@ -462,7 +447,7 @@ void LaneEngine::lane_send(TrialHot& hot, std::size_t lane_index, ProcessorId fr
     }
   }
 
-  const std::size_t dst = hot.base + static_cast<std::size_t>(to);
+  const std::size_t dst = static_cast<std::size_t>(to);
   if (!hot.terminated[dst]) {
     // The inbox push, through the trial's cached cursors (inbox.h View).
     std::uint64_t* ht = hot.ibx.ht + dst * 2;
@@ -475,9 +460,8 @@ void LaneEngine::lane_send(TrialHot& hot, std::size_t lane_index, ProcessorId fr
   }
 }
 
-void LaneEngine::lane_finish(TrialHot& hot, std::size_t lane_index, ProcessorId p, bool aborted,
-                             Value value) {
-  const std::size_t i = slot(lane_index, p);
+void LaneEngine::lane_finish(TrialHot& hot, ProcessorId p, bool aborted, Value value) {
+  const std::size_t i = static_cast<std::size_t>(p);
   assert(!out_has_[i]);
   out_has_[i] = 1;
   out_aborted_[i] = aborted ? 1 : 0;
@@ -486,23 +470,16 @@ void LaneEngine::lane_finish(TrialHot& hot, std::size_t lane_index, ProcessorId 
   hot.gap_frozen = true;
   unmark_ready(hot, p);
   inbox_.clear_cell(i);
-  if (ExecutionTranscript* tr = lane_[lane_index].transcript) {
-    tr->decision(static_cast<std::uint64_t>(p), aborted, value);
-  }
+  if (transcript_) transcript_->decision(static_cast<std::uint64_t>(p), aborted, value);
 }
 
 template <typename Kernel, typename Dev>
-void LaneEngine::start_trial(std::size_t lane_index, std::size_t trial, std::uint64_t seed,
-                             ExecutionTranscript* transcript, TrialHot& hot) {
-  LaneState& lane = lane_[lane_index];
-  lane.trial = trial;
-  lane.seed = seed;
-  lane.step_limit_hit = false;
-  lane.max_sync_gap = 0;
-  lane.transcript = transcript;
-  std::fill(lane.ready_pos.begin(), lane.ready_pos.end(), -1);
-  lane.sent_freq.assign(static_cast<std::size_t>(n_) + 4, 0);
-  lane.sent_freq[0] = static_cast<std::uint64_t>(n_);
+void LaneEngine::start_trial(std::uint64_t seed, ExecutionTranscript* transcript, TrialHot& hot) {
+  const std::size_t n = static_cast<std::size_t>(n_);
+  transcript_ = transcript;
+  std::fill(ready_pos_.begin(), ready_pos_.end(), -1);
+  sent_freq_.assign(n + 4, 0);
+  sent_freq_[0] = static_cast<std::uint64_t>(n_);
 
   // The per-trial scalars live in the caller's stack frame (TrialHot) so the
   // optimizer can keep them in registers across the SoA column stores.
@@ -513,12 +490,11 @@ void LaneEngine::start_trial(std::size_t lane_index, std::size_t trial, std::uin
   hot.max_sent = 0;
   hot.max_sync_gap = 0;
   hot.gap_frozen = false;
-  hot.ready = lane.ready.data();
-  hot.ready_pos = lane.ready_pos.data();
-  hot.sent_freq = lane.sent_freq.data();
-  hot.sent_freq_size = lane.sent_freq.size();
+  hot.ready = ready_.data();
+  hot.ready_pos = ready_pos_.data();
+  hot.sent_freq = sent_freq_.data();
+  hot.sent_freq_size = sent_freq_.size();
   hot.n = static_cast<Value>(n_);
-  hot.base = slot(lane_index, 0);
   hot.sent = sent_.data();
   hot.cnt = cnt_.data();
   hot.reg_a = reg_a_.data();
@@ -534,15 +510,14 @@ void LaneEngine::start_trial(std::size_t lane_index, std::size_t trial, std::uin
     case SchedulerKind::kRoundRobin:
       break;
     case SchedulerKind::kRandom:
-      lane.sched_rng = Xoshiro256(seed);
+      sched_rng_ = Xoshiro256(seed);
       break;
     case SchedulerKind::kPriority:
-      fill_priority_permutation(lane.priority, n_, seed);
+      fill_priority_permutation(priority_, n_, seed);
       break;
   }
 
-  const std::size_t base = slot(lane_index, 0);
-  for (std::size_t i = base; i < base + static_cast<std::size_t>(n_); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     inbox_.clear_cell(i);
     reg_a_[i] = 0;
     reg_b_[i] = 0;
@@ -558,13 +533,10 @@ void LaneEngine::start_trial(std::size_t lane_index, std::size_t trial, std::uin
   }
 
   if constexpr (Kernel::kNeedsIds) {
-    // Per-trial logical ids in this lane's column, bit-identical to
-    // ChangRobertsProtocol::random.
-    const auto first = cr_ids_.begin() + static_cast<std::ptrdiff_t>(base);
-    const auto last = first + n_;
-    std::iota(first, last, Value{0});
+    // Per-trial logical ids, bit-identical to ChangRobertsProtocol::random.
+    std::iota(cr_ids_.begin(), cr_ids_.end(), Value{0});
     Xoshiro256 rng(seed);
-    std::shuffle(first, last, rng);
+    std::shuffle(cr_ids_.begin(), cr_ids_.end(), rng);
   }
 
   // Wake-up phase, in processor order like the scalar run().  Coalition
@@ -574,14 +546,13 @@ void LaneEngine::start_trial(std::size_t lane_index, std::size_t trial, std::uin
     if constexpr (Dev::kActive) {
       if (dev_member_[static_cast<std::size_t>(p)]) continue;
     }
-    if (!terminated_[slot(lane_index, p)]) Kernel::init(*this, hot, lane_index, p, seed);
+    if (!terminated_[static_cast<std::size_t>(p)]) Kernel::init(*this, hot, p, seed);
   }
 }
 
 template <typename Kernel, typename Dev, bool kTranscribe>
 void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
                            std::span<ExecutionTranscript* const> transcripts) {
-  const std::size_t width = static_cast<std::size_t>(lanes_);
   const std::uint64_t limit = step_limit_;
   for (std::size_t t = 0; t < seeds.size(); ++t) {
     // Transcript-recording windows never serve analytically (they need the
@@ -590,11 +561,10 @@ void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneT
       out[t] = fast_result(seeds[t]);
       continue;
     }
-    const std::size_t l = t % width;
     TrialHot hot;
-    start_trial<Kernel, Dev>(l, t, seeds[t], kTranscribe ? transcripts[t] : nullptr, hot);
-    LaneState& lane = lane_[l];
+    start_trial<Kernel, Dev>(seeds[t], kTranscribe ? transcripts[t] : nullptr, hot);
     const SchedulerKind sched = scheduler_kind_;
+    bool step_limit_hit = false;
     // Step budget as a countdown: `budget == 0` here iff the scalar loop's
     // `deliveries >= limit` (budget starts at limit and drops once per
     // delivery), but the countdown needs no second counter register.  The
@@ -604,7 +574,7 @@ void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneT
     while (hot.ready_count != 0) {
       if (budget == 0) [[unlikely]] {
         // The step bound with work still pending: the scalar loop's break.
-        lane.step_limit_hit = true;
+        step_limit_hit = true;
         break;
       }
       --budget;
@@ -616,56 +586,49 @@ void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneT
           pick = hot.rr_cursor++;
           break;
         default:
-          pick = pick_index(lane, hot);
+          pick = pick_index(hot);
           break;
       }
       const ProcessorId p = hot.ready[pick];
       // Fused inbox pop + drain test through the trial's cached cursors.
-      const std::size_t cell = hot.base + static_cast<std::size_t>(p);
+      const std::size_t cell = static_cast<std::size_t>(p);
       std::uint64_t* const ht = hot.ibx.ht + cell * 2;
       const std::uint64_t h = ht[0]++;
       const Value v = hot.ibx.data[(cell << hot.ibx.shift) + (h & hot.ibx.mask)];
       if (h + 1 == ht[1]) unmark_at(hot, pick, p);
       if constexpr (kTranscribe) {
         ++hot.deliveries;
-        if (lane.transcript) {
-          lane.transcript->delivery(hot.deliveries, static_cast<std::uint64_t>(p), v);
-        }
+        if (transcript_) transcript_->delivery(hot.deliveries, static_cast<std::uint64_t>(p), v);
       }
       if constexpr (Dev::kActive) {
-        if (dev_member_[static_cast<std::size_t>(p)]) {
-          Dev::receive(*this, hot, l, p, v);
+        if (dev_member_[cell]) {
+          Dev::receive(*this, hot, p, v);
           continue;
         }
       }
-      Kernel::receive(*this, hot, l, p, v);
+      Kernel::receive(*this, hot, p, v);
     }
-    lane.max_sync_gap = hot.max_sync_gap;
-    retire(l, out);
-    if (fast_kind_ != FastKind::kNone) observe_fast_trial(lane, out[t]);
+    out[t] = retire(hot, step_limit_hit);
+    if (fast_kind_ != FastKind::kNone) observe_fast_trial(seeds[t], out[t]);
   }
 }
 
-void LaneEngine::retire(std::size_t lane_index, std::span<LaneTrialResult> out) {
-  LaneState& lane = lane_[lane_index];
+LaneTrialResult LaneEngine::retire(const TrialHot& hot, bool step_limit_hit) const {
+  const std::size_t n = static_cast<std::size_t>(n_);
   LaneTrialResult result;
   // Total messages = sum of the per-processor send counters (the hot loop
   // keeps no running total; every lane_send bumps sent_ exactly once,
   // including sends dropped at a terminated destination).
   std::uint64_t messages = 0;
-  for (std::size_t i = slot(lane_index, 0); i < slot(lane_index, 0) + static_cast<std::size_t>(n_);
-       ++i) {
-    messages += sent_[i];
-  }
+  for (std::size_t i = 0; i < n; ++i) messages += sent_[i];
   result.messages = messages;
-  result.max_sync_gap = lane.max_sync_gap;
-  result.step_limit_hit = lane.step_limit_hit;
+  result.max_sync_gap = hot.max_sync_gap;
+  result.step_limit_hit = step_limit_hit;
 
-  // aggregate_outcome (core/types.h) over the lane's output columns.
-  const std::size_t base = slot(lane_index, 0);
+  // aggregate_outcome (core/types.h) over the output columns.
   std::optional<Value> agreed;
   bool failed = false;
-  for (std::size_t i = base; i < base + static_cast<std::size_t>(n_); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (!out_has_[i] || out_aborted_[i] || out_value_[i] >= static_cast<Value>(n_) ||
         (agreed && *agreed != out_value_[i])) {
       failed = true;
@@ -674,7 +637,7 @@ void LaneEngine::retire(std::size_t lane_index, std::span<LaneTrialResult> out) 
     agreed = out_value_[i];
   }
   result.outcome = (failed || !agreed) ? Outcome::fail() : Outcome::elected(*agreed);
-  out[lane.trial] = result;
+  return result;
 }
 
 Value LaneEngine::token_sum_prediction(std::uint64_t seed) const {
@@ -750,14 +713,14 @@ LaneTrialResult LaneEngine::fast_result(std::uint64_t seed) {
   return result;
 }
 
-void LaneEngine::observe_fast_trial(const LaneState& lane, const LaneTrialResult& result) {
+void LaneEngine::observe_fast_trial(std::uint64_t seed, const LaneTrialResult& result) {
   if (fast_state_ != FastState::kPriming) return;
   bool match = false;
   switch (fast_kind_) {
     case FastKind::kTokenSum:
     case FastKind::kDeviatedConstant: {
       const Value predicted = fast_kind_ == FastKind::kTokenSum
-                                  ? token_sum_prediction(lane.seed)
+                                  ? token_sum_prediction(seed)
                                   : dev_target_;
       match = !result.step_limit_hit && result.outcome.valid() &&
               result.outcome.leader() == predicted;
@@ -776,7 +739,7 @@ void LaneEngine::observe_fast_trial(const LaneState& lane, const LaneTrialResult
       break;
     }
     case FastKind::kChangRoberts: {
-      const LaneTrialResult predicted = chang_roberts_prediction(lane.seed);
+      const LaneTrialResult predicted = chang_roberts_prediction(seed);
       match = !result.step_limit_hit && result.outcome == predicted.outcome &&
               result.messages == predicted.messages &&
               result.max_sync_gap == predicted.max_sync_gap;

@@ -2,29 +2,28 @@
 // Batched structure-of-arrays trial lanes for the ring runtime
 // (DESIGN.md §10).
 //
-// A LaneEngine runs the trials of a window through W preallocated SoA
-// *lane columns*: per-trial scheduler cursors, inbox ring buffers,
-// token/phase registers and termination flags live in parallel arrays
-// indexed lane*n + p.  Trial t is pinned to lane t % W and runs as a
-// *burst* — its delivery loop runs to completion before the lane takes
-// the window's next trial.  (A lock-step variant that advanced all W
-// resident trials one delivery per sweep was measured slower: the extra
-// indirection per delivery cost more than the memory-level parallelism
-// bought.)  One burst's speedup over the scalar RingEngine comes from
-// devirtualization (kernel and deviation handlers inline into the
-// delivery step), the contiguous RingBufferColumn inbox (sim/inbox.h —
-// no per-queue heap objects, and paired head/tail counters so a
-// delivery's pop and push each touch one control cache line), the
-// per-trial TrialHot register file (run_batch keeps the trial's scalars
-// and raw column cursors in a local struct whose helpers are
+// A LaneEngine runs the trials of a window through one preallocated set of
+// SoA columns: the in-flight trial's inbox ring buffers, token/phase
+// registers and termination flags live in parallel arrays indexed by
+// processor.  Each trial runs as a *burst* — its delivery loop runs to
+// completion before the window's next trial starts.  (A lock-step variant
+// that kept several trials resident and advanced each one delivery per
+// sweep was measured slower: the extra indirection per delivery cost more
+// than the memory-level parallelism bought.)  One burst's speedup over the
+// scalar RingEngine comes from devirtualization (kernel and deviation
+// handlers inline into the delivery step), the contiguous RingBufferColumn
+// inbox (sim/inbox.h — no per-queue heap objects, and paired head/tail
+// counters so a delivery's pop and push each touch one control cache
+// line), the per-trial TrialHot register file (run_batch keeps the trial's
+// scalars and raw column cursors in a local struct whose helpers are
 // force-inlined, so the loop reads stack slots instead of chasing
-// this->vector->data indirections that rare in-loop grow()/resize()
-// calls stop GCC from hoisting), the O(1) min/max sync-gap histogram,
-// and transcript recording compiled out of the non-recording window
+// this->vector->data indirections that rare in-loop grow()/resize() calls
+// stop GCC from hoisting), the O(1) min/max sync-gap histogram, and
+// transcript recording compiled out of the non-recording window
 // instantiation.  Measured on the reference setup this lands the general
 // path (fast paths disabled) at ~2.2x the scalar engine per delivery.
 //
-// Bit-identity contract: each lane replicates the scalar RingEngine's
+// Bit-identity contract: each trial replicates the scalar RingEngine's
 // per-trial algorithm exactly — same ready-set swap-remove bookkeeping,
 // same wrapping round-robin cursor, same per-trial scheduler reseed, same
 // tape draw order, same sync-gap histogram with termination freeze, same
@@ -38,8 +37,8 @@
 // received count, reg_b_ = running mod-n sum, flag_b_ = done) plus a flat
 // aux_ column for the replay buffers (basic-single's n-1 captured values;
 // rushing's per-member sliding window of the last l_j values, packed by
-// prefix sums of l_j — sum l_j = n-k <= n, so one n-wide column per lane
-// covers every placement).
+// prefix sums of l_j — sum l_j = n-k <= n, so one n-wide column covers
+// every placement).
 //
 // Analytic fast paths (self-verifying, round-robin only): some shapes
 // have closed-form trial results, and the engine primes each per
@@ -74,9 +73,8 @@
 namespace fle {
 
 /// The built-in protocols with devirtualized lane kernels.  The
-/// transcript-digest-guided specializer (src/api/specialize.h) routes
-/// dominant (protocol, deviation, n, scheduler) sweep shapes here;
-/// everything else falls back to the general scalar engine.
+/// specializer (src/api/specialize.h) routes every lane-eligible spec
+/// here; everything else runs on the general scalar engine.
 enum class LaneKernelId { kBasicLead, kChangRoberts, kALeadUni };
 
 const char* to_string(LaneKernelId kernel);
@@ -106,9 +104,6 @@ struct LaneEngineOptions {
   /// the scalar RingEngine).
   std::uint64_t step_limit = 0;
   SchedulerKind scheduler_kind = SchedulerKind::kRoundRobin;
-  RngKind rng = RngKind::kXoshiro;
-  /// Lane width W: how many SoA trial columns are kept resident.
-  int lanes = 8;
   /// Deviated profile to run (kNone = honest).
   LaneDeviationSpec deviation;
   /// Allows the self-verifying analytic fast paths.  Disabled, every trial
@@ -147,8 +142,6 @@ class LaneEngine {
   [[nodiscard]] LaneKernelId kernel() const { return kernel_; }
   [[nodiscard]] std::uint64_t step_limit() const { return step_limit_; }
   [[nodiscard]] SchedulerKind scheduler_kind() const { return scheduler_kind_; }
-  [[nodiscard]] RngKind rng_kind() const { return rng_kind_; }
-  [[nodiscard]] int lanes() const { return lanes_; }
   [[nodiscard]] const LaneDeviationSpec& deviation() const { return deviation_; }
 
  private:
@@ -158,24 +151,6 @@ class LaneEngine {
   struct HonestDev;
   struct BasicSingleDev;
   struct RushingDev;
-
-  /// Per-lane control block (per-trial scheduler + accounting state; the
-  /// per-processor state lives in the flat SoA arrays below).  The ready
-  /// list is a fixed-capacity buffer (n+1 slots, count in TrialHot): it
-  /// never reallocates mid-trial, so the delivery loop can hold its data
-  /// pointer in a register.
-  struct LaneState {
-    bool step_limit_hit = false;
-    Xoshiro256 sched_rng{0};
-    std::vector<int> priority;
-    std::vector<ProcessorId> ready;
-    std::vector<int> ready_pos;
-    std::vector<std::uint64_t> sent_freq;
-    std::uint64_t max_sync_gap = 0;  ///< written back from TrialHot at trial end
-    ExecutionTranscript* transcript = nullptr;
-    std::size_t trial = 0;  ///< index into the window's seeds/out spans
-    std::uint64_t seed = 0;  ///< the trial's seed (fast-path verification)
-  };
 
   /// The delivery loop's per-trial scalars and array cursors, instantiated
   /// as a *stack local* while a trial runs.  This is the load-bearing perf
@@ -192,20 +167,19 @@ class LaneEngine {
     std::uint64_t max_sent = 0;
     std::uint64_t max_sync_gap = 0;
     bool gap_frozen = false;
-    ProcessorId* ready = nullptr;           ///< LaneState::ready.data()
-    int* ready_pos = nullptr;               ///< LaneState::ready_pos.data()
-    std::uint64_t* sent_freq = nullptr;     ///< LaneState::sent_freq.data()
+    ProcessorId* ready = nullptr;           ///< ready_.data()
+    int* ready_pos = nullptr;               ///< ready_pos_.data()
+    std::uint64_t* sent_freq = nullptr;     ///< sent_freq_.data()
     std::size_t sent_freq_size = 0;         ///< refreshed on (rare) regrowth
 
     // Cached column cursors: every array access through a vector member is
     // two dependent loads (control block, then element) that GCC refuses to
     // hoist out of the delivery loop — the rare grow()/resize() calls on
     // the full/frozen paths clobber its alias analysis.  Caching the data
-    // pointers (and n / the lane's column base) here cuts each access to
-    // one load.  All pointers are stable for the whole trial except the
-    // inbox view, which lane_send refreshes after a grow.
+    // pointers (and n) here cuts each access to one load.  All pointers
+    // are stable for the whole trial except the inbox view, which
+    // lane_send refreshes after a grow.
     Value n = 0;                            ///< n_ as a Value (kernel compares)
-    std::size_t base = 0;                   ///< slot(lane, 0)
     std::uint64_t* sent = nullptr;
     std::uint64_t* cnt = nullptr;
     Value* reg_a = nullptr;
@@ -224,14 +198,10 @@ class LaneEngine {
   enum class FastState { kPriming, kArmed, kDisabled };
   static constexpr int kFastPrimeTrials = 4;
 
-  [[nodiscard]] std::size_t slot(std::size_t lane, ProcessorId p) const {
-    return lane * static_cast<std::size_t>(n_) + static_cast<std::size_t>(p);
-  }
-
   template <typename Kernel, typename Dev>
   void run_window_impl(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
                        std::span<ExecutionTranscript* const> transcripts);
-  /// The burst loop: each trial runs to completion on its lane (t % W)
+  /// The burst loop: each trial runs to completion on the column set
   /// through a TrialHot register file built by start_trial.  kTranscribe
   /// compiles the per-delivery transcript hook (and the absolute delivery
   /// counter feeding it) in or out; the non-recording instantiation is the
@@ -240,8 +210,7 @@ class LaneEngine {
   void run_batch(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
                  std::span<ExecutionTranscript* const> transcripts);
   template <typename Kernel, typename Dev>
-  void start_trial(std::size_t lane, std::size_t trial, std::uint64_t seed,
-                   ExecutionTranscript* transcript, TrialHot& hot);
+  void start_trial(std::uint64_t seed, ExecutionTranscript* transcript, TrialHot& hot);
   template <typename Kernel>
   void dispatch_kernel(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
                        std::span<ExecutionTranscript* const> transcripts);
@@ -249,13 +218,12 @@ class LaneEngine {
   // always_inline: one call per delivery from every kernel's receive(); left
   // to its own heuristics GCC outlines it (60+ call sites), which pins the
   // caller's TrialHot to the stack and defeats the register file.
-  [[gnu::always_inline]] inline void lane_send(TrialHot& hot, std::size_t lane, ProcessorId from,
-                                               Value v);
+  [[gnu::always_inline]] inline void lane_send(TrialHot& hot, ProcessorId from, Value v);
   // lane_finish and pick_index stay outlined deliberately: force-inlining
   // them (measured) bloats the delivery loop past what the I-cache and
   // register file absorb and costs ~25%.  Only the tiny per-delivery
   // ready-list helpers join lane_send in the loop body.
-  void lane_finish(TrialHot& hot, std::size_t lane, ProcessorId p, bool aborted, Value value);
+  void lane_finish(TrialHot& hot, ProcessorId p, bool aborted, Value value);
   [[gnu::always_inline]] static inline void mark_ready(TrialHot& hot, ProcessorId p);
   static void unmark_ready(TrialHot& hot, ProcessorId p);
   /// unmark_ready for a processor whose ready-list index is already known
@@ -265,8 +233,9 @@ class LaneEngine {
   /// Picks the next delivery target for kRandom/kPriority and returns its
   /// *index* into the ready list (the round-robin path is inlined in
   /// run_batch).
-  [[nodiscard]] std::size_t pick_index(LaneState& lane, TrialHot& hot);
-  void retire(std::size_t lane, std::span<LaneTrialResult> out);
+  [[nodiscard]] std::size_t pick_index(TrialHot& hot);
+  /// The finished trial's result, read off the output and send columns.
+  [[nodiscard]] LaneTrialResult retire(const TrialHot& hot, bool step_limit_hit) const;
   [[nodiscard]] Value tape_uniform(std::uint64_t seed, ProcessorId p, Value bound) const;
 
   [[nodiscard]] FastKind resolve_fast_kind(bool fast_paths) const;
@@ -278,19 +247,17 @@ class LaneEngine {
   [[nodiscard]] LaneTrialResult fast_result(std::uint64_t seed);
   /// Checks one generally-executed trial against the prediction and
   /// advances the priming state machine (arm / disable).
-  void observe_fast_trial(const LaneState& lane, const LaneTrialResult& result);
+  void observe_fast_trial(std::uint64_t seed, const LaneTrialResult& result);
 
   int n_;
   LaneKernelId kernel_;
   std::uint64_t step_limit_;
   SchedulerKind scheduler_kind_;
-  RngKind rng_kind_;
-  int lanes_;
   LaneDeviationSpec deviation_;
 
-  // Per-(lane, processor) SoA state, indexed slot(lane, p).  The three
-  // value registers + counter + two flags cover every kernel's strategy
-  // state (basic-lead: d/sum; a-lead: d/sum/buffer; chang-roberts:
+  // Per-processor SoA state of the trial in flight.  The three value
+  // registers + counter + two flags cover every kernel's strategy state
+  // (basic-lead: d/sum; a-lead: d/sum/buffer; chang-roberts:
   // lid/detector/done; deviation members overlay cnt_ = received,
   // reg_b_ = running sum, flag_b_ = done).
   RingBufferColumn<Value> inbox_;
@@ -305,8 +272,8 @@ class LaneEngine {
   std::vector<std::uint8_t> out_aborted_;
   std::vector<Value> out_value_;
   std::vector<std::uint64_t> sent_;
-  /// Deviation replay storage, n values per lane (lane l's slice is
-  /// [l*n, (l+1)*n)); member p's window starts at dev_aux_[p].
+  /// Deviation replay storage, n values; member p's window starts at
+  /// dev_aux_[p].
   std::vector<Value> aux_;
 
   // Per-processor deviation configuration (constant across trials: the
@@ -318,9 +285,18 @@ class LaneEngine {
   int dev_k_ = 0;
   std::uint64_t dev_honest_total_ = 0;
 
-  std::vector<LaneState> lane_;
-  /// Chang-roberts per-trial logical ids, one column per lane (indexed
-  /// slot(lane, p)) so interleaved trials keep their own permutations.
+  // Per-trial scheduler and accounting state.  The ready list is a
+  // fixed-capacity buffer (n+1 slots, count in TrialHot): it never
+  // reallocates mid-trial, so the delivery loop can hold its data pointer
+  // in a register.
+  Xoshiro256 sched_rng_{0};
+  std::vector<int> priority_;
+  std::vector<ProcessorId> ready_;
+  std::vector<int> ready_pos_;
+  std::vector<std::uint64_t> sent_freq_;
+  ExecutionTranscript* transcript_ = nullptr;
+
+  /// Chang-roberts per-trial logical ids, indexed by processor.
   std::vector<Value> cr_ids_;
   std::vector<Value> cr_scratch_;  ///< closed-form prediction id scratch
   std::vector<std::uint64_t> cr_sends_;  ///< closed-form per-processor send counts

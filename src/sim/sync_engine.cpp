@@ -198,43 +198,43 @@ const char* to_string(SyncLaneKernelId kernel) {
 /// validates exactly one in-range value per peer (ascending senders) and
 /// terminates with the mod-n sum.
 struct SyncLaneEngine::BroadcastKernel {
-  static void on_round(SyncLaneEngine& e, std::size_t lane, ProcessorId p, int round,
-                       std::uint64_t seed, const ProcessorId* from, const Value* val,
-                       std::size_t count, ExecutionTranscript* transcript) {
-    const std::size_t i = e.slot(lane, p);
+  static void on_round(SyncLaneEngine& e, ProcessorId p, int round, std::uint64_t seed,
+                       const ProcessorId* from, const Value* val, std::size_t count,
+                       ExecutionTranscript* transcript) {
+    const std::size_t i = static_cast<std::size_t>(p);
     const Value n = static_cast<Value>(e.n_);
     if (round == 1) {
       const Value d = RandomTape(seed, p).uniform(n);
       e.reg_a_[i] = d;
       for (ProcessorId to = 0; to < e.n_; ++to) {
-        if (to != p) e.sync_send(lane, to, p, d);
+        if (to != p) e.sync_send(to, p, d);
       }
       return;
     }
     if (static_cast<int>(count) != e.n_ - 1) {
-      return e.sync_finish(lane, p, true, 0, transcript);
+      return e.sync_finish(p, true, 0, transcript);
     }
     Value sum = e.reg_a_[i] % n;
     ProcessorId expected = 0;
     for (std::size_t m = 0; m < count; ++m) {
       if (expected == p) ++expected;
       if (from[m] != expected || val[m] >= n) {
-        return e.sync_finish(lane, p, true, 0, transcript);
+        return e.sync_finish(p, true, 0, transcript);
       }
       sum = (sum + val[m]) % n;
       ++expected;
     }
-    e.sync_finish(lane, p, false, sum, transcript);
+    e.sync_finish(p, false, sum, transcript);
   }
 };
 
 /// sync-ring-lead: reg_a = d_, reg_b = sum_.  n-1 forwarding rounds, then
 /// terminate with the accumulated sum.
 struct SyncLaneEngine::RingKernel {
-  static void on_round(SyncLaneEngine& e, std::size_t lane, ProcessorId p, int round,
-                       std::uint64_t seed, const ProcessorId* from, const Value* val,
-                       std::size_t count, ExecutionTranscript* transcript) {
-    const std::size_t i = e.slot(lane, p);
+  static void on_round(SyncLaneEngine& e, ProcessorId p, int round, std::uint64_t seed,
+                       const ProcessorId* from, const Value* val, std::size_t count,
+                       ExecutionTranscript* transcript) {
+    const std::size_t i = static_cast<std::size_t>(p);
     const Value nv = static_cast<Value>(e.n_);
     const ProcessorId succ = ring_succ(p, e.n_);
     const ProcessorId pred = ring_pred(p, e.n_);
@@ -242,32 +242,31 @@ struct SyncLaneEngine::RingKernel {
       const Value d = RandomTape(seed, p).uniform(nv);
       e.reg_a_[i] = d;
       e.reg_b_[i] = d;
-      e.sync_send(lane, succ, p, d);
+      e.sync_send(succ, p, d);
       return;
     }
     if (count != 1 || from[0] != pred || val[0] >= nv) {
-      return e.sync_finish(lane, p, true, 0, transcript);
+      return e.sync_finish(p, true, 0, transcript);
     }
     const Value v = val[0];
     e.reg_b_[i] = (e.reg_b_[i] + v) % nv;
     if (round < e.n_) {
-      e.sync_send(lane, succ, p, v);
+      e.sync_send(succ, p, v);
       return;
     }
-    e.sync_finish(lane, p, false, e.reg_b_[i], transcript);
+    e.sync_finish(p, false, e.reg_b_[i], transcript);
   }
 };
 
 SyncLaneEngine::SyncLaneEngine(int n, SyncLaneKernelId kernel, SyncLaneEngineOptions options)
-    : n_(n), kernel_(kernel), round_limit_(options.round_limit), lanes_(options.lanes) {
+    : n_(n), kernel_(kernel), round_limit_(options.round_limit) {
   if (n_ < 2) throw std::invalid_argument("network needs at least 2 processors");
-  if (lanes_ < 1) throw std::invalid_argument("lane width must be at least 1");
   if (round_limit_ == 0) {
     // The kernel protocols' round_bound(n) (protocols/sync_lead.h), same
     // default fill_sync_job applies on the scalar path.
     round_limit_ = kernel_ == SyncLaneKernelId::kSyncBroadcast ? 4 : n_ + 3;
   }
-  const std::size_t cells = static_cast<std::size_t>(lanes_) * static_cast<std::size_t>(n_);
+  const std::size_t cells = static_cast<std::size_t>(n_);
   reg_a_.resize(cells);
   reg_b_.resize(cells);
   terminated_.resize(cells);
@@ -282,11 +281,11 @@ SyncLaneEngine::SyncLaneEngine(int n, SyncLaneKernelId kernel, SyncLaneEngineOpt
   }
 }
 
-void SyncLaneEngine::sync_send(std::size_t lane, ProcessorId to, ProcessorId from, Value v) {
+void SyncLaneEngine::sync_send(ProcessorId to, ProcessorId from, Value v) {
   // Sends to terminated destinations are counted but dropped, exactly as
   // the scalar SyncEngine::Context::send does.
   ++total_sent_;
-  if (terminated_[slot(lane, to)]) return;
+  if (terminated_[static_cast<std::size_t>(to)]) return;
   const int next = 1 - cur_;
   auto& count = box_count_[next][static_cast<std::size_t>(to)];
   const std::size_t at = static_cast<std::size_t>(to) * static_cast<std::size_t>(n_) + count;
@@ -295,9 +294,9 @@ void SyncLaneEngine::sync_send(std::size_t lane, ProcessorId to, ProcessorId fro
   ++count;
 }
 
-void SyncLaneEngine::sync_finish(std::size_t lane, ProcessorId p, bool aborted, Value value,
+void SyncLaneEngine::sync_finish(ProcessorId p, bool aborted, Value value,
                                  ExecutionTranscript* transcript) {
-  const std::size_t i = slot(lane, p);
+  const std::size_t i = static_cast<std::size_t>(p);
   out_has_[i] = 1;
   out_aborted_[i] = aborted ? 1 : 0;
   out_value_[i] = value;
@@ -308,10 +307,10 @@ void SyncLaneEngine::sync_finish(std::size_t lane, ProcessorId p, bool aborted, 
 }
 
 template <typename Kernel>
-void SyncLaneEngine::run_trial(std::size_t lane, std::uint64_t seed,
-                               ExecutionTranscript* transcript, LaneTrialResult& out) {
-  const std::size_t base = slot(lane, 0);
-  for (std::size_t i = base; i < base + static_cast<std::size_t>(n_); ++i) {
+void SyncLaneEngine::run_trial(std::uint64_t seed, ExecutionTranscript* transcript,
+                               LaneTrialResult& out) {
+  const std::size_t n = static_cast<std::size_t>(n_);
+  for (std::size_t i = 0; i < n; ++i) {
     reg_a_[i] = 0;
     reg_b_[i] = 0;
     terminated_[i] = 0;
@@ -344,13 +343,15 @@ void SyncLaneEngine::run_trial(std::size_t lane, std::uint64_t seed,
     if (transcript) {
       std::uint64_t delivered = 0;
       for (ProcessorId p = 0; p < n_; ++p) {
-        if (!terminated_[slot(lane, p)]) delivered += counts[static_cast<std::size_t>(p)];
+        if (!terminated_[static_cast<std::size_t>(p)]) {
+          delivered += counts[static_cast<std::size_t>(p)];
+        }
       }
       transcript->phase(static_cast<std::uint64_t>(round), delivered);
     }
     bool anyone_alive = false;
     for (ProcessorId p = 0; p < n_; ++p) {
-      if (terminated_[slot(lane, p)]) continue;
+      if (terminated_[static_cast<std::size_t>(p)]) continue;
       anyone_alive = true;
       const std::size_t strip = static_cast<std::size_t>(p) * static_cast<std::size_t>(n_);
       const std::size_t count = counts[static_cast<std::size_t>(p)];
@@ -367,8 +368,7 @@ void SyncLaneEngine::run_trial(std::size_t lane, std::uint64_t seed,
                                static_cast<std::uint64_t>(p), fold);
         }
       }
-      Kernel::on_round(*this, lane, p, round, seed, froms + strip, vals + strip, count,
-                       transcript);
+      Kernel::on_round(*this, p, round, seed, froms + strip, vals + strip, count, transcript);
     }
     if (!anyone_alive) break;
     // Quiescence: nobody alive will ever receive anything again (one grace
@@ -390,7 +390,7 @@ void SyncLaneEngine::run_trial(std::size_t lane, std::uint64_t seed,
   out.step_limit_hit = limit_hit;
   std::optional<Value> agreed;
   bool failed = false;
-  for (std::size_t i = base; i < base + static_cast<std::size_t>(n_); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (!out_has_[i] || out_aborted_[i] || out_value_[i] >= static_cast<Value>(n_) ||
         (agreed && *agreed != out_value_[i])) {
       failed = true;
@@ -405,10 +405,8 @@ template <typename Kernel>
 void SyncLaneEngine::run_window_impl(std::span<const std::uint64_t> seeds,
                                      std::span<LaneTrialResult> out,
                                      std::span<ExecutionTranscript* const> transcripts) {
-  const std::size_t width = static_cast<std::size_t>(lanes_);
   for (std::size_t t = 0; t < seeds.size(); ++t) {
-    run_trial<Kernel>(t % width, seeds[t], transcripts.empty() ? nullptr : transcripts[t],
-                      out[t]);
+    run_trial<Kernel>(seeds[t], transcripts.empty() ? nullptr : transcripts[t], out[t]);
   }
 }
 

@@ -136,11 +136,11 @@ Outcome run_honest_sync(const SyncProtocol& protocol, int n, std::uint64_t trial
 // The sync round loop is embarrassingly lane-able: there is no scheduler
 // state at all — a trial is a pure function of its seed through a fixed
 // per-round barrier — so the honest built-in sync protocols get
-// devirtualized SoA kernels exactly like the ring lanes.  Per-(lane,
-// processor) registers (d, running sum, termination, outputs) live in flat
-// columns indexed lane*n + p; the per-round double-buffered message boxes
-// are a flat n*n (sender, value) scratch reused across the burst (trials
-// run to completion one at a time, as in LaneEngine).
+// devirtualized SoA kernels exactly like the ring lanes.  Per-processor
+// registers (d, running sum, termination, outputs) live in flat columns
+// indexed by processor; the per-round double-buffered message boxes are a
+// flat n*n (sender, value) scratch.  Trials run to completion one at a
+// time over that one column set, as in LaneEngine.
 //
 // Bit-identity contract, same as the ring lanes: each trial replicates
 // SyncEngine::run exactly — same round-limit check before the round
@@ -160,8 +160,6 @@ struct SyncLaneEngineOptions {
   /// Hard bound on rounds; 0 = the kernel protocol's round_bound(n)
   /// (sync-broadcast-lead: 4; sync-ring-lead: n + 3).
   int round_limit = 0;
-  /// Lane width W: how many SoA trial columns are kept resident.
-  int lanes = 8;
 };
 
 class SyncLaneEngine {
@@ -180,34 +178,26 @@ class SyncLaneEngine {
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] SyncLaneKernelId kernel() const { return kernel_; }
   [[nodiscard]] int round_limit() const { return round_limit_; }
-  [[nodiscard]] int lanes() const { return lanes_; }
 
  private:
   struct BroadcastKernel;
   struct RingKernel;
 
-  [[nodiscard]] std::size_t slot(std::size_t lane, ProcessorId p) const {
-    return lane * static_cast<std::size_t>(n_) + static_cast<std::size_t>(p);
-  }
-
   template <typename Kernel>
   void run_window_impl(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
                        std::span<ExecutionTranscript* const> transcripts);
   template <typename Kernel>
-  void run_trial(std::size_t lane, std::uint64_t seed, ExecutionTranscript* transcript,
-                 LaneTrialResult& out);
+  void run_trial(std::uint64_t seed, ExecutionTranscript* transcript, LaneTrialResult& out);
 
-  void sync_send(std::size_t lane, ProcessorId to, ProcessorId from, Value v);
-  void sync_finish(std::size_t lane, ProcessorId p, bool aborted, Value value,
-                   ExecutionTranscript* transcript);
+  void sync_send(ProcessorId to, ProcessorId from, Value v);
+  void sync_finish(ProcessorId p, bool aborted, Value value, ExecutionTranscript* transcript);
 
   int n_;
   SyncLaneKernelId kernel_;
   int round_limit_;
-  int lanes_;
 
-  // Per-(lane, processor) SoA registers, indexed slot(lane, p): reg_a_ =
-  // the round-1 draw d, reg_b_ = the running mod-n sum.
+  // Per-processor SoA registers: reg_a_ = the round-1 draw d, reg_b_ = the
+  // running mod-n sum.
   std::vector<Value> reg_a_;
   std::vector<Value> reg_b_;
   std::vector<std::uint8_t> terminated_;
@@ -217,8 +207,7 @@ class SyncLaneEngine {
 
   // Double-buffered round boxes (cur = this round's deliveries, next =
   // sends collected for the following round): per destination a fixed
-  // n-wide strip of (sender, value) pairs plus a fill count.  Shared
-  // burst scratch — only one trial is in flight at a time.
+  // n-wide strip of (sender, value) pairs plus a fill count.
   std::vector<ProcessorId> box_from_[2];
   std::vector<Value> box_val_[2];
   std::vector<std::uint32_t> box_count_[2];

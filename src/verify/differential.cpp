@@ -112,7 +112,6 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
     EngineOptions fresh_options;
     fresh_options.step_limit = step_limit;
     fresh_options.scheduler_kind = spec.scheduler;
-    fresh_options.rng = spec.rng;
     fresh_options.observer = fresh_digest.observer();
     RingEngine fresh(spec.n, trial_seed, std::move(fresh_options));
     const Outcome fresh_outcome =
@@ -122,7 +121,6 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
       EngineOptions reused_options;
       reused_options.step_limit = step_limit;
       reused_options.scheduler_kind = spec.scheduler;
-      reused_options.rng = spec.rng;
       reused_options.observer = reused_digest.observer();
       reused = std::make_unique<RingEngine>(spec.n, trial_seed, std::move(reused_options));
     } else {
@@ -172,7 +170,6 @@ std::string redrive_ring_trial(const ScenarioSpec& spec, std::size_t trial,
   ExecutionTranscript replayed;
   EngineOptions options;
   options.step_limit = scenario_ring_step_limit(spec, *protocol);
-  options.rng = spec.rng;
   options.scheduler = replayer.ring_schedule();
   RingEngine engine(spec.n, trial_seed, std::move(options));
   engine.set_transcript(&replayed);
@@ -297,7 +294,7 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
           std::to_string(redriven) + " codec round-tripped)");
 }
 
-CheckResult check_lane_differential(ScenarioSpec spec, int lanes, int threads) {
+CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
   if (!lane_eligible(spec)) {
     throw std::invalid_argument("check_lane_differential requires a lane-eligible spec: " +
                                 lane_ineligible_reason(spec));
@@ -309,12 +306,9 @@ CheckResult check_lane_differential(ScenarioSpec spec, int lanes, int threads) {
   scalar.engine = EngineKind::kScalar;
   ScenarioSpec laned = spec;
   laned.engine = EngineKind::kLanes;
-  laned.lanes = lanes;
 
   const std::string subject = check_subject(spec);
-  const std::string labels =
-      "scalar vs lanes(w=" + std::to_string(lane_width(laned)) +
-      ", threads=" + std::to_string(threads) + ")";
+  const std::string labels = "scalar vs lanes(threads=" + std::to_string(threads) + ")";
   const ScenarioResult rs = run_scenario(scalar);
   const ScenarioResult rl = run_scenario(laned);
 

@@ -56,13 +56,13 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
 /// two specs (FAIL is a histogram cell).  Significance 0.001.
 CheckResult check_differential_distribution(const ScenarioSpec& a, const ScenarioSpec& b);
 
-/// The lane-engine gate (DESIGN.md §10): runs the ring spec once with
-/// engine=scalar and once with engine=lanes at width `lanes` on `threads`
-/// workers, and asserts the two ScenarioResults are bit-identical —
+/// The lane-engine gate (DESIGN.md §10): runs the spec once with
+/// engine=scalar and once with engine=lanes on `threads` workers, and
+/// asserts the two ScenarioResults are bit-identical —
 /// per-trial outcomes, every aggregate (message and sync-gap totals and
 /// maxima), and every per-trial transcript event for event (digests
 /// included).  Requires a lane-eligible spec (api/specialize.h).
-CheckResult check_lane_differential(ScenarioSpec spec, int lanes, int threads);
+CheckResult check_lane_differential(ScenarioSpec spec, int threads);
 
 /// Same-seed transcript-replay differential for any deterministic topology
 /// (ring, graph, sync, tree, fullinfo; threaded is rejected by the

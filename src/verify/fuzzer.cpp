@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +10,7 @@
 
 #include "api/registry.h"
 #include "api/specialize.h"
+#include "core/parse_number.h"
 #include "protocols/basic_lead.h"
 #include "verify/checks.h"
 
@@ -42,6 +44,27 @@ CoalitionSpec::Placement parse_placement(const std::string& name) {
   if (name == "cubic-staircase") return CoalitionSpec::Placement::kCubicStaircase;
   if (name == "custom") return CoalitionSpec::Placement::kCustom;
   throw std::invalid_argument("unknown coalition placement '" + name + "'");
+}
+
+/// Parses the integer value `value` of spec key `key` into `field` over the
+/// whole token (core/parse_number.h); anything else throws naming the key
+/// and the value.
+template <typename Int>
+void parse_int_field(Int& field, const std::string& key, const std::string& value) {
+  const std::optional<Int> parsed = try_parse_int<Int>(value);
+  if (!parsed) {
+    throw std::invalid_argument("spec key '" + key + "': '" + value + "' is not an integer in [" +
+                                std::to_string(std::numeric_limits<Int>::min()) + ", " +
+                                std::to_string(std::numeric_limits<Int>::max()) + "]");
+  }
+  field = *parsed;
+}
+
+/// The record=/transcripts= flags: exactly 0 or 1.
+bool parse_flag(const std::string& key, const std::string& value) {
+  if (value == "0") return false;
+  if (value == "1") return true;
+  throw std::invalid_argument("spec key '" + key + "': '" + value + "' is not 0 or 1");
 }
 
 SchedulerKind parse_scheduler(const std::string& name) {
@@ -265,21 +288,13 @@ ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
     spec.scheduler = SchedulerKind::kRandom;
   }
 
-  // Engine routing and tape generators: a quarter of ring specs opt into
-  // the counter RNG, engine= is sampled over all three kinds (engine=lanes
+  // Engine routing: engine= is sampled over all three kinds (engine=lanes
   // on an ineligible spec is the clean-rejection path, part of the
-  // surface), and lane widths cover the degenerate w=1 through w=16.
-  // Non-ring topologies sample rng=ctr occasionally too — that must be
-  // cleanly rejected naming the field.
-  if (rng.below(4) == 0) spec.rng = RngKind::kCtr;
+  // surface).
   if (rng.below(3) == 0) {
     static const std::vector<EngineKind> kEngines = {
         EngineKind::kAuto, EngineKind::kScalar, EngineKind::kLanes};
     spec.engine = pick(rng, kEngines);
-  }
-  if (rng.below(3) == 0) {
-    static const std::vector<int> kLaneWidths = {1, 4, 8, 16};
-    spec.lanes = pick(rng, kLaneWidths);
   }
 
   // Half the specs carry a deviation — sampled over *all* registered
@@ -382,8 +397,7 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
   // Lane differential: every accepted lane-eligible spec — honest or
   // deviated (basic-single, rushing) ring, honest sync — must produce the
   // same executions on the batched lane engines as on the scalar runtimes
-  // — per-trial outcomes, aggregates, and transcript digests (the fuzzed
-  // rng= and lanes= fields ride through both runs).
+  // — per-trial outcomes, aggregates, and transcript digests.
   if (lane_eligible(spec)) {
     ScenarioSpec scalar = spec;
     scalar.engine = EngineKind::kScalar;
@@ -545,16 +559,9 @@ ScenarioSpec shrink_spec(ScenarioSpec spec, const FuzzOracle& oracle) {
         return c;
       },
       [](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-        if (s.engine == EngineKind::kAuto && s.lanes == 0) return std::nullopt;
+        if (s.engine == EngineKind::kAuto) return std::nullopt;
         ScenarioSpec c = s;
         c.engine = EngineKind::kAuto;
-        c.lanes = 0;
-        return c;
-      },
-      [](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-        if (s.rng == RngKind::kXoshiro) return std::nullopt;
-        ScenarioSpec c = s;
-        c.rng = RngKind::kXoshiro;
         return c;
       },
       [](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
@@ -734,8 +741,6 @@ std::string format_spec(const ScenarioSpec& spec) {
     out << " adjacency=" << to_string(spec.adjacency);
   }
   if (spec.engine != defaults.engine) out << " engine=" << to_string(spec.engine);
-  if (spec.lanes != defaults.lanes) out << " lanes=" << spec.lanes;
-  if (spec.rng != defaults.rng) out << " rng=" << to_string(spec.rng);
   if (spec.protocol_key != defaults.protocol_key) {
     out << " protocol_key=" << spec.protocol_key;
   }
@@ -773,38 +778,42 @@ ScenarioSpec parse_spec(const std::string& line) {
       std::istringstream members(value);
       std::string id;
       while (std::getline(members, id, ',')) {
-        spec.coalition.members.push_back(std::stoi(id));
+        parse_int_field(spec.coalition.members.emplace_back(), key, id);
       }
     } else if (key == "density") {
-      spec.coalition.density = std::stod(value);
+      const std::optional<double> density = try_parse_double(value);
+      if (!density) {
+        throw std::invalid_argument("spec key 'density': '" + value + "' is not a number");
+      }
+      spec.coalition.density = *density;
     } else if (key == "placement_seed") {
-      spec.coalition.placement_seed = std::stoull(value);
+      parse_int_field(spec.coalition.placement_seed, key, value);
     } else if (key == "k") {
-      spec.coalition.k = std::stoi(value);
+      parse_int_field(spec.coalition.k, key, value);
     } else if (key == "first") {
-      spec.coalition.first = std::stoi(value);
+      parse_int_field(spec.coalition.first, key, value);
     } else if (key == "target") {
-      spec.target = std::stoull(value);
+      parse_int_field(spec.target, key, value);
     } else if (key == "scheduler") {
       spec.scheduler = parse_scheduler(value);
     } else if (key == "n") {
-      spec.n = std::stoi(value);
+      parse_int_field(spec.n, key, value);
     } else if (key == "trials") {
-      spec.trials = std::stoull(value);
+      parse_int_field(spec.trials, key, value);
     } else if (key == "seed") {
-      spec.seed = std::stoull(value);
+      parse_int_field(spec.seed, key, value);
     } else if (key == "trial_offset") {
-      spec.trial_offset = std::stoull(value);
+      parse_int_field(spec.trial_offset, key, value);
     } else if (key == "trial_count") {
-      spec.trial_count = std::stoull(value);
+      parse_int_field(spec.trial_count, key, value);
     } else if (key == "step_limit") {
-      spec.step_limit = std::stoull(value);
+      parse_int_field(spec.step_limit, key, value);
     } else if (key == "threads") {
-      spec.threads = std::stoi(value);
+      parse_int_field(spec.threads, key, value);
     } else if (key == "record") {
-      spec.record_outcomes = value != "0";
+      spec.record_outcomes = parse_flag(key, value);
     } else if (key == "transcripts") {
-      spec.record_transcripts = value != "0";
+      spec.record_transcripts = parse_flag(key, value);
     } else if (key == "adjacency") {
       const auto adjacency = parse_adjacency(value);
       if (!adjacency) throw std::invalid_argument("unknown adjacency '" + value + "'");
@@ -813,24 +822,18 @@ ScenarioSpec parse_spec(const std::string& line) {
       const auto engine = parse_engine(value);
       if (!engine) throw std::invalid_argument("unknown engine '" + value + "'");
       spec.engine = *engine;
-    } else if (key == "lanes") {
-      spec.lanes = std::stoi(value);
-    } else if (key == "rng") {
-      const auto kind = parse_rng(value);
-      if (!kind) throw std::invalid_argument("unknown rng '" + value + "'");
-      spec.rng = *kind;
     } else if (key == "protocol_key") {
-      spec.protocol_key = std::stoull(value);
+      parse_int_field(spec.protocol_key, key, value);
     } else if (key == "param_l") {
-      spec.param_l = std::stoi(value);
+      parse_int_field(spec.param_l, key, value);
     } else if (key == "search_cap") {
-      spec.search_cap = std::stoull(value);
+      parse_int_field(spec.search_cap, key, value);
     } else if (key == "prefix") {
-      spec.prefix = std::stoi(value);
+      parse_int_field(spec.prefix, key, value);
     } else if (key == "rounds") {
-      spec.rounds = std::stoi(value);
+      parse_int_field(spec.rounds, key, value);
     } else if (key == "tamper_send") {
-      spec.tamper_send = std::stoull(value);
+      parse_int_field(spec.tamper_send, key, value);
     } else {
       throw std::invalid_argument("unknown spec key '" + key + "'");
     }

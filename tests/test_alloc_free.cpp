@@ -270,14 +270,12 @@ TEST(ZeroAllocation, ReusedSyncTrialSubstrateIsAllocationFree) {
 
 TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
   // The batched lane path (DESIGN.md §10) shares the zero-allocation
-  // contract: once the SoA arrays and per-lane control blocks are warm, a
-  // whole trial window — refills, retirements and all — allocates nothing.
+  // contract: once the SoA columns and control state are warm, a whole
+  // trial window — trial starts, retirements and all — allocates nothing.
   const int n = 32;
-  LaneEngineOptions options;
-  options.lanes = 8;
   for (const LaneKernelId kernel :
        {LaneKernelId::kBasicLead, LaneKernelId::kChangRoberts, LaneKernelId::kALeadUni}) {
-    LaneEngine engine(n, kernel, options);
+    LaneEngine engine(n, kernel);
     std::vector<std::uint64_t> seeds(24);
     std::vector<LaneTrialResult> results(24);
     for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 1000 + i;
@@ -299,7 +297,6 @@ TEST(ZeroAllocation, LaneEngineGeneralPathWindowIsAllocationFree) {
   // touch the allocator.
   const int n = 32;
   LaneEngineOptions options;
-  options.lanes = 8;
   options.fast_paths = false;
   for (const LaneKernelId kernel :
        {LaneKernelId::kBasicLead, LaneKernelId::kChangRoberts, LaneKernelId::kALeadUni}) {
@@ -323,7 +320,6 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
   // padding sends) reuse the same flat storage.
   const int n = 12;
   LaneEngineOptions options;
-  options.lanes = 4;
   options.fast_paths = false;
   options.deviation.id = LaneDeviationId::kRushing;
   options.deviation.members = {1, 4, 7, 10};
@@ -345,14 +341,12 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
 }
 
 TEST(ZeroAllocation, SyncLaneWindowIsAllocationFree) {
-  // The sync lanes keep every per-(lane, processor) register and both
-  // round boxes in flat columns sized at construction.
+  // The sync lanes keep every per-processor register and both round boxes
+  // in flat columns sized at construction.
   const int n = 16;
-  SyncLaneEngineOptions options;
-  options.lanes = 8;
   for (const SyncLaneKernelId kernel :
        {SyncLaneKernelId::kSyncBroadcast, SyncLaneKernelId::kSyncRing}) {
-    SyncLaneEngine engine(n, kernel, options);
+    SyncLaneEngine engine(n, kernel);
     std::vector<std::uint64_t> seeds(24);
     std::vector<LaneTrialResult> results(24);
     for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 4000 + i;

@@ -1,7 +1,7 @@
-// Batched lane engine (sim/lane_engine.h) and the digest-guided
-// specializer (api/specialize.h): the bit-identity gate against the scalar
-// engine across kernels, schedulers, lane widths, and worker counts, the
-// routing rules, and the new spec fields' round trip.
+// Batched lane engine (sim/lane_engine.h) and the specializer
+// (api/specialize.h): the bit-identity gate against the scalar engine
+// across kernels, schedulers and worker counts, the routing rules, and the
+// engine= spec field's round trip.
 
 #include "sim/lane_engine.h"
 
@@ -31,43 +31,38 @@ ScenarioSpec ring_spec(const char* protocol, int n, SchedulerKind scheduler) {
   return spec;
 }
 
-TEST(LaneEngine, BitIdenticalToScalarAcrossKernelsWidthsAndWorkers) {
-  // The acceptance grid: every lane kernel at lane widths 1/4/8/16 and
-  // 1/4/8 workers.  check_lane_differential compares per-trial outcomes,
-  // aggregates, and per-trial transcripts (digests included).
-  const struct {
-    int lanes;
-    int threads;
-  } grid[] = {{1, 1}, {4, 4}, {8, 8}, {16, 1}, {4, 8}, {8, 4}, {16, 8}, {1, 4}};
+/// The worker counts every bit-identity grid runs at.
+constexpr int kWorkers[] = {1, 4, 8};
+
+TEST(LaneEngine, BitIdenticalToScalarAcrossKernelsAndWorkers) {
+  // The acceptance grid: every lane kernel on 1/4/8 workers.
+  // check_lane_differential compares per-trial outcomes, aggregates, and
+  // per-trial transcripts (digests included).
   for (const char* protocol : {"basic-lead", "chang-roberts", "alead-uni"}) {
-    for (const auto& cell : grid) {
+    for (const int threads : kWorkers) {
       const auto result = verify::check_lane_differential(
-          ring_spec(protocol, 11, SchedulerKind::kRoundRobin), cell.lanes, cell.threads);
+          ring_spec(protocol, 11, SchedulerKind::kRoundRobin), threads);
       EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
     }
   }
 }
 
-TEST(LaneEngine, DeviatedKernelsBitIdenticalAcrossWidthsAndWorkers) {
+TEST(LaneEngine, DeviatedKernelsBitIdenticalAcrossWorkers) {
   // The deviated lane kernels (PR 6): the Claim B.1 lone adversary on
   // BASIC-LEAD and the Lemma 4.1 rushing coalition on A-LEADuni, across
-  // the same width/worker grid as the honest kernels.
-  const struct {
-    int lanes;
-    int threads;
-  } grid[] = {{1, 1}, {4, 4}, {8, 8}, {16, 1}, {4, 8}, {8, 4}, {16, 8}, {1, 4}};
-  for (const auto& cell : grid) {
+  // the same worker counts as the honest kernels.
+  for (const int threads : kWorkers) {
     ScenarioSpec single = ring_spec("basic-lead", 11, SchedulerKind::kRoundRobin);
     single.deviation = "basic-single";
     single.target = 5;
-    auto result = verify::check_lane_differential(single, cell.lanes, cell.threads);
+    auto result = verify::check_lane_differential(single, threads);
     EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
 
     ScenarioSpec rushing = ring_spec("alead-uni", 12, SchedulerKind::kRoundRobin);
     rushing.deviation = "rushing";
     rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
     rushing.target = 7;
-    result = verify::check_lane_differential(rushing, cell.lanes, cell.threads);
+    result = verify::check_lane_differential(rushing, threads);
     EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
   }
 }
@@ -79,35 +74,31 @@ TEST(LaneEngine, DeviatedKernelsBitIdenticalUnderDataDependentSchedulers) {
     ScenarioSpec single = ring_spec("basic-lead", 10, scheduler);
     single.deviation = "basic-single";
     single.target = 3;
-    auto result = verify::check_lane_differential(single, /*lanes=*/8, /*threads=*/2);
+    auto result = verify::check_lane_differential(single, /*threads=*/2);
     EXPECT_TRUE(result.passed) << result.detail;
 
     ScenarioSpec rushing = ring_spec("alead-uni", 12, scheduler);
     rushing.deviation = "rushing";
     rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
     rushing.target = 2;
-    result = verify::check_lane_differential(rushing, /*lanes=*/4, /*threads=*/3);
+    result = verify::check_lane_differential(rushing, /*threads=*/3);
     EXPECT_TRUE(result.passed) << result.detail;
   }
 }
 
-TEST(SyncLaneEngine, BitIdenticalAcrossKernelsWidthsAndWorkers) {
+TEST(SyncLaneEngine, BitIdenticalAcrossKernelsAndWorkers) {
   // The sync-runtime lanes (PR 6): both sync kernels against the scalar
   // SyncEngine round loop — rounds, messages, and the per-round
   // phase/delivery/decision transcripts.
-  const struct {
-    int lanes;
-    int threads;
-  } grid[] = {{1, 1}, {4, 4}, {8, 8}, {16, 1}, {4, 8}, {8, 4}, {16, 8}, {1, 4}};
   for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
-    for (const auto& cell : grid) {
+    for (const int threads : kWorkers) {
       ScenarioSpec spec;
       spec.topology = TopologyKind::kSync;
       spec.protocol = protocol;
       spec.n = 11;
       spec.trials = 48;
       spec.seed = 414243;
-      const auto result = verify::check_lane_differential(spec, cell.lanes, cell.threads);
+      const auto result = verify::check_lane_differential(spec, threads);
       EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
     }
   }
@@ -123,7 +114,7 @@ TEST(SyncLaneEngine, RoundLimitStarvationMatchesScalar) {
   spec.trials = 24;
   spec.seed = 99;
   spec.step_limit = 4;  // sync-ring-lead needs n + 3 rounds
-  const auto result = verify::check_lane_differential(spec, /*lanes=*/4, /*threads=*/1);
+  const auto result = verify::check_lane_differential(spec, /*threads=*/1);
   EXPECT_TRUE(result.passed) << result.detail;
 }
 
@@ -138,18 +129,7 @@ TEST(LaneEngine, BitIdenticalUnderEveryScheduler) {
   for (const SchedulerKind scheduler :
        {SchedulerKind::kRoundRobin, SchedulerKind::kRandom, SchedulerKind::kPriority}) {
     const auto result = verify::check_lane_differential(
-        ring_spec("chang-roberts", 9, scheduler), /*lanes=*/4, /*threads=*/2);
-    EXPECT_TRUE(result.passed) << result.detail;
-  }
-}
-
-TEST(LaneEngine, BitIdenticalUnderCounterRng) {
-  // rng=ctr swaps the tape generator in BOTH engines; lane-vs-scalar
-  // identity must survive the swap.
-  for (const char* protocol : {"basic-lead", "chang-roberts", "alead-uni"}) {
-    ScenarioSpec spec = ring_spec(protocol, 8, SchedulerKind::kRandom);
-    spec.rng = RngKind::kCtr;
-    const auto result = verify::check_lane_differential(spec, /*lanes=*/8, /*threads=*/3);
+        ring_spec("chang-roberts", 9, scheduler), /*threads=*/2);
     EXPECT_TRUE(result.passed) << result.detail;
   }
 }
@@ -159,7 +139,6 @@ TEST(LaneEngine, ShardedWindowsMergeLikeScalar) {
   // the lane engine equals the same window cut from the monolithic run.
   ScenarioSpec whole = ring_spec("basic-lead", 9, SchedulerKind::kRoundRobin);
   whole.engine = EngineKind::kLanes;
-  whole.lanes = 4;
   whole.record_outcomes = true;
   ScenarioSpec shard = whole;
   shard.trial_offset = 13;
@@ -177,7 +156,7 @@ TEST(LaneEngine, StepLimitStarvationMatchesScalar) {
   // retirement policy mirrors the scalar run loop's break semantics).
   ScenarioSpec spec = ring_spec("basic-lead", 10, SchedulerKind::kRoundRobin);
   spec.step_limit = 35;  // below the n*n honest requirement
-  const auto result = verify::check_lane_differential(spec, /*lanes=*/4, /*threads=*/1);
+  const auto result = verify::check_lane_differential(spec, /*threads=*/1);
   EXPECT_TRUE(result.passed) << result.detail;
 }
 
@@ -259,39 +238,21 @@ TEST(Specializer, ForcedLanesRejectsIneligibleSpecs) {
   EXPECT_THROW(run_scenario(sync_dev), std::invalid_argument);
 }
 
-TEST(Specializer, CensusRoutesDominantShapesOnly) {
-  // 1000 trials of one shape vs 10 of another: the big shape dominates
-  // (>= 1/16 of the weight), the small one routes to lanes only when the
-  // submission is small enough for it to matter.
-  ScenarioSpec big = ring_spec("basic-lead", 16, SchedulerKind::kRoundRobin);
-  big.trials = 1000;
-  ScenarioSpec small = ring_spec("chang-roberts", 5, SchedulerKind::kRoundRobin);
-  small.trials = 10;
-  ShapeCensus census;
-  census.add(big);
-  census.add(small);
-  EXPECT_TRUE(route_to_lanes(big, census));
-  EXPECT_FALSE(route_to_lanes(small, census));
-  // Explicit engine= overrides the census in both directions.
-  ScenarioSpec forced_scalar = big;
-  forced_scalar.engine = EngineKind::kScalar;
-  EXPECT_FALSE(route_to_lanes(forced_scalar, census));
-  ScenarioSpec forced_lanes = small;
-  forced_lanes.engine = EngineKind::kLanes;
-  EXPECT_TRUE(route_to_lanes(forced_lanes, census));
-}
-
 TEST(Specializer, SweepRoutingIsInvisibleInResults) {
-  // A mixed sweep (dominant lane-eligible shape + scalar-only shapes) must
-  // produce results identical to the same sweep with lanes forced off.
+  // A mixed sweep (a dominant and a rare lane-eligible shape + a
+  // scalar-only shape) must produce results identical to the same sweep
+  // with lanes forced off.
   SweepSpec sweep;
   ScenarioSpec hot = ring_spec("basic-lead", 12, SchedulerKind::kRoundRobin);
   hot.trials = 400;
   hot.record_outcomes = true;
+  ScenarioSpec rare = ring_spec("alead-uni", 256, SchedulerKind::kRandom);
+  rare.trials = 2;
+  rare.record_outcomes = true;
   ScenarioSpec cold = ring_spec("peterson", 6, SchedulerKind::kRoundRobin);
   cold.trials = 20;
   cold.record_outcomes = true;
-  sweep.scenarios = {hot, cold};
+  sweep.scenarios = {hot, rare, cold};
   sweep.threads = 2;
   const std::vector<ScenarioResult> routed = run_sweep(sweep);
 
@@ -310,27 +271,25 @@ TEST(Specializer, SweepRoutingIsInvisibleInResults) {
 TEST(Specializer, SpecFieldsRoundTripThroughFormatAndParse) {
   ScenarioSpec spec = ring_spec("alead-uni", 9, SchedulerKind::kPriority);
   spec.engine = EngineKind::kLanes;
-  spec.lanes = 16;
-  spec.rng = RngKind::kCtr;
   const ScenarioSpec parsed = verify::parse_spec(verify::format_spec(spec));
   EXPECT_EQ(parsed.engine, EngineKind::kLanes);
-  EXPECT_EQ(parsed.lanes, 16);
-  EXPECT_EQ(parsed.rng, RngKind::kCtr);
   EXPECT_EQ(verify::format_spec(parsed), verify::format_spec(spec));
   // Defaults stay omitted; unknown values are rejected.
   const ScenarioSpec defaults = ring_spec("basic-lead", 8, SchedulerKind::kRoundRobin);
   EXPECT_EQ(verify::format_spec(defaults).find("engine="), std::string::npos);
   EXPECT_THROW(verify::parse_spec("protocol=basic-lead n=4 engine=warp"),
                std::invalid_argument);
-  EXPECT_THROW(verify::parse_spec("protocol=basic-lead n=4 rng=mt19937"),
-               std::invalid_argument);
-}
-
-TEST(Specializer, CtrRngIsRingOnly) {
-  ScenarioSpec spec = ring_spec("basic-lead", 8, SchedulerKind::kRoundRobin);
-  spec.topology = TopologyKind::kThreaded;
-  spec.rng = RngKind::kCtr;
-  EXPECT_THROW(run_scenario(spec), std::invalid_argument);
+  // lanes= and rng= are not spec keys: both are rejected as unknown.
+  for (const char* line :
+       {"protocol=basic-lead n=4 lanes=8", "protocol=basic-lead n=4 rng=ctr"}) {
+    try {
+      verify::parse_spec(line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown spec key"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

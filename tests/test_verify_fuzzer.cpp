@@ -122,6 +122,31 @@ TEST(FuzzRepro, ParseRejectsMalformedLines) {
   EXPECT_THROW(parse_spec("topology=nowhere protocol=x n=4 trials=1 seed=1"),
                std::invalid_argument);
   EXPECT_THROW(parse_spec("topology=ring n=4 trials=1 seed=1"), std::invalid_argument);
+  // Numbers parse over the whole token and flags are exactly 0 or 1: each
+  // malformed value is rejected naming its key, never truncated, wrapped
+  // or coerced.
+  const struct {
+    const char* line;
+    const char* key;
+  } malformed[] = {
+      {"protocol=basic-lead n=8x trials=2", "'n'"},
+      {"protocol=basic-lead n=8 trials=-1", "'trials'"},
+      {"protocol=basic-lead n=99999999999 trials=2", "'n'"},
+      {"protocol=basic-lead n=8 trials=2 record=false", "'record'"},
+      {"protocol=basic-lead n=8 trials=2 transcripts=2", "'transcripts'"},
+      {"protocol=basic-lead n=8 seed=-1", "'seed'"},
+      {"protocol=basic-lead n=8 placement=bernoulli density=0.5x", "'density'"},
+      {"protocol=basic-lead n=8 placement=custom members=1,,3", "'members'"},
+  };
+  for (const auto& c : malformed) {
+    try {
+      parse_spec(c.line);
+      ADD_FAILURE() << "accepted: " << c.line;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(c.key), std::string::npos)
+          << c.line << " -> " << error.what();
+    }
+  }
 }
 
 TEST(FuzzRepro, WindowAndKnobFieldsRoundTrip) {

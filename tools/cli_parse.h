@@ -8,7 +8,6 @@
 // names the flag, echoes the offending value and exits with code 2 — the
 // usage-error convention the tools already use for unknown flags.
 
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -17,19 +16,9 @@
 #include <string_view>
 #include <type_traits>
 
-namespace fle::cli {
+#include "core/parse_number.h"
 
-/// from_chars over the whole string: nullopt on empty input, non-numeric
-/// characters, trailing junk, or out-of-range values.
-template <typename Int>
-std::optional<Int> try_parse_int(std::string_view text) {
-  Int value{};
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end || text.empty()) return std::nullopt;
-  return value;
-}
+namespace fle::cli {
 
 /// Parses `text` for flag `flag` into [min, max]; on any failure prints
 /// "<prog>: <flag>: ..." to stderr and exits 2.
@@ -73,21 +62,18 @@ inline std::uint64_t parse_u64(const char* prog, const char* flag, std::string_v
 /// string must parse and the result must land in [min, max].
 inline double parse_double(const char* prog, const char* flag, std::string_view text,
                            double min_value, double max_value) {
-  double value{};
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec != std::errc{} || ptr != end || text.empty()) {
+  const std::optional<double> value = try_parse_double(text);
+  if (!value) {
     std::fprintf(stderr, "%s: %s: '%.*s' is not a valid number\n", prog, flag,
                  static_cast<int>(text.size()), text.data());
     std::exit(2);
   }
-  if (!(value >= min_value && value <= max_value)) {
-    std::fprintf(stderr, "%s: %s: %g is out of range [%g, %g]\n", prog, flag, value,
+  if (!(*value >= min_value && *value <= max_value)) {
+    std::fprintf(stderr, "%s: %s: %g is out of range [%g, %g]\n", prog, flag, *value,
                  min_value, max_value);
     std::exit(2);
   }
-  return value;
+  return *value;
 }
 
 /// Named-choice flags ("--engine scalar|lanes|auto" and friends): the

@@ -40,7 +40,7 @@ namespace {
                "          [--port N] [--port-file FILE] [--workers N] [--window N]\n"
                "          [--deadline-ms N] [--retries N] [--heartbeat-ms N]\n"
                "          [--grace-ms N] [--threads T]\n"
-               "          [--engine auto|scalar|lanes] [--lanes N]\n",
+               "          [--engine auto|scalar|lanes]\n",
                argv0);
   std::exit(2);
 }
@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
   fle::cli::ShardArg shard;
   int threads = 0;
   std::optional<fle::EngineKind> engine;
-  std::optional<int> lanes;
   fle::fabric::FabricOptions options;
 
   for (int i = 1; i < argc; ++i) {
@@ -148,8 +147,6 @@ int main(int argc, char** argv) {
       static constexpr std::string_view kEngines[] = {"auto", "scalar", "lanes"};
       engine = *fle::parse_engine(
           std::string(fle::cli::parse_choice(argv[0], "--engine", next(), kEngines)));
-    } else if (arg == "--lanes") {
-      lanes = fle::cli::parse_int<int>(argv[0], "--lanes", next(), 1, 1 << 16);
     } else {
       usage(argv[0]);
     }
@@ -193,7 +190,6 @@ int main(int argc, char** argv) {
     const fle::SweepSpec report_sweep = sweep;
     for (fle::ScenarioSpec& spec : sweep.scenarios) {
       if (engine) spec.engine = *engine;
-      if (lanes) spec.lanes = *lanes;
     }
     std::vector<fle::ScenarioResult> results;
     if (local) {
