@@ -13,9 +13,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e01", "E1 / Claim B.1",
-                   "Basic-LEAD: one adversary forces any outcome",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Basic-LEAD: one adversary forces any outcome", argc, argv);
   h.note("paper: Pr[outcome = w] = 1 for every target w (honest: 1/n)");
   h.row_header("     n   target   honest Pr[w]   attacked Pr[w]   FAIL");
 

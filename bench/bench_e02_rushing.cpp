@@ -17,9 +17,7 @@ int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h(
       "e02", "E2 / Lemma 4.1, Theorem 4.2",
-      "A-LEADuni: k >= sqrt(n) equally spaced adversaries control the outcome",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+      "A-LEADuni: k >= sqrt(n) equally spaced adversaries control the outcome", argc, argv);
   h.note("precondition: every honest segment l_j <= k-1 (equal spacing: n <= k^2)");
   h.row_header("     n     k   l_max   precond   attacked Pr[w]   FAIL");
 

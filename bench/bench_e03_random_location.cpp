@@ -16,9 +16,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e03", "E3 / Theorem C.1",
-                   "A-LEADuni vs ~sqrt(8 n ln n) randomly located adversaries",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "A-LEADuni vs ~sqrt(8 n ln n) randomly located adversaries", argc, argv);
   h.note("success bound: 1 - n^(2-C) - delta (delta covers bad placements)");
   h.row_header("     n    C      p     E[k]   success    bound(1-n^(2-C))");
 

@@ -16,9 +16,7 @@ int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h(
       "e04", "E4 / Theorem 4.3 (Cubic Attack)",
-      "A-LEADuni: k = Theta(n^(1/3)) staircase adversaries control the outcome",
-      bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+      "A-LEADuni: k = Theta(n^(1/3)) staircase adversaries control the outcome", argc, argv);
   h.row_header("      n     k   2*n^(1/3)   attacked Pr[w]   FAIL   sync gap");
 
   const std::vector<int> sizes = {64, 128, 256, 512, 1024, 2048, 4096};

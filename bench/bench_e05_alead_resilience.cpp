@@ -15,9 +15,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e05", "E5 / Theorem 5.1",
-                   "A-LEADuni resilience regime: k <= n^(1/4)/4 cannot be attacked",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "A-LEADuni resilience regime: k <= n^(1/4)/4 cannot be attacked", argc, argv);
   h.row_header(
       "      n    k0=n^(1/4)/4   rushing-k-needed   cubic-k-needed   honest Pr[w]-1/n");
 

@@ -20,9 +20,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e06", "E6 / Theorem 6.1",
-                   "PhaseAsyncLead resilience: sub-sqrt(n) coalitions gain nothing",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "PhaseAsyncLead resilience: sub-sqrt(n) coalitions gain nothing", argc, argv);
   h.row_header("     n    k   free slots   Pr[w]   FAIL   honest Pr[w]-1/n");
 
   struct AttackCell {

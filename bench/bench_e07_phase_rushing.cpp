@@ -18,9 +18,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e07", "E7 / Theorem 6.1 tightness",
-                   "PhaseAsyncLead: k = sqrt(n)+3 adversaries steer f to any target",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "PhaseAsyncLead: k = sqrt(n)+3 adversaries steer f to any target", argc, argv);
   h.row_header("     n    k   min free slots   attacked Pr[w]   FAIL");
 
   SweepSpec sweep;

@@ -12,9 +12,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e08", "E8 / Appendix E.4 (ablation: sum output instead of random f)",
-                   "PhaseSumLead: k = 4 adversaries control any ring size",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "PhaseSumLead: k = 4 adversaries control any ring size", argc, argv);
   h.row_header("      n    k   attacked Pr[w]   FAIL   sync gap");
 
   const std::vector<int> sizes = {32, 64, 128, 256, 512, 1024};

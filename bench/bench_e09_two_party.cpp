@@ -16,9 +16,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e09", "E9 / Lemma F.2",
-                   "Two-party coin toss: an assuring player always exists",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Two-party coin toss: an assuring player always exists", argc, argv);
   h.row_header(" depth   trees   disj1   disj2   dictator   A-assures   B-assures");
 
   for (const int depth : {2, 3, 4, 6, 8}) {

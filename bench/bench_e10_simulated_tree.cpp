@@ -13,8 +13,7 @@ int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e10", "E10 / Claim F.5 + Theorem 7.2",
                    "Half-partitions of random graphs; assuring parts on simulated trees",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   argc, argv);
   h.row_header("     n   graphs   valid simulations   max width   width bound");
 
   for (const int n : {8, 16, 32, 64, 128}) {

@@ -18,9 +18,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e11", "E11 / Theorem 8.1",
-                   "Leader election <-> coin toss reductions",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Leader election <-> coin toss reductions", argc, argv);
 
   const std::vector<int> coin_sizes = {8, 16, 64};
   const std::vector<int> election_sizes = {8, 16};

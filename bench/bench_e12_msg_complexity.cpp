@@ -14,8 +14,7 @@ int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e12", "E12 / message complexity",
                    "Fair-vs-classical: Theta(n^2) is the price of rational resilience",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   argc, argv);
   h.row_header(
       "     n   Basic-LEAD   A-LEADuni   PhaseAsync   ChangRoberts(avg)   Peterson(max)   n^2      n*log2(n)");
 

@@ -16,9 +16,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e13", "E13 / related-work baseline (Abraham et al. via Shamir)",
-                   "Fully-connected async FLE: resilient to n/2-1, broken at n/2",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Fully-connected async FLE: resilient to n/2-1, broken at n/2", argc, argv);
   h.row_header(
       "     n    k         attack        possible   Pr[w]   FAIL   (w = n-1)");
 

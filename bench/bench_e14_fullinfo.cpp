@@ -17,9 +17,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e14", "E14 / full-information comparators (Saks, Ben-Or & Linial)",
-                   "Bias vs coalition size in the broadcast model",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Bias vs coalition size in the broadcast model", argc, argv);
 
   const int baton_n = 64;
   const std::vector<int> baton_ks = {0, 2, 4, 8, 16, 32};

@@ -16,9 +16,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("e15", "E15 / Section 1.1 synchronous scenarios",
-                   "Sync broadcast & ring elections: optimal k = n-1 resilience",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Sync broadcast & ring elections: optimal k = n-1 resilience", argc, argv);
 
   const std::vector<int> sizes = {8, 16, 32};
   SweepSpec sweep;

@@ -11,8 +11,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("f1", "F1 / Figure 1", "Coalition placements and honest segments I_j",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   argc, argv);
 
   const int n = 60;
   const auto show = [&](const char* label, const CoalitionSpec& spec) {

@@ -10,9 +10,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("f2", "F2 / Figure 2",
-                   "A k-simulated tree with k = 4 (Definition 7.1)",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "A k-simulated tree with k = 4 (Definition 7.1)", argc, argv);
 
   const auto ex = figure2_example();
   std::printf("graph: %d vertices, %zu edges, connected=%s\n", ex.graph.n(),

@@ -16,9 +16,7 @@ int main(int argc, char** argv) {
   using namespace fle;
   const int n = 343;  // 7^3: cubic threshold ~ 13, sqrt threshold ~ 19
   bench::Harness h("x1", "X1 / crossover figure",
-                   "Attack success vs k at n = 343 (cubic root 7, sqrt 18.5)",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "Attack success vs k at n = 343 (cubic root 7, sqrt 18.5)", argc, argv);
   h.row_header("    k   A-LEADuni Pr[w]   PhaseAsyncLead Pr[w]   (w = 100)");
 
   const Value w = 100;

@@ -15,9 +15,7 @@
 int main(int argc, char** argv) {
   using namespace fle;
   bench::Harness h("x2", "X2 / synchronization gaps",
-                   "max_t (max_i Sent_i - min_i Sent_i): who stays synchronized?",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   "max_t (max_i Sent_i - min_i Sent_i): who stays synchronized?", argc, argv);
   h.row_header("      scenario                  n     k    max gap    k^2    2k");
 
   struct RowInfo {

@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   const int k_rush = static_cast<int>(std::sqrt(static_cast<double>(n))) + 3;  // 17
   bench::Harness h("x3", "X3 / ablation: the l parameter of PhaseAsyncLead (n=196)",
                    "two attack channels vs l; the protocol is as weak as the cheaper one",
-                   bench::BenchArgs(argc, argv));
-  if (h.merge_mode()) return h.merge_shards();
+                   argc, argv);
   h.row_header(
       "     l   rushing k=17 Pr[w]   late-val k=l Pr[w]   cheapest breaking k");
 

@@ -9,17 +9,12 @@
 // scenario's trial chunks share the executor's work queue (api/sweep.h), so
 // a table of many small and few large scenarios no longer strands cores.
 //
-// Sharding: pass BenchArgs(argc, argv) to split the bench across
-// processes.  `bench --shard i/m` runs only trials [i*T/m, (i+1)*T/m) of
-// every scenario and writes BENCH_<id>.shard_<i>_of_<m>.jsonl — mergeable
-// rows (verify/shard.h) instead of the display JSON.  `bench --merge`
-// reads every BENCH_<id>.shard_*.jsonl in the working directory, folds the
-// rows with ScenarioResult::merge (bit-identical to the unsharded run) and
-// writes the usual BENCH_<id>.json:
+// A table binary takes no arguments and always runs the whole table:
+// splitting scenarios across processes or hosts is the job of the shard
+// drivers, fle_sweep (--shard i/m, or the fabric) and fle_verify.
 //
 //   int main(int argc, char** argv) {
-//     bench::Harness h("e01", "...", "...", bench::BenchArgs(argc, argv));
-//     if (h.merge_mode()) return h.merge_shards();
+//     bench::Harness h("e01", "...", "...", argc, argv);
 //     ...rows...
 //   }
 
@@ -42,20 +37,6 @@ std::uint64_t allocation_count();
 /// Peak resident set size in KiB (0 where the platform has no getrusage).
 std::uint64_t peak_rss_kib();
 
-/// Bench CLI arguments: `--shard i/m` selects a trial-window shard,
-/// `--merge` switches the binary into shard-file merge mode.  Malformed
-/// arguments print usage and exit(2).
-struct BenchArgs {
-  BenchArgs() = default;
-  BenchArgs(int argc, char** argv);
-
-  int shard_index = 0;
-  int shard_count = 1;
-  bool merge = false;
-
-  [[nodiscard]] bool sharded() const { return shard_count > 1; }
-};
-
 /// Minimal JSON object builder (keys ordered as set; strings escaped).
 class JsonObject {
  public:
@@ -75,84 +56,53 @@ class JsonObject {
 
 /// One bench run: banner + table helpers + the JSON sink.
 ///
-///   Harness h("e01", "E1 / Claim B.1", "Basic-LEAD falls to one adversary");
+///   Harness h("e01", "E1 / Claim B.1", "Basic-LEAD falls to one adversary", argc, argv);
 ///   ...
 ///   const auto r = h.run(spec, "n=8 attacked");   // runs run_scenario(spec)
 ///   ...                                            // printf the table row
-/// The destructor writes BENCH_<id>.json (or the shard JSONL) next to the
-/// binary's cwd.
+/// The destructor writes BENCH_<id>.json into the working directory.
 class Harness {
  public:
-  Harness(std::string file_id, std::string title, std::string claim, BenchArgs args = {});
+  /// Any command-line argument prints a usage line to stderr and exits 2.
+  Harness(std::string file_id, std::string title, std::string claim, int argc, char** argv);
   ~Harness();
 
   Harness(const Harness&) = delete;
   Harness& operator=(const Harness&) = delete;
 
-  [[nodiscard]] bool merge_mode() const { return args_.merge; }
-
-  /// Merge mode: reads every BENCH_<id>.shard_*.jsonl in the working
-  /// directory, merges the rows and queues the display JSON.  Returns the
-  /// process exit code (0 on success); the destructor writes the file.
-  int merge_shards();
-
   void note(const std::string& text);
   void row_header(const std::string& cols);
 
   /// Runs the scenario through run_scenario() and records a JSON row with
-  /// the spec and the aggregate results.  Returns the result for printing.
-  /// Under --shard i/m only the shard's trial window executes and the row
-  /// goes to the shard JSONL instead.
+  /// the spec, the aggregate results, and the run's own wall time,
+  /// trials/s and allocation counts.  Returns the result for printing.
   ScenarioResult run(const ScenarioSpec& spec, const std::string& label = {});
 
   /// Runs a whole table as one sweep (api/sweep.h): every scenario shares
   /// the executor's work queue.  Records one row per scenario (labels[i]
-  /// where provided) and returns the results in sweep order.  The
-  /// allocation columns attribute the sweep's total evenly across its rows
-  /// — per-scenario attribution is not meaningful under work stealing.
-  std::vector<ScenarioResult> run_sweep(SweepSpec sweep,
+  /// where provided) and returns the results in sweep order.  Under work
+  /// stealing only the sweep as a whole is measured, so every row carries
+  /// the sweep's totals (sweep_wall_seconds, sweep_allocations) and no
+  /// per-row rate.
+  std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
                                         const std::vector<std::string>& labels = {});
 
   /// Records a hand-built row (benches whose rows are not scenario runs).
-  /// Under --shard such rows are not trial-sharded: shard 0 carries them as
-  /// passthrough rows and --merge re-emits them verbatim.
   void add_row(JsonObject row);
 
-  /// Attaches an extra derived column to the most recent row.  Under
-  /// --shard this works on hand-built (add_row) rows; annotations on
-  /// scenario rows are dropped with a warning — they derive from the
-  /// shard's partial trials and cannot merge.
+  /// Attaches an extra derived column to the most recent row.
   void annotate(const std::string& key, double value);
 
-  /// Same, addressing a display row by record order (run / run_sweep /
-  /// add_row calls, zero-based) — what sweep-migrated benches use to
-  /// annotate individual rows of one run_sweep table.  Subject to the same
-  /// --shard dropping rule as annotate().
+  /// Same, addressing a row by record order (run / run_sweep / add_row
+  /// calls, zero-based) — what sweep-driven benches use to annotate
+  /// individual rows of one run_sweep table.
   void annotate_row(std::size_t index, const std::string& key, double value);
 
  private:
-  /// Applies the shard window to a spec; false when this shard's slice of
-  /// the scenario is empty (fewer trials than shards).
-  bool apply_shard(ScenarioSpec& spec) const;
-  void record(std::size_t case_index, const ScenarioSpec& spec, const std::string& label,
-              const ScenarioResult& result, std::uint64_t allocations, bool in_sweep);
-  JsonObject display_row(const ScenarioSpec& spec, const std::string& label,
-                         const ScenarioResult& result, std::uint64_t allocations,
-                         bool in_sweep) const;
-
   std::string file_id_;
   std::string title_;
   std::string claim_;
-  BenchArgs args_;
-  std::size_t case_counter_ = 0;   ///< scenario index: aligns rows across shards
-  bool write_output_ = true;       ///< cleared when a merge fails
-  std::vector<JsonObject> rows_;   ///< display rows (plain mode)
-  std::vector<std::string> merged_rows_;  ///< pre-rendered rows (--merge)
-  std::vector<std::string> shard_rows_;   ///< mergeable JSONL rows (--shard)
-  std::vector<JsonObject> shard_passthrough_;       ///< add_row rows on shard 0
-  std::vector<std::size_t> shard_passthrough_cases_;
-  bool last_row_was_passthrough_ = false;
-  bool annotate_warned_ = false;
+  std::vector<JsonObject> rows_;
 };
 
 }  // namespace fle::bench

@@ -61,10 +61,8 @@ struct Executor::Submission {
   std::atomic<std::size_t> jobs_done{0};
   std::atomic<bool> failed{false};
   std::size_t max_workers = 1;
-  std::size_t joined = 1;  ///< worker slots handed out (slot 0 = submitter)
+  std::size_t joined = 1;  ///< workers admitted (the submitter is the first)
   std::size_t active = 0;  ///< pool workers currently inside execute_jobs
-  /// Per-submission workspaces for zero-key batches: [worker_slot][batch].
-  std::vector<std::vector<std::shared_ptr<void>>> scratch;
   std::exception_ptr error;
   std::mutex error_mutex;
 };
@@ -106,7 +104,7 @@ void Executor::ensure_pool(std::size_t workers) {
   }
 }
 
-void Executor::execute_jobs(Submission& submission, std::size_t worker_slot) {
+void Executor::execute_jobs(Submission& submission) {
   for (;;) {
     const std::size_t j = submission.cursor.fetch_add(1, std::memory_order_relaxed);
     if (j >= submission.jobs.size()) return;
@@ -116,18 +114,10 @@ void Executor::execute_jobs(Submission& submission, std::size_t worker_slot) {
     if (!submission.failed.load(std::memory_order_relaxed)) {
       try {
         Batch& batch = *job.batch;
-        std::shared_ptr<void> keepalive;
-        void* workspace = nullptr;
-        if (batch.make_workspace) {
-          if (batch.workspace.family != 0) {
-            keepalive = cached_workspace(batch.workspace, batch.make_workspace);
-          } else {
-            auto& slot = submission.scratch[worker_slot][job.batch_index];
-            if (!slot) slot = batch.make_workspace();
-            keepalive = slot;
-          }
-          workspace = keepalive.get();
-        }
+        const std::shared_ptr<void> cached =
+            batch.make_workspace ? cached_workspace(batch.workspace, batch.make_workspace)
+                                 : nullptr;
+        void* const workspace = cached.get();
         if (batch.chunk_body) {
           batch.chunk_body(job.begin, job.end, workspace);
         } else {
@@ -152,7 +142,6 @@ void Executor::worker_main() {
   std::uint64_t seen = 0;
   for (;;) {
     Submission* submission = nullptr;
-    std::size_t slot = 0;
     {
       std::unique_lock<std::mutex> lock(impl_->mutex);
       impl_->work_cv.wait(lock, [&] {
@@ -162,10 +151,10 @@ void Executor::worker_main() {
       seen = impl_->generation;
       submission = impl_->current;
       if (submission->joined >= submission->max_workers) continue;
-      slot = submission->joined++;
+      ++submission->joined;
       ++submission->active;
     }
-    execute_jobs(*submission, slot);
+    execute_jobs(*submission);
     {
       const std::lock_guard<std::mutex> lock(impl_->mutex);
       --submission->active;
@@ -189,31 +178,32 @@ void Executor::run(std::span<Batch> batches, int threads, std::size_t chunk) {
 
   Submission submission;
   submission.max_workers = want;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    Batch& batch = batches[b];
+  for (Batch& batch : batches) {
     if (batch.trials == 0) continue;
     if (batch.out == nullptr || batch.out->size() != batch.trials) {
       throw std::invalid_argument(
           "Executor::Batch.out must be pre-sized to Batch.trials");
+    }
+    if (batch.make_workspace && batch.workspace.family == 0) {
+      throw std::invalid_argument(
+          "Executor::Batch.workspace.family must be nonzero when Batch.make_workspace is set");
     }
     // Auto chunking: enough jobs for every worker to get several, capped so
     // tiny scenarios still split and huge ones don't flood the queue.
     std::size_t job_size = chunk;
     if (job_size == 0) job_size = executor_auto_chunk(batch.trials, want);
     for (std::size_t begin = 0; begin < batch.trials; begin += job_size) {
-      submission.jobs.push_back(
-          Job{&batch, b, begin, std::min(begin + job_size, batch.trials)});
+      submission.jobs.push_back(Job{&batch, begin, std::min(begin + job_size, batch.trials)});
     }
   }
   if (submission.jobs.empty()) return;
   want = std::min(want, submission.jobs.size());
   submission.max_workers = want;
-  submission.scratch.assign(want, std::vector<std::shared_ptr<void>>(batches.size()));
 
   // Inline paths: single worker, or a body re-entering the executor (a pool
   // worker or an already-submitting thread) — execute on this thread.
   if (want <= 1 || t_inside_executor) {
-    execute_jobs(submission, 0);
+    execute_jobs(submission);
     if (submission.error) std::rethrow_exception(submission.error);
     return;
   }
@@ -221,14 +211,14 @@ void Executor::run(std::span<Batch> batches, int threads, std::size_t chunk) {
   const std::lock_guard<std::mutex> submit_lock(impl_->submit_mutex);
   {
     const std::lock_guard<std::mutex> lock(impl_->mutex);
-    ensure_pool(want - 1);  // the submitter takes slot 0
+    ensure_pool(want - 1);  // the submitter is one of the workers
     impl_->current = &submission;
     ++impl_->generation;
   }
   impl_->work_cv.notify_all();
 
   t_inside_executor = true;
-  execute_jobs(submission, 0);
+  execute_jobs(submission);
   t_inside_executor = false;
 
   {
@@ -241,33 +231,6 @@ void Executor::run(std::span<Batch> batches, int threads, std::size_t chunk) {
     impl_->current = nullptr;
   }
   if (submission.error) std::rethrow_exception(submission.error);
-}
-
-std::vector<TrialStats> run_trials_parallel(
-    std::size_t trials, int threads, std::uint64_t base_seed,
-    const std::function<TrialStats(std::size_t, std::uint64_t)>& body) {
-  return run_trials_parallel(
-      trials, threads, base_seed, WorkspaceFactory{},
-      [&body](std::size_t trial, std::uint64_t trial_seed, void* /*workspace*/) {
-        return body(trial, trial_seed);
-      });
-}
-
-std::vector<TrialStats> run_trials_parallel(
-    std::size_t trials, int threads, std::uint64_t base_seed,
-    const WorkspaceFactory& make_workspace,
-    const std::function<TrialStats(std::size_t, std::uint64_t, void*)>& body) {
-  std::vector<TrialStats> results(trials);
-  if (trials == 0) return results;
-  Executor::Batch batch;
-  batch.trials = trials;
-  batch.trial_offset = 0;
-  batch.base_seed = base_seed;
-  batch.make_workspace = make_workspace;
-  batch.body = body;
-  batch.out = &results;
-  Executor::shared().run(std::span<Executor::Batch>(&batch, 1), threads);
-  return results;
 }
 
 }  // namespace fle

@@ -18,15 +18,14 @@
 // counts and message stats are bit-identical for every worker count and
 // every chunk size.
 //
-// Workspace caching (DESIGN.md §4/§6): a batch may name a WorkspaceKey —
-// (engine family, ring size).  Every executor thread keeps a persistent
-// cache of workspaces keyed that way, so two scenarios with the same shape
-// reuse one engine + strategy arena per worker even across run_scenario /
-// run_sweep calls.  A zero key means "per-submission workspace" (one fresh
-// object per worker per batch — the PR-2 behaviour, kept for the
-// run_trials_parallel compatibility wrappers).  Because trials are
-// independent and seeds are per-trial, which worker (and hence which
-// workspace) runs a trial cannot affect its result.
+// Workspace caching (DESIGN.md §4/§6): a batch with a workspace factory
+// names a WorkspaceKey — (engine family, ring size).  Every executor thread
+// keeps a persistent cache of workspaces keyed that way, so two scenarios
+// with the same shape reuse one engine + strategy arena per worker even
+// across run_scenario / run_sweep calls.  A batch without a factory runs
+// its body with a null workspace.  Because trials are independent and
+// seeds are per-trial, which worker (and hence which workspace) runs a
+// trial cannot affect its result.
 
 #include <cstdint>
 #include <functional>
@@ -51,9 +50,10 @@ using WorkspaceFactory = std::function<std::shared_ptr<void>()>;
 
 /// Cache key for per-thread workspace reuse across scenarios.  `family`
 /// identifies the workspace type (the scenario layer uses 1 = ring,
-/// 2 = graph, 3 = sync); family 0 disables caching (per-submission
-/// workspaces).  Scenarios sharing a key MUST use workspace objects of the
-/// same dynamic type, sized only by `n`.
+/// 2 = graph, 3 = sync, 4 = ring lanes, 5 = sync lanes, and 16 + the
+/// GraphAdjacency index for restricted graphs); it must be nonzero on a
+/// batch that has a workspace factory.  Scenarios sharing a key MUST use
+/// workspace objects of the same dynamic type, sized only by `n`.
 struct WorkspaceKey {
   int family = 0;
   int n = 0;
@@ -82,8 +82,8 @@ class Executor {
     std::size_t trials = 0;        ///< how many trials to run
     std::size_t trial_offset = 0;  ///< global index of the first trial
     std::uint64_t base_seed = 0;   ///< seeds: scenario_trial_seed(base_seed, global)
-    WorkspaceKey workspace;        ///< cache key; family 0 = per-submission
-    WorkspaceFactory make_workspace;
+    WorkspaceKey workspace;        ///< cache key; nonzero family with a factory
+    WorkspaceFactory make_workspace;  ///< unset = stateless body (null workspace)
     TrialBody body;
     ChunkBody chunk_body;  ///< when set, replaces `body` for whole jobs
     std::vector<TrialStats>* out = nullptr;  ///< pre-sized to `trials`; slot = local index
@@ -102,7 +102,9 @@ class Executor {
   /// hardware core; the calling thread always participates).  Batches are
   /// split into jobs of `chunk` trials (0 = automatic) served from one
   /// shared queue.  The first exception thrown by a trial body or workspace
-  /// factory is rethrown here after the queue drains.  Submissions from
+  /// factory is rethrown here after the queue drains.  Throws
+  /// std::invalid_argument for a batch whose `out` is not pre-sized or that
+  /// has a workspace factory under family 0.  Submissions from
   /// other threads are serialized; a body that re-enters run() executes its
   /// batches inline on the calling thread (no deadlock, no extra
   /// parallelism).
@@ -111,14 +113,13 @@ class Executor {
  private:
   struct Job {
     Batch* batch = nullptr;
-    std::size_t batch_index = 0;
     std::size_t begin = 0;  ///< local trial indices [begin, end)
     std::size_t end = 0;
   };
   struct Submission;
 
   void worker_main();
-  static void execute_jobs(Submission& submission, std::size_t worker_slot);
+  static void execute_jobs(Submission& submission);
   void ensure_pool(std::size_t workers);
 
   struct Impl;
@@ -135,22 +136,5 @@ std::uint64_t scenario_trial_seed(std::uint64_t base_seed, std::size_t trial);
 /// whose network trial windows are the same unit of work — one policy, two
 /// transports.
 std::size_t executor_auto_chunk(std::size_t trials, std::size_t workers);
-
-/// Compatibility wrapper over Executor::shared(): runs `body(trial,
-/// trial_seed)` for trials [0, trials) on `threads` workers and returns the
-/// stats indexed by trial.
-std::vector<TrialStats> run_trials_parallel(
-    std::size_t trials, int threads, std::uint64_t base_seed,
-    const std::function<TrialStats(std::size_t trial, std::uint64_t trial_seed)>& body);
-
-/// Workspace-aware variant: `make_workspace()` runs once per worker for
-/// this call (uncached — pass a WorkspaceKey through the Executor API for
-/// cross-call caching) and the resulting pointer is handed to every
-/// `body(trial, trial_seed, workspace)` call that worker makes.
-std::vector<TrialStats> run_trials_parallel(
-    std::size_t trials, int threads, std::uint64_t base_seed,
-    const WorkspaceFactory& make_workspace,
-    const std::function<TrialStats(std::size_t trial, std::uint64_t trial_seed,
-                                   void* workspace)>& body);
 
 }  // namespace fle

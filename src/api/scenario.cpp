@@ -267,10 +267,10 @@ void ScenarioResult::merge(const ScenarioResult& other) {
 namespace {
 
 /// One scenario, prepared for the executor: normalized spec copy, trial
-/// window, the trial body (owning its factories via by-value captures plus
-/// a pointer back to this heap-stable job), and the result skeleton with
-/// display names resolved.  run_scenario builds one; run_sweep builds many
-/// and submits them together.
+/// window, the trial body (capturing its shared instances or registry
+/// entries by value plus a pointer back to this heap-stable job), and the
+/// result skeleton with display names resolved.  run_scenario builds one;
+/// run_sweep builds many and submits them together.
 struct ScenarioJob {
   ScenarioSpec spec;
   TrialWindow window;
@@ -392,39 +392,68 @@ WorkspaceFactory workspace_factory() {
   return [] { return std::static_pointer_cast<void>(std::make_shared<Workspace>()); };
 }
 
-void fill_ring_job(ScenarioJob& job, RingTrialFactories factories) {
+void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
+                   const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
   require_n(spec, 2);
+  if (!protocol_entry->make_ring) {
+    throw std::invalid_argument("protocol '" + protocol_entry->name +
+                                "' does not run on the ring topology");
+  }
+  if (deviation_entry && !deviation_entry->make_ring) {
+    throw std::invalid_argument("deviation '" + deviation_entry->name +
+                                "' does not apply to ring protocols");
+  }
+
   job.result = ScenarioResult(spec.n);
+  std::shared_ptr<const RingProtocol> shared_protocol;
+  std::shared_ptr<const Deviation> shared_deviation;
+  if (!protocol_entry->per_trial) {
+    shared_protocol = protocol_entry->make_ring(spec, spec.seed);
+    if (deviation_entry) {
+      shared_deviation = deviation_entry->make_ring(*shared_protocol, spec);
+    }
+  }
+
+  // Resolve display names before launching workers.
   {
-    const auto named = factories.protocol(spec.seed);
+    const auto named =
+        shared_protocol ? shared_protocol : protocol_entry->make_ring(spec, spec.seed);
     job.result.protocol_name = named->name();
-    if (factories.deviation) {
-      const auto dev = factories.deviation(*named, spec.seed);
-      if (dev) job.result.deviation_name = dev->name();
+    if (deviation_entry) {
+      const auto dev =
+          shared_deviation ? shared_deviation : deviation_entry->make_ring(*named, spec);
+      job.result.deviation_name = dev->name();
     }
   }
 
   const bool threaded = spec.topology == TopologyKind::kThreaded;
   ScenarioJob* j = &job;
-  job.body = [j, factories = std::move(factories), threaded](
-                 std::size_t trial, std::uint64_t trial_seed, void* raw) -> TrialStats {
+  job.body = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation,
+              threaded](std::size_t trial, std::uint64_t trial_seed,
+                        void* raw) -> TrialStats {
     const ScenarioSpec& spec = j->spec;
-    const std::shared_ptr<const RingProtocol> protocol = factories.protocol(trial_seed);
-    std::shared_ptr<const Deviation> deviation;
-    if (factories.deviation) deviation = factories.deviation(*protocol, trial_seed);
+    // Shared instances are read in place; per-trial ones live for the trial.
+    std::unique_ptr<RingProtocol> own_protocol;
+    std::unique_ptr<Deviation> own_deviation;
+    if (!shared_protocol) {
+      own_protocol = protocol_entry->make_ring(spec, trial_seed);
+      if (deviation_entry) own_deviation = deviation_entry->make_ring(*own_protocol, spec);
+    }
+    const RingProtocol& protocol = shared_protocol ? *shared_protocol : *own_protocol;
+    const Deviation* deviation = shared_protocol ? shared_deviation.get() : own_deviation.get();
     TrialStats stats;
     if (threaded) {
       // One OS thread per processor: the runtime's whole point is fresh
       // threads, so there is nothing to reuse.
       ThreadedRuntimeOptions options;
-      options.send_limit = scenario_ring_step_limit(spec, *protocol);
+      options.send_limit = scenario_ring_step_limit(spec, protocol);
       ThreadedRuntime runtime(spec.n, trial_seed, options);
-      stats.outcome = runtime.run(compose_strategies(*protocol, deviation.get(), spec.n));
+      stats.outcome = runtime.run(compose_strategies(protocol, deviation, spec.n));
       stats.messages = runtime.stats().total_sent;
     } else {
       auto& ws = *static_cast<RingWorkspace*>(raw);
-      const std::uint64_t step_limit = scenario_ring_step_limit(spec, *protocol);
+      const std::uint64_t step_limit = scenario_ring_step_limit(spec, protocol);
       // The workspace may come from another scenario with the same (ring, n)
       // key: rebuild whenever the engine shape differs, not just on first use.
       if (!ws.engine || ws.engine->step_limit() != step_limit ||
@@ -440,7 +469,7 @@ void fill_ring_job(ScenarioJob& job, RingTrialFactories factories) {
       // scenario's transcript pointer.
       ws.engine->set_transcript(j->transcript_slot(trial));
       ws.arena.rewind();
-      compose_profile_into(*protocol, deviation.get(), spec.n, ws.arena, ws.profile);
+      compose_profile_into(protocol, deviation, spec.n, ws.arena, ws.profile);
       stats.outcome = ws.engine->run(std::span<RingStrategy* const>(ws.profile));
       ws.engine->set_transcript(nullptr);  // the slot vector outlives no one
       stats.messages = ws.engine->stats().total_sent;
@@ -613,44 +642,6 @@ void fill_sync_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry) {
   };
   job.workspace_key = WorkspaceKey{kSyncLaneFamily, spec.n};
   job.make_workspace = workspace_factory<SyncLaneWorkspace>();
-}
-
-void fill_registry_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
-                            const DeviationEntry* deviation_entry) {
-  if (!protocol_entry->make_ring) {
-    throw std::invalid_argument("protocol '" + protocol_entry->name +
-                                "' does not run on the ring topology");
-  }
-  if (deviation_entry && !deviation_entry->make_ring) {
-    throw std::invalid_argument("deviation '" + deviation_entry->name +
-                                "' does not apply to ring protocols");
-  }
-  ScenarioJob* j = &job;
-  RingTrialFactories factories;
-  if (protocol_entry->per_trial) {
-    factories.protocol = [j, protocol_entry](std::uint64_t trial_seed) {
-      return std::shared_ptr<const RingProtocol>(protocol_entry->make_ring(j->spec, trial_seed));
-    };
-    if (deviation_entry) {
-      factories.deviation = [j, deviation_entry](const RingProtocol& protocol, std::uint64_t) {
-        return std::shared_ptr<const Deviation>(deviation_entry->make_ring(protocol, j->spec));
-      };
-    }
-  } else {
-    const std::shared_ptr<const RingProtocol> shared_protocol =
-        protocol_entry->make_ring(job.spec, job.spec.seed);
-    std::shared_ptr<const Deviation> shared_deviation;
-    if (deviation_entry) {
-      shared_deviation = deviation_entry->make_ring(*shared_protocol, job.spec);
-    }
-    factories.protocol = [shared_protocol](std::uint64_t) { return shared_protocol; };
-    if (deviation_entry) {
-      factories.deviation = [shared_deviation](const RingProtocol&, std::uint64_t) {
-        return shared_deviation;
-      };
-    }
-  }
-  fill_ring_job(job, std::move(factories));
 }
 
 void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
@@ -850,23 +841,6 @@ void fill_turn_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
   };
 }
 
-/// Transcript capture needs a deterministic runtime; the threaded runtime's
-/// schedule belongs to the OS.  Shared by prepare_scenario_job and the
-/// factory-driven run_ring_scenario path.
-void require_transcribable(const ScenarioSpec& spec) {
-  if (spec.record_transcripts && spec.topology == TopologyKind::kThreaded) {
-    throw std::invalid_argument(
-        "ScenarioSpec.record_transcripts: topology 'threaded' is scheduled by the OS and "
-        "cannot be deterministically transcribed (use 'ring' — the §2 equivalence makes the "
-        "executions interchangeable)");
-  }
-}
-
-/// Sizes the per-trial transcript slots after the window is known.
-void arm_transcripts(ScenarioJob& job) {
-  if (job.spec.record_transcripts) job.transcripts.resize(job.window.count);
-}
-
 /// Validates the spec's plain fields, resolves the registries, and builds
 /// the executor-ready job.  Shared by run_scenario and run_sweep.
 std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
@@ -881,7 +855,14 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
                                 std::to_string(spec.n) + ")");
   }
   build_coalition(spec.coalition, spec.n);  // throws with the offending field
-  require_transcribable(spec);
+  // Transcript capture needs a deterministic runtime; the threaded
+  // runtime's schedule belongs to the OS.
+  if (spec.record_transcripts && spec.topology == TopologyKind::kThreaded) {
+    throw std::invalid_argument(
+        "ScenarioSpec.record_transcripts: topology 'threaded' is scheduled by the OS and "
+        "cannot be deterministically transcribed (use 'ring' — the §2 equivalence makes the "
+        "executions interchangeable)");
+  }
   // The routing decision (and the engine=lanes eligibility error) comes
   // before any factory runs, like every other spec-field validation.
   const bool lanes = route_to_lanes(spec);
@@ -894,14 +875,14 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
   job->spec = spec;
   job->window = scenario_trial_window(spec);
   job->stats.resize(job->window.count);
-  arm_transcripts(*job);
+  if (spec.record_transcripts) job->transcripts.resize(job->window.count);
   switch (spec.topology) {
     case TopologyKind::kRing:
     case TopologyKind::kThreaded:
       if (lanes) {
         fill_lane_job(*job, protocol_entry, deviation_entry);
       } else {
-        fill_registry_ring_job(*job, protocol_entry, deviation_entry);
+        fill_ring_job(*job, protocol_entry, deviation_entry);
       }
       break;
     case TopologyKind::kGraph:
@@ -927,24 +908,6 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
 std::uint64_t scenario_ring_step_limit(const ScenarioSpec& spec,
                                        const RingProtocol& protocol) {
   return derived_step_limit(spec.step_limit, protocol.honest_message_bound(spec.n));
-}
-
-ScenarioResult run_ring_scenario(const ScenarioSpec& spec,
-                                 const RingTrialFactories& factories) {
-  const auto start = std::chrono::steady_clock::now();
-  require_transcribable(spec);
-  ScenarioJob job;
-  job.spec = spec;
-  job.window = scenario_trial_window(spec);
-  job.stats.resize(job.window.count);
-  arm_transcripts(job);
-  fill_ring_job(job, factories);
-  Executor::Batch batch = batch_of(job);
-  Executor::shared().run(std::span<Executor::Batch>(&batch, 1), spec.threads);
-  reduce_job(job);
-  job.result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return std::move(job.result);
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {

@@ -11,7 +11,8 @@
 // over the persistent executor (api/parallel.h) with per-trial seeds
 // derived from the base seed, and aggregates everything into one
 // ScenarioResult.  run_sweep (api/sweep.h) does the same for many scenarios
-// at once on one shared work queue.
+// at once on one shared work queue.  The two are the only way into the
+// trial loop: tests, tools and benches all describe their runs as specs.
 //
 // Determinism contract: the same ScenarioSpec yields identical outcome
 // counts for every worker-thread count — per-trial seeds depend only on
@@ -25,8 +26,6 @@
 // See DESIGN.md for the layer diagram and a quickstart.
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,7 +39,6 @@
 namespace fle {
 
 class RingProtocol;
-class Deviation;
 
 /// Which runtime executes the scenario.
 ///
@@ -224,17 +222,5 @@ std::uint64_t scenario_ring_step_limit(const ScenarioSpec& spec, const RingProto
 /// shared executor, and aggregates.  Throws std::invalid_argument on
 /// unknown names or inconsistent specs.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
-
-/// Low-level ring/threaded trial batch used by run_scenario and by the
-/// analysis/experiment.h shim: explicit factories instead of registry keys.
-/// `protocol` is called once per trial with the trial seed (return the same
-/// shared instance every time for deterministic protocols); `deviation` may
-/// be null for the honest profile.
-struct RingTrialFactories {
-  std::function<std::shared_ptr<const RingProtocol>(std::uint64_t trial_seed)> protocol;
-  std::function<std::shared_ptr<const Deviation>(const RingProtocol&, std::uint64_t trial_seed)>
-      deviation;
-};
-ScenarioResult run_ring_scenario(const ScenarioSpec& spec, const RingTrialFactories& factories);
 
 }  // namespace fle

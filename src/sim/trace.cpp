@@ -4,13 +4,6 @@
 
 namespace fle {
 
-DeliveryObserver TraceDigest::observer() {
-  return [this](std::uint64_t step, ProcessorId to, Value v,
-                std::span<const std::uint64_t> /*sent*/) {
-    transcript_.delivery(step, static_cast<std::uint64_t>(to), v);
-  };
-}
-
 SyncTrace::SyncTrace(std::vector<ProcessorId> watch, std::uint64_t sample_every)
     : watch_(std::move(watch)), sample_every_(std::max<std::uint64_t>(1, sample_every)) {}
 

@@ -21,11 +21,12 @@
 // ring path stays allocation-free with recording off, test_alloc_free.cpp).
 //
 // Modes: kFull stores the events (and can encode() them into a compact
-// varint binary form — the wire format the roadmap's distributed driver
-// will ship shard transcripts over); kDigest keeps only a running FNV-1a
-// fold and the event count — the cheap fingerprint TraceDigest (sim/trace.h)
-// and the shard rows use.  Both modes maintain the digest, so a kDigest
-// transcript can always be compared against a kFull one.
+// varint binary form — the wire format the fabric ships shard transcripts
+// over); kDigest keeps only a running FNV-1a fold and the event count — the
+// cheap fingerprint the trace-determinism check (verify/differential.h)
+// compares fresh and reused engines by.  Both modes maintain the digest, so
+// a kDigest transcript can always be compared against a kFull one.  The
+// transcript is the only execution fingerprint in the system.
 
 #include <cstdint>
 #include <memory>

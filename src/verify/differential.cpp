@@ -11,7 +11,6 @@
 #include "attacks/deviation.h"
 #include "fullinfo/turn_game.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 #include "sim/transcript.h"
 #include "verify/checks.h"
 
@@ -96,7 +95,10 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
   const DeviationEntry* deviation_entry =
       spec.deviation.empty() ? nullptr : &DeviationRegistry::instance().at(spec.deviation);
 
-  TraceDigest reused_digest;
+  // kDigest transcripts attached through set_transcript: the same hook the
+  // scenario layer records through, folded instead of stored.
+  ExecutionTranscript fresh_digest(TranscriptMode::kDigest);
+  ExecutionTranscript reused_digest(TranscriptMode::kDigest);
   std::unique_ptr<RingEngine> reused;
   std::size_t digest_mismatches = 0;
   std::size_t outcome_mismatches = 0;
@@ -108,12 +110,12 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
     if (deviation_entry) deviation = deviation_entry->make_ring(*protocol, spec);
     const std::uint64_t step_limit = scenario_ring_step_limit(spec, *protocol);
 
-    TraceDigest fresh_digest;
     EngineOptions fresh_options;
     fresh_options.step_limit = step_limit;
     fresh_options.scheduler_kind = spec.scheduler;
-    fresh_options.observer = fresh_digest.observer();
     RingEngine fresh(spec.n, trial_seed, std::move(fresh_options));
+    fresh_digest.clear();
+    fresh.set_transcript(&fresh_digest);
     const Outcome fresh_outcome =
         fresh.run(compose_strategies(*protocol, deviation.get(), spec.n));
 
@@ -121,17 +123,17 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
       EngineOptions reused_options;
       reused_options.step_limit = step_limit;
       reused_options.scheduler_kind = spec.scheduler;
-      reused_options.observer = reused_digest.observer();
       reused = std::make_unique<RingEngine>(spec.n, trial_seed, std::move(reused_options));
+      reused->set_transcript(&reused_digest);
     } else {
       reused->reset(trial_seed);
     }
-    reused_digest.reset();
+    reused_digest.clear();
     const Outcome reused_outcome =
         reused->run(compose_strategies(*protocol, deviation.get(), spec.n));
 
-    digest_mismatches += fresh_digest.value() != reused_digest.value() ||
-                                 fresh_digest.deliveries() != reused_digest.deliveries()
+    digest_mismatches += fresh_digest.digest() != reused_digest.digest() ||
+                                 fresh_digest.size() != reused_digest.size()
                              ? 1
                              : 0;
     outcome_mismatches += fresh_outcome != reused_outcome ? 1 : 0;

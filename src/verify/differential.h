@@ -17,7 +17,8 @@
 //  * check_trace_determinism — exact per-trial trace equivalence for the
 //    deterministic scheduler: a reused engine (reset(trial_seed), the
 //    DESIGN.md §4 fast path) must replay a freshly constructed engine's
-//    delivery sequence bit for bit (TraceDigest over every delivery).
+//    execution bit for bit (a kDigest ExecutionTranscript over every
+//    delivery and decision).
 //
 //  * check_transcript_replay — the record/replay differential every
 //    runtime gets (DESIGN.md §7), including the turn-game runtimes that

@@ -274,18 +274,21 @@ ScenarioSpec shard_key_spec(ScenarioSpec spec) {
   return spec;
 }
 
-std::string format_shard_row(const ShardRow& row, bool elide_transcripts) {
-  if (!row.passthrough.empty()) {
-    std::string out = "{";
-    append_kv(out, "case", std::to_string(row.case_index), false);
-    append_kv(out, "passthrough", row.passthrough, true);
-    out += '}';
-    return out;
+TrialWindow shard_trial_window(const ScenarioSpec& spec, std::size_t index, std::size_t count) {
+  if (index >= count) {
+    throw std::invalid_argument("shard " + std::to_string(index) + "/" + std::to_string(count) +
+                                ": must satisfy 0 <= index < count");
   }
+  const TrialWindow window = scenario_trial_window(spec);
+  const std::size_t lo = window.count * index / count;
+  const std::size_t hi = window.count * (index + 1) / count;
+  return {window.first + lo, hi - lo};
+}
+
+std::string format_shard_row(const ShardRow& row, bool elide_transcripts) {
   const ScenarioResult& r = row.result;
   std::string out = "{";
   append_kv(out, "case", std::to_string(row.case_index), false);
-  if (!row.label.empty()) append_kv(out, "label", row.label, true);
   append_kv(out, "spec", row.spec_line, true);
   append_kv(out, "n", std::to_string(r.outcomes.domain()), false);
   append_kv(out, "trials", std::to_string(r.trials), false);
@@ -313,9 +316,6 @@ std::string format_shard_row(const ShardRow& row, bool elide_transcripts) {
     }
     append_kv(out, "store_keys", store_key_list(r.per_trial_transcript), true);
   }
-  if (row.allocations != 0) {
-    append_kv(out, "allocations", std::to_string(row.allocations), false);
-  }
   out += '}';
   return out;
 }
@@ -324,16 +324,7 @@ ShardRow parse_shard_row(const std::string& line) {
   const FlatJson json(line);
   ShardRow row;
   row.case_index = json.u64("case");
-  if (json.has("passthrough")) {
-    row.passthrough = json.str("passthrough");
-    if (row.passthrough.empty()) {
-      throw std::invalid_argument("shard row: empty passthrough payload");
-    }
-    return row;
-  }
-  if (json.has("label")) row.label = json.str("label");
   row.spec_line = json.str("spec");
-  if (json.has("allocations")) row.allocations = json.u64("allocations");
 
   const int n = static_cast<int>(json.u64("n"));
   if (n <= 0) throw std::invalid_argument("shard row: n must be positive");
@@ -548,46 +539,20 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
 
   std::map<std::size_t, MergedCase> merged;
   for (auto& [index, group] : by_case) {
-    // Passthrough rows (display rows that are not scenario runs) are
-    // carried by one shard only; mixing them with mergeable rows under one
-    // case index means the shards disagree about what the case is.
-    if (!group.front().passthrough.empty()) {
-      for (const ShardRow& row : group) {
-        if (row.passthrough != group.front().passthrough) {
-          throw std::invalid_argument("shard case " + std::to_string(index) +
-                                      ": conflicting passthrough rows");
-        }
-      }
-      MergedCase out;
-      out.passthrough = group.front().passthrough;
-      merged.emplace(index, std::move(out));
-      continue;
-    }
     std::sort(group.begin(), group.end(), [](const ShardRow& a, const ShardRow& b) {
       return a.result.trial_offset < b.result.trial_offset;
     });
     for (const ShardRow& row : group) {
-      if (!row.passthrough.empty()) {
-        throw std::invalid_argument("shard case " + std::to_string(index) +
-                                    ": mixes passthrough and scenario rows");
-      }
       if (row.spec_line != group.front().spec_line) {
         throw std::invalid_argument("shard case " + std::to_string(index) +
                                     ": rows name different specs ('" +
                                     group.front().spec_line + "' vs '" + row.spec_line +
                                     "')");
       }
-      if (row.label != group.front().label) {
-        throw std::invalid_argument("shard case " + std::to_string(index) +
-                                    ": rows carry different labels ('" +
-                                    group.front().label + "' vs '" + row.label + "')");
-      }
     }
     MergedCase out;
     out.spec_line = group.front().spec_line;
-    out.label = group.front().label;
     out.result = group.front().result;
-    out.allocations = group.front().allocations;
     for (std::size_t i = 1; i < group.size(); ++i) {
       // Diagnose window tiling faults by name before the generic merge
       // contiguity check: the likely operator errors are feeding the same
@@ -606,7 +571,6 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
             ") (missing shard file?)");
       }
       out.result.merge(group[i].result);  // enforces compatibility + contiguity
-      out.allocations += group[i].allocations;
     }
     if (out.result.trial_offset != 0 || out.result.trials != out.result.spec_trials) {
       throw std::invalid_argument(

@@ -426,12 +426,12 @@ void run_statistical_shard(const SuiteOptions& options, const ShardSlice& slice,
   std::vector<std::size_t> case_of_scenario;
   for (std::size_t i = 0; i < plan.specs.size(); ++i) {
     ScenarioSpec spec = plan.specs[i];
-    const std::size_t m = static_cast<std::size_t>(slice.count);
-    const std::size_t lo = spec.trials * static_cast<std::size_t>(slice.index) / m;
-    const std::size_t hi = spec.trials * (static_cast<std::size_t>(slice.index) + 1) / m;
-    if (hi == lo) continue;  // fewer trials than shards: nothing for this slice
-    spec.trial_offset = lo;
-    spec.trial_count = hi - lo;
+    const TrialWindow window =
+        shard_trial_window(spec, static_cast<std::size_t>(slice.index),
+                           static_cast<std::size_t>(slice.count));
+    if (window.count == 0) continue;  // fewer trials than shards: nothing here
+    spec.trial_offset = window.first;
+    spec.trial_count = window.count;
     sweep.add(std::move(spec));
     case_of_scenario.push_back(i);
   }

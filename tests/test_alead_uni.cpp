@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.h"
 #include "analysis/stats.h"
+#include "api/scenario.h"
 #include "attacks/coalition.h"
 #include "protocols/alead_uni.h"
 #include "sim/engine.h"
@@ -37,13 +37,14 @@ TEST(ALeadUni, HonestMessageCountIsNSquared) {
 }
 
 TEST(ALeadUni, HonestElectionIsUniform) {
-  ALeadUniProtocol protocol;
   const int n = 6;
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 6000;
-  config.seed = 11;
-  const auto result = run_trials(protocol, nullptr, config);
+  ScenarioSpec spec;
+  spec.protocol = "alead-uni";
+  spec.n = n;
+  spec.trials = 6000;
+  spec.seed = 11;
+  spec.engine = EngineKind::kScalar;  // the oracle; lanes are held to it
+  const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
 }

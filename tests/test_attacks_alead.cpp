@@ -5,15 +5,29 @@
 
 #include <cmath>
 
-#include "analysis/experiment.h"
+#include "api/scenario.h"
 #include "attacks/coalition.h"
-#include "attacks/cubic.h"
 #include "attacks/random_location.h"
 #include "attacks/rushing.h"
-#include "protocols/alead_uni.h"
 
 namespace fle {
 namespace {
+
+/// An attacked A-LEADuni spec pinned to the scalar RingEngine, the oracle
+/// these claims are checked on (the lane kernels are held to it by the
+/// identity gates).
+ScenarioSpec attacked_spec(int n, const char* deviation, CoalitionSpec coalition, Value target,
+                           std::size_t trials) {
+  ScenarioSpec spec;
+  spec.protocol = "alead-uni";
+  spec.deviation = deviation;
+  spec.coalition = std::move(coalition);
+  spec.target = target;
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
 
 struct RushCase {
   int n;
@@ -24,16 +38,12 @@ class RushingAttack : public ::testing::TestWithParam<RushCase> {};
 
 TEST_P(RushingAttack, ControlsOutcomeAtSqrtN) {
   const auto [n, k] = GetParam();
-  ALeadUniProtocol protocol;
   const auto coalition = Coalition::equally_spaced(n, k);
   ASSERT_TRUE(coalition.rushing_precondition_holds()) << coalition.render();
   for (Value w : {Value{0}, Value{1}, static_cast<Value>(n / 2), static_cast<Value>(n - 1)}) {
-    RushingDeviation deviation(coalition, w);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 6;
-    config.seed = 17 * n + w;
-    const auto result = run_trials(protocol, &deviation, config);
+    ScenarioSpec spec = attacked_spec(n, "rushing", CoalitionSpec::equally_spaced(k), w, 6);
+    spec.seed = 17 * n + w;
+    const auto result = run_scenario(spec);
     EXPECT_EQ(result.outcomes.count(w), result.outcomes.trials())
         << "n=" << n << " k=" << k << " w=" << w;
   }
@@ -69,12 +79,8 @@ TEST(RushingAttack, SyncGapShowsRushingSignature) {
   // grows beyond A-LEADuni's honest bound of 1.
   const int n = 100;
   const int k = 10;
-  ALeadUniProtocol protocol;
-  RushingDeviation deviation(Coalition::equally_spaced(n, k), 3);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 3;
-  const auto result = run_trials(protocol, &deviation, config);
+  const auto result =
+      run_scenario(attacked_spec(n, "rushing", CoalitionSpec::equally_spaced(k), 3, 3));
   EXPECT_GT(result.max_sync_gap, 1u);
 }
 
@@ -83,16 +89,11 @@ class CubicAttack : public ::testing::TestWithParam<int> {};
 TEST_P(CubicAttack, ControlsOutcomeAtTwoCubeRoot) {
   const int n = GetParam();
   const int k = Coalition::cubic_min_k(n);
-  ALeadUniProtocol protocol;
-  const auto coalition = Coalition::cubic_staircase(n, k);
-  ASSERT_EQ(coalition.k(), k);
+  ASSERT_EQ(Coalition::cubic_staircase(n, k).k(), k);
   for (Value w : {Value{0}, static_cast<Value>(n - 1)}) {
-    CubicDeviation deviation(coalition, w);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 5;
-    config.seed = 31 * n + w;
-    const auto result = run_trials(protocol, &deviation, config);
+    ScenarioSpec spec = attacked_spec(n, "cubic", CoalitionSpec::cubic_staircase(k), w, 5);
+    spec.seed = 31 * n + w;
+    const auto result = run_scenario(spec);
     EXPECT_EQ(result.outcomes.count(w), result.outcomes.trials()) << "n=" << n << " w=" << w;
   }
 }
@@ -113,14 +114,10 @@ TEST(CubicAttack, MinKGrowsLikeCubeRoot) {
 TEST(CubicAttack, TerminatesForAllStaircaseSizes) {
   // Lemma 4.4: the zero-burst chain keeps every adversary fed.  Termination
   // == outcome is valid (not FAIL), since FAIL would indicate starvation.
-  ALeadUniProtocol protocol;
   for (int n = 20; n <= 200; n += 17) {
     const int k = Coalition::cubic_min_k(n);
-    CubicDeviation deviation(Coalition::cubic_staircase(n, k), 1);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 2;
-    const auto result = run_trials(protocol, &deviation, config);
+    const auto result =
+        run_scenario(attacked_spec(n, "cubic", CoalitionSpec::cubic_staircase(k), 1, 2));
     EXPECT_EQ(result.outcomes.count(1), result.outcomes.trials()) << "n=" << n;
   }
 }
@@ -129,12 +126,8 @@ TEST(CubicAttack, LargerKAlsoWorks) {
   // Using more adversaries than the minimum keeps the staircase valid.
   const int n = 200;
   const int k = Coalition::cubic_min_k(n) + 3;
-  CubicDeviation deviation(Coalition::cubic_staircase(n, k), 7);
-  ALeadUniProtocol protocol;
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 3;
-  const auto result = run_trials(protocol, &deviation, config);
+  const auto result =
+      run_scenario(attacked_spec(n, "cubic", CoalitionSpec::cubic_staircase(k), 7, 3));
   EXPECT_EQ(result.outcomes.count(7), result.outcomes.trials());
 }
 
@@ -143,19 +136,16 @@ TEST(RandomLocationAttack, SucceedsWithRecommendedDensity) {
   // probability over placements and secrets.
   const int n = 150;
   const int c_prefix = 4;
-  ALeadUniProtocol protocol;
   const double p = RandomLocationDeviation::recommended_density(n);
   int successes = 0;
   int attempts = 0;
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const auto coalition = Coalition::bernoulli(n, p, seed);
-    if (coalition.k() < c_prefix + 2) continue;  // degenerate draw
-    RandomLocationDeviation deviation(coalition, 9, c_prefix, protocol);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 1;
-    config.seed = seed * 7919;
-    const auto result = run_trials(protocol, &deviation, config);
+    if (Coalition::bernoulli(n, p, seed).k() < c_prefix + 2) continue;  // degenerate draw
+    ScenarioSpec spec =
+        attacked_spec(n, "random-location", CoalitionSpec::bernoulli(p, seed), 9, 1);
+    spec.prefix = c_prefix;
+    spec.seed = seed * 7919;
+    const auto result = run_scenario(spec);
     ++attempts;
     if (result.outcomes.count(9) == 1) ++successes;
   }
@@ -172,13 +162,10 @@ TEST(RandomLocationAttack, AdversariesEstimateKCorrectlyViaCircularity) {
   // exact every time.
   const int n = 80;
   const int k = 12;
-  ALeadUniProtocol protocol;
-  const auto coalition = Coalition::equally_spaced(n, k);
-  RandomLocationDeviation deviation(coalition, 5, /*prefix=*/4, protocol);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 10;
-  const auto result = run_trials(protocol, &deviation, config);
+  ScenarioSpec spec =
+      attacked_spec(n, "random-location", CoalitionSpec::equally_spaced(k), 5, 10);
+  spec.prefix = 4;
+  const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.count(5), result.outcomes.trials());
 }
 
@@ -188,15 +175,12 @@ TEST(RandomLocationAttack, HonestOriginMemberPlaysHonestly) {
   // that the *effective* coalition still covers every segment
   // (l_j <= k_eff - C - 1).
   const int n = 60;
-  ALeadUniProtocol protocol;
   std::vector<ProcessorId> members;
   for (int p = 0; p < n; p += 4) members.push_back(p);  // includes the origin
-  const Coalition coalition(n, std::move(members));
-  RandomLocationDeviation deviation(coalition, 2, 4, protocol);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 5;
-  const auto result = run_trials(protocol, &deviation, config);
+  ScenarioSpec spec =
+      attacked_spec(n, "random-location", CoalitionSpec::custom(std::move(members)), 2, 5);
+  spec.prefix = 4;
+  const auto result = run_scenario(spec);
   // Effective coalition: 14 spaced adversaries (origin honest); the segment
   // that swallowed the origin has l = 7 <= k_eff - C - 1 = 9.
   EXPECT_EQ(result.outcomes.count(2), result.outcomes.trials());

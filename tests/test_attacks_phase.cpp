@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "analysis/experiment.h"
+#include "api/scenario.h"
 #include "attacks/coalition.h"
 #include "attacks/phase_late_validation.h"
 #include "attacks/phase_rushing.h"
@@ -16,6 +16,28 @@ namespace {
 
 int sqrt_plus3_k(int n) {
   return static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n)))) + 3;
+}
+
+/// An attacked PhaseAsyncLead spec (f keyed by `f_key`) pinned to the scalar
+/// RingEngine, the engine the phase attacks run on.
+ScenarioSpec attacked_spec(int n, std::uint64_t f_key, const char* deviation, Value target,
+                           std::size_t trials) {
+  ScenarioSpec spec;
+  spec.protocol = "phase-async-lead";
+  spec.protocol_key = f_key;
+  spec.deviation = deviation;
+  spec.target = target;
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
+/// The rushing/steering attack with an equally spaced coalition of k.
+ScenarioSpec rushing_spec(int n, std::uint64_t f_key, int k, Value target, std::size_t trials) {
+  ScenarioSpec spec = attacked_spec(n, f_key, "phase-rushing", target, trials);
+  spec.coalition = CoalitionSpec::equally_spaced(k);
+  return spec;
 }
 
 TEST(PhaseRushing, SteeringPossibleExactlyAboveSqrtN) {
@@ -45,11 +67,10 @@ TEST_P(PhaseRushingAttack, ControlsOutcomeAtSqrtNPlus3) {
   PhaseRushingDeviation deviation(coalition, static_cast<Value>(n / 3), protocol,
                                   /*search_cap=*/64ull * n);
   ASSERT_TRUE(deviation.steering_possible()) << coalition.render();
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 12;
-  config.seed = 1009 * n;
-  const auto result = run_trials(protocol, &deviation, config);
+  ScenarioSpec spec = rushing_spec(n, 0x5a5aull + n, k, static_cast<Value>(n / 3), 12);
+  spec.search_cap = 64ull * n;
+  spec.seed = 1009 * n;
+  const auto result = run_scenario(spec);
   // Each adversary independently needs a preimage hit; with >= 2 free slots
   // and a generous cap the attack succeeds in virtually every trial.
   EXPECT_GE(result.outcomes.count(static_cast<Value>(n / 3)), result.outcomes.trials() - 1)
@@ -61,15 +82,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PhaseRushingAttack, ::testing::Values(64, 100, 1
 TEST(PhaseRushingAttack, EveryTargetReachable) {
   const int n = 100;
   const int k = sqrt_plus3_k(n);
-  PhaseAsyncLeadProtocol protocol(n, 7);
-  const auto coalition = Coalition::equally_spaced(n, k);
   for (Value w : {Value{0}, Value{13}, Value{99}}) {
-    PhaseRushingDeviation deviation(coalition, w, protocol, 64ull * n);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 6;
-    config.seed = w + 5;
-    const auto result = run_trials(protocol, &deviation, config);
+    ScenarioSpec spec = rushing_spec(n, 7, k, w, 6);
+    spec.search_cap = 64ull * n;
+    spec.seed = w + 5;
+    const auto result = run_scenario(spec);
     EXPECT_GE(result.outcomes.count(w), result.outcomes.trials() - 1) << "w=" << w;
   }
 }
@@ -85,10 +102,7 @@ TEST(PhaseRushingAttack, ResilientRegimeGivesNoControl) {
   const Value w = 77;
   PhaseRushingDeviation deviation(Coalition::equally_spaced(n, k), w, protocol);
   ASSERT_FALSE(deviation.steering_possible());
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 30;
-  const auto result = run_trials(protocol, &deviation, config);
+  const auto result = run_scenario(rushing_spec(n, 3, k, w, 30));
   // Target hit rate must be near 1/n, not near 1 (w.h.p. the mismatched
   // segment outputs simply FAIL).
   EXPECT_LE(result.outcomes.count(w), 3u);
@@ -98,25 +112,17 @@ TEST(PhaseRushingAttack, ResilientRegimeGivesNoControl) {
 TEST(PhaseRushingAttack, CrossoverSweepMatchesSqrtN) {
   // Sweep k: success should jump from ~0 to ~1 as k crosses sqrt(n)-ish.
   const int n = 144;
-  PhaseAsyncLeadProtocol protocol(n, 21);
   const Value w = 5;
   double low_k_rate = 0.0;
   double high_k_rate = 0.0;
   {
-    PhaseRushingDeviation dev(Coalition::equally_spaced(n, 6), w, protocol);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 10;
-    const auto r = run_trials(protocol, &dev, config);
+    const auto r = run_scenario(rushing_spec(n, 21, 6, w, 10));
     low_k_rate = static_cast<double>(r.outcomes.count(w)) / r.outcomes.trials();
   }
   {
-    PhaseRushingDeviation dev(Coalition::equally_spaced(n, sqrt_plus3_k(n)), w, protocol,
-                              64ull * n);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 10;
-    const auto r = run_trials(protocol, &dev, config);
+    ScenarioSpec spec = rushing_spec(n, 21, sqrt_plus3_k(n), w, 10);
+    spec.search_cap = 64ull * n;
+    const auto r = run_scenario(spec);
     high_k_rate = static_cast<double>(r.outcomes.count(w)) / r.outcomes.trials();
   }
   EXPECT_LT(low_k_rate, 0.2);
@@ -153,27 +159,21 @@ TEST(PhaseLateValidation, SmallLFallsToConstantCoalition) {
   const Value w = 100;
   PhaseLateValidationDeviation deviation(protocol, w);
   EXPECT_EQ(deviation.coalition().k(), 4);
-  ExperimentConfig cfg;
-  cfg.n = n;
-  cfg.trials = 12;
-  cfg.seed = 5;
-  const auto r = run_trials(protocol, &deviation, cfg);
+  ScenarioSpec spec = attacked_spec(n, 0x1a7eull, "phase-late-validation", w, 12);
+  spec.param_l = 4;
+  spec.seed = 5;
+  const auto r = run_scenario(spec);
   EXPECT_EQ(r.outcomes.count(w), r.outcomes.trials());
   EXPECT_EQ(r.outcomes.fails(), 0u);  // fully honest-looking: never detected
 }
 
 TEST(PhaseLateValidation, EveryTargetReachable) {
   const int n = 64;
-  PhaseParams params = PhaseParams::defaults(n);
-  params.l = 6;
-  PhaseAsyncLeadProtocol protocol(params, 0x99ull);
   for (const Value w : {Value{0}, Value{31}, Value{63}}) {
-    PhaseLateValidationDeviation deviation(protocol, w);
-    ExperimentConfig cfg;
-    cfg.n = n;
-    cfg.trials = 6;
-    cfg.seed = w + 1;
-    const auto r = run_trials(protocol, &deviation, cfg);
+    ScenarioSpec spec = attacked_spec(n, 0x99ull, "phase-late-validation", w, 6);
+    spec.param_l = 6;
+    spec.seed = w + 1;
+    const auto r = run_scenario(spec);
     EXPECT_EQ(r.outcomes.count(w), r.outcomes.trials()) << "w=" << w;
   }
 }
@@ -202,10 +202,9 @@ TEST(PhaseLateValidation, ConsecutivePlacementStillWins) {
   for (std::size_t i = 1; i < members.size(); ++i) {
     EXPECT_EQ(members[i], members[i - 1] + 1);  // consecutive block
   }
-  ExperimentConfig cfg;
-  cfg.n = n;
-  cfg.trials = 8;
-  const auto r = run_trials(protocol, &deviation, cfg);
+  ScenarioSpec spec = attacked_spec(n, 0x7ull, "phase-late-validation", 9, 8);
+  spec.param_l = 5;
+  const auto r = run_scenario(spec);
   EXPECT_EQ(r.outcomes.count(9), r.outcomes.trials());
 }
 

@@ -3,14 +3,34 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.h"
 #include "analysis/stats.h"
-#include "attacks/basic_single.h"
+#include "api/scenario.h"
 #include "protocols/basic_lead.h"
 #include "sim/engine.h"
 
 namespace fle {
 namespace {
+
+/// A Basic-LEAD ring spec pinned to the scalar RingEngine, the oracle these
+/// claims are checked on (the lane kernels are held to it by the identity
+/// gates).
+ScenarioSpec basic_lead_spec(int n, std::size_t trials) {
+  ScenarioSpec spec;
+  spec.protocol = "basic-lead";
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
+/// Claim B.1's lone adversary at `adversary`, forcing `target`.
+ScenarioSpec attacked_spec(int n, ProcessorId adversary, Value target, std::size_t trials) {
+  ScenarioSpec spec = basic_lead_spec(n, trials);
+  spec.deviation = "basic-single";
+  spec.coalition = CoalitionSpec::custom({adversary});
+  spec.target = target;
+  return spec;
+}
 
 TEST(BasicLead, HonestElectsValidLeaderSmallRings) {
   BasicLeadProtocol protocol;
@@ -44,23 +64,16 @@ TEST(BasicLead, HonestMessageCountIsNSquared) {
 }
 
 TEST(BasicLead, HonestElectionIsUniform) {
-  BasicLeadProtocol protocol;
   const int n = 8;
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 4000;
-  config.seed = 7;
-  const auto result = run_trials(protocol, nullptr, config);
+  ScenarioSpec spec = basic_lead_spec(n, 4000);
+  spec.seed = 7;
+  const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
 }
 
 TEST(BasicLead, HonestSyncGapIsModest) {
-  BasicLeadProtocol protocol;
-  ExperimentConfig config;
-  config.n = 32;
-  config.trials = 5;
-  const auto result = run_trials(protocol, nullptr, config);
+  const auto result = run_scenario(basic_lead_spec(32, 5));
   // Basic-LEAD has no synchronization mechanism: the gap can drift with the
   // schedule (unlike A-LEADuni's buffered lock-step, which stays at 1), but
   // honest 1:1 responses keep it well below a full round.
@@ -72,14 +85,10 @@ class BasicSingleAdversary : public ::testing::TestWithParam<int> {};
 
 TEST_P(BasicSingleAdversary, ForcesEveryTarget) {
   const int n = GetParam();
-  BasicLeadProtocol protocol;
   for (Value w = 0; w < static_cast<Value>(n); ++w) {
-    BasicSingleDeviation deviation(n, /*adversary=*/n / 2, w);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 8;
-    config.seed = 1000 + w;
-    const auto result = run_trials(protocol, &deviation, config);
+    ScenarioSpec spec = attacked_spec(n, /*adversary=*/n / 2, w, 8);
+    spec.seed = 1000 + w;
+    const auto result = run_scenario(spec);
     EXPECT_EQ(result.outcomes.count(w), result.outcomes.trials())
         << "n=" << n << " w=" << w;
   }
@@ -89,13 +98,8 @@ INSTANTIATE_TEST_SUITE_P(Rings, BasicSingleAdversary, ::testing::Values(4, 7, 16
 
 TEST(BasicSingleAdversaryEdge, AdversaryNextToOriginWorks) {
   const int n = 12;
-  BasicLeadProtocol protocol;
   for (ProcessorId adv : {1, n - 1}) {
-    BasicSingleDeviation deviation(n, adv, 5);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 10;
-    const auto result = run_trials(protocol, &deviation, config);
+    const auto result = run_scenario(attacked_spec(n, adv, 5, 10));
     EXPECT_EQ(result.outcomes.count(5), result.outcomes.trials()) << "adv=" << adv;
   }
 }
@@ -105,12 +109,7 @@ TEST(BasicSingleAdversaryEdge, OriginAdversaryAlsoControls) {
   // receives all other values before having to commit, because it can stay
   // silent at wake-up while the others fire).
   const int n = 9;
-  BasicLeadProtocol protocol;
-  BasicSingleDeviation deviation(n, 0, 3);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 10;
-  const auto result = run_trials(protocol, &deviation, config);
+  const auto result = run_scenario(attacked_spec(n, 0, 3, 10));
   EXPECT_EQ(result.outcomes.count(3), result.outcomes.trials());
 }
 
@@ -118,18 +117,12 @@ TEST(BasicLead, UtilityGainMatchesLemma24) {
   // The adversary's indicator utility jumps from 1/n (honest) to 1 (attack):
   // the protocol is not eps-1-resilient for eps < 1 - 1/n.
   const int n = 10;
-  BasicLeadProtocol protocol;
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 3000;
-  const auto honest = run_trials(protocol, nullptr, config);
+  const auto honest = run_scenario(basic_lead_spec(n, 3000));
   const RationalUtility u = RationalUtility::indicator(n, 4);
   const double honest_u = expected_utility(u, honest.outcomes.distribution());
   EXPECT_NEAR(honest_u, 1.0 / n, 0.03);
 
-  BasicSingleDeviation deviation(n, 2, 4);
-  config.trials = 50;
-  const auto attacked = run_trials(protocol, &deviation, config);
+  const auto attacked = run_scenario(attacked_spec(n, 2, 4, 50));
   const double attacked_u = expected_utility(u, attacked.outcomes.distribution());
   EXPECT_DOUBLE_EQ(attacked_u, 1.0);
 }

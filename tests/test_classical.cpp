@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "analysis/experiment.h"
 #include "protocols/chang_roberts.h"
 #include "protocols/peterson.h"
 #include "sim/engine.h"

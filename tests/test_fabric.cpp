@@ -255,6 +255,12 @@ TEST(ShardHardening, TruncatedRowNamesTheProblem) {
   expect_parse_error(row.substr(0, row.size() - 1), "truncated");
 }
 
+TEST(ShardHardening, PassthroughRowsAreNotScenarioRows) {
+  // Shard rows carry scenario results only; a hand-built display row has
+  // no spec and is rejected by name.
+  expect_parse_error(R"({"case":2,"passthrough":"{}"})", "missing key 'spec'");
+}
+
 TEST(ShardHardening, TrailingGarbageRejected) {
   expect_parse_error(valid_row() + " oops", "trailing");
 }

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.h"
 #include "attacks/deviation.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.h"
 #include "analysis/stats.h"
+#include "api/registry.h"
+#include "api/scenario.h"
 #include "protocols/alead_uni.h"
 #include "protocols/indexing.h"
 #include "protocols/phase_async_lead.h"
@@ -47,13 +48,27 @@ TEST(Indexing, AddsExactlyNMessages) {
 }
 
 TEST(Indexing, ElectionStaysUniform) {
+  // The builtin composition wraps A-LEADuni; register the PhaseAsyncLead
+  // wrapping the way user code adds a protocol.
+  const std::string name = "indexing+phase-async-lead";
+  if (!ProtocolRegistry::instance().contains(name)) {
+    ProtocolEntry entry;
+    entry.name = name;
+    entry.summary = "Appendix G indexing phase wrapped around PhaseAsyncLead";
+    entry.make_ring = [](const ScenarioSpec& spec, std::uint64_t) {
+      return std::make_unique<IndexingProtocol>(
+          std::make_shared<PhaseAsyncLeadProtocol>(spec.n, spec.protocol_key));
+    };
+    ProtocolRegistry::instance().add(std::move(entry));
+  }
   const int n = 6;
-  auto inner = std::make_shared<PhaseAsyncLeadProtocol>(n, 0xabcdull);
-  IndexingProtocol protocol(inner);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 3000;
-  const auto result = run_trials(protocol, nullptr, config);
+  ScenarioSpec spec;
+  spec.protocol = name;
+  spec.protocol_key = 0xabcdull;
+  spec.n = n;
+  spec.trials = 3000;
+  spec.engine = EngineKind::kScalar;
+  const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
 }

@@ -6,17 +6,35 @@
 
 #include <cmath>
 
-#include "analysis/experiment.h"
+#include "api/scenario.h"
 #include "attacks/coalition.h"
-#include "attacks/cubic.h"
 #include "attacks/phase_rushing.h"
-#include "attacks/rushing.h"
 #include "core/reductions.h"
-#include "protocols/alead_uni.h"
 #include "protocols/phase_async_lead.h"
+#include "sim/engine.h"
 
 namespace fle {
 namespace {
+
+/// A ring spec pinned to the scalar RingEngine, the oracle these claims are
+/// checked on (the lane kernels are held to it by the identity gates).
+ScenarioSpec scalar_spec(const char* protocol, int n, std::size_t trials) {
+  ScenarioSpec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
+ScenarioSpec attacked_spec(const char* protocol, int n, std::size_t trials,
+                           const char* deviation, CoalitionSpec coalition, Value target) {
+  ScenarioSpec spec = scalar_spec(protocol, n, trials);
+  spec.deviation = deviation;
+  spec.coalition = std::move(coalition);
+  spec.target = target;
+  return spec;
+}
 
 TEST(Integration, CubicCoalitionBreaksALeadButNotPhase) {
   // The paper's central comparison: the same coalition budget that controls
@@ -26,19 +44,17 @@ TEST(Integration, CubicCoalitionBreaksALeadButNotPhase) {
   ASSERT_LE(k, 2 * 7 + 2);
   const Value w = 42;
 
-  ALeadUniProtocol alead;
-  CubicDeviation cubic(Coalition::cubic_staircase(n, k), w);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 5;
-  const auto broken = run_trials(alead, &cubic, config);
+  const auto broken = run_scenario(
+      attacked_spec("alead-uni", n, 5, "cubic", CoalitionSpec::cubic_staircase(k), w));
   EXPECT_EQ(broken.outcomes.count(w), broken.outcomes.trials());
 
   PhaseAsyncLeadProtocol phase(n, 0xabcdefull);
   PhaseRushingDeviation rushing(Coalition::equally_spaced(n, k), w, phase);
   EXPECT_FALSE(rushing.steering_possible());
-  config.trials = 20;
-  const auto resisted = run_trials(phase, &rushing, config);
+  ScenarioSpec resisted_spec = attacked_spec("phase-async-lead", n, 20, "phase-rushing",
+                                             CoalitionSpec::equally_spaced(k), w);
+  resisted_spec.protocol_key = 0xabcdefull;
+  const auto resisted = run_scenario(resisted_spec);
   EXPECT_LE(resisted.outcomes.count(w), 2u);
 }
 
@@ -48,19 +64,18 @@ TEST(Integration, SqrtCoalitionBreaksBoth) {
   const int k = 11 + 3;
   const Value w = 7;
 
-  ALeadUniProtocol alead;
-  RushingDeviation rush(Coalition::equally_spaced(n, k), w);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 5;
-  const auto a = run_trials(alead, &rush, config);
+  const auto a = run_scenario(
+      attacked_spec("alead-uni", n, 5, "rushing", CoalitionSpec::equally_spaced(k), w));
   EXPECT_EQ(a.outcomes.count(w), a.outcomes.trials());
 
   PhaseAsyncLeadProtocol phase(n, 0x55ull);
   PhaseRushingDeviation steer(Coalition::equally_spaced(n, k), w, phase, 64ull * n);
   ASSERT_TRUE(steer.steering_possible());
-  config.trials = 8;
-  const auto p = run_trials(phase, &steer, config);
+  ScenarioSpec steer_spec = attacked_spec("phase-async-lead", n, 8, "phase-rushing",
+                                          CoalitionSpec::equally_spaced(k), w);
+  steer_spec.protocol_key = 0x55ull;
+  steer_spec.search_cap = 64ull * n;
+  const auto p = run_scenario(steer_spec);
   EXPECT_GE(p.outcomes.count(w), p.outcomes.trials() - 1);
 }
 
@@ -101,12 +116,8 @@ TEST(Integration, BiasedElectionYieldsBiasedCoinWithinBound) {
   // Theorem 8.1's bound: Pr[coin = w mod 2] = 1 for a fully-controlled
   // election, within 1/2 + n*eps/2 with eps = 1 - 1/n.
   const int n = 36;
-  ALeadUniProtocol protocol;
-  RushingDeviation deviation(Coalition::equally_spaced(n, 6), 3);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 20;
-  const auto result = run_trials(protocol, &deviation, config);
+  const auto result = run_scenario(
+      attacked_spec("alead-uni", n, 20, "rushing", CoalitionSpec::equally_spaced(6), 3));
   int one_coins = 0;
   for (Value j = 0; j < static_cast<Value>(n); ++j) {
     if (j % 2 == 1) one_coins += static_cast<int>(result.outcomes.count(j));
@@ -123,14 +134,12 @@ TEST(Integration, HonestBiasNearZeroEverywhere) {
   const std::size_t trials = 3000;
   const double tolerance = 4.0 * std::sqrt(1.0 / (static_cast<double>(trials) * n));
 
-  ALeadUniProtocol alead;
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = trials;
-  EXPECT_LT(run_trials(alead, nullptr, config).outcomes.max_bias(), tolerance + 0.02);
+  EXPECT_LT(run_scenario(scalar_spec("alead-uni", n, trials)).outcomes.max_bias(),
+            tolerance + 0.02);
 
-  PhaseAsyncLeadProtocol phase(n, 0x1dull);
-  EXPECT_LT(run_trials(phase, nullptr, config).outcomes.max_bias(), tolerance + 0.02);
+  ScenarioSpec phase = scalar_spec("phase-async-lead", n, trials);
+  phase.protocol_key = 0x1dull;
+  EXPECT_LT(run_scenario(phase).outcomes.max_bias(), tolerance + 0.02);
 }
 
 }  // namespace

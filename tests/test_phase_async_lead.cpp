@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.h"
 #include "analysis/stats.h"
+#include "api/scenario.h"
 #include "protocols/phase_async_lead.h"
 #include "sim/engine.h"
 
@@ -55,12 +55,14 @@ TEST(PhaseAsyncLead, HonestElectionIsNearUniformOverSeeds) {
   // With a fixed f, uniformity is over the secrets (the paper notes the
   // protocol is ~1/n fair for most f; our PRF family behaves accordingly).
   const int n = 8;
-  PhaseAsyncLeadProtocol protocol(n, 0x1234'5678ull);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 4000;
-  config.seed = 3;
-  const auto result = run_trials(protocol, nullptr, config);
+  ScenarioSpec spec;
+  spec.protocol = "phase-async-lead";
+  spec.protocol_key = 0x1234'5678ull;
+  spec.n = n;
+  spec.trials = 4000;
+  spec.seed = 3;
+  spec.engine = EngineKind::kScalar;
+  const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
 }

@@ -4,13 +4,32 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.h"
 #include "analysis/stats.h"
+#include "api/scenario.h"
 #include "attacks/phase_sum_attack.h"
 #include "protocols/phase_sum_lead.h"
+#include "sim/engine.h"
 
 namespace fle {
 namespace {
+
+/// A PhaseSumLead ring spec pinned to the scalar RingEngine.
+ScenarioSpec phase_sum_spec(int n, std::size_t trials) {
+  ScenarioSpec spec;
+  spec.protocol = "phase-sum-lead";
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
+/// Appendix E.4's k = 4 covert-channel coalition (its canonical placement).
+ScenarioSpec attacked_spec(int n, Value target, std::size_t trials) {
+  ScenarioSpec spec = phase_sum_spec(n, trials);
+  spec.deviation = "phase-sum";
+  spec.target = target;
+  return spec;
+}
 
 TEST(PhaseSumLead, HonestElectsValidLeaderSmallRings) {
   for (int n = 2; n <= 20; ++n) {
@@ -39,11 +58,7 @@ TEST(PhaseSumLead, HonestOutcomeEqualsSumOfSecrets) {
 
 TEST(PhaseSumLead, HonestElectionIsUniform) {
   const int n = 8;
-  PhaseSumLeadProtocol protocol(n);
-  ExperimentConfig config;
-  config.n = n;
-  config.trials = 4000;
-  const auto result = run_trials(protocol, nullptr, config);
+  const auto result = run_scenario(phase_sum_spec(n, 4000));
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
 }
@@ -52,16 +67,11 @@ class PhaseSumAttackTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PhaseSumAttackTest, FourAdversariesControlAnyN) {
   const int n = GetParam();
-  PhaseSumLeadProtocol protocol(n);
-  const auto coalition = PhaseSumDeviation::placement(n);
-  ASSERT_EQ(coalition.k(), 4);
+  ASSERT_EQ(PhaseSumDeviation::placement(n).k(), 4);
   for (Value w : {Value{0}, static_cast<Value>(n / 2), static_cast<Value>(n - 1)}) {
-    PhaseSumDeviation deviation(coalition, w, protocol);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 6;
-    config.seed = 13 * n + w;
-    const auto result = run_trials(protocol, &deviation, config);
+    ScenarioSpec spec = attacked_spec(n, w, 6);
+    spec.seed = 13 * n + w;
+    const auto result = run_scenario(spec);
     EXPECT_EQ(result.outcomes.count(w), result.outcomes.trials())
         << "n=" << n << " w=" << w;
   }
@@ -74,12 +84,7 @@ TEST(PhaseSumAttack, ConstantCoalitionIndependentOfN) {
   // The point of E.4: k = 4 regardless of n (contrast with the sqrt(n)
   // requirement against PhaseAsyncLead's random f).
   for (int n : {40, 400}) {
-    PhaseSumLeadProtocol protocol(n);
-    PhaseSumDeviation deviation(PhaseSumDeviation::placement(n), 1, protocol);
-    ExperimentConfig config;
-    config.n = n;
-    config.trials = 4;
-    const auto result = run_trials(protocol, &deviation, config);
+    const auto result = run_scenario(attacked_spec(n, 1, 4));
     EXPECT_EQ(result.outcomes.count(1), result.outcomes.trials()) << "n=" << n;
   }
 }

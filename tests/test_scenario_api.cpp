@@ -330,13 +330,62 @@ TEST(RunScenario, SpecValidationFiresBeforeFactories) {
   }
 }
 
+TEST(RunScenario, BasicLeadMessageStatsMatchTheProtocol) {
+  // Basic-LEAD sends exactly n messages per processor: n^2 per trial.
+  auto spec = ring_spec("basic-lead", 10, 20);
+  spec.engine = EngineKind::kScalar;
+  const auto r = run_scenario(spec);
+  EXPECT_DOUBLE_EQ(r.mean_messages, 100.0);
+  EXPECT_EQ(r.max_messages, 100u);
+}
+
+TEST(RunScenario, DifferentSeedsGiveDifferentSamples) {
+  auto a_spec = ring_spec("basic-lead", 8, 50);
+  a_spec.engine = EngineKind::kScalar;
+  a_spec.seed = 5;
+  auto b_spec = a_spec;
+  b_spec.seed = 6;
+  const auto a = run_scenario(a_spec);
+  const auto b = run_scenario(b_spec);
+  bool identical = true;
+  for (Value j = 0; j < 8; ++j) {
+    if (a.outcomes.count(j) != b.outcomes.count(j)) identical = false;
+  }
+  EXPECT_FALSE(identical);
+}
+
+TEST(RunScenario, EverySchedulerElectsWithoutFail) {
+  for (const auto kind :
+       {SchedulerKind::kRoundRobin, SchedulerKind::kRandom, SchedulerKind::kPriority}) {
+    auto spec = ring_spec("basic-lead", 8, 10);
+    spec.engine = EngineKind::kScalar;
+    spec.scheduler = kind;
+    EXPECT_EQ(run_scenario(spec).outcomes.fails(), 0u) << to_string(kind);
+  }
+}
+
 TEST(ParallelExecutor, WorkerExceptionsPropagate) {
-  EXPECT_THROW(run_trials_parallel(16, 4, 1,
-                                   [](std::size_t trial, std::uint64_t) -> TrialStats {
-                                     if (trial == 7) throw std::runtime_error("boom");
-                                     return {};
-                                   }),
+  std::vector<TrialStats> out(16);
+  Executor::Batch batch;
+  batch.trials = out.size();
+  batch.body = [](std::size_t trial, std::uint64_t, void*) -> TrialStats {
+    if (trial == 7) throw std::runtime_error("boom");
+    return {};
+  };
+  batch.out = &out;
+  EXPECT_THROW(Executor::shared().run(std::span<Executor::Batch>(&batch, 1), 4),
                std::runtime_error);
+}
+
+TEST(ParallelExecutor, WorkspaceFactoryNeedsAFamily) {
+  std::vector<TrialStats> out(4);
+  Executor::Batch batch;
+  batch.trials = out.size();
+  batch.make_workspace = [] { return std::make_shared<int>(0); };
+  batch.body = [](std::size_t, std::uint64_t, void*) { return TrialStats{}; };
+  batch.out = &out;
+  EXPECT_THROW(Executor::shared().run(std::span<Executor::Batch>(&batch, 1), 2),
+               std::invalid_argument);
 }
 
 /// The acceptance-criterion determinism test: identical outcome counters

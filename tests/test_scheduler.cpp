@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
 #include "protocols/phase_async_lead.h"
+#include "sim/engine.h"
 #include "sim/scheduler.h"
 
 namespace fle {

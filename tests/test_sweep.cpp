@@ -413,14 +413,11 @@ TEST(ShardRows, FormatParseRoundTripsAndMergesToMonolithic) {
     shard.trial_count = 7;
     verify::ShardRow row;
     row.case_index = 4;
-    row.label = "honest";
     row.spec_line = "topology=ring protocol=alead-uni n=12 trials=21 seed=11";
-    row.allocations = 10 + static_cast<std::uint64_t>(s);
     row.result = run_scenario(shard);
     // Round-trip through the JSONL rendering before merging.
     rows.push_back(verify::parse_shard_row(verify::format_shard_row(row)));
-    EXPECT_EQ(rows.back().label, "honest");
-    EXPECT_EQ(rows.back().allocations, row.allocations);
+    EXPECT_EQ(rows.back().spec_line, row.spec_line);
     expect_results_equal(row.result, rows.back().result, "round-trip shard " +
                                                              std::to_string(s));
   }
@@ -430,20 +427,35 @@ TEST(ShardRows, FormatParseRoundTripsAndMergesToMonolithic) {
   ASSERT_EQ(merged.size(), 1u);
   ASSERT_TRUE(merged.count(4));
   expect_results_equal(whole, merged.at(4).result, "merged rows");
-  EXPECT_EQ(merged.at(4).allocations, 10u + 11u + 12u);
 }
 
-TEST(ShardRows, PassthroughRowsRoundTripAndMergeVerbatim) {
-  verify::ShardRow row;
-  row.case_index = 2;
-  row.passthrough = R"({"label": "hand-built", "value": 3})";
-  const verify::ShardRow parsed =
-      verify::parse_shard_row(verify::format_shard_row(row));
-  EXPECT_EQ(parsed.case_index, 2u);
-  EXPECT_EQ(parsed.passthrough, row.passthrough);
-  const auto merged = verify::merge_shard_rows({parsed});
-  ASSERT_TRUE(merged.count(2));
-  EXPECT_EQ(merged.at(2).passthrough, row.passthrough);
+TEST(ShardRows, ShardWindowsTileTheScenario) {
+  // The one shard-window rule fle_sweep --shard and fle_verify --shard
+  // share: fewer trials than shards, exactly one trial per shard, a prime
+  // trial count, and a spec that already carries a window (the slices then
+  // tile that window, not the whole scenario).
+  struct Case {
+    std::size_t trials, offset, count, shards;
+  };
+  for (const Case& c : {Case{3, 0, 0, 8}, Case{8, 0, 0, 8}, Case{10007, 0, 0, 16},
+                        Case{100, 30, 50, 7}}) {
+    ScenarioSpec spec = ring_spec("basic-lead", 8, c.trials);
+    spec.trial_offset = c.offset;
+    spec.trial_count = c.count;
+    const TrialWindow whole = scenario_trial_window(spec);
+    const std::string what = "T=" + std::to_string(whole.count) + " m=" +
+                             std::to_string(c.shards);
+    std::size_t next = whole.first;
+    for (std::size_t i = 0; i < c.shards; ++i) {
+      const TrialWindow slice = verify::shard_trial_window(spec, i, c.shards);
+      EXPECT_EQ(slice.first, next) << what << " shard " << i;
+      EXPECT_LE(slice.count, whole.count / c.shards + 1) << what << " shard " << i;
+      next += slice.count;
+    }
+    EXPECT_EQ(next, whole.first + whole.count) << what;
+  }
+  EXPECT_THROW(verify::shard_trial_window(ring_spec("basic-lead", 8, 10), 4, 4),
+               std::invalid_argument);
 }
 
 TEST(ShardRows, ParseRejectsCorruptCountsWithoutReplaying) {

@@ -17,7 +17,6 @@
 #include "fullinfo/turn_game.h"
 #include "protocols/basic_lead.h"
 #include "sim/engine.h"
-#include "sim/trace.h"
 #include "sim/transcript.h"
 #include "verify/shard.h"
 
@@ -102,31 +101,6 @@ TEST(Transcript, DecodeRejectsMalformedBuffers) {
   trailing.push_back(0);
   EXPECT_THROW(ExecutionTranscript::decode(trailing), std::invalid_argument);
   EXPECT_THROW(ExecutionTranscript(TranscriptMode::kDigest).encode(), std::logic_error);
-}
-
-TEST(Transcript, DigestMatchesTheTraceDigestConsumer) {
-  // TraceDigest is a thin consumer of the same stream: an engine-attached
-  // transcript and the observer-driven digest must fingerprint a delivery
-  // sequence identically.
-  const int n = 16;
-  BasicLeadProtocol protocol;
-
-  TraceDigest observer_digest;
-  EngineOptions options;
-  options.observer = observer_digest.observer();
-  RingEngine observed(n, 42, std::move(options));
-  ExecutionTranscript recorded;
-  observed.set_transcript(&recorded);
-  ASSERT_TRUE(observed.run(compose_strategies(protocol, nullptr, n)).valid());
-
-  // The engine-recorded stream adds decision events; its delivery prefix
-  // must fold to what the observer saw.
-  ExecutionTranscript deliveries_only(TranscriptMode::kDigest);
-  for (const TranscriptEvent& e : recorded.events()) {
-    if (e.kind == TranscriptEventKind::kDelivery) deliveries_only.record(e.kind, e.a, e.b, e.c);
-  }
-  EXPECT_EQ(deliveries_only.digest(), observer_digest.value());
-  EXPECT_EQ(deliveries_only.size(), observer_digest.deliveries());
 }
 
 // ---- record -> replay across the four families ------------------------------

@@ -82,12 +82,12 @@ fle::StoreWriter build_writer(const char* argv0, const std::vector<std::string>&
       }
     }
   }
-  // Drop rows with nothing to store (passthrough benches, scenarios run
-  // without transcripts=1) before grouping — they have no leaves.
+  // Drop rows with nothing to store (scenarios run without transcripts=1)
+  // before grouping — they have no leaves.
   std::size_t skipped = 0;
   std::vector<fle::verify::ShardRow> recording;
   for (fle::verify::ShardRow& row : rows) {
-    if (!row.passthrough.empty() || !row.result.transcripts_recorded) {
+    if (!row.result.transcripts_recorded) {
       ++skipped;
       continue;
     }

@@ -31,6 +31,7 @@
 #include "cli_parse.h"
 #include "fabric/driver.h"
 #include "verify/fuzzer.h"
+#include "verify/shard.h"
 
 namespace {
 
@@ -163,24 +164,15 @@ int main(int argc, char** argv) {
     if (engine == fle::EngineKind::kLanes) require_lane_eligible(spec_path, loaded);
     fle::SweepSpec& sweep = loaded.sweep;
     if (sharded) {
-      // Slice every scenario's trial window [i*c/m, (i+1)*c/m): the m
-      // shard reports together tile each scenario exactly, so `fle_store
-      // build` (or fle_verify --merge machinery) folds them back into the
-      // monolithic run bit for bit.  An empty slice is pinned to the very
-      // end of the scenario so merge contiguity still holds.
+      // The m shard reports together tile each scenario exactly, so
+      // `fle_store build` (or fle_verify --merge machinery) folds them back
+      // into the monolithic run bit for bit.  An empty slice is pinned to
+      // the very end of the scenario so merge contiguity still holds.
       for (fle::ScenarioSpec& spec : sweep.scenarios) {
-        const fle::TrialWindow window = fle::scenario_trial_window(spec);
-        const std::size_t index = static_cast<std::size_t>(shard.index);
-        const std::size_t count = static_cast<std::size_t>(shard.count);
-        const std::size_t lo = window.first + window.count * index / count;
-        const std::size_t hi = window.first + window.count * (index + 1) / count;
-        if (lo == hi) {
-          spec.trial_offset = spec.trials;
-          spec.trial_count = 0;
-        } else {
-          spec.trial_offset = lo;
-          spec.trial_count = hi - lo;
-        }
+        const fle::TrialWindow slice = fle::verify::shard_trial_window(
+            spec, static_cast<std::size_t>(shard.index), static_cast<std::size_t>(shard.count));
+        spec.trial_offset = slice.count == 0 ? spec.trials : slice.first;
+        spec.trial_count = slice.count;
       }
     }
     // Engine overrides apply to the whole sweep AFTER the report snapshot:
