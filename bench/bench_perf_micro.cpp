@@ -95,6 +95,60 @@ void BM_RandomFunctionEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomFunctionEvaluate)->Arg(64)->Arg(256)->Arg(1024);
 
+// ---- preimage search: serial evaluate() loop vs first_preimage() ---------
+//
+// e07's n = 529 shape: 7 free data inputs mid-vector, searched with radix n
+// under a 96n cap.  The target n is unreachable, so both rows scan all 96n
+// attempts (items/sec = attempts).  The release-perf job gates the kernel
+// at >= 2.5x the serial loop.
+
+struct PreimageSearch {
+  explicit PreimageSearch(int size)
+      : n(static_cast<std::uint64_t>(size)),
+        f(1, size, RandomFunction::default_m(size), RandomFunction::default_l(size)),
+        d(n),
+        v(static_cast<std::size_t>(f.validation_inputs())) {
+    Xoshiro256 rng(5);
+    for (auto& x : d) x = rng.below(n);
+    for (auto& x : v) x = rng.below(f.m());
+    for (std::size_t i = 7; i-- > 0;) free_inputs.push_back(n / 2 + i);
+  }
+
+  std::uint64_t n;  ///< also the radix; as a target, unreachable
+  RandomFunction f;
+  std::vector<Value> d;
+  std::vector<Value> v;
+  std::vector<std::size_t> free_inputs;
+  std::uint64_t attempts() const { return 96 * n; }
+};
+
+void BM_PhasePreimageSearchSerial(benchmark::State& state) {
+  PreimageSearch search(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    for (std::uint64_t attempt = 0; attempt < search.attempts(); ++attempt) {
+      std::uint64_t a = attempt;
+      for (const std::size_t j : search.free_inputs) {
+        search.d[j] = a % search.n;
+        a /= search.n;
+      }
+      if (search.f.evaluate(search.d, search.v) == search.n) break;
+    }
+    benchmark::DoNotOptimize(search.d.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(search.attempts()));
+}
+BENCHMARK(BM_PhasePreimageSearchSerial)->Arg(529);
+
+void BM_PhasePreimageSearch(benchmark::State& state) {
+  const PreimageSearch search(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(search.f.first_preimage(search.d, search.v, search.free_inputs,
+                                                     search.n, search.attempts(), search.n));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(search.attempts()));
+}
+BENCHMARK(BM_PhasePreimageSearch)->Arg(529);
+
 // ---- ring engine: full honest executions (reused workspace via run_honest)
 
 void BM_EngineBasicLead(benchmark::State& state) {

@@ -180,26 +180,6 @@ void Harness::row_header(const std::string& cols) {
   std::printf("----------------------------------------------------------------\n");
 }
 
-ScenarioResult Harness::run(const ScenarioSpec& spec, const std::string& label) {
-  const std::uint64_t allocations_before = allocation_count();
-  ScenarioResult result = run_scenario(spec);
-  const std::uint64_t allocations = allocation_count() - allocations_before;
-  JsonObject row = scenario_row(spec, label, result);
-  row.set("wall_seconds", result.wall_seconds)
-      .set("trials_per_second",
-           result.wall_seconds > 0.0
-               ? static_cast<double>(result.trials) / result.wall_seconds
-               : 0.0)
-      .set("allocations", allocations)
-      .set("allocations_per_trial",
-           result.trials > 0
-               ? static_cast<double>(allocations) / static_cast<double>(result.trials)
-               : 0.0)
-      .set("peak_rss_kib", peak_rss_kib());
-  rows_.push_back(std::move(row));
-  return result;
-}
-
 std::vector<ScenarioResult> Harness::run_sweep(const SweepSpec& sweep,
                                                const std::vector<std::string>& labels) {
   const std::uint64_t allocations_before = allocation_count();

@@ -54,13 +54,8 @@ class JsonObject {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// One bench run: banner + table helpers + the JSON sink.
-///
-///   Harness h("e01", "E1 / Claim B.1", "Basic-LEAD falls to one adversary", argc, argv);
-///   ...
-///   const auto r = h.run(spec, "n=8 attacked");   // runs run_scenario(spec)
-///   ...                                            // printf the table row
-/// The destructor writes BENCH_<id>.json into the working directory.
+/// One bench run: banner + table helpers + the JSON sink.  The destructor
+/// writes BENCH_<id>.json into the working directory.
 class Harness {
  public:
   /// Any command-line argument prints a usage line to stderr and exits 2.
@@ -72,11 +67,6 @@ class Harness {
 
   void note(const std::string& text);
   void row_header(const std::string& cols);
-
-  /// Runs the scenario through run_scenario() and records a JSON row with
-  /// the spec, the aggregate results, and the run's own wall time,
-  /// trials/s and allocation counts.  Returns the result for printing.
-  ScenarioResult run(const ScenarioSpec& spec, const std::string& label = {});
 
   /// Runs a whole table as one sweep (api/sweep.h): every scenario shares
   /// the executor's work queue.  Records one row per scenario (labels[i]
@@ -93,7 +83,7 @@ class Harness {
   /// Attaches an extra derived column to the most recent row.
   void annotate(const std::string& key, double value);
 
-  /// Same, addressing a row by record order (run / run_sweep / add_row
+  /// Same, addressing a row by record order (run_sweep rows and add_row
   /// calls, zero-based) — what sweep-driven benches use to annotate
   /// individual rows of one run_sweep table.
   void annotate_row(std::size_t index, const std::string& key, double value);

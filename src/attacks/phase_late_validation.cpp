@@ -47,15 +47,10 @@ class SteeringStrategy final : public AgreedDataStrategy {
       vmap[static_cast<std::size_t>(r - 1)] = vval_[static_cast<std::size_t>(r - 1)];
     }
     const std::uint64_t cap = cap_ != 0 ? cap_ : 64ull * static_cast<std::uint64_t>(n);
-    Value choice = ctx.tape().uniform(params_.m);  // fallback: honest draw
-    for (std::uint64_t attempt = 0; attempt < cap; ++attempt) {
-      vmap[static_cast<std::size_t>(keep - 1)] = attempt % params_.m;
-      if (f_->evaluate(dmap, vmap) == target_) {
-        choice = attempt % params_.m;
-        break;
-      }
-    }
-    return choice;
+    const Value fallback = ctx.tape().uniform(params_.m);  // honest draw
+    // Our value is f's last input, so each attempt is one chain step.
+    const std::size_t own_input[] = {static_cast<std::size_t>(n + keep - 1)};
+    return f_->first_preimage(dmap, vmap, own_input, params_.m, cap, target_).value_or(fallback);
   }
 
  private:

@@ -81,8 +81,8 @@ class PhaseRushingStrategy final : public RingStrategy {
     }
   }
 
-  /// Build our segment's view of (d-hat, v-hat) and brute-force the free
-  /// entries until f evaluates to the target.
+  /// Build our segment's view of (d-hat, v-hat) and search the free
+  /// entries for an assignment on which f evaluates to the target.
   void solve() {
     solved_ = true;
     const int n = params_.n;
@@ -114,24 +114,15 @@ class PhaseRushingStrategy final : public RingStrategy {
     plan_.assign(static_cast<std::size_t>(n) + 1, 0);
     if (free_pos.empty()) return;  // nothing steerable (resilient regime)
 
-    const std::uint64_t cap =
-        search_cap_ != 0 ? search_cap_ : 8ull * static_cast<std::uint64_t>(n);
-    std::vector<Value> best(free_pos.size(), 0);
-    for (std::uint64_t attempt = 0; attempt < cap; ++attempt) {
-      std::uint64_t a = attempt;
-      for (std::size_t i = 0; i < free_pos.size(); ++i) {
-        dmap[free_pos[i]] = a % static_cast<std::uint64_t>(n);
-        a /= static_cast<std::uint64_t>(n);
-      }
-      if (f_->evaluate(dmap, vmap) == target_) {
-        for (std::size_t i = 0; i < free_pos.size(); ++i) best[i] = dmap[free_pos[i]];
-        break;
-      }
-    }
-    // Record the chosen (or last attempted) values by round.
-    std::size_t i = 0;
-    for (int t = n - k_ + 1; t <= n - l_self_; ++t, ++i) {
-      plan_[static_cast<std::size_t>(t)] = best[i];
+    const auto radix = static_cast<std::uint64_t>(n);
+    const std::uint64_t cap = search_cap_ != 0 ? search_cap_ : 8 * radix;
+    // Free round t sends digit t - (n-k+1) of the first hit; a miss sends
+    // zeros.
+    std::uint64_t attempt =
+        f_->first_preimage(dmap, vmap, free_pos, radix, cap, target_).value_or(0);
+    for (int t = n - k_ + 1; t <= n - l_self_; ++t) {
+      plan_[static_cast<std::size_t>(t)] = attempt % radix;
+      attempt /= radix;
     }
   }
 

@@ -28,7 +28,9 @@ namespace fle {
 class PhaseRushingDeviation final : public Deviation {
  public:
   /// `search_cap` bounds the preimage search per adversary (0 = 8n
-  /// attempts; success probability ~ 1 - (1-1/n)^cap per free slot batch).
+  /// attempts).  A member with s free slots has only n^s distinct
+  /// assignments, so it succeeds with probability ~ 1 - (1-1/n)^min(cap, n^s):
+  /// ~0.63 at s = 1 whatever the cap.
   PhaseRushingDeviation(Coalition coalition, Value target,
                         const PhaseAsyncLeadProtocol& protocol,
                         std::uint64_t search_cap = 0);

@@ -12,9 +12,12 @@
 // inputs, which the mixer provides statistically (see DESIGN.md §2).
 //
 // The attack of the remark after Theorem 6.1 brute-forces preimages over the
-// entries it controls, exactly as the paper's unbounded adversary would.
+// entries it controls, exactly as the paper's unbounded adversary would;
+// first_preimage() is that search (DESIGN.md §12).
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "core/types.h"
@@ -37,6 +40,19 @@ class RandomFunction {
   /// `validation.size()` must be n - l.
   [[nodiscard]] Value evaluate(std::span<const Value> data,
                                std::span<const Value> validation) const;
+
+  /// The first attempt a in [0, attempts) for which f equals `target` once
+  /// input free_inputs[i] is set to digit i of a in base `radix` (least
+  /// significant first), or nullopt.  Input j < n is data[j], input j >= n
+  /// is validation[j - n]; the other inputs keep their values.  Same answer
+  /// as evaluating every attempt in order, but an attempt past
+  /// radix^|free_inputs| repeats an earlier assignment and is not tried.
+  /// Throws std::invalid_argument on radix 0 or on a free input that is out
+  /// of range or repeated.
+  [[nodiscard]] std::optional<std::uint64_t> first_preimage(
+      std::span<const Value> data, std::span<const Value> validation,
+      std::span<const std::size_t> free_inputs, std::uint64_t radix, std::uint64_t attempts,
+      Value target) const;
 
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] Value m() const { return m_; }

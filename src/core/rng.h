@@ -13,10 +13,15 @@
 namespace fle {
 
 /// SplitMix64 step; also used as a standalone 64-bit finalizer/mixer.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
 
 /// One-shot strong 64-bit mix (stateless splitmix64 finalizer).
-std::uint64_t mix64(std::uint64_t x);
+inline std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
 
 /// xoshiro256** PRNG.  Small, fast, and plenty for simulation workloads.
 class Xoshiro256 {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/rng.h"
+
 namespace fle::fabric {
 
 namespace {
@@ -22,13 +24,6 @@ std::uint64_t parse_u64(const std::string& text, const std::string& token,
     value = value * 10 + digit;
   }
   return value;
-}
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
