@@ -3,10 +3,10 @@
 // end-to-end run_scenario throughput.  These are sanity-of-substrate
 // numbers, not paper claims.
 //
-// The *_ConstructEach / *_Reused pairs measure the PR-2 zero-allocation
-// execution model: ConstructEach builds a fresh engine and heap-allocated
-// strategy vector per trial (the pre-reuse behaviour); Reused rearms one
-// engine with reset() and rebuilds strategies in a StrategyArena.  The
+// The *_ConstructEach / *_Reused pairs measure the zero-allocation
+// execution model: ConstructEach builds a fresh engine and a fresh
+// StrategyArena per trial; Reused rearms one engine with reset() and
+// rebuilds strategies in one rewound arena.  The
 // allocations_per_trial counter (counting operator new shim below) is the
 // steady-state allocation count of the measured loop — 0 on the reused
 // ring path.
@@ -149,16 +149,47 @@ void BM_PhasePreimageSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_PhasePreimageSearch)->Arg(529);
 
-// ---- ring engine: full honest executions (reused workspace via run_honest)
+// ---- ring engine: full honest executions (one reused engine and arena) --
+
+/// An honest ring workspace: one engine and one arena, rearmed per trial
+/// with reset() and rewind() — the executor's steady-state cadence.
+class HonestRing {
+ public:
+  HonestRing(const RingProtocol& protocol, int n)
+      : protocol_(protocol), engine_(n, 1, options(protocol, n)) {}
+
+  Outcome trial(std::uint64_t seed) {
+    engine_.reset(seed);
+    arena_.rewind();
+    profile_.clear();
+    for (ProcessorId p = 0; p < engine_.n(); ++p) {
+      profile_.push_back(protocol_.emplace_strategy(arena_, p, engine_.n()));
+    }
+    return engine_.run(std::span<RingStrategy* const>(profile_));
+  }
+
+  static EngineOptions options(const RingProtocol& protocol, int n) {
+    EngineOptions options;
+    options.step_limit = protocol.honest_message_bound(n) * 2 + 1024;
+    return options;
+  }
+
+ private:
+  const RingProtocol& protocol_;
+  RingEngine engine_;
+  StrategyArena arena_;
+  std::vector<RingStrategy*> profile_;
+};
 
 void BM_EngineBasicLead(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   BasicLeadProtocol protocol;
+  HonestRing ring(protocol, n);
   std::uint64_t seed = 0;
-  (void)run_honest(protocol, n, ++seed);  // warm the reusable workspace
+  (void)ring.trial(++seed);  // warm the workspace
   AllocationScope allocations(state);
   for (auto _ : state) {
-    const Outcome o = run_honest(protocol, n, ++seed);
+    const Outcome o = ring.trial(++seed);
     benchmark::DoNotOptimize(o);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n) * n);
@@ -168,9 +199,10 @@ BENCHMARK(BM_EngineBasicLead)->Arg(32)->Arg(128)->Arg(512);
 void BM_EngineALeadUni(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   ALeadUniProtocol protocol;
+  HonestRing ring(protocol, n);
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_honest(protocol, n, ++seed));
+    benchmark::DoNotOptimize(ring.trial(++seed));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n) * n);
 }
@@ -179,9 +211,10 @@ BENCHMARK(BM_EngineALeadUni)->Arg(32)->Arg(128)->Arg(512);
 void BM_EnginePhaseAsyncLead(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   PhaseAsyncLeadProtocol protocol(n, 0x5eedull);
+  HonestRing ring(protocol, n);
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_honest(protocol, n, ++seed));
+    benchmark::DoNotOptimize(ring.trial(++seed));
   }
   state.SetItemsProcessed(state.iterations() * 2ll * n * n);
 }
@@ -189,43 +222,32 @@ BENCHMARK(BM_EnginePhaseAsyncLead)->Arg(32)->Arg(128)->Arg(512);
 
 // ---- construction vs reuse: the zero-allocation execution model ----------
 
-/// Pre-PR trial body: fresh engine, make_unique'd strategy vector.
+/// Fresh engine and fresh arena per trial.
 void BM_RingTrialConstructEach(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   BasicLeadProtocol protocol;
-  const std::uint64_t step_limit = protocol.honest_message_bound(n) * 2 + 1024;
   std::uint64_t seed = 0;
   AllocationScope allocations(state);
   for (auto _ : state) {
-    EngineOptions options;
-    options.step_limit = step_limit;
-    RingEngine engine(n, ++seed, std::move(options));
-    std::vector<std::unique_ptr<RingStrategy>> strategies;
-    strategies.reserve(static_cast<std::size_t>(n));
-    for (ProcessorId p = 0; p < n; ++p) strategies.push_back(protocol.make_strategy(p, n));
-    benchmark::DoNotOptimize(engine.run(std::move(strategies)));
+    RingEngine engine(n, ++seed, HonestRing::options(protocol, n));
+    StrategyArena arena;
+    std::vector<RingStrategy*> profile;
+    for (ProcessorId p = 0; p < n; ++p) profile.push_back(protocol.emplace_strategy(arena, p, n));
+    benchmark::DoNotOptimize(engine.run(std::span<RingStrategy* const>(profile)));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RingTrialConstructEach)->Arg(32)->Arg(128);
 
-/// PR-2 trial body: one engine reset per trial, strategies in an arena.
+/// One engine reset per trial, strategies in a rewound arena.
 void BM_RingTrialReused(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   BasicLeadProtocol protocol;
-  EngineOptions options;
-  options.step_limit = protocol.honest_message_bound(n) * 2 + 1024;
-  RingEngine engine(n, 1, std::move(options));
-  StrategyArena arena;
-  std::vector<RingStrategy*> profile;
+  HonestRing ring(protocol, n);
   std::uint64_t seed = 0;
   AllocationScope allocations(state);
   for (auto _ : state) {
-    engine.reset(++seed);
-    arena.rewind();
-    profile.clear();
-    for (ProcessorId p = 0; p < n; ++p) profile.push_back(protocol.emplace_strategy(arena, p, n));
-    benchmark::DoNotOptimize(engine.run(std::span<RingStrategy* const>(profile)));
+    benchmark::DoNotOptimize(ring.trial(++seed));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -237,7 +259,13 @@ void BM_GraphTrialConstructEach(benchmark::State& state) {
   std::uint64_t seed = 0;
   AllocationScope allocations(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_honest_graph(protocol, n, ++seed));
+    GraphEngineOptions options;
+    options.step_limit = protocol.honest_message_bound(n) * 2 + 4096;
+    GraphEngine engine(n, ++seed, std::move(options));
+    StrategyArena arena;
+    std::vector<GraphStrategy*> profile;
+    for (ProcessorId p = 0; p < n; ++p) profile.push_back(protocol.emplace_strategy(arena, p, n));
+    benchmark::DoNotOptimize(engine.run(std::span<GraphStrategy* const>(profile)));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -303,7 +331,13 @@ void BM_SyncTrialConstructEach(benchmark::State& state) {
   std::uint64_t seed = 0;
   AllocationScope allocations(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_honest_sync(protocol, n, ++seed));
+    SyncEngineOptions options;
+    options.round_limit = protocol.round_bound(n);
+    SyncEngine engine(n, ++seed, options);
+    StrategyArena arena;
+    std::vector<SyncStrategy*> profile;
+    for (ProcessorId p = 0; p < n; ++p) profile.push_back(protocol.emplace_strategy(arena, p, n));
+    benchmark::DoNotOptimize(engine.run(std::span<SyncStrategy* const>(profile)));
   }
   state.SetItemsProcessed(state.iterations());
 }

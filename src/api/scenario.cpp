@@ -445,11 +445,20 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     TrialStats stats;
     if (threaded) {
       // One OS thread per processor: the runtime's whole point is fresh
-      // threads, so there is nothing to reuse.
+      // threads, so there is nothing to reuse.  Each processor gets its own
+      // arena: the indexing wrapper emplaces its inner strategy from its
+      // processor's thread mid-run, and StrategyArena is not synchronised.
       ThreadedRuntimeOptions options;
       options.send_limit = scenario_ring_step_limit(spec, protocol);
       ThreadedRuntime runtime(spec.n, trial_seed, options);
-      stats.outcome = runtime.run(compose_strategies(protocol, deviation, spec.n));
+      std::vector<StrategyArena> arenas(static_cast<std::size_t>(spec.n));
+      std::vector<RingStrategy*> profile;
+      profile.reserve(static_cast<std::size_t>(spec.n));
+      for (ProcessorId p = 0; p < spec.n; ++p) {
+        profile.push_back(
+            emplace_processor(protocol, deviation, p, spec.n, arenas[static_cast<std::size_t>(p)]));
+      }
+      stats.outcome = runtime.run(std::span<RingStrategy* const>(profile));
       stats.messages = runtime.stats().total_sent;
     } else {
       auto& ws = *static_cast<RingWorkspace*>(raw);

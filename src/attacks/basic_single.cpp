@@ -45,11 +45,6 @@ BasicSingleDeviation::BasicSingleDeviation(int n, ProcessorId adversary, Value t
   if (target >= static_cast<Value>(n)) throw std::invalid_argument("target out of range");
 }
 
-std::unique_ptr<RingStrategy> BasicSingleDeviation::make_adversary(ProcessorId /*id*/,
-                                                                   int /*n*/) const {
-  return std::make_unique<BasicSingleStrategy>(target_);
-}
-
 RingStrategy* BasicSingleDeviation::emplace_adversary(StrategyArena& arena, ProcessorId /*id*/,
                                                       int /*n*/) const {
   return arena.emplace<BasicSingleStrategy>(target_);

@@ -18,7 +18,6 @@ class BasicSingleDeviation final : public Deviation {
   BasicSingleDeviation(int n, ProcessorId adversary, Value target);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override;
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "basic-single (Claim B.1)"; }
 

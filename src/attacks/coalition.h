@@ -73,43 +73,31 @@ class Coalition {
   std::vector<char> is_member_;
 };
 
-/// Builds the strategy vector of the deviated profile (P_{V-C}, P'_C) for
-/// any runtime family: honest strategies from `protocol` everywhere except
-/// coalition members, which get `deviation`'s adversaries.  Works for every
-/// (protocol, deviation) pair exposing make_strategy / make_adversary /
-/// coalition(); the ring, graph, and sync compose_* helpers all delegate
-/// here.  Pass deviation == nullptr for the honest profile.
+/// Builds processor `p`'s strategy of the deviated profile (P_{V-C}, P'_C)
+/// inside `arena`: `deviation`'s adversary for a coalition member, the
+/// protocol's honest strategy everywhere else (deviation == nullptr is the
+/// honest profile).  Works for every runtime family's (protocol, deviation)
+/// pair.
 template <typename Protocol, typename Deviation>
-auto compose_profile(const Protocol& protocol, const Deviation* deviation, int n)
-    -> std::vector<decltype(protocol.make_strategy(ProcessorId{0}, n))> {
-  std::vector<decltype(protocol.make_strategy(ProcessorId{0}, n))> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (ProcessorId p = 0; p < n; ++p) {
-    if (deviation != nullptr && deviation->coalition().contains(p)) {
-      out.push_back(deviation->make_adversary(p, n));
-    } else {
-      out.push_back(protocol.make_strategy(p, n));
-    }
-  }
-  return out;
+auto emplace_processor(const Protocol& protocol, const Deviation* deviation, ProcessorId p,
+                       int n, StrategyArena& arena) {
+  return deviation != nullptr && deviation->coalition().contains(p)
+             ? deviation->emplace_adversary(arena, p, n)
+             : protocol.emplace_strategy(arena, p, n);
 }
 
-/// Arena flavour of compose_profile: strategies are emplaced into `arena`
-/// (via the protocols' emplace_strategy / emplace_adversary hooks) and the
-/// non-owning profile is written into `out`, whose capacity is reused across
-/// trials.  The caller owns the rewind cadence: rewind the arena before each
-/// compose, and keep the arena alive for as long as the profile runs.
+/// The whole deviated profile: every processor's strategy is emplaced into
+/// `arena` and the non-owning profile is written into `out`, whose capacity
+/// is reused across trials.  The caller owns the rewind cadence: rewind the
+/// arena before each compose, and keep the arena alive for as long as the
+/// profile runs.
 template <typename Protocol, typename Deviation, typename Strategy>
 void compose_profile_into(const Protocol& protocol, const Deviation* deviation, int n,
                           StrategyArena& arena, std::vector<Strategy*>& out) {
   out.clear();
   out.reserve(static_cast<std::size_t>(n));
   for (ProcessorId p = 0; p < n; ++p) {
-    if (deviation != nullptr && deviation->coalition().contains(p)) {
-      out.push_back(deviation->emplace_adversary(arena, p, n));
-    } else {
-      out.push_back(protocol.emplace_strategy(arena, p, n));
-    }
+    out.push_back(emplace_processor(protocol, deviation, p, n, arena));
   }
 }
 

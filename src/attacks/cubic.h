@@ -21,7 +21,6 @@ class CubicDeviation final : public Deviation {
   CubicDeviation(Coalition coalition, Value target);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override;
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "cubic (Theorem 4.3)"; }
 

@@ -7,9 +7,6 @@
 // target leader w, constants); at run time they may communicate exclusively
 // through ring messages, exactly as the model prescribes.
 
-#include <memory>
-#include <vector>
-
 #include "attacks/coalition.h"
 #include "sim/strategy.h"
 
@@ -20,24 +17,11 @@ class Deviation {
   virtual ~Deviation() = default;
 
   [[nodiscard]] virtual const Coalition& coalition() const = 0;
-  /// Strategy for coalition member `id`.  Only called for members.
-  [[nodiscard]] virtual std::unique_ptr<RingStrategy> make_adversary(ProcessorId id,
-                                                                     int n) const = 0;
-  /// Arena-aware adversary factory; see RingProtocol::emplace_strategy.
+  /// Strategy for coalition member `id`, built in `arena`; see
+  /// RingProtocol::emplace_strategy.  Only called for members.
   [[nodiscard]] virtual RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id,
-                                                        int n) const {
-    return arena.adopt(make_adversary(id, n));
-  }
+                                                        int n) const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };
-
-/// Builds the strategy vector of the deviated protocol (P_{V-C}, P'_C):
-/// honest strategies from `protocol` everywhere except coalition members,
-/// which get `deviation`'s strategies.  Pass deviation == nullptr for the
-/// honest profile.
-inline std::vector<std::unique_ptr<RingStrategy>> compose_strategies(
-    const RingProtocol& protocol, const Deviation* deviation, int n) {
-  return compose_profile(protocol, deviation, n);
-}
 
 }  // namespace fle

@@ -6,9 +6,6 @@
 // GraphStrategy instances; everyone outside the coalition runs the
 // protocol's honest strategy.
 
-#include <memory>
-#include <vector>
-
 #include "attacks/coalition.h"
 #include "sim/graph_engine.h"
 
@@ -19,19 +16,10 @@ class GraphDeviation {
  public:
   virtual ~GraphDeviation() = default;
   [[nodiscard]] virtual const Coalition& coalition() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<GraphStrategy> make_adversary(ProcessorId id,
-                                                                      int n) const = 0;
-  /// Arena-aware adversary factory; see RingProtocol::emplace_strategy.
+  /// Arena adversary factory; see Deviation::emplace_adversary.
   [[nodiscard]] virtual GraphStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id,
-                                                         int n) const {
-    return arena.adopt(make_adversary(id, n));
-  }
+                                                         int n) const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };
-
-inline std::vector<std::unique_ptr<GraphStrategy>> compose_graph_strategies(
-    const GraphProtocol& protocol, const GraphDeviation* deviation, int n) {
-  return compose_profile(protocol, deviation, n);
-}
 
 }  // namespace fle

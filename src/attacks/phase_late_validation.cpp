@@ -83,19 +83,6 @@ PhaseLateValidationDeviation::PhaseLateValidationDeviation(
   }
 }
 
-std::unique_ptr<RingStrategy> PhaseLateValidationDeviation::make_adversary(ProcessorId id,
-                                                                           int n) const {
-  if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
-  if (n != protocol_->params().n) throw std::invalid_argument("ring size mismatch");
-  if (id == steerer_) {
-    return std::make_unique<SteeringStrategy>(id, protocol_->params(),
-                                              protocol_->output_fn(), &protocol_->f(),
-                                              target_, search_cap_, &coalition_);
-  }
-  return std::make_unique<AgreedDataStrategy>(id, protocol_->params(),
-                                              protocol_->output_fn());
-}
-
 RingStrategy* PhaseLateValidationDeviation::emplace_adversary(StrategyArena& arena,
                                                               ProcessorId id, int n) const {
   if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");

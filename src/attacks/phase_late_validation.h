@@ -37,7 +37,6 @@ class PhaseLateValidationDeviation final : public Deviation {
                                std::uint64_t search_cap = 0);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override;
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "phase-late-validation (l ablation)"; }
 

@@ -176,15 +176,6 @@ bool PhaseRushingDeviation::steering_possible() const {
   return true;
 }
 
-std::unique_ptr<RingStrategy> PhaseRushingDeviation::make_adversary(ProcessorId id,
-                                                                    int /*n*/) const {
-  const int j = coalition_.index_of(id);
-  if (j < 0) throw std::invalid_argument("not a coalition member");
-  return std::make_unique<PhaseRushingStrategy>(
-      id, target_, coalition_.k(), segment_lengths_[static_cast<std::size_t>(j)],
-      *protocol_, search_cap_);
-}
-
 RingStrategy* PhaseRushingDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                        int /*n*/) const {
   const int j = coalition_.index_of(id);

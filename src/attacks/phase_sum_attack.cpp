@@ -167,14 +167,6 @@ PhaseSumDeviation::PhaseSumDeviation(Coalition coalition, Value target,
   if (!ok) throw std::invalid_argument("placement violates E.4 timing constraints");
 }
 
-std::unique_ptr<RingStrategy> PhaseSumDeviation::make_adversary(ProcessorId id,
-                                                                int /*n*/) const {
-  const int j = coalition_.index_of(id);
-  if (j < 0) throw std::invalid_argument("not a coalition member");
-  return std::make_unique<PhaseSumAttackStrategy>(id, j, target_, coalition_, params_,
-                                                  segment_lengths_);
-}
-
 RingStrategy* PhaseSumDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                    int /*n*/) const {
   const int j = coalition_.index_of(id);

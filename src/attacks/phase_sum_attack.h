@@ -37,7 +37,6 @@ class PhaseSumDeviation final : public Deviation {
   static Coalition placement(int n);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override;
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "phase-sum covert channel (E.4)"; }
 

@@ -100,15 +100,6 @@ double RandomLocationDeviation::recommended_density(int n) {
   return std::sqrt(8.0 * std::log(static_cast<double>(n)) / static_cast<double>(n));
 }
 
-std::unique_ptr<RingStrategy> RandomLocationDeviation::make_adversary(ProcessorId id,
-                                                                      int n) const {
-  if (id == 0) {
-    // Theorem C.1: a coalition origin executes honestly.
-    return protocol_->make_strategy(0, n);
-  }
-  return std::make_unique<RandomLocationStrategy>(target_, prefix_);
-}
-
 RingStrategy* RandomLocationDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                          int n) const {
   if (id == 0) {

@@ -31,7 +31,6 @@ class RandomLocationDeviation final : public Deviation {
                           const RingProtocol& protocol);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override;
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "random-location (Theorem C.1)"; }
 

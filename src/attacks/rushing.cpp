@@ -73,14 +73,6 @@ RushingDeviation::RushingDeviation(Coalition coalition, Value target)
   }
 }
 
-std::unique_ptr<RingStrategy> RushingDeviation::make_adversary(ProcessorId id,
-                                                               int /*n*/) const {
-  const int j = coalition_.index_of(id);
-  if (j < 0) throw std::invalid_argument("not a coalition member");
-  return std::make_unique<RushingStrategy>(target_, coalition_.k(),
-                                           segment_lengths_[static_cast<std::size_t>(j)]);
-}
-
 RingStrategy* RushingDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                   int /*n*/) const {
   const int j = coalition_.index_of(id);

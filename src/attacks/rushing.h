@@ -23,7 +23,6 @@ class RushingDeviation final : public Deviation {
   RushingDeviation(Coalition coalition, Value target);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override;
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "rushing (Lemma 4.1)"; }
 

@@ -254,12 +254,6 @@ ShamirRushingDeviation::ShamirRushingDeviation(Coalition coalition, Value target
   }
 }
 
-std::unique_ptr<GraphStrategy> ShamirRushingDeviation::make_adversary(ProcessorId id,
-                                                                      int /*n*/) const {
-  if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
-  return std::make_unique<ShamirRushingStrategy>(id, params_, target_, coalition_);
-}
-
 GraphStrategy* ShamirRushingDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                          int /*n*/) const {
   if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
@@ -273,12 +267,6 @@ ShamirForgeDeviation::ShamirForgeDeviation(Coalition coalition, Value target,
   if (target_ >= static_cast<Value>(params_.n)) {
     throw std::invalid_argument("target out of range");
   }
-}
-
-std::unique_ptr<GraphStrategy> ShamirForgeDeviation::make_adversary(ProcessorId id,
-                                                                    int /*n*/) const {
-  if (!coalition_.contains(id)) throw std::invalid_argument("not a coalition member");
-  return std::make_unique<ShamirForgeStrategy>(id, params_, target_, coalition_);
 }
 
 GraphStrategy* ShamirForgeDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,

@@ -34,7 +34,6 @@ class ShamirRushingDeviation final : public GraphDeviation {
                          const ShamirLeadProtocol& protocol);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<GraphStrategy> make_adversary(ProcessorId id, int n) const override;
   GraphStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "shamir-rushing (k >= n/2+1)"; }
 
@@ -57,7 +56,6 @@ class ShamirForgeDeviation final : public GraphDeviation {
                        const ShamirLeadProtocol& protocol);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<GraphStrategy> make_adversary(ProcessorId id, int n) const override;
   GraphStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "shamir-forge (k >= n/2)"; }
 

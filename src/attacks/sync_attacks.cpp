@@ -41,18 +41,8 @@ class LateBroadcaster final : public SyncStrategy {
 
 }  // namespace
 
-std::vector<std::unique_ptr<SyncStrategy>> compose_sync_strategies(
-    const SyncProtocol& protocol, const SyncDeviation* deviation, int n) {
-  return compose_profile(protocol, deviation, n);
-}
-
 SyncBlindCollusionDeviation::SyncBlindCollusionDeviation(Coalition coalition)
     : coalition_(std::move(coalition)) {}
-
-std::unique_ptr<SyncStrategy> SyncBlindCollusionDeviation::make_adversary(ProcessorId id,
-                                                                          int /*n*/) const {
-  return std::make_unique<FixedValueColluder>(static_cast<Value>(id));
-}
 
 SyncStrategy* SyncBlindCollusionDeviation::emplace_adversary(StrategyArena& arena,
                                                              ProcessorId id,
@@ -62,11 +52,6 @@ SyncStrategy* SyncBlindCollusionDeviation::emplace_adversary(StrategyArena& aren
 
 SyncLateBroadcastDeviation::SyncLateBroadcastDeviation(Coalition coalition)
     : coalition_(std::move(coalition)) {}
-
-std::unique_ptr<SyncStrategy> SyncLateBroadcastDeviation::make_adversary(ProcessorId /*id*/,
-                                                                         int /*n*/) const {
-  return std::make_unique<LateBroadcaster>();
-}
 
 SyncStrategy* SyncLateBroadcastDeviation::emplace_adversary(StrategyArena& arena,
                                                             ProcessorId /*id*/,

@@ -12,9 +12,6 @@
 //    asynchrony.  Honest validation (exactly one value from every peer in
 //    round 2) detects the silence and aborts: the attack FAILs structurally.
 
-#include <memory>
-#include <vector>
-
 #include "attacks/coalition.h"
 #include "sim/sync_engine.h"
 
@@ -26,19 +23,11 @@ class SyncDeviation {
  public:
   virtual ~SyncDeviation() = default;
   [[nodiscard]] virtual const Coalition& coalition() const = 0;
-  [[nodiscard]] virtual std::unique_ptr<SyncStrategy> make_adversary(ProcessorId id,
-                                                                     int n) const = 0;
-  /// Arena-aware adversary factory; see RingProtocol::emplace_strategy.
+  /// Arena adversary factory; see Deviation::emplace_adversary.
   [[nodiscard]] virtual SyncStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id,
-                                                        int n) const {
-    return arena.adopt(make_adversary(id, n));
-  }
+                                                        int n) const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };
-
-/// Honest strategies from `protocol` everywhere except coalition members.
-std::vector<std::unique_ptr<SyncStrategy>> compose_sync_strategies(
-    const SyncProtocol& protocol, const SyncDeviation* deviation, int n);
 
 /// Blind collusion against Sync-Broadcast-LEAD: member p broadcasts the
 /// fixed value p mod n in round 1 and plays the rest of the protocol
@@ -49,7 +38,6 @@ class SyncBlindCollusionDeviation final : public SyncDeviation {
   explicit SyncBlindCollusionDeviation(Coalition coalition);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<SyncStrategy> make_adversary(ProcessorId id, int n) const override;
   SyncStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "sync-blind-collusion"; }
 
@@ -66,7 +54,6 @@ class SyncLateBroadcastDeviation final : public SyncDeviation {
   explicit SyncLateBroadcastDeviation(Coalition coalition);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<SyncStrategy> make_adversary(ProcessorId id, int n) const override;
   SyncStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "sync-late-broadcast"; }
 

@@ -50,8 +50,8 @@ class TamperContext final : public RingContext {
 
 class TamperStrategy final : public RingStrategy {
  public:
-  TamperStrategy(std::unique_ptr<RingStrategy> inner, TamperKind kind, std::uint64_t target)
-      : inner_(std::move(inner)), kind_(kind), target_(target) {}
+  TamperStrategy(RingStrategy* inner, TamperKind kind, std::uint64_t target)
+      : inner_(inner), kind_(kind), target_(target) {}
 
   void on_init(RingContext& ctx) override {
     TamperContext shim(ctx, kind_, target_, counter_);
@@ -64,7 +64,7 @@ class TamperStrategy final : public RingStrategy {
   }
 
  private:
-  std::unique_ptr<RingStrategy> inner_;
+  RingStrategy* inner_;  ///< the honest strategy, built in the same arena
   TamperKind kind_;
   std::uint64_t target_;
   std::uint64_t counter_ = 0;
@@ -79,16 +79,10 @@ TamperDeviation::TamperDeviation(int n, ProcessorId adversary, const RingProtoco
       kind_(kind),
       target_send_(target_send) {}
 
-std::unique_ptr<RingStrategy> TamperDeviation::make_adversary(ProcessorId id, int n) const {
-  return std::make_unique<TamperStrategy>(protocol_->make_strategy(id, n), kind_,
-                                          target_send_);
-}
-
 RingStrategy* TamperDeviation::emplace_adversary(StrategyArena& arena, ProcessorId id,
                                                  int n) const {
-  // The wrapper lives in the arena; the wrapped honest strategy stays
-  // uniquely owned by the wrapper.
-  return arena.emplace<TamperStrategy>(protocol_->make_strategy(id, n), kind_, target_send_);
+  return arena.emplace<TamperStrategy>(protocol_->emplace_strategy(arena, id, n), kind_,
+                                       target_send_);
 }
 
 }  // namespace fle

@@ -28,7 +28,6 @@ class TamperDeviation final : public Deviation {
                   TamperKind kind, std::uint64_t target_send);
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override;
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "tamper"; }
 

@@ -2,12 +2,6 @@
 
 namespace fle {
 
-std::unique_ptr<RingStrategy> ALeadUniProtocol::make_strategy(ProcessorId id,
-                                                              int /*n*/) const {
-  if (id == 0) return std::make_unique<ALeadOriginStrategy>();
-  return std::make_unique<ALeadNormalStrategy>();
-}
-
 RingStrategy* ALeadUniProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                  int /*n*/) const {
   if (id == 0) return arena.emplace<ALeadOriginStrategy>();

@@ -22,7 +22,6 @@ namespace fle {
 
 class ALeadUniProtocol final : public RingProtocol {
  public:
-  std::unique_ptr<RingStrategy> make_strategy(ProcessorId id, int n) const override;
   RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "A-LEADuni"; }
   std::uint64_t honest_message_bound(int n) const override {

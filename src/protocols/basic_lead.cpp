@@ -2,11 +2,6 @@
 
 namespace fle {
 
-std::unique_ptr<RingStrategy> BasicLeadProtocol::make_strategy(ProcessorId /*id*/,
-                                                               int /*n*/) const {
-  return std::make_unique<BasicLeadStrategy>();
-}
-
 RingStrategy* BasicLeadProtocol::emplace_strategy(StrategyArena& arena, ProcessorId /*id*/,
                                                   int /*n*/) const {
   return arena.emplace<BasicLeadStrategy>();

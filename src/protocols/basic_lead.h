@@ -21,7 +21,6 @@ namespace fle {
 
 class BasicLeadProtocol final : public RingProtocol {
  public:
-  std::unique_ptr<RingStrategy> make_strategy(ProcessorId id, int n) const override;
   RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Basic-LEAD"; }
   std::uint64_t honest_message_bound(int n) const override {

@@ -77,15 +77,6 @@ ProcessorId ChangRobertsProtocol::expected_winner() const {
   return static_cast<ProcessorId>(it - logical_ids_.begin());
 }
 
-std::unique_ptr<RingStrategy> ChangRobertsProtocol::make_strategy(ProcessorId id,
-                                                                  int n) const {
-  if (static_cast<int>(logical_ids_.size()) != n) {
-    throw std::invalid_argument("ring size mismatch with logical id table");
-  }
-  return std::make_unique<ChangRobertsStrategy>(logical_ids_[static_cast<std::size_t>(id)],
-                                                n);
-}
-
 RingStrategy* ChangRobertsProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                      int n) const {
   if (static_cast<int>(logical_ids_.size()) != n) {

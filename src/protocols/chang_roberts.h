@@ -12,7 +12,6 @@
 // elected output is the *position* of the winning processor so outcomes
 // remain comparable with the fair protocols.
 
-#include <memory>
 #include <vector>
 
 #include "sim/strategy.h"
@@ -28,7 +27,6 @@ class ChangRobertsProtocol final : public RingProtocol {
   /// Random permutation of logical ids drawn from `seed`.
   static ChangRobertsProtocol random(int n, std::uint64_t seed);
 
-  std::unique_ptr<RingStrategy> make_strategy(ProcessorId id, int n) const override;
   RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Chang-Roberts"; }
   std::uint64_t honest_message_bound(int n) const override {

@@ -7,15 +7,17 @@ namespace fle {
 namespace {
 
 /// Runs the counter phase, then delegates every event to the inner strategy
-/// built with the learned index.
+/// built with the learned index.  The inner strategy is emplaced mid-run
+/// into the arena the wrapper lives in, so it is destroyed at the same
+/// rewind (before the wrapper: it was constructed after it).
 ///
 /// FIFO links guarantee the counter is always the first message on every
 /// link: the origin sends it before any inner-protocol traffic, and every
 /// processor forwards it before initializing its inner strategy.
 class IndexingStrategy final : public RingStrategy {
  public:
-  IndexingStrategy(const RingProtocol& inner, bool is_origin)
-      : inner_protocol_(inner), is_origin_(is_origin) {}
+  IndexingStrategy(const RingProtocol& inner, StrategyArena& arena, bool is_origin)
+      : inner_protocol_(inner), arena_(arena), is_origin_(is_origin) {}
 
   void on_init(RingContext& ctx) override {
     if (is_origin_) {
@@ -42,28 +44,22 @@ class IndexingStrategy final : public RingStrategy {
 
  private:
   void start_inner(RingContext& ctx, int index) {
-    inner_ = inner_protocol_.make_strategy(index, ctx.ring_size());
+    inner_ = inner_protocol_.emplace_strategy(arena_, index, ctx.ring_size());
     inner_->on_init(ctx);
   }
 
   const RingProtocol& inner_protocol_;
+  StrategyArena& arena_;
   bool is_origin_;
   bool counter_done_ = false;
-  std::unique_ptr<RingStrategy> inner_;
+  RingStrategy* inner_ = nullptr;
 };
 
 }  // namespace
 
-std::unique_ptr<RingStrategy> IndexingProtocol::make_strategy(ProcessorId id,
-                                                              int /*n*/) const {
-  return std::make_unique<IndexingStrategy>(*inner_, id == 0);
-}
-
 RingStrategy* IndexingProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                  int /*n*/) const {
-  // The wrapper lives in the arena; the inner strategy is built mid-run
-  // (once the index is learned) and stays uniquely owned.
-  return arena.emplace<IndexingStrategy>(*inner_, id == 0);
+  return arena.emplace<IndexingStrategy>(*inner_, arena, id == 0);
 }
 
 }  // namespace fle

@@ -22,7 +22,6 @@ class IndexingProtocol final : public RingProtocol {
   explicit IndexingProtocol(std::shared_ptr<const RingProtocol> inner)
       : inner_(std::move(inner)) {}
 
-  std::unique_ptr<RingStrategy> make_strategy(ProcessorId id, int n) const override;
   RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Indexing+inner"; }
   std::uint64_t honest_message_bound(int n) const override {

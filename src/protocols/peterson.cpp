@@ -87,13 +87,6 @@ PetersonProtocol PetersonProtocol::random(int n, std::uint64_t seed) {
   return PetersonProtocol(std::move(ids));
 }
 
-std::unique_ptr<RingStrategy> PetersonProtocol::make_strategy(ProcessorId id, int n) const {
-  if (static_cast<int>(logical_ids_.size()) != n) {
-    throw std::invalid_argument("ring size mismatch with logical id table");
-  }
-  return std::make_unique<PetersonStrategy>(logical_ids_[static_cast<std::size_t>(id)], n);
-}
-
 RingStrategy* PetersonProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                  int n) const {
   if (static_cast<int>(logical_ids_.size()) != n) {

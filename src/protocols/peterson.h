@@ -12,7 +12,6 @@
 // Like Chang-Roberts, logical ids are a per-trial permutation and the output
 // is the announcing processor's position.
 
-#include <memory>
 #include <vector>
 
 #include "sim/strategy.h"
@@ -24,7 +23,6 @@ class PetersonProtocol final : public RingProtocol {
   explicit PetersonProtocol(std::vector<Value> logical_ids);
   static PetersonProtocol random(int n, std::uint64_t seed);
 
-  std::unique_ptr<RingStrategy> make_strategy(ProcessorId id, int n) const override;
   RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Peterson"; }
   std::uint64_t honest_message_bound(int n) const override {

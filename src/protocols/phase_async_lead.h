@@ -121,7 +121,6 @@ class PhaseAsyncLeadProtocol final : public RingProtocol {
   /// Full control over the domain parameters (tests, ablations).
   PhaseAsyncLeadProtocol(PhaseParams params, std::uint64_t f_key);
 
-  std::unique_ptr<RingStrategy> make_strategy(ProcessorId id, int n) const override;
   RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "PhaseAsyncLead"; }
   std::uint64_t honest_message_bound(int n) const override {

@@ -13,13 +13,6 @@ PhaseOutputFn PhaseSumLeadProtocol::output_fn() const {
   };
 }
 
-std::unique_ptr<RingStrategy> PhaseSumLeadProtocol::make_strategy(ProcessorId id,
-                                                                  int n) const {
-  if (n != params_.n) throw std::invalid_argument("ring size mismatch with PhaseParams");
-  if (id == 0) return std::make_unique<PhaseOriginStrategy>(params_, output_fn());
-  return std::make_unique<PhaseNormalStrategy>(id, params_, output_fn());
-}
-
 RingStrategy* PhaseSumLeadProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                      int n) const {
   if (n != params_.n) throw std::invalid_argument("ring size mismatch with PhaseParams");

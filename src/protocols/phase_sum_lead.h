@@ -18,7 +18,6 @@ class PhaseSumLeadProtocol final : public RingProtocol {
   explicit PhaseSumLeadProtocol(int n) : params_(PhaseParams::defaults(n)) {}
   explicit PhaseSumLeadProtocol(PhaseParams params) : params_(params) {}
 
-  std::unique_ptr<RingStrategy> make_strategy(ProcessorId id, int n) const override;
   RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "PhaseSumLead"; }
   std::uint64_t honest_message_bound(int n) const override {

@@ -9,12 +9,6 @@ ShamirLeadProtocol::ShamirLeadProtocol(ShamirParams params) : params_(std::move(
   params_.weights = std::make_shared<const ShamirWeights>(params_.n, params_.t);
 }
 
-std::unique_ptr<GraphStrategy> ShamirLeadProtocol::make_strategy(ProcessorId id,
-                                                                 int n) const {
-  if (n != params_.n) throw std::invalid_argument("network size mismatch");
-  return std::make_unique<ShamirLeadStrategy>(id, params_);
-}
-
 GraphStrategy* ShamirLeadProtocol::emplace_strategy(StrategyArena& arena, ProcessorId id,
                                                     int n) const {
   if (n != params_.n) throw std::invalid_argument("network size mismatch");

@@ -65,7 +65,6 @@ class ShamirLeadProtocol final : public GraphProtocol {
   /// and 1 <= t <= n.
   explicit ShamirLeadProtocol(ShamirParams params);
 
-  std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id, int n) const override;
   GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Shamir-LEAD (fully connected)"; }
   std::uint64_t honest_message_bound(int n) const override {

@@ -68,20 +68,10 @@ class SyncRingStrategy final : public SyncStrategy {
 
 }  // namespace
 
-std::unique_ptr<SyncStrategy> SyncBroadcastLeadProtocol::make_strategy(ProcessorId /*id*/,
-                                                                       int /*n*/) const {
-  return std::make_unique<SyncBroadcastStrategy>();
-}
-
 SyncStrategy* SyncBroadcastLeadProtocol::emplace_strategy(StrategyArena& arena,
                                                           ProcessorId /*id*/,
                                                           int /*n*/) const {
   return arena.emplace<SyncBroadcastStrategy>();
-}
-
-std::unique_ptr<SyncStrategy> SyncRingLeadProtocol::make_strategy(ProcessorId /*id*/,
-                                                                  int /*n*/) const {
-  return std::make_unique<SyncRingStrategy>();
 }
 
 SyncStrategy* SyncRingLeadProtocol::emplace_strategy(StrategyArena& arena, ProcessorId /*id*/,

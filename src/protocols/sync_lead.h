@@ -25,7 +25,6 @@ namespace fle {
 
 class SyncBroadcastLeadProtocol final : public SyncProtocol {
  public:
-  std::unique_ptr<SyncStrategy> make_strategy(ProcessorId id, int n) const override;
   SyncStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Sync-Broadcast-LEAD"; }
   int round_bound(int /*n*/) const override { return 4; }
@@ -33,7 +32,6 @@ class SyncBroadcastLeadProtocol final : public SyncProtocol {
 
 class SyncRingLeadProtocol final : public SyncProtocol {
  public:
-  std::unique_ptr<SyncStrategy> make_strategy(ProcessorId id, int n) const override;
   SyncStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id, int n) const override;
   const char* name() const override { return "Sync-Ring-LEAD"; }
   int round_bound(int n) const override { return n + 3; }

@@ -8,10 +8,11 @@
 // resets the bump pointer, so the next trial's emplace calls reuse the same
 // memory.  After the first trial of a scenario the arena is allocation-free.
 //
-// Factories that have not been migrated to emplace() can hand ownership of a
-// conventionally heap-allocated object to the arena via adopt(); rewind()
-// then deletes it.  This keeps the one compose path working for every
-// protocol while the built-ins are migrated one by one.
+// Wrapper strategies build their inner strategy in the same arena (the
+// indexing wrapper does so mid-run, once its position is known) and hold it
+// by raw pointer; neither destructor touches the other object, so either
+// construction order is safe.  The arena is not synchronised: objects are
+// emplaced into one arena from one thread at a time.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,15 +39,6 @@ class StrategyArena {
     void* slot = allocate(sizeof(T), alignof(T));
     T* object = new (slot) T(std::forward<Args>(args)...);
     finalizers_.push_back({object, [](void* p) { static_cast<T*>(p)->~T(); }});
-    return object;
-  }
-
-  /// Takes ownership of a heap-allocated object; deleted at the next
-  /// rewind().  Fallback for factories without an emplace overload.
-  template <typename T>
-  T* adopt(std::unique_ptr<T> owned) {
-    T* object = owned.release();
-    finalizers_.push_back({object, [](void* p) { delete static_cast<T*>(p); }});
     return object;
   }
 

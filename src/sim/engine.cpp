@@ -70,7 +70,6 @@ RingEngine::~RingEngine() = default;
 
 void RingEngine::reset(std::uint64_t trial_seed) {
   trial_seed_ = trial_seed;
-  owned_strategies_.clear();
   strategies_ = {};
   for (Context& context : contexts_) context.reseed(trial_seed);
   for (auto& box : inbox_) box.clear();
@@ -216,61 +215,6 @@ Outcome RingEngine::run(std::span<RingStrategy* const> strategies) {
 
   return aggregate_outcome(std::span<const std::optional<LocalOutput>>(outputs_),
                            static_cast<std::size_t>(n_));
-}
-
-Outcome RingEngine::run(std::vector<std::unique_ptr<RingStrategy>> strategies) {
-  if (!armed_) reset(trial_seed_);
-  owned_strategies_ = std::move(strategies);
-  std::vector<RingStrategy*> profile;
-  profile.reserve(owned_strategies_.size());
-  for (const auto& strategy : owned_strategies_) profile.push_back(strategy.get());
-  const Outcome outcome = run(std::span<RingStrategy* const>(profile));
-  strategies_ = {};  // the profile table dies with this call
-  return outcome;
-}
-
-Outcome run_honest(const RingProtocol& protocol, int n, std::uint64_t trial_seed,
-                   EngineOptions options) {
-  if (options.step_limit == 0) {
-    options.step_limit = protocol.honest_message_bound(n) * 2 + 1024;
-  }
-
-  if (options.scheduler || options.observer) {
-    // Custom hooks carry state the workspace cannot reseed; run dedicated.
-    RingEngine engine(n, trial_seed, std::move(options));
-    StrategyArena arena;
-    std::vector<RingStrategy*> profile;
-    profile.reserve(static_cast<std::size_t>(n));
-    for (ProcessorId p = 0; p < n; ++p) {
-      profile.push_back(protocol.emplace_strategy(arena, p, n));
-    }
-    return engine.run(std::span<RingStrategy* const>(profile));
-  }
-
-  // The shared fast path: one engine + arena per thread, reused via reset()
-  // whenever the engine shape (n, step limit, scheduler kind) repeats —
-  // which is every iteration of a bench or test sweep.
-  struct HonestWorkspace {
-    std::unique_ptr<RingEngine> engine;
-    StrategyArena arena;
-    std::vector<RingStrategy*> profile;
-  };
-  thread_local HonestWorkspace ws;
-
-  if (!ws.engine || ws.engine->has_custom_hooks() || ws.engine->n() != n ||
-      ws.engine->step_limit() != options.step_limit ||
-      ws.engine->scheduler_kind() != options.scheduler_kind) {
-    ws.engine = std::make_unique<RingEngine>(n, trial_seed, std::move(options));
-  } else {
-    ws.engine->reset(trial_seed);
-  }
-  ws.arena.rewind();
-  ws.profile.clear();
-  ws.profile.reserve(static_cast<std::size_t>(n));
-  for (ProcessorId p = 0; p < n; ++p) {
-    ws.profile.push_back(protocol.emplace_strategy(ws.arena, p, n));
-  }
-  return ws.engine->run(std::span<RingStrategy* const>(ws.profile));
 }
 
 }  // namespace fle

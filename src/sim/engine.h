@@ -87,10 +87,6 @@ class RingEngine {
   /// without an intervening reset() replays the constructor seed.
   Outcome run(std::span<RingStrategy* const> strategies);
 
-  /// Owning convenience overload: `strategies` must contain exactly n
-  /// entries; they are kept alive until the next reset() or destruction.
-  Outcome run(std::vector<std::unique_ptr<RingStrategy>> strategies);
-
   [[nodiscard]] const ExecutionStats& stats() const { return stats_; }
   /// Local outputs (nullopt = never terminated); valid after run().
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {
@@ -108,11 +104,6 @@ class RingEngine {
   /// allocation-free (DESIGN.md §4/§7).
   void set_transcript(ExecutionTranscript* transcript) { transcript_ = transcript; }
   [[nodiscard]] ExecutionTranscript* transcript() const { return transcript_; }
-  /// True when a custom scheduler or observer is installed (such engines
-  /// should not be cached by seed-only workspaces).
-  [[nodiscard]] bool has_custom_hooks() const {
-    return scheduler_ != nullptr || static_cast<bool>(observer_);
-  }
 
  private:
   class Context;
@@ -138,9 +129,8 @@ class RingEngine {
   Xoshiro256 sched_rng_;
   std::vector<int> priority_;
 
-  std::span<RingStrategy* const> strategies_;        ///< active profile
-  std::vector<std::unique_ptr<RingStrategy>> owned_strategies_;
-  std::vector<Context> contexts_;                    ///< by value, reused
+  std::span<RingStrategy* const> strategies_;  ///< active profile
+  std::vector<Context> contexts_;              ///< by value, reused
   std::vector<FlatQueue<Value>> inbox_;  ///< inbox_[p]: FIFO from pred(p)
   std::vector<std::optional<LocalOutput>> outputs_;
   std::vector<bool> terminated_;
@@ -160,14 +150,5 @@ class RingEngine {
 
   ExecutionStats stats_;
 };
-
-/// Convenience: instantiate `protocol` honestly on every processor and run.
-/// Routed through a thread-local reusable workspace (engine + strategy
-/// arena): repeated calls with the same (n, step limit, scheduler kind) —
-/// the shape of every bench/test sweep — reuse one engine via reset() and
-/// run allocation-free in steady state.  Custom schedulers or observers
-/// fall back to a dedicated engine.
-Outcome run_honest(const RingProtocol& protocol, int n, std::uint64_t trial_seed,
-                   EngineOptions options = {});
 
 }  // namespace fle

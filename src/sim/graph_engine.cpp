@@ -87,7 +87,6 @@ void GraphEngine::reset(std::uint64_t trial_seed) {
 void GraphEngine::reset(std::uint64_t trial_seed, std::uint64_t schedule_seed) {
   trial_seed_ = trial_seed;
   options_.schedule_seed = schedule_seed;
-  owned_strategies_.clear();
   strategies_ = {};
   for (Context& context : contexts_) context.reseed(trial_seed);
   for (auto& link : links_) link.clear();
@@ -183,28 +182,6 @@ Outcome GraphEngine::run(std::span<GraphStrategy* const> strategies) {
 
   return aggregate_outcome(std::span<const std::optional<LocalOutput>>(outputs_),
                            static_cast<std::size_t>(n_));
-}
-
-Outcome GraphEngine::run(std::vector<std::unique_ptr<GraphStrategy>> strategies) {
-  if (!armed_) reset(trial_seed_, options_.schedule_seed);
-  owned_strategies_ = std::move(strategies);
-  std::vector<GraphStrategy*> profile;
-  profile.reserve(owned_strategies_.size());
-  for (const auto& strategy : owned_strategies_) profile.push_back(strategy.get());
-  const Outcome outcome = run(std::span<GraphStrategy* const>(profile));
-  strategies_ = {};
-  return outcome;
-}
-
-Outcome run_honest_graph(const GraphProtocol& protocol, int n, std::uint64_t trial_seed,
-                         GraphEngineOptions options) {
-  if (options.step_limit == 0) options.step_limit = protocol.honest_message_bound(n) * 2 + 4096;
-  GraphEngine engine(n, trial_seed, std::move(options));
-  StrategyArena arena;
-  std::vector<GraphStrategy*> profile;
-  profile.reserve(static_cast<std::size_t>(n));
-  for (ProcessorId p = 0; p < n; ++p) profile.push_back(protocol.emplace_strategy(arena, p, n));
-  return engine.run(std::span<GraphStrategy* const>(profile));
 }
 
 }  // namespace fle

@@ -13,7 +13,6 @@
 // state in place instead of reallocating (DESIGN.md §4).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -51,13 +50,9 @@ class GraphStrategy {
 class GraphProtocol {
  public:
   virtual ~GraphProtocol() = default;
-  [[nodiscard]] virtual std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id,
-                                                                     int n) const = 0;
-  /// Arena-aware factory; see RingProtocol::emplace_strategy.
+  /// Arena factory; see RingProtocol::emplace_strategy.
   [[nodiscard]] virtual GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
-                                                        int n) const {
-    return arena.adopt(make_strategy(id, n));
-  }
+                                                        int n) const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
   [[nodiscard]] virtual std::uint64_t honest_message_bound(int n) const {
     return 8ull * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
@@ -100,7 +95,6 @@ class GraphEngine {
 
   /// Non-owning profile run; see RingEngine::run.
   Outcome run(std::span<GraphStrategy* const> strategies);
-  Outcome run(std::vector<std::unique_ptr<GraphStrategy>> strategies);
 
   [[nodiscard]] const GraphExecutionStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {
@@ -141,7 +135,6 @@ class GraphEngine {
   ExecutionTranscript* transcript_ = nullptr;
 
   std::span<GraphStrategy* const> strategies_;
-  std::vector<std::unique_ptr<GraphStrategy>> owned_strategies_;
   std::vector<Context> contexts_;
   std::vector<FlatQueue<GraphMessage>> links_;  ///< indexed by link_index
   std::vector<std::optional<LocalOutput>> outputs_;
@@ -152,9 +145,5 @@ class GraphEngine {
 
   GraphExecutionStats stats_;
 };
-
-/// Convenience: run `protocol` honestly on a fully-connected n-network.
-Outcome run_honest_graph(const GraphProtocol& protocol, int n, std::uint64_t trial_seed,
-                         GraphEngineOptions options = {});
 
 }  // namespace fle

@@ -8,8 +8,6 @@
 // processor; an adversarial deviation replaces the strategies of coalition
 // members (Definition 2.2).
 
-#include <memory>
-
 #include "core/rng.h"
 #include "core/types.h"
 #include "sim/arena.h"
@@ -58,18 +56,11 @@ class RingProtocol {
  public:
   virtual ~RingProtocol() = default;
 
-  [[nodiscard]] virtual std::unique_ptr<RingStrategy> make_strategy(ProcessorId id,
-                                                                    int n) const = 0;
-
-  /// Arena-aware factory: constructs the strategy inside `arena` (alive
-  /// until the arena's next rewind).  The default falls back to
-  /// make_strategy and hands ownership to the arena; migrated protocols
-  /// override it with arena.emplace<ConcreteStrategy>(...) so reused
-  /// workers run allocation-free in steady state.
+  /// Constructs processor `id`'s strategy inside `arena` (alive until the
+  /// arena's next rewind), typically as arena.emplace<ConcreteStrategy>(...),
+  /// so reused workers run allocation-free in steady state.
   [[nodiscard]] virtual RingStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
-                                                       int n) const {
-    return arena.adopt(make_strategy(id, n));
-  }
+                                                       int n) const = 0;
 
   [[nodiscard]] virtual const char* name() const = 0;
 

@@ -76,7 +76,6 @@ SyncEngine::~SyncEngine() = default;
 
 void SyncEngine::reset(std::uint64_t trial_seed) {
   trial_seed_ = trial_seed;
-  owned_strategies_.clear();
   for (Context& context : contexts_) context.reseed(trial_seed);
   outputs_.assign(static_cast<std::size_t>(n_), std::nullopt);
   terminated_.assign(static_cast<std::size_t>(n_), false);
@@ -156,26 +155,6 @@ Outcome SyncEngine::run(std::span<SyncStrategy* const> strategies) {
 
   return aggregate_outcome(std::span<const std::optional<LocalOutput>>(outputs_),
                            static_cast<std::size_t>(n_));
-}
-
-Outcome SyncEngine::run(std::vector<std::unique_ptr<SyncStrategy>> strategies) {
-  if (!armed_) reset(trial_seed_);
-  owned_strategies_ = std::move(strategies);
-  std::vector<SyncStrategy*> profile;
-  profile.reserve(owned_strategies_.size());
-  for (const auto& strategy : owned_strategies_) profile.push_back(strategy.get());
-  return run(std::span<SyncStrategy* const>(profile));
-}
-
-Outcome run_honest_sync(const SyncProtocol& protocol, int n, std::uint64_t trial_seed,
-                        SyncEngineOptions options) {
-  if (options.round_limit == 0) options.round_limit = protocol.round_bound(n);
-  SyncEngine engine(n, trial_seed, options);
-  StrategyArena arena;
-  std::vector<SyncStrategy*> profile;
-  profile.reserve(static_cast<std::size_t>(n));
-  for (ProcessorId p = 0; p < n; ++p) profile.push_back(protocol.emplace_strategy(arena, p, n));
-  return engine.run(std::span<SyncStrategy* const>(profile));
 }
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@
 // and silence is detectable (a missing message in a round is a deviation).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -55,13 +54,9 @@ class SyncStrategy {
 class SyncProtocol {
  public:
   virtual ~SyncProtocol() = default;
-  [[nodiscard]] virtual std::unique_ptr<SyncStrategy> make_strategy(ProcessorId id,
-                                                                    int n) const = 0;
-  /// Arena-aware factory; see RingProtocol::emplace_strategy.
+  /// Arena factory; see RingProtocol::emplace_strategy.
   [[nodiscard]] virtual SyncStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
-                                                       int n) const {
-    return arena.adopt(make_strategy(id, n));
-  }
+                                                       int n) const = 0;
   [[nodiscard]] virtual const char* name() const = 0;
   [[nodiscard]] virtual int round_bound(int n) const { return 4 * n + 8; }
 };
@@ -90,7 +85,6 @@ class SyncEngine {
 
   /// Non-owning profile run; see RingEngine::run.
   Outcome run(std::span<SyncStrategy* const> strategies);
-  Outcome run(std::vector<std::unique_ptr<SyncStrategy>> strategies);
 
   [[nodiscard]] const SyncExecutionStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {
@@ -117,7 +111,6 @@ class SyncEngine {
   ExecutionTranscript* transcript_ = nullptr;
 
   std::vector<Context> contexts_;
-  std::vector<std::unique_ptr<SyncStrategy>> owned_strategies_;
   std::vector<std::optional<LocalOutput>> outputs_;
   std::vector<bool> terminated_;
   std::vector<SyncInbox> next_inbox_;   ///< messages for the next round
@@ -125,10 +118,6 @@ class SyncEngine {
   int quiet_rounds_ = 0;
   SyncExecutionStats stats_;
 };
-
-/// Convenience: run `protocol` honestly.
-Outcome run_honest_sync(const SyncProtocol& protocol, int n, std::uint64_t trial_seed,
-                        SyncEngineOptions options = {});
 
 // ---------------------------------------------------------------------------
 // Sync-runtime trial lanes (DESIGN.md §10).

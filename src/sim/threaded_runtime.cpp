@@ -1,5 +1,6 @@
 #include "sim/threaded_runtime.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -163,7 +164,7 @@ ThreadedRuntime::ThreadedRuntime(int n, std::uint64_t trial_seed,
 
 ThreadedRuntime::~ThreadedRuntime() = default;
 
-Outcome ThreadedRuntime::run(std::vector<std::unique_ptr<RingStrategy>> strategies) {
+Outcome ThreadedRuntime::run(std::span<RingStrategy* const> strategies) {
   if (static_cast<int>(strategies.size()) != n_) {
     throw std::invalid_argument("strategy count must equal ring size");
   }
@@ -174,7 +175,7 @@ Outcome ThreadedRuntime::run(std::vector<std::unique_ptr<RingStrategy>> strategi
     std::vector<std::jthread> threads;
     threads.reserve(static_cast<std::size_t>(n_));
     for (ProcessorId p = 0; p < n_; ++p) {
-      threads.emplace_back([this, p, strategy = strategies[static_cast<std::size_t>(p)].get()] {
+      threads.emplace_back([this, p, strategy = strategies[static_cast<std::size_t>(p)]] {
         ThreadContext ctx(*impl_, p, n_, trial_seed_, options_.send_limit,
                           outputs_[static_cast<std::size_t>(p)]);
         strategy->on_init(ctx);
@@ -231,21 +232,14 @@ Outcome ThreadedRuntime::run(std::vector<std::unique_ptr<RingStrategy>> strategi
     stats_.received[static_cast<std::size_t>(p)] =
         impl_->received[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
-  stats_.total_sent = impl_->total_sent.load(std::memory_order_relaxed);
+  // The shared counter also counts the over-limit sends other threads
+  // attempted before they saw stop; report accepted sends only.
+  stats_.total_sent =
+      std::min(impl_->total_sent.load(std::memory_order_relaxed), options_.send_limit);
   stats_.send_limit_hit = impl_->send_limit_hit.load(std::memory_order_relaxed);
 
   return aggregate_outcome(std::span<const std::optional<LocalOutput>>(outputs_),
                            static_cast<std::size_t>(n_));
-}
-
-Outcome run_honest_threaded(const RingProtocol& protocol, int n, std::uint64_t trial_seed,
-                            ThreadedRuntimeOptions options) {
-  if (options.send_limit == 0) options.send_limit = protocol.honest_message_bound(n) * 2 + 1024;
-  ThreadedRuntime runtime(n, trial_seed, options);
-  std::vector<std::unique_ptr<RingStrategy>> strategies;
-  strategies.reserve(static_cast<std::size_t>(n));
-  for (ProcessorId p = 0; p < n; ++p) strategies.push_back(protocol.make_strategy(p, n));
-  return runtime.run(std::move(strategies));
 }
 
 }  // namespace fle

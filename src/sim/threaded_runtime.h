@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -35,6 +36,8 @@ struct ThreadedRuntimeOptions {
 struct ThreadedRuntimeStats {
   std::vector<std::uint64_t> sent;
   std::vector<std::uint64_t> received;
+  /// Accepted sends (the sum of `sent`): a send past the limit is dropped
+  /// and not counted, however many threads attempt one before they stop.
   std::uint64_t total_sent = 0;
   bool send_limit_hit = false;
   bool wall_timeout_hit = false;
@@ -49,9 +52,14 @@ class ThreadedRuntime {
   ThreadedRuntime(const ThreadedRuntime&) = delete;
   ThreadedRuntime& operator=(const ThreadedRuntime&) = delete;
 
-  /// Runs the strategies to completion (all terminated, quiescence, send
-  /// limit, or wall timeout) and aggregates the outcome.
-  Outcome run(std::vector<std::unique_ptr<RingStrategy>> strategies);
+  /// Runs the non-owning profile (entry i is processor i's strategy) to
+  /// completion (all terminated, quiescence, send limit, or wall timeout)
+  /// and aggregates the outcome.  Each strategy's events run on its own
+  /// processor's OS thread.  A strategy that builds objects mid-run (the
+  /// indexing wrapper emplaces its inner strategy when its position
+  /// arrives) does so from that thread, and StrategyArena is not
+  /// synchronised: give each processor its own arena.
+  Outcome run(std::span<RingStrategy* const> strategies);
 
   [[nodiscard]] const ThreadedRuntimeStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::optional<LocalOutput>>& outputs() const {
@@ -70,9 +78,5 @@ class ThreadedRuntime {
   ThreadedRuntimeStats stats_;
   std::vector<std::optional<LocalOutput>> outputs_;
 };
-
-/// Convenience: run `protocol` honestly on real threads.
-Outcome run_honest_threaded(const RingProtocol& protocol, int n, std::uint64_t trial_seed,
-                            ThreadedRuntimeOptions options = {});
 
 }  // namespace fle

@@ -96,10 +96,15 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
       spec.deviation.empty() ? nullptr : &DeviationRegistry::instance().at(spec.deviation);
 
   // kDigest transcripts attached through set_transcript: the same hook the
-  // scenario layer records through, folded instead of stored.
+  // scenario layer records through, folded instead of stored.  The fresh
+  // engine's profile is built in a fresh arena every trial; the reused
+  // engine's in one arena rewound per trial, the workspace cadence.
   ExecutionTranscript fresh_digest(TranscriptMode::kDigest);
   ExecutionTranscript reused_digest(TranscriptMode::kDigest);
   std::unique_ptr<RingEngine> reused;
+  StrategyArena reused_arena;
+  std::vector<RingStrategy*> fresh_profile;
+  std::vector<RingStrategy*> reused_profile;
   std::size_t digest_mismatches = 0;
   std::size_t outcome_mismatches = 0;
 
@@ -114,10 +119,11 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
     fresh_options.step_limit = step_limit;
     fresh_options.scheduler_kind = spec.scheduler;
     RingEngine fresh(spec.n, trial_seed, std::move(fresh_options));
+    StrategyArena fresh_arena;
+    compose_profile_into(*protocol, deviation.get(), spec.n, fresh_arena, fresh_profile);
     fresh_digest.clear();
     fresh.set_transcript(&fresh_digest);
-    const Outcome fresh_outcome =
-        fresh.run(compose_strategies(*protocol, deviation.get(), spec.n));
+    const Outcome fresh_outcome = fresh.run(std::span<RingStrategy* const>(fresh_profile));
 
     if (!reused) {
       EngineOptions reused_options;
@@ -128,9 +134,10 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
     } else {
       reused->reset(trial_seed);
     }
+    reused_arena.rewind();
+    compose_profile_into(*protocol, deviation.get(), spec.n, reused_arena, reused_profile);
     reused_digest.clear();
-    const Outcome reused_outcome =
-        reused->run(compose_strategies(*protocol, deviation.get(), spec.n));
+    const Outcome reused_outcome = reused->run(std::span<RingStrategy* const>(reused_profile));
 
     digest_mismatches += fresh_digest.digest() != reused_digest.digest() ||
                                  fresh_digest.size() != reused_digest.size()
@@ -175,9 +182,12 @@ std::string redrive_ring_trial(const ScenarioSpec& spec, std::size_t trial,
   options.scheduler = replayer.ring_schedule();
   RingEngine engine(spec.n, trial_seed, std::move(options));
   engine.set_transcript(&replayed);
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  compose_profile_into(*protocol, deviation.get(), spec.n, arena, profile);
   Outcome outcome = Outcome::fail();
   try {
-    outcome = engine.run(compose_strategies(*protocol, deviation.get(), spec.n));
+    outcome = engine.run(std::span<RingStrategy* const>(profile));
   } catch (const std::runtime_error& error) {
     return "trial " + std::to_string(trial) + ": " + error.what();
   }

@@ -146,9 +146,6 @@ class FuzzTokenGraphStrategy final : public GraphStrategy {
 
 class FuzzTokenGraphProtocol final : public GraphProtocol {
  public:
-  std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id, int n) const override {
-    return std::make_unique<FuzzTokenGraphStrategy>(id, n);
-  }
   GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
                                   int n) const override {
     return arena.emplace<FuzzTokenGraphStrategy>(id, n);
@@ -169,9 +166,6 @@ class FuzzHonestShadowDeviation final : public Deviation {
       : coalition_(std::move(coalition)), protocol_(&protocol) {}
 
   const Coalition& coalition() const override { return coalition_; }
-  std::unique_ptr<RingStrategy> make_adversary(ProcessorId id, int n) const override {
-    return protocol_->make_strategy(id, n);
-  }
   RingStrategy* emplace_adversary(StrategyArena& arena, ProcessorId id,
                                   int n) const override {
     return protocol_->emplace_strategy(arena, id, n);

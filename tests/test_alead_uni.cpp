@@ -12,38 +12,36 @@
 namespace fle {
 namespace {
 
+/// An honest A-LEADuni ring spec pinned to the scalar RingEngine, the
+/// oracle (the lane kernels are held to it by the identity gates).
+ScenarioSpec alead_spec(int n, std::size_t trials) {
+  ScenarioSpec spec;
+  spec.protocol = "alead-uni";
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
 TEST(ALeadUni, HonestElectsValidLeaderSmallRings) {
-  ALeadUniProtocol protocol;
   for (int n = 2; n <= 24; ++n) {
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      const Outcome o = run_honest(protocol, n, seed * 1009 + 5);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-      ASSERT_LT(o.leader(), static_cast<Value>(n));
-    }
+    EXPECT_EQ(run_scenario(alead_spec(n, 20)).outcomes.fails(), 0u) << "n=" << n;
   }
 }
 
 TEST(ALeadUni, HonestMessageCountIsNSquared) {
-  ALeadUniProtocol protocol;
   for (int n : {2, 3, 4, 9, 17, 40}) {
-    RingEngine engine(n, 123);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    const Outcome o = engine.run(std::move(s));
-    ASSERT_TRUE(o.valid()) << "n=" << n;
-    EXPECT_EQ(engine.stats().total_sent,
-              static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n));
+    const ScenarioResult result = run_scenario(alead_spec(n, 3));
+    ASSERT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
+    EXPECT_EQ(result.total_messages, 3ull * static_cast<std::uint64_t>(n) * n) << "n=" << n;
+    EXPECT_EQ(result.max_messages, static_cast<std::uint64_t>(n) * n) << "n=" << n;
   }
 }
 
 TEST(ALeadUni, HonestElectionIsUniform) {
   const int n = 6;
-  ScenarioSpec spec;
-  spec.protocol = "alead-uni";
-  spec.n = n;
-  spec.trials = 6000;
+  ScenarioSpec spec = alead_spec(n, 6000);
   spec.seed = 11;
-  spec.engine = EngineKind::kScalar;  // the oracle; lanes are held to it
   const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
@@ -52,13 +50,10 @@ TEST(ALeadUni, HonestElectionIsUniform) {
 TEST(ALeadUni, HonestExecutionIsOneSynchronized) {
   // Without adversaries A-LEADuni simulates lock-step rounds: the sync gap
   // stays at most 1 (the origin leads each round by one send).
-  ALeadUniProtocol protocol;
   for (int n : {4, 16, 64}) {
-    RingEngine engine(n, 321);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    ASSERT_TRUE(engine.run(std::move(s)).valid());
-    EXPECT_LE(engine.stats().max_sync_gap, 1u) << "n=" << n;
+    const ScenarioResult result = run_scenario(alead_spec(n, 3));
+    ASSERT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
+    EXPECT_LE(result.max_sync_gap, 1u) << "n=" << n;
   }
 }
 
@@ -66,17 +61,18 @@ TEST(ALeadUni, AllOutputsAgreeWithSumOfSecrets) {
   // White-box: run and check that the elected leader equals the sum of all
   // drawn secrets mod n, reproducing the protocol's defining equation.
   const int n = 7;
-  ALeadUniProtocol protocol;
-  for (std::uint64_t seed : {1ull, 99ull, 777ull}) {
+  ScenarioSpec spec = alead_spec(n, 3);
+  spec.record_outcomes = true;
+  const ScenarioResult result = run_scenario(spec);
+  for (std::size_t t = 0; t < spec.trials; ++t) {
     // Recompute the secrets the strategies will draw from their tapes.
     Value expected = 0;
     for (ProcessorId p = 0; p < n; ++p) {
-      RandomTape tape(seed, p);
+      RandomTape tape(scenario_trial_seed(spec.seed, t), p);
       expected = (expected + tape.uniform(static_cast<Value>(n))) % n;
     }
-    const Outcome o = run_honest(protocol, n, seed);
-    ASSERT_TRUE(o.valid());
-    EXPECT_EQ(o.leader(), expected) << "seed=" << seed;
+    ASSERT_TRUE(result.per_trial[t].valid());
+    EXPECT_EQ(result.per_trial[t].leader(), expected) << "trial " << t;
   }
 }
 
@@ -120,15 +116,16 @@ TEST(ALeadUni, CorruptedForwardFails) {
   ALeadUniProtocol protocol;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     RingEngine engine(n, seed);
-    std::vector<std::unique_ptr<RingStrategy>> s;
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 4) {
-        s.push_back(std::make_unique<SwapFirstForwardStrategy>());
+        s.push_back(arena.emplace<SwapFirstForwardStrategy>());
       } else {
-        s.push_back(protocol.make_strategy(p, n));
+        s.push_back(protocol.emplace_strategy(arena, p, n));
       }
     }
-    EXPECT_TRUE(engine.run(std::move(s)).failed()) << "seed=" << seed;
+    EXPECT_TRUE(engine.run(s).failed()) << "seed=" << seed;
   }
 }
 

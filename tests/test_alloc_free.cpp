@@ -8,13 +8,16 @@
 
 #include "core/counting_new.inc"
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "attacks/basic_single.h"
 #include "attacks/deviation.h"
+#include "attacks/tamper.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
+#include "protocols/indexing.h"
 #include "protocols/shamir_lead.h"
 #include "sim/arena.h"
 #include "sim/engine.h"
@@ -30,30 +33,43 @@ std::uint64_t allocations() {
 }
 
 TEST(ZeroAllocation, ReusedRingTrialWithArenaIsAllocationFree) {
-  const int n = 64;
-  BasicLeadProtocol protocol;
-  RingEngine engine(n, 1);
-  StrategyArena arena;
-  std::vector<RingStrategy*> profile;
-
-  const auto trial = [&](std::uint64_t seed) {
-    engine.reset(seed);
-    arena.rewind();
-    profile.clear();
-    for (ProcessorId p = 0; p < n; ++p) {
-      profile.push_back(protocol.emplace_strategy(arena, p, n));
-    }
-    return engine.run(std::span<RingStrategy* const>(profile));
+  // Scalar-state strategies, and the two wrappers that build their inner
+  // strategy in the same arena (indexing does so mid-run).  The tamper
+  // target lies past the adversary's last send, so that trial still elects.
+  const BasicLeadProtocol basic;
+  const ALeadUniProtocol alead;
+  const IndexingProtocol indexing(std::make_shared<ALeadUniProtocol>());
+  const TamperDeviation tamper(16, /*adversary=*/5, alead, TamperKind::kFlipValue,
+                               /*target_send=*/1000);
+  struct Case {
+    const char* name;
+    const RingProtocol* protocol;
+    const Deviation* deviation;
+    int n;
   };
+  for (const Case& c : {Case{"basic-lead", &basic, nullptr, 64},
+                        Case{"alead-uni", &alead, nullptr, 32},
+                        Case{"indexing+alead-uni", &indexing, nullptr, 16},
+                        Case{"tamper-flip past the end", &alead, &tamper, 16}}) {
+    RingEngine engine(c.n, 1);
+    StrategyArena arena;
+    std::vector<RingStrategy*> profile;
+    const auto trial = [&](std::uint64_t seed) {
+      engine.reset(seed);
+      arena.rewind();
+      compose_profile_into(*c.protocol, c.deviation, c.n, arena, profile);
+      return engine.run(profile);
+    };
 
-  // Warm-up: first trials size the arena chunks, queues and stat vectors.
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) ASSERT_TRUE(trial(seed).valid());
+    // Warm-up: first trials size the arena chunks, queues and stat vectors.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) ASSERT_TRUE(trial(seed).valid()) << c.name;
 
-  const std::uint64_t before = allocations();
-  const Outcome outcome = trial(1234);
-  const std::uint64_t after = allocations();
-  EXPECT_TRUE(outcome.valid());
-  EXPECT_EQ(after - before, 0u) << "steady-state honest ring trial allocated";
+    const std::uint64_t before = allocations();
+    const Outcome outcome = trial(1234);
+    const std::uint64_t after = allocations();
+    EXPECT_TRUE(outcome.valid()) << c.name;
+    EXPECT_EQ(after - before, 0u) << c.name << ": steady-state ring trial allocated";
+  }
 }
 
 TEST(ZeroAllocation, AdversarialRingTrialSubstrateIsAllocationFree) {
@@ -99,20 +115,6 @@ TEST(ZeroAllocation, AdversarialRingTrialSubstrateIsAllocationFree) {
   EXPECT_EQ(allocations() - before_honest, 0u);
 }
 
-TEST(ZeroAllocation, RunHonestFastPathIsAllocationFree) {
-  const int n = 48;
-  BasicLeadProtocol protocol;
-  // Warm the thread-local workspace run_honest maintains.
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ASSERT_TRUE(run_honest(protocol, n, seed).valid());
-  }
-  const std::uint64_t before = allocations();
-  const Outcome outcome = run_honest(protocol, n, 4321);
-  const std::uint64_t after = allocations();
-  EXPECT_TRUE(outcome.valid());
-  EXPECT_EQ(after - before, 0u) << "run_honest steady state allocated";
-}
-
 // Minimal scalar-state graph protocol: a token (empty message, so the
 // payload vector never allocates) walks the ring embedded in the complete
 // graph; every processor terminates with 0 on first receipt.  Exercises the
@@ -140,9 +142,6 @@ class GraphTokenStrategy final : public GraphStrategy {
 
 class GraphTokenProtocol final : public GraphProtocol {
  public:
-  std::unique_ptr<GraphStrategy> make_strategy(ProcessorId id, int n) const override {
-    return std::make_unique<GraphTokenStrategy>(id, n);
-  }
   GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
                                   int n) const override {
     return arena.emplace<GraphTokenStrategy>(id, n);
@@ -229,9 +228,6 @@ class SyncEchoStrategy final : public SyncStrategy {
 
 class SyncEchoProtocol final : public SyncProtocol {
  public:
-  std::unique_ptr<SyncStrategy> make_strategy(ProcessorId, int) const override {
-    return std::make_unique<SyncEchoStrategy>();
-  }
   SyncStrategy* emplace_strategy(StrategyArena& arena, ProcessorId, int) const override {
     return arena.emplace<SyncEchoStrategy>();
   }
@@ -358,20 +354,6 @@ TEST(ZeroAllocation, SyncLaneWindowIsAllocationFree) {
         << "steady-state sync lane window allocated (" << to_string(kernel) << ")";
     for (const LaneTrialResult& r : results) EXPECT_TRUE(r.outcome.valid());
   }
-}
-
-TEST(ZeroAllocation, ALeadUniSteadyStateStaysBounded) {
-  // A-LEADuni strategies are scalar-state too, so the whole trial is also
-  // allocation-free once warm — documenting that the property is not
-  // special to Basic-LEAD.
-  const int n = 32;
-  ALeadUniProtocol protocol;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ASSERT_TRUE(run_honest(protocol, n, seed).valid());
-  }
-  const std::uint64_t before = allocations();
-  ASSERT_TRUE(run_honest(protocol, n, 777).valid());
-  EXPECT_EQ(allocations() - before, 0u);
 }
 
 }  // namespace

@@ -33,24 +33,19 @@ ScenarioSpec attacked_spec(int n, ProcessorId adversary, Value target, std::size
 }
 
 TEST(BasicLead, HonestElectsValidLeaderSmallRings) {
-  BasicLeadProtocol protocol;
   for (int n = 2; n <= 24; ++n) {
-    for (std::uint64_t seed = 0; seed < 20; ++seed) {
-      const Outcome o = run_honest(protocol, n, seed * 977 + 13);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-      ASSERT_LT(o.leader(), static_cast<Value>(n));
-    }
+    EXPECT_EQ(run_scenario(basic_lead_spec(n, 20)).outcomes.fails(), 0u) << "n=" << n;
   }
 }
 
 TEST(BasicLead, HonestMessageCountIsNSquared) {
   BasicLeadProtocol protocol;
   for (int n : {2, 3, 5, 8, 16, 33}) {
-    EngineOptions options;
-    RingEngine engine(n, 42, std::move(options));
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    const Outcome o = engine.run(std::move(s));
+    RingEngine engine(n, 42);
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    const Outcome o = engine.run(s);
     ASSERT_TRUE(o.valid());
     EXPECT_EQ(engine.stats().total_sent,
               static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n));

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "api/scenario.h"
 #include "protocols/chang_roberts.h"
 #include "protocols/peterson.h"
 #include "sim/engine.h"
@@ -12,11 +13,34 @@
 namespace fle {
 namespace {
 
+/// Runs `protocol`'s honest profile on `engine`, its strategies in a fresh
+/// arena.
+Outcome run_profile(RingEngine& engine, const RingProtocol& protocol) {
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  for (ProcessorId p = 0; p < engine.n(); ++p) {
+    profile.push_back(protocol.emplace_strategy(arena, p, engine.n()));
+  }
+  return engine.run(profile);
+}
+
+/// A classical baseline's spec on the scalar RingEngine: each trial draws
+/// its own random id permutation from the trial seed.
+ScenarioSpec classical_spec(const char* protocol, int n, std::size_t trials) {
+  ScenarioSpec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
 TEST(ChangRoberts, ElectsHolderOfMaxId) {
   for (int n : {2, 3, 8, 33}) {
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
       const auto protocol = ChangRobertsProtocol::random(n, seed);
-      const Outcome o = run_honest(protocol, n, seed);
+      RingEngine engine(n, seed);
+      const Outcome o = run_profile(engine, protocol);
       ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
       EXPECT_EQ(o.leader(), static_cast<Value>(protocol.expected_winner()));
     }
@@ -35,15 +59,11 @@ TEST(ChangRoberts, WorstCaseQuadraticBestCaseLinear) {
   ChangRobertsProtocol desc{descending}, asc{ascending};
 
   RingEngine e1(n, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s1;
-  for (ProcessorId p = 0; p < n; ++p) s1.push_back(desc.make_strategy(p, n));
-  ASSERT_TRUE(e1.run(std::move(s1)).valid());
+  ASSERT_TRUE(run_profile(e1, desc).valid());
   const auto desc_msgs = e1.stats().total_sent;
 
   RingEngine e2(n, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s2;
-  for (ProcessorId p = 0; p < n; ++p) s2.push_back(asc.make_strategy(p, n));
-  ASSERT_TRUE(e2.run(std::move(s2)).valid());
+  ASSERT_TRUE(run_profile(e2, asc).valid());
   const auto asc_msgs = e2.stats().total_sent;
 
   EXPECT_GT(desc_msgs, static_cast<std::uint64_t>(n) * n / 4);
@@ -53,17 +73,9 @@ TEST(ChangRoberts, WorstCaseQuadraticBestCaseLinear) {
 
 TEST(ChangRoberts, AverageCaseIsNLogN) {
   const int n = 128;
-  double total = 0;
-  const int trials = 30;
-  for (std::uint64_t seed = 0; seed < trials; ++seed) {
-    const auto protocol = ChangRobertsProtocol::random(n, seed);
-    RingEngine engine(n, seed);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    ASSERT_TRUE(engine.run(std::move(s)).valid());
-    total += static_cast<double>(engine.stats().total_sent);
-  }
-  const double avg = total / trials;
+  const ScenarioResult result = run_scenario(classical_spec("chang-roberts", n, 30));
+  ASSERT_EQ(result.outcomes.fails(), 0u);
+  const double avg = result.mean_messages;
   const double nlogn = n * std::log2(n);
   EXPECT_LT(avg, 2.5 * nlogn);  // ~ n H_n + n for the announcement
   EXPECT_GT(avg, 0.5 * nlogn);
@@ -71,28 +83,17 @@ TEST(ChangRoberts, AverageCaseIsNLogN) {
 
 TEST(Peterson, ElectsAUniqueLeader) {
   for (int n : {2, 3, 4, 8, 17, 64}) {
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      const auto protocol = PetersonProtocol::random(n, seed);
-      const Outcome o = run_honest(protocol, n, seed);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-      ASSERT_LT(o.leader(), static_cast<Value>(n));
-    }
+    EXPECT_EQ(run_scenario(classical_spec("peterson", n, 10)).outcomes.fails(), 0u)
+        << "n=" << n;
   }
 }
 
 TEST(Peterson, WorstCaseMessagesAreNLogN) {
   for (int n : {16, 64, 256}) {
-    std::uint64_t worst = 0;
-    for (std::uint64_t seed = 0; seed < 15; ++seed) {
-      const auto protocol = PetersonProtocol::random(n, seed);
-      RingEngine engine(n, seed);
-      std::vector<std::unique_ptr<RingStrategy>> s;
-      for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-      ASSERT_TRUE(engine.run(std::move(s)).valid());
-      worst = std::max(worst, engine.stats().total_sent);
-    }
+    const ScenarioResult result = run_scenario(classical_spec("peterson", n, 15));
+    ASSERT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
     const double bound = 2.0 * n * (std::log2(n) + 2) + n;
-    EXPECT_LT(static_cast<double>(worst), bound) << "n=" << n;
+    EXPECT_LT(static_cast<double>(result.max_messages), bound) << "n=" << n;
   }
 }
 
@@ -102,9 +103,7 @@ TEST(Classical, FairProtocolsCostQuadraticallyMore) {
   const int n = 128;
   const auto cr = ChangRobertsProtocol::random(n, 3);
   RingEngine e(n, 3);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(cr.make_strategy(p, n));
-  ASSERT_TRUE(e.run(std::move(s)).valid());
+  ASSERT_TRUE(run_profile(e, cr).valid());
   EXPECT_LT(e.stats().total_sent, static_cast<std::uint64_t>(n) * n / 4);
 }
 

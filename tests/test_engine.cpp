@@ -47,10 +47,10 @@ class Recorder final : public RingStrategy {
 TEST(Engine, FifoOrderOnLink) {
   std::vector<Value> received;
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(5, 0));  // p0 sends 0..4 to p1
-  s.push_back(std::make_unique<Recorder>(&received, 5, 0));
-  const Outcome o = engine.run(std::move(s));
+  BurstThenStop sender(5, 0);  // p0 sends 0..4 to p1
+  Recorder recorder(&received, 5, 0);
+  RingStrategy* s[] = {&sender, &recorder};
+  const Outcome o = engine.run(s);
   ASSERT_EQ(received, (std::vector<Value>{0, 1, 2, 3, 4}));
   // p1 terminated with 0; p0 terminated on the message p1 sent? p1 sent
   // nothing, so p0 never terminates => FAIL.
@@ -64,9 +64,9 @@ TEST(Engine, OutcomeValidWhenAllAgree) {
     void on_receive(RingContext& ctx, Value) override { ctx.terminate(2); }
   };
   RingEngine engine(3, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<Agree>());
-  EXPECT_EQ(engine.run(std::move(s)), Outcome::elected(2));
+  Agree a, b, c;
+  RingStrategy* s[] = {&a, &b, &c};
+  EXPECT_EQ(engine.run(s), Outcome::elected(2));
 }
 
 TEST(Engine, OutcomeFailsOnDisagreement) {
@@ -78,9 +78,9 @@ TEST(Engine, OutcomeFailsOnDisagreement) {
     }
   };
   RingEngine engine(3, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<OutputOwnId>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  OutputOwnId a, b, c;
+  RingStrategy* s[] = {&a, &b, &c};
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(Engine, OutcomeFailsOnAbort) {
@@ -90,10 +90,9 @@ TEST(Engine, OutcomeFailsOnAbort) {
     void on_receive(RingContext& ctx, Value) override { ctx.abort(); }
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Aborter>());
-  s.push_back(std::make_unique<Aborter>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  Aborter a, b;
+  RingStrategy* s[] = {&a, &b};
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(Engine, OutcomeFailsOnOutOfRangeOutput) {
@@ -105,18 +104,16 @@ TEST(Engine, OutcomeFailsOnOutOfRangeOutput) {
     }
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BigOutput>());
-  s.push_back(std::make_unique<BigOutput>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  BigOutput a, b;
+  RingStrategy* s[] = {&a, &b};
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(Engine, QuiescenceWithoutTerminationFails) {
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Forwarder>());  // nobody ever sends first
-  s.push_back(std::make_unique<Forwarder>());
-  const Outcome o = engine.run(std::move(s));
+  Forwarder a, b;  // nobody ever sends first
+  RingStrategy* s[] = {&a, &b};
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_EQ(engine.stats().deliveries, 0u);
   EXPECT_FALSE(engine.stats().step_limit_hit);
@@ -126,13 +123,13 @@ TEST(Engine, StepLimitStopsInfiniteForwarding) {
   EngineOptions options;
   options.step_limit = 500;
   RingEngine engine(2, 1, std::move(options));
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(1));  // seeds one message...
-  s.push_back(std::make_unique<Forwarder>());       // ...that circulates forever
+  BurstThenStop starter(1);  // seeds one message...
+  Forwarder forwarder;       // ...that circulates forever
+  RingStrategy* s[] = {&starter, &forwarder};
   // p0 terminates on first receive; p1 keeps forwarding to p0 whose inbox
   // drains into a terminated processor; execution quiesces... unless p0's
   // termination happens late.  Either way the engine must stop.
-  const Outcome o = engine.run(std::move(s));
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
 }
 
@@ -145,10 +142,9 @@ TEST(Engine, StepLimitHitFlagOnRunaway) {
   EngineOptions options;
   options.step_limit = 100;
   RingEngine engine(2, 1, std::move(options));
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<PingPong>());
-  s.push_back(std::make_unique<PingPong>());
-  const Outcome o = engine.run(std::move(s));
+  PingPong a, b;
+  RingStrategy* s[] = {&a, &b};
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(engine.stats().step_limit_hit);
   EXPECT_EQ(engine.stats().deliveries, 100u);
@@ -165,10 +161,10 @@ TEST(Engine, MessagesToTerminatedProcessorsVanish) {
     }
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(3, 1));  // p0: sends 3, stops on recv
-  s.push_back(std::make_unique<AckOnceThenStop>());    // p1: ack, stop after 1
-  const Outcome o = engine.run(std::move(s));
+  BurstThenStop sender(3, 1);  // p0: sends 3, stops on recv
+  AckOnceThenStop acker;       // p1: ack, stop after 1
+  RingStrategy* s[] = {&sender, &acker};
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.valid());  // both terminated with output 1
   EXPECT_EQ(o.leader(), 1u);
   EXPECT_EQ(engine.stats().received[1], 1u);  // 2 burst messages vanished
@@ -184,10 +180,10 @@ TEST(Engine, SendAfterTerminateThrows) {
     void on_receive(RingContext&, Value) override {}
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Bad>());
-  s.push_back(std::make_unique<Forwarder>());
-  EXPECT_THROW(engine.run(std::move(s)), std::logic_error);
+  Bad bad;
+  Forwarder forwarder;
+  RingStrategy* s[] = {&bad, &forwarder};
+  EXPECT_THROW(engine.run(s), std::logic_error);
 }
 
 TEST(Engine, DoubleTerminateThrows) {
@@ -200,10 +196,10 @@ TEST(Engine, DoubleTerminateThrows) {
     void on_receive(RingContext&, Value) override {}
   };
   RingEngine engine(2, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Bad>());
-  s.push_back(std::make_unique<Forwarder>());
-  EXPECT_THROW(engine.run(std::move(s)), std::logic_error);
+  Bad bad;
+  Forwarder forwarder;
+  RingStrategy* s[] = {&bad, &forwarder};
+  EXPECT_THROW(engine.run(s), std::logic_error);
 }
 
 TEST(Engine, RejectsTooSmallRings) {
@@ -212,9 +208,9 @@ TEST(Engine, RejectsTooSmallRings) {
 
 TEST(Engine, RejectsWrongStrategyCount) {
   RingEngine engine(3, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<Forwarder>());
-  EXPECT_THROW(engine.run(std::move(s)), std::invalid_argument);
+  Forwarder forwarder;
+  RingStrategy* s[] = {&forwarder};
+  EXPECT_THROW(engine.run(s), std::invalid_argument);
 }
 
 TEST(Engine, ObserverSeesEveryDelivery) {
@@ -226,10 +222,10 @@ TEST(Engine, ObserverSeesEveryDelivery) {
   };
   RingEngine engine(2, 1, std::move(options));
   std::vector<Value> received;
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(4, 0));
-  s.push_back(std::make_unique<Recorder>(&received, 4, 0));
-  (void)engine.run(std::move(s));
+  BurstThenStop sender(4, 0);
+  Recorder recorder(&received, 4, 0);
+  RingStrategy* s[] = {&sender, &recorder};
+  (void)engine.run(s);
   EXPECT_EQ(observed, engine.stats().deliveries);
   EXPECT_GE(observed, 4u);
 }
@@ -238,10 +234,10 @@ TEST(Engine, SyncGapTracksSpread) {
   // p0 bursts 10 messages while p1 answers nothing: gap 10.
   RingEngine engine(2, 1);
   std::vector<Value> received;
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<BurstThenStop>(10, 0));
-  s.push_back(std::make_unique<Recorder>(&received, 10, 0));
-  (void)engine.run(std::move(s));
+  BurstThenStop sender(10, 0);
+  Recorder recorder(&received, 10, 0);
+  RingStrategy* s[] = {&sender, &recorder};
+  (void)engine.run(s);
   EXPECT_EQ(engine.stats().max_sync_gap, 10u);
 }
 

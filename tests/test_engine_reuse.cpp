@@ -219,18 +219,6 @@ TEST(EngineReuse, SyncHonestAndAdversarialMatchFresh) {
   check_sync_reuse(broadcast, &blind, n);
 }
 
-// ---- run_honest's thread-local workspace -----------------------------------
-
-TEST(EngineReuse, RunHonestWorkspaceMatchesDedicatedEngine) {
-  BasicLeadProtocol protocol;
-  for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
-    // Alternate shapes so the workspace is rebuilt and reused mid-sweep.
-    const int n = seed % 2 == 0 ? 12 : 20;
-    const RingRun fresh = run_ring_fresh(protocol, nullptr, n, seed);
-    EXPECT_EQ(run_honest(protocol, n, seed), fresh.outcome) << "seed " << seed;
-  }
-}
-
 // ---- scenario-level determinism across worker counts -----------------------
 
 void expect_identical_counts(const ScenarioResult& a, const ScenarioResult& b, int domain) {

@@ -71,15 +71,16 @@ void fuzz_protocol(const ProtocolT& protocol, int n, int chaos_count, std::uint6
   EngineOptions options;
   options.step_limit = protocol.honest_message_bound(n) * 4 + 4096;
   RingEngine engine(n, seed, std::move(options));
-  std::vector<std::unique_ptr<RingStrategy>> s;
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (std::find(chaotic.begin(), chaotic.end(), p) != chaotic.end()) {
-      s.push_back(std::make_unique<ChaosStrategy>(seed * 31 + p));
+      s.push_back(arena.emplace<ChaosStrategy>(seed * 31 + p));
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  const Outcome o = engine.run(std::move(s));
+  const Outcome o = engine.run(s);
   if (o.valid()) {
     EXPECT_LT(o.leader(), static_cast<Value>(n));
   }
@@ -123,15 +124,16 @@ TEST(Fuzz, ChaosNeverForgesAgreementOnPhaseAsyncLead) {
     EngineOptions options;
     options.step_limit = protocol.honest_message_bound(10) * 4 + 4096;
     RingEngine engine(10, seed, std::move(options));
-    std::vector<std::unique_ptr<RingStrategy>> s;
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
     for (ProcessorId p = 0; p < 10; ++p) {
       if (p == 4) {
-        s.push_back(std::make_unique<ChaosStrategy>(seed * 97 + 1));
+        s.push_back(arena.emplace<ChaosStrategy>(seed * 97 + 1));
       } else {
-        s.push_back(protocol.make_strategy(p, 10));
+        s.push_back(protocol.emplace_strategy(arena, p, 10));
       }
     }
-    valid += engine.run(std::move(s)).valid() ? 1 : 0;
+    valid += engine.run(s).valid() ? 1 : 0;
   }
   EXPECT_EQ(valid, 0);
 }
@@ -142,15 +144,16 @@ TEST(Fuzz, ThreadedRuntimeSurvivesChaos) {
     ThreadedRuntimeOptions options;
     options.send_limit = protocol.honest_message_bound(10) * 4 + 4096;
     ThreadedRuntime runtime(10, seed, options);
-    std::vector<std::unique_ptr<RingStrategy>> s;
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
     for (ProcessorId p = 0; p < 10; ++p) {
       if (p == 2 || p == 7) {
-        s.push_back(std::make_unique<ChaosStrategy>(seed * 13 + p));
+        s.push_back(arena.emplace<ChaosStrategy>(seed * 13 + p));
       } else {
-        s.push_back(protocol.make_strategy(p, 10));
+        s.push_back(protocol.emplace_strategy(arena, p, 10));
       }
     }
-    const Outcome o = runtime.run(std::move(s));
+    const Outcome o = runtime.run(s);
     if (o.valid()) {
       EXPECT_LT(o.leader(), 10u);
     }

@@ -47,11 +47,10 @@ class GraphRecorder final : public GraphStrategy {
 TEST(GraphEngine, PerLinkFifoOrder) {
   std::vector<std::pair<ProcessorId, Value>> received;
   GraphEngine engine(3, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<GraphBurst>(2, 4));
-  s.push_back(std::make_unique<GraphBurst>(2, 4));
-  s.push_back(std::make_unique<GraphRecorder>(&received, 8));
-  const Outcome o = engine.run(std::move(s));
+  GraphBurst a(2, 4), b(2, 4);
+  GraphRecorder recorder(&received, 8);
+  GraphStrategy* s[] = {&a, &b, &recorder};
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.valid());
   // Per-sender subsequences must be 0,1,2,3 in order.
   for (ProcessorId sender : {0, 1}) {
@@ -75,11 +74,9 @@ TEST(GraphEngine, AdjacencyRestrictionEnforced) {
     void on_init(GraphContext& ctx) override { ctx.send(2, {1}); }
     void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
   };
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<SendToForbidden>());
-  s.push_back(std::make_unique<SendToForbidden>());
-  s.push_back(std::make_unique<SendToForbidden>());
-  EXPECT_THROW(engine.run(std::move(s)), std::invalid_argument);
+  SendToForbidden a, b, c;
+  GraphStrategy* s[] = {&a, &b, &c};
+  EXPECT_THROW(engine.run(s), std::invalid_argument);
 }
 
 TEST(GraphEngine, SelfSendRejected) {
@@ -89,10 +86,9 @@ TEST(GraphEngine, SelfSendRejected) {
     void on_init(GraphContext& ctx) override { ctx.send(ctx.id(), {1}); }
     void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
   };
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<SelfSend>());
-  s.push_back(std::make_unique<SelfSend>());
-  EXPECT_THROW(engine.run(std::move(s)), std::invalid_argument);
+  SelfSend a, b;
+  GraphStrategy* s[] = {&a, &b};
+  EXPECT_THROW(engine.run(s), std::invalid_argument);
 }
 
 TEST(GraphEngine, QuiescenceWithoutTerminationFails) {
@@ -101,9 +97,9 @@ TEST(GraphEngine, QuiescenceWithoutTerminationFails) {
     void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
   };
   GraphEngine engine(3, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<Silent>());
-  const Outcome o = engine.run(std::move(s));
+  Silent a, b, c;
+  GraphStrategy* s[] = {&a, &b, &c};
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_EQ(engine.stats().deliveries, 0u);
 }
@@ -121,10 +117,9 @@ TEST(GraphEngine, StepLimitStopsPingPong) {
   GraphEngineOptions options;
   options.step_limit = 64;
   GraphEngine engine(2, 1, std::move(options));
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<PingPong>());
-  s.push_back(std::make_unique<PingPong>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  PingPong a, b;
+  GraphStrategy* s[] = {&a, &b};
+  EXPECT_TRUE(engine.run(s).failed());
   EXPECT_TRUE(engine.stats().step_limit_hit);
 }
 
@@ -143,10 +138,10 @@ TEST(GraphEngine, MessagesToTerminatedVanish) {
     void on_receive(GraphContext&, ProcessorId, const GraphMessage&) override {}
   };
   GraphEngine engine(2, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<Sender>());
-  s.push_back(std::make_unique<StopImmediately>());
-  const Outcome o = engine.run(std::move(s));
+  Sender sender;
+  StopImmediately stopper;
+  GraphStrategy* s[] = {&sender, &stopper};
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.valid());
   EXPECT_EQ(engine.stats().received[1], 0u);
 }
@@ -154,10 +149,10 @@ TEST(GraphEngine, MessagesToTerminatedVanish) {
 TEST(GraphEngine, CountsSentAndReceived) {
   std::vector<std::pair<ProcessorId, Value>> received;
   GraphEngine engine(2, 1);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  s.push_back(std::make_unique<GraphBurst>(1, 5));
-  s.push_back(std::make_unique<GraphRecorder>(&received, 5));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  GraphBurst burst(1, 5);
+  GraphRecorder recorder(&received, 5);
+  GraphStrategy* s[] = {&burst, &recorder};
+  ASSERT_TRUE(engine.run(s).valid());
   EXPECT_EQ(engine.stats().sent[0], 5u);
   EXPECT_EQ(engine.stats().received[1], 5u);
 }

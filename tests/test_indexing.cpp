@@ -5,55 +5,22 @@
 #include "analysis/stats.h"
 #include "api/registry.h"
 #include "api/scenario.h"
-#include "protocols/alead_uni.h"
 #include "protocols/indexing.h"
 #include "protocols/phase_async_lead.h"
-#include "sim/engine.h"
 
 namespace fle {
 namespace {
 
-TEST(Indexing, PhaseAsyncLeadStillElectsValidLeader) {
-  for (int n : {2, 3, 5, 9, 16}) {
-    auto inner = std::make_shared<PhaseAsyncLeadProtocol>(n, 0xddull + n);
-    IndexingProtocol protocol(inner);
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      const Outcome o = run_honest(protocol, n, seed);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-      ASSERT_LT(o.leader(), static_cast<Value>(n));
-    }
-  }
-}
+/// The builtin composition wraps A-LEADuni; register the PhaseAsyncLead
+/// wrapping the way user code adds a protocol.
+constexpr const char* kIndexedPhase = "indexing+phase-async-lead";
 
-TEST(Indexing, ALeadStillElectsValidLeader) {
-  for (int n : {2, 4, 11}) {
-    auto inner = std::make_shared<ALeadUniProtocol>();
-    IndexingProtocol protocol(inner);
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      ASSERT_TRUE(run_honest(protocol, n, seed).valid()) << "n=" << n;
-    }
-  }
-}
-
-TEST(Indexing, AddsExactlyNMessages) {
-  const int n = 10;
-  auto inner = std::make_shared<ALeadUniProtocol>();
-  IndexingProtocol protocol(inner);
-  RingEngine engine(n, 5);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
-  EXPECT_EQ(engine.stats().total_sent,
-            static_cast<std::uint64_t>(n) * n + static_cast<std::uint64_t>(n));
-}
-
-TEST(Indexing, ElectionStaysUniform) {
-  // The builtin composition wraps A-LEADuni; register the PhaseAsyncLead
-  // wrapping the way user code adds a protocol.
-  const std::string name = "indexing+phase-async-lead";
-  if (!ProtocolRegistry::instance().contains(name)) {
+/// A scalar-engine ring spec; registers kIndexedPhase on first use.
+ScenarioSpec indexing_spec(const char* protocol, int n, std::size_t trials,
+                           std::uint64_t key = 0x5eed) {
+  if (!ProtocolRegistry::instance().contains(kIndexedPhase)) {
     ProtocolEntry entry;
-    entry.name = name;
+    entry.name = kIndexedPhase;
     entry.summary = "Appendix G indexing phase wrapped around PhaseAsyncLead";
     entry.make_ring = [](const ScenarioSpec& spec, std::uint64_t) {
       return std::make_unique<IndexingProtocol>(
@@ -61,14 +28,40 @@ TEST(Indexing, ElectionStaysUniform) {
     };
     ProtocolRegistry::instance().add(std::move(entry));
   }
-  const int n = 6;
   ScenarioSpec spec;
-  spec.protocol = name;
-  spec.protocol_key = 0xabcdull;
+  spec.protocol = protocol;
+  spec.protocol_key = key;
   spec.n = n;
-  spec.trials = 3000;
+  spec.trials = trials;
   spec.engine = EngineKind::kScalar;
-  const auto result = run_scenario(spec);
+  return spec;
+}
+
+TEST(Indexing, PhaseAsyncLeadStillElectsValidLeader) {
+  for (int n : {2, 3, 5, 9, 16}) {
+    const auto result = run_scenario(indexing_spec(kIndexedPhase, n, 10, 0xddull + n));
+    EXPECT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
+  }
+}
+
+TEST(Indexing, ALeadStillElectsValidLeader) {
+  for (int n : {2, 4, 11}) {
+    const auto result = run_scenario(indexing_spec("indexing+alead-uni", n, 10));
+    EXPECT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
+  }
+}
+
+TEST(Indexing, AddsExactlyNMessages) {
+  const int n = 10;
+  const auto result = run_scenario(indexing_spec("indexing+alead-uni", n, 1));
+  ASSERT_EQ(result.outcomes.fails(), 0u);
+  EXPECT_EQ(result.total_messages,
+            static_cast<std::uint64_t>(n) * n + static_cast<std::uint64_t>(n));
+}
+
+TEST(Indexing, ElectionStaysUniform) {
+  const int n = 6;
+  const auto result = run_scenario(indexing_spec(kIndexedPhase, n, 3000, 0xabcdull));
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
 }
@@ -78,15 +71,13 @@ TEST(Indexing, MatchesDirectExecutionOutcome) {
   // elected leader must equal the direct run's (inner strategies consume
   // identical tape prefixes... they do not: the wrapper does not draw from
   // the tape, so draws align).
-  const int n = 8;
-  auto inner = std::make_shared<PhaseAsyncLeadProtocol>(n, 0x31ull);
-  IndexingProtocol wrapped(inner);
-  for (std::uint64_t seed = 0; seed < 15; ++seed) {
-    const Outcome direct = run_honest(*inner, n, seed);
-    const Outcome indexed = run_honest(wrapped, n, seed);
-    ASSERT_TRUE(direct.valid());
-    EXPECT_EQ(indexed, direct) << "seed=" << seed;
-  }
+  ScenarioSpec direct = indexing_spec("phase-async-lead", 8, 15, 0x31ull);
+  direct.record_outcomes = true;
+  ScenarioSpec indexed = direct;
+  indexed.protocol = kIndexedPhase;
+  const ScenarioResult expected = run_scenario(direct);
+  EXPECT_EQ(expected.outcomes.fails(), 0u);
+  EXPECT_EQ(run_scenario(indexed).per_trial, expected.per_trial);
 }
 
 }  // namespace

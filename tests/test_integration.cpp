@@ -11,7 +11,6 @@
 #include "attacks/phase_rushing.h"
 #include "core/reductions.h"
 #include "protocols/phase_async_lead.h"
-#include "sim/engine.h"
 
 namespace fle {
 namespace {
@@ -81,29 +80,30 @@ TEST(Integration, SqrtCoalitionBreaksBoth) {
 
 TEST(Integration, CoinTossFromPhaseAsyncLead) {
   // Section 8 reduction over real elections: parity of the elected leader.
-  const int n = 16;
-  PhaseAsyncLeadProtocol protocol(n, 0x5eedull);
-  int ones = 0;
   const int trials = 2000;
-  for (int t = 0; t < trials; ++t) {
-    const Outcome o = run_honest(protocol, n, static_cast<std::uint64_t>(t) * 31 + 1);
-    ASSERT_TRUE(o.valid());
-    ones += coin_from_leader(o) == CoinResult::kOne ? 1 : 0;
-  }
+  ScenarioSpec spec = scalar_spec("phase-async-lead", 16, trials);
+  spec.record_outcomes = true;
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.outcomes.fails(), 0u);
+  int ones = 0;
+  for (const Outcome& o : result.per_trial) ones += coin_from_leader(o) == CoinResult::kOne;
   EXPECT_NEAR(static_cast<double>(ones) / trials, 0.5, 0.04);
 }
 
 TEST(Integration, LeaderFromPhaseCoins) {
   // log2(8) = 3 independent elections -> coin bits -> a leader in [0,8).
   const int n = 8;
-  PhaseAsyncLeadProtocol protocol(n, 0xc01ull);
+  const int tosses = tosses_needed(n);
+  ScenarioSpec spec =
+      scalar_spec("phase-async-lead", n, 600 * static_cast<std::size_t>(tosses));
+  spec.protocol_key = 0xc01ull;
+  spec.record_outcomes = true;
+  const ScenarioResult elections = run_scenario(spec);
   OutcomeCounter counter(n);
-  for (int t = 0; t < 600; ++t) {
+  for (std::size_t t = 0; t < elections.per_trial.size(); t += tosses) {
     std::vector<CoinResult> coins;
-    for (int b = 0; b < tosses_needed(n); ++b) {
-      const Outcome o =
-          run_honest(protocol, n, static_cast<std::uint64_t>(t) * 97 + b * 13 + 5);
-      coins.push_back(coin_from_leader(o));
+    for (int b = 0; b < tosses; ++b) {
+      coins.push_back(coin_from_leader(elections.per_trial[t + static_cast<std::size_t>(b)]));
     }
     counter.record(leader_from_coins(coins, n));
   }

@@ -12,24 +12,33 @@
 namespace fle {
 namespace {
 
+/// An honest PhaseAsyncLead spec with PRF key `f_key`, pinned to the scalar
+/// RingEngine (the oracle).
+ScenarioSpec phase_spec(int n, std::size_t trials, std::uint64_t f_key) {
+  ScenarioSpec spec;
+  spec.protocol = "phase-async-lead";
+  spec.protocol_key = f_key;
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
 TEST(PhaseAsyncLead, HonestElectsValidLeaderSmallRings) {
   for (int n = 2; n <= 24; ++n) {
-    PhaseAsyncLeadProtocol protocol(n, /*f_key=*/0xfeedull + n);
-    for (std::uint64_t seed = 0; seed < 15; ++seed) {
-      const Outcome o = run_honest(protocol, n, seed * 31 + 7);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-      ASSERT_LT(o.leader(), static_cast<Value>(n));
-    }
+    const auto result = run_scenario(phase_spec(n, 15, /*f_key=*/0xfeedull + n));
+    EXPECT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
   }
 }
 
 TEST(PhaseAsyncLead, HonestMessageCountIsTwoNSquared) {
   for (int n : {2, 3, 5, 8, 21}) {
     PhaseAsyncLeadProtocol protocol(n, 0xabcull);
-    RingEngine engine(n, 55, EngineOptions{});
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    const Outcome o = engine.run(std::move(s));
+    RingEngine engine(n, 55);
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+    const Outcome o = engine.run(s);
     ASSERT_TRUE(o.valid()) << "n=" << n;
     EXPECT_EQ(engine.stats().total_sent,
               2ull * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n))
@@ -44,41 +53,30 @@ TEST(PhaseAsyncLead, HonestMessageCountIsTwoNSquared) {
 TEST(PhaseAsyncLead, AllProcessorsComputeTheSameFInput) {
   // Outcome validity (all equal) across many runs is the integration-level
   // witness that every processor reconstructed identical (d-hat, v-hat).
-  const int n = 13;
-  PhaseAsyncLeadProtocol protocol(n, 0x9999ull);
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
-    ASSERT_TRUE(run_honest(protocol, n, seed).valid()) << seed;
-  }
+  EXPECT_EQ(run_scenario(phase_spec(13, 60, 0x9999ull)).outcomes.fails(), 0u);
 }
 
 TEST(PhaseAsyncLead, HonestElectionIsNearUniformOverSeeds) {
   // With a fixed f, uniformity is over the secrets (the paper notes the
   // protocol is ~1/n fair for most f; our PRF family behaves accordingly).
   const int n = 8;
-  ScenarioSpec spec;
-  spec.protocol = "phase-async-lead";
-  spec.protocol_key = 0x1234'5678ull;
-  spec.n = n;
-  spec.trials = 4000;
+  ScenarioSpec spec = phase_spec(n, 4000, 0x1234'5678ull);
   spec.seed = 3;
-  spec.engine = EngineKind::kScalar;
   const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_LT(result.outcomes.chi_square_uniform(), chi_square_critical_999(n - 1));
 }
 
 TEST(PhaseAsyncLead, DifferentFKeysGiveDifferentElections) {
-  const int n = 16;
-  PhaseAsyncLeadProtocol p1(n, 1);
-  PhaseAsyncLeadProtocol p2(n, 2);
+  ScenarioSpec s1 = phase_spec(16, 40, 1);
+  s1.record_outcomes = true;
+  ScenarioSpec s2 = s1;
+  s2.protocol_key = 2;
+  const ScenarioResult r1 = run_scenario(s1);
+  const ScenarioResult r2 = run_scenario(s2);
+  ASSERT_EQ(r1.outcomes.fails() + r2.outcomes.fails(), 0u);
   int differing = 0;
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const Outcome o1 = run_honest(p1, n, seed);
-    const Outcome o2 = run_honest(p2, n, seed);
-    ASSERT_TRUE(o1.valid());
-    ASSERT_TRUE(o2.valid());
-    if (o1.leader() != o2.leader()) ++differing;
-  }
+  for (std::size_t t = 0; t < s1.trials; ++t) differing += r1.per_trial[t] != r2.per_trial[t];
   EXPECT_GT(differing, 10);  // same secrets, different f => different leaders
 }
 
@@ -92,22 +90,16 @@ TEST(PhaseAsyncLead, DefaultParametersFollowThePaper) {
 }
 
 TEST(PhaseAsyncLead, CustomSmallLWorks) {
-  PhaseParams params = PhaseParams::defaults(10);
-  params.l = 3;
-  PhaseAsyncLeadProtocol protocol(params, 0x42ull);
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    ASSERT_TRUE(run_honest(protocol, 10, seed).valid());
-  }
+  ScenarioSpec spec = phase_spec(10, 20, 0x42ull);
+  spec.param_l = 3;
+  EXPECT_EQ(run_scenario(spec).outcomes.fails(), 0u);
 }
 
 TEST(PhaseAsyncLead, HonestExecutionIsTightlySynchronized) {
   for (int n : {8, 32, 64}) {
-    PhaseAsyncLeadProtocol protocol(n, 0x777ull);
-    RingEngine engine(n, 9);
-    std::vector<std::unique_ptr<RingStrategy>> s;
-    for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-    ASSERT_TRUE(engine.run(std::move(s)).valid());
-    EXPECT_LE(engine.stats().max_sync_gap, 3u) << "n=" << n;
+    const ScenarioResult result = run_scenario(phase_spec(n, 3, 0x777ull));
+    ASSERT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
+    EXPECT_LE(result.max_sync_gap, 3u) << "n=" << n;
   }
 }
 
@@ -116,8 +108,8 @@ TEST(PhaseAsyncLead, HonestExecutionIsTightlySynchronized) {
 /// Honest phase strategy except one validation forward is corrupted.
 class CorruptValidationStrategy final : public RingStrategy {
  public:
-  CorruptValidationStrategy(std::unique_ptr<RingStrategy> inner, int corrupt_at)
-      : inner_(std::move(inner)), corrupt_at_(corrupt_at) {}
+  CorruptValidationStrategy(RingStrategy* inner, int corrupt_at)
+      : inner_(inner), corrupt_at_(corrupt_at) {}
 
   void on_init(RingContext& ctx) override { inner_->on_init(ctx); }
   void on_receive(RingContext& ctx, Value v) override {
@@ -130,7 +122,7 @@ class CorruptValidationStrategy final : public RingStrategy {
   }
 
  private:
-  std::unique_ptr<RingStrategy> inner_;
+  RingStrategy* inner_;  ///< built in the same arena
   int corrupt_at_;
   int events_ = 0;
 };
@@ -142,16 +134,17 @@ TEST(PhaseAsyncLead, CorruptedTrafficFailsExecution) {
   // must surface as FAIL (either a validator or the data return catches it).
   for (int corrupt_at : {1, 2, 3, 6, 9, 12, 15}) {
     RingEngine engine(n, 77 + corrupt_at);
-    std::vector<std::unique_ptr<RingStrategy>> s;
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 5) {
-        s.push_back(std::make_unique<CorruptValidationStrategy>(protocol.make_strategy(p, n),
-                                                                corrupt_at));
+        s.push_back(arena.emplace<CorruptValidationStrategy>(
+            protocol.emplace_strategy(arena, p, n), corrupt_at));
       } else {
-        s.push_back(protocol.make_strategy(p, n));
+        s.push_back(protocol.emplace_strategy(arena, p, n));
       }
     }
-    EXPECT_TRUE(engine.run(std::move(s)).failed()) << "corrupt_at=" << corrupt_at;
+    EXPECT_TRUE(engine.run(s).failed()) << "corrupt_at=" << corrupt_at;
   }
 }
 
@@ -162,22 +155,24 @@ TEST(PhaseAsyncLead, SilentProcessorCausesFail) {
     void on_receive(RingContext&, Value) override {}
   };
   RingEngine engine(n, 5);
-  std::vector<std::unique_ptr<RingStrategy>> s;
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 3) {
-      s.push_back(std::make_unique<Silent>());
+      s.push_back(arena.emplace<Silent>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  const Outcome o = engine.run(std::move(s));
+  const Outcome o = engine.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_FALSE(engine.stats().step_limit_hit);  // quiescence, not runaway
 }
 
 TEST(PhaseAsyncLead, RingSizeMismatchThrows) {
   PhaseAsyncLeadProtocol protocol(8, 1);
-  EXPECT_THROW((void)protocol.make_strategy(0, 9), std::invalid_argument);
+  StrategyArena arena;
+  EXPECT_THROW((void)protocol.emplace_strategy(arena, 0, 9), std::invalid_argument);
 }
 
 }  // namespace

@@ -33,26 +33,23 @@ ScenarioSpec attacked_spec(int n, Value target, std::size_t trials) {
 
 TEST(PhaseSumLead, HonestElectsValidLeaderSmallRings) {
   for (int n = 2; n <= 20; ++n) {
-    PhaseSumLeadProtocol protocol(n);
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      const Outcome o = run_honest(protocol, n, seed * 131 + 3);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-    }
+    EXPECT_EQ(run_scenario(phase_sum_spec(n, 10)).outcomes.fails(), 0u) << "n=" << n;
   }
 }
 
 TEST(PhaseSumLead, HonestOutcomeEqualsSumOfSecrets) {
   const int n = 9;
-  PhaseSumLeadProtocol protocol(n);
-  for (std::uint64_t seed : {4ull, 44ull, 444ull}) {
+  ScenarioSpec spec = phase_sum_spec(n, 3);
+  spec.record_outcomes = true;
+  const ScenarioResult result = run_scenario(spec);
+  for (std::size_t t = 0; t < spec.trials; ++t) {
     Value expected = 0;
     for (ProcessorId p = 0; p < n; ++p) {
-      RandomTape tape(seed, p);
+      RandomTape tape(scenario_trial_seed(spec.seed, t), p);
       expected = (expected + tape.uniform(static_cast<Value>(n))) % n;
     }
-    const Outcome o = run_honest(protocol, n, seed);
-    ASSERT_TRUE(o.valid());
-    EXPECT_EQ(o.leader(), expected);
+    ASSERT_TRUE(result.per_trial[t].valid());
+    EXPECT_EQ(result.per_trial[t].leader(), expected) << "trial " << t;
   }
 }
 

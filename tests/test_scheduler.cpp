@@ -48,18 +48,17 @@ TEST_P(ScheduleInvariance, ALeadOutcomeIndependentOfSchedule) {
   const int n = 12;
   ALeadUniProtocol protocol;
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    EngineOptions base;
     RingEngine ref(n, seed);
-    std::vector<std::unique_ptr<RingStrategy>> s1;
-    for (ProcessorId p = 0; p < n; ++p) s1.push_back(protocol.make_strategy(p, n));
-    const Outcome expected = ref.run(std::move(s1));
+    StrategyArena arena;
+    std::vector<RingStrategy*> s1, s2;
+    for (ProcessorId p = 0; p < n; ++p) s1.push_back(protocol.emplace_strategy(arena, p, n));
+    const Outcome expected = ref.run(s1);
 
     EngineOptions options;
     options.scheduler = make_scheduler(GetParam(), n, seed + 1000);
     RingEngine engine(n, seed, std::move(options));
-    std::vector<std::unique_ptr<RingStrategy>> s2;
-    for (ProcessorId p = 0; p < n; ++p) s2.push_back(protocol.make_strategy(p, n));
-    EXPECT_EQ(engine.run(std::move(s2)), expected) << "seed=" << seed;
+    for (ProcessorId p = 0; p < n; ++p) s2.push_back(protocol.emplace_strategy(arena, p, n));
+    EXPECT_EQ(engine.run(s2), expected) << "seed=" << seed;
   }
 }
 
@@ -68,16 +67,16 @@ TEST_P(ScheduleInvariance, PhaseOutcomeIndependentOfSchedule) {
   PhaseAsyncLeadProtocol protocol(n, 0xf00ull);
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
     RingEngine ref(n, seed);
-    std::vector<std::unique_ptr<RingStrategy>> s1;
-    for (ProcessorId p = 0; p < n; ++p) s1.push_back(protocol.make_strategy(p, n));
-    const Outcome expected = ref.run(std::move(s1));
+    StrategyArena arena;
+    std::vector<RingStrategy*> s1, s2;
+    for (ProcessorId p = 0; p < n; ++p) s1.push_back(protocol.emplace_strategy(arena, p, n));
+    const Outcome expected = ref.run(s1);
 
     EngineOptions options;
     options.scheduler = make_scheduler(GetParam(), n, seed + 2000);
     RingEngine engine(n, seed, std::move(options));
-    std::vector<std::unique_ptr<RingStrategy>> s2;
-    for (ProcessorId p = 0; p < n; ++p) s2.push_back(protocol.make_strategy(p, n));
-    EXPECT_EQ(engine.run(std::move(s2)), expected) << "seed=" << seed;
+    for (ProcessorId p = 0; p < n; ++p) s2.push_back(protocol.emplace_strategy(arena, p, n));
+    EXPECT_EQ(engine.run(s2), expected) << "seed=" << seed;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "api/scenario.h"
 #include "attacks/shamir_attacks.h"
 #include "core/field.h"
 #include "core/shamir.h"
@@ -214,6 +215,25 @@ TEST(ShamirWeights, RejectsBadSchemesAndPointCounts) {
 
 // --- protocol ---------------------------------------------------------------
 
+/// Runs the (deviated) profile on `engine`, its strategies in a fresh arena.
+Outcome run_profile(GraphEngine& engine, const GraphProtocol& protocol,
+                    const GraphDeviation* deviation = nullptr) {
+  StrategyArena arena;
+  std::vector<GraphStrategy*> profile;
+  compose_profile_into(protocol, deviation, engine.n(), arena, profile);
+  return engine.run(profile);
+}
+
+/// An honest Shamir-LEAD spec on the fully-connected graph engine.
+ScenarioSpec shamir_spec(int n, std::size_t trials) {
+  ScenarioSpec spec;
+  spec.topology = TopologyKind::kGraph;
+  spec.protocol = "shamir-lead";
+  spec.n = n;
+  spec.trials = trials;
+  return spec;
+}
+
 TEST(ShamirLead, ThresholdIsValidatedAtConstruction) {
   try {
     ShamirLeadProtocol protocol(ShamirParams{8, 9});
@@ -225,56 +245,42 @@ TEST(ShamirLead, ThresholdIsValidatedAtConstruction) {
   EXPECT_THROW(ShamirLeadProtocol{1}, std::invalid_argument);
   const ShamirLeadProtocol all_shares(ShamirParams{8, 8});
   EXPECT_EQ(all_shares.params().weights->t(), 8);
-  EXPECT_TRUE(run_honest_graph(all_shares, 8, 5).valid());
+  GraphEngine engine(8, 5);
+  EXPECT_TRUE(run_profile(engine, all_shares).valid());
   // A strategy needs the protocol-built table.
   EXPECT_THROW(ShamirLeadStrategy(0, ShamirParams{8, 5}), std::invalid_argument);
 }
 
 TEST(ShamirLead, HonestElectsValidLeader) {
   for (int n : {3, 4, 5, 8, 13, 20}) {
-    ShamirLeadProtocol protocol(n);
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      const Outcome o = run_honest_graph(protocol, n, seed * 53 + 1);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-      ASSERT_LT(o.leader(), static_cast<Value>(n));
-    }
+    EXPECT_EQ(run_scenario(shamir_spec(n, 10)).outcomes.fails(), 0u) << "n=" << n;
   }
 }
 
 TEST(ShamirLead, HonestUniform) {
   const int n = 6;
-  ShamirLeadProtocol protocol(n);
-  std::vector<int> counts(static_cast<std::size_t>(n), 0);
   const int trials = 1200;
-  for (int t = 0; t < trials; ++t) {
-    const Outcome o = run_honest_graph(protocol, n, static_cast<std::uint64_t>(t) * 7 + 3);
-    ASSERT_TRUE(o.valid());
-    ++counts[static_cast<std::size_t>(o.leader())];
+  const ScenarioResult result = run_scenario(shamir_spec(n, trials));
+  ASSERT_EQ(result.outcomes.fails(), 0u);
+  for (Value j = 0; j < static_cast<Value>(n); ++j) {
+    EXPECT_NEAR(static_cast<double>(result.outcomes.count(j)), trials / n,
+                5 * std::sqrt(trials / 6.0));
   }
-  for (const int c : counts) EXPECT_NEAR(c, trials / n, 5 * std::sqrt(trials / 6.0));
 }
 
 TEST(ShamirLead, ScheduleIndependentOutcome) {
-  const int n = 7;
-  ShamirLeadProtocol protocol(n);
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    GraphEngineOptions rr;
-    const Outcome a = run_honest_graph(protocol, n, seed, std::move(rr));
-    GraphEngineOptions rnd;
-    rnd.schedule = LinkScheduleKind::kRandom;
-    rnd.schedule_seed = seed + 99;
-    const Outcome b = run_honest_graph(protocol, n, seed, std::move(rnd));
-    EXPECT_EQ(a, b) << seed;
-  }
+  ScenarioSpec round_robin = shamir_spec(7, 10);
+  round_robin.record_outcomes = true;
+  ScenarioSpec random = round_robin;
+  random.scheduler = SchedulerKind::kRandom;
+  EXPECT_EQ(run_scenario(round_robin).per_trial, run_scenario(random).per_trial);
 }
 
 TEST(ShamirLead, MessageComplexityIsThreeNSquared) {
   const int n = 8;
   ShamirLeadProtocol protocol(n);
   GraphEngine engine(n, 3);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  ASSERT_TRUE(run_profile(engine, protocol).valid());
   EXPECT_EQ(engine.stats().total_sent, 3ull * n * (n - 1));
 }
 
@@ -301,15 +307,16 @@ TEST(ShamirLead, LyingRevealerCausesAbort) {
     }
   };
   GraphEngine engine(n, 5);
-  std::vector<std::unique_ptr<GraphStrategy>> s;
+  StrategyArena arena;
+  std::vector<GraphStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 4) {
-      s.push_back(std::make_unique<LyingStrategy>(p, protocol.params()));
+      s.push_back(arena.emplace<LyingStrategy>(p, protocol.params()));
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 // --- attacks ----------------------------------------------------------------
@@ -325,7 +332,7 @@ TEST_P(ShamirAttackBoundary, RushingControlsAboveT) {
   ASSERT_TRUE(deviation.reconstruction_possible());
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     GraphEngine engine(n, seed);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    const Outcome o = run_profile(engine, protocol, &deviation);
     ASSERT_TRUE(o.valid()) << seed;
     EXPECT_EQ(o.leader(), w) << seed;
   }
@@ -343,7 +350,7 @@ TEST_P(ShamirAttackBoundary, RushingHarmlessBelowT) {
   const int trials = 30;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
     GraphEngine engine(n, seed * 13 + 5);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    const Outcome o = run_profile(engine, protocol, &deviation);
     ASSERT_TRUE(o.valid()) << seed;  // attack stays undetected, just useless
     hits += (o.leader() == w) ? 1 : 0;
   }
@@ -359,7 +366,7 @@ TEST_P(ShamirAttackBoundary, ForgingControlsAtCeilHalf) {
   ASSERT_TRUE(deviation.forging_possible());
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     GraphEngine engine(n, seed + 17);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    const Outcome o = run_profile(engine, protocol, &deviation);
     ASSERT_TRUE(o.valid()) << seed;
     EXPECT_EQ(o.leader(), w) << seed;
   }
@@ -382,7 +389,7 @@ TEST_P(ShamirAttackBoundary, ForgingDetectedBelowCeilHalf) {
   const std::size_t trials = 24;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
     GraphEngine engine(n, seed * 97 + 31);
-    const Outcome o = engine.run(compose_graph_strategies(protocol, &deviation, n));
+    const Outcome o = run_profile(engine, protocol, &deviation);
     if (o.failed()) {
       ++fails;
     } else {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "api/scenario.h"
 #include "protocols/sync_lead.h"
 #include "sim/sync_engine.h"
 
@@ -30,10 +31,9 @@ TEST(SyncEngine, RoundsDeliverSimultaneously) {
   };
   std::vector<int> log;
   SyncEngine engine(2, 1);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
-  s.push_back(std::make_unique<Probe>(&log));
-  s.push_back(std::make_unique<Probe>(&log));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  Probe a(&log), b(&log);
+  SyncStrategy* s[] = {&a, &b};
+  ASSERT_TRUE(engine.run(s).valid());
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], 2);
 }
@@ -48,57 +48,61 @@ TEST(SyncEngine, RoundLimitStopsSpinners) {
   SyncEngineOptions options;
   options.round_limit = 10;
   SyncEngine engine(3, 1, options);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
-  for (int i = 0; i < 3; ++i) s.push_back(std::make_unique<Spinner>());
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  Spinner a, b, c;
+  SyncStrategy* s[] = {&a, &b, &c};
+  EXPECT_TRUE(engine.run(s).failed());
   EXPECT_TRUE(engine.stats().round_limit_hit);
 }
 
+/// An honest synchronous spec pinned to the scalar SyncEngine (the oracle).
+ScenarioSpec sync_spec(const char* protocol, int n, std::size_t trials) {
+  ScenarioSpec spec;
+  spec.topology = TopologyKind::kSync;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.trials = trials;
+  spec.engine = EngineKind::kScalar;
+  return spec;
+}
+
 TEST(SyncBroadcastLead, HonestElectsValidLeader) {
-  SyncBroadcastLeadProtocol protocol;
   for (int n : {2, 3, 8, 20}) {
-    for (std::uint64_t seed = 0; seed < 15; ++seed) {
-      const Outcome o = run_honest_sync(protocol, n, seed * 11 + 1);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-      ASSERT_LT(o.leader(), static_cast<Value>(n));
-    }
+    const auto result = run_scenario(sync_spec("sync-broadcast-lead", n, 15));
+    EXPECT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
   }
 }
 
 TEST(SyncBroadcastLead, OutcomeIsSumOfSecrets) {
   const int n = 7;
-  SyncBroadcastLeadProtocol protocol;
-  for (std::uint64_t seed : {3ull, 33ull}) {
+  ScenarioSpec spec = sync_spec("sync-broadcast-lead", n, 2);
+  spec.record_outcomes = true;
+  const ScenarioResult result = run_scenario(spec);
+  for (std::size_t t = 0; t < spec.trials; ++t) {
     Value expected = 0;
     for (ProcessorId p = 0; p < n; ++p) {
-      RandomTape tape(seed, p);
+      RandomTape tape(scenario_trial_seed(spec.seed, t), p);
       expected = (expected + tape.uniform(static_cast<Value>(n))) % n;
     }
-    const Outcome o = run_honest_sync(protocol, n, seed);
-    ASSERT_TRUE(o.valid());
-    EXPECT_EQ(o.leader(), expected);
+    ASSERT_TRUE(result.per_trial[t].valid());
+    EXPECT_EQ(result.per_trial[t].leader(), expected) << "trial " << t;
   }
 }
 
 TEST(SyncRingLead, HonestElectsValidLeader) {
-  SyncRingLeadProtocol protocol;
   for (int n : {2, 3, 9, 16}) {
-    for (std::uint64_t seed = 0; seed < 15; ++seed) {
-      const Outcome o = run_honest_sync(protocol, n, seed * 13 + 5);
-      ASSERT_TRUE(o.valid()) << "n=" << n << " seed=" << seed;
-    }
+    const auto result = run_scenario(sync_spec("sync-ring-lead", n, 15));
+    EXPECT_EQ(result.outcomes.fails(), 0u) << "n=" << n;
   }
 }
 
 TEST(SyncRingLead, MatchesBroadcastOutcome) {
   // Same secrets (same tapes), same sum: the two synchronous protocols
   // agree trial for trial.
-  const int n = 9;
-  SyncBroadcastLeadProtocol bc;
-  SyncRingLeadProtocol ring;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    EXPECT_EQ(run_honest_sync(bc, n, seed), run_honest_sync(ring, n, seed));
-  }
+  ScenarioSpec bc = sync_spec("sync-broadcast-lead", 9, 20);
+  bc.record_outcomes = true;
+  ScenarioSpec ring = bc;
+  ring.protocol = "sync-ring-lead";
+  EXPECT_EQ(run_scenario(bc).per_trial, run_scenario(ring).per_trial);
 }
 
 // --- deviations --------------------------------------------------------------
@@ -126,15 +130,16 @@ TEST(SyncBroadcastLead, LateBroadcasterIsDetected) {
   SyncBroadcastLeadProtocol protocol;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     SyncEngine engine(n, seed);
-    std::vector<std::unique_ptr<SyncStrategy>> s;
+    StrategyArena arena;
+    std::vector<SyncStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 3) {
-        s.push_back(std::make_unique<LateBroadcaster>());
+        s.push_back(arena.emplace<LateBroadcaster>());
       } else {
-        s.push_back(protocol.make_strategy(p, n));
+        s.push_back(protocol.emplace_strategy(arena, p, n));
       }
     }
-    EXPECT_TRUE(engine.run(std::move(s)).failed()) << seed;
+    EXPECT_TRUE(engine.run(s).failed()) << seed;
   }
 }
 
@@ -168,15 +173,16 @@ TEST(SyncBroadcastLead, NMinusOneColludersGainNothing) {
   const int trials = 3000;
   for (int t = 0; t < trials; ++t) {
     SyncEngine engine(n, static_cast<std::uint64_t>(t) * 17 + 3);
-    std::vector<std::unique_ptr<SyncStrategy>> s;
+    StrategyArena arena;
+    std::vector<SyncStrategy*> s;
     for (ProcessorId p = 0; p < n; ++p) {
       if (p == 2) {
-        s.push_back(protocol.make_strategy(p, n));  // the lone honest one
+        s.push_back(protocol.emplace_strategy(arena, p, n));  // the lone honest one
       } else {
-        s.push_back(std::make_unique<BlindFixedValue>(static_cast<Value>(p)));
+        s.push_back(arena.emplace<BlindFixedValue>(static_cast<Value>(p)));
       }
     }
-    const Outcome o = engine.run(std::move(s));
+    const Outcome o = engine.run(s);
     ASSERT_TRUE(o.valid());
     ++counts[static_cast<std::size_t>(o.leader())];
   }
@@ -195,15 +201,16 @@ TEST(SyncRingLead, SilentProcessorDetected) {
     }
   };
   SyncEngine engine(n, 9);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
+  StrategyArena arena;
+  std::vector<SyncStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 4) {
-      s.push_back(std::make_unique<Silent>());
+      s.push_back(arena.emplace<Silent>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 TEST(SyncRingLead, DoubleSenderDetected) {
@@ -222,15 +229,16 @@ TEST(SyncRingLead, DoubleSenderDetected) {
     }
   };
   SyncEngine engine(n, 4);
-  std::vector<std::unique_ptr<SyncStrategy>> s;
+  StrategyArena arena;
+  std::vector<SyncStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 1) {
-      s.push_back(std::make_unique<DoubleSender>());
+      s.push_back(arena.emplace<DoubleSender>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  EXPECT_TRUE(engine.run(std::move(s)).failed());
+  EXPECT_TRUE(engine.run(s).failed());
 }
 
 }  // namespace

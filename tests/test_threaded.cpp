@@ -4,60 +4,56 @@
 
 #include <gtest/gtest.h>
 
+#include "api/scenario.h"
 #include "attacks/basic_single.h"
 #include "attacks/coalition.h"
 #include "attacks/cubic.h"
 #include "attacks/deviation.h"
 #include "protocols/alead_uni.h"
 #include "protocols/basic_lead.h"
-#include "protocols/phase_async_lead.h"
-#include "sim/engine.h"
 #include "sim/threaded_runtime.h"
 
 namespace fle {
 namespace {
 
-TEST(Threaded, BasicLeadMatchesDeterministicEngine) {
-  const int n = 8;
-  BasicLeadProtocol protocol;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const Outcome expected = run_honest(protocol, n, seed);
-    const Outcome actual = run_honest_threaded(protocol, n, seed);
-    EXPECT_EQ(actual, expected) << "seed=" << seed;
+TEST(Threaded, MatchesDeterministicEngine) {
+  // Each row runs as a ring/threaded spec pair compared trial for trial.
+  // The indexing wrapper emplaces its inner strategy mid-run, from its
+  // processor's thread; the n = 128 row is the large-ring stress.
+  struct Row {
+    const char* protocol;
+    int n;
+    std::size_t trials;
+    std::uint64_t key = 0x5eed;
+  };
+  for (const Row& row : {Row{"basic-lead", 8, 10}, Row{"alead-uni", 10, 10},
+                         Row{"phase-async-lead", 9, 8, 0x71ull},
+                         Row{"phase-async-lead", 128, 1, 0x99ull},
+                         Row{"indexing+alead-uni", 10, 10}}) {
+    ScenarioSpec ring;
+    ring.protocol = row.protocol;
+    ring.protocol_key = row.key;
+    ring.n = row.n;
+    ring.trials = row.trials;
+    ring.engine = EngineKind::kScalar;
+    ring.record_outcomes = true;
+    ScenarioSpec threaded = ring;
+    threaded.topology = TopologyKind::kThreaded;
+    const ScenarioResult expected = run_scenario(ring);
+    EXPECT_EQ(expected.outcomes.fails(), 0u) << row.protocol << " n=" << row.n;
+    EXPECT_EQ(run_scenario(threaded).per_trial, expected.per_trial)
+        << row.protocol << " n=" << row.n;
   }
-}
-
-TEST(Threaded, ALeadMatchesDeterministicEngine) {
-  const int n = 10;
-  ALeadUniProtocol protocol;
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    EXPECT_EQ(run_honest_threaded(protocol, n, seed), run_honest(protocol, n, seed));
-  }
-}
-
-TEST(Threaded, PhaseAsyncLeadMatchesDeterministicEngine) {
-  const int n = 9;
-  PhaseAsyncLeadProtocol protocol(n, 0x71ull);
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    EXPECT_EQ(run_honest_threaded(protocol, n, seed), run_honest(protocol, n, seed));
-  }
-}
-
-TEST(Threaded, LargeRingStress) {
-  const int n = 128;
-  PhaseAsyncLeadProtocol protocol(n, 0x99ull);
-  const Outcome o = run_honest_threaded(protocol, n, 4242);
-  ASSERT_TRUE(o.valid());
-  EXPECT_EQ(o, run_honest(protocol, n, 4242));
 }
 
 TEST(Threaded, MessageCountsMatch) {
   const int n = 12;
   ALeadUniProtocol protocol;
   ThreadedRuntime runtime(n, 7);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(runtime.run(std::move(s)).valid());
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
+  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.emplace_strategy(arena, p, n));
+  ASSERT_TRUE(runtime.run(s).valid());
   EXPECT_EQ(runtime.stats().total_sent, static_cast<std::uint64_t>(n) * n);
 }
 
@@ -66,9 +62,9 @@ TEST(Threaded, QuiescenceDetectedOnSilentRing) {
     void on_receive(RingContext&, Value) override {}
   };
   ThreadedRuntime runtime(4, 1);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (int i = 0; i < 4; ++i) s.push_back(std::make_unique<Silent>());
-  const Outcome o = runtime.run(std::move(s));
+  Silent a, b, c, d;
+  RingStrategy* s[] = {&a, &b, &c, &d};
+  const Outcome o = runtime.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(runtime.stats().quiesced);
   EXPECT_FALSE(runtime.stats().wall_timeout_hit);
@@ -82,15 +78,16 @@ TEST(Threaded, QuiescenceDetectedMidProtocol) {
     void on_receive(RingContext&, Value) override {}
   };
   ThreadedRuntime runtime(n, 3);
-  std::vector<std::unique_ptr<RingStrategy>> s;
+  StrategyArena arena;
+  std::vector<RingStrategy*> s;
   for (ProcessorId p = 0; p < n; ++p) {
     if (p == 2) {
-      s.push_back(std::make_unique<BlackHole>());
+      s.push_back(arena.emplace<BlackHole>());
     } else {
-      s.push_back(protocol.make_strategy(p, n));
+      s.push_back(protocol.emplace_strategy(arena, p, n));
     }
   }
-  const Outcome o = runtime.run(std::move(s));
+  const Outcome o = runtime.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(runtime.stats().quiesced);
 }
@@ -104,12 +101,13 @@ TEST(Threaded, SendLimitStopsRunaways) {
   ThreadedRuntimeOptions options;
   options.send_limit = 200;
   ThreadedRuntime runtime(2, 1, options);
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  s.push_back(std::make_unique<PingPong>());
-  s.push_back(std::make_unique<PingPong>());
-  const Outcome o = runtime.run(std::move(s));
+  PingPong a, b;
+  RingStrategy* s[] = {&a, &b};
+  const Outcome o = runtime.run(s);
   EXPECT_TRUE(o.failed());
   EXPECT_TRUE(runtime.stats().send_limit_hit);
+  // Accepted sends only: the over-limit attempts are dropped, not counted.
+  EXPECT_EQ(runtime.stats().total_sent, 200u);
 }
 
 TEST(Threaded, AttacksWorkOnRealThreads) {
@@ -118,7 +116,10 @@ TEST(Threaded, AttacksWorkOnRealThreads) {
     BasicLeadProtocol protocol;
     BasicSingleDeviation deviation(n, 4, 2);
     ThreadedRuntime runtime(n, 11);
-    const Outcome o = runtime.run(compose_strategies(protocol, &deviation, n));
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    compose_profile_into(protocol, &deviation, n, arena, s);
+    const Outcome o = runtime.run(s);
     ASSERT_TRUE(o.valid());
     EXPECT_EQ(o.leader(), 2u);
   }
@@ -128,7 +129,10 @@ TEST(Threaded, AttacksWorkOnRealThreads) {
     const int k = Coalition::cubic_min_k(n);
     CubicDeviation deviation(Coalition::cubic_staircase(n, k), 7);
     ThreadedRuntime runtime(n, 12);
-    const Outcome o = runtime.run(compose_strategies(protocol, &deviation, n));
+    StrategyArena arena;
+    std::vector<RingStrategy*> s;
+    compose_profile_into(protocol, &deviation, n, arena, s);
+    const Outcome o = runtime.run(s);
     ASSERT_TRUE(o.valid());
     EXPECT_EQ(o.leader(), 7u);
   }

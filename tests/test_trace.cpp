@@ -12,6 +12,15 @@
 namespace fle {
 namespace {
 
+/// Runs the (deviated) profile on `engine`, its strategies in a fresh arena.
+Outcome run_profile(RingEngine& engine, const RingProtocol& protocol,
+                    const Deviation* deviation = nullptr) {
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  compose_profile_into(protocol, deviation, engine.n(), arena, profile);
+  return engine.run(profile);
+}
+
 TEST(SyncTrace, HonestALeadGapStaysAtOne) {
   const int n = 24;
   ALeadUniProtocol protocol;
@@ -19,9 +28,7 @@ TEST(SyncTrace, HonestALeadGapStaysAtOne) {
   EngineOptions options;
   options.observer = trace.observer();
   RingEngine engine(n, 3, std::move(options));
-  std::vector<std::unique_ptr<RingStrategy>> s;
-  for (ProcessorId p = 0; p < n; ++p) s.push_back(protocol.make_strategy(p, n));
-  ASSERT_TRUE(engine.run(std::move(s)).valid());
+  ASSERT_TRUE(run_profile(engine, protocol).valid());
   EXPECT_LE(trace.max_gap(), 1u);
   EXPECT_FALSE(trace.series().empty());
   for (const auto g : trace.series()) EXPECT_LE(g, 1u);
@@ -40,7 +47,7 @@ TEST(SyncTrace, WatchedSubsetTracksCoalitionDesync) {
   EngineOptions options;
   options.observer = coalition_trace.observer();
   RingEngine engine(n, 5, std::move(options));
-  const Outcome o = engine.run(compose_strategies(protocol, &deviation, n));
+  const Outcome o = run_profile(engine, protocol, &deviation);
   ASSERT_TRUE(o.valid());
   EXPECT_GT(coalition_trace.max_gap(), static_cast<std::uint64_t>(k));
   EXPECT_LE(coalition_trace.max_gap(), static_cast<std::uint64_t>(2 * k * k));
@@ -57,7 +64,7 @@ TEST(SyncTrace, SeriesIsMonotoneInPrefixMaximum) {
   EngineOptions options;
   options.observer = trace.observer();
   RingEngine engine(n, 6, std::move(options));
-  ASSERT_TRUE(engine.run(compose_strategies(protocol, &deviation, n)).valid());
+  ASSERT_TRUE(run_profile(engine, protocol, &deviation).valid());
   std::uint64_t series_max = 0;
   for (const auto g : trace.series()) series_max = std::max(series_max, g);
   EXPECT_EQ(series_max, trace.max_gap());
@@ -86,7 +93,7 @@ TEST(SyncTrace, EngineGapAgreesWithFullWatchTrace) {
   EngineOptions options;
   options.observer = trace.observer();
   RingEngine engine(n, 8, std::move(options));
-  ASSERT_TRUE(engine.run(compose_strategies(protocol, &deviation, n)).valid());
+  ASSERT_TRUE(run_profile(engine, protocol, &deviation).valid());
   // The trace keeps sampling after terminations (counts freeze), so it can
   // only see gaps >= the engine's frozen view.
   EXPECT_GE(trace.max_gap(), engine.stats().max_sync_gap);

@@ -23,6 +23,15 @@
 namespace fle {
 namespace {
 
+/// Runs the (deviated) profile on `engine`, its strategies in a fresh arena.
+Outcome run_profile(RingEngine& engine, const RingProtocol& protocol,
+                    const Deviation* deviation = nullptr) {
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  compose_profile_into(protocol, deviation, engine.n(), arena, profile);
+  return engine.run(profile);
+}
+
 // ---- the stream itself ------------------------------------------------------
 
 TEST(Transcript, DigestAndFullModesAgree) {
@@ -191,7 +200,7 @@ TEST(TranscriptScenario, FreshEngineMatchesTheReusedWorkspaceCapture) {
     RingEngine fresh(spec.n, scenario_trial_seed(spec.seed, t), std::move(options));
     ExecutionTranscript transcript;
     fresh.set_transcript(&transcript);
-    ASSERT_TRUE(fresh.run(compose_strategies(protocol, nullptr, spec.n)).valid());
+    ASSERT_TRUE(run_profile(fresh, protocol).valid());
     const auto divergence = Replayer(reused.per_trial_transcript[t]).diff(transcript);
     EXPECT_FALSE(divergence.has_value())
         << "trial " << t << ": " << (divergence ? divergence->what : "");
@@ -240,7 +249,7 @@ TEST(TranscriptReplay, RingScheduleRedriveReproducesTheExecution) {
   record_options.scheduler_kind = SchedulerKind::kRandom;
   RingEngine recorder(n, seed, std::move(record_options));
   recorder.set_transcript(&recorded);
-  const Outcome original = recorder.run(compose_strategies(protocol, nullptr, n));
+  const Outcome original = run_profile(recorder, protocol);
   ASSERT_TRUE(original.valid());
 
   const Replayer replayer(recorded);
@@ -249,7 +258,7 @@ TEST(TranscriptReplay, RingScheduleRedriveReproducesTheExecution) {
   replay_options.scheduler = replayer.ring_schedule();
   RingEngine redriven(n, seed, std::move(replay_options));
   redriven.set_transcript(&replayed);
-  const Outcome outcome = redriven.run(compose_strategies(protocol, nullptr, n));
+  const Outcome outcome = run_profile(redriven, protocol);
   EXPECT_EQ(outcome, original);
   EXPECT_FALSE(replayer.diff(replayed).has_value());
 }
@@ -260,7 +269,7 @@ TEST(TranscriptReplay, RingRedriveDetectsATamperedSchedule) {
   ExecutionTranscript recorded;
   RingEngine recorder(n, 7);
   recorder.set_transcript(&recorded);
-  ASSERT_TRUE(recorder.run(compose_strategies(protocol, nullptr, n)).valid());
+  ASSERT_TRUE(run_profile(recorder, protocol).valid());
 
   // Corrupt one delivery's receiver: the re-drive must either throw (the
   // recorded receiver has nothing pending) or produce a diverging stream.
@@ -284,7 +293,7 @@ TEST(TranscriptReplay, RingRedriveDetectsATamperedSchedule) {
   redriven.set_transcript(&replayed);
   bool diverged = false;
   try {
-    redriven.run(compose_strategies(protocol, nullptr, n));
+    run_profile(redriven, protocol);
     diverged = replayer.diff(replayed).has_value();
   } catch (const std::runtime_error&) {
     diverged = true;
