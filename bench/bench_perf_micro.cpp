@@ -366,31 +366,13 @@ BENCHMARK(BM_SyncTrialReused)->Arg(16)->Arg(64);
 
 // ---- batched lane engine (DESIGN.md §10): window throughput --------------
 
-void BM_LaneEngineRing(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  LaneEngine engine(n, LaneKernelId::kBasicLead);
-  std::vector<std::uint64_t> seeds(256);
-  std::vector<LaneTrialResult> results(seeds.size());
-  std::uint64_t base = 0;
-  AllocationScope allocations(state, "allocations_per_window");
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = ++base;
-    engine.run_window(seeds, results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(seeds.size()));
-}
-BENCHMARK(BM_LaneEngineRing)->Arg(32)->Arg(128);
-
-// The general lane path, measured honestly: fast_paths=false forces every
-// trial through the burst loop over the ring-buffer inbox column (no
-// token-sum shortcut), so this row is the vectorized-general-path claim
-// the release-perf gate holds against the scalar run_scenario row.
+// The general lane path: every trial runs the burst loop over the
+// ring-buffer inbox column (closed forms live above the engine, in the
+// scenario layer), so this row is the vectorized-general-path claim the
+// release-perf gate holds against the scalar run_scenario row.
 void BM_LaneEngineRingGeneral(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  LaneEngineOptions options;
-  options.fast_paths = false;
-  LaneEngine engine(n, LaneKernelId::kBasicLead, options);
+  LaneEngine engine(n, LaneKernelId::kBasicLead);
   std::vector<std::uint64_t> seeds(256);
   std::vector<LaneTrialResult> results(seeds.size());
   std::uint64_t base = 0;
@@ -405,12 +387,11 @@ void BM_LaneEngineRingGeneral(benchmark::State& state) {
 BENCHMARK(BM_LaneEngineRingGeneral)->Arg(32)->Arg(128);
 
 // Deviated lane kernels: the Lemma 4.1 rushing coalition (k = n/4, equally
-// spaced) on the A-LEADuni kernel, general path (no constant fast path).
+// spaced) on the A-LEADuni kernel, general path.
 void BM_LaneEngineRingDeviated(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Coalition coalition = Coalition::equally_spaced(n, n / 4, 1);
   LaneEngineOptions options;
-  options.fast_paths = false;
   options.deviation.id = LaneDeviationId::kRushing;
   options.deviation.members = coalition.members();
   options.deviation.segment_lengths = coalition.segment_lengths();

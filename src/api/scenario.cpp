@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <limits>
+#include <mutex>
 #include <stdexcept>
 
 #include "api/parallel.h"
@@ -284,6 +285,11 @@ struct ScenarioJob {
   WorkspaceFactory make_workspace;
   Executor::TrialBody body;
   Executor::ChunkBody chunk_body;  ///< lane-routed jobs: whole-window body
+  /// Lane jobs with a token-sum or deviated-constant closed form: global
+  /// trial 0's general-path result, which supplies the per-shape constants.
+  /// Read once per job by whichever worker gets there first.
+  std::once_flag trial0_once;
+  LaneTrialResult trial0;
 
   /// The transcript slot for global trial `trial`, or nullptr when the
   /// spec does not record.  The slot is cleared for the trial (reused
@@ -492,22 +498,60 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
   }
 }
 
-/// Per-worker lane workspace: one LaneEngine plus the window-shaped seed /
-/// result / transcript-pointer staging vectors, cached under
-/// (kLaneFamily, n) like every other engine workspace and rebuilt only
-/// when the engine shape changes.
+/// Per-worker lane workspace: one lane engine plus the window-shaped
+/// staging vectors, cached under (kLaneFamily or kSyncLaneFamily, n) like
+/// every other engine workspace and rebuilt only when the engine shape
+/// changes.
+template <typename Engine>
 struct LaneWorkspace {
-  std::unique_ptr<LaneEngine> engine;
+  std::unique_ptr<Engine> engine;
+  std::vector<std::size_t> locals;  ///< local trial index of each staged trial
   std::vector<std::uint64_t> seeds;
   std::vector<LaneTrialResult> results;
   std::vector<ExecutionTranscript*> transcripts;
+  ClosedFormScratch scratch;  ///< ring lanes: the chang-roberts closed form
 };
 
-/// The specializer's fast path: the executor hands whole trial windows to
+TrialStats lane_stats(const LaneTrialResult& result) {
+  TrialStats stats;
+  stats.outcome = result.outcome;
+  stats.messages = result.messages;
+  stats.sync_gap = result.max_sync_gap;
+  stats.rounds = static_cast<int>(result.rounds);
+  return stats;
+}
+
+/// Runs the job's local trials ws.locals as one engine window — seeds and
+/// transcript slots staged by global index — and writes their stats.  The
+/// raw results stay in ws.results, parallel to ws.locals.
+template <typename Engine>
+void run_lane_trials(ScenarioJob& job, LaneWorkspace<Engine>& ws) {
+  const std::size_t count = ws.locals.size();
+  ws.seeds.resize(count);
+  ws.results.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    ws.seeds[i] = scenario_trial_seed(job.spec.seed, job.window.first + ws.locals[i]);
+  }
+  std::span<ExecutionTranscript* const> transcripts;
+  if (job.spec.record_transcripts) {
+    ws.transcripts.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ws.transcripts[i] = job.transcript_slot(job.window.first + ws.locals[i]);
+    }
+    transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
+  }
+  ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
+                        std::span<LaneTrialResult>(ws.results), transcripts);
+  for (std::size_t i = 0; i < count; ++i) job.stats[ws.locals[i]] = lane_stats(ws.results[i]);
+}
+
+/// The specializer's lane path: the executor hands whole trial windows to
 /// a batched LaneEngine via the chunk-body seam.  Only reachable for
 /// lane_eligible() specs (route_to_lanes gates it), so the protocol always
 /// has a devirtualized kernel and the profile is honest or one of the
-/// lane-served deviations (basic-single, rushing).
+/// lane-served deviations (basic-single, rushing).  A spec with a closed
+/// form (api/specialize.h) serves its unaudited trials from it and runs
+/// only the audited ones.
 void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
@@ -518,13 +562,13 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
   // One representative instance resolves the display name and the step
   // limit; the kernels' honest message bounds depend only on n, so the
   // limit is uniform across the window's trials.
-  std::uint64_t step_limit = 0;
-  LaneDeviationSpec deviation;
+  LaneEngineOptions options;
+  options.scheduler_kind = spec.scheduler;
   {
     const std::shared_ptr<const RingProtocol> named =
         protocol_entry->make_ring(spec, spec.seed);
     job.result.protocol_name = named->name();
-    step_limit = scenario_ring_step_limit(spec, *named);
+    options.step_limit = scenario_ring_step_limit(spec, *named);
     if (deviation_entry) {
       // Build the scalar deviation once: its factory runs exactly the
       // validation the scalar path would (coalition preconditions, honest
@@ -533,63 +577,63 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
       const std::shared_ptr<const Deviation> scalar =
           deviation_entry->make_ring(*named, spec);
       job.result.deviation_name = scalar->name();
-      deviation.id = *lane_deviation_id(spec.deviation);
-      deviation.members = scalar->coalition().members();
-      deviation.segment_lengths = scalar->coalition().segment_lengths();
-      deviation.target = spec.target;
+      options.deviation.id = *lane_deviation_id(spec.deviation);
+      options.deviation.members = scalar->coalition().members();
+      options.deviation.segment_lengths = scalar->coalition().segment_lengths();
+      options.deviation.target = spec.target;
     }
   }
+  const ClosedFormKind closed = closed_form_kind(spec, options.step_limit);
+  const bool needs_trial0 =
+      closed == ClosedFormKind::kTokenSum || closed == ClosedFormKind::kDeviatedConstant;
 
   ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, step_limit, deviation](std::size_t begin, std::size_t end,
-                                                      void* raw) {
+  job.chunk_body = [j, kernel, options, closed, needs_trial0](std::size_t begin, std::size_t end,
+                                                              void* raw) {
     const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<LaneWorkspace*>(raw);
+    auto& ws = *static_cast<LaneWorkspace<LaneEngine>*>(raw);
     if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
-        ws.engine->step_limit() != step_limit ||
-        ws.engine->scheduler_kind() != spec.scheduler ||
-        !(ws.engine->deviation() == deviation)) {
-      LaneEngineOptions options;
-      options.step_limit = step_limit;
-      options.scheduler_kind = spec.scheduler;
-      options.deviation = deviation;
+        ws.engine->step_limit() != options.step_limit ||
+        ws.engine->scheduler_kind() != options.scheduler_kind ||
+        !(ws.engine->deviation() == options.deviation)) {
       ws.engine = std::make_unique<LaneEngine>(spec.n, kernel, options);
     }
-    const std::size_t count = end - begin;
-    ws.seeds.resize(count);
-    ws.results.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ws.seeds[i] = scenario_trial_seed(spec.seed, j->window.first + begin + i);
+    if (needs_trial0) {
+      // The constants come from one general run per job, which is also
+      // trial 0's audit and, inside the window, its reported result.
+      std::call_once(j->trial0_once, [&] {
+        const std::uint64_t seed = scenario_trial_seed(spec.seed, 0);
+        ws.engine->run_window(std::span<const std::uint64_t>(&seed, 1),
+                              std::span<LaneTrialResult>(&j->trial0, 1));
+        audit_closed_form(spec, 0, closed_form_result(closed, spec, 0, j->trial0, ws.scratch),
+                          j->trial0);
+      });
     }
-    std::span<ExecutionTranscript* const> transcripts;
-    if (spec.record_transcripts) {
-      ws.transcripts.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        ws.transcripts[i] = j->transcript_slot(j->window.first + begin + i);
+    ws.locals.clear();
+    for (std::size_t local = begin; local < end; ++local) {
+      const std::size_t trial = j->window.first + local;
+      if (closed == ClosedFormKind::kNone) {
+        ws.locals.push_back(local);
+      } else if (needs_trial0 && trial == 0) {
+        j->stats[local] = lane_stats(j->trial0);
+      } else if (closed_form_audited(spec.seed, trial)) {
+        ws.locals.push_back(local);
+      } else {
+        j->stats[local] =
+            lane_stats(closed_form_result(closed, spec, trial, j->trial0, ws.scratch));
       }
-      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
     }
-    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
-                          std::span<LaneTrialResult>(ws.results), transcripts);
-    for (std::size_t i = 0; i < count; ++i) {
-      TrialStats stats;
-      stats.outcome = ws.results[i].outcome;
-      stats.messages = ws.results[i].messages;
-      stats.sync_gap = ws.results[i].max_sync_gap;
-      j->stats[begin + i] = stats;
+    run_lane_trials(*j, ws);
+    if (closed == ClosedFormKind::kNone) return;
+    for (std::size_t i = 0; i < ws.locals.size(); ++i) {
+      const std::size_t trial = j->window.first + ws.locals[i];
+      audit_closed_form(spec, trial, closed_form_result(closed, spec, trial, j->trial0, ws.scratch),
+                        ws.results[i]);
     }
   };
   job.workspace_key = WorkspaceKey{kLaneFamily, spec.n};
-  job.make_workspace = workspace_factory<LaneWorkspace>();
+  job.make_workspace = workspace_factory<LaneWorkspace<LaneEngine>>();
 }
-
-/// Per-worker sync lane workspace, cached under (kSyncLaneFamily, n).
-struct SyncLaneWorkspace {
-  std::unique_ptr<SyncLaneEngine> engine;
-  std::vector<std::uint64_t> seeds;
-  std::vector<LaneTrialResult> results;
-  std::vector<ExecutionTranscript*> transcripts;
-};
 
 /// Sync-runtime counterpart of fill_lane_job: whole trial windows on a
 /// batched SyncLaneEngine.  Only reachable for lane_eligible() sync specs
@@ -618,39 +662,19 @@ void fill_sync_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry) {
   ScenarioJob* j = &job;
   job.chunk_body = [j, kernel, round_limit](std::size_t begin, std::size_t end, void* raw) {
     const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<SyncLaneWorkspace*>(raw);
+    auto& ws = *static_cast<LaneWorkspace<SyncLaneEngine>*>(raw);
     if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
         ws.engine->round_limit() != round_limit) {
       SyncLaneEngineOptions options;
       options.round_limit = round_limit;
       ws.engine = std::make_unique<SyncLaneEngine>(spec.n, kernel, options);
     }
-    const std::size_t count = end - begin;
-    ws.seeds.resize(count);
-    ws.results.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ws.seeds[i] = scenario_trial_seed(spec.seed, j->window.first + begin + i);
-    }
-    std::span<ExecutionTranscript* const> transcripts;
-    if (spec.record_transcripts) {
-      ws.transcripts.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        ws.transcripts[i] = j->transcript_slot(j->window.first + begin + i);
-      }
-      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
-    }
-    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
-                          std::span<LaneTrialResult>(ws.results), transcripts);
-    for (std::size_t i = 0; i < count; ++i) {
-      TrialStats stats;
-      stats.outcome = ws.results[i].outcome;
-      stats.messages = ws.results[i].messages;
-      stats.rounds = static_cast<int>(ws.results[i].rounds);
-      j->stats[begin + i] = stats;
-    }
+    ws.locals.clear();
+    for (std::size_t local = begin; local < end; ++local) ws.locals.push_back(local);
+    run_lane_trials(*j, ws);
   };
   job.workspace_key = WorkspaceKey{kSyncLaneFamily, spec.n};
-  job.make_workspace = workspace_factory<SyncLaneWorkspace>();
+  job.make_workspace = workspace_factory<LaneWorkspace<SyncLaneEngine>>();
 }
 
 void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,

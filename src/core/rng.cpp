@@ -1,5 +1,8 @@
 #include "core/rng.h"
 
+#include <algorithm>
+#include <numeric>
+
 namespace fle {
 
 namespace {
@@ -37,6 +40,12 @@ std::uint64_t Xoshiro256::below(std::uint64_t bound) {
 
 double Xoshiro256::uniform01() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+void shuffled_ids(std::span<Value> ids, std::uint64_t seed) {
+  std::iota(ids.begin(), ids.end(), Value{0});
+  Xoshiro256 rng(seed);
+  std::shuffle(ids.begin(), ids.end(), rng);
 }
 
 }  // namespace fle

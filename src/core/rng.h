@@ -7,6 +7,7 @@
 // is replayable bit-for-bit.
 
 #include <cstdint>
+#include <span>
 
 #include "core/types.h"
 
@@ -67,5 +68,12 @@ class RandomTape {
  private:
   Xoshiro256 rng_;
 };
+
+/// Fills `ids` with a uniformly shuffled permutation of 0..ids.size()-1
+/// drawn from Xoshiro256(seed): the per-trial logical-id table of the
+/// comparison-based protocols.  ChangRobertsProtocol::random, its lane
+/// kernel and its closed form (and PetersonProtocol::random) all draw
+/// through here, so their tables agree bit for bit.
+void shuffled_ids(std::span<Value> ids, std::uint64_t seed);
 
 }  // namespace fle

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/rng.h"
@@ -66,9 +65,7 @@ ChangRobertsProtocol::ChangRobertsProtocol(std::vector<Value> logical_ids)
 
 ChangRobertsProtocol ChangRobertsProtocol::random(int n, std::uint64_t seed) {
   std::vector<Value> ids(static_cast<std::size_t>(n));
-  std::iota(ids.begin(), ids.end(), Value{0});
-  Xoshiro256 rng(seed);
-  std::shuffle(ids.begin(), ids.end(), rng);
+  shuffled_ids(ids, seed);
   return ChangRobertsProtocol(std::move(ids));
 }
 

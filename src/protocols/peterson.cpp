@@ -1,7 +1,6 @@
 #include "protocols/peterson.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/rng.h"
@@ -81,9 +80,7 @@ PetersonProtocol::PetersonProtocol(std::vector<Value> logical_ids)
 
 PetersonProtocol PetersonProtocol::random(int n, std::uint64_t seed) {
   std::vector<Value> ids(static_cast<std::size_t>(n));
-  std::iota(ids.begin(), ids.end(), Value{0});
-  Xoshiro256 rng(seed);
-  std::shuffle(ids.begin(), ids.end(), rng);
+  shuffled_ids(ids, seed);
   return PetersonProtocol(std::move(ids));
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
@@ -16,18 +15,6 @@ const char* to_string(LaneKernelId kernel) {
       return "chang-roberts";
     case LaneKernelId::kALeadUni:
       return "alead-uni";
-  }
-  return "?";
-}
-
-const char* to_string(LaneDeviationId deviation) {
-  switch (deviation) {
-    case LaneDeviationId::kNone:
-      return "honest";
-    case LaneDeviationId::kBasicSingle:
-      return "basic-single";
-    case LaneDeviationId::kRushing:
-      return "rushing";
   }
   return "?";
 }
@@ -329,43 +316,6 @@ LaneEngine::LaneEngine(int n, LaneKernelId kernel, LaneEngineOptions options)
   // free; lane_send retains the growth fallback for safety.
   sent_freq_.assign(cells + 4, 0);
   cr_ids_.resize(cells);
-  cr_scratch_.resize(cells);
-
-  fast_kind_ = resolve_fast_kind(options.fast_paths);
-  if (fast_kind_ == FastKind::kNone) fast_state_ = FastState::kDisabled;
-}
-
-LaneEngine::FastKind LaneEngine::resolve_fast_kind(bool fast_paths) const {
-  // Every analytic path rides the trial-independent round-robin schedule.
-  if (!fast_paths || scheduler_kind_ != SchedulerKind::kRoundRobin) return FastKind::kNone;
-  switch (deviation_.id) {
-    case LaneDeviationId::kNone:
-      switch (kernel_) {
-        case LaneKernelId::kBasicLead:
-        case LaneKernelId::kALeadUni:
-          return FastKind::kTokenSum;
-        case LaneKernelId::kChangRoberts: {
-          // Unlike the constant-skeleton paths (where the primed trials
-          // prove no trial hits the step limit), chang-roberts deliveries
-          // vary per trial — only serve analytically when the limit
-          // provably cannot bind (total messages <= n^2 + n).
-          const std::uint64_t worst = static_cast<std::uint64_t>(n_) *
-                                          static_cast<std::uint64_t>(n_) +
-                                      static_cast<std::uint64_t>(n_);
-          return step_limit_ >= worst ? FastKind::kChangRoberts : FastKind::kNone;
-        }
-      }
-      return FastKind::kNone;
-    case LaneDeviationId::kBasicSingle:
-      // The designed pairing (Claim B.1 forces elected(target) w.p. 1 and
-      // the count-driven flow makes messages/gap constants).  On any other
-      // kernel the honest validation branch is data-dependent.
-      return kernel_ == LaneKernelId::kBasicLead ? FastKind::kDeviatedConstant : FastKind::kNone;
-    case LaneDeviationId::kRushing:
-      // Lemma 4.1's pairing, same reasoning.
-      return kernel_ == LaneKernelId::kALeadUni ? FastKind::kDeviatedConstant : FastKind::kNone;
-  }
-  return FastKind::kNone;
 }
 
 Value LaneEngine::tape_uniform(std::uint64_t seed, ProcessorId p, Value bound) const {
@@ -532,12 +482,8 @@ void LaneEngine::start_trial(std::uint64_t seed, ExecutionTranscript* transcript
     sent_[i] = 0;
   }
 
-  if constexpr (Kernel::kNeedsIds) {
-    // Per-trial logical ids, bit-identical to ChangRobertsProtocol::random.
-    std::iota(cr_ids_.begin(), cr_ids_.end(), Value{0});
-    Xoshiro256 rng(seed);
-    std::shuffle(cr_ids_.begin(), cr_ids_.end(), rng);
-  }
+  // Per-trial logical ids, the same draw as ChangRobertsProtocol::random.
+  if constexpr (Kernel::kNeedsIds) shuffled_ids(cr_ids_, seed);
 
   // Wake-up phase, in processor order like the scalar run().  Coalition
   // members stay silent (their on_init is a no-op in both attacks — no
@@ -555,12 +501,6 @@ void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneT
                            std::span<ExecutionTranscript* const> transcripts) {
   const std::uint64_t limit = step_limit_;
   for (std::size_t t = 0; t < seeds.size(); ++t) {
-    // Transcript-recording windows never serve analytically (they need the
-    // real event stream; they still feed priming observations).
-    if (!kTranscribe && fast_state_ == FastState::kArmed) {
-      out[t] = fast_result(seeds[t]);
-      continue;
-    }
     TrialHot hot;
     start_trial<Kernel, Dev>(seeds[t], kTranscribe ? transcripts[t] : nullptr, hot);
     const SchedulerKind sched = scheduler_kind_;
@@ -609,7 +549,6 @@ void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneT
       Kernel::receive(*this, hot, p, v);
     }
     out[t] = retire(hot, step_limit_hit);
-    if (fast_kind_ != FastKind::kNone) observe_fast_trial(seeds[t], out[t]);
   }
 }
 
@@ -638,121 +577,6 @@ LaneTrialResult LaneEngine::retire(const TrialHot& hot, bool step_limit_hit) con
   }
   result.outcome = (failed || !agreed) ? Outcome::fail() : Outcome::elected(*agreed);
   return result;
-}
-
-Value LaneEngine::token_sum_prediction(std::uint64_t seed) const {
-  // Every processor contributes exactly its wake-up draw (basic-lead's d_,
-  // alead-uni's d_), and the honest run elects the mod-n sum of all n.
-  const Value n = static_cast<Value>(n_);
-  Value sum = 0;
-  for (ProcessorId p = 0; p < n_; ++p) {
-    sum += tape_uniform(seed, p, n);
-    if (sum >= n) sum -= n;
-  }
-  return sum;
-}
-
-LaneTrialResult LaneEngine::chang_roberts_prediction(std::uint64_t seed) {
-  // The honest chang-roberts trial under round-robin is a pure function of
-  // the per-trial id permutation: the owner of the maximum id wins; every
-  // other candidate is forwarded by the run of cyclic successors holding
-  // smaller ids (stopping unsent at the first larger one); the announce
-  // circulates once.  Per-processor send counts are 2 (wake-up + announce
-  // contribution) plus the tokens it forwards, and the sync-gap histogram
-  // trace collapses to max(sends) - min(sends).  Validated against the
-  // general machinery by the priming trials below and the differential
-  // grids.
-  std::iota(cr_scratch_.begin(), cr_scratch_.end(), Value{0});
-  Xoshiro256 rng(seed);
-  std::shuffle(cr_scratch_.begin(), cr_scratch_.end(), rng);
-
-  ProcessorId p_max = 0;
-  for (ProcessorId p = 1; p < n_; ++p) {
-    if (cr_scratch_[static_cast<std::size_t>(p)] > cr_scratch_[static_cast<std::size_t>(p_max)]) {
-      p_max = p;
-    }
-  }
-  cr_sends_.assign(static_cast<std::size_t>(n_), 2);
-  std::uint64_t forwards = 0;
-  for (ProcessorId q = 0; q < n_; ++q) {
-    const Value candidate = cr_scratch_[static_cast<std::size_t>(q)];
-    for (int d = 1; d < n_; ++d) {
-      const ProcessorId r = (q + d) % n_;
-      if (cr_scratch_[static_cast<std::size_t>(r)] > candidate) break;
-      ++cr_sends_[static_cast<std::size_t>(r)];
-      ++forwards;
-    }
-  }
-  const auto [min_it, max_it] = std::minmax_element(cr_sends_.begin(), cr_sends_.end());
-
-  LaneTrialResult result;
-  result.outcome = Outcome::elected(static_cast<Value>(p_max));
-  result.messages = 2 * static_cast<std::uint64_t>(n_) + forwards;
-  result.max_sync_gap = *max_it - *min_it;
-  return result;
-}
-
-LaneTrialResult LaneEngine::fast_result(std::uint64_t seed) {
-  LaneTrialResult result;
-  switch (fast_kind_) {
-    case FastKind::kTokenSum:
-      result.outcome = Outcome::elected(token_sum_prediction(seed));
-      result.messages = fast_messages_;
-      result.max_sync_gap = fast_max_sync_gap_;
-      return result;
-    case FastKind::kDeviatedConstant:
-      result.outcome = Outcome::elected(dev_target_);
-      result.messages = fast_messages_;
-      result.max_sync_gap = fast_max_sync_gap_;
-      return result;
-    case FastKind::kChangRoberts:
-      return chang_roberts_prediction(seed);
-    case FastKind::kNone:
-      break;
-  }
-  return result;
-}
-
-void LaneEngine::observe_fast_trial(std::uint64_t seed, const LaneTrialResult& result) {
-  if (fast_state_ != FastState::kPriming) return;
-  bool match = false;
-  switch (fast_kind_) {
-    case FastKind::kTokenSum:
-    case FastKind::kDeviatedConstant: {
-      const Value predicted = fast_kind_ == FastKind::kTokenSum
-                                  ? token_sum_prediction(seed)
-                                  : dev_target_;
-      match = !result.step_limit_hit && result.outcome.valid() &&
-              result.outcome.leader() == predicted;
-      if (match) {
-        if (fast_verified_ == 0) {
-          fast_messages_ = result.messages;
-          fast_max_sync_gap_ = result.max_sync_gap;
-        } else {
-          // The round-robin skeleton is trial-independent, so the stats
-          // must be constants; any drift means the derivation does not
-          // hold here.
-          match = result.messages == fast_messages_ &&
-                  result.max_sync_gap == fast_max_sync_gap_;
-        }
-      }
-      break;
-    }
-    case FastKind::kChangRoberts: {
-      const LaneTrialResult predicted = chang_roberts_prediction(seed);
-      match = !result.step_limit_hit && result.outcome == predicted.outcome &&
-              result.messages == predicted.messages &&
-              result.max_sync_gap == predicted.max_sync_gap;
-      break;
-    }
-    case FastKind::kNone:
-      return;
-  }
-  if (!match) {
-    fast_state_ = FastState::kDisabled;
-    return;
-  }
-  if (++fast_verified_ >= kFastPrimeTrials) fast_state_ = FastState::kArmed;
 }
 
 template <typename Kernel, typename Dev>

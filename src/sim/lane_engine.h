@@ -20,8 +20,8 @@
 // this->vector->data indirections that rare in-loop grow()/resize() calls
 // stop GCC from hoisting), the O(1) min/max sync-gap histogram, and
 // transcript recording compiled out of the non-recording window
-// instantiation.  Measured on the reference setup this lands the general
-// path (fast paths disabled) at ~2.2x the scalar engine per delivery.
+// instantiation.  Measured on the reference setup this lands the burst
+// loop at ~2.2x the scalar engine per delivery.
 //
 // Bit-identity contract: each trial replicates the scalar RingEngine's
 // per-trial algorithm exactly — same ready-set swap-remove bookkeeping,
@@ -40,25 +40,11 @@
 // prefix sums of l_j — sum l_j = n-k <= n, so one n-wide column covers
 // every placement).
 //
-// Analytic fast paths (self-verifying, round-robin only): some shapes
-// have closed-form trial results, and the engine primes each per
-// instance — the first trials run the full lane machinery and are checked
-// against the prediction; after kFastPrimeTrials consecutive
-// confirmations the remaining trials are served analytically.  One
-// mismatch permanently disables the fast path for the instance, and
-// transcript-recording windows always take the general path, so the
-// bit-identity contract is preserved unconditionally.  The inventory
-// (DESIGN.md §10):
-//  * token-sum (honest basic-lead / alead-uni): data-independent message
-//    flow, constant messages/gap, leader = mod-n sum of the n tape draws.
-//  * deviated-constant (basic-single on basic-lead, rushing on
-//    alead-uni — the designed pairings whose theorems force the outcome):
-//    count-driven message flow, constant messages/gap, leader = target
-//    w.p. 1 (Claim B.1, Lemma 4.1).  Mismatched kernel/deviation pairings
-//    have data-dependent validation outcomes and always run generally.
-//  * chang-roberts (honest): per-trial closed form over the id
-//    permutation — leader = owner of the max id, messages = n + forwards
-//    + n, max sync gap from the per-processor forward counts.
+// The engine has one path: every trial it is handed runs the burst loop.
+// Shapes whose trial results the paper states outright (honest token-sum,
+// the two forcing attacks, chang-roberts under round-robin) are served
+// above it by the closed-form layer in api/specialize.h, which runs its
+// audited trials through this engine and compares.
 
 #include <cstdint>
 #include <span>
@@ -82,8 +68,6 @@ const char* to_string(LaneKernelId kernel);
 /// The built-in deviations with lane kernels (kNone = honest profile).
 enum class LaneDeviationId { kNone, kBasicSingle, kRushing };
 
-const char* to_string(LaneDeviationId deviation);
-
 /// A resolved deviated profile: which ring positions deviate and with what
 /// parameters.  Built by the Scenario API from the spec's Coalition (the
 /// lane engine never re-derives placements — it consumes the same members
@@ -106,10 +90,6 @@ struct LaneEngineOptions {
   SchedulerKind scheduler_kind = SchedulerKind::kRoundRobin;
   /// Deviated profile to run (kNone = honest).
   LaneDeviationSpec deviation;
-  /// Allows the self-verifying analytic fast paths.  Disabled, every trial
-  /// runs the general lane machinery — the knob BM_LaneEngineRingGeneral
-  /// uses to measure the general path honestly.
-  bool fast_paths = true;
 };
 
 /// What one trial leaves behind (mirrors the scalar engine's outcome +
@@ -191,13 +171,6 @@ class LaneEngine {
     RingBufferColumn<Value>::View ibx;      ///< inbox cursors (see inbox.h)
   };
 
-  /// Which analytic fast path this instance may use (resolved once at
-  /// construction from kernel, deviation, scheduler and the fast_paths
-  /// knob) and its priming lifecycle (see the header comment).
-  enum class FastKind { kNone, kTokenSum, kDeviatedConstant, kChangRoberts };
-  enum class FastState { kPriming, kArmed, kDisabled };
-  static constexpr int kFastPrimeTrials = 4;
-
   template <typename Kernel, typename Dev>
   void run_window_impl(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
                        std::span<ExecutionTranscript* const> transcripts);
@@ -206,9 +179,14 @@ class LaneEngine {
   /// compiles the per-delivery transcript hook (and the absolute delivery
   /// counter feeding it) in or out; the non-recording instantiation is the
   /// benchmarked hot path and uses a plain step-budget countdown.
+  /// noinline: left to itself GCC 12 inlines every instantiation into
+  /// run_window, and that layout cost ~10% more perfbench lane-ring cpu_s
+  /// (10 alternating pairs, Release, 4-vCPU host); out of line, the loop
+  /// keeps its measured codegen.
   template <typename Kernel, typename Dev, bool kTranscribe>
-  void run_batch(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
-                 std::span<ExecutionTranscript* const> transcripts);
+  [[gnu::noinline]] void run_batch(std::span<const std::uint64_t> seeds,
+                                   std::span<LaneTrialResult> out,
+                                   std::span<ExecutionTranscript* const> transcripts);
   template <typename Kernel, typename Dev>
   void start_trial(std::uint64_t seed, ExecutionTranscript* transcript, TrialHot& hot);
   template <typename Kernel>
@@ -237,17 +215,6 @@ class LaneEngine {
   /// The finished trial's result, read off the output and send columns.
   [[nodiscard]] LaneTrialResult retire(const TrialHot& hot, bool step_limit_hit) const;
   [[nodiscard]] Value tape_uniform(std::uint64_t seed, ProcessorId p, Value bound) const;
-
-  [[nodiscard]] FastKind resolve_fast_kind(bool fast_paths) const;
-  /// The closed-form token-sum leader: mod-n sum of the trial's n draws.
-  [[nodiscard]] Value token_sum_prediction(std::uint64_t seed) const;
-  /// Chang-roberts honest closed form over the trial's id permutation.
-  [[nodiscard]] LaneTrialResult chang_roberts_prediction(std::uint64_t seed);
-  /// The analytic result an armed fast path serves for this seed.
-  [[nodiscard]] LaneTrialResult fast_result(std::uint64_t seed);
-  /// Checks one generally-executed trial against the prediction and
-  /// advances the priming state machine (arm / disable).
-  void observe_fast_trial(std::uint64_t seed, const LaneTrialResult& result);
 
   int n_;
   LaneKernelId kernel_;
@@ -298,14 +265,6 @@ class LaneEngine {
 
   /// Chang-roberts per-trial logical ids, indexed by processor.
   std::vector<Value> cr_ids_;
-  std::vector<Value> cr_scratch_;  ///< closed-form prediction id scratch
-  std::vector<std::uint64_t> cr_sends_;  ///< closed-form per-processor send counts
-
-  FastKind fast_kind_ = FastKind::kNone;
-  FastState fast_state_ = FastState::kPriming;
-  int fast_verified_ = 0;
-  std::uint64_t fast_messages_ = 0;
-  std::uint64_t fast_max_sync_gap_ = 0;
 };
 
 }  // namespace fle

@@ -319,31 +319,46 @@ CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
   ScenarioSpec laned = spec;
   laned.engine = EngineKind::kLanes;
 
+  // A transcribing run never takes a closed form (api/specialize.h), so a
+  // second lanes run without transcripts is what checks the served trials.
+  ScenarioSpec served = laned;
+  served.record_transcripts = false;
+
   const std::string subject = check_subject(spec);
-  const std::string labels = "scalar vs lanes(threads=" + std::to_string(threads) + ")";
+  const std::string workers = "(threads=" + std::to_string(threads) + ")";
+  const std::string labels = "scalar vs lanes" + workers;
   const ScenarioResult rs = run_scenario(scalar);
   const ScenarioResult rl = run_scenario(laned);
-
-  const CheckResult outcomes =
-      compare_per_trial("lane-differential", subject, rs.per_trial, rl.per_trial, labels);
-  if (!outcomes.passed) return outcomes;
+  const ScenarioResult rv = run_scenario(served);
 
   // Aggregates must match exactly, not just the winning outcomes: the lane
   // engine claims the same executions, so the same messages and sync gaps.
-  const auto aggregate = [&](const char* name, std::uint64_t a,
-                             std::uint64_t b) -> std::string {
-    if (a == b) return {};
-    return labels + ": " + name + " differs (" + std::to_string(a) + " vs " +
-           std::to_string(b) + ")";
+  const auto same_results = [&](const ScenarioResult& other,
+                                const std::string& label) -> CheckResult {
+    const CheckResult outcomes =
+        compare_per_trial("lane-differential", subject, rs.per_trial, other.per_trial, label);
+    if (!outcomes.passed) return outcomes;
+    const auto aggregate = [&](const char* name, std::uint64_t a,
+                               std::uint64_t b) -> std::string {
+      if (a == b) return {};
+      return label + ": " + name + " differs (" + std::to_string(a) + " vs " +
+             std::to_string(b) + ")";
+    };
+    for (const std::string& mismatch :
+         {aggregate("total_messages", rs.total_messages, other.total_messages),
+          aggregate("max_messages", rs.max_messages, other.max_messages),
+          aggregate("total_sync_gap", rs.total_sync_gap, other.total_sync_gap),
+          aggregate("max_sync_gap", rs.max_sync_gap, other.max_sync_gap),
+          aggregate("max_rounds", static_cast<std::uint64_t>(rs.max_rounds),
+                    static_cast<std::uint64_t>(other.max_rounds))}) {
+      if (!mismatch.empty()) return CheckResult::fail("lane-differential", subject, mismatch);
+    }
+    return outcomes;
   };
-  for (const std::string& mismatch :
-       {aggregate("total_messages", rs.total_messages, rl.total_messages),
-        aggregate("max_messages", rs.max_messages, rl.max_messages),
-        aggregate("total_sync_gap", rs.total_sync_gap, rl.total_sync_gap),
-        aggregate("max_sync_gap", rs.max_sync_gap, rl.max_sync_gap),
-        aggregate("max_rounds", static_cast<std::uint64_t>(rs.max_rounds),
-                  static_cast<std::uint64_t>(rl.max_rounds))}) {
-    if (!mismatch.empty()) return CheckResult::fail("lane-differential", subject, mismatch);
+  if (CheckResult result = same_results(rl, labels); !result.passed) return result;
+  if (CheckResult result = same_results(rv, "scalar vs lanes without transcripts" + workers);
+      !result.passed) {
+    return result;
   }
 
   if (rs.per_trial_transcript.size() != rl.per_trial_transcript.size()) {
@@ -365,7 +380,8 @@ CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
   }
   return CheckResult::pass("lane-differential", subject,
                            labels + ": " + std::to_string(rs.trials) +
-                               " trials bit-identical (outcomes, aggregates, transcripts)");
+                               " trials bit-identical (outcomes, aggregates, transcripts; "
+                               "outcomes and aggregates without transcripts too)");
 }
 
 CheckResult check_differential_distribution(const ScenarioSpec& a, const ScenarioSpec& b) {

@@ -391,7 +391,9 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
   // Lane differential: every accepted lane-eligible spec — honest or
   // deviated (basic-single, rushing) ring, honest sync — must produce the
   // same executions on the batched lane engines as on the scalar runtimes
-  // — per-trial outcomes, aggregates, and transcript digests.
+  // — per-trial outcomes, aggregates, and transcript digests.  A second
+  // lanes run without transcripts checks the closed-form trials, which a
+  // transcribing run never serves.
   if (lane_eligible(spec)) {
     ScenarioSpec scalar = spec;
     scalar.engine = EngineKind::kScalar;
@@ -399,16 +401,24 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
     scalar.record_transcripts = true;
     ScenarioSpec laned = scalar;
     laned.engine = EngineKind::kLanes;
+    ScenarioSpec served = laned;
+    served.record_transcripts = false;
     try {
       const ScenarioResult rs = run_scenario(scalar);
       const ScenarioResult rl = run_scenario(laned);
-      if (rs.per_trial != rl.per_trial) {
-        return "lane engine per-trial outcomes diverge from the scalar engine";
-      }
-      if (rs.total_messages != rl.total_messages || rs.max_messages != rl.max_messages ||
-          rs.total_sync_gap != rl.total_sync_gap || rs.max_sync_gap != rl.max_sync_gap ||
-          rs.max_rounds != rl.max_rounds) {
-        return "lane engine aggregates diverge from the scalar engine";
+      const ScenarioResult rv = run_scenario(served);
+      for (const ScenarioResult* other : {&rl, &rv}) {
+        const char* run = other == &rl ? "" : " without transcripts";
+        if (rs.per_trial != other->per_trial) {
+          return std::string("lane engine") + run +
+                 ": per-trial outcomes diverge from the scalar engine";
+        }
+        if (rs.total_messages != other->total_messages ||
+            rs.max_messages != other->max_messages ||
+            rs.total_sync_gap != other->total_sync_gap ||
+            rs.max_sync_gap != other->max_sync_gap || rs.max_rounds != other->max_rounds) {
+          return std::string("lane engine") + run + ": aggregates diverge from the scalar engine";
+        }
       }
       if (rs.per_trial_transcript.size() != rl.per_trial_transcript.size()) {
         return "lane engine transcript count diverges from the scalar engine";

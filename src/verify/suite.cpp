@@ -557,45 +557,53 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
   {
     // The lane-engine gate (DESIGN.md §10): every lane kernel, on 1/4/8
     // workers, must be bit-identical to the scalar engine — outcomes,
-    // aggregates, and transcripts.
+    // aggregates, and transcripts.  The random scheduler exercises the
+    // per-trial reseed; round-robin reaches the closed forms.
     constexpr int kLaneWorkers[] = {1, 4, 8};
+    constexpr SchedulerKind kLaneSchedulers[] = {SchedulerKind::kRandom,
+                                                 SchedulerKind::kRoundRobin};
     const char* kernels[] = {"basic-lead", "chang-roberts", "alead-uni"};
-    for (const char* protocol : kernels) {
-      for (const int threads : kLaneWorkers) {
-        ScenarioSpec spec;
-        spec.protocol = protocol;
-        spec.n = 12;
-        spec.trials = options.exact_trials;
-        spec.seed = options.seed + 47;
-        spec.scheduler = SchedulerKind::kRandom;  // exercises scheduler reseed
-        cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+    for (const SchedulerKind scheduler : kLaneSchedulers) {
+      for (const char* protocol : kernels) {
+        for (const int threads : kLaneWorkers) {
+          ScenarioSpec spec;
+          spec.protocol = protocol;
+          spec.n = 12;
+          spec.trials = options.exact_trials;
+          spec.seed = options.seed + 47;
+          spec.scheduler = scheduler;
+          cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+        }
       }
     }
     // The deviated lane kernels gate the same way: the Claim B.1 lone
     // adversary on BASIC-LEAD and the Lemma 4.1 rushing coalition on
     // A-LEADuni (equally spaced so every l_j <= k-1 holds).
-    for (const int threads : kLaneWorkers) {
-      ScenarioSpec single;
-      single.protocol = "basic-lead";
-      single.deviation = "basic-single";
-      single.target = 5;
-      single.n = 12;
-      single.trials = options.exact_trials;
-      single.seed = options.seed + 47;
-      single.scheduler = SchedulerKind::kRandom;
-      cases.emplace_back([single, threads] { return check_lane_differential(single, threads); });
+    for (const SchedulerKind scheduler : kLaneSchedulers) {
+      for (const int threads : kLaneWorkers) {
+        ScenarioSpec single;
+        single.protocol = "basic-lead";
+        single.deviation = "basic-single";
+        single.target = 5;
+        single.n = 12;
+        single.trials = options.exact_trials;
+        single.seed = options.seed + 47;
+        single.scheduler = scheduler;
+        cases.emplace_back(
+            [single, threads] { return check_lane_differential(single, threads); });
 
-      ScenarioSpec rushing;
-      rushing.protocol = "alead-uni";
-      rushing.deviation = "rushing";
-      rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
-      rushing.target = 7;
-      rushing.n = 12;
-      rushing.trials = options.exact_trials;
-      rushing.seed = options.seed + 47;
-      rushing.scheduler = SchedulerKind::kRandom;
-      cases.emplace_back(
-          [rushing, threads] { return check_lane_differential(rushing, threads); });
+        ScenarioSpec rushing;
+        rushing.protocol = "alead-uni";
+        rushing.deviation = "rushing";
+        rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
+        rushing.target = 7;
+        rushing.n = 12;
+        rushing.trials = options.exact_trials;
+        rushing.seed = options.seed + 47;
+        rushing.scheduler = scheduler;
+        cases.emplace_back(
+            [rushing, threads] { return check_lane_differential(rushing, threads); });
+      }
     }
     // And the sync-runtime lanes: both sync kernels against the scalar
     // SyncEngine's round loop (rounds, messages, phase/delivery/decision

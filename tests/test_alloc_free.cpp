@@ -1,7 +1,7 @@
 // Acceptance check for the zero-allocation execution model (DESIGN.md §4):
 // once a reusable workspace is warm, a steady-state trial on the ring path
-// — engine reset, arena rewind, strategy emplacement, full execution —
-// performs zero heap allocations.  Verified with a counting global
+// — engine reset, arena rewind, strategy emplacement, full execution — and
+// a trial served by the closed-form layer perform zero heap allocations.  Verified with a counting global
 // operator new installed for this test binary only.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "api/specialize.h"
 #include "attacks/basic_single.h"
 #include "attacks/deviation.h"
 #include "attacks/tamper.h"
@@ -266,8 +267,10 @@ TEST(ZeroAllocation, ReusedSyncTrialSubstrateIsAllocationFree) {
 
 TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
   // The batched lane path (DESIGN.md §10) shares the zero-allocation
-  // contract: once the SoA columns and control state are warm, a whole
-  // trial window — trial starts, retirements and all — allocates nothing.
+  // contract: every trial runs the burst loop over the ring-buffer inbox
+  // column, and once the first window establishes the column's high-water
+  // capacity, a whole window — trial starts, retirements and all —
+  // allocates nothing.
   const int n = 32;
   for (const LaneKernelId kernel :
        {LaneKernelId::kBasicLead, LaneKernelId::kChangRoberts, LaneKernelId::kALeadUni}) {
@@ -275,7 +278,7 @@ TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
     std::vector<std::uint64_t> seeds(24);
     std::vector<LaneTrialResult> results(24);
     for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 1000 + i;
-    engine.run_window(seeds, results);  // warm-up sizes every vector
+    engine.run_window(seeds, results);  // warm-up sizes column + vectors
 
     const std::uint64_t before = allocations();
     engine.run_window(seeds, results);
@@ -286,28 +289,30 @@ TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
   }
 }
 
-TEST(ZeroAllocation, LaneEngineGeneralPathWindowIsAllocationFree) {
-  // With the analytic fast paths off, every trial runs the general burst
-  // loop over the ring-buffer inbox column; after the first window
-  // establishes the column's high-water capacity, pushes and pops never
-  // touch the allocator.
-  const int n = 32;
-  LaneEngineOptions options;
-  options.fast_paths = false;
-  for (const LaneKernelId kernel :
-       {LaneKernelId::kBasicLead, LaneKernelId::kChangRoberts, LaneKernelId::kALeadUni}) {
-    LaneEngine engine(n, kernel, options);
-    std::vector<std::uint64_t> seeds(24);
-    std::vector<LaneTrialResult> results(24);
-    for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 2000 + i;
-    engine.run_window(seeds, results);  // warm-up sizes column + vectors
+TEST(ZeroAllocation, ClosedFormServingIsAllocationFree) {
+  // Serving a trial from the closed-form layer (api/specialize.h) touches
+  // only the worker's warm scratch: the token-sum draws live on the stack,
+  // and chang-roberts reuses its id permutation and send-count vectors.
+  for (const char* protocol : {"basic-lead", "chang-roberts"}) {
+    ScenarioSpec spec;
+    spec.protocol = protocol;
+    spec.n = 32;
+    spec.seed = 5150;
+    const ClosedFormKind kind = closed_form_kind(spec, /*step_limit=*/4096);
+    ASSERT_NE(kind, ClosedFormKind::kNone) << protocol;
+    LaneTrialResult trial0;
+    trial0.messages = 1024;
+    ClosedFormScratch scratch;
+    ASSERT_TRUE(closed_form_result(kind, spec, 0, trial0, scratch).outcome.valid());  // warm-up
 
+    std::uint64_t leaders = 0;
     const std::uint64_t before = allocations();
-    engine.run_window(seeds, results);
-    const std::uint64_t after = allocations();
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state general-path lane window allocated (" << to_string(kernel) << ")";
-    for (const LaneTrialResult& r : results) EXPECT_TRUE(r.outcome.valid());
+    for (std::size_t trial = 1; trial <= 64; ++trial) {
+      leaders += closed_form_result(kind, spec, trial, trial0, scratch).outcome.leader();
+    }
+    EXPECT_EQ(allocations() - before, 0u) << "warm closed-form serving allocated (" << protocol
+                                          << ")";
+    EXPECT_GT(leaders, 0u) << protocol;
   }
 }
 
@@ -316,7 +321,6 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
   // padding sends) reuse the same flat storage.
   const int n = 12;
   LaneEngineOptions options;
-  options.fast_paths = false;
   options.deviation.id = LaneDeviationId::kRushing;
   options.deviation.members = {1, 4, 7, 10};
   options.deviation.segment_lengths = {2, 2, 2, 2};
