@@ -44,7 +44,6 @@
 #include "trees/two_party.h"
 
 namespace fle {
-namespace {
 
 PhaseParams phase_params(const ScenarioSpec& spec) {
   PhaseParams params = PhaseParams::defaults(spec.n);
@@ -61,6 +60,8 @@ PhaseParams phase_params(const ScenarioSpec& spec) {
   }
   return params;
 }
+
+namespace {
 
 Coalition require_coalition(const ScenarioSpec& spec, const char* deviation) {
   auto coalition = build_coalition(spec.coalition, spec.n);

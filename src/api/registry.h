@@ -31,6 +31,8 @@
 
 namespace fle {
 
+struct PhaseParams;
+
 struct ProtocolEntry {
   std::string name;     ///< registry key
   std::string summary;  ///< one-line description (paper pointer)
@@ -106,5 +108,10 @@ class DeviationRegistry {
 /// Registers every built-in protocol and deviation.  Idempotent and
 /// thread-safe; invoked automatically by registry lookups and run_scenario.
 void register_builtin_scenarios();
+
+/// The domain parameters the phase-async-lead and phase-sum-lead entries
+/// build from `spec`: PhaseParams::defaults(n), with l = spec.param_l when
+/// it is set.  Throws std::invalid_argument unless 1 <= param_l < n.
+PhaseParams phase_params(const ScenarioSpec& spec);
 
 }  // namespace fle

@@ -284,10 +284,11 @@ struct ScenarioJob {
   WorkspaceKey workspace_key{};
   WorkspaceFactory make_workspace;
   Executor::TrialBody body;
-  Executor::ChunkBody chunk_body;  ///< lane-routed jobs: whole-window body
-  /// Lane jobs with a token-sum or deviated-constant closed form: global
-  /// trial 0's general-path result, which supplies the per-shape constants.
-  /// Read once per job by whichever worker gets there first.
+  Executor::ChunkBody chunk_body;  ///< lane and closed-form jobs: whole-window body
+  /// Jobs whose closed form reads per-shape constants (token-sum,
+  /// deviated-constant, phase-output): global trial 0's general-path
+  /// result, run once per job by whichever worker gets there first and
+  /// read by no served trial before that run has finished.
   std::once_flag trial0_once;
   LaneTrialResult trial0;
 
@@ -376,6 +377,74 @@ void require_n(const ScenarioSpec& spec, int minimum) {
   }
 }
 
+TrialStats lane_stats(const LaneTrialResult& result) {
+  TrialStats stats;
+  stats.outcome = result.outcome;
+  stats.messages = result.messages;
+  stats.sync_gap = result.max_sync_gap;
+  stats.rounds = static_cast<int>(result.rounds);
+  return stats;
+}
+
+/// Per-worker staging of run_trial_chunk: the chunk's general-path trials
+/// (global indices), their results, and the closed forms' scratch.
+struct ChunkStaging {
+  std::vector<std::size_t> general;
+  std::vector<LaneTrialResult> results;
+  ClosedFormScratch scratch;
+};
+
+/// Local trials [begin, end) of `job` through the closed-form layer
+/// (api/specialize.h): the one serve/audit decision of the lane and scalar
+/// ring chunk bodies.  `run_general(trials, results)` runs the given global
+/// trials on the job's general path and writes each one's result.  With no
+/// closed form every trial runs there.  Otherwise a form with per-shape
+/// constants reads them once per job from global trial 0's general run,
+/// which is also trial 0's audit and, inside the window, its result; every
+/// other audited trial runs the general path and must agree with the
+/// closed form; the rest are served from it.
+template <typename RunGeneral>
+void run_trial_chunk(ScenarioJob& job, ClosedFormKind closed, std::size_t begin,
+                     std::size_t end, ChunkStaging& staging, RunGeneral&& run_general) {
+  const ScenarioSpec& spec = job.spec;
+  const bool reads_trial0 =
+      closed != ClosedFormKind::kNone && closed != ClosedFormKind::kChangRoberts;
+  if (reads_trial0) {
+    std::call_once(job.trial0_once, [&] {
+      const std::size_t zero = 0;
+      run_general(std::span<const std::size_t>(&zero, 1),
+                  std::span<LaneTrialResult>(&job.trial0, 1));
+      audit_closed_form(spec, 0, closed_form_result(closed, spec, 0, job.trial0, staging.scratch),
+                        job.trial0);
+    });
+  }
+  staging.general.clear();
+  for (std::size_t local = begin; local < end; ++local) {
+    const std::size_t trial = job.window.first + local;
+    if (closed == ClosedFormKind::kNone) {
+      staging.general.push_back(trial);
+    } else if (reads_trial0 && trial == 0) {
+      job.stats[local] = lane_stats(job.trial0);
+    } else if (closed_form_audited(spec.seed, trial)) {
+      staging.general.push_back(trial);
+    } else {
+      job.stats[local] =
+          lane_stats(closed_form_result(closed, spec, trial, job.trial0, staging.scratch));
+    }
+  }
+  staging.results.resize(staging.general.size());
+  run_general(std::span<const std::size_t>(staging.general),
+              std::span<LaneTrialResult>(staging.results));
+  for (std::size_t i = 0; i < staging.general.size(); ++i) {
+    const std::size_t trial = staging.general[i];
+    job.stats[trial - job.window.first] = lane_stats(staging.results[i]);
+    if (closed == ClosedFormKind::kNone) continue;
+    audit_closed_form(spec, trial,
+                      closed_form_result(closed, spec, trial, job.trial0, staging.scratch),
+                      staging.results[i]);
+  }
+}
+
 /// Per-worker workspace (DESIGN.md §4): one engine + one strategy arena,
 /// cached per executor thread under (family, n) and reused across every
 /// trial — and, since PR 4, across scenarios of the same shape.  The engine
@@ -389,7 +458,9 @@ struct EngineWorkspace {
   std::vector<Strategy*> profile;
 };
 
-using RingWorkspace = EngineWorkspace<RingEngine, RingStrategy>;
+struct RingWorkspace : EngineWorkspace<RingEngine, RingStrategy> {
+  ChunkStaging staging;  ///< closed-form jobs (phase-output)
+};
 using GraphWorkspace = EngineWorkspace<GraphEngine, GraphStrategy>;
 using SyncWorkspace = EngineWorkspace<SyncEngine, SyncStrategy>;
 
@@ -421,7 +492,8 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     }
   }
 
-  // Resolve display names before launching workers.
+  // Resolve display names and the closed form before launching workers.
+  ClosedFormKind closed = ClosedFormKind::kNone;
   {
     const auto named =
         shared_protocol ? shared_protocol : protocol_entry->make_ring(spec, spec.seed);
@@ -431,13 +503,14 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
           shared_deviation ? shared_deviation : deviation_entry->make_ring(*named, spec);
       job.result.deviation_name = dev->name();
     }
+    closed = closed_form_kind(spec, scenario_ring_step_limit(spec, *named));
   }
 
   const bool threaded = spec.topology == TopologyKind::kThreaded;
   ScenarioJob* j = &job;
-  job.body = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation,
-              threaded](std::size_t trial, std::uint64_t trial_seed,
-                        void* raw) -> TrialStats {
+  auto general = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation,
+                  threaded](std::size_t trial, std::uint64_t trial_seed,
+                            void* raw) -> TrialStats {
     const ScenarioSpec& spec = j->spec;
     // Shared instances are read in place; per-trial ones live for the trial.
     std::unique_ptr<RingProtocol> own_protocol;
@@ -492,6 +565,28 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     }
     return stats;
   };
+  if (closed == ClosedFormKind::kNone) {
+    job.body = std::move(general);
+  } else {
+    // Only a ring spec has a closed form, so `general` runs each trial on
+    // the workspace's engine, whose stats give the audit its step-limit hit.
+    job.chunk_body = [j, closed, general](std::size_t begin, std::size_t end, void* raw) {
+      auto& ws = *static_cast<RingWorkspace*>(raw);
+      run_trial_chunk(*j, closed, begin, end, ws.staging,
+                      [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
+                        for (std::size_t i = 0; i < trials.size(); ++i) {
+                          const TrialStats stats = general(
+                              trials[i], scenario_trial_seed(j->spec.seed, trials[i]), raw);
+                          LaneTrialResult result;
+                          result.outcome = stats.outcome;
+                          result.messages = stats.messages;
+                          result.max_sync_gap = stats.sync_gap;
+                          result.step_limit_hit = ws.engine->stats().step_limit_hit;
+                          out[i] = result;
+                        }
+                      });
+    };
+  }
   if (!threaded) {
     job.workspace_key = WorkspaceKey{kRingFamily, spec.n};
     job.make_workspace = workspace_factory<RingWorkspace>();
@@ -505,44 +600,28 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
 template <typename Engine>
 struct LaneWorkspace {
   std::unique_ptr<Engine> engine;
-  std::vector<std::size_t> locals;  ///< local trial index of each staged trial
   std::vector<std::uint64_t> seeds;
-  std::vector<LaneTrialResult> results;
   std::vector<ExecutionTranscript*> transcripts;
-  ClosedFormScratch scratch;  ///< ring lanes: the chang-roberts closed form
+  ChunkStaging staging;
 };
 
-TrialStats lane_stats(const LaneTrialResult& result) {
-  TrialStats stats;
-  stats.outcome = result.outcome;
-  stats.messages = result.messages;
-  stats.sync_gap = result.max_sync_gap;
-  stats.rounds = static_cast<int>(result.rounds);
-  return stats;
-}
-
-/// Runs the job's local trials ws.locals as one engine window — seeds and
-/// transcript slots staged by global index — and writes their stats.  The
-/// raw results stay in ws.results, parallel to ws.locals.
+/// Runs the job's global trials `trials` as one engine window, seeds and
+/// transcript slots staged by global index, into `out`.
 template <typename Engine>
-void run_lane_trials(ScenarioJob& job, LaneWorkspace<Engine>& ws) {
-  const std::size_t count = ws.locals.size();
+void run_lane_window(ScenarioJob& job, LaneWorkspace<Engine>& ws,
+                     std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
+  const std::size_t count = trials.size();
   ws.seeds.resize(count);
-  ws.results.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    ws.seeds[i] = scenario_trial_seed(job.spec.seed, job.window.first + ws.locals[i]);
+    ws.seeds[i] = scenario_trial_seed(job.spec.seed, trials[i]);
   }
   std::span<ExecutionTranscript* const> transcripts;
   if (job.spec.record_transcripts) {
     ws.transcripts.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ws.transcripts[i] = job.transcript_slot(job.window.first + ws.locals[i]);
-    }
+    for (std::size_t i = 0; i < count; ++i) ws.transcripts[i] = job.transcript_slot(trials[i]);
     transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
   }
-  ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
-                        std::span<LaneTrialResult>(ws.results), transcripts);
-  for (std::size_t i = 0; i < count; ++i) job.stats[ws.locals[i]] = lane_stats(ws.results[i]);
+  ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds), out, transcripts);
 }
 
 /// The specializer's lane path: the executor hands whole trial windows to
@@ -584,12 +663,9 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     }
   }
   const ClosedFormKind closed = closed_form_kind(spec, options.step_limit);
-  const bool needs_trial0 =
-      closed == ClosedFormKind::kTokenSum || closed == ClosedFormKind::kDeviatedConstant;
 
   ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, options, closed, needs_trial0](std::size_t begin, std::size_t end,
-                                                              void* raw) {
+  job.chunk_body = [j, kernel, options, closed](std::size_t begin, std::size_t end, void* raw) {
     const ScenarioSpec& spec = j->spec;
     auto& ws = *static_cast<LaneWorkspace<LaneEngine>*>(raw);
     if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
@@ -598,38 +674,10 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
         !(ws.engine->deviation() == options.deviation)) {
       ws.engine = std::make_unique<LaneEngine>(spec.n, kernel, options);
     }
-    if (needs_trial0) {
-      // The constants come from one general run per job, which is also
-      // trial 0's audit and, inside the window, its reported result.
-      std::call_once(j->trial0_once, [&] {
-        const std::uint64_t seed = scenario_trial_seed(spec.seed, 0);
-        ws.engine->run_window(std::span<const std::uint64_t>(&seed, 1),
-                              std::span<LaneTrialResult>(&j->trial0, 1));
-        audit_closed_form(spec, 0, closed_form_result(closed, spec, 0, j->trial0, ws.scratch),
-                          j->trial0);
-      });
-    }
-    ws.locals.clear();
-    for (std::size_t local = begin; local < end; ++local) {
-      const std::size_t trial = j->window.first + local;
-      if (closed == ClosedFormKind::kNone) {
-        ws.locals.push_back(local);
-      } else if (needs_trial0 && trial == 0) {
-        j->stats[local] = lane_stats(j->trial0);
-      } else if (closed_form_audited(spec.seed, trial)) {
-        ws.locals.push_back(local);
-      } else {
-        j->stats[local] =
-            lane_stats(closed_form_result(closed, spec, trial, j->trial0, ws.scratch));
-      }
-    }
-    run_lane_trials(*j, ws);
-    if (closed == ClosedFormKind::kNone) return;
-    for (std::size_t i = 0; i < ws.locals.size(); ++i) {
-      const std::size_t trial = j->window.first + ws.locals[i];
-      audit_closed_form(spec, trial, closed_form_result(closed, spec, trial, j->trial0, ws.scratch),
-                        ws.results[i]);
-    }
+    run_trial_chunk(*j, closed, begin, end, ws.staging,
+                    [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
+                      run_lane_window(*j, ws, trials, out);
+                    });
   };
   job.workspace_key = WorkspaceKey{kLaneFamily, spec.n};
   job.make_workspace = workspace_factory<LaneWorkspace<LaneEngine>>();
@@ -669,9 +717,10 @@ void fill_sync_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry) {
       options.round_limit = round_limit;
       ws.engine = std::make_unique<SyncLaneEngine>(spec.n, kernel, options);
     }
-    ws.locals.clear();
-    for (std::size_t local = begin; local < end; ++local) ws.locals.push_back(local);
-    run_lane_trials(*j, ws);
+    run_trial_chunk(*j, ClosedFormKind::kNone, begin, end, ws.staging,
+                    [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
+                      run_lane_window(*j, ws, trials, out);
+                    });
   };
   job.workspace_key = WorkspaceKey{kSyncLaneFamily, spec.n};
   job.make_workspace = workspace_factory<LaneWorkspace<SyncLaneEngine>>();

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "api/registry.h"
 #include "core/rng.h"
+#include "protocols/phase_async_lead.h"
 
 namespace fle {
 
@@ -75,18 +77,26 @@ bool route_to_lanes(const ScenarioSpec& spec) {
 
 ClosedFormKind closed_form_kind(const ScenarioSpec& spec, std::uint64_t step_limit) {
   // Every closed form rides the trial-independent round-robin schedule, and
-  // a transcribing trial needs the real event stream.  engine=scalar specs
-  // route off lanes here, so the oracle never consults the layer.
+  // a transcribing trial needs the real event stream.  engine=scalar pins
+  // the oracle, which never consults the layer.
   if (spec.topology != TopologyKind::kRing || spec.scheduler != SchedulerKind::kRoundRobin ||
-      spec.record_transcripts || !route_to_lanes(spec)) {
+      spec.record_transcripts || spec.engine == EngineKind::kScalar) {
     return ClosedFormKind::kNone;
   }
   const std::uint64_t n = static_cast<std::uint64_t>(spec.n);
-  const LaneKernelId kernel = *lane_kernel_for(spec.protocol);
+  if (spec.protocol == "phase-async-lead") {
+    // Every processor sends n data and n validation messages.  Under a
+    // deviation the validation branch is data-dependent.
+    return spec.deviation.empty() && step_limit >= 2 * n * n ? ClosedFormKind::kPhaseOutput
+                                                             : ClosedFormKind::kNone;
+  }
+  const std::optional<LaneKernelId> kernel = lane_kernel_for(spec.protocol);
+  const std::optional<LaneDeviationId> deviation = lane_deviation_id(spec.deviation);
+  if (!kernel || !deviation) return ClosedFormKind::kNone;
   ClosedFormKind kind = ClosedFormKind::kNone;
-  switch (*lane_deviation_id(spec.deviation)) {
+  switch (*deviation) {
     case LaneDeviationId::kNone:
-      if (kernel == LaneKernelId::kChangRoberts) {
+      if (*kernel == LaneKernelId::kChangRoberts) {
         // A trial's deliveries depend on its ids, up to n^2 + n in total.
         return step_limit >= n * n + n ? ClosedFormKind::kChangRoberts : ClosedFormKind::kNone;
       }
@@ -96,11 +106,11 @@ ClosedFormKind closed_form_kind(const ScenarioSpec& spec, std::uint64_t step_lim
     // Lemma 4.1).  On any other kernel the honest validation branch is
     // data-dependent.
     case LaneDeviationId::kBasicSingle:
-      if (kernel != LaneKernelId::kBasicLead) return ClosedFormKind::kNone;
+      if (*kernel != LaneKernelId::kBasicLead) return ClosedFormKind::kNone;
       kind = ClosedFormKind::kDeviatedConstant;
       break;
     case LaneDeviationId::kRushing:
-      if (kernel != LaneKernelId::kALeadUni) return ClosedFormKind::kNone;
+      if (*kernel != LaneKernelId::kALeadUni) return ClosedFormKind::kNone;
       kind = ClosedFormKind::kDeviatedConstant;
       break;
   }
@@ -144,6 +154,24 @@ LaneTrialResult chang_roberts_result(int n, std::uint64_t seed, ClosedFormScratc
   return result;
 }
 
+/// Honest PhaseAsyncLead is f(d[0..n-1], v[0..n-l-1]) (§6, App. E), built
+/// from the registry's parameters: processor i's tape draws d_i on wake-up
+/// and v_i in its validator round, and nothing else.
+Value phase_output(const ScenarioSpec& spec, std::uint64_t seed, ClosedFormScratch& scratch) {
+  const PhaseAsyncLeadProtocol protocol(phase_params(spec), spec.protocol_key);
+  const RandomFunction& f = protocol.f();
+  const std::size_t keep = static_cast<std::size_t>(f.validation_inputs());
+  scratch.data.resize(static_cast<std::size_t>(spec.n));
+  scratch.validation.resize(keep);
+  for (ProcessorId p = 0; p < spec.n; ++p) {
+    const std::size_t i = static_cast<std::size_t>(p);
+    RandomTape tape(seed, p);
+    scratch.data[i] = tape.uniform(static_cast<Value>(spec.n));
+    if (i < keep) scratch.validation[i] = tape.uniform(f.m());
+  }
+  return f.evaluate(scratch.data, scratch.validation);
+}
+
 }  // namespace
 
 LaneTrialResult closed_form_result(ClosedFormKind kind, const ScenarioSpec& spec,
@@ -171,6 +199,9 @@ LaneTrialResult closed_form_result(ClosedFormKind kind, const ScenarioSpec& spec
       return result;
     case ClosedFormKind::kChangRoberts:
       return chang_roberts_result(spec.n, seed, scratch);
+    case ClosedFormKind::kPhaseOutput:
+      result.outcome = Outcome::elected(phase_output(spec, seed, scratch));
+      return result;
     case ClosedFormKind::kNone:
       break;
   }

@@ -18,14 +18,18 @@
 // scalar reference engines, and engine=lanes forces lanes (rejecting an
 // ineligible spec).
 //
-// Closed forms.  Lane-routed round-robin shapes whose trial results the
-// paper states outright — token-sum (honest basic-lead, alead-uni: the
-// mod-n sum of the secrets, §3), deviated-constant (basic-single on
-// basic-lead, rushing on alead-uni: the target, Claim B.1 / Lemma 4.1) and
-// honest chang-roberts (the max id's owner) — are served without
-// simulation.  The layer is a function of the spec and the global trial
-// index alone; an audited trial runs the general lane path and must agree
-// field for field or the run throws, and engine=scalar never asks it.
+// Closed forms.  Round-robin ring shapes whose trial results the paper
+// states outright are served without simulation: token-sum (honest
+// basic-lead, alead-uni: the mod-n sum of the secrets, §3),
+// deviated-constant (basic-single on basic-lead, rushing on alead-uni: the
+// target, Claim B.1 / Lemma 4.1), honest chang-roberts (the max id's owner)
+// and phase-output (honest phase-async-lead: f(d, v) over every
+// processor's tape draws, §6).  The first three route to lanes;
+// phase-async-lead has no lane kernel, so engine=auto serves it on the
+// scalar ring path, which asks the layer too.  The layer is a function of
+// the spec and the global trial index alone; an audited trial runs the
+// general path and must agree field for field or the run throws, and an
+// engine=scalar spec never asks it.
 //
 // The decision is invisible in results: the lane engines are gated
 // bit-identical to the scalar runtimes (ScenarioResults and transcript
@@ -70,15 +74,16 @@ bool route_to_lanes(const ScenarioSpec& spec);
 
 /// Which closed form serves a spec's trials (kNone: every trial runs the
 /// general path).
-enum class ClosedFormKind { kNone, kTokenSum, kDeviatedConstant, kChangRoberts };
+enum class ClosedFormKind { kNone, kTokenSum, kDeviatedConstant, kChangRoberts, kPhaseOutput };
 
 /// The closed form for `spec`, whose trials run under the resolved
 /// delivery bound `step_limit` (scenario_ring_step_limit).  Not kNone only
-/// for a lane-routed ring spec under the round-robin scheduler that does
-/// not record transcripts, with a pairing from the header comment, and a
-/// step limit that cannot bind: >= n^2 for token-sum and deviated-constant
-/// (every processor sends exactly n messages), >= n^2 + n for
-/// chang-roberts.
+/// for a ring spec whose engine is not scalar, under the round-robin
+/// scheduler, that does not record transcripts, with a pairing from the
+/// header comment, and a step limit that cannot bind: >= n^2 for
+/// token-sum and deviated-constant (every processor sends exactly n
+/// messages), >= n^2 + n for chang-roberts, >= 2n^2 for phase-output
+/// (every processor sends exactly 2n).
 ClosedFormKind closed_form_kind(const ScenarioSpec& spec, std::uint64_t step_limit);
 
 /// True when global trial `trial` of a scenario with base seed `base_seed`
@@ -86,18 +91,20 @@ ClosedFormKind closed_form_kind(const ScenarioSpec& spec, std::uint64_t step_lim
 /// bucket.
 bool closed_form_audited(std::uint64_t base_seed, std::size_t trial);
 
-/// Per-worker scratch of the chang-roberts closed form: the trial's id
-/// permutation and per-processor send counts.  Once warm, serving a trial
-/// allocates nothing.
+/// Per-worker scratch of the closed forms: chang-roberts' id permutation
+/// and per-processor send counts, phase-output's data and validation
+/// draws.  Once warm, serving a trial allocates nothing.
 struct ClosedFormScratch {
   std::vector<Value> ids;
   std::vector<std::uint64_t> sends;
+  std::vector<Value> data;
+  std::vector<Value> validation;
 };
 
 /// The closed-form result of global trial `trial` of `spec` (kind not
-/// kNone).  Token-sum and deviated-constant report the messages and max
-/// sync gap of `trial0`, global trial 0's general-path result; the other
-/// fields of `trial0` are not read.
+/// kNone).  Token-sum, deviated-constant and phase-output report the
+/// messages and max sync gap of `trial0`, global trial 0's general-path
+/// result; the other fields of `trial0` are not read.
 LaneTrialResult closed_form_result(ClosedFormKind kind, const ScenarioSpec& spec,
                                    std::size_t trial, const LaneTrialResult& trial0,
                                    ClosedFormScratch& scratch);

@@ -123,7 +123,9 @@ int Coalition::min_segment_length() const {
 }
 
 bool Coalition::rushing_precondition_holds() const {
-  if (k() == 0) return false;
+  // A lone member's segment is the n - 1 others, beyond k - 1 = 0;
+  // segment_lengths() reports it as -1 (the distance to itself).
+  if (k() < 2) return false;
   return max_segment_length() <= k() - 1;
 }
 

@@ -62,6 +62,7 @@ class Coalition {
   [[nodiscard]] int min_segment_length() const;
 
   /// Lemma 4.1's precondition: every honest segment has l_j <= k-1.
+  /// False for k < 2: a lone member's one segment holds the n - 1 others.
   [[nodiscard]] bool rushing_precondition_holds() const;
 
   /// Figure 1 rendering: members and segment lengths around the ring.

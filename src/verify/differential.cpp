@@ -306,13 +306,28 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
           std::to_string(redriven) + " codec round-tripped)");
 }
 
+bool served_off_lanes(const ScenarioSpec& spec) {
+  if (spec.topology != TopologyKind::kRing || lane_eligible(spec)) return false;
+  ScenarioSpec served = spec;
+  served.engine = EngineKind::kAuto;
+  served.record_transcripts = false;
+  const ProtocolEntry& entry = ProtocolRegistry::instance().at(spec.protocol);
+  if (!entry.make_ring) return false;
+  const auto protocol = entry.make_ring(served, served.seed);
+  return closed_form_kind(served, scenario_ring_step_limit(served, *protocol)) !=
+         ClosedFormKind::kNone;
+}
+
 CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
-  if (!lane_eligible(spec)) {
-    throw std::invalid_argument("check_lane_differential requires a lane-eligible spec: " +
-                                lane_ineligible_reason(spec));
+  const bool on_lanes = lane_eligible(spec);
+  if (!on_lanes && !served_off_lanes(spec)) {
+    throw std::invalid_argument(
+        "check_lane_differential requires a lane-eligible spec or one the closed-form layer "
+        "serves off the lanes: " +
+        lane_ineligible_reason(spec));
   }
   spec.record_outcomes = true;
-  spec.record_transcripts = true;
+  spec.record_transcripts = on_lanes;
   spec.threads = threads;
   ScenarioSpec scalar = spec;
   scalar.engine = EngineKind::kScalar;
@@ -320,19 +335,19 @@ CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
   laned.engine = EngineKind::kLanes;
 
   // A transcribing run never takes a closed form (api/specialize.h), so a
-  // second lanes run without transcripts is what checks the served trials.
+  // run without transcripts is what checks the served trials: on lanes, or
+  // for a spec with no lane kernel, on engine=auto's scalar ring path.
   ScenarioSpec served = laned;
+  served.engine = on_lanes ? EngineKind::kLanes : EngineKind::kAuto;
   served.record_transcripts = false;
 
   const std::string subject = check_subject(spec);
   const std::string workers = "(threads=" + std::to_string(threads) + ")";
-  const std::string labels = "scalar vs lanes" + workers;
   const ScenarioResult rs = run_scenario(scalar);
-  const ScenarioResult rl = run_scenario(laned);
   const ScenarioResult rv = run_scenario(served);
 
-  // Aggregates must match exactly, not just the winning outcomes: the lane
-  // engine claims the same executions, so the same messages and sync gaps.
+  // Aggregates must match exactly, not just the winning outcomes: the
+  // faster path claims the same executions, so the same messages and gaps.
   const auto same_results = [&](const ScenarioResult& other,
                                 const std::string& label) -> CheckResult {
     const CheckResult outcomes =
@@ -355,6 +370,16 @@ CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
     }
     return outcomes;
   };
+  if (!on_lanes) {
+    const std::string label = "scalar vs auto without transcripts" + workers;
+    if (CheckResult result = same_results(rv, label); !result.passed) return result;
+    return CheckResult::pass("lane-differential", subject,
+                             label + ": " + std::to_string(rs.trials) +
+                                 " trials bit-identical (outcomes, aggregates)");
+  }
+
+  const std::string labels = "scalar vs lanes" + workers;
+  const ScenarioResult rl = run_scenario(laned);
   if (CheckResult result = same_results(rl, labels); !result.passed) return result;
   if (CheckResult result = same_results(rv, "scalar vs lanes without transcripts" + workers);
       !result.passed) {

@@ -57,12 +57,22 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
 /// two specs (FAIL is a histogram cell).  Significance 0.001.
 CheckResult check_differential_distribution(const ScenarioSpec& a, const ScenarioSpec& b);
 
-/// The lane-engine gate (DESIGN.md §10): runs the spec once with
-/// engine=scalar and once with engine=lanes on `threads` workers, and
-/// asserts the two ScenarioResults are bit-identical —
+/// True when the closed-form layer (api/specialize.h) serves `spec`'s
+/// trials off the lanes under engine=auto without transcripts: a ring spec
+/// that is not lane-eligible but has a closed form (honest round-robin
+/// phase-async-lead whose step limit is >= 2n^2).
+bool served_off_lanes(const ScenarioSpec& spec);
+
+/// The faster-path gate (DESIGN.md §10), on `threads` workers.  For a
+/// lane-eligible spec: runs engine=scalar and engine=lanes, both recording
+/// transcripts, and asserts the two ScenarioResults are bit-identical —
 /// per-trial outcomes, every aggregate (message and sync-gap totals and
 /// maxima), and every per-trial transcript event for event (digests
-/// included).  Requires a lane-eligible spec (api/specialize.h).
+/// included) — then compares outcomes and aggregates of a lanes run
+/// without transcripts, which takes the closed forms.  For a spec
+/// served_off_lanes: compares engine=scalar with engine=auto, both without
+/// transcripts, on outcomes and aggregates.  Throws std::invalid_argument
+/// for any other spec.
 CheckResult check_lane_differential(ScenarioSpec spec, int threads);
 
 /// Same-seed transcript-replay differential for any deterministic topology

@@ -13,6 +13,7 @@
 #include "core/parse_number.h"
 #include "protocols/basic_lead.h"
 #include "verify/checks.h"
+#include "verify/differential.h"
 
 namespace fle::verify {
 
@@ -390,49 +391,17 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
 
   // Lane differential: every accepted lane-eligible spec — honest or
   // deviated (basic-single, rushing) ring, honest sync — must produce the
-  // same executions on the batched lane engines as on the scalar runtimes
-  // — per-trial outcomes, aggregates, and transcript digests.  A second
-  // lanes run without transcripts checks the closed-form trials, which a
-  // transcribing run never serves.
-  if (lane_eligible(spec)) {
-    ScenarioSpec scalar = spec;
-    scalar.engine = EngineKind::kScalar;
-    scalar.record_outcomes = true;
-    scalar.record_transcripts = true;
-    ScenarioSpec laned = scalar;
-    laned.engine = EngineKind::kLanes;
-    ScenarioSpec served = laned;
-    served.record_transcripts = false;
-    try {
-      const ScenarioResult rs = run_scenario(scalar);
-      const ScenarioResult rl = run_scenario(laned);
-      const ScenarioResult rv = run_scenario(served);
-      for (const ScenarioResult* other : {&rl, &rv}) {
-        const char* run = other == &rl ? "" : " without transcripts";
-        if (rs.per_trial != other->per_trial) {
-          return std::string("lane engine") + run +
-                 ": per-trial outcomes diverge from the scalar engine";
-        }
-        if (rs.total_messages != other->total_messages ||
-            rs.max_messages != other->max_messages ||
-            rs.total_sync_gap != other->total_sync_gap ||
-            rs.max_sync_gap != other->max_sync_gap || rs.max_rounds != other->max_rounds) {
-          return std::string("lane engine") + run + ": aggregates diverge from the scalar engine";
-        }
-      }
-      if (rs.per_trial_transcript.size() != rl.per_trial_transcript.size()) {
-        return "lane engine transcript count diverges from the scalar engine";
-      }
-      for (std::size_t t = 0; t < rs.per_trial_transcript.size(); ++t) {
-        if (!(rs.per_trial_transcript[t] == rl.per_trial_transcript[t]) ||
-            rs.per_trial_transcript[t].digest() != rl.per_trial_transcript[t].digest()) {
-          return "lane engine transcript diverges from the scalar engine at trial " +
-                 std::to_string(t);
-        }
-      }
-    } catch (const std::exception& error) {
-      return std::string("lane differential threw: ") + error.what();
+  // same executions on the batched lane engines as on the scalar runtimes,
+  // and every spec the closed-form layer serves off the lanes the same
+  // results under engine=auto as under engine=scalar
+  // (check_lane_differential).
+  try {
+    if (lane_eligible(spec) || served_off_lanes(spec)) {
+      const CheckResult lanes = check_lane_differential(spec, spec.threads);
+      if (!lanes.passed) return "lane differential: " + lanes.detail;
     }
+  } catch (const std::exception& error) {
+    return std::string("lane differential threw: ") + error.what();
   }
 
   if (check_determinism && window >= 2) {

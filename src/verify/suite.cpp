@@ -5,6 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -614,6 +615,22 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
         spec.topology = TopologyKind::kSync;
         spec.protocol = protocol;
         spec.n = 12;
+        spec.trials = options.exact_trials;
+        spec.seed = options.seed + 47;
+        cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+      }
+    }
+    // Honest round-robin PhaseAsyncLead has no lane kernel: engine=auto
+    // serves it from its output function on the scalar ring path, which
+    // must match the pinned scalar engine.  param_l = 20 widens f's
+    // validation inputs from 1 to 7 at n = 27.
+    for (const auto& [n, param_l] : {std::pair{2, 0}, std::pair{16, 0}, std::pair{27, 0},
+                                     std::pair{27, 20}}) {
+      for (const int threads : kLaneWorkers) {
+        ScenarioSpec spec;
+        spec.protocol = "phase-async-lead";
+        spec.n = n;
+        spec.param_l = param_l;
         spec.trials = options.exact_trials;
         spec.seed = options.seed + 47;
         cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });

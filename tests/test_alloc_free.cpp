@@ -292,8 +292,9 @@ TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
 TEST(ZeroAllocation, ClosedFormServingIsAllocationFree) {
   // Serving a trial from the closed-form layer (api/specialize.h) touches
   // only the worker's warm scratch: the token-sum draws live on the stack,
-  // and chang-roberts reuses its id permutation and send-count vectors.
-  for (const char* protocol : {"basic-lead", "chang-roberts"}) {
+  // chang-roberts reuses its id permutation and send-count vectors, and
+  // phase-output its data and validation vectors.
+  for (const char* protocol : {"basic-lead", "chang-roberts", "phase-async-lead"}) {
     ScenarioSpec spec;
     spec.protocol = protocol;
     spec.n = 32;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
 #include "attacks/coalition.h"
 
@@ -103,6 +104,17 @@ TEST(Coalition, RushingPreconditionThreshold) {
   // l_j <= k-1 for equal spacing <=> n <= k^2 (Theorem 4.2's boundary).
   EXPECT_TRUE(Coalition::equally_spaced(25, 5).rushing_precondition_holds());
   EXPECT_FALSE(Coalition::equally_spaced(26, 5).rushing_precondition_holds());
+}
+
+TEST(Coalition, RushingPreconditionRejectsALoneMember) {
+  // A lone member's one segment is the n - 1 others, never <= k - 1 = 0,
+  // although segment_lengths() reports it as -1 (the distance to itself).
+  for (const int n : {2, 8, 64}) {
+    const Coalition lone(n, {1});
+    EXPECT_EQ(lone.segment_lengths(), std::vector<int>{-1}) << n;
+    EXPECT_FALSE(lone.rushing_precondition_holds()) << n;
+  }
+  EXPECT_TRUE(Coalition(4, {1, 3}).rushing_precondition_holds());
 }
 
 TEST(Coalition, RejectsDegenerateInputs) {

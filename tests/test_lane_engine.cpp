@@ -12,6 +12,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -19,6 +20,7 @@
 #include "api/specialize.h"
 #include "api/sweep.h"
 #include "attacks/deviation.h"
+#include "sim/engine.h"
 #include "sim/sync_engine.h"
 #include "verify/differential.h"
 #include "verify/fuzzer.h"
@@ -317,12 +319,11 @@ LaneEngineOptions lane_options(const ScenarioSpec& spec) {
   return options;
 }
 
-/// The five closed-form shapes at ring size n: both token-sum kernels,
-/// chang-roberts, basic-single on basic-lead, and rushing on alead-uni at
-/// the smallest equally-spaced and consecutive coalitions that meet
-/// Lemma 4.1's precondition (none exists at n = 2).  k starts at 2: a lone
-/// member's segment is the n - 1 others, which l_j <= k - 1 excludes, but
-/// Coalition::segment_lengths() reports -1 for it and the check passes.
+/// The five lane closed-form shapes at ring size n: both token-sum
+/// kernels, chang-roberts, basic-single on basic-lead, and rushing on
+/// alead-uni at the smallest equally-spaced and consecutive coalitions that
+/// meet Lemma 4.1's precondition (none exists at n = 2; a lone member never
+/// does, since its one segment is the n - 1 others).
 std::vector<ScenarioSpec> closed_form_specs(int n) {
   std::vector<ScenarioSpec> specs;
   for (const char* protocol : {"basic-lead", "alead-uni", "chang-roberts"}) {
@@ -339,7 +340,7 @@ std::vector<ScenarioSpec> closed_form_specs(int n) {
       return coalition.rushing_precondition_holds() && !coalition.contains(0);
     };
     bool found = false;
-    for (int k = 2; k < n && !found; ++k) {
+    for (int k = 1; k < n && !found; ++k) {
       for (ProcessorId first = 1; first < n && !found; ++first) {
         if (!fits(k, first)) continue;
         ScenarioSpec rushing = ring_spec("alead-uni", n, SchedulerKind::kRoundRobin);
@@ -354,40 +355,105 @@ std::vector<ScenarioSpec> closed_form_specs(int n) {
   return specs;
 }
 
+/// Honest round-robin phase-async-lead at ring size n: two f keys at the
+/// default l (f reads one validation value below n = 100) and param_l = 1,
+/// where f reads n - 1.
+std::vector<ScenarioSpec> phase_output_specs(int n) {
+  std::vector<ScenarioSpec> specs;
+  for (const std::uint64_t key : {0ull, 0x5eedull}) {
+    ScenarioSpec spec = ring_spec("phase-async-lead", n, SchedulerKind::kRoundRobin);
+    spec.protocol_key = key;
+    specs.push_back(spec);
+  }
+  ScenarioSpec wide = specs.back();
+  wide.param_l = 1;
+  specs.push_back(wide);
+  return specs;
+}
+
+/// Every trial of `spec` on its general path: the lane engine for a lane
+/// kernel, the scalar RingEngine otherwise.
+std::vector<LaneTrialResult> general_results(const ScenarioSpec& spec,
+                                             const LaneEngineOptions& options) {
+  std::vector<std::uint64_t> seeds(spec.trials);
+  for (std::size_t t = 0; t < seeds.size(); ++t) seeds[t] = scenario_trial_seed(spec.seed, t);
+  std::vector<LaneTrialResult> results(seeds.size());
+  if (const auto kernel = lane_kernel_for(spec.protocol)) {
+    LaneEngine(spec.n, *kernel, options).run_window(seeds, results);
+    return results;
+  }
+  const auto protocol = ProtocolRegistry::instance().at(spec.protocol).make_ring(spec, spec.seed);
+  EngineOptions scalar;
+  scalar.step_limit = options.step_limit;
+  RingEngine engine(spec.n, seeds[0], std::move(scalar));
+  StrategyArena arena;
+  std::vector<RingStrategy*> profile;
+  for (std::size_t t = 0; t < seeds.size(); ++t) {
+    engine.reset(seeds[t]);
+    arena.rewind();
+    compose_profile_into(*protocol, static_cast<const Deviation*>(nullptr), spec.n, arena,
+                         profile);
+    results[t].outcome = engine.run(profile);
+    results[t].messages = engine.stats().total_sent;
+    results[t].max_sync_gap = engine.stats().max_sync_gap;
+    results[t].step_limit_hit = engine.stats().step_limit_hit;
+  }
+  return results;
+}
+
 TEST(ClosedForm, PredictionEqualsGeneralPathOnEveryTrial) {
-  // The layer's prediction for every seed of a window equals what the lane
-  // engine's general path computes for that seed, field for field.  The
-  // constants of token-sum and deviated-constant come from trial 0's
-  // general result, as in a lane job.
+  // The layer's prediction for every seed of a window equals what the
+  // general path computes for that seed, field for field: the lane
+  // engine's for the five lane shapes, the scalar RingEngine's for
+  // phase-output, which has no lane kernel.  Every constant comes from
+  // trial 0's general result, as in a job.
   for (const int n : {2, 3, 5, 16, 64}) {
     int rushing_rows = 0;
-    for (const ScenarioSpec& spec : closed_form_specs(n)) {
+    std::vector<ScenarioSpec> specs = closed_form_specs(n);
+    for (const ScenarioSpec& phase : phase_output_specs(n)) specs.push_back(phase);
+    for (const ScenarioSpec& spec : specs) {
       const std::string subject = verify::format_spec(spec);
       const LaneEngineOptions options = lane_options(spec);
       const ClosedFormKind kind = closed_form_kind(spec, options.step_limit);
       ASSERT_NE(kind, ClosedFormKind::kNone) << subject;
       if (spec.deviation == "rushing") ++rushing_rows;
-
-      LaneEngine engine(n, *lane_kernel_for(spec.protocol), options);
-      std::vector<std::uint64_t> seeds(spec.trials);
-      for (std::size_t t = 0; t < seeds.size(); ++t) {
-        seeds[t] = scenario_trial_seed(spec.seed, t);
-      }
-      std::vector<LaneTrialResult> general(seeds.size());
-      engine.run_window(seeds, general);
+      const std::vector<LaneTrialResult> general = general_results(spec, options);
 
       ClosedFormScratch scratch;
-      for (std::size_t t = 0; t < seeds.size(); ++t) {
+      for (std::size_t t = 0; t < general.size(); ++t) {
         const LaneTrialResult predicted = closed_form_result(kind, spec, t, general[0], scratch);
         EXPECT_EQ(predicted.outcome, general[t].outcome) << subject << " trial " << t;
         EXPECT_EQ(predicted.messages, general[t].messages) << subject << " trial " << t;
         EXPECT_EQ(predicted.max_sync_gap, general[t].max_sync_gap) << subject << " trial " << t;
         EXPECT_FALSE(general[t].step_limit_hit) << subject << " trial " << t;
         EXPECT_NO_THROW(audit_closed_form(spec, t, predicted, general[t])) << subject;
+        if (kind == ClosedFormKind::kPhaseOutput) {
+          EXPECT_TRUE(general[t].outcome.valid()) << subject << " trial " << t;
+          EXPECT_EQ(general[t].messages, 2ull * n * n) << subject << " trial " << t;
+        }
       }
     }
     EXPECT_EQ(rushing_rows, n == 2 ? 0 : 2) << "n = " << n;
   }
+}
+
+TEST(ClosedForm, OffLaneDifferentialComparesScalarWithAuto) {
+  // Honest round-robin phase-async-lead has no lane kernel, so the gate
+  // compares engine=scalar with engine=auto, whose unaudited trials the
+  // layer serves on the scalar ring path.
+  const ScenarioSpec phase = ring_spec("phase-async-lead", 11, SchedulerKind::kRoundRobin);
+  EXPECT_TRUE(verify::served_off_lanes(phase));
+  for (const int threads : kWorkers) {
+    const auto result = verify::check_lane_differential(phase, threads);
+    EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
+    EXPECT_NE(result.detail.find("scalar vs auto"), std::string::npos) << result.detail;
+  }
+  // Lane-eligible specs stay on the lanes comparison; a spec with neither
+  // lanes nor a closed form has nothing to compare.
+  EXPECT_FALSE(verify::served_off_lanes(ring_spec("basic-lead", 11, SchedulerKind::kRoundRobin)));
+  const ScenarioSpec random = ring_spec("phase-async-lead", 11, SchedulerKind::kRandom);
+  EXPECT_FALSE(verify::served_off_lanes(random));
+  EXPECT_THROW(verify::check_lane_differential(random, 1), std::invalid_argument);
 }
 
 TEST(ClosedForm, AuditMismatchThrowsNamingTheTrialAndField) {
@@ -459,6 +525,25 @@ TEST(ClosedForm, EligibilityTable) {
   sync.topology = TopologyKind::kSync;
   sync.protocol = "sync-broadcast-lead";
   sync.n = 10;
+  // Honest phase-async-lead has no lane kernel; engine=auto still asks the
+  // layer, which needs a step limit >= 2n^2 = 200.
+  const ScenarioSpec phase = ring_spec("phase-async-lead", 10, SchedulerKind::kRoundRobin);
+  ScenarioSpec phase_scalar = phase;
+  phase_scalar.engine = EngineKind::kScalar;
+  ScenarioSpec phase_random = phase;
+  phase_random.scheduler = SchedulerKind::kRandom;
+  ScenarioSpec phase_priority = phase;
+  phase_priority.scheduler = SchedulerKind::kPriority;
+  ScenarioSpec phase_transcribing = phase;
+  phase_transcribing.record_transcripts = true;
+  ScenarioSpec phase_threaded = phase;
+  phase_threaded.topology = TopologyKind::kThreaded;
+  ScenarioSpec phase_rushing = phase;
+  phase_rushing.deviation = "phase-rushing";
+  ScenarioSpec phase_late = phase;
+  phase_late.deviation = "phase-late-validation";
+  ScenarioSpec phase_sum = phase;
+  phase_sum.protocol = "phase-sum-lead";
 
   struct Row {
     const char* name;
@@ -488,6 +573,17 @@ TEST(ClosedForm, EligibilityTable) {
       {"deviated-constant at n^2", rushing, 100, ClosedFormKind::kDeviatedConstant},
       {"chang-roberts at n^2 + n - 1", chang, 109, ClosedFormKind::kNone},
       {"chang-roberts at n^2 + n", chang, 110, ClosedFormKind::kChangRoberts},
+      {"honest phase-async-lead", phase, kAmple, ClosedFormKind::kPhaseOutput},
+      {"phase engine=scalar", phase_scalar, kAmple, ClosedFormKind::kNone},
+      {"phase random scheduler", phase_random, kAmple, ClosedFormKind::kNone},
+      {"phase priority scheduler", phase_priority, kAmple, ClosedFormKind::kNone},
+      {"phase transcripts on", phase_transcribing, kAmple, ClosedFormKind::kNone},
+      {"phase threaded", phase_threaded, kAmple, ClosedFormKind::kNone},
+      {"phase-rushing", phase_rushing, kAmple, ClosedFormKind::kNone},
+      {"phase-late-validation", phase_late, kAmple, ClosedFormKind::kNone},
+      {"honest phase-sum-lead", phase_sum, kAmple, ClosedFormKind::kNone},
+      {"phase-output at 2n^2 - 1", phase, 199, ClosedFormKind::kNone},
+      {"phase-output at 2n^2", phase, 200, ClosedFormKind::kPhaseOutput},
   };
   for (const Row& row : rows) {
     EXPECT_EQ(closed_form_kind(row.spec, row.step_limit), row.kind) << row.name;

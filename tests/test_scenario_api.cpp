@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "api/parallel.h"
 #include "api/registry.h"
 #include "api/scenario.h"
+#include "api/sweep.h"
+#include "fabric/driver.h"
 #include "protocols/basic_lead.h"
 
 namespace fle {
@@ -135,6 +140,61 @@ TEST(RunScenario, HonestRingElectionsSucceed) {
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_EQ(result.protocol_name, "PhaseAsyncLead");
   EXPECT_DOUBLE_EQ(result.mean_messages, 2.0 * 12 * 12);
+}
+
+TEST(RunScenario, PhaseOutputReportsMatchTheScalarEngine) {
+  // Honest round-robin PhaseAsyncLead: engine=auto serves its unaudited
+  // trials from f(d, v) on the scalar ring path, engine=scalar simulates
+  // every one.  The canonical reports must be byte-identical at 1 and 4
+  // workers, and in a shard window that lacks trial 0, whose job still
+  // runs trial 0 once for the constants.
+  ScenarioSpec whole = ring_spec("phase-async-lead", 12, 600);
+  whole.record_outcomes = true;
+  ScenarioSpec window = whole;
+  window.trial_offset = 150;
+  window.trial_count = 300;
+  for (const ScenarioSpec& spec : {whole, window}) {
+    SweepSpec echo;
+    echo.scenarios = {spec};
+    for (const int threads : {1, 4}) {
+      const auto report = [&](EngineKind engine) {
+        ScenarioSpec run = spec;
+        run.threads = threads;
+        run.engine = engine;
+        const ScenarioResult result = run_scenario(run);
+        return fabric::canonical_report(echo, std::span<const ScenarioResult>(&result, 1));
+      };
+      const std::string served = report(EngineKind::kAuto);
+      EXPECT_EQ(served, report(EngineKind::kScalar))
+          << "trial_offset " << spec.trial_offset << ", threads " << threads;
+      EXPECT_NE(served.find("\"fails\": 0,"), std::string::npos) << served;
+    }
+  }
+}
+
+TEST(RunScenario, LoneRushingMemberIsRejectedOnEveryEngine) {
+  // Lemma 4.1's precondition fails for k = 1, whose one segment is the
+  // n - 1 others: every engine rejects the spec before any trial runs,
+  // with the same error.
+  ScenarioSpec spec = ring_spec("alead-uni", 8, 10);
+  spec.deviation = "rushing";
+  spec.coalition = CoalitionSpec::consecutive(1, 1);
+  spec.target = 3;
+  std::vector<std::string> errors;
+  for (const EngineKind engine : {EngineKind::kScalar, EngineKind::kAuto, EngineKind::kLanes}) {
+    ScenarioSpec run = spec;
+    run.engine = engine;
+    try {
+      run_scenario(run);
+      ADD_FAILURE() << "accepted under engine=" << to_string(engine);
+    } catch (const std::invalid_argument& error) {
+      errors.emplace_back(error.what());
+    }
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_EQ(errors[0], errors[2]);
+  EXPECT_NE(errors[0].find("Lemma 4.1"), std::string::npos) << errors[0];
 }
 
 TEST(RunScenario, RingDeviationForcesTarget) {
