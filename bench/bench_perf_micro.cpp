@@ -410,24 +410,6 @@ void BM_LaneEngineRingDeviated(benchmark::State& state) {
 }
 BENCHMARK(BM_LaneEngineRingDeviated)->Arg(32)->Arg(128);
 
-// Sync-runtime lanes: window throughput of the devirtualized broadcast
-// kernel (compare BM_SyncTrialReused for the scalar per-trial cost).
-void BM_SyncLaneEngine(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  SyncLaneEngine engine(n, SyncLaneKernelId::kSyncBroadcast);
-  std::vector<std::uint64_t> seeds(256);
-  std::vector<LaneTrialResult> results(seeds.size());
-  std::uint64_t base = 0;
-  AllocationScope allocations(state, "allocations_per_window");
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = ++base;
-    engine.run_window(seeds, results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(seeds.size()));
-}
-BENCHMARK(BM_SyncLaneEngine)->Arg(16)->Arg(64);
-
 // ---- end-to-end run_scenario throughput (items/sec = trials/sec) ---------
 
 void run_scenario_throughput(benchmark::State& state, ScenarioSpec spec) {
@@ -500,6 +482,9 @@ void BM_RunScenarioGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_RunScenarioGraph);
 
+// Honest sync under engine=auto: token-sum serves the unaudited trials
+// (api/specialize.h), and every call pays its own audited trials on the
+// scalar sync engine.  BM_RunScenarioSyncScalar below simulates them all.
 void BM_RunScenarioSync(benchmark::State& state) {
   ScenarioSpec spec;
   spec.topology = TopologyKind::kSync;
@@ -511,8 +496,8 @@ void BM_RunScenarioSync(benchmark::State& state) {
 }
 BENCHMARK(BM_RunScenarioSync);
 
-// Scalar-vs-lane comparison rows for the PR-6 lane extensions: the
-// deviated ring profiles and the sync runtime, engines pinned as above.
+// Scalar-vs-lane comparison rows for the deviated ring profiles, engines
+// pinned as above, and the pinned scalar sync row.
 void BM_RunScenarioDeviatedScalar(benchmark::State& state) {
   ScenarioSpec spec;
   spec.protocol = "basic-lead";
@@ -550,18 +535,6 @@ void BM_RunScenarioSyncScalar(benchmark::State& state) {
   run_scenario_throughput(state, spec);
 }
 BENCHMARK(BM_RunScenarioSyncScalar);
-
-void BM_RunScenarioSyncLanes(benchmark::State& state) {
-  ScenarioSpec spec;
-  spec.topology = TopologyKind::kSync;
-  spec.protocol = "sync-broadcast-lead";
-  spec.n = 16;
-  spec.trials = 200;
-  spec.threads = 1;
-  spec.engine = EngineKind::kLanes;
-  run_scenario_throughput(state, spec);
-}
-BENCHMARK(BM_RunScenarioSyncLanes);
 
 // ---- sweep vs serial: cross-scenario work stealing (items/sec = trials) --
 //

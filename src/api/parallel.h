@@ -43,6 +43,7 @@ struct TrialStats {
   std::uint64_t messages = 0;     ///< total sends
   std::uint64_t sync_gap = 0;     ///< ring engine synchronization gap
   int rounds = 0;                 ///< sync engine rounds
+  bool step_limit_hit = false;    ///< ring step / sync round limit hit (closed-form audits)
 };
 
 /// Builds one per-worker workspace (may return null for stateless bodies).
@@ -50,10 +51,10 @@ using WorkspaceFactory = std::function<std::shared_ptr<void>()>;
 
 /// Cache key for per-thread workspace reuse across scenarios.  `family`
 /// identifies the workspace type (the scenario layer uses 1 = ring,
-/// 2 = graph, 3 = sync, 4 = ring lanes, 5 = sync lanes, and 16 + the
-/// GraphAdjacency index for restricted graphs); it must be nonzero on a
-/// batch that has a workspace factory.  Scenarios sharing a key MUST use
-/// workspace objects of the same dynamic type, sized only by `n`.
+/// 2 = graph, 3 = sync, 4 = ring lanes, and 16 + the GraphAdjacency index
+/// for restricted graphs); it must be nonzero on a batch that has a
+/// workspace factory.  Scenarios sharing a key MUST use workspace objects
+/// of the same dynamic type, sized only by `n`.
 struct WorkspaceKey {
   int family = 0;
   int n = 0;

@@ -310,8 +310,7 @@ struct ScenarioJob {
 constexpr int kRingFamily = 1;
 constexpr int kGraphFamily = 2;
 constexpr int kSyncFamily = 3;
-constexpr int kLaneFamily = 4;      ///< batched ring lane engine (sim/lane_engine.h)
-constexpr int kSyncLaneFamily = 5;  ///< batched sync lane engine (sim/sync_engine.h)
+constexpr int kLaneFamily = 4;  ///< batched ring lane engine (sim/lane_engine.h)
 constexpr int kGraphFamilyBase = 16;  ///< + GraphAdjacency index for restricted graphs
 
 int graph_family(GraphAdjacency adjacency) {
@@ -383,7 +382,19 @@ TrialStats lane_stats(const LaneTrialResult& result) {
   stats.messages = result.messages;
   stats.sync_gap = result.max_sync_gap;
   stats.rounds = static_cast<int>(result.rounds);
+  stats.step_limit_hit = result.step_limit_hit;
   return stats;
+}
+
+/// The audit's view of a per-trial body's stats (the inverse of lane_stats).
+LaneTrialResult trial_result(const TrialStats& stats) {
+  LaneTrialResult result;
+  result.outcome = stats.outcome;
+  result.messages = stats.messages;
+  result.max_sync_gap = stats.sync_gap;
+  result.rounds = static_cast<std::uint64_t>(stats.rounds);
+  result.step_limit_hit = stats.step_limit_hit;
+  return result;
 }
 
 /// Per-worker staging of run_trial_chunk: the chunk's general-path trials
@@ -396,7 +407,7 @@ struct ChunkStaging {
 
 /// Local trials [begin, end) of `job` through the closed-form layer
 /// (api/specialize.h): the one serve/audit decision of the lane and scalar
-/// ring chunk bodies.  `run_general(trials, results)` runs the given global
+/// chunk bodies.  `run_general(trials, results)` runs the given global
 /// trials on the job's general path and writes each one's result.  With no
 /// closed form every trial runs there.  Otherwise a form with per-shape
 /// constants reads them once per job from global trial 0's general run,
@@ -462,11 +473,30 @@ struct RingWorkspace : EngineWorkspace<RingEngine, RingStrategy> {
   ChunkStaging staging;  ///< closed-form jobs (phase-output)
 };
 using GraphWorkspace = EngineWorkspace<GraphEngine, GraphStrategy>;
-using SyncWorkspace = EngineWorkspace<SyncEngine, SyncStrategy>;
+struct SyncWorkspace : EngineWorkspace<SyncEngine, SyncStrategy> {
+  ChunkStaging staging;  ///< closed-form jobs (token-sum)
+};
 
 template <typename Workspace>
 WorkspaceFactory workspace_factory() {
   return [] { return std::static_pointer_cast<void>(std::make_shared<Workspace>()); };
+}
+
+/// The chunk body of a scalar job whose spec has a closed form: its
+/// per-trial body `general` runs the general trials on the worker's
+/// Workspace engine and reports each one's limit hit in its stats.
+template <typename Workspace, typename General>
+Executor::ChunkBody closed_form_chunk_body(ScenarioJob* j, ClosedFormKind closed,
+                                           General general) {
+  return [j, closed, general](std::size_t begin, std::size_t end, void* raw) {
+    run_trial_chunk(*j, closed, begin, end, static_cast<Workspace*>(raw)->staging,
+                    [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
+                      for (std::size_t i = 0; i < trials.size(); ++i) {
+                        out[i] = trial_result(general(
+                            trials[i], scenario_trial_seed(j->spec.seed, trials[i]), raw));
+                      }
+                    });
+  };
 }
 
 void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
@@ -562,30 +592,16 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
       ws.engine->set_transcript(nullptr);  // the slot vector outlives no one
       stats.messages = ws.engine->stats().total_sent;
       stats.sync_gap = ws.engine->stats().max_sync_gap;
+      stats.step_limit_hit = ws.engine->stats().step_limit_hit;
     }
     return stats;
   };
+  // Only a ring spec has a closed form, so `general` never goes threaded
+  // under the chunk body.
   if (closed == ClosedFormKind::kNone) {
     job.body = std::move(general);
   } else {
-    // Only a ring spec has a closed form, so `general` runs each trial on
-    // the workspace's engine, whose stats give the audit its step-limit hit.
-    job.chunk_body = [j, closed, general](std::size_t begin, std::size_t end, void* raw) {
-      auto& ws = *static_cast<RingWorkspace*>(raw);
-      run_trial_chunk(*j, closed, begin, end, ws.staging,
-                      [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
-                        for (std::size_t i = 0; i < trials.size(); ++i) {
-                          const TrialStats stats = general(
-                              trials[i], scenario_trial_seed(j->spec.seed, trials[i]), raw);
-                          LaneTrialResult result;
-                          result.outcome = stats.outcome;
-                          result.messages = stats.messages;
-                          result.max_sync_gap = stats.sync_gap;
-                          result.step_limit_hit = ws.engine->stats().step_limit_hit;
-                          out[i] = result;
-                        }
-                      });
-    };
+    job.chunk_body = closed_form_chunk_body<RingWorkspace>(j, closed, std::move(general));
   }
   if (!threaded) {
     job.workspace_key = WorkspaceKey{kRingFamily, spec.n};
@@ -594,12 +610,10 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
 }
 
 /// Per-worker lane workspace: one lane engine plus the window-shaped
-/// staging vectors, cached under (kLaneFamily or kSyncLaneFamily, n) like
-/// every other engine workspace and rebuilt only when the engine shape
-/// changes.
-template <typename Engine>
+/// staging vectors, cached under (kLaneFamily, n) like every other engine
+/// workspace and rebuilt only when the engine shape changes.
 struct LaneWorkspace {
-  std::unique_ptr<Engine> engine;
+  std::unique_ptr<LaneEngine> engine;
   std::vector<std::uint64_t> seeds;
   std::vector<ExecutionTranscript*> transcripts;
   ChunkStaging staging;
@@ -607,9 +621,8 @@ struct LaneWorkspace {
 
 /// Runs the job's global trials `trials` as one engine window, seeds and
 /// transcript slots staged by global index, into `out`.
-template <typename Engine>
-void run_lane_window(ScenarioJob& job, LaneWorkspace<Engine>& ws,
-                     std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
+void run_lane_window(ScenarioJob& job, LaneWorkspace& ws, std::span<const std::size_t> trials,
+                     std::span<LaneTrialResult> out) {
   const std::size_t count = trials.size();
   ws.seeds.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -667,7 +680,7 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
   ScenarioJob* j = &job;
   job.chunk_body = [j, kernel, options, closed](std::size_t begin, std::size_t end, void* raw) {
     const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<LaneWorkspace<LaneEngine>*>(raw);
+    auto& ws = *static_cast<LaneWorkspace*>(raw);
     if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
         ws.engine->step_limit() != options.step_limit ||
         ws.engine->scheduler_kind() != options.scheduler_kind ||
@@ -680,50 +693,7 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                     });
   };
   job.workspace_key = WorkspaceKey{kLaneFamily, spec.n};
-  job.make_workspace = workspace_factory<LaneWorkspace<LaneEngine>>();
-}
-
-/// Sync-runtime counterpart of fill_lane_job: whole trial windows on a
-/// batched SyncLaneEngine.  Only reachable for lane_eligible() sync specs
-/// (honest profile, sync lane-kernel protocol).
-void fill_sync_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry) {
-  const ScenarioSpec& spec = job.spec;
-  require_n(spec, 2);
-  if (spec.step_limit > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument("sync scenarios interpret step_limit as a round limit; " +
-                                std::to_string(spec.step_limit) + " does not fit in int");
-  }
-  job.result = ScenarioResult(spec.n);
-  const SyncLaneKernelId kernel = *sync_lane_kernel_for(spec.protocol);
-
-  // Same round-limit resolution as fill_sync_job: the spec's explicit
-  // limit, or the protocol's round_bound(n).
-  int round_limit = 0;
-  {
-    const std::shared_ptr<const SyncProtocol> named =
-        protocol_entry->make_sync(spec, spec.seed);
-    job.result.protocol_name = named->name();
-    round_limit = spec.step_limit != 0 ? static_cast<int>(spec.step_limit)
-                                       : named->round_bound(spec.n);
-  }
-
-  ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, round_limit](std::size_t begin, std::size_t end, void* raw) {
-    const ScenarioSpec& spec = j->spec;
-    auto& ws = *static_cast<LaneWorkspace<SyncLaneEngine>*>(raw);
-    if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
-        ws.engine->round_limit() != round_limit) {
-      SyncLaneEngineOptions options;
-      options.round_limit = round_limit;
-      ws.engine = std::make_unique<SyncLaneEngine>(spec.n, kernel, options);
-    }
-    run_trial_chunk(*j, ClosedFormKind::kNone, begin, end, ws.staging,
-                    [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
-                      run_lane_window(*j, ws, trials, out);
-                    });
-  };
-  job.workspace_key = WorkspaceKey{kSyncLaneFamily, spec.n};
-  job.make_workspace = workspace_factory<LaneWorkspace<SyncLaneEngine>>();
+  job.make_workspace = workspace_factory<LaneWorkspace>();
 }
 
 void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
@@ -824,10 +794,6 @@ void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     throw std::invalid_argument("deviation '" + deviation_entry->name +
                                 "' does not apply to synchronous protocols");
   }
-  if (spec.step_limit > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument("sync scenarios interpret step_limit as a round limit; " +
-                                std::to_string(spec.step_limit) + " does not fit in int");
-  }
 
   job.result = ScenarioResult(spec.n);
   std::shared_ptr<const SyncProtocol> shared_protocol;
@@ -839,7 +805,8 @@ void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     }
   }
 
-  // Resolve display names before launching workers.
+  // Resolve display names and the closed form before launching workers.
+  ClosedFormKind closed = ClosedFormKind::kNone;
   {
     const auto named =
         shared_protocol ? shared_protocol : protocol_entry->make_sync(spec, spec.seed);
@@ -849,11 +816,13 @@ void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
           shared_deviation ? shared_deviation : deviation_entry->make_sync(*named, spec);
       job.result.deviation_name = dev->name();
     }
+    closed = closed_form_kind(
+        spec, static_cast<std::uint64_t>(scenario_sync_round_limit(spec, *named)));
   }
 
   ScenarioJob* j = &job;
-  job.body = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation](
-                 std::size_t trial, std::uint64_t trial_seed, void* raw) -> TrialStats {
+  auto general = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation](
+                     std::size_t trial, std::uint64_t trial_seed, void* raw) -> TrialStats {
     const ScenarioSpec& spec = j->spec;
     auto& ws = *static_cast<SyncWorkspace*>(raw);
     std::shared_ptr<const SyncProtocol> protocol = shared_protocol;
@@ -862,8 +831,7 @@ void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
       protocol = protocol_entry->make_sync(spec, trial_seed);
       if (deviation_entry) deviation = deviation_entry->make_sync(*protocol, spec);
     }
-    const int round_limit = spec.step_limit != 0 ? static_cast<int>(spec.step_limit)
-                                                 : protocol->round_bound(spec.n);
+    const int round_limit = scenario_sync_round_limit(spec, *protocol);
     if (!ws.engine || ws.engine->round_limit() != round_limit) {
       SyncEngineOptions options;
       options.round_limit = round_limit;
@@ -879,8 +847,14 @@ void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     ws.engine->set_transcript(nullptr);
     stats.messages = ws.engine->stats().total_sent;
     stats.rounds = ws.engine->stats().rounds;
+    stats.step_limit_hit = ws.engine->stats().round_limit_hit;
     return stats;
   };
+  if (closed == ClosedFormKind::kNone) {
+    job.body = std::move(general);
+  } else {
+    job.chunk_body = closed_form_chunk_body<SyncWorkspace>(j, closed, std::move(general));
+  }
   job.workspace_key = WorkspaceKey{kSyncFamily, spec.n};
   job.make_workspace = workspace_factory<SyncWorkspace>();
 }
@@ -971,11 +945,7 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
       fill_graph_job(*job, protocol_entry, deviation_entry);
       break;
     case TopologyKind::kSync:
-      if (lanes) {
-        fill_sync_lane_job(*job, protocol_entry);
-      } else {
-        fill_sync_job(*job, protocol_entry, deviation_entry);
-      }
+      fill_sync_job(*job, protocol_entry, deviation_entry);
       break;
     case TopologyKind::kTree:
     case TopologyKind::kFullInfo:
@@ -990,6 +960,14 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
 std::uint64_t scenario_ring_step_limit(const ScenarioSpec& spec,
                                        const RingProtocol& protocol) {
   return derived_step_limit(spec.step_limit, protocol.honest_message_bound(spec.n));
+}
+
+int scenario_sync_round_limit(const ScenarioSpec& spec, const SyncProtocol& protocol) {
+  if (spec.step_limit > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("sync scenarios interpret step_limit as a round limit; " +
+                                std::to_string(spec.step_limit) + " does not fit in int");
+  }
+  return spec.step_limit != 0 ? static_cast<int>(spec.step_limit) : protocol.round_bound(spec.n);
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {

@@ -39,6 +39,7 @@
 namespace fle {
 
 class RingProtocol;
+class SyncProtocol;
 
 /// Which runtime executes the scenario.
 ///
@@ -54,20 +55,22 @@ enum class TopologyKind { kRing, kGraph, kTree, kSync, kThreaded, kFullInfo };
 const char* to_string(TopologyKind kind);
 std::optional<TopologyKind> parse_topology(const std::string& name);
 
-/// Which execution engine serves a scenario's trials (ring and sync
-/// topologies; other runtimes have no lane engines and ignore this).
+/// Which execution path serves a scenario's trials (ring and sync
+/// topologies; the other runtimes ignore this).
 ///
-///  * kAuto   — the specializer (api/specialize.h) runs every spec that has
-///              a devirtualized lane kernel — honest or deviated
-///              (basic-single, rushing) ring specs, honest sync specs — on
-///              the batched lane engines, and everything else on the
-///              scalar engines.  Results are bit-identical either way (the
-///              lane differentials gate it), so this is purely a
+///  * kAuto   — the specializer (api/specialize.h) runs every ring spec
+///              that has a devirtualized lane kernel — honest or deviated
+///              (basic-single, rushing) — on the batched lane engine, and
+///              everything else on the scalar engines; ring and sync
+///              shapes with a closed form are served from it, audited.
+///              Results are bit-identical either way (the lane and
+///              closed-form differentials gate it), so this is purely a
 ///              performance decision.
-///  * kScalar — always the scalar reference engine (the oracle).
+///  * kScalar — always the scalar reference engine (the oracle), never a
+///              closed form.
 ///  * kLanes  — force the batched lane engine; rejected (invalid_argument
 ///              with the lane_ineligible_reason) when the spec has no lane
-///              kernel.
+///              kernel, as every non-ring spec has none.
 enum class EngineKind { kAuto, kScalar, kLanes };
 
 const char* to_string(EngineKind kind);
@@ -144,7 +147,7 @@ struct ScenarioSpec {
   bool record_transcripts = false;
   /// kGraph only: the link structure trials run on (ignored elsewhere).
   GraphAdjacency adjacency = GraphAdjacency::kComplete;
-  /// Engine selection (see EngineKind); lanes serve ring and sync specs.
+  /// Engine selection (see EngineKind); lanes serve ring specs.
   EngineKind engine = EngineKind::kAuto;
 
   // Protocol / deviation knobs (consumed by the registered factories that
@@ -216,6 +219,13 @@ std::uint64_t scenario_trial_seed(std::uint64_t base_seed, std::size_t trial);
 /// honest message bound.  Public so the verify subsystem's trace checks
 /// replay executions under exactly the production limit.
 std::uint64_t scenario_ring_step_limit(const ScenarioSpec& spec, const RingProtocol& protocol);
+
+/// The round limit a sync trial of `spec` runs under: the spec's explicit
+/// step_limit, which the sync runtime reads as a round limit, or the
+/// protocol's round_bound(n).  Throws std::invalid_argument when the
+/// explicit limit does not fit in int.  Public so the verify subsystem
+/// resolves the limit the closed-form layer sees.
+int scenario_sync_round_limit(const ScenarioSpec& spec, const SyncProtocol& protocol);
 
 /// The single-scenario entrypoint: resolves the spec against the
 /// registries, runs its trial window on `spec.threads` workers of the

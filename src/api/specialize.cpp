@@ -16,12 +16,6 @@ std::optional<LaneKernelId> lane_kernel_for(const std::string& protocol) {
   return std::nullopt;
 }
 
-std::optional<SyncLaneKernelId> sync_lane_kernel_for(const std::string& protocol) {
-  if (protocol == "sync-broadcast-lead") return SyncLaneKernelId::kSyncBroadcast;
-  if (protocol == "sync-ring-lead") return SyncLaneKernelId::kSyncRing;
-  return std::nullopt;
-}
-
 std::optional<LaneDeviationId> lane_deviation_id(const std::string& deviation) {
   if (deviation.empty()) return LaneDeviationId::kNone;
   if (deviation == "basic-single") return LaneDeviationId::kBasicSingle;
@@ -32,32 +26,20 @@ std::optional<LaneDeviationId> lane_deviation_id(const std::string& deviation) {
 bool lane_eligible(const ScenarioSpec& spec) { return lane_ineligible_reason(spec).empty(); }
 
 std::string lane_ineligible_reason(const ScenarioSpec& spec) {
-  switch (spec.topology) {
-    case TopologyKind::kRing:
-      if (!lane_kernel_for(spec.protocol).has_value()) {
-        return "protocol '" + spec.protocol +
-               "' has no ring lane kernel (lane kernels: basic-lead, chang-roberts, alead-uni)";
-      }
-      if (!lane_deviation_id(spec.deviation).has_value()) {
-        return "deviation '" + spec.deviation +
-               "' has no lane register mapping (lane-served ring profiles: honest, basic-single, "
-               "rushing)";
-      }
-      return "";
-    case TopologyKind::kSync:
-      if (!sync_lane_kernel_for(spec.protocol).has_value()) {
-        return "protocol '" + spec.protocol +
-               "' has no sync lane kernel (sync lane kernels: sync-broadcast-lead, sync-ring-lead)";
-      }
-      if (!spec.deviation.empty()) {
-        return "deviation '" + spec.deviation +
-               "' is not lane-served on the sync runtime (honest sync profiles only)";
-      }
-      return "";
-    default:
-      return std::string("topology '") + to_string(spec.topology) +
-             "' has no lane runtime (lanes serve ring and sync specs)";
+  if (spec.topology != TopologyKind::kRing) {
+    return std::string("topology '") + to_string(spec.topology) +
+           "' has no lane runtime (lanes serve ring specs)";
   }
+  if (!lane_kernel_for(spec.protocol).has_value()) {
+    return "protocol '" + spec.protocol +
+           "' has no ring lane kernel (lane kernels: basic-lead, chang-roberts, alead-uni)";
+  }
+  if (!lane_deviation_id(spec.deviation).has_value()) {
+    return "deviation '" + spec.deviation +
+           "' has no lane register mapping (lane-served ring profiles: honest, basic-single, "
+           "rushing)";
+  }
+  return "";
 }
 
 bool route_to_lanes(const ScenarioSpec& spec) {
@@ -76,14 +58,30 @@ bool route_to_lanes(const ScenarioSpec& spec) {
 }
 
 ClosedFormKind closed_form_kind(const ScenarioSpec& spec, std::uint64_t step_limit) {
-  // Every closed form rides the trial-independent round-robin schedule, and
-  // a transcribing trial needs the real event stream.  engine=scalar pins
+  // A transcribing trial needs the real event stream.  engine=scalar pins
   // the oracle, which never consults the layer.
-  if (spec.topology != TopologyKind::kRing || spec.scheduler != SchedulerKind::kRoundRobin ||
-      spec.record_transcripts || spec.engine == EngineKind::kScalar) {
+  if (spec.record_transcripts || spec.engine == EngineKind::kScalar) {
     return ClosedFormKind::kNone;
   }
   const std::uint64_t n = static_cast<std::uint64_t>(spec.n);
+  if (spec.topology == TopologyKind::kSync) {
+    // The sync runtime has no scheduler.  An honest processor commits its
+    // round-1 draw and outputs the mod-n sum, deciding in round 2
+    // (broadcast) or round n (ring); the run ends in the round after.
+    if (!spec.deviation.empty()) return ClosedFormKind::kNone;
+    if (spec.protocol == "sync-broadcast-lead") {
+      return step_limit >= 3 ? ClosedFormKind::kTokenSum : ClosedFormKind::kNone;
+    }
+    if (spec.protocol == "sync-ring-lead") {
+      return step_limit >= n + 1 ? ClosedFormKind::kTokenSum : ClosedFormKind::kNone;
+    }
+    return ClosedFormKind::kNone;
+  }
+  // Every ring closed form rides the trial-independent round-robin
+  // schedule.
+  if (spec.topology != TopologyKind::kRing || spec.scheduler != SchedulerKind::kRoundRobin) {
+    return ClosedFormKind::kNone;
+  }
   if (spec.protocol == "phase-async-lead") {
     // Every processor sends n data and n validation messages.  Under a
     // deviation the validation branch is data-dependent.
@@ -181,10 +179,12 @@ LaneTrialResult closed_form_result(ClosedFormKind kind, const ScenarioSpec& spec
   LaneTrialResult result;
   result.messages = trial0.messages;
   result.max_sync_gap = trial0.max_sync_gap;
+  result.rounds = trial0.rounds;
   switch (kind) {
     case ClosedFormKind::kTokenSum: {
-      // Every processor contributes exactly its wake-up draw (basic-lead's
-      // and alead-uni's d), drawn as the kernels draw it.
+      // Every processor contributes exactly its first draw (basic-lead's
+      // and alead-uni's wake-up d, the sync protocols' round-1 d), drawn
+      // as the strategies draw it.
       const Value n = static_cast<Value>(spec.n);
       Value sum = 0;
       for (ProcessorId p = 0; p < spec.n; ++p) {
@@ -213,13 +213,15 @@ void audit_closed_form(const ScenarioSpec& spec, std::size_t trial,
   const char* field = !(predicted.outcome == general.outcome)          ? "outcome"
                       : predicted.messages != general.messages         ? "messages"
                       : predicted.max_sync_gap != general.max_sync_gap ? "max_sync_gap"
+                      : predicted.rounds != general.rounds             ? "rounds"
                       : predicted.step_limit_hit != general.step_limit_hit ? "step_limit_hit"
                                                                            : nullptr;
   if (field == nullptr) return;
   const auto describe = [](const LaneTrialResult& r) {
     return (r.outcome.valid() ? "elected " + std::to_string(r.outcome.leader()) : "FAIL") +
            ", messages " + std::to_string(r.messages) + ", max_sync_gap " +
-           std::to_string(r.max_sync_gap) + (r.step_limit_hit ? ", step_limit_hit" : "");
+           std::to_string(r.max_sync_gap) + ", rounds " + std::to_string(r.rounds) +
+           (r.step_limit_hit ? ", step_limit_hit" : "");
   };
   throw std::logic_error("closed-form audit failed: protocol=" + spec.protocol + " deviation=" +
                          (spec.deviation.empty() ? "honest" : spec.deviation) +

@@ -93,13 +93,15 @@ struct LaneEngineOptions {
 };
 
 /// What one trial leaves behind (mirrors the scalar engine's outcome +
-/// ExecutionStats fields the Scenario API consumes).
+/// ExecutionStats fields the Scenario API consumes).  The closed-form
+/// layer (api/specialize.h) predicts and audits results in this shape on
+/// every path, the scalar ring and sync engines included.
 struct LaneTrialResult {
   Outcome outcome = Outcome::fail();
   std::uint64_t messages = 0;      ///< total sent (ExecutionStats::total_sent)
   std::uint64_t max_sync_gap = 0;  ///< ExecutionStats::max_sync_gap
-  std::uint64_t rounds = 0;        ///< sync runtime only; ring lanes report 0
-  bool step_limit_hit = false;
+  std::uint64_t rounds = 0;        ///< scalar sync trials' rounds; ring trials report 0
+  bool step_limit_hit = false;     ///< ring step limit or sync round limit
 };
 
 class LaneEngine {

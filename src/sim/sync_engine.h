@@ -19,7 +19,6 @@
 #include "core/types.h"
 #include "sim/arena.h"
 #include "sim/graph_engine.h"  // GraphMessage
-#include "sim/lane_engine.h"   // LaneTrialResult (the shared lane window ABI)
 #include "sim/transcript.h"
 
 namespace fle {
@@ -117,91 +116,6 @@ class SyncEngine {
   std::vector<SyncInbox> round_inbox_;  ///< double buffer: this round's deliveries
   int quiet_rounds_ = 0;
   SyncExecutionStats stats_;
-};
-
-// ---------------------------------------------------------------------------
-// Sync-runtime trial lanes (DESIGN.md §10).
-//
-// The sync round loop is embarrassingly lane-able: there is no scheduler
-// state at all — a trial is a pure function of its seed through a fixed
-// per-round barrier — so the honest built-in sync protocols get
-// devirtualized SoA kernels exactly like the ring lanes.  Per-processor
-// registers (d, running sum, termination, outputs) live in flat columns
-// indexed by processor; the per-round double-buffered message boxes are a
-// flat n*n (sender, value) scratch.  Trials run to completion one at a
-// time over that one column set, as in LaneEngine.
-//
-// Bit-identity contract, same as the ring lanes: each trial replicates
-// SyncEngine::run exactly — same round-limit check before the round
-// counter advances, same phase/delivery/decision transcript order, same
-// sorted-by-sender inbox view (lane sends are generated in ascending
-// sender order, which IS the sorted order for these single-shot
-// protocols), same quiescence grace round, same tape draw order.  The
-// suite's sync lane differential, the fuzzer lane invariant and the CI
-// byte-cmp gate it.
-
-/// The built-in sync protocols with devirtualized lane kernels.
-enum class SyncLaneKernelId { kSyncBroadcast, kSyncRing };
-
-const char* to_string(SyncLaneKernelId kernel);
-
-struct SyncLaneEngineOptions {
-  /// Hard bound on rounds; 0 = the kernel protocol's round_bound(n)
-  /// (sync-broadcast-lead: 4; sync-ring-lead: n + 3).
-  int round_limit = 0;
-};
-
-class SyncLaneEngine {
- public:
-  SyncLaneEngine(int n, SyncLaneKernelId kernel, SyncLaneEngineOptions options = {});
-
-  SyncLaneEngine(const SyncLaneEngine&) = delete;
-  SyncLaneEngine& operator=(const SyncLaneEngine&) = delete;
-
-  /// Runs one window of trials; see LaneEngine::run_window.  Results carry
-  /// rounds in LaneTrialResult::rounds and the round-limit hit in
-  /// step_limit_hit (max_sync_gap is 0, as in the scalar sync runtime).
-  void run_window(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
-                  std::span<ExecutionTranscript* const> transcripts = {});
-
-  [[nodiscard]] int n() const { return n_; }
-  [[nodiscard]] SyncLaneKernelId kernel() const { return kernel_; }
-  [[nodiscard]] int round_limit() const { return round_limit_; }
-
- private:
-  struct BroadcastKernel;
-  struct RingKernel;
-
-  template <typename Kernel>
-  void run_window_impl(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
-                       std::span<ExecutionTranscript* const> transcripts);
-  template <typename Kernel>
-  void run_trial(std::uint64_t seed, ExecutionTranscript* transcript, LaneTrialResult& out);
-
-  void sync_send(ProcessorId to, ProcessorId from, Value v);
-  void sync_finish(ProcessorId p, bool aborted, Value value, ExecutionTranscript* transcript);
-
-  int n_;
-  SyncLaneKernelId kernel_;
-  int round_limit_;
-
-  // Per-processor SoA registers: reg_a_ = the round-1 draw d, reg_b_ = the
-  // running mod-n sum.
-  std::vector<Value> reg_a_;
-  std::vector<Value> reg_b_;
-  std::vector<std::uint8_t> terminated_;
-  std::vector<std::uint8_t> out_has_;
-  std::vector<std::uint8_t> out_aborted_;
-  std::vector<Value> out_value_;
-
-  // Double-buffered round boxes (cur = this round's deliveries, next =
-  // sends collected for the following round): per destination a fixed
-  // n-wide strip of (sender, value) pairs plus a fill count.
-  std::vector<ProcessorId> box_from_[2];
-  std::vector<Value> box_val_[2];
-  std::vector<std::uint32_t> box_count_[2];
-  int cur_ = 0;  ///< which buffer is this round's delivery view
-  std::uint64_t total_sent_ = 0;
 };
 
 }  // namespace fle

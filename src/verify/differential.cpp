@@ -307,15 +307,18 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
 }
 
 bool served_off_lanes(const ScenarioSpec& spec) {
-  if (spec.topology != TopologyKind::kRing || lane_eligible(spec)) return false;
+  const bool ring = spec.topology == TopologyKind::kRing;
+  if ((!ring && spec.topology != TopologyKind::kSync) || lane_eligible(spec)) return false;
   ScenarioSpec served = spec;
   served.engine = EngineKind::kAuto;
   served.record_transcripts = false;
   const ProtocolEntry& entry = ProtocolRegistry::instance().at(spec.protocol);
-  if (!entry.make_ring) return false;
-  const auto protocol = entry.make_ring(served, served.seed);
-  return closed_form_kind(served, scenario_ring_step_limit(served, *protocol)) !=
-         ClosedFormKind::kNone;
+  if (ring ? !entry.make_ring : !entry.make_sync) return false;
+  const std::uint64_t limit =
+      ring ? scenario_ring_step_limit(served, *entry.make_ring(served, served.seed))
+           : static_cast<std::uint64_t>(
+                 scenario_sync_round_limit(served, *entry.make_sync(served, served.seed)));
+  return closed_form_kind(served, limit) != ClosedFormKind::kNone;
 }
 
 CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
@@ -336,7 +339,8 @@ CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
 
   // A transcribing run never takes a closed form (api/specialize.h), so a
   // run without transcripts is what checks the served trials: on lanes, or
-  // for a spec with no lane kernel, on engine=auto's scalar ring path.
+  // for a spec with no lane kernel, on engine=auto's scalar ring or sync
+  // path.
   ScenarioSpec served = laned;
   served.engine = on_lanes ? EngineKind::kLanes : EngineKind::kAuto;
   served.record_transcripts = false;

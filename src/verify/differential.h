@@ -58,9 +58,11 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
 CheckResult check_differential_distribution(const ScenarioSpec& a, const ScenarioSpec& b);
 
 /// True when the closed-form layer (api/specialize.h) serves `spec`'s
-/// trials off the lanes under engine=auto without transcripts: a ring spec
-/// that is not lane-eligible but has a closed form (honest round-robin
-/// phase-async-lead whose step limit is >= 2n^2).
+/// trials off the lanes under engine=auto without transcripts: a ring or
+/// sync spec that is not lane-eligible but has a closed form under its
+/// resolved limit (honest round-robin phase-async-lead whose step limit is
+/// >= 2n^2; honest sync-broadcast-lead with a round limit >= 3, honest
+/// sync-ring-lead with one >= n + 1).
 bool served_off_lanes(const ScenarioSpec& spec);
 
 /// The faster-path gate (DESIGN.md §10), on `threads` workers.  For a

@@ -390,11 +390,11 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
   }
 
   // Lane differential: every accepted lane-eligible spec — honest or
-  // deviated (basic-single, rushing) ring, honest sync — must produce the
-  // same executions on the batched lane engines as on the scalar runtimes,
-  // and every spec the closed-form layer serves off the lanes the same
-  // results under engine=auto as under engine=scalar
-  // (check_lane_differential).
+  // deviated (basic-single, rushing) ring — must produce the same
+  // executions on the batched lane engine as on the scalar runtime, and
+  // every spec the closed-form layer serves off the lanes (honest
+  // round-robin phase-async-lead, honest sync) the same results under
+  // engine=auto as under engine=scalar (check_lane_differential).
   try {
     if (lane_eligible(spec) || served_off_lanes(spec)) {
       const CheckResult lanes = check_lane_differential(spec, spec.threads);

@@ -606,18 +606,26 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
             [rushing, threads] { return check_lane_differential(rushing, threads); });
       }
     }
-    // And the sync-runtime lanes: both sync kernels against the scalar
-    // SyncEngine's round loop (rounds, messages, phase/delivery/decision
-    // transcripts).
-    for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
-      for (const int threads : kLaneWorkers) {
-        ScenarioSpec spec;
-        spec.topology = TopologyKind::kSync;
-        spec.protocol = protocol;
-        spec.n = 12;
-        spec.trials = options.exact_trials;
-        spec.seed = options.seed + 47;
-        cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+    // Honest sync specs have no lane runtime: engine=auto serves them from
+    // token-sum on the scalar sync path, which must match the pinned
+    // scalar engine on outcomes, messages and rounds.  Each protocol runs
+    // at n = 12 and n = 2 under its default round limit, and at n = 12
+    // under the smallest limit that keeps the closed form (3 rounds for
+    // the broadcast, n + 1 around the ring).
+    for (const auto& [protocol, threshold] :
+         {std::pair{"sync-broadcast-lead", 3}, std::pair{"sync-ring-lead", 13}}) {
+      for (const auto& [n, step_limit] : {std::pair{12, 0}, std::pair{2, 0},
+                                          std::pair{12, threshold}}) {
+        for (const int threads : kLaneWorkers) {
+          ScenarioSpec spec;
+          spec.topology = TopologyKind::kSync;
+          spec.protocol = protocol;
+          spec.n = n;
+          spec.step_limit = static_cast<std::uint64_t>(step_limit);
+          spec.trials = options.exact_trials;
+          spec.seed = options.seed + 47;
+          cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+        }
       }
     }
     // Honest round-robin PhaseAsyncLead has no lane kernel: engine=auto

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "api/specialize.h"
@@ -291,11 +292,19 @@ TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
 
 TEST(ZeroAllocation, ClosedFormServingIsAllocationFree) {
   // Serving a trial from the closed-form layer (api/specialize.h) touches
-  // only the worker's warm scratch: the token-sum draws live on the stack,
-  // chang-roberts reuses its id permutation and send-count vectors, and
-  // phase-output its data and validation vectors.
-  for (const char* protocol : {"basic-lead", "chang-roberts", "phase-async-lead"}) {
+  // only the worker's warm scratch: the token-sum draws live on the stack
+  // (ring and sync alike), chang-roberts reuses its id permutation and
+  // send-count vectors, and phase-output its data and validation vectors.
+  const std::pair<TopologyKind, const char*> shapes[] = {
+      {TopologyKind::kRing, "basic-lead"},
+      {TopologyKind::kRing, "chang-roberts"},
+      {TopologyKind::kRing, "phase-async-lead"},
+      {TopologyKind::kSync, "sync-broadcast-lead"},
+      {TopologyKind::kSync, "sync-ring-lead"},
+  };
+  for (const auto& [topology, protocol] : shapes) {
     ScenarioSpec spec;
+    spec.topology = topology;
     spec.protocol = protocol;
     spec.n = 32;
     spec.seed = 5150;
@@ -338,26 +347,6 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
   for (const LaneTrialResult& r : results) {
     EXPECT_TRUE(r.outcome.valid());
     EXPECT_EQ(r.outcome.leader(), 5u);  // rushing forces the target
-  }
-}
-
-TEST(ZeroAllocation, SyncLaneWindowIsAllocationFree) {
-  // The sync lanes keep every per-processor register and both round boxes
-  // in flat columns sized at construction.
-  const int n = 16;
-  for (const SyncLaneKernelId kernel :
-       {SyncLaneKernelId::kSyncBroadcast, SyncLaneKernelId::kSyncRing}) {
-    SyncLaneEngine engine(n, kernel);
-    std::vector<std::uint64_t> seeds(24);
-    std::vector<LaneTrialResult> results(24);
-    for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 4000 + i;
-    engine.run_window(seeds, results);  // warm-up
-
-    const std::uint64_t before = allocations();
-    engine.run_window(seeds, results);
-    EXPECT_EQ(allocations() - before, 0u)
-        << "steady-state sync lane window allocated (" << to_string(kernel) << ")";
-    for (const LaneTrialResult& r : results) EXPECT_TRUE(r.outcome.valid());
   }
 }
 

@@ -1,8 +1,9 @@
 // Batched lane engine (sim/lane_engine.h) and the specializer
 // (api/specialize.h): the bit-identity gate against the scalar engine
 // across kernels, schedulers and worker counts, the routing rules, the
-// closed-form layer (prediction vs general path, the loud audit, the
-// eligibility and audit rules), and the engine= spec field's round trip.
+// closed-form layer (prediction vs general path on the ring and sync
+// runtimes, the loud audit, the eligibility and audit rules), and the
+// engine= spec field's round trip.
 
 #include "sim/lane_engine.h"
 
@@ -20,6 +21,7 @@
 #include "api/specialize.h"
 #include "api/sweep.h"
 #include "attacks/deviation.h"
+#include "attacks/sync_attacks.h"
 #include "sim/engine.h"
 #include "sim/sync_engine.h"
 #include "verify/differential.h"
@@ -92,45 +94,6 @@ TEST(LaneEngine, DeviatedKernelsBitIdenticalUnderDataDependentSchedulers) {
     result = verify::check_lane_differential(rushing, /*threads=*/3);
     EXPECT_TRUE(result.passed) << result.detail;
   }
-}
-
-TEST(SyncLaneEngine, BitIdenticalAcrossKernelsAndWorkers) {
-  // The sync-runtime lanes (PR 6): both sync kernels against the scalar
-  // SyncEngine round loop — rounds, messages, and the per-round
-  // phase/delivery/decision transcripts.
-  for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
-    for (const int threads : kWorkers) {
-      ScenarioSpec spec;
-      spec.topology = TopologyKind::kSync;
-      spec.protocol = protocol;
-      spec.n = 11;
-      spec.trials = 48;
-      spec.seed = 414243;
-      const auto result = verify::check_lane_differential(spec, threads);
-      EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
-    }
-  }
-}
-
-TEST(SyncLaneEngine, RoundLimitStarvationMatchesScalar) {
-  // A starving round limit must abort the same way on both engines (the
-  // sync lanes replicate the limit check before the round counter moves).
-  ScenarioSpec spec;
-  spec.topology = TopologyKind::kSync;
-  spec.protocol = "sync-ring-lead";
-  spec.n = 10;
-  spec.trials = 24;
-  spec.seed = 99;
-  spec.step_limit = 4;  // sync-ring-lead needs n + 3 rounds
-  const auto result = verify::check_lane_differential(spec, /*threads=*/1);
-  EXPECT_TRUE(result.passed) << result.detail;
-}
-
-TEST(SyncLaneEngine, RunWindowValidatesSpans) {
-  SyncLaneEngine engine(8, SyncLaneKernelId::kSyncBroadcast, SyncLaneEngineOptions{});
-  std::vector<std::uint64_t> seeds(4, 1);
-  std::vector<LaneTrialResult> results(3);
-  EXPECT_THROW(engine.run_window(seeds, results), std::invalid_argument);
 }
 
 TEST(LaneEngine, BitIdenticalUnderEveryScheduler) {
@@ -207,24 +170,19 @@ TEST(Specializer, EligibilityIsStructural) {
   no_kernel.protocol = "peterson";
   EXPECT_FALSE(lane_eligible(no_kernel));
   EXPECT_NE(lane_ineligible_reason(no_kernel).find("peterson"), std::string::npos);
-  // Sync specs: honest lane-kernel protocols are eligible, deviated or
-  // kernel-less ones are not.
+  // Sync specs have no lane runtime, honest or not: the closed-form layer
+  // serves honest ones on the scalar sync path.
   ScenarioSpec sync;
   sync.topology = TopologyKind::kSync;
-  sync.protocol = "sync-broadcast-lead";
-  sync.n = 8;
-  EXPECT_TRUE(lane_eligible(sync));
-  sync.protocol = "sync-ring-lead";
-  EXPECT_TRUE(lane_eligible(sync));
-  ScenarioSpec sync_dev = sync;
-  sync_dev.deviation = "sync-blind-collusion";
-  EXPECT_FALSE(lane_eligible(sync_dev));
-  ScenarioSpec sync_other = sync;
-  sync_other.protocol = "basic-lead";
-  EXPECT_FALSE(lane_eligible(sync_other));
+  for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
+    sync.protocol = protocol;
+    EXPECT_FALSE(lane_eligible(sync)) << protocol;
+    EXPECT_NE(lane_ineligible_reason(sync).find("topology 'sync' has no lane runtime"),
+              std::string::npos)
+        << lane_ineligible_reason(sync);
+  }
   // Eligible specs report no reason.
   EXPECT_TRUE(lane_ineligible_reason(spec).empty());
-  EXPECT_TRUE(lane_ineligible_reason(sync).empty());
 }
 
 TEST(Specializer, ForcedLanesRejectsIneligibleSpecs) {
@@ -244,6 +202,16 @@ TEST(Specializer, ForcedLanesRejectsIneligibleSpecs) {
   sync_dev.n = 8;
   sync_dev.engine = EngineKind::kLanes;
   EXPECT_THROW(run_scenario(sync_dev), std::invalid_argument);
+  ScenarioSpec sync = sync_dev;
+  sync.deviation.clear();
+  sync.coalition = CoalitionSpec{};
+  try {
+    run_scenario(sync);
+    ADD_FAILURE() << "engine=lanes accepted an honest sync spec";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("no lane runtime"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Specializer, SweepRoutingIsInvisibleInResults) {
@@ -371,13 +339,55 @@ std::vector<ScenarioSpec> phase_output_specs(int n) {
   return specs;
 }
 
-/// Every trial of `spec` on its general path: the lane engine for a lane
-/// kernel, the scalar RingEngine otherwise.
-std::vector<LaneTrialResult> general_results(const ScenarioSpec& spec,
-                                             const LaneEngineOptions& options) {
+/// Honest sync-broadcast-lead and sync-ring-lead at size n, both served
+/// by token-sum under their default round limits (4 and n + 3).
+std::vector<ScenarioSpec> sync_specs(int n) {
+  std::vector<ScenarioSpec> specs;
+  for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
+    ScenarioSpec spec = ring_spec(protocol, n, SchedulerKind::kRoundRobin);
+    spec.topology = TopologyKind::kSync;
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+/// The limit the closed-form layer sees for `spec`, as its job resolves
+/// it: the sync round limit, or the ring step limit.
+std::uint64_t resolved_limit(const ScenarioSpec& spec) {
+  if (spec.topology != TopologyKind::kSync) return lane_options(spec).step_limit;
+  register_builtin_scenarios();
+  const auto protocol = ProtocolRegistry::instance().at(spec.protocol).make_sync(spec, spec.seed);
+  return static_cast<std::uint64_t>(scenario_sync_round_limit(spec, *protocol));
+}
+
+/// Every trial of `spec` on its general path: the scalar SyncEngine for a
+/// sync spec, the lane engine for a lane kernel, the scalar RingEngine
+/// otherwise.
+std::vector<LaneTrialResult> general_results(const ScenarioSpec& spec) {
   std::vector<std::uint64_t> seeds(spec.trials);
   for (std::size_t t = 0; t < seeds.size(); ++t) seeds[t] = scenario_trial_seed(spec.seed, t);
   std::vector<LaneTrialResult> results(seeds.size());
+  StrategyArena arena;
+  if (spec.topology == TopologyKind::kSync) {
+    const auto protocol =
+        ProtocolRegistry::instance().at(spec.protocol).make_sync(spec, spec.seed);
+    SyncEngineOptions options;
+    options.round_limit = scenario_sync_round_limit(spec, *protocol);
+    SyncEngine engine(spec.n, seeds[0], options);
+    std::vector<SyncStrategy*> profile;
+    for (std::size_t t = 0; t < seeds.size(); ++t) {
+      engine.reset(seeds[t]);
+      arena.rewind();
+      compose_profile_into(*protocol, static_cast<const SyncDeviation*>(nullptr), spec.n, arena,
+                           profile);
+      results[t].outcome = engine.run(profile);
+      results[t].messages = engine.stats().total_sent;
+      results[t].rounds = static_cast<std::uint64_t>(engine.stats().rounds);
+      results[t].step_limit_hit = engine.stats().round_limit_hit;
+    }
+    return results;
+  }
+  const LaneEngineOptions options = lane_options(spec);
   if (const auto kernel = lane_kernel_for(spec.protocol)) {
     LaneEngine(spec.n, *kernel, options).run_window(seeds, results);
     return results;
@@ -386,7 +396,6 @@ std::vector<LaneTrialResult> general_results(const ScenarioSpec& spec,
   EngineOptions scalar;
   scalar.step_limit = options.step_limit;
   RingEngine engine(spec.n, seeds[0], std::move(scalar));
-  StrategyArena arena;
   std::vector<RingStrategy*> profile;
   for (std::size_t t = 0; t < seeds.size(); ++t) {
     engine.reset(seeds[t]);
@@ -405,19 +414,20 @@ TEST(ClosedForm, PredictionEqualsGeneralPathOnEveryTrial) {
   // The layer's prediction for every seed of a window equals what the
   // general path computes for that seed, field for field: the lane
   // engine's for the five lane shapes, the scalar RingEngine's for
-  // phase-output, which has no lane kernel.  Every constant comes from
-  // trial 0's general result, as in a job.
+  // phase-output and the scalar SyncEngine's for honest sync, which have
+  // no lane kernel.  Every constant comes from trial 0's general result,
+  // as in a job.
   for (const int n : {2, 3, 5, 16, 64}) {
     int rushing_rows = 0;
     std::vector<ScenarioSpec> specs = closed_form_specs(n);
     for (const ScenarioSpec& phase : phase_output_specs(n)) specs.push_back(phase);
+    for (const ScenarioSpec& sync : sync_specs(n)) specs.push_back(sync);
     for (const ScenarioSpec& spec : specs) {
       const std::string subject = verify::format_spec(spec);
-      const LaneEngineOptions options = lane_options(spec);
-      const ClosedFormKind kind = closed_form_kind(spec, options.step_limit);
+      const ClosedFormKind kind = closed_form_kind(spec, resolved_limit(spec));
       ASSERT_NE(kind, ClosedFormKind::kNone) << subject;
       if (spec.deviation == "rushing") ++rushing_rows;
-      const std::vector<LaneTrialResult> general = general_results(spec, options);
+      const std::vector<LaneTrialResult> general = general_results(spec);
 
       ClosedFormScratch scratch;
       for (std::size_t t = 0; t < general.size(); ++t) {
@@ -425,11 +435,20 @@ TEST(ClosedForm, PredictionEqualsGeneralPathOnEveryTrial) {
         EXPECT_EQ(predicted.outcome, general[t].outcome) << subject << " trial " << t;
         EXPECT_EQ(predicted.messages, general[t].messages) << subject << " trial " << t;
         EXPECT_EQ(predicted.max_sync_gap, general[t].max_sync_gap) << subject << " trial " << t;
+        EXPECT_EQ(predicted.rounds, general[t].rounds) << subject << " trial " << t;
         EXPECT_FALSE(general[t].step_limit_hit) << subject << " trial " << t;
         EXPECT_NO_THROW(audit_closed_form(spec, t, predicted, general[t])) << subject;
         if (kind == ClosedFormKind::kPhaseOutput) {
           EXPECT_TRUE(general[t].outcome.valid()) << subject << " trial " << t;
           EXPECT_EQ(general[t].messages, 2ull * n * n) << subject << " trial " << t;
+        }
+        if (spec.topology == TopologyKind::kSync) {
+          // Both protocols send n(n - 1) messages; the broadcast ends in
+          // round 3, the ring in round n + 1.
+          EXPECT_TRUE(general[t].outcome.valid()) << subject << " trial " << t;
+          EXPECT_EQ(general[t].messages, 1ull * n * (n - 1)) << subject << " trial " << t;
+          EXPECT_EQ(general[t].rounds, spec.protocol == "sync-ring-lead" ? n + 1ull : 3ull)
+              << subject << " trial " << t;
         }
       }
     }
@@ -454,6 +473,16 @@ TEST(ClosedForm, OffLaneDifferentialComparesScalarWithAuto) {
   const ScenarioSpec random = ring_spec("phase-async-lead", 11, SchedulerKind::kRandom);
   EXPECT_FALSE(verify::served_off_lanes(random));
   EXPECT_THROW(verify::check_lane_differential(random, 1), std::invalid_argument);
+  // Honest sync has no lane runtime either: the layer serves it on the
+  // scalar sync path unless its round limit could bind.
+  ScenarioSpec sync = sync_specs(11)[1];
+  EXPECT_TRUE(verify::served_off_lanes(sync));
+  const auto result = verify::check_lane_differential(sync, /*threads=*/4);
+  EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
+  EXPECT_NE(result.detail.find("scalar vs auto"), std::string::npos) << result.detail;
+  sync.step_limit = 11;  // sync-ring-lead decides in round n
+  EXPECT_FALSE(verify::served_off_lanes(sync));
+  EXPECT_THROW(verify::check_lane_differential(sync, 1), std::invalid_argument);
 }
 
 TEST(ClosedForm, AuditMismatchThrowsNamingTheTrialAndField) {
@@ -476,6 +505,7 @@ TEST(ClosedForm, AuditMismatchThrowsNamingTheTrialAndField) {
       {"outcome", [](LaneTrialResult& r) { r.outcome = Outcome::fail(); }},
       {"messages", [](LaneTrialResult& r) { ++r.messages; }},
       {"max_sync_gap", [](LaneTrialResult& r) { ++r.max_sync_gap; }},
+      {"rounds", [](LaneTrialResult& r) { ++r.rounds; }},
       {"step_limit_hit", [](LaneTrialResult& r) { r.step_limit_hit = true; }},
   };
   for (const Doctor& doctor : doctors) {
@@ -521,10 +551,23 @@ TEST(ClosedForm, EligibilityTable) {
   rushing_on_basic.deviation = "rushing";
   ScenarioSpec no_kernel = basic;
   no_kernel.protocol = "peterson";
+  // Honest sync specs have no scheduler; the layer needs a round limit that
+  // lets every processor decide and the run end: >= 3 for the broadcast,
+  // >= n + 1 = 11 around the ring.
   ScenarioSpec sync;
   sync.topology = TopologyKind::kSync;
   sync.protocol = "sync-broadcast-lead";
   sync.n = 10;
+  ScenarioSpec sync_ring = sync;
+  sync_ring.protocol = "sync-ring-lead";
+  ScenarioSpec sync_deviated = sync;
+  sync_deviated.deviation = "sync-blind-collusion";
+  ScenarioSpec sync_scalar = sync;
+  sync_scalar.engine = EngineKind::kScalar;
+  ScenarioSpec sync_transcribing = sync;
+  sync_transcribing.record_transcripts = true;
+  ScenarioSpec sync_random = sync;
+  sync_random.scheduler = SchedulerKind::kRandom;
   // Honest phase-async-lead has no lane kernel; engine=auto still asks the
   // layer, which needs a step limit >= 2n^2 = 200.
   const ScenarioSpec phase = ring_spec("phase-async-lead", 10, SchedulerKind::kRoundRobin);
@@ -566,7 +609,16 @@ TEST(ClosedForm, EligibilityTable) {
       {"basic-single on chang-roberts", single_on_chang, kAmple, ClosedFormKind::kNone},
       {"rushing on basic-lead", rushing_on_basic, kAmple, ClosedFormKind::kNone},
       {"no lane kernel", no_kernel, kAmple, ClosedFormKind::kNone},
-      {"sync lanes", sync, kAmple, ClosedFormKind::kNone},
+      {"honest sync-broadcast-lead", sync, kAmple, ClosedFormKind::kTokenSum},
+      {"honest sync-ring-lead", sync_ring, kAmple, ClosedFormKind::kTokenSum},
+      {"sync-broadcast-lead at 2 rounds", sync, 2, ClosedFormKind::kNone},
+      {"sync-broadcast-lead at 3 rounds", sync, 3, ClosedFormKind::kTokenSum},
+      {"sync-ring-lead at n rounds", sync_ring, 10, ClosedFormKind::kNone},
+      {"sync-ring-lead at n + 1 rounds", sync_ring, 11, ClosedFormKind::kTokenSum},
+      {"deviated sync", sync_deviated, kAmple, ClosedFormKind::kNone},
+      {"sync engine=scalar", sync_scalar, kAmple, ClosedFormKind::kNone},
+      {"sync transcripts on", sync_transcribing, kAmple, ClosedFormKind::kNone},
+      {"sync scheduler=random", sync_random, kAmple, ClosedFormKind::kTokenSum},
       {"token-sum at n^2 - 1", basic, 99, ClosedFormKind::kNone},
       {"token-sum at n^2", basic, 100, ClosedFormKind::kTokenSum},
       {"deviated-constant at n^2 - 1", rushing, 99, ClosedFormKind::kNone},

@@ -142,32 +142,59 @@ TEST(RunScenario, HonestRingElectionsSucceed) {
   EXPECT_DOUBLE_EQ(result.mean_messages, 2.0 * 12 * 12);
 }
 
-TEST(RunScenario, PhaseOutputReportsMatchTheScalarEngine) {
-  // Honest round-robin PhaseAsyncLead: engine=auto serves its unaudited
-  // trials from f(d, v) on the scalar ring path, engine=scalar simulates
-  // every one.  The canonical reports must be byte-identical at 1 and 4
-  // workers, and in a shard window that lacks trial 0, whose job still
-  // runs trial 0 once for the constants.
-  ScenarioSpec whole = ring_spec("phase-async-lead", 12, 600);
-  whole.record_outcomes = true;
-  ScenarioSpec window = whole;
-  window.trial_offset = 150;
-  window.trial_count = 300;
-  for (const ScenarioSpec& spec : {whole, window}) {
+TEST(RunScenario, PhaseAndSyncReportsMatchTheScalarEngine) {
+  // Honest round-robin PhaseAsyncLead and honest sync have no lane kernel:
+  // engine=auto serves their unaudited trials from the closed-form layer
+  // on the scalar ring and sync paths (f(d, v) and token-sum), while
+  // engine=scalar simulates every one.  The canonical reports must be
+  // byte-identical at 1 and 4 workers, in a shard window that lacks
+  // trial 0, whose job still runs trial 0 once for the constants, and
+  // under a round limit that starves every sync trial (sync-ring-lead
+  // needs n + 1 rounds), which gets no closed form.
+  struct Row {
+    ScenarioSpec spec;
+    std::size_t fails;
+  };
+  std::vector<Row> rows;
+  const auto window = [](ScenarioSpec spec) {
+    spec.trial_offset = 150;
+    spec.trial_count = 300;
+    return spec;
+  };
+  const ScenarioSpec phase = ring_spec("phase-async-lead", 12, 600);
+  rows.push_back({phase, 0});
+  rows.push_back({window(phase), 0});
+  ScenarioSpec broadcast = ring_spec("sync-broadcast-lead", 12, 600);
+  broadcast.topology = TopologyKind::kSync;
+  rows.push_back({broadcast, 0});
+  ScenarioSpec sync_ring = broadcast;
+  sync_ring.protocol = "sync-ring-lead";
+  rows.push_back({window(sync_ring), 0});
+  ScenarioSpec starving = sync_ring;
+  starving.n = 10;
+  starving.trials = 24;
+  starving.step_limit = 4;
+  rows.push_back({starving, 24});
+  for (Row& row : rows) {
+    row.spec.record_outcomes = true;
     SweepSpec echo;
-    echo.scenarios = {spec};
+    echo.scenarios = {row.spec};
     for (const int threads : {1, 4}) {
       const auto report = [&](EngineKind engine) {
-        ScenarioSpec run = spec;
+        ScenarioSpec run = row.spec;
         run.threads = threads;
         run.engine = engine;
         const ScenarioResult result = run_scenario(run);
         return fabric::canonical_report(echo, std::span<const ScenarioResult>(&result, 1));
       };
       const std::string served = report(EngineKind::kAuto);
-      EXPECT_EQ(served, report(EngineKind::kScalar))
-          << "trial_offset " << spec.trial_offset << ", threads " << threads;
-      EXPECT_NE(served.find("\"fails\": 0,"), std::string::npos) << served;
+      const std::string subject =
+          row.spec.protocol + " trial_offset " + std::to_string(row.spec.trial_offset) +
+          " step_limit " + std::to_string(row.spec.step_limit) + ", threads " +
+          std::to_string(threads);
+      EXPECT_EQ(served, report(EngineKind::kScalar)) << subject;
+      EXPECT_NE(served.find("\"fails\": " + std::to_string(row.fails) + ","), std::string::npos)
+          << subject << ": " << served;
     }
   }
 }
