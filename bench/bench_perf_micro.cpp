@@ -536,6 +536,24 @@ void BM_RunScenarioSyncScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_RunScenarioSyncScalar);
 
+// The deviated oracle path: e04's cubic staircase (Theorem 4.3) on
+// A-LEADuni, pinned to the scalar RingEngine.  Every trial delivers n²
+// messages through the engine's send and delivery loop and the cubic and
+// honest strategies' receives.
+void BM_RunScenarioCubicScalar(benchmark::State& state) {
+  ScenarioSpec spec;
+  spec.protocol = "alead-uni";
+  spec.deviation = "cubic";
+  spec.n = static_cast<int>(state.range(0));
+  spec.coalition = CoalitionSpec::cubic_staircase(Coalition::cubic_min_k(spec.n));
+  spec.target = static_cast<Value>(spec.n / 2);
+  spec.trials = 16;
+  spec.threads = 1;
+  spec.engine = EngineKind::kScalar;
+  run_scenario_throughput(state, spec);
+}
+BENCHMARK(BM_RunScenarioCubicScalar)->Arg(64)->Arg(256);
+
 // ---- sweep vs serial: cross-scenario work stealing (items/sec = trials) --
 //
 // The PR-4 acceptance workload, shaped like the drivers that motivated the

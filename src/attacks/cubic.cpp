@@ -17,7 +17,7 @@ class CubicStrategy final : public RingStrategy {
   void on_receive(RingContext& ctx, Value v) override {
     if (done_) return;
     const auto n = static_cast<Value>(ctx.ring_size());
-    v %= n;
+    if (v >= n) v %= n;  // honest traffic is already reduced; skip the divide
     stream_.push_back(v);
     const int count = static_cast<int>(stream_.size());
     const int honest_total = ctx.ring_size() - k_;
@@ -31,7 +31,10 @@ class CubicStrategy final : public RingStrategy {
     if (count == honest_total) {
       // steps 4-5: cancel the sum, then replay our segment's secrets.
       Value s = 0;
-      for (const Value x : stream_) s = (s + x) % n;
+      for (const Value x : stream_) {
+        s += x;
+        if (s >= n) s -= n;
+      }
       ctx.send((target_ + n - s) % n);
       for (int i = honest_total - li_; i < honest_total; ++i) {
         ctx.send(stream_[static_cast<std::size_t>(i)]);

@@ -10,7 +10,11 @@ class TamperContext final : public RingContext {
  public:
   TamperContext(RingContext& inner, TamperKind kind, std::uint64_t target,
                 std::uint64_t& counter)
-      : inner_(inner), kind_(kind), target_(target), counter_(counter) {}
+      : RingContext(inner.id(), inner.ring_size()),
+        inner_(inner),
+        kind_(kind),
+        target_(target),
+        counter_(counter) {}
 
   void send(Value v) override {
     const std::uint64_t index = counter_++;
@@ -37,8 +41,6 @@ class TamperContext final : public RingContext {
 
   void terminate(Value output) override { inner_.terminate(output); }
   void abort() override { inner_.abort(); }
-  ProcessorId id() const override { return inner_.id(); }
-  int ring_size() const override { return inner_.ring_size(); }
   RandomTape& tape() override { return inner_.tape(); }
 
  private:

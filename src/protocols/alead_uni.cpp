@@ -9,16 +9,16 @@ RingStrategy* ALeadUniProtocol::emplace_strategy(StrategyArena& arena, Processor
 }
 
 void ALeadOriginStrategy::on_init(RingContext& ctx) {
-  const auto n = static_cast<Value>(ctx.ring_size());
-  d_ = ctx.tape().uniform(n);
+  d_ = ctx.tape().uniform(static_cast<Value>(ctx.ring_size()));
   ctx.send(d_);
 }
 
 void ALeadOriginStrategy::on_receive(RingContext& ctx, Value v) {
   const auto n = static_cast<Value>(ctx.ring_size());
-  v %= n;
+  if (v >= n) v %= n;  // honest traffic is already reduced; skip the divide
   ++count_;
-  sum_ = (sum_ + v) % n;
+  sum_ += v;
+  if (sum_ >= n) sum_ -= n;
   if (count_ < ctx.ring_size()) {
     ctx.send(v);  // pipe: receive and send immediately
     return;
@@ -32,18 +32,18 @@ void ALeadOriginStrategy::on_receive(RingContext& ctx, Value v) {
 }
 
 void ALeadNormalStrategy::on_init(RingContext& ctx) {
-  const auto n = static_cast<Value>(ctx.ring_size());
-  d_ = ctx.tape().uniform(n);
+  d_ = ctx.tape().uniform(static_cast<Value>(ctx.ring_size()));
   buffer_ = d_;  // commit: the secret leaves the buffer before we learn anything
 }
 
 void ALeadNormalStrategy::on_receive(RingContext& ctx, Value v) {
   const auto n = static_cast<Value>(ctx.ring_size());
-  v %= n;
+  if (v >= n) v %= n;
   ctx.send(buffer_);  // send the delayed value first (one-round buffering)
   buffer_ = v;
   ++count_;
-  sum_ = (sum_ + v) % n;
+  sum_ += v;
+  if (sum_ >= n) sum_ -= n;
   if (count_ == ctx.ring_size()) {
     if (v == d_) {
       ctx.terminate(sum_);

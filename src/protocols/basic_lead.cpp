@@ -8,18 +8,17 @@ RingStrategy* BasicLeadProtocol::emplace_strategy(StrategyArena& arena, Processo
 }
 
 void BasicLeadStrategy::on_init(RingContext& ctx) {
-  n_ = ctx.ring_size();  // cached: ring_size() is a virtual call per event
-  d_ = ctx.tape().uniform(static_cast<Value>(n_));
+  d_ = ctx.tape().uniform(static_cast<Value>(ctx.ring_size()));
   ctx.send(d_);
 }
 
 void BasicLeadStrategy::on_receive(RingContext& ctx, Value v) {
-  const auto n = static_cast<Value>(n_);
+  const auto n = static_cast<Value>(ctx.ring_size());
   if (v >= n) v %= n;  // honest traffic is already reduced; skip the divide
   ++count_;
   sum_ += v;
   if (sum_ >= n) sum_ -= n;
-  if (count_ < n_) {
+  if (count_ < ctx.ring_size()) {
     ctx.send(v);
     return;
   }

@@ -39,7 +39,6 @@ class BasicLeadStrategy final : public RingStrategy {
   Value d_ = 0;
   Value sum_ = 0;
   int count_ = 0;
-  int n_ = 0;  ///< cached ring size (set at wake-up)
 };
 
 }  // namespace fle

@@ -42,11 +42,15 @@ void PhaseNormalStrategy::on_receive(RingContext& ctx, Value v) {
 }
 
 void PhaseNormalStrategy::on_data(RingContext& ctx, Value x) {
-  x %= static_cast<Value>(params_.n);
+  const int n = params_.n;
+  if (x >= static_cast<Value>(n)) x %= static_cast<Value>(n);  // honest x is reduced
   ctx.send(buffer_);  // one-round delay: commit before learning
   buffer_ = x;
   ++round_;
-  const int pos = ((id_ - round_) % params_.n + params_.n) % params_.n;
+  // (id_ - round_) mod n: round_ <= n (the n-th round's validation always
+  // ends the strategy) and 1 <= id_ < n, so one add lifts a negative value.
+  int pos = id_ - round_;
+  if (pos < 0) pos += n;
   dval_[static_cast<std::size_t>(pos)] = x;
   if (round_ == id_ + 1) {
     // Our validator round: draw and launch our validation value.
@@ -62,7 +66,7 @@ void PhaseNormalStrategy::on_data(RingContext& ctx, Value x) {
 }
 
 void PhaseNormalStrategy::on_validation(RingContext& ctx, Value y) {
-  y %= params_.m;
+  if (y >= params_.m) y %= params_.m;
   if (round_ == id_ + 1) {
     // This is our validation value returning after a full circulation.
     if (y != v_) {
@@ -111,7 +115,7 @@ void PhaseOriginStrategy::on_receive(RingContext& ctx, Value v) {
 }
 
 void PhaseOriginStrategy::on_data(RingContext& ctx, Value x) {
-  x %= static_cast<Value>(params_.n);
+  if (x >= static_cast<Value>(params_.n)) x %= static_cast<Value>(params_.n);
   ++data_received_;
   // In round j the origin receives d-hat of position (n - j) mod n: its
   // predecessor's value first, its own value last.
@@ -125,7 +129,7 @@ void PhaseOriginStrategy::on_data(RingContext& ctx, Value x) {
 }
 
 void PhaseOriginStrategy::on_validation(RingContext& ctx, Value y) {
-  y %= params_.m;
+  if (y >= params_.m) y %= params_.m;
   ++val_received_;
   if (val_received_ == 1) {
     // Round 1: our own validation value must return intact.

@@ -48,7 +48,8 @@ struct ExecutionStats {
 };
 
 /// Per-delivery observer: (step index, receiving processor, message value,
-/// per-processor sent counts so far).  Used by the trace module.
+/// per-processor sent counts so far).  Used by the trace module.  An engine
+/// built with one runs the hooked delivery loop (see set_transcript).
 using DeliveryObserver =
     std::function<void(std::uint64_t, ProcessorId, Value, std::span<const std::uint64_t>)>;
 
@@ -99,9 +100,10 @@ class RingEngine {
   /// Attaches (or, with nullptr, detaches) an execution transcript: every
   /// delivery and every terminate/abort decision is recorded into it.  The
   /// pointer survives reset() — callers that reuse one engine across trials
-  /// re-point (and clear()) the transcript per trial.  Null costs one
-  /// predicted branch per delivery: the recording-off ring path stays
-  /// allocation-free (DESIGN.md §4/§7).
+  /// re-point (and clear()) the transcript per trial.  run() picks its
+  /// delivery loop once: with neither a transcript nor an observer attached
+  /// the loop it runs has no hook in it at all, and the recording-off ring
+  /// path stays allocation-free (DESIGN.md §4/§7).
   void set_transcript(ExecutionTranscript* transcript) { transcript_ = transcript; }
   [[nodiscard]] ExecutionTranscript* transcript() const { return transcript_; }
 
@@ -109,11 +111,28 @@ class RingEngine {
   class Context;
   friend class Context;
 
-  void enqueue(ProcessorId from, Value v);
-  void deliver_to(ProcessorId p);
-  void mark_ready(ProcessorId p);
-  void unmark_ready(ProcessorId p);
-  [[nodiscard]] ProcessorId pick_next();
+  /// How the delivery loop picks: a built-in schedule family, or the
+  /// custom Scheduler's virtual pick.
+  enum class PickRule { kRoundRobin, kRandom, kPriority, kCustom };
+
+  /// The delivery loop, one instantiation per (pick rule, hooks): run()
+  /// resolves both once, so a delivery tests neither the scheduler kind
+  /// nor the transcript and observer.  kHooks = false has no hook at all.
+  template <PickRule kRule, bool kHooks>
+  void deliver_all();
+  template <PickRule kRule>
+  void deliver(bool hooks);
+
+  // always_inline: Context::send compiles to the whole enqueue, and the
+  // delivery loop to its pick and ready-set updates.  finish() and the
+  // priority scan stay out of line: force-inlining rare helpers into the
+  // loop cost ~25% on the lane engine (DESIGN.md §10).
+  [[gnu::always_inline]] inline void enqueue(ProcessorId from, Value v);
+  [[gnu::always_inline]] inline void mark_ready(ProcessorId p);
+  [[gnu::always_inline]] inline void unmark_ready(ProcessorId p);
+  template <PickRule kRule>
+  [[gnu::always_inline]] inline ProcessorId pick_next();
+  [[nodiscard]] ProcessorId pick_priority() const;
 
   int n_;
   std::uint64_t trial_seed_;
@@ -133,16 +152,18 @@ class RingEngine {
   std::vector<Context> contexts_;              ///< by value, reused
   std::vector<FlatQueue<Value>> inbox_;  ///< inbox_[p]: FIFO from pred(p)
   std::vector<std::optional<LocalOutput>> outputs_;
-  std::vector<bool> terminated_;
+  std::vector<std::uint8_t> terminated_;  ///< a byte per processor, not a bit
   bool armed_ = false;  ///< reset() called since the last run()
 
-  // Ready-set bookkeeping: processors with pending deliveries.
+  // Ready-set bookkeeping: processors with pending deliveries, in the
+  // first ready_count_ slots of an n-slot buffer that never reallocates.
   std::vector<ProcessorId> ready_;
+  std::size_t ready_count_ = 0;
   std::vector<int> ready_pos_;  ///< position in ready_, or -1
 
   // Sync-gap tracking (frozen once any processor terminates).
-  // sent_freq_[c] counts processors whose sent count is exactly c; min/max
-  // pointers move monotonically, giving O(1) amortized gap maintenance.
+  // sent_freq_[c] counts processors whose sent count is exactly c; the
+  // min/max levels move in O(1) per send (engine.cpp, enqueue).
   std::vector<std::uint64_t> sent_freq_;
   std::uint64_t min_sent_ = 0;
   std::uint64_t max_sent_ = 0;

@@ -18,6 +18,7 @@ namespace fle {
 /// by the runtime (deterministic engine or threaded runtime).
 class RingContext {
  public:
+  RingContext(ProcessorId id, int n) : id_(id), n_(n) {}
   virtual ~RingContext() = default;
 
   /// Enqueue a message on the processor's single outgoing link (to its ring
@@ -30,11 +31,17 @@ class RingContext {
   /// Terminate with bottom (abort).  The global outcome becomes FAIL.
   virtual void abort() = 0;
 
-  [[nodiscard]] virtual ProcessorId id() const = 0;
-  [[nodiscard]] virtual int ring_size() const = 0;
+  /// The processor's ring position and the ring size: plain reads of values
+  /// fixed when the runtime built the context, not virtual calls.
+  [[nodiscard]] ProcessorId id() const { return id_; }
+  [[nodiscard]] int ring_size() const { return n_; }
 
   /// The processor's private random tape (paper: infinite random string).
   virtual RandomTape& tape() = 0;
+
+ private:
+  ProcessorId id_;
+  int n_;
 };
 
 /// A processor strategy.  `on_init` is the wake-up event (only the origin

@@ -96,9 +96,8 @@ class ThreadContext final : public RingContext {
  public:
   ThreadContext(ThreadedRuntime::Impl& impl, ProcessorId id, int n, std::uint64_t trial_seed,
                 std::uint64_t send_limit, std::optional<LocalOutput>& output_slot)
-      : impl_(impl),
-        id_(id),
-        n_(n),
+      : RingContext(id, n),
+        impl_(impl),
         send_limit_(send_limit),
         tape_(trial_seed, id),
         output_(output_slot) {}
@@ -112,9 +111,9 @@ class ThreadContext final : public RingContext {
       impl_.stop_all();
       return;  // message dropped; execution is being torn down as FAIL
     }
-    impl_.sent[static_cast<std::size_t>(id_)].fetch_add(1, std::memory_order_relaxed);
+    impl_.sent[static_cast<std::size_t>(id())].fetch_add(1, std::memory_order_relaxed);
     impl_.in_flight.fetch_add(1, std::memory_order_seq_cst);
-    if (!impl_.channels[static_cast<std::size_t>(ring_succ(id_, n_))].push(v)) {
+    if (!impl_.channels[static_cast<std::size_t>(ring_succ(id(), ring_size()))].push(v)) {
       impl_.in_flight.fetch_sub(1, std::memory_order_seq_cst);  // dropped
     }
   }
@@ -122,8 +121,6 @@ class ThreadContext final : public RingContext {
   void terminate(Value output) override { finish(LocalOutput{false, output}); }
   void abort() override { finish(LocalOutput{true, 0}); }
 
-  ProcessorId id() const override { return id_; }
-  int ring_size() const override { return n_; }
   RandomTape& tape() override { return tape_; }
 
   [[nodiscard]] bool terminated() const { return terminated_; }
@@ -134,15 +131,13 @@ class ThreadContext final : public RingContext {
     terminated_ = true;
     output_ = out;
     const std::size_t dropped =
-        impl_.channels[static_cast<std::size_t>(id_)].start_draining();
+        impl_.channels[static_cast<std::size_t>(id())].start_draining();
     if (dropped > 0) {
       impl_.in_flight.fetch_sub(static_cast<std::int64_t>(dropped), std::memory_order_seq_cst);
     }
   }
 
   ThreadedRuntime::Impl& impl_;
-  ProcessorId id_;
-  int n_;
   std::uint64_t send_limit_;
   RandomTape tape_;
   std::optional<LocalOutput>& output_;

@@ -10,9 +10,8 @@
 #include "attacks/coalition.h"
 #include "attacks/phase_late_validation.h"
 #include "attacks/phase_rushing.h"
-#include "core/rng.h"
 #include "protocols/phase_async_lead.h"
-#include "sim/transcript.h"
+#include "scenario_pin.h"
 
 namespace fle {
 namespace {
@@ -132,28 +131,6 @@ TEST(PhaseRushingAttack, CrossoverSweepMatchesSqrtN) {
   EXPECT_GT(high_k_rate, 0.8);
 }
 
-/// Per-trial outcomes ("F" for FAIL) and a mix64 fold of the per-trial
-/// transcript digests, which see every steered data value.
-struct Pinned {
-  std::string outcomes;
-  std::uint64_t transcripts;
-};
-
-Pinned pin_of(ScenarioSpec spec) {
-  spec.record_outcomes = true;
-  spec.record_transcripts = true;
-  const auto r = run_scenario(spec);
-  Pinned pinned{"", 0xcbf29ce484222325ull};
-  for (const Outcome& o : r.per_trial) {
-    if (!pinned.outcomes.empty()) pinned.outcomes += ' ';
-    pinned.outcomes += o.valid() ? std::to_string(o.leader()) : "F";
-  }
-  for (const ExecutionTranscript& t : r.per_trial_transcript) {
-    pinned.transcripts = mix64(pinned.transcripts ^ t.digest());
-  }
-  return pinned;
-}
-
 TEST(PhaseAttackPins, ScenarioOutcomesArePinned) {
   // Recorded before the attacks moved to RandomFunction::first_preimage:
   // a search that picks a different preimage, or misses a hit, moves them.
@@ -162,14 +139,14 @@ TEST(PhaseAttackPins, ScenarioOutcomesArePinned) {
   ScenarioSpec perf36 = rushing_spec(36, 0xd00dull + 36, 6, 24, 24);
   perf36.search_cap = 96ull * 36;
   perf36.seed = 11;
-  const Pinned p36 = pin_of(perf36);
+  const ScenarioPin p36 = run_pinned(perf36);
   EXPECT_EQ(p36.outcomes, "F F F F F F F F F F F F F F F F F F F 24 24 F F F");
   EXPECT_EQ(p36.transcripts, 0x5da1e6c4a3038508ull);
 
   ScenarioSpec perf49 = rushing_spec(49, 0xc805ull, 7, 32, 12);
   perf49.search_cap = 64ull * 49;
   perf49.seed = 12;
-  const Pinned p49 = pin_of(perf49);
+  const ScenarioPin p49 = run_pinned(perf49);
   EXPECT_EQ(p49.outcomes, "F F F 32 32 F F F F F F F");
   EXPECT_EQ(p49.transcripts, 0x680aeb81f1e793e1ull);
 
@@ -177,7 +154,7 @@ TEST(PhaseAttackPins, ScenarioOutcomesArePinned) {
   ScenarioSpec e07 = rushing_spec(100, 0xd00dull + 100, 13, 66, 25);
   e07.search_cap = 96ull * 100;
   e07.seed = 300;
-  const Pinned p100 = pin_of(e07);
+  const ScenarioPin p100 = run_pinned(e07);
   EXPECT_EQ(p100.outcomes,
             "66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66 66");
   EXPECT_EQ(p100.transcripts, 0x62fa597fda024dedull);
@@ -186,7 +163,7 @@ TEST(PhaseAttackPins, ScenarioOutcomesArePinned) {
   ScenarioSpec x3 = attacked_spec(196, 0xab1eull + 8, "phase-late-validation", 77, 12);
   x3.param_l = 8;
   x3.seed = 17;
-  const Pinned late = pin_of(x3);
+  const ScenarioPin late = run_pinned(x3);
   EXPECT_EQ(late.outcomes, "77 77 77 77 77 77 77 77 77 77 77 77");
   EXPECT_EQ(late.transcripts, 0x894361cf65e40d86ull);
 }

@@ -622,7 +622,13 @@ TEST(FabricLoopback, AllWorkersDeadFailsTheSweepLoudly) {
 }
 
 TEST(FabricLoopback, RejectsMismatchedBuilds) {
-  RemoteExecutor executor(FabricOptions{});
+  // The sweep can only end by the empty-fleet grace expiring.  Its timer
+  // starts with the sweep, before the handshake below, so the grace must
+  // still cover that handshake on a slow (sanitized) build: 2 s, not the
+  // 15 s default.
+  FabricOptions options;
+  options.worker_grace = std::chrono::seconds(2);
+  RemoteExecutor executor(options);
   std::thread driver([&executor] {
     try {
       (void)executor.run_sweep(loopback_sweep());
