@@ -1,10 +1,5 @@
 #include "harness.h"
 
-// Counting allocator shim: every bench binary links this library, so the
-// shim replaces the global operator new/delete for the whole process and
-// makes allocation churn measurable per scenario run.
-#include "core/counting_new.inc"
-
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -16,10 +11,6 @@
 #endif
 
 namespace fle::bench {
-
-std::uint64_t allocation_count() {
-  return counting_new::allocations.load(std::memory_order_relaxed);
-}
 
 std::uint64_t peak_rss_kib() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -182,15 +173,12 @@ void Harness::row_header(const std::string& cols) {
 
 std::vector<ScenarioResult> Harness::run_sweep(const SweepSpec& sweep,
                                                const std::vector<std::string>& labels) {
-  const std::uint64_t allocations_before = allocation_count();
   std::vector<ScenarioResult> results = fle::run_sweep(sweep);
-  const std::uint64_t allocations = allocation_count() - allocations_before;
   for (std::size_t s = 0; s < results.size(); ++s) {
     const std::string label = s < labels.size() ? labels[s] : std::string();
     JsonObject row = scenario_row(sweep.scenarios[s], label, results[s]);
     // Every result of a sweep reports the sweep's wall time (api/sweep.h).
     row.set("sweep_wall_seconds", results[s].wall_seconds)
-        .set("sweep_allocations", allocations)
         .set("peak_rss_kib", peak_rss_kib())
         .set("sweep", true);
     rows_.push_back(std::move(row));

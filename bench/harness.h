@@ -28,12 +28,6 @@
 
 namespace fle::bench {
 
-/// Process-wide heap-allocation count (every operator new since start).
-/// The harness library overrides the global allocator with a counting
-/// malloc shim, so benches can report allocations-per-trial and the perf
-/// trajectory in BENCH_*.json can track allocation churn across PRs.
-std::uint64_t allocation_count();
-
 /// Peak resident set size in KiB (0 where the platform has no getrusage).
 std::uint64_t peak_rss_kib();
 
@@ -72,8 +66,7 @@ class Harness {
   /// the executor's work queue.  Records one row per scenario (labels[i]
   /// where provided) and returns the results in sweep order.  Under work
   /// stealing only the sweep as a whole is measured, so every row carries
-  /// the sweep's totals (sweep_wall_seconds, sweep_allocations) and no
-  /// per-row rate.
+  /// the sweep's wall time (sweep_wall_seconds) and no per-row rate.
   std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
                                         const std::vector<std::string>& labels = {});
 

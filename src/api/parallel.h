@@ -33,18 +33,9 @@
 #include <span>
 #include <vector>
 
-#include "core/types.h"
+#include "core/types.h"  // TrialStats, the trial bodies' result
 
 namespace fle {
-
-/// Per-trial measurements every runtime can produce (unused fields stay 0).
-struct TrialStats {
-  Outcome outcome;                ///< default-constructed = FAIL
-  std::uint64_t messages = 0;     ///< total sends
-  std::uint64_t sync_gap = 0;     ///< ring engine synchronization gap
-  int rounds = 0;                 ///< sync engine rounds
-  bool step_limit_hit = false;    ///< ring step / sync round limit hit (closed-form audits)
-};
 
 /// Builds one per-worker workspace (may return null for stateless bodies).
 using WorkspaceFactory = std::function<std::shared_ptr<void>()>;

@@ -53,8 +53,6 @@ const char* to_string(EngineKind kind) {
       return "auto";
     case EngineKind::kScalar:
       return "scalar";
-    case EngineKind::kLanes:
-      return "lanes";
   }
   return "unknown";
 }
@@ -62,7 +60,6 @@ const char* to_string(EngineKind kind) {
 std::optional<EngineKind> parse_engine(const std::string& name) {
   if (name == "auto") return EngineKind::kAuto;
   if (name == "scalar") return EngineKind::kScalar;
-  if (name == "lanes") return EngineKind::kLanes;
   return std::nullopt;
 }
 
@@ -290,7 +287,7 @@ struct ScenarioJob {
   /// result, run once per job by whichever worker gets there first and
   /// read by no served trial before that run has finished.
   std::once_flag trial0_once;
-  LaneTrialResult trial0;
+  TrialStats trial0;
 
   /// The transcript slot for global trial `trial`, or nullptr when the
   /// spec does not record.  The slot is cleared for the trial (reused
@@ -376,86 +373,6 @@ void require_n(const ScenarioSpec& spec, int minimum) {
   }
 }
 
-TrialStats lane_stats(const LaneTrialResult& result) {
-  TrialStats stats;
-  stats.outcome = result.outcome;
-  stats.messages = result.messages;
-  stats.sync_gap = result.max_sync_gap;
-  stats.rounds = static_cast<int>(result.rounds);
-  stats.step_limit_hit = result.step_limit_hit;
-  return stats;
-}
-
-/// The audit's view of a per-trial body's stats (the inverse of lane_stats).
-LaneTrialResult trial_result(const TrialStats& stats) {
-  LaneTrialResult result;
-  result.outcome = stats.outcome;
-  result.messages = stats.messages;
-  result.max_sync_gap = stats.sync_gap;
-  result.rounds = static_cast<std::uint64_t>(stats.rounds);
-  result.step_limit_hit = stats.step_limit_hit;
-  return result;
-}
-
-/// Per-worker staging of run_trial_chunk: the chunk's general-path trials
-/// (global indices), their results, and the closed forms' scratch.
-struct ChunkStaging {
-  std::vector<std::size_t> general;
-  std::vector<LaneTrialResult> results;
-  ClosedFormScratch scratch;
-};
-
-/// Local trials [begin, end) of `job` through the closed-form layer
-/// (api/specialize.h): the one serve/audit decision of the lane and scalar
-/// chunk bodies.  `run_general(trials, results)` runs the given global
-/// trials on the job's general path and writes each one's result.  With no
-/// closed form every trial runs there.  Otherwise a form with per-shape
-/// constants reads them once per job from global trial 0's general run,
-/// which is also trial 0's audit and, inside the window, its result; every
-/// other audited trial runs the general path and must agree with the
-/// closed form; the rest are served from it.
-template <typename RunGeneral>
-void run_trial_chunk(ScenarioJob& job, ClosedFormKind closed, std::size_t begin,
-                     std::size_t end, ChunkStaging& staging, RunGeneral&& run_general) {
-  const ScenarioSpec& spec = job.spec;
-  const bool reads_trial0 =
-      closed != ClosedFormKind::kNone && closed != ClosedFormKind::kChangRoberts;
-  if (reads_trial0) {
-    std::call_once(job.trial0_once, [&] {
-      const std::size_t zero = 0;
-      run_general(std::span<const std::size_t>(&zero, 1),
-                  std::span<LaneTrialResult>(&job.trial0, 1));
-      audit_closed_form(spec, 0, closed_form_result(closed, spec, 0, job.trial0, staging.scratch),
-                        job.trial0);
-    });
-  }
-  staging.general.clear();
-  for (std::size_t local = begin; local < end; ++local) {
-    const std::size_t trial = job.window.first + local;
-    if (closed == ClosedFormKind::kNone) {
-      staging.general.push_back(trial);
-    } else if (reads_trial0 && trial == 0) {
-      job.stats[local] = lane_stats(job.trial0);
-    } else if (closed_form_audited(spec.seed, trial)) {
-      staging.general.push_back(trial);
-    } else {
-      job.stats[local] =
-          lane_stats(closed_form_result(closed, spec, trial, job.trial0, staging.scratch));
-    }
-  }
-  staging.results.resize(staging.general.size());
-  run_general(std::span<const std::size_t>(staging.general),
-              std::span<LaneTrialResult>(staging.results));
-  for (std::size_t i = 0; i < staging.general.size(); ++i) {
-    const std::size_t trial = staging.general[i];
-    job.stats[trial - job.window.first] = lane_stats(staging.results[i]);
-    if (closed == ClosedFormKind::kNone) continue;
-    audit_closed_form(spec, trial,
-                      closed_form_result(closed, spec, trial, job.trial0, staging.scratch),
-                      staging.results[i]);
-  }
-}
-
 /// Per-worker workspace (DESIGN.md §4): one engine + one strategy arena,
 /// cached per executor thread under (family, n) and reused across every
 /// trial — and, since PR 4, across scenarios of the same shape.  The engine
@@ -470,11 +387,11 @@ struct EngineWorkspace {
 };
 
 struct RingWorkspace : EngineWorkspace<RingEngine, RingStrategy> {
-  ChunkStaging staging;  ///< closed-form jobs (phase-output)
+  ClosedFormScratch scratch;  ///< closed-form jobs
 };
 using GraphWorkspace = EngineWorkspace<GraphEngine, GraphStrategy>;
 struct SyncWorkspace : EngineWorkspace<SyncEngine, SyncStrategy> {
-  ChunkStaging staging;  ///< closed-form jobs (token-sum)
+  ClosedFormScratch scratch;  ///< closed-form jobs (token-sum)
 };
 
 template <typename Workspace>
@@ -482,20 +399,53 @@ WorkspaceFactory workspace_factory() {
   return [] { return std::static_pointer_cast<void>(std::make_shared<Workspace>()); };
 }
 
+/// Local trials [begin, end) of `job`, whose spec has closed form `closed`
+/// (api/specialize.h), on the worker whose workspace is `raw`: the one
+/// serve/audit decision of the scalar ring and sync jobs.  `general` is the
+/// job's scalar per-trial body, the oracle.  A form with per-shape
+/// constants reads them once per job from global trial 0's general run,
+/// which is also trial 0's audit and, inside the window, its result; every
+/// other audited trial runs `general` and must agree with the closed form;
+/// the rest are served from it.
+template <typename General>
+void run_trial_chunk(ScenarioJob& job, ClosedFormKind closed, std::size_t begin,
+                     std::size_t end, ClosedFormScratch& scratch, const General& general,
+                     void* raw) {
+  const ScenarioSpec& spec = job.spec;
+  const auto run_general = [&](std::size_t trial) {
+    return general(trial, scenario_trial_seed(spec.seed, trial), raw);
+  };
+  const bool reads_trial0 = closed != ClosedFormKind::kChangRoberts;
+  if (reads_trial0) {
+    std::call_once(job.trial0_once, [&] {
+      job.trial0 = run_general(0);
+      audit_closed_form(spec, 0, closed_form_result(closed, spec, 0, job.trial0, scratch),
+                        job.trial0);
+    });
+  }
+  for (std::size_t local = begin; local < end; ++local) {
+    const std::size_t trial = job.window.first + local;
+    TrialStats& stats = job.stats[local];
+    if (reads_trial0 && trial == 0) {
+      stats = job.trial0;
+    } else if (closed_form_audited(spec.seed, trial)) {
+      stats = run_general(trial);
+      audit_closed_form(spec, trial, closed_form_result(closed, spec, trial, job.trial0, scratch),
+                        stats);
+    } else {
+      stats = closed_form_result(closed, spec, trial, job.trial0, scratch);
+    }
+  }
+}
+
 /// The chunk body of a scalar job whose spec has a closed form: its
-/// per-trial body `general` runs the general trials on the worker's
+/// per-trial body `general` runs the audited trials on the worker's
 /// Workspace engine and reports each one's limit hit in its stats.
 template <typename Workspace, typename General>
 Executor::ChunkBody closed_form_chunk_body(ScenarioJob* j, ClosedFormKind closed,
                                            General general) {
   return [j, closed, general](std::size_t begin, std::size_t end, void* raw) {
-    run_trial_chunk(*j, closed, begin, end, static_cast<Workspace*>(raw)->staging,
-                    [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
-                      for (std::size_t i = 0; i < trials.size(); ++i) {
-                        out[i] = trial_result(general(
-                            trials[i], scenario_trial_seed(j->spec.seed, trials[i]), raw));
-                      }
-                    });
+    run_trial_chunk(*j, closed, begin, end, static_cast<Workspace*>(raw)->scratch, general, raw);
   };
 }
 
@@ -616,34 +566,14 @@ struct LaneWorkspace {
   std::unique_ptr<LaneEngine> engine;
   std::vector<std::uint64_t> seeds;
   std::vector<ExecutionTranscript*> transcripts;
-  ChunkStaging staging;
 };
-
-/// Runs the job's global trials `trials` as one engine window, seeds and
-/// transcript slots staged by global index, into `out`.
-void run_lane_window(ScenarioJob& job, LaneWorkspace& ws, std::span<const std::size_t> trials,
-                     std::span<LaneTrialResult> out) {
-  const std::size_t count = trials.size();
-  ws.seeds.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ws.seeds[i] = scenario_trial_seed(job.spec.seed, trials[i]);
-  }
-  std::span<ExecutionTranscript* const> transcripts;
-  if (job.spec.record_transcripts) {
-    ws.transcripts.resize(count);
-    for (std::size_t i = 0; i < count; ++i) ws.transcripts[i] = job.transcript_slot(trials[i]);
-    transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
-  }
-  ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds), out, transcripts);
-}
 
 /// The specializer's lane path: the executor hands whole trial windows to
 /// a batched LaneEngine via the chunk-body seam.  Only reachable for
-/// lane_eligible() specs (route_to_lanes gates it), so the protocol always
-/// has a devirtualized kernel and the profile is honest or one of the
-/// lane-served deviations (basic-single, rushing).  A spec with a closed
-/// form (api/specialize.h) serves its unaudited trials from it and runs
-/// only the audited ones.
+/// lane-eligible specs without a closed form (route_to_lanes gates it), so
+/// the protocol always has a devirtualized kernel, the profile is honest or
+/// one of the lane-served deviations (basic-single, rushing), and every
+/// trial runs the burst loop.
 void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
@@ -675,10 +605,9 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
       options.deviation.target = spec.target;
     }
   }
-  const ClosedFormKind closed = closed_form_kind(spec, options.step_limit);
 
   ScenarioJob* j = &job;
-  job.chunk_body = [j, kernel, options, closed](std::size_t begin, std::size_t end, void* raw) {
+  job.chunk_body = [j, kernel, options](std::size_t begin, std::size_t end, void* raw) {
     const ScenarioSpec& spec = j->spec;
     auto& ws = *static_cast<LaneWorkspace*>(raw);
     if (!ws.engine || ws.engine->kernel() != kernel || ws.engine->n() != spec.n ||
@@ -687,10 +616,20 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
         !(ws.engine->deviation() == options.deviation)) {
       ws.engine = std::make_unique<LaneEngine>(spec.n, kernel, options);
     }
-    run_trial_chunk(*j, closed, begin, end, ws.staging,
-                    [&](std::span<const std::size_t> trials, std::span<LaneTrialResult> out) {
-                      run_lane_window(*j, ws, trials, out);
-                    });
+    // Stage the window's seeds (and transcript slots) by global index; the
+    // engine writes straight into the job's stats slots.
+    const std::size_t count = end - begin;
+    const std::size_t first = j->window.first + begin;
+    ws.seeds.resize(count);
+    for (std::size_t i = 0; i < count; ++i) ws.seeds[i] = scenario_trial_seed(spec.seed, first + i);
+    std::span<ExecutionTranscript* const> transcripts;
+    if (spec.record_transcripts) {
+      ws.transcripts.resize(count);
+      for (std::size_t i = 0; i < count; ++i) ws.transcripts[i] = j->transcript_slot(first + i);
+      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
+    }
+    ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
+                          std::span<TrialStats>(j->stats).subspan(begin, count), transcripts);
   };
   job.workspace_key = WorkspaceKey{kLaneFamily, spec.n};
   job.make_workspace = workspace_factory<LaneWorkspace>();
@@ -919,8 +858,7 @@ std::unique_ptr<ScenarioJob> prepare_scenario_job(const ScenarioSpec& spec) {
         "cannot be deterministically transcribed (use 'ring' — the §2 equivalence makes the "
         "executions interchangeable)");
   }
-  // The routing decision (and the engine=lanes eligibility error) comes
-  // before any factory runs, like every other spec-field validation.
+  // The routing decision reads the spec alone, before any factory runs.
   const bool lanes = route_to_lanes(spec);
   register_builtin_scenarios();
   const ProtocolEntry* protocol_entry = &ProtocolRegistry::instance().at(spec.protocol);

@@ -58,20 +58,19 @@ std::optional<TopologyKind> parse_topology(const std::string& name);
 /// Which execution path serves a scenario's trials (ring and sync
 /// topologies; the other runtimes ignore this).
 ///
-///  * kAuto   — the specializer (api/specialize.h) runs every ring spec
-///              that has a devirtualized lane kernel — honest or deviated
-///              (basic-single, rushing) — on the batched lane engine, and
-///              everything else on the scalar engines; ring and sync
-///              shapes with a closed form are served from it, audited.
-///              Results are bit-identical either way (the lane and
-///              closed-form differentials gate it), so this is purely a
-///              performance decision.
+///  * kAuto   — the specializer (api/specialize.h) decides from the spec:
+///              a ring or sync shape with a closed-form pairing runs on
+///              its scalar engine, which serves the unaudited trials from
+///              the closed form and simulates the audited ones; a ring
+///              spec with a devirtualized lane kernel (honest, or under
+///              basic-single or rushing) and no pairing runs on the
+///              batched lane engine; everything else runs on the scalar
+///              engines.  Results are bit-identical either way (the lane
+///              differential and the runtime audit gate it), so this is
+///              purely a performance decision.
 ///  * kScalar — always the scalar reference engine (the oracle), never a
-///              closed form.
-///  * kLanes  — force the batched lane engine; rejected (invalid_argument
-///              with the lane_ineligible_reason) when the spec has no lane
-///              kernel, as every non-ring spec has none.
-enum class EngineKind { kAuto, kScalar, kLanes };
+///              closed form or the lanes.
+enum class EngineKind { kAuto, kScalar };
 
 const char* to_string(EngineKind kind);
 std::optional<EngineKind> parse_engine(const std::string& name);
@@ -147,7 +146,7 @@ struct ScenarioSpec {
   bool record_transcripts = false;
   /// kGraph only: the link structure trials run on (ignored elsewhere).
   GraphAdjacency adjacency = GraphAdjacency::kComplete;
-  /// Engine selection (see EngineKind); lanes serve ring specs.
+  /// Engine selection (see EngineKind).
   EngineKind engine = EngineKind::kAuto;
 
   // Protocol / deviation knobs (consumed by the registered factories that

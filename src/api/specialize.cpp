@@ -1,6 +1,7 @@
 #include "api/specialize.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "api/registry.h"
@@ -23,97 +24,73 @@ std::optional<LaneDeviationId> lane_deviation_id(const std::string& deviation) {
   return std::nullopt;
 }
 
-bool lane_eligible(const ScenarioSpec& spec) { return lane_ineligible_reason(spec).empty(); }
-
-std::string lane_ineligible_reason(const ScenarioSpec& spec) {
-  if (spec.topology != TopologyKind::kRing) {
-    return std::string("topology '") + to_string(spec.topology) +
-           "' has no lane runtime (lanes serve ring specs)";
-  }
-  if (!lane_kernel_for(spec.protocol).has_value()) {
-    return "protocol '" + spec.protocol +
-           "' has no ring lane kernel (lane kernels: basic-lead, chang-roberts, alead-uni)";
-  }
-  if (!lane_deviation_id(spec.deviation).has_value()) {
-    return "deviation '" + spec.deviation +
-           "' has no lane register mapping (lane-served ring profiles: honest, basic-single, "
-           "rushing)";
-  }
-  return "";
+bool lane_eligible(const ScenarioSpec& spec) {
+  return spec.topology == TopologyKind::kRing && lane_kernel_for(spec.protocol).has_value() &&
+         lane_deviation_id(spec.deviation).has_value();
 }
 
 bool route_to_lanes(const ScenarioSpec& spec) {
-  switch (spec.engine) {
-    case EngineKind::kScalar:
-      return false;
-    case EngineKind::kLanes:
-      if (!lane_eligible(spec)) {
-        throw std::invalid_argument("ScenarioSpec.engine = lanes: " + lane_ineligible_reason(spec));
-      }
-      return true;
-    case EngineKind::kAuto:
-      return lane_eligible(spec);
-  }
-  return false;
+  // A pairing sends the spec to the scalar engine whatever its limit: its
+  // job then asks the layer with the resolved one.
+  return spec.engine == EngineKind::kAuto && lane_eligible(spec) &&
+         closed_form_kind(spec, std::numeric_limits<std::uint64_t>::max()) ==
+             ClosedFormKind::kNone;
 }
+
+namespace {
+
+/// One row of the pairing table: a shape whose trial results the paper
+/// states outright, its closed form, and the smallest limit a*n^2 + b*n + c
+/// (ring deliveries, sync rounds) under which the form holds.
+struct Pairing {
+  TopologyKind topology;
+  const char* protocol;
+  const char* deviation;  ///< "" = honest
+  ClosedFormKind kind;
+  std::uint64_t a, b, c;
+};
+
+constexpr Pairing kPairings[] = {
+    // §3: the mod-n sum of the wake-up draws; every processor sends n.
+    {TopologyKind::kRing, "basic-lead", "", ClosedFormKind::kTokenSum, 1, 0, 0},
+    {TopologyKind::kRing, "alead-uni", "", ClosedFormKind::kTokenSum, 1, 0, 0},
+    // The max id's owner; a trial's deliveries depend on its ids.
+    {TopologyKind::kRing, "chang-roberts", "", ClosedFormKind::kChangRoberts, 1, 1, 0},
+    // The designed pairings, whose theorems force the target (Claim B.1,
+    // Lemma 4.1).  On any other protocol the honest validation branch is
+    // data-dependent.
+    {TopologyKind::kRing, "basic-lead", "basic-single", ClosedFormKind::kDeviatedConstant, 1, 0,
+     0},
+    {TopologyKind::kRing, "alead-uni", "rushing", ClosedFormKind::kDeviatedConstant, 1, 0, 0},
+    // §6: f(d, v); every processor sends n data and n validation messages.
+    // Under a deviation the validation branch is data-dependent.
+    {TopologyKind::kRing, "phase-async-lead", "", ClosedFormKind::kPhaseOutput, 2, 0, 0},
+    // §1.1: the round-1 commitments' mod-n sum, decided in round 2
+    // (broadcast) or round n (ring); the run ends in the round after.
+    {TopologyKind::kSync, "sync-broadcast-lead", "", ClosedFormKind::kTokenSum, 0, 0, 3},
+    {TopologyKind::kSync, "sync-ring-lead", "", ClosedFormKind::kTokenSum, 0, 1, 1},
+};
+
+}  // namespace
 
 ClosedFormKind closed_form_kind(const ScenarioSpec& spec, std::uint64_t step_limit) {
   // A transcribing trial needs the real event stream.  engine=scalar pins
-  // the oracle, which never consults the layer.
-  if (spec.record_transcripts || spec.engine == EngineKind::kScalar) {
+  // the oracle, which never consults the layer.  Every ring closed form
+  // rides the trial-independent round-robin schedule; the sync runtime has
+  // no scheduler.
+  if (spec.record_transcripts || spec.engine == EngineKind::kScalar ||
+      (spec.topology == TopologyKind::kRing && spec.scheduler != SchedulerKind::kRoundRobin)) {
     return ClosedFormKind::kNone;
   }
   const std::uint64_t n = static_cast<std::uint64_t>(spec.n);
-  if (spec.topology == TopologyKind::kSync) {
-    // The sync runtime has no scheduler.  An honest processor commits its
-    // round-1 draw and outputs the mod-n sum, deciding in round 2
-    // (broadcast) or round n (ring); the run ends in the round after.
-    if (!spec.deviation.empty()) return ClosedFormKind::kNone;
-    if (spec.protocol == "sync-broadcast-lead") {
-      return step_limit >= 3 ? ClosedFormKind::kTokenSum : ClosedFormKind::kNone;
+  for (const Pairing& row : kPairings) {
+    if (row.topology != spec.topology || spec.protocol != row.protocol ||
+        spec.deviation != row.deviation) {
+      continue;
     }
-    if (spec.protocol == "sync-ring-lead") {
-      return step_limit >= n + 1 ? ClosedFormKind::kTokenSum : ClosedFormKind::kNone;
-    }
-    return ClosedFormKind::kNone;
+    return step_limit >= (row.a * n + row.b) * n + row.c ? row.kind : ClosedFormKind::kNone;
   }
-  // Every ring closed form rides the trial-independent round-robin
-  // schedule.
-  if (spec.topology != TopologyKind::kRing || spec.scheduler != SchedulerKind::kRoundRobin) {
-    return ClosedFormKind::kNone;
-  }
-  if (spec.protocol == "phase-async-lead") {
-    // Every processor sends n data and n validation messages.  Under a
-    // deviation the validation branch is data-dependent.
-    return spec.deviation.empty() && step_limit >= 2 * n * n ? ClosedFormKind::kPhaseOutput
-                                                             : ClosedFormKind::kNone;
-  }
-  const std::optional<LaneKernelId> kernel = lane_kernel_for(spec.protocol);
-  const std::optional<LaneDeviationId> deviation = lane_deviation_id(spec.deviation);
-  if (!kernel || !deviation) return ClosedFormKind::kNone;
-  ClosedFormKind kind = ClosedFormKind::kNone;
-  switch (*deviation) {
-    case LaneDeviationId::kNone:
-      if (*kernel == LaneKernelId::kChangRoberts) {
-        // A trial's deliveries depend on its ids, up to n^2 + n in total.
-        return step_limit >= n * n + n ? ClosedFormKind::kChangRoberts : ClosedFormKind::kNone;
-      }
-      kind = ClosedFormKind::kTokenSum;
-      break;
-    // The designed pairings, whose theorems force the target (Claim B.1,
-    // Lemma 4.1).  On any other kernel the honest validation branch is
-    // data-dependent.
-    case LaneDeviationId::kBasicSingle:
-      if (*kernel != LaneKernelId::kBasicLead) return ClosedFormKind::kNone;
-      kind = ClosedFormKind::kDeviatedConstant;
-      break;
-    case LaneDeviationId::kRushing:
-      if (*kernel != LaneKernelId::kALeadUni) return ClosedFormKind::kNone;
-      kind = ClosedFormKind::kDeviatedConstant;
-      break;
-  }
-  // Every processor sends exactly n messages: at most n^2 deliveries.
-  return step_limit >= n * n ? kind : ClosedFormKind::kNone;
+  return ClosedFormKind::kNone;
 }
 
 bool closed_form_audited(std::uint64_t base_seed, std::size_t trial) {
@@ -128,7 +105,7 @@ namespace {
 /// (stopping unsent at the first larger one); the announce circulates once.
 /// A processor sends 2 (wake-up + announce) plus the tokens it forwards,
 /// and the sync-gap histogram's trace collapses to max(sends) - min(sends).
-LaneTrialResult chang_roberts_result(int n, std::uint64_t seed, ClosedFormScratch& scratch) {
+TrialStats chang_roberts_result(int n, std::uint64_t seed, ClosedFormScratch& scratch) {
   const std::size_t cells = static_cast<std::size_t>(n);
   scratch.ids.resize(cells);
   shuffled_ids(scratch.ids, seed);
@@ -145,10 +122,10 @@ LaneTrialResult chang_roberts_result(int n, std::uint64_t seed, ClosedFormScratc
   }
   const auto winner = std::max_element(scratch.ids.begin(), scratch.ids.end());
   const auto [min_it, max_it] = std::minmax_element(scratch.sends.begin(), scratch.sends.end());
-  LaneTrialResult result;
+  TrialStats result;
   result.outcome = Outcome::elected(static_cast<Value>(winner - scratch.ids.begin()));
   result.messages = 2 * static_cast<std::uint64_t>(n) + forwards;
-  result.max_sync_gap = *max_it - *min_it;
+  result.sync_gap = *max_it - *min_it;
   return result;
 }
 
@@ -172,13 +149,12 @@ Value phase_output(const ScenarioSpec& spec, std::uint64_t seed, ClosedFormScrat
 
 }  // namespace
 
-LaneTrialResult closed_form_result(ClosedFormKind kind, const ScenarioSpec& spec,
-                                   std::size_t trial, const LaneTrialResult& trial0,
-                                   ClosedFormScratch& scratch) {
+TrialStats closed_form_result(ClosedFormKind kind, const ScenarioSpec& spec, std::size_t trial,
+                              const TrialStats& trial0, ClosedFormScratch& scratch) {
   const std::uint64_t seed = scenario_trial_seed(spec.seed, trial);
-  LaneTrialResult result;
+  TrialStats result;
   result.messages = trial0.messages;
-  result.max_sync_gap = trial0.max_sync_gap;
+  result.sync_gap = trial0.sync_gap;
   result.rounds = trial0.rounds;
   switch (kind) {
     case ClosedFormKind::kTokenSum: {
@@ -208,19 +184,19 @@ LaneTrialResult closed_form_result(ClosedFormKind kind, const ScenarioSpec& spec
   throw std::logic_error("closed_form_result: the spec has no closed form");
 }
 
-void audit_closed_form(const ScenarioSpec& spec, std::size_t trial,
-                       const LaneTrialResult& predicted, const LaneTrialResult& general) {
-  const char* field = !(predicted.outcome == general.outcome)          ? "outcome"
-                      : predicted.messages != general.messages         ? "messages"
-                      : predicted.max_sync_gap != general.max_sync_gap ? "max_sync_gap"
-                      : predicted.rounds != general.rounds             ? "rounds"
+void audit_closed_form(const ScenarioSpec& spec, std::size_t trial, const TrialStats& predicted,
+                       const TrialStats& general) {
+  const char* field = !(predicted.outcome == general.outcome)              ? "outcome"
+                      : predicted.messages != general.messages             ? "messages"
+                      : predicted.sync_gap != general.sync_gap             ? "max_sync_gap"
+                      : predicted.rounds != general.rounds                 ? "rounds"
                       : predicted.step_limit_hit != general.step_limit_hit ? "step_limit_hit"
                                                                            : nullptr;
   if (field == nullptr) return;
-  const auto describe = [](const LaneTrialResult& r) {
+  const auto describe = [](const TrialStats& r) {
     return (r.outcome.valid() ? "elected " + std::to_string(r.outcome.leader()) : "FAIL") +
            ", messages " + std::to_string(r.messages) + ", max_sync_gap " +
-           std::to_string(r.max_sync_gap) + ", rounds " + std::to_string(r.rounds) +
+           std::to_string(r.sync_gap) + ", rounds " + std::to_string(r.rounds) +
            (r.step_limit_hit ? ", step_limit_hit" : "");
   };
   throw std::logic_error("closed-form audit failed: protocol=" + spec.protocol + " deviation=" +

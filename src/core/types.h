@@ -57,6 +57,18 @@ class Outcome {
   std::optional<Value> elected_;
 };
 
+/// What one trial leaves behind, on every runtime and fast path: the scalar
+/// engines, the lane engine and the closed-form layer all report it, and
+/// the closed-form audit compares it field for field.  Fields a runtime
+/// does not produce stay 0.
+struct TrialStats {
+  Outcome outcome;                ///< default-constructed = FAIL
+  std::uint64_t messages = 0;     ///< total sends
+  std::uint64_t sync_gap = 0;     ///< ring runtimes' max synchronization gap
+  int rounds = 0;                 ///< sync engine rounds
+  bool step_limit_hit = false;    ///< ring step limit or sync round limit hit
+};
+
 /// Aggregates per-processor local outputs into the global outcome, per the
 /// paper's definition: outcome(e) = o iff all processors terminated with
 /// output o in [0, n); otherwise FAIL.

@@ -497,7 +497,7 @@ void LaneEngine::start_trial(std::uint64_t seed, ExecutionTranscript* transcript
 }
 
 template <typename Kernel, typename Dev, bool kTranscribe>
-void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
+void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
                            std::span<ExecutionTranscript* const> transcripts) {
   const std::uint64_t limit = step_limit_;
   for (std::size_t t = 0; t < seeds.size(); ++t) {
@@ -552,16 +552,16 @@ void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<LaneT
   }
 }
 
-LaneTrialResult LaneEngine::retire(const TrialHot& hot, bool step_limit_hit) const {
+TrialStats LaneEngine::retire(const TrialHot& hot, bool step_limit_hit) const {
   const std::size_t n = static_cast<std::size_t>(n_);
-  LaneTrialResult result;
+  TrialStats result;
   // Total messages = sum of the per-processor send counters (the hot loop
   // keeps no running total; every lane_send bumps sent_ exactly once,
   // including sends dropped at a terminated destination).
   std::uint64_t messages = 0;
   for (std::size_t i = 0; i < n; ++i) messages += sent_[i];
   result.messages = messages;
-  result.max_sync_gap = hot.max_sync_gap;
+  result.sync_gap = hot.max_sync_gap;
   result.step_limit_hit = step_limit_hit;
 
   // aggregate_outcome (core/types.h) over the output columns.
@@ -581,7 +581,7 @@ LaneTrialResult LaneEngine::retire(const TrialHot& hot, bool step_limit_hit) con
 
 template <typename Kernel, typename Dev>
 void LaneEngine::run_window_impl(std::span<const std::uint64_t> seeds,
-                                 std::span<LaneTrialResult> out,
+                                 std::span<TrialStats> out,
                                  std::span<ExecutionTranscript* const> transcripts) {
   if (transcripts.empty()) {
     run_batch<Kernel, Dev, false>(seeds, out, transcripts);
@@ -592,7 +592,7 @@ void LaneEngine::run_window_impl(std::span<const std::uint64_t> seeds,
 
 template <typename Kernel>
 void LaneEngine::dispatch_kernel(std::span<const std::uint64_t> seeds,
-                                 std::span<LaneTrialResult> out,
+                                 std::span<TrialStats> out,
                                  std::span<ExecutionTranscript* const> transcripts) {
   switch (deviation_.id) {
     case LaneDeviationId::kNone:
@@ -607,7 +607,7 @@ void LaneEngine::dispatch_kernel(std::span<const std::uint64_t> seeds,
   }
 }
 
-void LaneEngine::run_window(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
+void LaneEngine::run_window(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
                             std::span<ExecutionTranscript* const> transcripts) {
   if (out.size() < seeds.size()) {
     throw std::invalid_argument("lane engine: result span smaller than seed span");

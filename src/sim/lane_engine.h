@@ -40,11 +40,14 @@
 // prefix sums of l_j — sum l_j = n-k <= n, so one n-wide column covers
 // every placement).
 //
-// The engine has one path: every trial it is handed runs the burst loop.
-// Shapes whose trial results the paper states outright (honest token-sum,
-// the two forcing attacks, chang-roberts under round-robin) are served
-// above it by the closed-form layer in api/specialize.h, which runs its
-// audited trials through this engine and compares.
+// The engine has one path: every trial it is handed runs the burst loop,
+// and it only ever runs whole windows.  Shapes whose trial results the
+// paper states outright (honest token-sum, the two forcing attacks,
+// chang-roberts under round-robin) never reach it: the specializer
+// (api/specialize.h) routes them to the scalar RingEngine, where the
+// closed-form layer serves them and runs its audited trials through the
+// oracle.  Lanes serve the same kernels when a closed form cannot apply:
+// under the random and priority schedulers, and when transcribing.
 
 #include <cstdint>
 #include <span>
@@ -60,7 +63,7 @@ namespace fle {
 
 /// The built-in protocols with devirtualized lane kernels.  The
 /// specializer (src/api/specialize.h) routes every lane-eligible spec
-/// here; everything else runs on the general scalar engine.
+/// without a closed form here; everything else runs on the scalar engines.
 enum class LaneKernelId { kBasicLead, kChangRoberts, kALeadUni };
 
 const char* to_string(LaneKernelId kernel);
@@ -92,18 +95,6 @@ struct LaneEngineOptions {
   LaneDeviationSpec deviation;
 };
 
-/// What one trial leaves behind (mirrors the scalar engine's outcome +
-/// ExecutionStats fields the Scenario API consumes).  The closed-form
-/// layer (api/specialize.h) predicts and audits results in this shape on
-/// every path, the scalar ring and sync engines included.
-struct LaneTrialResult {
-  Outcome outcome = Outcome::fail();
-  std::uint64_t messages = 0;      ///< total sent (ExecutionStats::total_sent)
-  std::uint64_t max_sync_gap = 0;  ///< ExecutionStats::max_sync_gap
-  std::uint64_t rounds = 0;        ///< scalar sync trials' rounds; ring trials report 0
-  bool step_limit_hit = false;     ///< ring step limit or sync round limit
-};
-
 class LaneEngine {
  public:
   LaneEngine(int n, LaneKernelId kernel, LaneEngineOptions options = {});
@@ -112,12 +103,14 @@ class LaneEngine {
   LaneEngine& operator=(const LaneEngine&) = delete;
 
   /// Runs one window of trials: seeds[i] is trial i's seed and out[i]
-  /// receives its result (out.size() >= seeds.size()).  `transcripts`,
+  /// receives its result (out.size() >= seeds.size()): the scalar
+  /// RingEngine's outcome, total sent, max sync gap and step-limit hit;
+  /// rounds stay 0.  `transcripts`,
   /// when non-empty, must parallel `seeds`; non-null entries record that
   /// trial's event stream (the caller clears them first, as with
   /// RingEngine::set_transcript).  Steady-state windows allocate nothing
   /// once queues and histograms have grown to their high-water marks.
-  void run_window(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
+  void run_window(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
                   std::span<ExecutionTranscript* const> transcripts = {});
 
   [[nodiscard]] int n() const { return n_; }
@@ -174,7 +167,7 @@ class LaneEngine {
   };
 
   template <typename Kernel, typename Dev>
-  void run_window_impl(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
+  void run_window_impl(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
                        std::span<ExecutionTranscript* const> transcripts);
   /// The burst loop: each trial runs to completion on the column set
   /// through a TrialHot register file built by start_trial.  kTranscribe
@@ -187,12 +180,12 @@ class LaneEngine {
   /// keeps its measured codegen.
   template <typename Kernel, typename Dev, bool kTranscribe>
   [[gnu::noinline]] void run_batch(std::span<const std::uint64_t> seeds,
-                                   std::span<LaneTrialResult> out,
+                                   std::span<TrialStats> out,
                                    std::span<ExecutionTranscript* const> transcripts);
   template <typename Kernel, typename Dev>
   void start_trial(std::uint64_t seed, ExecutionTranscript* transcript, TrialHot& hot);
   template <typename Kernel>
-  void dispatch_kernel(std::span<const std::uint64_t> seeds, std::span<LaneTrialResult> out,
+  void dispatch_kernel(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
                        std::span<ExecutionTranscript* const> transcripts);
 
   // always_inline: one call per delivery from every kernel's receive(); left
@@ -215,7 +208,7 @@ class LaneEngine {
   /// run_batch).
   [[nodiscard]] std::size_t pick_index(TrialHot& hot);
   /// The finished trial's result, read off the output and send columns.
-  [[nodiscard]] LaneTrialResult retire(const TrialHot& hot, bool step_limit_hit) const;
+  [[nodiscard]] TrialStats retire(const TrialHot& hot, bool step_limit_hit) const;
   [[nodiscard]] Value tape_uniform(std::uint64_t seed, ProcessorId p, Value bound) const;
 
   int n_;

@@ -306,9 +306,9 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
           std::to_string(redriven) + " codec round-tripped)");
 }
 
-bool served_off_lanes(const ScenarioSpec& spec) {
+bool served_by_closed_form(const ScenarioSpec& spec) {
   const bool ring = spec.topology == TopologyKind::kRing;
-  if ((!ring && spec.topology != TopologyKind::kSync) || lane_eligible(spec)) return false;
+  if (!ring && spec.topology != TopologyKind::kSync) return false;
   ScenarioSpec served = spec;
   served.engine = EngineKind::kAuto;
   served.record_transcripts = false;
@@ -323,26 +323,25 @@ bool served_off_lanes(const ScenarioSpec& spec) {
 
 CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
   const bool on_lanes = lane_eligible(spec);
-  if (!on_lanes && !served_off_lanes(spec)) {
+  if (!on_lanes && !served_by_closed_form(spec)) {
     throw std::invalid_argument(
-        "check_lane_differential requires a lane-eligible spec or one the closed-form layer "
-        "serves off the lanes: " +
-        lane_ineligible_reason(spec));
+        "check_lane_differential requires a lane-eligible spec or one with a closed form: " +
+        check_subject(spec));
   }
   spec.record_outcomes = true;
   spec.record_transcripts = on_lanes;
   spec.threads = threads;
   ScenarioSpec scalar = spec;
   scalar.engine = EngineKind::kScalar;
+  // Transcripts void every pairing (api/specialize.h), so this auto run
+  // takes the lanes.
   ScenarioSpec laned = spec;
-  laned.engine = EngineKind::kLanes;
+  laned.engine = EngineKind::kAuto;
 
-  // A transcribing run never takes a closed form (api/specialize.h), so a
-  // run without transcripts is what checks the served trials: on lanes, or
-  // for a spec with no lane kernel, on engine=auto's scalar ring or sync
-  // path.
+  // A run without transcripts is what checks the served trials: on the
+  // scalar ring or sync path where the spec has a closed form, on the
+  // lanes otherwise.
   ScenarioSpec served = laned;
-  served.engine = on_lanes ? EngineKind::kLanes : EngineKind::kAuto;
   served.record_transcripts = false;
 
   const std::string subject = check_subject(spec);
@@ -374,21 +373,18 @@ CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
     }
     return outcomes;
   };
+  const std::string unrecorded = "scalar vs auto without transcripts" + workers;
   if (!on_lanes) {
-    const std::string label = "scalar vs auto without transcripts" + workers;
-    if (CheckResult result = same_results(rv, label); !result.passed) return result;
+    if (CheckResult result = same_results(rv, unrecorded); !result.passed) return result;
     return CheckResult::pass("lane-differential", subject,
-                             label + ": " + std::to_string(rs.trials) +
+                             unrecorded + ": " + std::to_string(rs.trials) +
                                  " trials bit-identical (outcomes, aggregates)");
   }
 
-  const std::string labels = "scalar vs lanes" + workers;
+  const std::string labels = "scalar vs auto on lanes" + workers;
   const ScenarioResult rl = run_scenario(laned);
   if (CheckResult result = same_results(rl, labels); !result.passed) return result;
-  if (CheckResult result = same_results(rv, "scalar vs lanes without transcripts" + workers);
-      !result.passed) {
-    return result;
-  }
+  if (CheckResult result = same_results(rv, unrecorded); !result.passed) return result;
 
   if (rs.per_trial_transcript.size() != rl.per_trial_transcript.size()) {
     return CheckResult::fail("lane-differential", subject,

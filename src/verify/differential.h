@@ -57,24 +57,25 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
 /// two specs (FAIL is a histogram cell).  Significance 0.001.
 CheckResult check_differential_distribution(const ScenarioSpec& a, const ScenarioSpec& b);
 
-/// True when the closed-form layer (api/specialize.h) serves `spec`'s
-/// trials off the lanes under engine=auto without transcripts: a ring or
-/// sync spec that is not lane-eligible but has a closed form under its
-/// resolved limit (honest round-robin phase-async-lead whose step limit is
-/// >= 2n^2; honest sync-broadcast-lead with a round limit >= 3, honest
+/// True when engine=auto serves some of `spec`'s trials from a closed
+/// form (api/specialize.h) once transcripts are off: a ring or sync spec
+/// whose shape has a pairing and whose resolved limit reaches the pairing's
+/// minimum (the five ring lane shapes and honest phase-async-lead under
+/// round-robin; honest sync-broadcast-lead with a round limit >= 3, honest
 /// sync-ring-lead with one >= n + 1).
-bool served_off_lanes(const ScenarioSpec& spec);
+bool served_by_closed_form(const ScenarioSpec& spec);
 
-/// The faster-path gate (DESIGN.md §10), on `threads` workers.  For a
-/// lane-eligible spec: runs engine=scalar and engine=lanes, both recording
-/// transcripts, and asserts the two ScenarioResults are bit-identical —
-/// per-trial outcomes, every aggregate (message and sync-gap totals and
-/// maxima), and every per-trial transcript event for event (digests
-/// included) — then compares outcomes and aggregates of a lanes run
-/// without transcripts, which takes the closed forms.  For a spec
-/// served_off_lanes: compares engine=scalar with engine=auto, both without
-/// transcripts, on outcomes and aggregates.  Throws std::invalid_argument
-/// for any other spec.
+/// The fast-path gate (DESIGN.md §10), on `threads` workers: compares
+/// engine=scalar, the oracle, with engine=auto.  For a lane-eligible spec
+/// both runs record transcripts, which void every pairing, so auto runs
+/// the lanes, and the two ScenarioResults must be bit-identical: per-trial
+/// outcomes, every aggregate (message and sync-gap totals and maxima, max
+/// rounds), and every per-trial transcript event for event (digests
+/// included).  A second auto run without transcripts, which takes the
+/// closed form where the spec is served_by_closed_form and the lanes
+/// otherwise, must match the scalar run on outcomes and aggregates.  For
+/// any other spec served_by_closed_form, only that second comparison runs.
+/// Throws std::invalid_argument for a spec that is neither.
 CheckResult check_lane_differential(ScenarioSpec spec, int threads);
 
 /// Same-seed transcript-replay differential for any deterministic topology

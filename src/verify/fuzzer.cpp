@@ -283,12 +283,9 @@ ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
     spec.scheduler = SchedulerKind::kRandom;
   }
 
-  // Engine routing: engine= is sampled over all three kinds (engine=lanes
-  // on an ineligible spec is the clean-rejection path, part of the
-  // surface).
+  // Engine routing: engine= is sampled over both kinds.
   if (rng.below(3) == 0) {
-    static const std::vector<EngineKind> kEngines = {
-        EngineKind::kAuto, EngineKind::kScalar, EngineKind::kLanes};
+    static const std::vector<EngineKind> kEngines = {EngineKind::kAuto, EngineKind::kScalar};
     spec.engine = pick(rng, kEngines);
   }
 
@@ -392,11 +389,11 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
   // Lane differential: every accepted lane-eligible spec — honest or
   // deviated (basic-single, rushing) ring — must produce the same
   // executions on the batched lane engine as on the scalar runtime, and
-  // every spec the closed-form layer serves off the lanes (honest
-  // round-robin phase-async-lead, honest sync) the same results under
-  // engine=auto as under engine=scalar (check_lane_differential).
+  // every spec with a closed form (the ring lane shapes and honest
+  // phase-async-lead under round-robin, honest sync) the same results
+  // under engine=auto as under engine=scalar (check_lane_differential).
   try {
-    if (lane_eligible(spec) || served_off_lanes(spec)) {
+    if (lane_eligible(spec) || served_by_closed_form(spec)) {
       const CheckResult lanes = check_lane_differential(spec, spec.threads);
       if (!lanes.passed) return "lane differential: " + lanes.detail;
     }

@@ -297,8 +297,14 @@ struct StatisticalPlan {
 
 StatisticalPlan build_statistical_plan(const SuiteOptions& options) {
   StatisticalPlan plan;
-  const auto add_spec = [&plan](const ScenarioSpec& spec) {
-    plan.specs.push_back(spec);
+  // Statistical checks run on the oracle.  A closed form is a consequence
+  // of the theorem a gate checks (uniformity is the token sum's, the attack
+  // floors are deviated-constant's), so serving the gate's trials from it
+  // would assume the result; the closed forms answer to the scalar engines
+  // trial by trial instead (check_lane_differential, the runtime audit).
+  const auto add_spec = [&plan](ScenarioSpec spec) {
+    spec.engine = EngineKind::kScalar;
+    plan.specs.push_back(std::move(spec));
     return plan.specs.size() - 1;
   };
 
@@ -556,10 +562,11 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
   }
 
   {
-    // The lane-engine gate (DESIGN.md §10): every lane kernel, on 1/4/8
+    // The fast-path gate (DESIGN.md §10): every lane kernel, on 1/4/8
     // workers, must be bit-identical to the scalar engine — outcomes,
     // aggregates, and transcripts.  The random scheduler exercises the
-    // per-trial reseed; round-robin reaches the closed forms.
+    // per-trial reseed; round-robin without transcripts reaches the closed
+    // forms.
     constexpr int kLaneWorkers[] = {1, 4, 8};
     constexpr SchedulerKind kLaneSchedulers[] = {SchedulerKind::kRandom,
                                                  SchedulerKind::kRoundRobin};

@@ -277,7 +277,7 @@ TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
        {LaneKernelId::kBasicLead, LaneKernelId::kChangRoberts, LaneKernelId::kALeadUni}) {
     LaneEngine engine(n, kernel);
     std::vector<std::uint64_t> seeds(24);
-    std::vector<LaneTrialResult> results(24);
+    std::vector<TrialStats> results(24);
     for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 1000 + i;
     engine.run_window(seeds, results);  // warm-up sizes column + vectors
 
@@ -286,7 +286,7 @@ TEST(ZeroAllocation, LaneEngineWindowIsAllocationFree) {
     const std::uint64_t after = allocations();
     EXPECT_EQ(after - before, 0u)
         << "steady-state lane window allocated (" << to_string(kernel) << ")";
-    for (const LaneTrialResult& r : results) EXPECT_TRUE(r.outcome.valid());
+    for (const TrialStats& r : results) EXPECT_TRUE(r.outcome.valid());
   }
 }
 
@@ -310,7 +310,7 @@ TEST(ZeroAllocation, ClosedFormServingIsAllocationFree) {
     spec.seed = 5150;
     const ClosedFormKind kind = closed_form_kind(spec, /*step_limit=*/4096);
     ASSERT_NE(kind, ClosedFormKind::kNone) << protocol;
-    LaneTrialResult trial0;
+    TrialStats trial0;
     trial0.messages = 1024;
     ClosedFormScratch scratch;
     ASSERT_TRUE(closed_form_result(kind, spec, 0, trial0, scratch).outcome.valid());  // warm-up
@@ -337,14 +337,14 @@ TEST(ZeroAllocation, DeviatedLaneWindowIsAllocationFree) {
   options.deviation.target = 5;
   LaneEngine engine(n, LaneKernelId::kALeadUni, options);
   std::vector<std::uint64_t> seeds(16);
-  std::vector<LaneTrialResult> results(16);
+  std::vector<TrialStats> results(16);
   for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 3000 + i;
   engine.run_window(seeds, results);  // warm-up
 
   const std::uint64_t before = allocations();
   engine.run_window(seeds, results);
   EXPECT_EQ(allocations() - before, 0u) << "steady-state deviated lane window allocated";
-  for (const LaneTrialResult& r : results) {
+  for (const TrialStats& r : results) {
     EXPECT_TRUE(r.outcome.valid());
     EXPECT_EQ(r.outcome.leader(), 5u);  // rushing forces the target
   }

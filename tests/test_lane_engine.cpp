@@ -1,9 +1,9 @@
 // Batched lane engine (sim/lane_engine.h) and the specializer
 // (api/specialize.h): the bit-identity gate against the scalar engine
 // across kernels, schedulers and worker counts, the routing rules, the
-// closed-form layer (prediction vs general path on the ring and sync
-// runtimes, the loud audit, the eligibility and audit rules), and the
-// engine= spec field's round trip.
+// closed-form layer (prediction vs the scalar general path on the ring and
+// sync runtimes, the loud audit, the pairing table and audit rule), and
+// the engine= spec field's round trip.
 
 #include "sim/lane_engine.h"
 
@@ -108,9 +108,10 @@ TEST(LaneEngine, BitIdenticalUnderEveryScheduler) {
 TEST(LaneEngine, ShardedWindowsMergeLikeScalar) {
   // Lane seeds derive from the GLOBAL trial index, so a sharded window on
   // the lane engine equals the same window cut from the monolithic run.
-  ScenarioSpec whole = ring_spec("basic-lead", 9, SchedulerKind::kRoundRobin);
-  whole.engine = EngineKind::kLanes;
+  // The random scheduler keeps the spec off every closed form.
+  ScenarioSpec whole = ring_spec("basic-lead", 9, SchedulerKind::kRandom);
   whole.record_outcomes = true;
+  ASSERT_TRUE(route_to_lanes(whole));
   ScenarioSpec shard = whole;
   shard.trial_offset = 13;
   shard.trial_count = 17;
@@ -134,7 +135,7 @@ TEST(LaneEngine, StepLimitStarvationMatchesScalar) {
 TEST(LaneEngine, RunWindowValidatesSpans) {
   LaneEngine engine(8, LaneKernelId::kBasicLead, LaneEngineOptions{});
   std::vector<std::uint64_t> seeds(4, 1);
-  std::vector<LaneTrialResult> results(3);
+  std::vector<TrialStats> results(3);
   EXPECT_THROW(engine.run_window(seeds, results), std::invalid_argument);
   EXPECT_THROW(LaneEngine(1, LaneKernelId::kBasicLead, LaneEngineOptions{}),
                std::invalid_argument);
@@ -162,14 +163,12 @@ TEST(Specializer, EligibilityIsStructural) {
   ScenarioSpec other_dev = spec;
   other_dev.deviation = "cubic";
   EXPECT_FALSE(lane_eligible(other_dev));
-  EXPECT_NE(lane_ineligible_reason(other_dev).find("cubic"), std::string::npos);
   ScenarioSpec graph = spec;
   graph.topology = TopologyKind::kGraph;
   EXPECT_FALSE(lane_eligible(graph));
   ScenarioSpec no_kernel = spec;
   no_kernel.protocol = "peterson";
   EXPECT_FALSE(lane_eligible(no_kernel));
-  EXPECT_NE(lane_ineligible_reason(no_kernel).find("peterson"), std::string::npos);
   // Sync specs have no lane runtime, honest or not: the closed-form layer
   // serves honest ones on the scalar sync path.
   ScenarioSpec sync;
@@ -177,40 +176,6 @@ TEST(Specializer, EligibilityIsStructural) {
   for (const char* protocol : {"sync-broadcast-lead", "sync-ring-lead"}) {
     sync.protocol = protocol;
     EXPECT_FALSE(lane_eligible(sync)) << protocol;
-    EXPECT_NE(lane_ineligible_reason(sync).find("topology 'sync' has no lane runtime"),
-              std::string::npos)
-        << lane_ineligible_reason(sync);
-  }
-  // Eligible specs report no reason.
-  EXPECT_TRUE(lane_ineligible_reason(spec).empty());
-}
-
-TEST(Specializer, ForcedLanesRejectsIneligibleSpecs) {
-  ScenarioSpec spec = ring_spec("peterson", 8, SchedulerKind::kRoundRobin);
-  spec.engine = EngineKind::kLanes;
-  EXPECT_THROW(run_scenario(spec), std::invalid_argument);
-  ScenarioSpec deviated = ring_spec("alead-uni", 8, SchedulerKind::kRoundRobin);
-  deviated.engine = EngineKind::kLanes;
-  deviated.deviation = "cubic";  // no lane register mapping
-  deviated.target = 3;
-  EXPECT_THROW(run_scenario(deviated), std::invalid_argument);
-  ScenarioSpec sync_dev;
-  sync_dev.topology = TopologyKind::kSync;
-  sync_dev.protocol = "sync-broadcast-lead";
-  sync_dev.deviation = "sync-blind-collusion";
-  sync_dev.coalition = CoalitionSpec::consecutive(2, 1);
-  sync_dev.n = 8;
-  sync_dev.engine = EngineKind::kLanes;
-  EXPECT_THROW(run_scenario(sync_dev), std::invalid_argument);
-  ScenarioSpec sync = sync_dev;
-  sync.deviation.clear();
-  sync.coalition = CoalitionSpec{};
-  try {
-    run_scenario(sync);
-    ADD_FAILURE() << "engine=lanes accepted an honest sync spec";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("no lane runtime"), std::string::npos)
-        << error.what();
   }
 }
 
@@ -246,15 +211,23 @@ TEST(Specializer, SweepRoutingIsInvisibleInResults) {
 
 TEST(Specializer, SpecFieldsRoundTripThroughFormatAndParse) {
   ScenarioSpec spec = ring_spec("alead-uni", 9, SchedulerKind::kPriority);
-  spec.engine = EngineKind::kLanes;
+  spec.engine = EngineKind::kScalar;
   const ScenarioSpec parsed = verify::parse_spec(verify::format_spec(spec));
-  EXPECT_EQ(parsed.engine, EngineKind::kLanes);
+  EXPECT_EQ(parsed.engine, EngineKind::kScalar);
   EXPECT_EQ(verify::format_spec(parsed), verify::format_spec(spec));
-  // Defaults stay omitted; unknown values are rejected.
+  // Defaults stay omitted; unknown values are rejected, lanes among them.
   const ScenarioSpec defaults = ring_spec("basic-lead", 8, SchedulerKind::kRoundRobin);
   EXPECT_EQ(verify::format_spec(defaults).find("engine="), std::string::npos);
-  EXPECT_THROW(verify::parse_spec("protocol=basic-lead n=4 engine=warp"),
-               std::invalid_argument);
+  for (const char* line :
+       {"protocol=basic-lead n=4 engine=warp", "protocol=basic-lead n=4 engine=lanes"}) {
+    try {
+      verify::parse_spec(line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown engine"), std::string::npos)
+          << error.what();
+    }
+  }
   // lanes= and rng= are not spec keys: both are rejected as unknown.
   for (const char* line :
        {"protocol=basic-lead n=4 lanes=8", "protocol=basic-lead n=4 rng=ctr"}) {
@@ -266,25 +239,6 @@ TEST(Specializer, SpecFieldsRoundTripThroughFormatAndParse) {
           << error.what();
     }
   }
-}
-
-/// The lane engine options fill_lane_job builds for `spec`: the step limit
-/// and the deviated layout resolved through the registry factories.
-LaneEngineOptions lane_options(const ScenarioSpec& spec) {
-  register_builtin_scenarios();
-  const auto protocol = ProtocolRegistry::instance().at(spec.protocol).make_ring(spec, spec.seed);
-  LaneEngineOptions options;
-  options.scheduler_kind = spec.scheduler;
-  options.step_limit = scenario_ring_step_limit(spec, *protocol);
-  if (!spec.deviation.empty()) {
-    const auto deviation =
-        DeviationRegistry::instance().at(spec.deviation).make_ring(*protocol, spec);
-    options.deviation.id = *lane_deviation_id(spec.deviation);
-    options.deviation.members = deviation->coalition().members();
-    options.deviation.segment_lengths = deviation->coalition().segment_lengths();
-    options.deviation.target = spec.target;
-  }
-  return options;
 }
 
 /// The five lane closed-form shapes at ring size n: both token-sum
@@ -354,19 +308,23 @@ std::vector<ScenarioSpec> sync_specs(int n) {
 /// The limit the closed-form layer sees for `spec`, as its job resolves
 /// it: the sync round limit, or the ring step limit.
 std::uint64_t resolved_limit(const ScenarioSpec& spec) {
-  if (spec.topology != TopologyKind::kSync) return lane_options(spec).step_limit;
   register_builtin_scenarios();
-  const auto protocol = ProtocolRegistry::instance().at(spec.protocol).make_sync(spec, spec.seed);
-  return static_cast<std::uint64_t>(scenario_sync_round_limit(spec, *protocol));
+  const ProtocolEntry& entry = ProtocolRegistry::instance().at(spec.protocol);
+  if (spec.topology == TopologyKind::kSync) {
+    return static_cast<std::uint64_t>(
+        scenario_sync_round_limit(spec, *entry.make_sync(spec, spec.seed)));
+  }
+  return scenario_ring_step_limit(spec, *entry.make_ring(spec, spec.seed));
 }
 
-/// Every trial of `spec` on its general path: the scalar SyncEngine for a
-/// sync spec, the lane engine for a lane kernel, the scalar RingEngine
-/// otherwise.
-std::vector<LaneTrialResult> general_results(const ScenarioSpec& spec) {
+/// Every trial of `spec` on its general path, the oracle: the scalar
+/// SyncEngine for a sync spec, the scalar RingEngine for a ring spec, with
+/// the deviated profile composed from the registry's deviation.
+std::vector<TrialStats> general_results(const ScenarioSpec& spec) {
+  register_builtin_scenarios();
   std::vector<std::uint64_t> seeds(spec.trials);
   for (std::size_t t = 0; t < seeds.size(); ++t) seeds[t] = scenario_trial_seed(spec.seed, t);
-  std::vector<LaneTrialResult> results(seeds.size());
+  std::vector<TrialStats> results(seeds.size());
   StrategyArena arena;
   if (spec.topology == TopologyKind::kSync) {
     const auto protocol =
@@ -382,29 +340,30 @@ std::vector<LaneTrialResult> general_results(const ScenarioSpec& spec) {
                            profile);
       results[t].outcome = engine.run(profile);
       results[t].messages = engine.stats().total_sent;
-      results[t].rounds = static_cast<std::uint64_t>(engine.stats().rounds);
+      results[t].rounds = engine.stats().rounds;
       results[t].step_limit_hit = engine.stats().round_limit_hit;
     }
     return results;
   }
-  const LaneEngineOptions options = lane_options(spec);
-  if (const auto kernel = lane_kernel_for(spec.protocol)) {
-    LaneEngine(spec.n, *kernel, options).run_window(seeds, results);
-    return results;
-  }
-  const auto protocol = ProtocolRegistry::instance().at(spec.protocol).make_ring(spec, spec.seed);
-  EngineOptions scalar;
-  scalar.step_limit = options.step_limit;
-  RingEngine engine(spec.n, seeds[0], std::move(scalar));
+  // A per-trial protocol (chang-roberts' id permutation) is built from
+  // each trial's seed, as the ring job builds it.
+  const ProtocolEntry& entry = ProtocolRegistry::instance().at(spec.protocol);
+  EngineOptions options;
+  options.step_limit = resolved_limit(spec);
+  RingEngine engine(spec.n, seeds[0], std::move(options));
   std::vector<RingStrategy*> profile;
   for (std::size_t t = 0; t < seeds.size(); ++t) {
+    const auto protocol = entry.make_ring(spec, entry.per_trial ? seeds[t] : spec.seed);
+    std::shared_ptr<const Deviation> deviation;
+    if (!spec.deviation.empty()) {
+      deviation = DeviationRegistry::instance().at(spec.deviation).make_ring(*protocol, spec);
+    }
     engine.reset(seeds[t]);
     arena.rewind();
-    compose_profile_into(*protocol, static_cast<const Deviation*>(nullptr), spec.n, arena,
-                         profile);
+    compose_profile_into(*protocol, deviation.get(), spec.n, arena, profile);
     results[t].outcome = engine.run(profile);
     results[t].messages = engine.stats().total_sent;
-    results[t].max_sync_gap = engine.stats().max_sync_gap;
+    results[t].sync_gap = engine.stats().max_sync_gap;
     results[t].step_limit_hit = engine.stats().step_limit_hit;
   }
   return results;
@@ -412,11 +371,10 @@ std::vector<LaneTrialResult> general_results(const ScenarioSpec& spec) {
 
 TEST(ClosedForm, PredictionEqualsGeneralPathOnEveryTrial) {
   // The layer's prediction for every seed of a window equals what the
-  // general path computes for that seed, field for field: the lane
-  // engine's for the five lane shapes, the scalar RingEngine's for
-  // phase-output and the scalar SyncEngine's for honest sync, which have
-  // no lane kernel.  Every constant comes from trial 0's general result,
-  // as in a job.
+  // oracle computes for that seed, field for field: the scalar
+  // RingEngine's for the five ring lane shapes and phase-output, the
+  // scalar SyncEngine's for honest sync.  Every constant comes from
+  // trial 0's general result, as in a job.
   for (const int n : {2, 3, 5, 16, 64}) {
     int rushing_rows = 0;
     std::vector<ScenarioSpec> specs = closed_form_specs(n);
@@ -427,14 +385,14 @@ TEST(ClosedForm, PredictionEqualsGeneralPathOnEveryTrial) {
       const ClosedFormKind kind = closed_form_kind(spec, resolved_limit(spec));
       ASSERT_NE(kind, ClosedFormKind::kNone) << subject;
       if (spec.deviation == "rushing") ++rushing_rows;
-      const std::vector<LaneTrialResult> general = general_results(spec);
+      const std::vector<TrialStats> general = general_results(spec);
 
       ClosedFormScratch scratch;
       for (std::size_t t = 0; t < general.size(); ++t) {
-        const LaneTrialResult predicted = closed_form_result(kind, spec, t, general[0], scratch);
+        const TrialStats predicted = closed_form_result(kind, spec, t, general[0], scratch);
         EXPECT_EQ(predicted.outcome, general[t].outcome) << subject << " trial " << t;
         EXPECT_EQ(predicted.messages, general[t].messages) << subject << " trial " << t;
-        EXPECT_EQ(predicted.max_sync_gap, general[t].max_sync_gap) << subject << " trial " << t;
+        EXPECT_EQ(predicted.sync_gap, general[t].sync_gap) << subject << " trial " << t;
         EXPECT_EQ(predicted.rounds, general[t].rounds) << subject << " trial " << t;
         EXPECT_FALSE(general[t].step_limit_hit) << subject << " trial " << t;
         EXPECT_NO_THROW(audit_closed_form(spec, t, predicted, general[t])) << subject;
@@ -447,7 +405,7 @@ TEST(ClosedForm, PredictionEqualsGeneralPathOnEveryTrial) {
           // round 3, the ring in round n + 1.
           EXPECT_TRUE(general[t].outcome.valid()) << subject << " trial " << t;
           EXPECT_EQ(general[t].messages, 1ull * n * (n - 1)) << subject << " trial " << t;
-          EXPECT_EQ(general[t].rounds, spec.protocol == "sync-ring-lead" ? n + 1ull : 3ull)
+          EXPECT_EQ(general[t].rounds, spec.protocol == "sync-ring-lead" ? n + 1 : 3)
               << subject << " trial " << t;
         }
       }
@@ -456,32 +414,38 @@ TEST(ClosedForm, PredictionEqualsGeneralPathOnEveryTrial) {
   }
 }
 
-TEST(ClosedForm, OffLaneDifferentialComparesScalarWithAuto) {
+TEST(ClosedForm, DifferentialComparesScalarWithAuto) {
   // Honest round-robin phase-async-lead has no lane kernel, so the gate
   // compares engine=scalar with engine=auto, whose unaudited trials the
   // layer serves on the scalar ring path.
   const ScenarioSpec phase = ring_spec("phase-async-lead", 11, SchedulerKind::kRoundRobin);
-  EXPECT_TRUE(verify::served_off_lanes(phase));
+  EXPECT_TRUE(verify::served_by_closed_form(phase));
   for (const int threads : kWorkers) {
     const auto result = verify::check_lane_differential(phase, threads);
     EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
     EXPECT_NE(result.detail.find("scalar vs auto"), std::string::npos) << result.detail;
   }
-  // Lane-eligible specs stay on the lanes comparison; a spec with neither
-  // lanes nor a closed form has nothing to compare.
-  EXPECT_FALSE(verify::served_off_lanes(ring_spec("basic-lead", 11, SchedulerKind::kRoundRobin)));
+  // A ring lane shape with a pairing is served too; it also runs on the
+  // lanes once transcribing.  Off round-robin it has no closed form, and a
+  // spec with neither lanes nor a closed form has nothing to compare.
+  const ScenarioSpec basic = ring_spec("basic-lead", 11, SchedulerKind::kRoundRobin);
+  EXPECT_TRUE(verify::served_by_closed_form(basic));
+  const auto laned = verify::check_lane_differential(basic, /*threads=*/2);
+  EXPECT_TRUE(laned.passed) << laned.subject << ": " << laned.detail;
+  EXPECT_NE(laned.detail.find("scalar vs auto on lanes"), std::string::npos) << laned.detail;
+  EXPECT_FALSE(verify::served_by_closed_form(ring_spec("basic-lead", 11, SchedulerKind::kRandom)));
   const ScenarioSpec random = ring_spec("phase-async-lead", 11, SchedulerKind::kRandom);
-  EXPECT_FALSE(verify::served_off_lanes(random));
+  EXPECT_FALSE(verify::served_by_closed_form(random));
   EXPECT_THROW(verify::check_lane_differential(random, 1), std::invalid_argument);
   // Honest sync has no lane runtime either: the layer serves it on the
   // scalar sync path unless its round limit could bind.
   ScenarioSpec sync = sync_specs(11)[1];
-  EXPECT_TRUE(verify::served_off_lanes(sync));
+  EXPECT_TRUE(verify::served_by_closed_form(sync));
   const auto result = verify::check_lane_differential(sync, /*threads=*/4);
   EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
   EXPECT_NE(result.detail.find("scalar vs auto"), std::string::npos) << result.detail;
   sync.step_limit = 11;  // sync-ring-lead decides in round n
-  EXPECT_FALSE(verify::served_off_lanes(sync));
+  EXPECT_FALSE(verify::served_by_closed_form(sync));
   EXPECT_THROW(verify::check_lane_differential(sync, 1), std::invalid_argument);
 }
 
@@ -490,26 +454,26 @@ TEST(ClosedForm, AuditMismatchThrowsNamingTheTrialAndField) {
   spec.deviation = "rushing";
   spec.coalition = CoalitionSpec::equally_spaced(4, 1);
   spec.target = 7;
-  LaneTrialResult predicted;
+  TrialStats predicted;
   predicted.outcome = Outcome::elected(7);
   predicted.messages = 144;
-  predicted.max_sync_gap = 3;
+  predicted.sync_gap = 3;
   EXPECT_NO_THROW(audit_closed_form(spec, 9, predicted, predicted));
 
   struct Doctor {
     const char* field;
-    std::function<void(LaneTrialResult&)> apply;
+    std::function<void(TrialStats&)> apply;
   };
   const Doctor doctors[] = {
-      {"outcome", [](LaneTrialResult& r) { r.outcome = Outcome::elected(6); }},
-      {"outcome", [](LaneTrialResult& r) { r.outcome = Outcome::fail(); }},
-      {"messages", [](LaneTrialResult& r) { ++r.messages; }},
-      {"max_sync_gap", [](LaneTrialResult& r) { ++r.max_sync_gap; }},
-      {"rounds", [](LaneTrialResult& r) { ++r.rounds; }},
-      {"step_limit_hit", [](LaneTrialResult& r) { r.step_limit_hit = true; }},
+      {"outcome", [](TrialStats& r) { r.outcome = Outcome::elected(6); }},
+      {"outcome", [](TrialStats& r) { r.outcome = Outcome::fail(); }},
+      {"messages", [](TrialStats& r) { ++r.messages; }},
+      {"max_sync_gap", [](TrialStats& r) { ++r.sync_gap; }},
+      {"rounds", [](TrialStats& r) { ++r.rounds; }},
+      {"step_limit_hit", [](TrialStats& r) { r.step_limit_hit = true; }},
   };
   for (const Doctor& doctor : doctors) {
-    LaneTrialResult general = predicted;
+    TrialStats general = predicted;
     doctor.apply(general);
     try {
       audit_closed_form(spec, 9, predicted, general);
@@ -537,8 +501,6 @@ TEST(ClosedForm, EligibilityTable) {
   rushing.deviation = "rushing";
   ScenarioSpec scalar = basic;
   scalar.engine = EngineKind::kScalar;
-  ScenarioSpec forced = basic;
-  forced.engine = EngineKind::kLanes;
   ScenarioSpec transcribing = basic;
   transcribing.record_transcripts = true;
   ScenarioSpec random = basic;
@@ -601,7 +563,6 @@ TEST(ClosedForm, EligibilityTable) {
       {"honest chang-roberts", chang, kAmple, ClosedFormKind::kChangRoberts},
       {"basic-single on basic-lead", single, kAmple, ClosedFormKind::kDeviatedConstant},
       {"rushing on alead-uni", rushing, kAmple, ClosedFormKind::kDeviatedConstant},
-      {"engine=lanes", forced, kAmple, ClosedFormKind::kTokenSum},
       {"engine=scalar", scalar, kAmple, ClosedFormKind::kNone},
       {"transcripts on", transcribing, kAmple, ClosedFormKind::kNone},
       {"random scheduler", random, kAmple, ClosedFormKind::kNone},
@@ -640,6 +601,48 @@ TEST(ClosedForm, EligibilityTable) {
   for (const Row& row : rows) {
     EXPECT_EQ(closed_form_kind(row.spec, row.step_limit), row.kind) << row.name;
   }
+}
+
+TEST(Specializer, RoutingSendsEveryPairingToTheOracle) {
+  // route_to_lanes reads the spec alone: a lane shape with a closed-form
+  // pairing runs on the scalar ring engine, which serves it and audits it
+  // against the oracle, so no spec with a closed form reaches the lanes.
+  // Transcripts and the data-dependent schedulers void every pairing, and
+  // those specs keep the lanes.
+  const std::vector<ScenarioSpec> pairings = closed_form_specs(16);
+  ASSERT_EQ(pairings.size(), 6u);  // five shapes, rushing at two placements
+  for (const ScenarioSpec& spec : pairings) {
+    const std::string subject = verify::format_spec(spec);
+    ASSERT_TRUE(lane_eligible(spec)) << subject;
+    EXPECT_NE(closed_form_kind(spec, resolved_limit(spec)), ClosedFormKind::kNone) << subject;
+    EXPECT_FALSE(route_to_lanes(spec)) << subject;
+    ScenarioSpec transcribing = spec;
+    transcribing.record_transcripts = true;
+    EXPECT_TRUE(route_to_lanes(transcribing)) << subject;
+    for (const SchedulerKind scheduler : {SchedulerKind::kRandom, SchedulerKind::kPriority}) {
+      ScenarioSpec scheduled = spec;
+      scheduled.scheduler = scheduler;
+      EXPECT_TRUE(route_to_lanes(scheduled)) << subject << " " << to_string(scheduler);
+    }
+    // A starving limit leaves the pairing with no closed form, and the
+    // spec runs fully simulated on the scalar ring engine.
+    ScenarioSpec starving = spec;
+    starving.step_limit = 35;
+    EXPECT_EQ(closed_form_kind(starving, resolved_limit(starving)), ClosedFormKind::kNone)
+        << subject;
+    EXPECT_FALSE(route_to_lanes(starving)) << subject;
+    ScenarioSpec scalar = spec;
+    scalar.engine = EngineKind::kScalar;
+    EXPECT_FALSE(route_to_lanes(scalar)) << subject;
+  }
+  // Rushing on basic-lead has a lane kernel and no pairing.
+  ScenarioSpec rushing_on_basic = ring_spec("basic-lead", 16, SchedulerKind::kRoundRobin);
+  rushing_on_basic.deviation = "rushing";
+  rushing_on_basic.coalition = CoalitionSpec::equally_spaced(4, 1);
+  EXPECT_TRUE(route_to_lanes(rushing_on_basic));
+  // Shapes without a lane kernel never reach the lanes.
+  EXPECT_FALSE(route_to_lanes(ring_spec("phase-async-lead", 16, SchedulerKind::kRandom)));
+  EXPECT_FALSE(route_to_lanes(ring_spec("peterson", 16, SchedulerKind::kRandom)));
 }
 
 TEST(ClosedForm, AuditRuleIsTheFirstFourTrialsAndOneSeedIn256) {

@@ -9,11 +9,13 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/parallel.h"
 #include "api/registry.h"
 #include "api/scenario.h"
+#include "api/specialize.h"
 #include "api/sweep.h"
 #include "fabric/driver.h"
 #include "protocols/basic_lead.h"
@@ -202,18 +204,27 @@ TEST(RunScenario, PhaseAndSyncReportsMatchTheScalarEngine) {
 TEST(RunScenario, LoneRushingMemberIsRejectedOnEveryEngine) {
   // Lemma 4.1's precondition fails for k = 1, whose one segment is the
   // n - 1 others: every engine rejects the spec before any trial runs,
-  // with the same error.
+  // with the same error.  engine=auto takes both of its routes: the
+  // closed-form pairing's scalar ring job under round-robin, the lanes
+  // under the random scheduler.
   ScenarioSpec spec = ring_spec("alead-uni", 8, 10);
   spec.deviation = "rushing";
   spec.coalition = CoalitionSpec::consecutive(1, 1);
   spec.target = 3;
   std::vector<std::string> errors;
-  for (const EngineKind engine : {EngineKind::kScalar, EngineKind::kAuto, EngineKind::kLanes}) {
+  for (const auto& [engine, scheduler] :
+       {std::pair{EngineKind::kScalar, SchedulerKind::kRoundRobin},
+        std::pair{EngineKind::kAuto, SchedulerKind::kRoundRobin},
+        std::pair{EngineKind::kAuto, SchedulerKind::kRandom}}) {
     ScenarioSpec run = spec;
     run.engine = engine;
+    run.scheduler = scheduler;
+    EXPECT_EQ(route_to_lanes(run), scheduler == SchedulerKind::kRandom)
+        << "engine=" << to_string(engine) << " scheduler=" << to_string(scheduler);
     try {
       run_scenario(run);
-      ADD_FAILURE() << "accepted under engine=" << to_string(engine);
+      ADD_FAILURE() << "accepted under engine=" << to_string(engine)
+                    << " scheduler=" << to_string(scheduler);
     } catch (const std::invalid_argument& error) {
       errors.emplace_back(error.what());
     }

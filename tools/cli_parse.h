@@ -76,7 +76,7 @@ inline double parse_double(const char* prog, const char* flag, std::string_view 
   return *value;
 }
 
-/// Named-choice flags ("--engine scalar|lanes|auto" and friends): the
+/// Named-choice flags ("--engine auto|scalar" and friends): the
 /// value must match one of `choices` exactly; a failure names the flag,
 /// lists the valid spellings and exits 2 like the numeric parsers.
 template <std::size_t N>

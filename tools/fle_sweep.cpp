@@ -14,8 +14,14 @@
 //   for i in 1 2 3 4; do fle_worker --connect 127.0.0.1:$(cat port.txt) & done
 //   wait %1 && cmp mono.jsonl fabric.jsonl
 //
+// --engine scalar pins every scenario to the scalar oracle engines;
+// --engine auto (each line's default) lets the specializer pick the
+// closed-form layer or the lane engine where a spec qualifies
+// (api/specialize.h).  The report is the same either way.
+//
 // Exit code 0 on success; 1 when the sweep fails (a window exhausted its
-// retries, or the whole fleet died); 2 on usage errors.
+// retries, the whole fleet died, or a closed-form audit disagreed with the
+// oracle); 2 on usage errors.
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +32,6 @@
 #include <string>
 #include <string_view>
 
-#include "api/specialize.h"
 #include "api/sweep.h"
 #include "cli_parse.h"
 #include "fabric/driver.h"
@@ -41,56 +46,35 @@ namespace {
                "          [--port N] [--port-file FILE] [--workers N] [--window N]\n"
                "          [--deadline-ms N] [--retries N] [--heartbeat-ms N]\n"
                "          [--grace-ms N] [--threads T]\n"
-               "          [--engine auto|scalar|lanes]\n",
+               "          [--engine auto|scalar]\n",
                argv0);
   std::exit(2);
 }
 
-/// A parsed spec file: the sweep plus, per scenario, the 1-based line it
-/// came from (for errors that point back into the file).
-struct LoadedSweep {
-  fle::SweepSpec sweep;
-  std::vector<std::size_t> lines;
-};
-
-LoadedSweep load_sweep(const std::string& path, int threads) {
+/// The spec file as a sweep; an error names the file and the 1-based line.
+fle::SweepSpec load_sweep(const std::string& path, int threads) {
   std::ifstream in(path);
   if (!in) {
     throw std::runtime_error("cannot read spec file '" + path + "'");
   }
-  LoadedSweep loaded;
-  loaded.sweep.threads = threads;
+  fle::SweepSpec sweep;
+  sweep.threads = threads;
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
     if (line.empty() || line[0] == '#') continue;
     try {
-      loaded.sweep.add(fle::verify::parse_spec(line));
-      loaded.lines.push_back(line_number);
+      sweep.add(fle::verify::parse_spec(line));
     } catch (const std::exception& error) {
       throw std::runtime_error(path + ":" + std::to_string(line_number) + ": " +
                                error.what());
     }
   }
-  if (loaded.sweep.scenarios.empty()) {
+  if (sweep.scenarios.empty()) {
     throw std::runtime_error("spec file '" + path + "' holds no scenarios");
   }
-  return loaded;
-}
-
-/// --engine lanes pre-validation: rather than letting route_to_lanes throw
-/// deep inside run_sweep with only a scenario index, name the first
-/// ineligible spec, the spec-file line it came from, and why it has no
-/// lane kernel.
-void require_lane_eligible(const std::string& path, const LoadedSweep& loaded) {
-  for (std::size_t i = 0; i < loaded.sweep.scenarios.size(); ++i) {
-    const fle::ScenarioSpec& spec = loaded.sweep.scenarios[i];
-    if (fle::lane_eligible(spec)) continue;
-    throw std::runtime_error(path + ":" + std::to_string(loaded.lines[i]) +
-                             ": --engine lanes: spec '" + fle::verify::format_spec(spec) +
-                             "' is not lane-eligible: " + fle::lane_ineligible_reason(spec));
-  }
+  return sweep;
 }
 
 }  // namespace
@@ -145,7 +129,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       threads = fle::cli::parse_int<int>(argv[0], "--threads", next(), 0, 4096);
     } else if (arg == "--engine") {
-      static constexpr std::string_view kEngines[] = {"auto", "scalar", "lanes"};
+      static constexpr std::string_view kEngines[] = {"auto", "scalar"};
       engine = *fle::parse_engine(
           std::string(fle::cli::parse_choice(argv[0], "--engine", next(), kEngines)));
     } else {
@@ -160,9 +144,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    LoadedSweep loaded = load_sweep(spec_path, threads);
-    if (engine == fle::EngineKind::kLanes) require_lane_eligible(spec_path, loaded);
-    fle::SweepSpec& sweep = loaded.sweep;
+    fle::SweepSpec sweep = load_sweep(spec_path, threads);
     if (sharded) {
       // The m shard reports together tile each scenario exactly, so
       // `fle_store build` (or fle_verify --merge machinery) folds them back
@@ -178,7 +160,7 @@ int main(int argc, char** argv) {
     // Engine overrides apply to the whole sweep AFTER the report snapshot:
     // the canonical report echoes the workload as the spec file wrote it
     // (plus any shard window), never the engine that happened to run it,
-    // so the lanes-on/off CI runs cmp byte-identical.
+    // so the CI's --engine scalar and --engine auto runs cmp byte-identical.
     const fle::SweepSpec report_sweep = sweep;
     for (fle::ScenarioSpec& spec : sweep.scenarios) {
       if (engine) spec.engine = *engine;
