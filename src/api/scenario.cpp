@@ -1,6 +1,7 @@
 #include "api/scenario.h"
 
 #include <chrono>
+#include <iterator>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -207,7 +208,7 @@ TrialWindow scenario_trial_window(const ScenarioSpec& spec) {
   return {spec.trial_offset, spec.trial_count};
 }
 
-void ScenarioResult::merge(const ScenarioResult& other) {
+void ScenarioResult::merge(ScenarioResult other) {
   const auto mismatch = [](const std::string& field, const std::string& a,
                            const std::string& b) {
     throw std::invalid_argument("ScenarioResult.merge: " + field + " mismatch ('" + a +
@@ -254,8 +255,9 @@ void ScenarioResult::merge(const ScenarioResult& other) {
   max_rounds = std::max(max_rounds, other.max_rounds);
   wall_seconds += other.wall_seconds;
   per_trial.insert(per_trial.end(), other.per_trial.begin(), other.per_trial.end());
-  per_trial_transcript.insert(per_trial_transcript.end(), other.per_trial_transcript.begin(),
-                              other.per_trial_transcript.end());
+  per_trial_transcript.insert(per_trial_transcript.end(),
+                              std::make_move_iterator(other.per_trial_transcript.begin()),
+                              std::make_move_iterator(other.per_trial_transcript.end()));
   if (trials > 0) {
     mean_messages = static_cast<double>(total_messages) / static_cast<double>(trials);
     mean_sync_gap = static_cast<double>(total_sync_gap) / static_cast<double>(trials);

@@ -206,7 +206,9 @@ struct ScenarioResult {
   /// merged in trial_offset order.  Throws std::invalid_argument naming the
   /// mismatched field (protocol_name, deviation_name, outcome domain,
   /// base_seed, spec_trials, trial_offset contiguity, outcomes_recorded).
-  void merge(const ScenarioResult& other);
+  /// Takes `other` by value and moves its transcripts in: pass an rvalue
+  /// when the shard is not needed afterwards, and nothing is deep-copied.
+  void merge(ScenarioResult other);
 };
 
 /// Seed of trial `trial` under base seed `base_seed` (a splitmix64 stream:

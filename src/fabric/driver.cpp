@@ -138,7 +138,8 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
   };
 
   // Handles one parsed frame; returns false when the peer must be dropped.
-  const auto handle_frame = [&](Peer& peer, const Frame& frame) -> bool {
+  // The frame is not const: shipped blobs move into the cache.
+  const auto handle_frame = [&](Peer& peer, Frame& frame) -> bool {
     peer.last_heard = Clock::now();
     switch (frame.kind) {
       case MessageKind::kHello: {
@@ -196,13 +197,13 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
         if (frame.offer.keys.size() != window.count) {
           return false;  // a transcript window offers one key per trial
         }
-        peer.offered = frame.offer.keys;
+        peer.offered = std::move(frame.offer.keys);
         LeafWant want;
         want.window = frame.offer.window;
         std::set<Digest256> requested;  // dedup within the offer itself
-        for (std::size_t k = 0; k < frame.offer.keys.size(); ++k) {
+        for (std::size_t k = 0; k < peer.offered.size(); ++k) {
           ++dedup_stats_.keys_offered;
-          const Digest256& key = frame.offer.keys[k];
+          const Digest256& key = peer.offered[k];
           if (blob_cache_.find(key) == blob_cache_.end() && requested.insert(key).second) {
             want.indices.push_back(k);
           }
@@ -223,19 +224,25 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
           if (peer.offered.size() != window.count) {
             throw std::invalid_argument("dedup result without a matching leaf offer");
           }
-          // Verify and cache the shipped blobs: each must hash to the key
-          // its offer slot claimed, or the shipment is corrupt.
-          for (const auto& [index, blob] : frame.result_dedup.blobs) {
+          // Decode each shipped blob against the key its offer slot
+          // claimed (keyed decode: one hash) and cache it only once it
+          // passes.  A blob that hashes elsewhere, or is not the canonical
+          // encoding of a transcript, makes the shipment corrupt.
+          std::vector<std::optional<ExecutionTranscript>> shipped(peer.offered.size());
+          for (auto& [index, blob] : frame.result_dedup.blobs) {
             if (index >= peer.offered.size()) {
               throw std::invalid_argument("shipped blob index " + std::to_string(index) +
                                           " is outside the offer");
             }
             const Digest256& key = peer.offered[static_cast<std::size_t>(index)];
-            if (Sha256::of(blob) != key) {
+            try {
+              shipped[static_cast<std::size_t>(index)] = ExecutionTranscript::decode(blob, key);
+            } catch (const std::invalid_argument& error) {
               throw std::invalid_argument("shipped blob " + std::to_string(index) +
-                                          " does not hash to its offered key");
+                                          " is refused against its offered key: " +
+                                          error.what());
             }
-            blob_cache_.emplace(key, blob);
+            blob_cache_.emplace(key, std::move(blob));
           }
           dedup_stats_.blobs_shipped += frame.result_dedup.blobs.size();
           dedup_stats_.blobs_reused +=
@@ -252,13 +259,18 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
           if (row.store_keys.size() != peer.offered.size()) {
             throw std::invalid_argument("row store_keys do not cover the leaf offer");
           }
-          // Reconstruct the full per-trial capture from the cache; every
-          // leaf is present by now (shipped above or already held).
+          // Reconstruct the full per-trial capture: shipped leaves as
+          // decoded above, the rest from the cache.  Every leaf is present
+          // by now.
           row.result.per_trial_transcript.reserve(peer.offered.size());
           for (std::size_t t = 0; t < peer.offered.size(); ++t) {
             if (row.store_keys[t] != peer.offered[t].hex()) {
               throw std::invalid_argument("store_keys[" + std::to_string(t) +
                                           "] does not match the leaf offer");
+            }
+            if (shipped[t]) {
+              row.result.per_trial_transcript.push_back(std::move(*shipped[t]));
+              continue;
             }
             const auto cached = blob_cache_.find(peer.offered[t]);
             if (cached == blob_cache_.end()) {
@@ -453,11 +465,11 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
     const std::vector<std::size_t>& ids = scenario_windows[s];
     std::optional<ScenarioResult> folded;
     for (const std::size_t id : ids) {
-      const Window& window = windows[id];
+      ScenarioResult& result = windows[id].row->result;
       if (!folded) {
-        folded = window.row->result;
+        folded = std::move(result);
       } else {
-        folded->merge(window.row->result);
+        folded->merge(std::move(result));
       }
     }
     const TrialWindow range = scenario_trial_window(sweep.scenarios[s]);
@@ -490,12 +502,8 @@ std::string canonical_report(const SweepSpec& sweep, std::span<const ScenarioRes
   }
   std::string out;
   for (std::size_t s = 0; s < results.size(); ++s) {
-    verify::ShardRow row;
-    row.case_index = s;
-    row.spec_line = verify::format_spec(verify::shard_key_spec(sweep.scenarios[s]));
-    row.result = results[s];
-    row.result.wall_seconds = 0.0;  // the one nondeterministic field
-    out += verify::format_shard_row(row);
+    out += verify::format_canonical_row(
+        s, verify::format_spec(verify::shard_key_spec(sweep.scenarios[s])), results[s]);
     out += '\n';
   }
   return out;

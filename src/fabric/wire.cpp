@@ -172,26 +172,24 @@ std::vector<std::uint8_t> encode_frame(MessageKind bare) {
 }
 
 std::optional<FrameParse> try_parse_frame(std::span<const std::uint8_t> buffer) {
-  // The length prefix itself may be partial: probe it without throwing on
-  // truncation (a varint is complete iff a byte without the top bit set
-  // arrives within 10 bytes).
+  // The length prefix itself may be partial: it is complete once a byte
+  // without the top bit set arrives, which a valid varint does within 10
+  // bytes.  A complete prefix goes through the shared varint reader, so it
+  // is held to the same overflow and minimality rules as every payload
+  // field.
+  const std::size_t probe = std::min<std::size_t>(buffer.size(), 10);
+  std::size_t last = 0;
+  while (last < probe && (buffer[last] & 0x80) != 0) ++last;
+  if (last == probe) {
+    if (probe == 10) bad("length prefix is not a valid varint");
+    return std::nullopt;  // incomplete prefix, keep buffering
+  }
   std::size_t i = 0;
   std::uint64_t length = 0;
-  {
-    int shift = 0;
-    for (;;) {
-      if (i >= buffer.size()) {
-        if (i >= 10) bad("length prefix is not a valid varint");
-        return std::nullopt;  // incomplete prefix, keep buffering
-      }
-      const std::uint8_t byte = buffer[i++];
-      if (shift >= 64 || (shift == 63 && (byte & 0x7e) != 0)) {
-        bad("length prefix overflows 64 bits");
-      }
-      length |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
-    }
+  try {
+    length = leb128_get(buffer.first(last + 1), i);
+  } catch (const std::invalid_argument& error) {
+    bad(std::string("length prefix: ") + error.what());
   }
   if (length == 0) bad("empty payload (a frame carries at least its kind byte)");
   if (length > kMaxFrameBytes) {

@@ -182,12 +182,20 @@ int run_worker(const WorkerOptions& options) {
 
       // Transcript windows dedup over the wire: offer the leaf content
       // keys, wait for the subset the driver lacks, ship only those blobs
-      // next to a transcripts-elided row.
+      // next to a transcripts-elided row.  Each transcript is encoded once
+      // and those bytes hashed once: the offer, the row's store_keys
+      // column and the shipped blobs all come from that one pass.
+      const std::vector<ExecutionTranscript>& transcripts = row.result.per_trial_transcript;
+      std::vector<std::vector<std::uint8_t>> blobs;
+      blobs.reserve(transcripts.size());
       LeafOffer offer;
       offer.window = assign.window;
-      offer.keys.reserve(row.result.per_trial_transcript.size());
-      for (const ExecutionTranscript& transcript : row.result.per_trial_transcript) {
-        offer.keys.push_back(transcript.content_key());
+      offer.keys.reserve(transcripts.size());
+      row.store_keys.reserve(transcripts.size());
+      for (const ExecutionTranscript& transcript : transcripts) {
+        blobs.push_back(transcript.encode());
+        offer.keys.push_back(Sha256::of(blobs.back()));
+        row.store_keys.push_back(offer.keys.back().hex());
       }
       send_frame(encode_frame(offer));
 
@@ -223,13 +231,12 @@ int run_worker(const WorkerOptions& options) {
       reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
       reply.blobs.reserve(want->indices.size());
       for (const std::uint64_t index : want->indices) {
-        if (index >= row.result.per_trial_transcript.size()) {
+        if (index >= blobs.size()) {
           log_line(options, "leaf-want index " + std::to_string(index) +
                                 " is out of range for the offer");
           return 1;
         }
-        reply.blobs.emplace_back(
-            index, row.result.per_trial_transcript[static_cast<std::size_t>(index)].encode());
+        reply.blobs.emplace_back(index, blobs[static_cast<std::size_t>(index)]);
       }
       send_frame(encode_frame(reply));
     }

@@ -14,6 +14,12 @@
 // and adversarial collisions equally irrelevant, and the implementation
 // below is the plain FIPS 180-4 compression function with no external
 // dependency.
+//
+// A transcript is hashed only where its bytes cross a trust boundary (a
+// fabric worker's leaf offer, the driver's check of a shipped blob, a
+// shard row's store_keys check); the key then travels with the decoded
+// transcript (ExecutionTranscript's keyed decode), so later stages read
+// it instead of hashing again.
 
 #include <array>
 #include <compare>

@@ -34,7 +34,10 @@ std::uint64_t leb128_get(std::span<const std::uint8_t> bytes, std::size_t& index
       throw std::invalid_argument("leb128: varint overflows 64 bits");
     }
     v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return v;
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && shift != 0) throw std::invalid_argument("leb128: overlong varint");
+      return v;
+    }
     shift += 7;
   }
 }
@@ -68,6 +71,7 @@ void ExecutionTranscript::clear() {
   events_.clear();
   digest_ = kFnvOffset;
   count_ = 0;
+  key_.reset();
 }
 
 void ExecutionTranscript::fold(std::uint64_t word) {
@@ -82,6 +86,7 @@ void ExecutionTranscript::record(TranscriptEventKind kind, std::uint64_t a, std:
   fold(b);
   fold(c);
   ++count_;
+  key_.reset();
   if (mode_ == TranscriptMode::kFull) events_.push_back(TranscriptEvent{kind, a, b, c});
 }
 
@@ -103,8 +108,19 @@ std::vector<std::uint8_t> ExecutionTranscript::encode() const {
 }
 
 Digest256 ExecutionTranscript::content_key() const {
-  const std::vector<std::uint8_t> bytes = encode();
-  return Sha256::of(bytes);
+  if (key_) return *key_;
+  return Sha256::of(encode());
+}
+
+ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes,
+                                                const Digest256& key) {
+  if (Sha256::of(bytes) != key) {
+    throw std::invalid_argument("ExecutionTranscript::decode: bytes do not hash to the key " +
+                                key.hex());
+  }
+  ExecutionTranscript transcript = decode(bytes);
+  transcript.key_ = key;
+  return transcript;
 }
 
 ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes) {

@@ -69,10 +69,13 @@ struct TranscriptEvent {
 std::string format_event(const TranscriptEvent& event);
 
 /// The LEB128 varint codec the transcript encoding is built on, exposed so
-/// the fabric wire protocol (src/fabric/wire.h) frames with the identical
-/// primitive.  leb128_get throws std::invalid_argument on a truncated or
-/// 64-bit-overflowing varint and advances `index` past the bytes it
-/// consumed.
+/// the fabric wire protocol (src/fabric/wire.h) and the store (src/store/)
+/// use the identical primitive.  leb128_put writes the minimal encoding;
+/// leb128_get accepts only that: it throws std::invalid_argument on a
+/// truncated, 64-bit-overflowing or overlong varint (a multi-byte varint
+/// whose last byte is 0, such as 81 00 for 1), and advances `index` past
+/// the bytes it consumed.  Every accepted input therefore re-encodes to
+/// exactly its own bytes.
 void leb128_put(std::vector<std::uint8_t>& out, std::uint64_t value);
 std::uint64_t leb128_get(std::span<const std::uint8_t> bytes, std::size_t& index);
 
@@ -121,16 +124,27 @@ class ExecutionTranscript {
 
   /// Compact binary encoding (kFull only; throws std::logic_error in digest
   /// mode): a 'F','L','E','T' magic, then per event one kind byte and three
-  /// LEB128 varints.  decode() inverts it exactly; round-tripping preserves
-  /// digest, count and events.
+  /// LEB128 varints.  decode() inverts it exactly: it accepts only the
+  /// bytes encode() writes (minimal varints), so decode(b).encode() == b,
+  /// and round-tripping preserves digest, count and events.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static ExecutionTranscript decode(std::span<const std::uint8_t> bytes);
+  /// Keyed decode, for bytes that arrive with their content key (a shipped
+  /// fabric blob, a shard row's store_keys entry): throws
+  /// std::invalid_argument unless Sha256::of(bytes) == key, then decodes,
+  /// and the result carries `key`.  Sound because decode round-trips
+  /// exactly: the key of the accepted bytes is the key of the transcript.
+  static ExecutionTranscript decode(std::span<const std::uint8_t> bytes, const Digest256& key);
 
   /// SHA-256 of encode() — the content-addressed store key (src/store/).
   /// The in-loop FNV fold stays the cheap fingerprint; this strengthened
-  /// digest is computed once per trial at the store boundary, so identical
-  /// executions key identical blobs and distinct executions cannot
-  /// plausibly collide.  kFull only, like encode().
+  /// digest is hashed only where a transcript's bytes cross a trust
+  /// boundary (the worker's leaf offer, the driver's blob check, a shard
+  /// row's store_keys check).  A transcript from keyed decode carries its
+  /// key, and this returns it without hashing; any other transcript is
+  /// encoded and hashed here.  Copies and moves keep the carried key;
+  /// record() and clear() drop it.  A pure read: no cache is filled, so
+  /// it is safe on a shared const object.  kFull only, like encode().
   [[nodiscard]] Digest256 content_key() const;
 
   /// Transcripts compare by their common observable: digest and event
@@ -144,6 +158,7 @@ class ExecutionTranscript {
   std::vector<TranscriptEvent> events_;
   std::uint64_t digest_ = 0xcbf29ce484222325ull;  ///< FNV-1a 64 offset basis
   std::uint64_t count_ = 0;
+  std::optional<Digest256> key_;  ///< the content key keyed decode checked
 };
 
 /// Multi-transcript container: a 'F','L','E','S' magic, a varint transcript

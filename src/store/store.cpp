@@ -57,28 +57,36 @@ int store_depth(std::uint64_t trial_count) {
   return depth;
 }
 
+void StoreWriter::begin_scenario(std::string spec, std::uint64_t trials) {
+  StoreScenario scenario;
+  scenario.spec = std::move(spec);
+  scenario.base = leaf_hashes_.size();
+  scenario.trials = trials;
+  scenarios_.push_back(std::move(scenario));
+}
+
+template <typename MakeBlob>
+void StoreWriter::add_leaf(const Digest256& key, MakeBlob&& make_blob) {
+  auto [it, inserted] = blob_index_.try_emplace(key, blobs_.size());
+  if (inserted) blobs_.push_back(make_blob());
+  logical_blob_bytes_ += blobs_[it->second].size();
+  leaf_hashes_.push_back(key);
+  leaf_blob_index_.push_back(it->second);
+}
+
 void StoreWriter::add_scenario(std::string spec,
                                std::span<const ExecutionTranscript> transcripts) {
-  std::vector<std::vector<std::uint8_t>> blobs;
-  blobs.reserve(transcripts.size());
-  for (const ExecutionTranscript& transcript : transcripts) blobs.push_back(transcript.encode());
-  add_scenario_blobs(std::move(spec), blobs);
+  begin_scenario(std::move(spec), transcripts.size());
+  for (const ExecutionTranscript& transcript : transcripts) {
+    add_leaf(transcript.content_key(), [&transcript] { return transcript.encode(); });
+  }
 }
 
 void StoreWriter::add_scenario_blobs(std::string spec,
                                      std::span<const std::vector<std::uint8_t>> blobs) {
-  StoreScenario scenario;
-  scenario.spec = std::move(spec);
-  scenario.base = leaf_hashes_.size();
-  scenario.trials = blobs.size();
-  scenarios_.push_back(std::move(scenario));
+  begin_scenario(std::move(spec), blobs.size());
   for (const std::vector<std::uint8_t>& blob : blobs) {
-    const Digest256 key = Sha256::of(blob);
-    logical_blob_bytes_ += blob.size();
-    auto [it, inserted] = blob_index_.try_emplace(key, blobs_.size());
-    if (inserted) blobs_.push_back(blob);
-    leaf_hashes_.push_back(key);
-    leaf_blob_index_.push_back(it->second);
+    add_leaf(Sha256::of(blob), [&blob] { return blob; });
   }
 }
 

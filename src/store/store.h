@@ -10,8 +10,8 @@
 //
 //   * each leaf is one trial's encoded transcript blob, keyed by its
 //     SHA-256 content hash (sim/digest.h; the in-loop FNV fold stays the
-//     cheap fingerprint, the strengthened digest is computed once at the
-//     store boundary);
+//     cheap fingerprint, and a transcript that crossed a trust boundary
+//     carries the key hashed there, ExecutionTranscript::content_key);
 //   * each inner node at level k covers 16^k consecutive trials and hashes
 //     the concatenation of its 16 child hashes (absent child = 32 zero
 //     bytes), so any leaf change bubbles to the root;
@@ -89,7 +89,9 @@ int store_depth(std::uint64_t trial_count);
 /// appended in sweep order; their trials take consecutive global indices.
 class StoreWriter {
  public:
-  /// Adds one scenario's transcripts (kFull, trial order).
+  /// Adds one scenario's transcripts (kFull, trial order).  Each leaf is
+  /// keyed by content_key() (a carried key costs no hash), and a
+  /// transcript is encoded only when its blob is new to the store.
   void add_scenario(std::string spec, std::span<const ExecutionTranscript> transcripts);
   /// Same, from already-encoded FLET blobs (the fabric/shard path).
   void add_scenario_blobs(std::string spec,
@@ -105,6 +107,12 @@ class StoreWriter {
   [[nodiscard]] std::uint64_t unique_blobs() const { return blobs_.size(); }
 
  private:
+  void begin_scenario(std::string spec, std::uint64_t trials);
+  /// Appends the next trial's leaf under `key`; make_blob() is called for
+  /// the blob bytes only when no earlier leaf stored that key.
+  template <typename MakeBlob>
+  void add_leaf(const Digest256& key, MakeBlob&& make_blob);
+
   std::vector<StoreScenario> scenarios_;
   std::vector<Digest256> leaf_hashes_;             ///< per global trial
   std::vector<std::vector<std::uint8_t>> blobs_;   ///< unique, first-use order

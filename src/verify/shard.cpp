@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 
 namespace fle::verify {
 
@@ -230,7 +233,21 @@ std::string transcript_list(const std::vector<ExecutionTranscript>& transcripts)
   return out;
 }
 
-ExecutionTranscript transcript_from_hex(const std::string& hex) {
+/// Splits a comma-separated list column; an empty column is an empty list.
+std::vector<std::string_view> split_list(std::string_view list) {
+  std::vector<std::string_view> cells;
+  std::size_t pos = 0;
+  while (pos <= list.size() && !list.empty()) {
+    const std::size_t comma = list.find(',', pos);
+    cells.push_back(list.substr(pos, comma == std::string_view::npos ? std::string_view::npos
+                                                                      : comma - pos));
+    if (comma == std::string_view::npos) break;
+    pos = comma + 1;
+  }
+  return cells;
+}
+
+std::vector<std::uint8_t> bytes_from_hex(std::string_view hex) {
   if (hex.size() % 2 != 0) {
     throw std::invalid_argument("shard row: odd-length transcript hex blob");
   }
@@ -250,18 +267,104 @@ ExecutionTranscript transcript_from_hex(const std::string& hex) {
   for (std::size_t i = 0; i < hex.size(); i += 2) {
     bytes.push_back(static_cast<std::uint8_t>((nibble(i) << 4) | nibble(i + 1)));
   }
-  return ExecutionTranscript::decode(bytes);
+  return bytes;
+}
+
+/// Decodes trial `trial`'s hex blob.  With a store_keys entry (`key_text`)
+/// the blob is decoded against that key, one hash, and the transcript
+/// carries it.  A refused blob is reported as the transcript's
+/// fault when it does not decode, and as the key's when it decodes but
+/// hashes to another key: the store-key column is derived data, so a
+/// mismatch means the row was stitched from two different captures.
+ExecutionTranscript transcript_from_hex(std::string_view hex,
+                                        std::optional<std::string_view> key_text,
+                                        std::size_t trial) {
+  const auto blob_error = [trial](const std::exception& error) {
+    return std::invalid_argument("shard row: transcripts[" + std::to_string(trial) +
+                                 "]: " + error.what());
+  };
+  const auto decode_plain = [&blob_error](std::span<const std::uint8_t> bytes) {
+    try {
+      return ExecutionTranscript::decode(bytes);
+    } catch (const std::exception& error) {
+      throw blob_error(error);
+    }
+  };
+  std::vector<std::uint8_t> bytes;
+  try {
+    bytes = bytes_from_hex(hex);
+  } catch (const std::exception& error) {
+    throw blob_error(error);
+  }
+  if (!key_text) return decode_plain(bytes);
+  // Keys are emitted lowercase and compared as text, so an uppercased key
+  // stays a mismatch.
+  const bool lowercase = std::none_of(key_text->begin(), key_text->end(),
+                                      [](char c) { return c >= 'A' && c <= 'F'; });
+  const std::optional<Digest256> key =
+      lowercase ? Digest256::from_hex(*key_text) : std::nullopt;
+  if (key) {
+    try {
+      return ExecutionTranscript::decode(bytes, *key);
+    } catch (const std::invalid_argument&) {
+      // Refused: classified below.
+    }
+  }
+  const ExecutionTranscript transcript = decode_plain(bytes);
+  throw std::invalid_argument("shard row: store_keys[" + std::to_string(trial) + "] = '" +
+                              std::string(*key_text) + "' does not match the transcript (" +
+                              transcript.content_key().hex() + ")");
 }
 
 /// Comma-separated store keys (sim/digest.h content hashes), one per
 /// recorded trial: the join column between shard rows and the
-/// content-addressed store (src/store/).
-std::string store_key_list(const std::vector<ExecutionTranscript>& transcripts) {
+/// content-addressed store (src/store/).  `known` holds them already
+/// rendered when it has one per trial; otherwise each is content_key().
+std::string store_key_list(const std::vector<ExecutionTranscript>& transcripts,
+                           const std::vector<std::string>& known) {
+  const bool reuse = known.size() == transcripts.size();
   std::string out;
   for (std::size_t t = 0; t < transcripts.size(); ++t) {
     if (t != 0) out += ',';
-    out += transcripts[t].content_key().hex();
+    out += reuse ? known[t] : transcripts[t].content_key().hex();
   }
+  return out;
+}
+
+std::string format_row(std::size_t case_index, const std::string& spec_line,
+                       const ScenarioResult& r, double wall_seconds, bool elide_transcripts,
+                       const std::vector<std::string>& store_keys) {
+  std::string out = "{";
+  append_kv(out, "case", std::to_string(case_index), false);
+  append_kv(out, "spec", spec_line, true);
+  append_kv(out, "n", std::to_string(r.outcomes.domain()), false);
+  append_kv(out, "trials", std::to_string(r.trials), false);
+  append_kv(out, "trial_offset", std::to_string(r.trial_offset), false);
+  append_kv(out, "spec_trials", std::to_string(r.spec_trials), false);
+  append_kv(out, "base_seed", std::to_string(r.base_seed), false);
+  append_kv(out, "fails", std::to_string(r.outcomes.fails()), false);
+  append_kv(out, "counts", counts_list(r.outcomes), true);
+  append_kv(out, "total_messages", std::to_string(r.total_messages), false);
+  append_kv(out, "max_messages", std::to_string(r.max_messages), false);
+  append_kv(out, "total_sync_gap", std::to_string(r.total_sync_gap), false);
+  append_kv(out, "max_sync_gap", std::to_string(r.max_sync_gap), false);
+  append_kv(out, "max_rounds", std::to_string(r.max_rounds), false);
+  append_kv(out, "wall_seconds", render_double(wall_seconds), false);
+  append_kv(out, "protocol_name", r.protocol_name, true);
+  append_kv(out, "deviation_name", r.deviation_name, true);
+  append_kv(out, "recorded", r.outcomes_recorded ? "true" : "false", false);
+  if (r.outcomes_recorded) append_kv(out, "per_trial", per_trial_list(r.per_trial), true);
+  append_kv(out, "transcripts_recorded", r.transcripts_recorded ? "true" : "false", false);
+  if (r.transcripts_recorded) {
+    if (elide_transcripts) {
+      append_kv(out, "transcripts_elided", "true", false);
+      append_kv(out, "store_keys", store_key_list(r.per_trial_transcript, store_keys), true);
+    } else {
+      append_kv(out, "transcripts", transcript_list(r.per_trial_transcript), true);
+      append_kv(out, "store_keys", store_key_list(r.per_trial_transcript, {}), true);
+    }
+  }
+  out += '}';
   return out;
 }
 
@@ -286,38 +389,13 @@ TrialWindow shard_trial_window(const ScenarioSpec& spec, std::size_t index, std:
 }
 
 std::string format_shard_row(const ShardRow& row, bool elide_transcripts) {
-  const ScenarioResult& r = row.result;
-  std::string out = "{";
-  append_kv(out, "case", std::to_string(row.case_index), false);
-  append_kv(out, "spec", row.spec_line, true);
-  append_kv(out, "n", std::to_string(r.outcomes.domain()), false);
-  append_kv(out, "trials", std::to_string(r.trials), false);
-  append_kv(out, "trial_offset", std::to_string(r.trial_offset), false);
-  append_kv(out, "spec_trials", std::to_string(r.spec_trials), false);
-  append_kv(out, "base_seed", std::to_string(r.base_seed), false);
-  append_kv(out, "fails", std::to_string(r.outcomes.fails()), false);
-  append_kv(out, "counts", counts_list(r.outcomes), true);
-  append_kv(out, "total_messages", std::to_string(r.total_messages), false);
-  append_kv(out, "max_messages", std::to_string(r.max_messages), false);
-  append_kv(out, "total_sync_gap", std::to_string(r.total_sync_gap), false);
-  append_kv(out, "max_sync_gap", std::to_string(r.max_sync_gap), false);
-  append_kv(out, "max_rounds", std::to_string(r.max_rounds), false);
-  append_kv(out, "wall_seconds", render_double(r.wall_seconds), false);
-  append_kv(out, "protocol_name", r.protocol_name, true);
-  append_kv(out, "deviation_name", r.deviation_name, true);
-  append_kv(out, "recorded", r.outcomes_recorded ? "true" : "false", false);
-  if (r.outcomes_recorded) append_kv(out, "per_trial", per_trial_list(r.per_trial), true);
-  append_kv(out, "transcripts_recorded", r.transcripts_recorded ? "true" : "false", false);
-  if (r.transcripts_recorded) {
-    if (elide_transcripts) {
-      append_kv(out, "transcripts_elided", "true", false);
-    } else {
-      append_kv(out, "transcripts", transcript_list(r.per_trial_transcript), true);
-    }
-    append_kv(out, "store_keys", store_key_list(r.per_trial_transcript), true);
-  }
-  out += '}';
-  return out;
+  return format_row(row.case_index, row.spec_line, row.result, row.result.wall_seconds,
+                    elide_transcripts, row.store_keys);
+}
+
+std::string format_canonical_row(std::size_t case_index, const std::string& spec_line,
+                                 const ScenarioResult& result) {
+  return format_row(case_index, spec_line, result, 0.0, false, {});
 }
 
 ShardRow parse_shard_row(const std::string& line) {
@@ -446,21 +524,14 @@ ShardRow parse_shard_row(const std::string& line) {
   if (row.transcripts_elided) {
     // The dedup wire form: store keys stand in for the blobs, which the
     // receiver resolves from its content-addressed cache.
-    const std::string& keys = json.str("store_keys");
-    std::size_t key_pos = 0;
-    while (key_pos <= keys.size() && !keys.empty()) {
-      const std::size_t comma = keys.find(',', key_pos);
-      const std::string key = keys.substr(
-          key_pos, comma == std::string::npos ? std::string::npos : comma - key_pos);
+    for (const std::string_view key : split_list(json.str("store_keys"))) {
       const std::optional<Digest256> digest = Digest256::from_hex(key);
       if (!digest) {
         throw std::invalid_argument("shard row: store_keys[" +
-                                    std::to_string(row.store_keys.size()) + "] = '" + key +
-                                    "' is not a 64-hex-digit content key");
+                                    std::to_string(row.store_keys.size()) + "] = '" +
+                                    std::string(key) + "' is not a 64-hex-digit content key");
       }
       row.store_keys.push_back(digest->hex());  // normalized lowercase
-      if (comma == std::string::npos) break;
-      key_pos = comma + 1;
     }
     if (row.store_keys.size() != result.trials) {
       throw std::invalid_argument("shard row: store_keys holds " +
@@ -468,56 +539,29 @@ ShardRow parse_shard_row(const std::string& line) {
                                   " keys, trials = " + std::to_string(result.trials));
     }
   } else if (result.transcripts_recorded) {
-    const std::string& list = json.str("transcripts");
-    std::size_t pos = 0;
-    while (pos <= list.size() && !list.empty()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string blob =
-          list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      try {
-        result.per_trial_transcript.push_back(transcript_from_hex(blob));
-      } catch (const std::exception& error) {
-        throw std::invalid_argument(
-            "shard row: transcripts[" + std::to_string(result.per_trial_transcript.size()) +
-            "]: " + error.what());
-      }
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-    if (result.per_trial_transcript.size() != result.trials) {
+    const std::vector<std::string_view> blobs = split_list(json.str("transcripts"));
+    if (blobs.size() != result.trials) {
       throw std::invalid_argument("shard row: transcripts holds " +
-                                  std::to_string(result.per_trial_transcript.size()) +
+                                  std::to_string(blobs.size()) +
                                   " entries, trials = " + std::to_string(result.trials));
     }
-    // The store-key column is derived data; when present it must agree
-    // with the blobs it annotates, or the row was stitched from two
-    // different captures.
-    if (json.has("store_keys")) {
-      const std::string& keys = json.str("store_keys");
-      std::size_t key_pos = 0;
-      std::size_t trial = 0;
-      while (key_pos <= keys.size() && !keys.empty()) {
-        const std::size_t comma = keys.find(',', key_pos);
-        const std::string key = keys.substr(
-            key_pos, comma == std::string::npos ? std::string::npos : comma - key_pos);
-        if (trial >= result.per_trial_transcript.size()) {
-          throw std::invalid_argument("shard row: more store_keys than transcripts");
-        }
-        const std::string expected = result.per_trial_transcript[trial].content_key().hex();
-        if (key != expected) {
-          throw std::invalid_argument("shard row: store_keys[" + std::to_string(trial) +
-                                      "] = '" + key + "' does not match the transcript (" +
-                                      expected + ")");
-        }
-        ++trial;
-        if (comma == std::string::npos) break;
-        key_pos = comma + 1;
-      }
-      if (trial != result.per_trial_transcript.size()) {
-        throw std::invalid_argument("shard row: store_keys holds " + std::to_string(trial) +
-                                    " keys, transcripts = " +
-                                    std::to_string(result.per_trial_transcript.size()));
-      }
+    // Rows without the store-key column decode plainly; with it, each
+    // blob is decoded against its key.
+    const bool keyed = json.has("store_keys");
+    const std::vector<std::string_view> keys =
+        keyed ? split_list(json.str("store_keys")) : std::vector<std::string_view>{};
+    result.per_trial_transcript.reserve(blobs.size());
+    for (std::size_t t = 0; t < blobs.size(); ++t) {
+      result.per_trial_transcript.push_back(
+          transcript_from_hex(blobs[t],
+                              t < keys.size() ? std::optional(keys[t]) : std::nullopt, t));
+    }
+    if (keys.size() > blobs.size()) {
+      throw std::invalid_argument("shard row: more store_keys than transcripts");
+    }
+    if (keyed && keys.size() != blobs.size()) {
+      throw std::invalid_argument("shard row: store_keys holds " + std::to_string(keys.size()) +
+                                  " keys, transcripts = " + std::to_string(blobs.size()));
     }
   }
 
@@ -552,7 +596,7 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
     }
     MergedCase out;
     out.spec_line = group.front().spec_line;
-    out.result = group.front().result;
+    out.result = std::move(group.front().result);
     for (std::size_t i = 1; i < group.size(); ++i) {
       // Diagnose window tiling faults by name before the generic merge
       // contiguity check: the likely operator errors are feeding the same
@@ -570,7 +614,7 @@ std::map<std::size_t, MergedCase> merge_shard_rows(std::vector<ShardRow> rows) {
             std::to_string(expected) + ", " + std::to_string(offset) +
             ") (missing shard file?)");
       }
-      out.result.merge(group[i].result);  // enforces compatibility + contiguity
+      out.result.merge(std::move(group[i].result));  // enforces compatibility + contiguity
     }
     if (out.result.trial_offset != 0 || out.result.trials != out.result.spec_trials) {
       throw std::invalid_argument(

@@ -35,6 +35,10 @@ struct ShardRow {
   /// blobs the driver lacks) and the row carries their store keys instead.
   bool transcripts_elided = false;
   /// Hex content keys (sim/digest.h), one per recorded trial, when elided.
+  /// parse_shard_row fills it for elided rows; format_shard_row writes an
+  /// elided row's store_keys column from it when it holds one key per
+  /// trial (a fabric worker sets it from the keys it offered), and derives
+  /// the keys otherwise.
   std::vector<std::string> store_keys;
 
   ShardRow() = default;
@@ -59,8 +63,18 @@ TrialWindow shard_trial_window(const ScenarioSpec& spec, std::size_t index, std:
 /// whose blobs are shipped (or skipped) separately by content key.
 std::string format_shard_row(const ShardRow& row, bool elide_transcripts = false);
 
+/// The canonical-report row (fabric::canonical_report): `result` as case
+/// `case_index` under `spec_line`, with its one nondeterministic field,
+/// wall_seconds, written as 0.  Formats in place, without copying the
+/// result.
+std::string format_canonical_row(std::size_t case_index, const std::string& spec_line,
+                                 const ScenarioResult& result);
+
 /// Parses a row previously produced by format_shard_row.  Throws
-/// std::invalid_argument naming the offending key on malformed input.
+/// std::invalid_argument naming the offending key on malformed input.  A
+/// row with a store_keys column decodes each transcript blob against its
+/// key (ExecutionTranscript's keyed decode: one hash per trial), so the
+/// parsed transcripts carry their content keys.
 ShardRow parse_shard_row(const std::string& line);
 
 /// A fully merged case: all shards of one scenario folded together.

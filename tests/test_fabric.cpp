@@ -10,6 +10,7 @@
 #include <cctype>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -128,6 +129,15 @@ TEST(FabricWire, MalformedFramesThrow) {
   leb128_put(bad_string, 200);  // claims a 200-byte message in a 3-byte payload
   bad_string.push_back('x');
   EXPECT_THROW(try_parse_frame(bad_string), std::invalid_argument);
+  // Overlong varints are refused like in every other decoder: a length
+  // prefix 81 00 (1 in two bytes) in front of a drain, and a heartbeat
+  // whose seq is 80 00 (0 in two bytes).
+  EXPECT_THROW(try_parse_frame(std::vector<std::uint8_t>{
+                   0x81, 0x00, static_cast<std::uint8_t>(MessageKind::kDrain)}),
+               std::invalid_argument);
+  EXPECT_THROW(try_parse_frame(std::vector<std::uint8_t>{
+                   3, static_cast<std::uint8_t>(MessageKind::kHeartbeat), 0x80, 0x00}),
+               std::invalid_argument);
 }
 
 TEST(FabricWire, DedupFramesRoundTrip) {
@@ -383,6 +393,47 @@ TEST(ShardHardening, StoreKeysValidateAgainstTheTranscripts) {
   expect_parse_error(corrupted, "store_keys[0]");
 }
 
+/// The same transcript with its event-count varint written overlong: it
+/// decoded to the canonical transcript before decoders refused overlong
+/// varints, yet hashes to a different key.
+std::vector<std::uint8_t> overlong_count(std::vector<std::uint8_t> blob) {
+  EXPECT_LT(blob.at(4), 0x80);  // a one-byte count
+  blob[4] |= 0x80;
+  blob.insert(blob.begin() + 5, 0x00);
+  return blob;
+}
+
+std::string hex_of(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t byte : bytes) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xf];
+  }
+  return out;
+}
+
+/// Replaces the first occurrence of `from` in `text`.
+void replace_first(std::string& text, const std::string& from, const std::string& to) {
+  const std::size_t pos = text.find(from);
+  ASSERT_NE(pos, std::string::npos) << from;
+  text.replace(pos, from.size(), to);
+}
+
+TEST(ShardHardening, NonCanonicalBlobKeyedByItsOwnHashRejected) {
+  // Trial 0's blob becomes a non-canonical encoding B and its store key
+  // Sha256::of(B): the key matches the bytes, but B is not a transcript's
+  // encoding, so the row is refused as naming a malformed transcript.
+  const verify::ShardRow row = recorded_row();
+  std::string line = verify::format_shard_row(row);
+  const std::vector<std::uint8_t> canonical = row.result.per_trial_transcript[0].encode();
+  const std::vector<std::uint8_t> blob = overlong_count(canonical);
+  replace_first(line, hex_of(canonical), hex_of(blob));
+  replace_first(line, Sha256::of(canonical).hex(), Sha256::of(blob).hex());
+  expect_parse_error(line, "transcripts[0]");
+  expect_parse_error(line, "overlong");
+}
+
 TEST(ShardHardening, ElidedRowsCarryKeysInsteadOfBlobs) {
   const verify::ShardRow row = recorded_row();
   const std::string elided = verify::format_shard_row(row, /*elide_transcripts=*/true);
@@ -602,6 +653,104 @@ TEST(FabricLoopback, DedupReusesRepeatedTranscriptBlobs) {
   // scenario runs, every one of its 30 blobs is served from the cache.
   EXPECT_GE(stats.blobs_reused, 30u);
   EXPECT_LE(stats.blobs_shipped, 30u);
+}
+
+TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsOfferedKey) {
+  // A hostile worker runs its window honestly but ships trial 0 as a
+  // non-canonical encoding B, offering Sha256::of(B) for it.  The hash
+  // matches, yet B is not a transcript's encoding, so the driver must
+  // refuse the window and re-issue it to an honest worker.
+  SweepSpec sweep;
+  ScenarioSpec spec;
+  spec.protocol = "basic-lead";
+  spec.n = 5;
+  spec.trials = 10;
+  spec.seed = 5;
+  spec.record_transcripts = true;
+  sweep.add(spec);
+  const std::vector<ScenarioResult> local = run_sweep(sweep);
+
+  FabricOptions options;
+  options.window_trials = spec.trials;  // one window
+  RemoteExecutor executor(options);
+  std::vector<ScenarioResult> remote;
+  std::string driver_error;
+  std::thread driver([&] {
+    try {
+      remote = executor.run_sweep(sweep);
+    } catch (const std::exception& error) {
+      driver_error = error.what();
+    }
+  });
+
+  Socket sock = connect_tcp("127.0.0.1", executor.port(), std::chrono::seconds(5));
+  set_read_timeout(sock.fd(), std::chrono::seconds(10));
+  std::vector<std::uint8_t> buffer;
+  const auto send = [&sock](const std::vector<std::uint8_t>& bytes) {
+    send_bytes(sock.fd(), bytes.data(), bytes.size(), /*blocking=*/true);
+  };
+  const auto next = [&]() -> std::optional<Frame> {
+    for (;;) {
+      std::optional<Frame> frame = read_frame(sock.fd(), buffer);
+      if (!frame || frame->kind != MessageKind::kHeartbeat) return frame;
+      send(encode_frame(Heartbeat{frame->heartbeat.seq}));
+    }
+  };
+  Hello hello;
+  hello.build = build_digest();
+  hello.label = "hostile";
+  send(encode_frame(hello));
+  const std::optional<Frame> welcome = next();
+  ASSERT_TRUE(welcome && welcome->kind == MessageKind::kWelcome);
+  const std::optional<Frame> assign = next();
+  ASSERT_TRUE(assign && assign->kind == MessageKind::kAssign);
+
+  ScenarioSpec window = spec;
+  window.trial_offset = static_cast<std::size_t>(assign->assign.trial_offset);
+  window.trial_count = static_cast<std::size_t>(assign->assign.trial_count);
+  verify::ShardRow row;
+  row.case_index = static_cast<std::size_t>(assign->assign.scenario);
+  row.spec_line = welcome->welcome.spec_lines.at(row.case_index);
+  row.result = run_scenario(window);
+  std::vector<std::vector<std::uint8_t>> blobs;
+  for (const ExecutionTranscript& t : row.result.per_trial_transcript) blobs.push_back(t.encode());
+  const Digest256 canonical_key = Sha256::of(blobs[0]);
+  blobs[0] = overlong_count(blobs[0]);
+  LeafOffer offer;
+  offer.window = assign->assign.window;
+  for (const std::vector<std::uint8_t>& blob : blobs) offer.keys.push_back(Sha256::of(blob));
+  send(encode_frame(offer));
+  const std::optional<Frame> want = next();
+  ASSERT_TRUE(want && want->kind == MessageKind::kLeafWant);
+
+  ResultDedup reply;
+  reply.window = assign->assign.window;
+  reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
+  replace_first(reply.row, canonical_key.hex(), offer.keys[0].hex());  // trial 0's key
+  for (const std::uint64_t index : want->want.indices) {
+    reply.blobs.emplace_back(index, blobs.at(static_cast<std::size_t>(index)));
+  }
+  send(encode_frame(reply));
+  // Refused: the driver drops the hostile worker, so its next read finds
+  // the connection closed, not the drain an accepted window ends with.
+  std::optional<Frame> after;
+  try {
+    after = next();
+  } catch (const std::exception&) {
+    // A reset connection is a closed one.
+  }
+  EXPECT_FALSE(after.has_value()) << "got '" << to_string(after->kind) << "'";
+  sock.close();
+
+  WorkerOptions honest;
+  honest.port = executor.port();
+  honest.label = "honest";
+  honest.read_timeout = std::chrono::seconds(5);
+  std::thread worker([honest] { (void)run_worker(honest); });
+  driver.join();
+  worker.join();
+  ASSERT_TRUE(driver_error.empty()) << driver_error;
+  EXPECT_EQ(canonical_report(sweep, remote), canonical_report(sweep, local));
 }
 
 TEST(FabricLoopback, AllWorkersDeadFailsTheSweepLoudly) {

@@ -14,9 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "api/scenario.h"
 #include "sim/digest.h"
 #include "sim/transcript.h"
 #include "store/store.h"
+#include "verify/shard.h"
 
 namespace fle {
 namespace {
@@ -215,6 +217,30 @@ TEST(Store, BlobAndTranscriptPathsBuildIdenticalImages) {
   StoreWriter from_blobs;
   from_blobs.add_scenario_blobs("spec", blobs);
   EXPECT_EQ(from_transcripts.finish(), from_blobs.finish());
+}
+
+TEST(Store, TranscriptsParsedFromAShardRowBuildTheSameImage) {
+  // Parsed transcripts carry the content keys their row's store_keys
+  // column was checked against; the store keys its leaves by those and
+  // must build exactly the image the recorded transcripts build.
+  StoreWriter recorded;
+  StoreWriter parsed;
+  for (const char* protocol : {"basic-lead", "alead-uni"}) {
+    ScenarioSpec spec;
+    spec.protocol = protocol;
+    spec.n = 6;
+    spec.trials = 40;
+    spec.seed = 11;
+    spec.record_transcripts = true;
+    verify::ShardRow row;
+    row.spec_line = protocol;
+    row.result = run_scenario(spec);
+    const verify::ShardRow parsed_row = verify::parse_shard_row(verify::format_shard_row(row));
+    ASSERT_EQ(parsed_row.result.per_trial_transcript.size(), spec.trials);
+    recorded.add_scenario(protocol, row.result.per_trial_transcript);
+    parsed.add_scenario(protocol, parsed_row.result.per_trial_transcript);
+  }
+  EXPECT_EQ(recorded.finish(), parsed.finish());
 }
 
 // ---- sync -------------------------------------------------------------------

@@ -110,6 +110,26 @@ TEST(Transcript, DecodeRejectsMalformedBuffers) {
   trailing.push_back(0);
   EXPECT_THROW(ExecutionTranscript::decode(trailing), std::invalid_argument);
   EXPECT_THROW(ExecutionTranscript(TranscriptMode::kDigest).encode(), std::logic_error);
+
+  // Overlong varints (a multi-byte varint whose last byte is 0) decode to
+  // the same value as the minimal form but re-encode shorter, so decode
+  // would not round-trip them: refused.  bytes is 'FLET', count 01, then
+  // the event: kind 00, a 01, b 02, c 03.
+  ASSERT_EQ(bytes, (std::vector<std::uint8_t>{'F', 'L', 'E', 'T', 1, 0, 1, 2, 3}));
+  std::vector<std::uint8_t> overlong_count = bytes;
+  overlong_count[4] = 0x81;
+  overlong_count.insert(overlong_count.begin() + 5, 0x00);
+  EXPECT_THROW(ExecutionTranscript::decode(overlong_count), std::invalid_argument);
+  std::vector<std::uint8_t> overlong_field = bytes;
+  overlong_field[6] = 0x81;
+  overlong_field.insert(overlong_field.begin() + 7, 0x00);
+  EXPECT_THROW(ExecutionTranscript::decode(overlong_field), std::invalid_argument);
+  const std::vector<std::uint8_t> overlong_zero = {0x80, 0x00};
+  std::size_t index = 0;
+  EXPECT_THROW(leb128_get(overlong_zero, index), std::invalid_argument);
+  // A lone 00 is the minimal encoding of 0.
+  index = 0;
+  EXPECT_EQ(leb128_get(std::vector<std::uint8_t>{0x00}, index), 0u);
 }
 
 // ---- record -> replay across the four families ------------------------------
@@ -123,6 +143,52 @@ ScenarioSpec family_spec(TopologyKind topology, const char* protocol, int n) {
   spec.seed = 2026;
   spec.record_transcripts = true;
   return spec;
+}
+
+TEST(Transcript, KeyedDecodeCarriesItsKey) {
+  ExecutionTranscript t;
+  t.delivery(1, 2, 3);
+  t.decision(0, false, 1);
+  const std::vector<std::uint8_t> bytes = t.encode();
+  const Digest256 key = Sha256::of(bytes);
+  EXPECT_THROW(ExecutionTranscript::decode(bytes, Sha256::of_string("another blob")),
+               std::invalid_argument);
+
+  ExecutionTranscript keyed = ExecutionTranscript::decode(bytes, key);
+  EXPECT_TRUE(keyed == t);
+  EXPECT_EQ(keyed.content_key(), key);
+  ExecutionTranscript copy = keyed;
+  EXPECT_EQ(copy.content_key(), key);
+  const ExecutionTranscript moved = std::move(copy);
+  EXPECT_EQ(moved.content_key(), key);
+
+  // record() and clear() drop the key: content_key() hashes the new
+  // content again.
+  keyed.delivery(4, 5, 6);
+  EXPECT_NE(keyed.content_key(), key);
+  EXPECT_EQ(keyed.content_key(), Sha256::of(keyed.encode()));
+  ExecutionTranscript cleared = ExecutionTranscript::decode(bytes, key);
+  cleared.clear();
+  EXPECT_NE(cleared.content_key(), key);
+  EXPECT_EQ(cleared.content_key(), Sha256::of(cleared.encode()));
+
+  // On every runtime's captures, decode round-trips the bytes exactly, so
+  // the key keyed decode carries is the recorded transcript's own.
+  for (const auto& [topology, protocol] :
+       {std::pair<TopologyKind, const char*>{TopologyKind::kRing, "alead-uni"},
+        std::pair<TopologyKind, const char*>{TopologyKind::kGraph, "shamir-lead"},
+        std::pair<TopologyKind, const char*>{TopologyKind::kSync, "sync-ring-lead"},
+        std::pair<TopologyKind, const char*>{TopologyKind::kTree, "alternating-xor"}}) {
+    SCOPED_TRACE(protocol);
+    const ScenarioResult result = run_scenario(family_spec(topology, protocol, 6));
+    ASSERT_FALSE(result.per_trial_transcript.empty());
+    for (const ExecutionTranscript& recorded : result.per_trial_transcript) {
+      const std::vector<std::uint8_t> b = recorded.encode();
+      EXPECT_EQ(ExecutionTranscript::decode(b).encode(), b);
+      EXPECT_EQ(ExecutionTranscript::decode(b, Sha256::of(b)).content_key(),
+                recorded.content_key());
+    }
+  }
 }
 
 void expect_equal_transcripts(const ScenarioResult& a, const ScenarioResult& b) {
