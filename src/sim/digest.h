@@ -16,7 +16,7 @@
 // dependency.
 //
 // A transcript is hashed only where its bytes cross a trust boundary (a
-// fabric worker's leaf offer, the driver's check of a shipped blob, a
+// fabric worker's leaf offer, RemoteExecutor's check of a shipped blob, a
 // shard row's store_keys check); the key then travels with the decoded
 // transcript (ExecutionTranscript's keyed decode), so later stages read
 // it instead of hashing again.

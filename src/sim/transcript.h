@@ -139,7 +139,7 @@ class ExecutionTranscript {
   /// SHA-256 of encode() — the content-addressed store key (src/store/).
   /// The in-loop FNV fold stays the cheap fingerprint; this strengthened
   /// digest is hashed only where a transcript's bytes cross a trust
-  /// boundary (the worker's leaf offer, the driver's blob check, a shard
+  /// boundary (the worker's leaf offer, RemoteExecutor's blob check, a shard
   /// row's store_keys check).  A transcript from keyed decode carries its
   /// key, and this returns it without hashing; any other transcript is
   /// encoded and hashed here.  Copies and moves keep the carried key;

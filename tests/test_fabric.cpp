@@ -658,7 +658,7 @@ TEST(FabricLoopback, DedupReusesRepeatedTranscriptBlobs) {
 TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsOfferedKey) {
   // A hostile worker runs its window honestly but ships trial 0 as a
   // non-canonical encoding B, offering Sha256::of(B) for it.  The hash
-  // matches, yet B is not a transcript's encoding, so the driver must
+  // matches, yet B is not a transcript's encoding, so RemoteExecutor must
   // refuse the window and re-issue it to an honest worker.
   SweepSpec sweep;
   ScenarioSpec spec;
@@ -731,7 +731,7 @@ TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsOfferedKey) {
     reply.blobs.emplace_back(index, blobs.at(static_cast<std::size_t>(index)));
   }
   send(encode_frame(reply));
-  // Refused: the driver drops the hostile worker, so its next read finds
+  // Refused: RemoteExecutor drops the hostile worker, so its next read finds
   // the connection closed, not the drain an accepted window ends with.
   std::optional<Frame> after;
   try {
