@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "api/specialize.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
@@ -118,7 +116,6 @@ JsonObject scenario_row(const ScenarioSpec& spec, const std::string& label,
       .set("seed", spec.seed)
       .set("scheduler", to_string(spec.scheduler))
       .set("threads", spec.threads)
-      .set("engine", route_to_lanes(spec) ? "lanes" : "scalar")
       .set("target", spec.target)
       .set("fail_rate", result.outcomes.fail_rate())
       .set("target_rate",

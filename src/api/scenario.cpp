@@ -567,15 +567,14 @@ void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
 struct LaneWorkspace {
   std::unique_ptr<LaneEngine> engine;
   std::vector<std::uint64_t> seeds;
-  std::vector<ExecutionTranscript*> transcripts;
 };
 
 /// The specializer's lane path: the executor hands whole trial windows to
 /// a batched LaneEngine via the chunk-body seam.  Only reachable for
-/// lane-eligible specs without a closed form (route_to_lanes gates it), so
-/// the protocol always has a devirtualized kernel, the profile is honest or
-/// one of the lane-served deviations (basic-single, rushing), and every
-/// trial runs the burst loop.
+/// lane-eligible specs without transcripts or a closed form
+/// (route_to_lanes gates it), so the protocol always has a devirtualized
+/// kernel, the profile is honest or one of the lane-served deviations
+/// (basic-single, rushing), and every trial runs the burst loop.
 void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
@@ -618,20 +617,14 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
         !(ws.engine->deviation() == options.deviation)) {
       ws.engine = std::make_unique<LaneEngine>(spec.n, kernel, options);
     }
-    // Stage the window's seeds (and transcript slots) by global index; the
-    // engine writes straight into the job's stats slots.
+    // Stage the window's seeds by global index; the engine writes straight
+    // into the job's stats slots.
     const std::size_t count = end - begin;
     const std::size_t first = j->window.first + begin;
     ws.seeds.resize(count);
     for (std::size_t i = 0; i < count; ++i) ws.seeds[i] = scenario_trial_seed(spec.seed, first + i);
-    std::span<ExecutionTranscript* const> transcripts;
-    if (spec.record_transcripts) {
-      ws.transcripts.resize(count);
-      for (std::size_t i = 0; i < count; ++i) ws.transcripts[i] = j->transcript_slot(first + i);
-      transcripts = std::span<ExecutionTranscript* const>(ws.transcripts);
-    }
     ws.engine->run_window(std::span<const std::uint64_t>(ws.seeds),
-                          std::span<TrialStats>(j->stats).subspan(begin, count), transcripts);
+                          std::span<TrialStats>(j->stats).subspan(begin, count));
   };
   job.workspace_key = WorkspaceKey{kLaneFamily, spec.n};
   job.make_workspace = workspace_factory<LaneWorkspace>();
@@ -922,10 +915,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 }
 
 std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) {
-  // A sweep backend (the fabric's RemoteExecutor, or a test double) takes
-  // the whole sweep; its contract is a result vector bit-identical to the
-  // in-process path below.
-  if (SweepBackend* backend = sweep_backend()) return backend->run_sweep(sweep);
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::unique_ptr<ScenarioJob>> jobs;
   jobs.reserve(sweep.scenarios.size());

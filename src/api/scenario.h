@@ -63,9 +63,9 @@ std::optional<TopologyKind> parse_topology(const std::string& name);
 ///              its scalar engine, which serves the unaudited trials from
 ///              the closed form and simulates the audited ones; a ring
 ///              spec with a devirtualized lane kernel (honest, or under
-///              basic-single or rushing) and no pairing runs on the
-///              batched lane engine; everything else runs on the scalar
-///              engines.  Results are bit-identical either way (the lane
+///              basic-single or rushing), no pairing and no transcripts
+///              runs on the batched lane engine; everything else runs on
+///              the scalar engines.  Results are bit-identical either way (the lane
 ///              differential and the runtime audit gate it), so this is
 ///              purely a performance decision.
 ///  * kScalar — always the scalar reference engine (the oracle), never a

@@ -31,8 +31,9 @@ bool lane_eligible(const ScenarioSpec& spec) {
 
 bool route_to_lanes(const ScenarioSpec& spec) {
   // A pairing sends the spec to the scalar engine whatever its limit: its
-  // job then asks the layer with the resolved one.
-  return spec.engine == EngineKind::kAuto && lane_eligible(spec) &&
+  // job then asks the layer with the resolved one.  The lanes record no
+  // transcripts, so a transcribing spec runs on the oracle.
+  return spec.engine == EngineKind::kAuto && !spec.record_transcripts && lane_eligible(spec) &&
          closed_form_kind(spec, std::numeric_limits<std::uint64_t>::max()) ==
              ClosedFormKind::kNone;
 }

@@ -12,7 +12,7 @@
 //  * the batched ring lane engine (sim/lane_engine.h): devirtualized
 //    kernels for basic-lead, chang-roberts and alead-uni, honest or under
 //    the two lane-served deviations (basic-single, rushing), for ring specs
-//    that have no closed form.
+//    that have no closed form and record no transcripts.
 //
 // The pairings.  One table maps (topology, protocol, deviation) to a closed
 // form and the smallest limit a*n^2 + b*n + c under which it holds:
@@ -26,16 +26,18 @@
 // pairing applies to a transcribing spec or under engine=scalar.
 //
 // The routing rule.  engine=auto sends a spec to the lanes when it is
-// lane-eligible and has no pairing under any limit; every other spec runs
-// on its scalar engine, which asks the layer with the resolved limit.  A
-// pairing whose limit can bind (a starving spec) therefore runs fully
-// simulated on the scalar ring engine.  The layer is a function of the
-// spec and the global trial index alone; an audited trial runs the scalar
-// general path and must agree field for field or the run throws.
+// lane-eligible, records no transcripts and has no pairing under any
+// limit; every other spec runs on its scalar engine, which asks the layer
+// with the resolved limit.  A pairing whose limit can bind (a starving
+// spec) therefore runs fully simulated on the scalar ring engine, and
+// every transcript comes from a scalar engine, the oracle.  The layer is a
+// function of the spec and the global trial index alone; an audited trial
+// runs the scalar general path and must agree field for field or the run
+// throws.
 //
 // The decision is invisible in results: the lane engine is gated
-// bit-identical to the scalar ring runtime (ScenarioResults and transcript
-// digests), and every closed form to its scalar general path, so
+// bit-identical to the scalar ring runtime (per-trial outcomes and every
+// aggregate), and every closed form to its scalar general path, so
 // specialization is purely a throughput choice.
 
 #include <cstddef>
@@ -62,7 +64,8 @@ std::optional<LaneDeviationId> lane_deviation_id(const std::string& deviation);
 bool lane_eligible(const ScenarioSpec& spec);
 
 /// The routing decision for `spec`: true when its trials run on the lane
-/// engine (engine=auto, lane-eligible, and no closed-form pairing).
+/// engine (engine=auto, lane-eligible, no transcripts, and no closed-form
+/// pairing).
 bool route_to_lanes(const ScenarioSpec& spec);
 
 /// Which closed form serves a spec's trials (kNone: every trial runs the

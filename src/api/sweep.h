@@ -15,9 +15,12 @@
 // global trial index) — so run_sweep(specs)[i] is bit-identical to
 // run_scenario(specs[i]) for every worker count and chunk size (asserted by
 // tests/test_sweep.cpp over the e01–e15 bench specs).
+//
+// The in-process executor is run_sweep's only substrate.  The fabric's
+// RemoteExecutor (src/fabric/driver.h) is a separate entry point with the
+// same contract: fle_sweep and perfbench call it directly.
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "api/scenario.h"
@@ -37,52 +40,13 @@ struct SweepSpec {
   }
 };
 
-/// Cartesian grid helper: expands a base spec over value lists.  Empty axes
-/// contribute the base spec's own value; non-empty axes multiply.  Order is
-/// row-major in declaration order (protocols × deviations × n × k × seeds),
-/// so the expansion is stable for golden tests.
-struct SweepGrid {
-  ScenarioSpec base;
-  std::vector<std::string> protocols;
-  std::vector<std::string> deviations;      ///< "" entries mean honest
-  std::vector<int> n_values;
-  std::vector<int> coalition_ks;            ///< rewrites base.coalition.k
-  std::vector<std::uint64_t> seeds;
-
-  [[nodiscard]] std::vector<ScenarioSpec> expand() const;
-  [[nodiscard]] SweepSpec as_sweep(int threads = 0) const;
-};
-
 /// Runs every scenario of the sweep on one shared executor submission and
 /// returns the per-scenario results, in sweep order.  Each result is
 /// bit-identical to a standalone run_scenario of the same spec.  Throws
 /// std::invalid_argument (naming the spec index) if any spec fails
-/// validation; nothing executes in that case.
-///
-/// When a SweepBackend is installed (set_sweep_backend below) the whole
-/// sweep is routed through it instead of the in-process executor; the
-/// backend contract is the same bit-identical result vector, so callers
-/// never observe the difference.
+/// validation; nothing executes in that case.  (run_sweep lives in
+/// scenario.cpp next to the per-topology job builders it shares with
+/// run_scenario.)
 std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep);
-
-/// A pluggable execution substrate behind run_sweep.  The in-process
-/// executor (api/parallel.h) is the default; the fabric's RemoteExecutor
-/// (src/fabric/driver.h) dispatches the same sweeps to fle_worker
-/// processes over TCP.  Implementations MUST return results bit-identical
-/// to the in-process run — the determinism contract is the interface.
-class SweepBackend {
- public:
-  virtual ~SweepBackend() = default;
-  virtual std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) = 0;
-};
-
-/// Installs the process-wide backend run_sweep routes through (nullptr
-/// restores the in-process executor).  Returns the previous backend; the
-/// caller owns lifetimes — the installed backend must outlive every
-/// run_sweep call made while it is current.
-SweepBackend* set_sweep_backend(SweepBackend* backend) noexcept;
-
-/// The currently installed backend, or nullptr for in-process execution.
-SweepBackend* sweep_backend() noexcept;
 
 }  // namespace fle

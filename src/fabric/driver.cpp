@@ -5,12 +5,12 @@
 #include <memory>
 #include <optional>
 #include <poll.h>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "api/parallel.h"
 #include "fabric/wire.h"
+#include "sim/digest.h"
 #include "verify/fuzzer.h"
 #include "verify/shard.h"
 
@@ -43,9 +43,6 @@ struct Peer {
   Clock::time_point last_heard{};
   std::string label;
   bool dead = false;  ///< marked for removal at the end of the iteration
-  /// The current window's leaf offer (dedup path): per-trial content keys,
-  /// against which the shipped blobs and the elided row are verified.
-  std::vector<Digest256> offered;
 };
 
 constexpr std::size_t kNoWindow = SIZE_MAX;
@@ -138,8 +135,7 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
   };
 
   // Handles one parsed frame; returns false when the peer must be dropped.
-  // The frame is not const: shipped blobs move into the cache.
-  const auto handle_frame = [&](Peer& peer, Frame& frame) -> bool {
+  const auto handle_frame = [&](Peer& peer, const Frame& frame) -> bool {
     peer.last_heard = Clock::now();
     switch (frame.kind) {
       case MessageKind::kHello: {
@@ -178,6 +174,34 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
               row.result.trial_offset != window.offset || row.result.trials != window.count) {
             throw std::invalid_argument("row does not answer the assigned window");
           }
+          const std::vector<std::vector<std::uint8_t>>& blobs = frame.result.blobs;
+          if (!row.transcripts_elided && !blobs.empty()) {
+            throw std::invalid_argument("a row with its transcripts inline carries blobs");
+          }
+          if (row.transcripts_elided) {
+            if (blobs.size() != row.store_keys.size()) {
+              throw std::invalid_argument(std::to_string(blobs.size()) + " blobs for " +
+                                          std::to_string(row.store_keys.size()) + " trials");
+            }
+            // Decode each blob against the key its row slot claims (keyed
+            // decode: one hash).  A blob that hashes elsewhere, or is not
+            // the canonical encoding of a transcript, makes the row corrupt.
+            row.result.per_trial_transcript.reserve(blobs.size());
+            for (std::size_t t = 0; t < blobs.size(); ++t) {
+              try {
+                row.result.per_trial_transcript.push_back(ExecutionTranscript::decode(
+                    blobs[t], *Digest256::from_hex(row.store_keys[t])));
+              } catch (const std::invalid_argument& error) {
+                throw std::invalid_argument("blob " + std::to_string(t) +
+                                            " is refused against store_keys[" +
+                                            std::to_string(t) + "]: " + error.what());
+              }
+            }
+            dedup_stats_.keys_offered += row.store_keys.size();
+            dedup_stats_.blobs_shipped += blobs.size();
+            row.transcripts_elided = false;
+            row.store_keys.clear();
+          }
           window.row = std::move(row);
           window.done = true;
           ++done_count;
@@ -186,111 +210,6 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
           window.last_error = error.what();
           peer.state = Peer::State::kBusy;  // so drop_peer re-issues it
           peer.window = frame.result.window;
-          return false;
-        }
-      }
-      case MessageKind::kLeafOffer: {
-        if (peer.state != Peer::State::kBusy || frame.offer.window != peer.window) {
-          return false;
-        }
-        const Window& window = windows[peer.window];
-        if (frame.offer.keys.size() != window.count) {
-          return false;  // a transcript window offers one key per trial
-        }
-        peer.offered = std::move(frame.offer.keys);
-        LeafWant want;
-        want.window = frame.offer.window;
-        std::set<Digest256> requested;  // dedup within the offer itself
-        for (std::size_t k = 0; k < peer.offered.size(); ++k) {
-          ++dedup_stats_.keys_offered;
-          const Digest256& key = peer.offered[k];
-          if (blob_cache_.find(key) == blob_cache_.end() && requested.insert(key).second) {
-            want.indices.push_back(k);
-          }
-        }
-        queue_bytes(peer, encode_frame(want));
-        return true;
-      }
-      case MessageKind::kResultDedup: {
-        if (peer.state != Peer::State::kBusy || frame.result_dedup.window != peer.window) {
-          return false;
-        }
-        Window& window = windows[peer.window];
-        const std::size_t window_id = peer.window;
-        peer.state = Peer::State::kIdle;
-        peer.window = kNoWindow;
-        if (window.done) return true;  // late duplicate; first answer won
-        try {
-          if (peer.offered.size() != window.count) {
-            throw std::invalid_argument("dedup result without a matching leaf offer");
-          }
-          // Decode each shipped blob against the key its offer slot
-          // claimed (keyed decode: one hash) and cache it only once it
-          // passes.  A blob that hashes elsewhere, or is not the canonical
-          // encoding of a transcript, makes the shipment corrupt.
-          std::vector<std::optional<ExecutionTranscript>> shipped(peer.offered.size());
-          for (auto& [index, blob] : frame.result_dedup.blobs) {
-            if (index >= peer.offered.size()) {
-              throw std::invalid_argument("shipped blob index " + std::to_string(index) +
-                                          " is outside the offer");
-            }
-            const Digest256& key = peer.offered[static_cast<std::size_t>(index)];
-            try {
-              shipped[static_cast<std::size_t>(index)] = ExecutionTranscript::decode(blob, key);
-            } catch (const std::invalid_argument& error) {
-              throw std::invalid_argument("shipped blob " + std::to_string(index) +
-                                          " is refused against its offered key: " +
-                                          error.what());
-            }
-            blob_cache_.emplace(key, std::move(blob));
-          }
-          dedup_stats_.blobs_shipped += frame.result_dedup.blobs.size();
-          dedup_stats_.blobs_reused +=
-              peer.offered.size() - frame.result_dedup.blobs.size();
-          verify::ShardRow row = verify::parse_shard_row(frame.result_dedup.row);
-          if (!row.transcripts_elided) {
-            throw std::invalid_argument("dedup result row is not transcripts-elided");
-          }
-          if (row.spec_line != spec_lines[window.scenario] ||
-              row.result.trial_offset != window.offset ||
-              row.result.trials != window.count) {
-            throw std::invalid_argument("row does not answer the assigned window");
-          }
-          if (row.store_keys.size() != peer.offered.size()) {
-            throw std::invalid_argument("row store_keys do not cover the leaf offer");
-          }
-          // Reconstruct the full per-trial capture: shipped leaves as
-          // decoded above, the rest from the cache.  Every leaf is present
-          // by now.
-          row.result.per_trial_transcript.reserve(peer.offered.size());
-          for (std::size_t t = 0; t < peer.offered.size(); ++t) {
-            if (row.store_keys[t] != peer.offered[t].hex()) {
-              throw std::invalid_argument("store_keys[" + std::to_string(t) +
-                                          "] does not match the leaf offer");
-            }
-            if (shipped[t]) {
-              row.result.per_trial_transcript.push_back(std::move(*shipped[t]));
-              continue;
-            }
-            const auto cached = blob_cache_.find(peer.offered[t]);
-            if (cached == blob_cache_.end()) {
-              throw std::invalid_argument("leaf " + std::to_string(t) +
-                                          " was neither shipped nor already cached");
-            }
-            row.result.per_trial_transcript.push_back(
-                ExecutionTranscript::decode(cached->second));
-          }
-          row.transcripts_elided = false;
-          row.store_keys.clear();
-          window.row = std::move(row);
-          window.done = true;
-          ++done_count;
-          peer.offered.clear();
-          return true;
-        } catch (const std::exception& error) {
-          window.last_error = error.what();
-          peer.state = Peer::State::kBusy;  // so drop_peer re-issues it
-          peer.window = window_id;
           return false;
         }
       }
@@ -334,7 +253,6 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
       queue_bytes(*peer, encode_frame(assign));
       peer->state = Peer::State::kBusy;
       peer->window = id;
-      peer->offered.clear();  // any previous window's offer is stale
       // Exponential backoff: a window that keeps missing its deadline gets
       // progressively more time, in case it is genuinely slow rather than
       // its workers genuinely dead.

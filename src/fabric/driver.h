@@ -1,22 +1,30 @@
 #pragma once
 // The fabric driver: run_sweep over a fleet of fle_worker processes.
 //
-// RemoteExecutor is a SweepBackend (api/sweep.h): it decomposes every
-// scenario's trial range into windows, dispatches them to connected
-// workers over the wire protocol (wire.h), and folds the returned
-// shard rows back into per-scenario ScenarioResults with
-// ScenarioResult::merge.  Because per-trial seeds depend only on the
-// global trial index and every aggregate is an exact integer, the merged
-// vector is bit-identical to the in-process run_sweep — under every
-// worker count, window size, and fault schedule (tests/test_fabric.cpp
-// asserts this against seeded FaultPlans).
+// RemoteExecutor::run_sweep is the fabric's entry point beside the
+// in-process run_sweep (api/sweep.h): it decomposes every scenario's trial
+// range into windows, dispatches them to connected workers over the wire
+// protocol (wire.h), and folds the returned shard rows back into
+// per-scenario ScenarioResults with ScenarioResult::merge.  Because
+// per-trial seeds depend only on the global trial index and every
+// aggregate is an exact integer, the merged vector is bit-identical to the
+// in-process run_sweep — under every worker count, window size, and fault
+// schedule (tests/test_fabric.cpp asserts this against seeded FaultPlans).
+//
+// A transcript window's kResult carries a transcripts-elided row and every
+// blob in trial order.  The driver decodes blob t against the row's
+// store_keys[t] (one hash per transcript), so a blob in another trial's
+// slot, a blob count that differs from the trials, a plain row that
+// arrives with blobs, or a non-canonical blob that hashes to its key
+// refuses the window, which is re-issued like any protocol error.
 //
 // Fault tolerance (DESIGN.md §8):
 //  * every dispatched window carries a deadline; a worker that misses it
 //    is dropped and the window re-issued to another worker, with the
 //    deadline doubling per attempt (capped) as backoff;
 //  * a worker that disconnects, or sends a malformed frame or a row that
-//    does not answer its assignment, is dropped the same way;
+//    does not answer its assignment (blobs included), is dropped the same
+//    way;
 //  * merges are at-most-once: a window's first accepted row wins, the
 //    dropped worker's socket is closed so a late duplicate cannot arrive,
 //    and ScenarioResult::merge's contiguity checks would reject one that
@@ -29,14 +37,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "api/sweep.h"
 #include "fabric/socket.h"
-#include "sim/digest.h"
 
 namespace fle::fabric {
 
@@ -61,19 +67,18 @@ struct FabricOptions {
   std::chrono::milliseconds worker_grace{15000};
 };
 
-/// Wire-dedup bookkeeping: how many transcript leaves workers offered,
-/// how many blobs actually crossed the wire, and how many were served
-/// from the driver's content-addressed cache instead.
+/// Transcript-leaf counters of accepted windows: the store keys their rows
+/// named and the blobs that crossed the wire.  Every transcript ships, so
+/// the two always read equal.
 struct DedupStats {
   std::uint64_t keys_offered = 0;
   std::uint64_t blobs_shipped = 0;
-  std::uint64_t blobs_reused = 0;
 };
 
-/// A SweepBackend that executes sweeps on remote workers.  Binds its
-/// listening socket in the constructor (so port() is known before any
-/// worker launches) and serves one run_sweep at a time.
-class RemoteExecutor final : public SweepBackend {
+/// Executes sweeps on remote workers.  Binds its listening socket in the
+/// constructor (so port() is known before any worker launches) and serves
+/// one run_sweep at a time.
+class RemoteExecutor {
  public:
   explicit RemoteExecutor(FabricOptions options = {});
 
@@ -85,17 +90,14 @@ class RemoteExecutor final : public SweepBackend {
   /// Throws std::runtime_error when a window exhausts max_attempts or the
   /// fleet stays empty past worker_grace with work outstanding, and
   /// std::invalid_argument for specs that cannot travel the wire.
-  std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) override;
+  std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep);
 
-  /// Cumulative wire-dedup counters (across every sweep this executor ran).
+  /// Cumulative leaf counters (across every sweep this executor ran).
   [[nodiscard]] const DedupStats& dedup_stats() const { return dedup_stats_; }
 
  private:
   FabricOptions options_;
   ListenResult listen_;
-  /// Content-addressed leaf cache: blobs received once are never shipped
-  /// again, by any worker, for the lifetime of the executor.
-  std::map<Digest256, std::vector<std::uint8_t>> blob_cache_;
   DedupStats dedup_stats_;
 };
 

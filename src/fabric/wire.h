@@ -8,7 +8,9 @@
 // format (verify/shard.h) is the result payload — a worker's answer for a
 // trial window is literally the row a sharded CLI run would have written,
 // so the driver merges network results through the exact code path the
-// --shard/--merge flow exercises in CI.
+// --shard/--merge flow exercises in CI.  A transcript-recording window's
+// row is transcripts-elided: its store_keys column stays, and the same
+// kResult frame carries every trial's FLET blob in binary, in trial order.
 //
 // Frame layout: one varint payload length, then the payload; payload byte 0
 // is the MessageKind, the rest is kind-specific (varints, and strings as
@@ -30,21 +32,16 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
-
-#include "sim/digest.h"
 
 namespace fle::fabric {
 
 /// Bumped on any frame-layout or semantics change; both sides reject a
 /// mismatch at handshake (version policy: exact match, no ranges — the
 /// driver and workers of one sweep are expected to be one build).
-/// v2: transcript windows answer with kLeafOffer / kLeafWant /
-/// kResultDedup — blobs travel by content key and only when the driver
-/// lacks them.
-inline constexpr std::uint64_t kWireVersion = 2;
+/// v3: every window answers with one kResult frame; a transcript window's
+/// frame carries its elided row and all of its blobs.
+inline constexpr std::uint64_t kWireVersion = 3;
 
 /// Frames larger than this are a protocol error before any allocation
 /// happens (a corrupt length prefix must not become an OOM).
@@ -54,19 +51,11 @@ enum class MessageKind : std::uint8_t {
   kHello = 1,      ///< worker → driver: version, build digest, label
   kWelcome = 2,    ///< driver → worker: version, build digest, sweep specs
   kAssign = 3,     ///< driver → worker: one trial window to execute
-  kResult = 4,     ///< worker → driver: shard-row JSONL for one window
+  kResult = 4,     ///< worker → driver: one window's shard row (+ blobs)
   kHeartbeat = 5,  ///< either way: liveness ping/echo, by sequence number
   kDrain = 6,      ///< driver → worker: no more work, finish and say kBye
   kBye = 7,        ///< either way: clean close
   kError = 8,      ///< either way: fatal, human-readable reason, then close
-  // Dedup-over-the-wire for transcript-recording windows (v2): the worker
-  // offers the window's leaf content keys first, the driver answers with
-  // the subset it lacks, and the result ships only those blobs next to a
-  // transcripts-elided shard row.  Deviation-free trials repeat heavily,
-  // so most leaves are already in the driver's content-addressed cache.
-  kLeafOffer = 9,    ///< worker → driver: window + per-trial content keys
-  kLeafWant = 10,    ///< driver → worker: offer indices the driver lacks
-  kResultDedup = 11, ///< worker → driver: elided row + the wanted blobs
 };
 
 const char* to_string(MessageKind kind);
@@ -95,30 +84,16 @@ struct Assign {
 
 struct ResultMsg {
   std::uint64_t window = 0;
-  std::string row;  ///< verify/shard.h format_shard_row of the window result
+  /// verify/shard.h format_shard_row of the window result; transcripts
+  /// elided when the window records them.
+  std::string row;
+  /// A transcript window's encoded FLET streams, one per trial in trial
+  /// order; empty for any other window.
+  std::vector<std::vector<std::uint8_t>> blobs;
 };
 
 struct Heartbeat {
   std::uint64_t seq = 0;
-};
-
-struct LeafOffer {
-  std::uint64_t window = 0;
-  std::vector<Digest256> keys;  ///< one per trial in the window, trial order
-};
-
-struct LeafWant {
-  std::uint64_t window = 0;
-  /// Ascending indices into LeafOffer::keys: the first occurrence of every
-  /// key the driver's cache lacks.
-  std::vector<std::uint64_t> indices;
-};
-
-struct ResultDedup {
-  std::uint64_t window = 0;
-  std::string row;  ///< format_shard_row(..., elide_transcripts=true)
-  /// The blobs the driver asked for: (offer index, encoded FLET stream).
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> blobs;
 };
 
 struct ErrorMsg {
@@ -135,9 +110,6 @@ struct Frame {
   ResultMsg result;
   Heartbeat heartbeat;
   ErrorMsg error;
-  LeafOffer offer;
-  LeafWant want;
-  ResultDedup result_dedup;
 };
 
 // Complete frames (length prefix included), ready to write to a socket.
@@ -147,9 +119,6 @@ std::vector<std::uint8_t> encode_frame(const Assign& message);
 std::vector<std::uint8_t> encode_frame(const ResultMsg& message);
 std::vector<std::uint8_t> encode_frame(const Heartbeat& message);
 std::vector<std::uint8_t> encode_frame(const ErrorMsg& message);
-std::vector<std::uint8_t> encode_frame(const LeafOffer& message);
-std::vector<std::uint8_t> encode_frame(const LeafWant& message);
-std::vector<std::uint8_t> encode_frame(const ResultDedup& message);
 std::vector<std::uint8_t> encode_frame(MessageKind bare);  ///< kDrain / kBye
 
 /// Parses one frame from the front of `buffer`.  Returns nullopt when the

@@ -8,6 +8,7 @@
 
 #include "fabric/socket.h"
 #include "fabric/wire.h"
+#include "sim/digest.h"
 #include "verify/fuzzer.h"
 #include "verify/shard.h"
 
@@ -172,72 +173,22 @@ int run_worker(const WorkerOptions& options) {
                               "ms at assignment " + std::to_string(assignments));
         std::this_thread::sleep_for(slow_by);
       }
-      if (!row.result.transcripts_recorded) {
-        ResultMsg reply;
-        reply.window = assign.window;
-        reply.row = verify::format_shard_row(row);
-        send_frame(encode_frame(reply));
-        continue;
-      }
-
-      // Transcript windows dedup over the wire: offer the leaf content
-      // keys, wait for the subset the driver lacks, ship only those blobs
-      // next to a transcripts-elided row.  Each transcript is encoded once
-      // and those bytes hashed once: the offer, the row's store_keys
-      // column and the shipped blobs all come from that one pass.
-      const std::vector<ExecutionTranscript>& transcripts = row.result.per_trial_transcript;
-      std::vector<std::vector<std::uint8_t>> blobs;
-      blobs.reserve(transcripts.size());
-      LeafOffer offer;
-      offer.window = assign.window;
-      offer.keys.reserve(transcripts.size());
-      row.store_keys.reserve(transcripts.size());
-      for (const ExecutionTranscript& transcript : transcripts) {
-        blobs.push_back(transcript.encode());
-        offer.keys.push_back(Sha256::of(blobs.back()));
-        row.store_keys.push_back(offer.keys.back().hex());
-      }
-      send_frame(encode_frame(offer));
-
-      std::optional<LeafWant> want;
-      while (!want) {
-        std::optional<Frame> answer = read_frame(sock.fd(), buffer);
-        if (!answer) return 1;  // driver vanished mid-offer
-        switch (answer->kind) {
-          case MessageKind::kHeartbeat:
-            send_frame(encode_frame(Heartbeat{answer->heartbeat.seq}));
-            continue;
-          case MessageKind::kError:
-            log_line(options, "driver error: " + answer->error.message);
-            return 2;
-          case MessageKind::kLeafWant:
-            if (answer->want.window != assign.window) {
-              log_line(options, "leaf-want names window " +
-                                    std::to_string(answer->want.window) + ", expected " +
-                                    std::to_string(assign.window));
-              return 1;
-            }
-            want = std::move(answer->want);
-            continue;
-          default:
-            log_line(options, std::string("expected leaf-want, got '") +
-                                  to_string(answer->kind) + "'");
-            return 1;
-        }
-      }
-
-      ResultDedup reply;
+      ResultMsg reply;
       reply.window = assign.window;
-      reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
-      reply.blobs.reserve(want->indices.size());
-      for (const std::uint64_t index : want->indices) {
-        if (index >= blobs.size()) {
-          log_line(options, "leaf-want index " + std::to_string(index) +
-                                " is out of range for the offer");
-          return 1;
+      if (row.result.transcripts_recorded) {
+        // A transcript window ships its blobs in binary next to a
+        // transcripts-elided row.  Each transcript is encoded once and those
+        // bytes hashed once: the row's store_keys column and the shipped
+        // blobs both come from that one pass.
+        const std::vector<ExecutionTranscript>& transcripts = row.result.per_trial_transcript;
+        reply.blobs.reserve(transcripts.size());
+        row.store_keys.reserve(transcripts.size());
+        for (const ExecutionTranscript& transcript : transcripts) {
+          reply.blobs.push_back(transcript.encode());
+          row.store_keys.push_back(Sha256::of(reply.blobs.back()).hex());
         }
-        reply.blobs.emplace_back(index, blobs[static_cast<std::size_t>(index)]);
       }
+      reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
       send_frame(encode_frame(reply));
     }
   } catch (const std::exception& error) {

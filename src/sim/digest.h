@@ -16,8 +16,8 @@
 // dependency.
 //
 // A transcript is hashed only where its bytes cross a trust boundary (a
-// fabric worker's leaf offer, RemoteExecutor's check of a shipped blob, a
-// shard row's store_keys check); the key then travels with the decoded
+// fabric worker's keys for its row, RemoteExecutor's check of a shipped
+// blob, a shard row's store_keys check); the key then travels with the decoded
 // transcript (ExecutionTranscript's keyed decode), so later stages read
 // it instead of hashing again.
 

@@ -123,15 +123,6 @@ class RingBufferColumn {
     return std::move(data_[(cell << shift_) + (ht_[cell * 2]++ & mask_)]);
   }
 
-  /// Fused pop + drain test: pops the oldest entry and reports whether the
-  /// cell emptied, reading head/tail once instead of pop();empty() twice.
-  /// Precondition: !empty(cell).
-  T pop_drain(std::size_t cell, bool& drained) {
-    const std::uint64_t h = ht_[cell * 2]++;
-    drained = h + 1 == ht_[cell * 2 + 1];
-    return std::move(data_[(cell << shift_) + (h & mask_)]);
-  }
-
   /// Raw cursors into the column for a caller-managed hot loop.  The
   /// delivery loops cache one of these in their per-trial register file:
   /// going through push()/pop() instead costs a load of each control field

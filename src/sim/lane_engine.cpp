@@ -420,20 +420,17 @@ void LaneEngine::lane_finish(TrialHot& hot, ProcessorId p, bool aborted, Value v
   hot.gap_frozen = true;
   unmark_ready(hot, p);
   inbox_.clear_cell(i);
-  if (transcript_) transcript_->decision(static_cast<std::uint64_t>(p), aborted, value);
 }
 
 template <typename Kernel, typename Dev>
-void LaneEngine::start_trial(std::uint64_t seed, ExecutionTranscript* transcript, TrialHot& hot) {
+void LaneEngine::start_trial(std::uint64_t seed, TrialHot& hot) {
   const std::size_t n = static_cast<std::size_t>(n_);
-  transcript_ = transcript;
   std::fill(ready_pos_.begin(), ready_pos_.end(), -1);
   sent_freq_.assign(n + 4, 0);
   sent_freq_[0] = static_cast<std::uint64_t>(n_);
 
   // The per-trial scalars live in the caller's stack frame (TrialHot) so the
   // optimizer can keep them in registers across the SoA column stores.
-  hot.deliveries = 0;
   hot.rr_cursor = 0;
   hot.ready_count = 0;
   hot.min_sent = 0;
@@ -496,20 +493,17 @@ void LaneEngine::start_trial(std::uint64_t seed, ExecutionTranscript* transcript
   }
 }
 
-template <typename Kernel, typename Dev, bool kTranscribe>
-void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
-                           std::span<ExecutionTranscript* const> transcripts) {
+template <typename Kernel, typename Dev>
+void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<TrialStats> out) {
   const std::uint64_t limit = step_limit_;
   for (std::size_t t = 0; t < seeds.size(); ++t) {
     TrialHot hot;
-    start_trial<Kernel, Dev>(seeds[t], kTranscribe ? transcripts[t] : nullptr, hot);
+    start_trial<Kernel, Dev>(seeds[t], hot);
     const SchedulerKind sched = scheduler_kind_;
     bool step_limit_hit = false;
     // Step budget as a countdown: `budget == 0` here iff the scalar loop's
     // `deliveries >= limit` (budget starts at limit and drops once per
-    // delivery), but the countdown needs no second counter register.  The
-    // absolute delivery index only feeds the transcript hook, so it is
-    // maintained under kTranscribe alone.
+    // delivery), but the countdown needs no second counter register.
     std::uint64_t budget = limit;
     while (hot.ready_count != 0) {
       if (budget == 0) [[unlikely]] {
@@ -536,10 +530,6 @@ void LaneEngine::run_batch(std::span<const std::uint64_t> seeds, std::span<Trial
       const std::uint64_t h = ht[0]++;
       const Value v = hot.ibx.data[(cell << hot.ibx.shift) + (h & hot.ibx.mask)];
       if (h + 1 == ht[1]) unmark_at(hot, pick, p);
-      if constexpr (kTranscribe) {
-        ++hot.deliveries;
-        if (transcript_) transcript_->delivery(hot.deliveries, static_cast<std::uint64_t>(p), v);
-      }
       if constexpr (Dev::kActive) {
         if (dev_member_[cell]) {
           Dev::receive(*this, hot, p, v);
@@ -579,51 +569,35 @@ TrialStats LaneEngine::retire(const TrialHot& hot, bool step_limit_hit) const {
   return result;
 }
 
-template <typename Kernel, typename Dev>
-void LaneEngine::run_window_impl(std::span<const std::uint64_t> seeds,
-                                 std::span<TrialStats> out,
-                                 std::span<ExecutionTranscript* const> transcripts) {
-  if (transcripts.empty()) {
-    run_batch<Kernel, Dev, false>(seeds, out, transcripts);
-  } else {
-    run_batch<Kernel, Dev, true>(seeds, out, transcripts);
-  }
-}
-
 template <typename Kernel>
 void LaneEngine::dispatch_kernel(std::span<const std::uint64_t> seeds,
-                                 std::span<TrialStats> out,
-                                 std::span<ExecutionTranscript* const> transcripts) {
+                                 std::span<TrialStats> out) {
   switch (deviation_.id) {
     case LaneDeviationId::kNone:
-      run_window_impl<Kernel, HonestDev>(seeds, out, transcripts);
+      run_batch<Kernel, HonestDev>(seeds, out);
       break;
     case LaneDeviationId::kBasicSingle:
-      run_window_impl<Kernel, BasicSingleDev>(seeds, out, transcripts);
+      run_batch<Kernel, BasicSingleDev>(seeds, out);
       break;
     case LaneDeviationId::kRushing:
-      run_window_impl<Kernel, RushingDev>(seeds, out, transcripts);
+      run_batch<Kernel, RushingDev>(seeds, out);
       break;
   }
 }
 
-void LaneEngine::run_window(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
-                            std::span<ExecutionTranscript* const> transcripts) {
+void LaneEngine::run_window(std::span<const std::uint64_t> seeds, std::span<TrialStats> out) {
   if (out.size() < seeds.size()) {
     throw std::invalid_argument("lane engine: result span smaller than seed span");
   }
-  if (!transcripts.empty() && transcripts.size() < seeds.size()) {
-    throw std::invalid_argument("lane engine: transcript span smaller than seed span");
-  }
   switch (kernel_) {
     case LaneKernelId::kBasicLead:
-      dispatch_kernel<BasicLeadKernel>(seeds, out, transcripts);
+      dispatch_kernel<BasicLeadKernel>(seeds, out);
       break;
     case LaneKernelId::kChangRoberts:
-      dispatch_kernel<ChangRobertsKernel>(seeds, out, transcripts);
+      dispatch_kernel<ChangRobertsKernel>(seeds, out);
       break;
     case LaneKernelId::kALeadUni:
-      dispatch_kernel<ALeadUniKernel>(seeds, out, transcripts);
+      dispatch_kernel<ALeadUniKernel>(seeds, out);
       break;
   }
 }

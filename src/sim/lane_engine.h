@@ -18,18 +18,16 @@
 // scalars and raw column cursors in a local struct whose helpers are
 // force-inlined, so the loop reads stack slots instead of chasing
 // this->vector->data indirections that rare in-loop grow()/resize() calls
-// stop GCC from hoisting), the O(1) min/max sync-gap histogram, and
-// transcript recording compiled out of the non-recording window
-// instantiation.  Measured on the reference setup this lands the burst
-// loop at ~2.2x the scalar engine per delivery.
+// stop GCC from hoisting), and the O(1) min/max sync-gap histogram.
+// Measured on the reference setup this lands the burst loop at ~2.2x the
+// scalar engine per delivery.
 //
 // Bit-identity contract: each trial replicates the scalar RingEngine's
 // per-trial algorithm exactly — same ready-set swap-remove bookkeeping,
 // same wrapping round-robin cursor, same per-trial scheduler reseed, same
-// tape draw order, same sync-gap histogram with termination freeze, same
-// transcript event sequence.  ScenarioResults and transcript digests
-// match the scalar engine bit for bit (the conformance suite's lane
-// differential gates this).
+// tape draw order, same sync-gap histogram with termination freeze.
+// Per-trial outcomes and every aggregate match the scalar engine bit for
+// bit (the conformance suite's lane differential gates this).
 //
 // Deviated profiles: the two attacks that dominate the paper's resilience
 // tables — basic-single (Appendix B) and rushing (Lemma 4.1) — have lane
@@ -47,7 +45,8 @@
 // (api/specialize.h) routes them to the scalar RingEngine, where the
 // closed-form layer serves them and runs its audited trials through the
 // oracle.  Lanes serve the same kernels when a closed form cannot apply:
-// under the random and priority schedulers, and when transcribing.
+// under the random and priority schedulers.  The lanes record nothing:
+// every transcript comes from a scalar engine, the oracle.
 
 #include <cstdint>
 #include <span>
@@ -57,7 +56,6 @@
 #include "core/types.h"
 #include "sim/inbox.h"
 #include "sim/scheduler.h"
-#include "sim/transcript.h"
 
 namespace fle {
 
@@ -105,13 +103,9 @@ class LaneEngine {
   /// Runs one window of trials: seeds[i] is trial i's seed and out[i]
   /// receives its result (out.size() >= seeds.size()): the scalar
   /// RingEngine's outcome, total sent, max sync gap and step-limit hit;
-  /// rounds stay 0.  `transcripts`,
-  /// when non-empty, must parallel `seeds`; non-null entries record that
-  /// trial's event stream (the caller clears them first, as with
-  /// RingEngine::set_transcript).  Steady-state windows allocate nothing
-  /// once queues and histograms have grown to their high-water marks.
-  void run_window(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
-                  std::span<ExecutionTranscript* const> transcripts = {});
+  /// rounds stay 0.  Steady-state windows allocate nothing once queues and
+  /// histograms have grown to their high-water marks.
+  void run_window(std::span<const std::uint64_t> seeds, std::span<TrialStats> out);
 
   [[nodiscard]] int n() const { return n_; }
   [[nodiscard]] LaneKernelId kernel() const { return kernel_; }
@@ -135,7 +129,6 @@ class LaneEngine {
   /// local whose address never leaves the inlined loop, points-to analysis
   /// keeps all of this in registers across the whole delivery.
   struct TrialHot {
-    std::uint64_t deliveries = 0;
     std::uint64_t rr_cursor = 0;
     std::size_t ready_count = 0;
     std::uint64_t min_sent = 0;
@@ -166,27 +159,20 @@ class LaneEngine {
     RingBufferColumn<Value>::View ibx;      ///< inbox cursors (see inbox.h)
   };
 
-  template <typename Kernel, typename Dev>
-  void run_window_impl(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
-                       std::span<ExecutionTranscript* const> transcripts);
   /// The burst loop: each trial runs to completion on the column set
-  /// through a TrialHot register file built by start_trial.  kTranscribe
-  /// compiles the per-delivery transcript hook (and the absolute delivery
-  /// counter feeding it) in or out; the non-recording instantiation is the
-  /// benchmarked hot path and uses a plain step-budget countdown.
+  /// through a TrialHot register file built by start_trial, under a plain
+  /// step-budget countdown.
   /// noinline: left to itself GCC 12 inlines every instantiation into
   /// run_window, and that layout cost ~10% more perfbench lane-ring cpu_s
   /// (10 alternating pairs, Release, 4-vCPU host); out of line, the loop
   /// keeps its measured codegen.
-  template <typename Kernel, typename Dev, bool kTranscribe>
-  [[gnu::noinline]] void run_batch(std::span<const std::uint64_t> seeds,
-                                   std::span<TrialStats> out,
-                                   std::span<ExecutionTranscript* const> transcripts);
   template <typename Kernel, typename Dev>
-  void start_trial(std::uint64_t seed, ExecutionTranscript* transcript, TrialHot& hot);
+  [[gnu::noinline]] void run_batch(std::span<const std::uint64_t> seeds,
+                                   std::span<TrialStats> out);
+  template <typename Kernel, typename Dev>
+  void start_trial(std::uint64_t seed, TrialHot& hot);
   template <typename Kernel>
-  void dispatch_kernel(std::span<const std::uint64_t> seeds, std::span<TrialStats> out,
-                       std::span<ExecutionTranscript* const> transcripts);
+  void dispatch_kernel(std::span<const std::uint64_t> seeds, std::span<TrialStats> out);
 
   // always_inline: one call per delivery from every kernel's receive(); left
   // to its own heuristics GCC outlines it (60+ call sites), which pins the
@@ -256,7 +242,6 @@ class LaneEngine {
   std::vector<ProcessorId> ready_;
   std::vector<int> ready_pos_;
   std::vector<std::uint64_t> sent_freq_;
-  ExecutionTranscript* transcript_ = nullptr;
 
   /// Chang-roberts per-trial logical ids, indexed by processor.
   std::vector<Value> cr_ids_;

@@ -10,7 +10,6 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint8_t kMagic[4] = {'F', 'L', 'E', 'T'};
-constexpr std::uint8_t kSetMagic[4] = {'F', 'L', 'E', 'S'};
 
 }  // namespace
 
@@ -175,60 +174,6 @@ std::string format_event(const TranscriptEvent& event) {
   }
   return "unknown(" + std::to_string(event.a) + ", " + std::to_string(event.b) + ", " +
          std::to_string(event.c) + ")";
-}
-
-std::vector<std::uint8_t> encode_transcript_set(
-    std::span<const ExecutionTranscript> transcripts) {
-  std::vector<std::uint8_t> out{kSetMagic[0], kSetMagic[1], kSetMagic[2], kSetMagic[3]};
-  leb128_put(out, transcripts.size());
-  for (const ExecutionTranscript& transcript : transcripts) {
-    const std::vector<std::uint8_t> bytes = transcript.encode();
-    leb128_put(out, bytes.size());
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-  return out;
-}
-
-std::vector<ExecutionTranscript> decode_transcript_set(std::span<const std::uint8_t> bytes) {
-  std::vector<ExecutionTranscript> out;
-  if (bytes.size() >= 4 && bytes[0] == kMagic[0] && bytes[1] == kMagic[1] &&
-      bytes[2] == kMagic[2] && bytes[3] == kMagic[3]) {
-    // A bare single-transcript stream: wrap it as a one-element set.
-    out.push_back(ExecutionTranscript::decode(bytes));
-    return out;
-  }
-  if (bytes.size() < 4 || bytes[0] != kSetMagic[0] || bytes[1] != kSetMagic[1] ||
-      bytes[2] != kSetMagic[2] || bytes[3] != kSetMagic[3]) {
-    throw std::invalid_argument(
-        "decode_transcript_set: bad magic (expected a FLES container or a FLET stream)");
-  }
-  std::size_t i = 4;
-  const std::uint64_t count = leb128_get(bytes, i);
-  // Each entry is at least a 1-byte length plus the 5-byte empty encoding.
-  if (count > (bytes.size() - i) / 6 + 1) {
-    throw std::invalid_argument("decode_transcript_set: transcript count " +
-                                std::to_string(count) + " exceeds the buffer");
-  }
-  out.reserve(count);
-  for (std::uint64_t t = 0; t < count; ++t) {
-    const std::uint64_t length = leb128_get(bytes, i);
-    if (length > bytes.size() - i) {
-      throw std::invalid_argument("decode_transcript_set: transcript " + std::to_string(t) +
-                                  " is truncated (needs " + std::to_string(length) +
-                                  " bytes, " + std::to_string(bytes.size() - i) + " left)");
-    }
-    try {
-      out.push_back(ExecutionTranscript::decode(bytes.subspan(i, length)));
-    } catch (const std::invalid_argument& error) {
-      throw std::invalid_argument("decode_transcript_set: transcript " + std::to_string(t) +
-                                  ": " + error.what());
-    }
-    i += length;
-  }
-  if (i != bytes.size()) {
-    throw std::invalid_argument("decode_transcript_set: trailing bytes");
-  }
-  return out;
 }
 
 bool operator==(const ExecutionTranscript& a, const ExecutionTranscript& b) {

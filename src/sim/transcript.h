@@ -139,8 +139,8 @@ class ExecutionTranscript {
   /// SHA-256 of encode() — the content-addressed store key (src/store/).
   /// The in-loop FNV fold stays the cheap fingerprint; this strengthened
   /// digest is hashed only where a transcript's bytes cross a trust
-  /// boundary (the worker's leaf offer, RemoteExecutor's blob check, a shard
-  /// row's store_keys check).  A transcript from keyed decode carries its
+  /// boundary (the worker's keys for its row, RemoteExecutor's blob check,
+  /// a shard row's store_keys check).  A transcript from keyed decode carries its
   /// key, and this returns it without hashing; any other transcript is
   /// encoded and hashed here.  Copies and moves keep the carried key;
   /// record() and clear() drop it.  A pure read: no cache is filled, so
@@ -160,18 +160,6 @@ class ExecutionTranscript {
   std::uint64_t count_ = 0;
   std::optional<Digest256> key_;  ///< the content key keyed decode checked
 };
-
-/// Multi-transcript container: a 'F','L','E','S' magic, a varint transcript
-/// count, then per transcript one varint byte length and its encode()
-/// stream.  This is the on-disk format `fle_verify --dump-transcript --out`
-/// writes and `--diff-transcripts` reads; decode_transcript_set also
-/// accepts a bare single-transcript 'FLET' stream for hand-built files.
-/// Both throw std::invalid_argument on malformed input, naming the
-/// offending transcript index.
-std::vector<std::uint8_t> encode_transcript_set(
-    std::span<const ExecutionTranscript> transcripts);
-std::vector<ExecutionTranscript> decode_transcript_set(
-    std::span<const std::uint8_t> bytes);
 
 /// Re-drives an engine from a recorded transcript and pinpoints
 /// divergence.

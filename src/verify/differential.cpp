@@ -322,91 +322,49 @@ bool served_by_closed_form(const ScenarioSpec& spec) {
 }
 
 CheckResult check_lane_differential(ScenarioSpec spec, int threads) {
-  const bool on_lanes = lane_eligible(spec);
-  if (!on_lanes && !served_by_closed_form(spec)) {
+  if (!lane_eligible(spec) && !served_by_closed_form(spec)) {
     throw std::invalid_argument(
         "check_lane_differential requires a lane-eligible spec or one with a closed form: " +
         check_subject(spec));
   }
+  // Without transcripts engine=auto takes the served path: the closed form
+  // where the spec has one, the lanes otherwise.
   spec.record_outcomes = true;
-  spec.record_transcripts = on_lanes;
+  spec.record_transcripts = false;
   spec.threads = threads;
   ScenarioSpec scalar = spec;
   scalar.engine = EngineKind::kScalar;
-  // Transcripts void every pairing (api/specialize.h), so this auto run
-  // takes the lanes.
-  ScenarioSpec laned = spec;
-  laned.engine = EngineKind::kAuto;
-
-  // A run without transcripts is what checks the served trials: on the
-  // scalar ring or sync path where the spec has a closed form, on the
-  // lanes otherwise.
-  ScenarioSpec served = laned;
-  served.record_transcripts = false;
+  ScenarioSpec served = spec;
+  served.engine = EngineKind::kAuto;
 
   const std::string subject = check_subject(spec);
-  const std::string workers = "(threads=" + std::to_string(threads) + ")";
+  const std::string label =
+      "scalar vs auto without transcripts (threads=" + std::to_string(threads) + ")";
   const ScenarioResult rs = run_scenario(scalar);
   const ScenarioResult rv = run_scenario(served);
 
   // Aggregates must match exactly, not just the winning outcomes: the
   // faster path claims the same executions, so the same messages and gaps.
-  const auto same_results = [&](const ScenarioResult& other,
-                                const std::string& label) -> CheckResult {
-    const CheckResult outcomes =
-        compare_per_trial("lane-differential", subject, rs.per_trial, other.per_trial, label);
-    if (!outcomes.passed) return outcomes;
-    const auto aggregate = [&](const char* name, std::uint64_t a,
-                               std::uint64_t b) -> std::string {
-      if (a == b) return {};
-      return label + ": " + name + " differs (" + std::to_string(a) + " vs " +
-             std::to_string(b) + ")";
-    };
-    for (const std::string& mismatch :
-         {aggregate("total_messages", rs.total_messages, other.total_messages),
-          aggregate("max_messages", rs.max_messages, other.max_messages),
-          aggregate("total_sync_gap", rs.total_sync_gap, other.total_sync_gap),
-          aggregate("max_sync_gap", rs.max_sync_gap, other.max_sync_gap),
-          aggregate("max_rounds", static_cast<std::uint64_t>(rs.max_rounds),
-                    static_cast<std::uint64_t>(other.max_rounds))}) {
-      if (!mismatch.empty()) return CheckResult::fail("lane-differential", subject, mismatch);
-    }
-    return outcomes;
+  const CheckResult outcomes =
+      compare_per_trial("lane-differential", subject, rs.per_trial, rv.per_trial, label);
+  if (!outcomes.passed) return outcomes;
+  const auto aggregate = [&](const char* name, std::uint64_t a, std::uint64_t b) -> std::string {
+    if (a == b) return {};
+    return label + ": " + name + " differs (" + std::to_string(a) + " vs " + std::to_string(b) +
+           ")";
   };
-  const std::string unrecorded = "scalar vs auto without transcripts" + workers;
-  if (!on_lanes) {
-    if (CheckResult result = same_results(rv, unrecorded); !result.passed) return result;
-    return CheckResult::pass("lane-differential", subject,
-                             unrecorded + ": " + std::to_string(rs.trials) +
-                                 " trials bit-identical (outcomes, aggregates)");
-  }
-
-  const std::string labels = "scalar vs auto on lanes" + workers;
-  const ScenarioResult rl = run_scenario(laned);
-  if (CheckResult result = same_results(rl, labels); !result.passed) return result;
-  if (CheckResult result = same_results(rv, unrecorded); !result.passed) return result;
-
-  if (rs.per_trial_transcript.size() != rl.per_trial_transcript.size()) {
-    return CheckResult::fail("lane-differential", subject,
-                             labels + ": transcript counts differ");
-  }
-  for (std::size_t t = 0; t < rs.per_trial_transcript.size(); ++t) {
-    if (const auto divergence =
-            Replayer(rs.per_trial_transcript[t]).diff(rl.per_trial_transcript[t])) {
-      return CheckResult::fail("lane-differential", subject,
-                               labels + ": trial " + std::to_string(t) + ": " +
-                                   divergence->what);
-    }
-    if (rs.per_trial_transcript[t].digest() != rl.per_trial_transcript[t].digest()) {
-      return CheckResult::fail("lane-differential", subject,
-                               labels + ": trial " + std::to_string(t) +
-                                   " transcript digests differ");
-    }
+  for (const std::string& mismatch :
+       {aggregate("total_messages", rs.total_messages, rv.total_messages),
+        aggregate("max_messages", rs.max_messages, rv.max_messages),
+        aggregate("total_sync_gap", rs.total_sync_gap, rv.total_sync_gap),
+        aggregate("max_sync_gap", rs.max_sync_gap, rv.max_sync_gap),
+        aggregate("max_rounds", static_cast<std::uint64_t>(rs.max_rounds),
+                  static_cast<std::uint64_t>(rv.max_rounds))}) {
+    if (!mismatch.empty()) return CheckResult::fail("lane-differential", subject, mismatch);
   }
   return CheckResult::pass("lane-differential", subject,
-                           labels + ": " + std::to_string(rs.trials) +
-                               " trials bit-identical (outcomes, aggregates, transcripts; "
-                               "outcomes and aggregates without transcripts too)");
+                           label + ": " + std::to_string(rs.trials) +
+                               " trials bit-identical (outcomes, aggregates)");
 }
 
 CheckResult check_differential_distribution(const ScenarioSpec& a, const ScenarioSpec& b) {

@@ -66,16 +66,14 @@ CheckResult check_differential_distribution(const ScenarioSpec& a, const Scenari
 bool served_by_closed_form(const ScenarioSpec& spec);
 
 /// The fast-path gate (DESIGN.md §10), on `threads` workers: compares
-/// engine=scalar, the oracle, with engine=auto.  For a lane-eligible spec
-/// both runs record transcripts, which void every pairing, so auto runs
-/// the lanes, and the two ScenarioResults must be bit-identical: per-trial
-/// outcomes, every aggregate (message and sync-gap totals and maxima, max
-/// rounds), and every per-trial transcript event for event (digests
-/// included).  A second auto run without transcripts, which takes the
-/// closed form where the spec is served_by_closed_form and the lanes
-/// otherwise, must match the scalar run on outcomes and aggregates.  For
-/// any other spec served_by_closed_form, only that second comparison runs.
-/// Throws std::invalid_argument for a spec that is neither.
+/// engine=scalar, the oracle, with engine=auto, both without transcripts.
+/// Auto takes the closed form where the spec is served_by_closed_form and
+/// the lanes where it is lane-eligible without one; the two results must
+/// be bit-identical on per-trial outcomes and every aggregate (message and
+/// sync-gap totals and maxima, max rounds).  Transcripts are not compared:
+/// every transcript comes from the scalar engines.  Throws
+/// std::invalid_argument for a spec that is neither lane-eligible nor
+/// served_by_closed_form.
 CheckResult check_lane_differential(ScenarioSpec spec, int threads);
 
 /// Same-seed transcript-replay differential for any deterministic topology

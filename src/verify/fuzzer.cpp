@@ -217,7 +217,7 @@ void register_fuzz_user_entries() {
 
 ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
   register_builtin_scenarios();
-  if (options.user_entries) register_fuzz_user_entries();
+  register_fuzz_user_entries();
   static const std::vector<TopologyKind> kTopologies = {
       TopologyKind::kRing,  TopologyKind::kRing,     TopologyKind::kThreaded,
       TopologyKind::kGraph, TopologyKind::kSync,     TopologyKind::kTree,
@@ -329,8 +329,7 @@ ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
   return spec;
 }
 
-std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
-                                               bool check_determinism, bool* rejected) {
+std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec, bool* rejected) {
   if (rejected) *rejected = false;
   std::optional<ScenarioResult> first;
   try {
@@ -401,7 +400,7 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
     return std::string("lane differential threw: ") + error.what();
   }
 
-  if (check_determinism && window >= 2) {
+  if (window >= 2) {
     ScenarioSpec rerun = spec;
     rerun.threads = spec.threads == 3 ? 2 : 3;
     std::optional<ScenarioResult> second;
@@ -575,11 +574,15 @@ UniformSupport smoke_support(const std::string& protocol, int n) {
   return {0, static_cast<Value>(n)};
 }
 
+/// Every kSmokeEvery-th executed spec of a campaign gets the uniformity
+/// smoke, at kSmokeTrials trials.
+constexpr std::size_t kSmokeEvery = 8;
+constexpr std::size_t kSmokeTrials = 200;
+
 /// Distribution regression smoke: re-run the spec's honest profile at a
 /// cheap trial budget and chi-square it against uniform over the
 /// protocol's support.  nullopt = clean (or not smokable).
-std::optional<FuzzFailure> run_uniformity_smoke(ScenarioSpec spec,
-                                                const FuzzOptions& options) {
+std::optional<FuzzFailure> run_uniformity_smoke(ScenarioSpec spec) {
   spec.deviation.clear();
   spec.coalition = CoalitionSpec{};
   spec.record_outcomes = false;
@@ -587,7 +590,7 @@ std::optional<FuzzFailure> run_uniformity_smoke(ScenarioSpec spec,
   spec.step_limit = 0;  // a starved step limit FAILs honestly, by design
   spec.trial_offset = 0;
   spec.trial_count = 0;
-  spec.trials = options.smoke_trials;
+  spec.trials = kSmokeTrials;
   spec.threads = 1;
   // The threaded runtime is differentially pinned to the ring; smoke the
   // cheap engine.
@@ -619,14 +622,11 @@ std::optional<FuzzFailure> run_uniformity_smoke(ScenarioSpec spec,
 FuzzReport run_fuzz_campaign(const FuzzOptions& options) {
   FuzzReport report;
   Xoshiro256 rng(mix64(options.seed ^ 0xf0225eedull));
-  const FuzzOracle oracle = [&](const ScenarioSpec& spec) {
-    return run_spec_invariants(spec, options.check_determinism);
-  };
+  const FuzzOracle oracle = [](const ScenarioSpec& spec) { return run_spec_invariants(spec); };
   for (std::size_t i = 0; i < options.specs; ++i) {
     const ScenarioSpec spec = generate_spec(rng, options);
     bool rejected = false;
-    const std::optional<std::string> failure =
-        run_spec_invariants(spec, options.check_determinism, &rejected);
+    const std::optional<std::string> failure = run_spec_invariants(spec, &rejected);
     ++report.executed;
     if (rejected) ++report.rejected;
     if (!failure) {
@@ -635,9 +635,8 @@ FuzzReport run_fuzz_campaign(const FuzzOptions& options) {
       // class; a skewed histogram with intact accounting passes everything
       // above).  Distribution failures are reported unshrunk — shrinking
       // trades away the statistical power that exposed them.
-      if (!rejected && options.smoke_every != 0 && options.smoke_trials != 0 &&
-          i % options.smoke_every == 0) {
-        if (auto smoke = run_uniformity_smoke(spec, options)) {
+      if (!rejected && i % kSmokeEvery == 0) {
+        if (auto smoke = run_uniformity_smoke(spec)) {
           report.failures.push_back(*std::move(smoke));
         }
       }
@@ -645,8 +644,7 @@ FuzzReport run_fuzz_campaign(const FuzzOptions& options) {
     }
 
     const ScenarioSpec shrunk = shrink_spec(spec, oracle);
-    const std::optional<std::string> reason =
-        run_spec_invariants(shrunk, options.check_determinism);
+    const std::optional<std::string> reason = run_spec_invariants(shrunk);
     report.failures.push_back(FuzzFailure{
         shrunk, reason.value_or(*failure), format_spec(shrunk)});
   }

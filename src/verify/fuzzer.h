@@ -42,17 +42,6 @@ struct FuzzOptions {
   /// campaign can afford sizes past the cross-runtime budget.  Takes
   /// effect only when > max_n.
   int max_ring_n = 64;
-  /// Also fuzz the user-registration surface: the campaign registers
-  /// non-builtin protocol/deviation entries (register_fuzz_user_entries)
-  /// and samples them like any builtin.
-  bool user_entries = true;
-  bool check_determinism = true;    ///< rerun each passing spec at 3 workers
-  /// Uniformity smoke (distribution regressions, not just crashes): every
-  /// smoke_every-th executed spec is re-run as its honest profile at
-  /// smoke_trials trials and chi-square-gated against uniform over the
-  /// protocol's known support.  0 disables the smoke.
-  std::size_t smoke_every = 8;
-  std::size_t smoke_trials = 200;
 };
 
 /// One minimized failure.
@@ -81,14 +70,17 @@ struct FuzzReport {
 /// naming user entries replay.
 void register_fuzz_user_entries();
 
-/// Samples one spec from the registries.  Deterministic in the rng state.
+/// Samples one spec from the registries, the fuzz user entries among them
+/// (the user-registration surface is fuzzed like any builtin).
+/// Deterministic in the rng state.
 ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options);
 
-/// Runs the invariants against one spec.  nullopt = spec passed (or was
-/// cleanly rejected); otherwise the violated invariant.  Sets `rejected`
-/// when the spec was rejected with std::invalid_argument.
+/// Runs the invariants against one spec, the determinism contract included
+/// (a spec of two or more trials is rerun at another worker count).
+/// nullopt = spec passed (or was cleanly rejected); otherwise the violated
+/// invariant.  Sets `rejected` when the spec was rejected with
+/// std::invalid_argument.
 std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec,
-                                               bool check_determinism,
                                                bool* rejected = nullptr);
 
 /// An oracle maps a spec to nullopt (passes) or a failure reason.
@@ -99,7 +91,10 @@ using FuzzOracle = std::function<std::optional<std::string>(const ScenarioSpec&)
 /// on which `oracle` still reports a failure.  Bounded oracle budget.
 ScenarioSpec shrink_spec(ScenarioSpec spec, const FuzzOracle& oracle);
 
-/// Runs the whole campaign: generate, check, shrink failures.
+/// Runs the whole campaign: generate, check, shrink failures.  Every 8th
+/// executed spec also gets a uniformity smoke (distribution regressions,
+/// not just crashes): its honest profile is re-run at 200 trials and
+/// chi-square-gated against uniform over the protocol's known support.
 FuzzReport run_fuzz_campaign(const FuzzOptions& options);
 
 /// Canonical one-line rendering of a spec: space-separated key=value pairs

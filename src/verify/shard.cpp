@@ -522,8 +522,8 @@ ShardRow parse_shard_row(const std::string& line) {
     throw std::invalid_argument("shard row: transcripts_elided without transcripts_recorded");
   }
   if (row.transcripts_elided) {
-    // The dedup wire form: store keys stand in for the blobs, which the
-    // receiver resolves from its content-addressed cache.
+    // The wire form: store keys stand in for the blobs, which travel
+    // beside the row and are decoded against these keys by the receiver.
     for (const std::string_view key : split_list(json.str("store_keys"))) {
       const std::optional<Digest256> digest = Digest256::from_hex(key);
       if (!digest) {

@@ -31,13 +31,14 @@ struct ShardRow {
   std::string spec_line;        ///< format_spec() of the window-CLEARED spec
   ScenarioResult result{1};
   /// True when the row was formatted with elide_transcripts: the recorded
-  /// transcripts travel out of band (the fabric's dedup path ships only the
-  /// blobs the driver lacks) and the row carries their store keys instead.
+  /// transcripts travel out of band (a fabric kResult frame carries them
+  /// in binary beside the row) and the row carries their store keys
+  /// instead.
   bool transcripts_elided = false;
   /// Hex content keys (sim/digest.h), one per recorded trial, when elided.
   /// parse_shard_row fills it for elided rows; format_shard_row writes an
   /// elided row's store_keys column from it when it holds one key per
-  /// trial (a fabric worker sets it from the keys it offered), and derives
+  /// trial (a fabric worker sets it from the blobs it ships), and derives
   /// the keys otherwise.
   std::vector<std::string> store_keys;
 
@@ -59,8 +60,8 @@ TrialWindow shard_trial_window(const ScenarioSpec& spec, std::size_t index, std:
 
 /// Renders one JSONL row (no trailing newline).  With elide_transcripts,
 /// a transcript-recording row keeps its store_keys column but drops the
-/// hex blobs and marks itself "transcripts_elided" — the wire-dedup form
-/// whose blobs are shipped (or skipped) separately by content key.
+/// hex blobs and marks itself "transcripts_elided" — the wire form whose
+/// blobs travel beside it, each checked against its store key.
 std::string format_shard_row(const ShardRow& row, bool elide_transcripts = false);
 
 /// The canonical-report row (fabric::canonical_report): `result` as case

@@ -563,10 +563,9 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
 
   {
     // The fast-path gate (DESIGN.md §10): every lane kernel, on 1/4/8
-    // workers, must be bit-identical to the scalar engine — outcomes,
-    // aggregates, and transcripts.  The random scheduler exercises the
-    // per-trial reseed; round-robin without transcripts reaches the closed
-    // forms.
+    // workers, must be bit-identical to the scalar engine on outcomes and
+    // aggregates.  The random scheduler runs the lanes and exercises the
+    // per-trial reseed; round-robin reaches the closed forms.
     constexpr int kLaneWorkers[] = {1, 4, 8};
     constexpr SchedulerKind kLaneSchedulers[] = {SchedulerKind::kRandom,
                                                  SchedulerKind::kRoundRobin};

@@ -2,18 +2,21 @@
 // malformed-input rejection, handshake digests, deterministic fault plans,
 // hardened shard-row ingestion, and the end-to-end loopback contract —
 // RemoteExecutor over in-process workers is bit-identical to run_sweep,
-// clean or under an injected fault schedule, and fails loudly when the
+// clean or under an injected fault schedule, refuses and re-issues a
+// hostile worker's tampered transcript window, and fails loudly when the
 // whole fleet dies.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/scenario.h"
@@ -73,6 +76,7 @@ TEST(FabricWire, AssignResultHeartbeatErrorRoundTrip) {
   const Frame echoed = roundtrip(encode_frame(result));
   ASSERT_EQ(echoed.kind, MessageKind::kResult);
   EXPECT_EQ(echoed.result.row, result.row);
+  EXPECT_TRUE(echoed.result.blobs.empty());
 
   EXPECT_EQ(roundtrip(encode_frame(Heartbeat{41})).heartbeat.seq, 41u);
 
@@ -140,49 +144,53 @@ TEST(FabricWire, MalformedFramesThrow) {
                std::invalid_argument);
 }
 
-TEST(FabricWire, DedupFramesRoundTrip) {
-  LeafOffer offer;
-  offer.window = 12;
-  offer.keys.push_back(Sha256::of_string("a"));
-  offer.keys.push_back(Sha256::of_string("b"));
-  const Frame offered = roundtrip(encode_frame(offer));
-  ASSERT_EQ(offered.kind, MessageKind::kLeafOffer);
-  EXPECT_EQ(offered.offer.window, 12u);
-  ASSERT_EQ(offered.offer.keys.size(), 2u);
-  EXPECT_EQ(offered.offer.keys[0], Sha256::of_string("a"));
-  EXPECT_EQ(offered.offer.keys[1], Sha256::of_string("b"));
-
-  LeafWant want;
-  want.window = 12;
-  want.indices = {0, 5, 9};
-  const Frame wanted = roundtrip(encode_frame(want));
-  ASSERT_EQ(wanted.kind, MessageKind::kLeafWant);
-  EXPECT_EQ(wanted.want.window, 12u);
-  EXPECT_EQ(wanted.want.indices, (std::vector<std::uint64_t>{0, 5, 9}));
-
-  ResultDedup dedup;
-  dedup.window = 12;
-  dedup.row = "{\"case\": 1}";
-  dedup.blobs.emplace_back(5, std::vector<std::uint8_t>{1, 2, 3});
-  const Frame shipped = roundtrip(encode_frame(dedup));
-  ASSERT_EQ(shipped.kind, MessageKind::kResultDedup);
-  EXPECT_EQ(shipped.result_dedup.row, dedup.row);
-  ASSERT_EQ(shipped.result_dedup.blobs.size(), 1u);
-  EXPECT_EQ(shipped.result_dedup.blobs[0].first, 5u);
-  EXPECT_EQ(shipped.result_dedup.blobs[0].second, (std::vector<std::uint8_t>{1, 2, 3}));
+TEST(FabricWire, ResultBlobsRoundTrip) {
+  ResultMsg result;
+  result.window = 12;
+  result.row = "{\"case\": 1}";
+  result.blobs = {{1, 2, 3}, {}, {0xff}};
+  const Frame shipped = roundtrip(encode_frame(result));
+  ASSERT_EQ(shipped.kind, MessageKind::kResult);
+  EXPECT_EQ(shipped.result.window, 12u);
+  EXPECT_EQ(shipped.result.row, result.row);
+  EXPECT_EQ(shipped.result.blobs, result.blobs);
 }
 
-TEST(FabricWire, TruncatedLeafOfferThrows) {
-  // A key count that overruns the payload must be rejected before any
-  // allocation, like every other malformed frame.
-  std::vector<std::uint8_t> payload;
-  payload.push_back(static_cast<std::uint8_t>(MessageKind::kLeafOffer));
-  leb128_put(payload, 1);    // window
-  leb128_put(payload, 100);  // claims 100 keys, carries none
+/// A kResult frame for window 1 with row "r", followed by `tail`: the
+/// blob list as raw bytes.
+std::vector<std::uint8_t> result_frame(const std::vector<std::uint8_t>& tail) {
+  std::vector<std::uint8_t> payload{static_cast<std::uint8_t>(MessageKind::kResult), 1, 1, 'r'};
+  payload.insert(payload.end(), tail.begin(), tail.end());
   std::vector<std::uint8_t> framed;
   leb128_put(framed, payload.size());
   framed.insert(framed.end(), payload.begin(), payload.end());
-  EXPECT_THROW(try_parse_frame(framed), std::invalid_argument);
+  return framed;
+}
+
+TEST(FabricWire, TruncatedOrOverrunningBlobListThrows) {
+  EXPECT_EQ(roundtrip(result_frame({1, 2, 0xaa, 0xbb})).result.blobs,
+            (std::vector<std::vector<std::uint8_t>>{{0xaa, 0xbb}}));
+  // A blob count the payload cannot hold is refused before any allocation.
+  EXPECT_THROW(try_parse_frame(result_frame({100})), std::invalid_argument);
+  // A blob whose length overruns the frame.
+  EXPECT_THROW(try_parse_frame(result_frame({1, 9, 0xaa, 0xbb})), std::invalid_argument);
+  // A list cut short: two blobs claimed, the second's length missing.
+  EXPECT_THROW(try_parse_frame(result_frame({2, 1, 0xaa})), std::invalid_argument);
+  // No blob count at all.
+  EXPECT_THROW(try_parse_frame(result_frame({})), std::invalid_argument);
+}
+
+TEST(FabricWire, RetiredKindsParseAsUnknown) {
+  // 9-11 carried the v2 leaf offer, want and dedup result.
+  for (const std::uint8_t kind : {9, 10, 11}) {
+    try {
+      (void)try_parse_frame(std::vector<std::uint8_t>{2, kind, 0});
+      ADD_FAILURE() << "kind " << int{kind} << " parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("unknown message kind"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(FabricWire, DigestsAreStableAndOrderSensitive) {
@@ -616,50 +624,14 @@ TEST(FabricDriver, BackoffDeadlineDoublesAndSaturates) {
   }
 }
 
-TEST(FabricLoopback, DedupReusesRepeatedTranscriptBlobs) {
-  SweepSpec sweep;
-  ScenarioSpec spec;
-  spec.protocol = "basic-lead";
-  spec.n = 5;
-  spec.trials = 30;
-  spec.seed = 5;
-  spec.record_transcripts = true;
-  sweep.add(spec);
-  sweep.add(spec);  // identical twin: all of its leaves are already cached
-
-  const std::vector<ScenarioResult> local = run_sweep(sweep);
-  FabricOptions options;
-  options.window_trials = 10;
-  RemoteExecutor executor(options);
-  WorkerOptions worker;
-  worker.port = executor.port();
-  worker.threads = 2;
-  std::thread thread([worker] { (void)run_worker(worker); });
-  std::vector<ScenarioResult> remote;
-  try {
-    remote = executor.run_sweep(sweep);
-  } catch (...) {
-    thread.join();
-    throw;
-  }
-  thread.join();
-
-  // Dedup is a transport optimization: the merged report stays bit-identical.
-  EXPECT_EQ(canonical_report(sweep, remote), canonical_report(sweep, local));
-  const DedupStats& stats = executor.dedup_stats();
-  EXPECT_EQ(stats.keys_offered, 60u);
-  EXPECT_EQ(stats.blobs_shipped + stats.blobs_reused, stats.keys_offered);
-  // One worker drains windows in plan order, so by the time the twin
-  // scenario runs, every one of its 30 blobs is served from the cache.
-  EXPECT_GE(stats.blobs_reused, 30u);
-  EXPECT_LE(stats.blobs_shipped, 30u);
-}
-
-TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsOfferedKey) {
-  // A hostile worker runs its window honestly but ships trial 0 as a
-  // non-canonical encoding B, offering Sha256::of(B) for it.  The hash
-  // matches, yet B is not a transcript's encoding, so RemoteExecutor must
-  // refuse the window and re-issue it to an honest worker.
+/// A transcript window answered by a hostile worker: it runs the window
+/// honestly, builds the honest kResult (elided row, one blob per trial,
+/// store_keys hashed from the blobs), lets `tamper` rewrite it, and sends
+/// it.  RemoteExecutor must refuse the window, drop the worker and re-issue
+/// the window to an honest one, so the report still equals the in-process
+/// run and the leaf counters count only the accepted window.
+void expect_refused_and_reissued(
+    const std::function<void(verify::ShardRow&, ResultMsg&)>& tamper) {
   SweepSpec sweep;
   ScenarioSpec spec;
   spec.protocol = "basic-lead";
@@ -701,45 +673,38 @@ TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsOfferedKey) {
   hello.label = "hostile";
   send(encode_frame(hello));
   const std::optional<Frame> welcome = next();
-  ASSERT_TRUE(welcome && welcome->kind == MessageKind::kWelcome);
   const std::optional<Frame> assign = next();
-  ASSERT_TRUE(assign && assign->kind == MessageKind::kAssign);
-
-  ScenarioSpec window = spec;
-  window.trial_offset = static_cast<std::size_t>(assign->assign.trial_offset);
-  window.trial_count = static_cast<std::size_t>(assign->assign.trial_count);
-  verify::ShardRow row;
-  row.case_index = static_cast<std::size_t>(assign->assign.scenario);
-  row.spec_line = welcome->welcome.spec_lines.at(row.case_index);
-  row.result = run_scenario(window);
-  std::vector<std::vector<std::uint8_t>> blobs;
-  for (const ExecutionTranscript& t : row.result.per_trial_transcript) blobs.push_back(t.encode());
-  const Digest256 canonical_key = Sha256::of(blobs[0]);
-  blobs[0] = overlong_count(blobs[0]);
-  LeafOffer offer;
-  offer.window = assign->assign.window;
-  for (const std::vector<std::uint8_t>& blob : blobs) offer.keys.push_back(Sha256::of(blob));
-  send(encode_frame(offer));
-  const std::optional<Frame> want = next();
-  ASSERT_TRUE(want && want->kind == MessageKind::kLeafWant);
-
-  ResultDedup reply;
-  reply.window = assign->assign.window;
-  reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
-  replace_first(reply.row, canonical_key.hex(), offer.keys[0].hex());  // trial 0's key
-  for (const std::uint64_t index : want->want.indices) {
-    reply.blobs.emplace_back(index, blobs.at(static_cast<std::size_t>(index)));
+  if (welcome && welcome->kind == MessageKind::kWelcome && assign &&
+      assign->kind == MessageKind::kAssign) {
+    ScenarioSpec window = spec;
+    window.trial_offset = static_cast<std::size_t>(assign->assign.trial_offset);
+    window.trial_count = static_cast<std::size_t>(assign->assign.trial_count);
+    verify::ShardRow row;
+    row.case_index = static_cast<std::size_t>(assign->assign.scenario);
+    row.spec_line = welcome->welcome.spec_lines.at(row.case_index);
+    row.result = run_scenario(window);
+    ResultMsg reply;
+    reply.window = assign->assign.window;
+    for (const ExecutionTranscript& t : row.result.per_trial_transcript) {
+      reply.blobs.push_back(t.encode());
+      row.store_keys.push_back(Sha256::of(reply.blobs.back()).hex());
+    }
+    reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
+    tamper(row, reply);
+    send(encode_frame(reply));
+    // Refused: RemoteExecutor drops the hostile worker, so its next read
+    // finds the connection closed, not the drain an accepted window ends
+    // with.
+    std::optional<Frame> after;
+    try {
+      after = next();
+    } catch (const std::exception&) {
+      // A reset connection is a closed one.
+    }
+    EXPECT_FALSE(after.has_value()) << "got '" << to_string(after->kind) << "'";
+  } else {
+    ADD_FAILURE() << "no welcome and assignment for the hostile worker";
   }
-  send(encode_frame(reply));
-  // Refused: RemoteExecutor drops the hostile worker, so its next read finds
-  // the connection closed, not the drain an accepted window ends with.
-  std::optional<Frame> after;
-  try {
-    after = next();
-  } catch (const std::exception&) {
-    // A reset connection is a closed one.
-  }
-  EXPECT_FALSE(after.has_value()) << "got '" << to_string(after->kind) << "'";
   sock.close();
 
   WorkerOptions honest;
@@ -751,6 +716,40 @@ TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsOfferedKey) {
   worker.join();
   ASSERT_TRUE(driver_error.empty()) << driver_error;
   EXPECT_EQ(canonical_report(sweep, remote), canonical_report(sweep, local));
+  EXPECT_EQ(executor.dedup_stats().keys_offered, spec.trials);
+  EXPECT_EQ(executor.dedup_stats().blobs_shipped, spec.trials);
+}
+
+TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsStoreKey) {
+  // Trial 0 ships as a non-canonical encoding B with Sha256::of(B) in its
+  // store_keys slot.  The hash matches, yet B is not a transcript's
+  // encoding.
+  expect_refused_and_reissued([](verify::ShardRow& row, ResultMsg& reply) {
+    reply.blobs[0] = overlong_count(reply.blobs[0]);
+    row.store_keys[0] = Sha256::of(reply.blobs[0]).hex();
+    reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
+  });
+}
+
+TEST(FabricLoopback, RefusesABlobInAnotherTrialsSlot) {
+  // Each blob is checked against its own slot's key, not against its hash.
+  expect_refused_and_reissued([](verify::ShardRow&, ResultMsg& reply) {
+    ASSERT_NE(reply.blobs[0], reply.blobs[1]);
+    std::swap(reply.blobs[0], reply.blobs[1]);
+  });
+}
+
+TEST(FabricLoopback, RefusesABlobCountThatDiffersFromTheTrials) {
+  expect_refused_and_reissued([](verify::ShardRow&, ResultMsg& reply) { reply.blobs.pop_back(); });
+  expect_refused_and_reissued(
+      [](verify::ShardRow&, ResultMsg& reply) { reply.blobs.push_back(reply.blobs[0]); });
+}
+
+TEST(FabricLoopback, RefusesAPlainRowWithBlobs) {
+  // The row carries its transcripts inline, and blobs arrive beside it.
+  expect_refused_and_reissued([](verify::ShardRow& row, ResultMsg& reply) {
+    reply.row = verify::format_shard_row(row);
+  });
 }
 
 TEST(FabricLoopback, AllWorkersDeadFailsTheSweepLoudly) {
@@ -799,39 +798,6 @@ TEST(FabricLoopback, RejectsMismatchedBuilds) {
   ASSERT_EQ(reply->kind, MessageKind::kError);
   EXPECT_NE(reply->error.message.find("handshake rejected"), std::string::npos);
   driver.join();
-}
-
-// ---- backend routing --------------------------------------------------------
-
-class CountingBackend final : public SweepBackend {
- public:
-  std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) override {
-    ++calls;
-    std::vector<ScenarioResult> out;
-    for (const ScenarioSpec& spec : sweep.scenarios) out.push_back(ScenarioResult(spec.n));
-    return out;
-  }
-  int calls = 0;
-};
-
-TEST(SweepBackend, RunSweepRoutesThroughInstalledBackend) {
-  CountingBackend backend;
-  SweepBackend* previous = set_sweep_backend(&backend);
-  SweepSpec sweep;
-  ScenarioSpec spec;
-  spec.protocol = "basic-lead";
-  spec.n = 4;
-  spec.trials = 5;
-  sweep.add(spec);
-  const std::vector<ScenarioResult> results = run_sweep(sweep);
-  set_sweep_backend(previous);
-  EXPECT_EQ(backend.calls, 1);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].outcomes.domain(), 4);
-  // With the backend uninstalled the in-process executor is back.
-  const std::vector<ScenarioResult> direct = run_sweep(sweep);
-  EXPECT_EQ(backend.calls, 1);
-  EXPECT_EQ(direct[0].trials, 5u);
 }
 
 }  // namespace

@@ -44,14 +44,15 @@ ScenarioSpec ring_spec(const char* protocol, int n, SchedulerKind scheduler) {
 constexpr int kWorkers[] = {1, 4, 8};
 
 TEST(LaneEngine, BitIdenticalToScalarAcrossKernelsAndWorkers) {
-  // The acceptance grid: every lane kernel on 1/4/8 workers.
-  // check_lane_differential compares per-trial outcomes, aggregates, and
-  // per-trial transcripts (digests included), and — in a second lanes run
-  // without transcripts — the trials the closed forms serve.
+  // The acceptance grid: every lane kernel on 1/4/8 workers, under the
+  // random scheduler, which leaves no closed form and sends every trial to
+  // the lanes.  check_lane_differential compares per-trial outcomes and
+  // every aggregate with the scalar engine.
   for (const char* protocol : {"basic-lead", "chang-roberts", "alead-uni"}) {
+    const ScenarioSpec spec = ring_spec(protocol, 11, SchedulerKind::kRandom);
+    ASSERT_TRUE(route_to_lanes(spec)) << protocol;
     for (const int threads : kWorkers) {
-      const auto result = verify::check_lane_differential(
-          ring_spec(protocol, 11, SchedulerKind::kRoundRobin), threads);
+      const auto result = verify::check_lane_differential(spec, threads);
       EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
     }
   }
@@ -60,20 +61,21 @@ TEST(LaneEngine, BitIdenticalToScalarAcrossKernelsAndWorkers) {
 TEST(LaneEngine, DeviatedKernelsBitIdenticalAcrossWorkers) {
   // The deviated lane kernels (PR 6): the Claim B.1 lone adversary on
   // BASIC-LEAD and the Lemma 4.1 rushing coalition on A-LEADuni, across
-  // the same worker counts as the honest kernels.
-  for (const int threads : kWorkers) {
-    ScenarioSpec single = ring_spec("basic-lead", 11, SchedulerKind::kRoundRobin);
-    single.deviation = "basic-single";
-    single.target = 5;
-    auto result = verify::check_lane_differential(single, threads);
-    EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
-
-    ScenarioSpec rushing = ring_spec("alead-uni", 12, SchedulerKind::kRoundRobin);
-    rushing.deviation = "rushing";
-    rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
-    rushing.target = 7;
-    result = verify::check_lane_differential(rushing, threads);
-    EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
+  // the same worker counts as the honest kernels, on the lanes under the
+  // priority scheduler.
+  ScenarioSpec single = ring_spec("basic-lead", 11, SchedulerKind::kPriority);
+  single.deviation = "basic-single";
+  single.target = 5;
+  ScenarioSpec rushing = ring_spec("alead-uni", 12, SchedulerKind::kPriority);
+  rushing.deviation = "rushing";
+  rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
+  rushing.target = 7;
+  for (const ScenarioSpec& spec : {single, rushing}) {
+    ASSERT_TRUE(route_to_lanes(spec)) << spec.deviation;
+    for (const int threads : kWorkers) {
+      const auto result = verify::check_lane_differential(spec, threads);
+      EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
+    }
   }
 }
 
@@ -125,9 +127,12 @@ TEST(LaneEngine, ShardedWindowsMergeLikeScalar) {
 
 TEST(LaneEngine, StepLimitStarvationMatchesScalar) {
   // A starving step limit must FAIL the same trials on both engines (the
-  // retirement policy mirrors the scalar run loop's break semantics).
-  ScenarioSpec spec = ring_spec("basic-lead", 10, SchedulerKind::kRoundRobin);
+  // retirement policy mirrors the scalar run loop's break semantics).  The
+  // random scheduler keeps the spec on the lanes.
+  ScenarioSpec spec = ring_spec("basic-lead", 10, SchedulerKind::kRandom);
   spec.step_limit = 35;  // below the n*n honest requirement
+  ASSERT_TRUE(route_to_lanes(spec));
+  EXPECT_EQ(run_scenario(spec).outcomes.fails(), spec.trials);
   const auto result = verify::check_lane_differential(spec, /*threads=*/1);
   EXPECT_TRUE(result.passed) << result.detail;
 }
@@ -425,14 +430,14 @@ TEST(ClosedForm, DifferentialComparesScalarWithAuto) {
     EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
     EXPECT_NE(result.detail.find("scalar vs auto"), std::string::npos) << result.detail;
   }
-  // A ring lane shape with a pairing is served too; it also runs on the
-  // lanes once transcribing.  Off round-robin it has no closed form, and a
-  // spec with neither lanes nor a closed form has nothing to compare.
+  // A ring lane shape with a pairing is served too.  Off round-robin it
+  // has no closed form and runs on the lanes, and a spec with neither lanes
+  // nor a closed form has nothing to compare.
   const ScenarioSpec basic = ring_spec("basic-lead", 11, SchedulerKind::kRoundRobin);
   EXPECT_TRUE(verify::served_by_closed_form(basic));
-  const auto laned = verify::check_lane_differential(basic, /*threads=*/2);
-  EXPECT_TRUE(laned.passed) << laned.subject << ": " << laned.detail;
-  EXPECT_NE(laned.detail.find("scalar vs auto on lanes"), std::string::npos) << laned.detail;
+  const auto served = verify::check_lane_differential(basic, /*threads=*/2);
+  EXPECT_TRUE(served.passed) << served.subject << ": " << served.detail;
+  EXPECT_NE(served.detail.find("scalar vs auto"), std::string::npos) << served.detail;
   EXPECT_FALSE(verify::served_by_closed_form(ring_spec("basic-lead", 11, SchedulerKind::kRandom)));
   const ScenarioSpec random = ring_spec("phase-async-lead", 11, SchedulerKind::kRandom);
   EXPECT_FALSE(verify::served_by_closed_form(random));
@@ -607,8 +612,9 @@ TEST(Specializer, RoutingSendsEveryPairingToTheOracle) {
   // route_to_lanes reads the spec alone: a lane shape with a closed-form
   // pairing runs on the scalar ring engine, which serves it and audits it
   // against the oracle, so no spec with a closed form reaches the lanes.
-  // Transcripts and the data-dependent schedulers void every pairing, and
-  // those specs keep the lanes.
+  // The data-dependent schedulers void every pairing, and those specs keep
+  // the lanes.  The lanes record nothing, so a transcribing spec runs on
+  // the scalar engine whatever its scheduler.
   const std::vector<ScenarioSpec> pairings = closed_form_specs(16);
   ASSERT_EQ(pairings.size(), 6u);  // five shapes, rushing at two placements
   for (const ScenarioSpec& spec : pairings) {
@@ -618,11 +624,13 @@ TEST(Specializer, RoutingSendsEveryPairingToTheOracle) {
     EXPECT_FALSE(route_to_lanes(spec)) << subject;
     ScenarioSpec transcribing = spec;
     transcribing.record_transcripts = true;
-    EXPECT_TRUE(route_to_lanes(transcribing)) << subject;
+    EXPECT_FALSE(route_to_lanes(transcribing)) << subject;
     for (const SchedulerKind scheduler : {SchedulerKind::kRandom, SchedulerKind::kPriority}) {
       ScenarioSpec scheduled = spec;
       scheduled.scheduler = scheduler;
       EXPECT_TRUE(route_to_lanes(scheduled)) << subject << " " << to_string(scheduler);
+      scheduled.record_transcripts = true;
+      EXPECT_FALSE(route_to_lanes(scheduled)) << subject << " " << to_string(scheduler);
     }
     // A starving limit leaves the pairing with no closed form, and the
     // spec runs fully simulated on the scalar ring engine.
@@ -640,6 +648,8 @@ TEST(Specializer, RoutingSendsEveryPairingToTheOracle) {
   rushing_on_basic.deviation = "rushing";
   rushing_on_basic.coalition = CoalitionSpec::equally_spaced(4, 1);
   EXPECT_TRUE(route_to_lanes(rushing_on_basic));
+  rushing_on_basic.record_transcripts = true;
+  EXPECT_FALSE(route_to_lanes(rushing_on_basic));
   // Shapes without a lane kernel never reach the lanes.
   EXPECT_FALSE(route_to_lanes(ring_spec("phase-async-lead", 16, SchedulerKind::kRandom)));
   EXPECT_FALSE(route_to_lanes(ring_spec("peterson", 16, SchedulerKind::kRandom)));

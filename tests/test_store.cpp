@@ -103,9 +103,10 @@ TEST(Store, LeafAndRootHashesMatchThePreimageSpec) {
   // Root (inner, level 1) hash: 'I', level byte, then 16 child slots of 32
   // bytes each — present children their hash, absent children zeros.
   // Offsets are location metadata and stay OUT of the preimage.
-  std::vector<std::uint8_t> preimage{'I', 1};
-  preimage.insert(preimage.end(), leaf.bytes.begin(), leaf.bytes.end());
-  preimage.resize(2 + 16 * 32, 0);
+  std::vector<std::uint8_t> preimage(2 + 16 * 32, 0);
+  preimage[0] = 'I';
+  preimage[1] = 1;
+  std::copy(leaf.bytes.begin(), leaf.bytes.end(), preimage.begin() + 2);
   EXPECT_EQ(reader.root_hash(), Sha256::of(preimage));
 }
 

@@ -362,31 +362,6 @@ TEST(ScenarioShards, MergeRejectsIncompatibleShardsNamingTheField) {
   EXPECT_EQ(merged.trials, 12u);
 }
 
-TEST(SweepGrid, ExpandsRowMajorOverNonEmptyAxes) {
-  SweepGrid grid;
-  grid.base = ring_spec("basic-lead", 8, 5);
-  grid.base.coalition = CoalitionSpec::consecutive(1, 3);
-  grid.base.deviation = "basic-single";
-  grid.protocols = {"basic-lead", "alead-uni"};
-  grid.n_values = {8, 16, 32};
-  grid.seeds = {1, 2};
-  const std::vector<ScenarioSpec> specs = grid.expand();
-  ASSERT_EQ(specs.size(), 2u * 3u * 2u);
-  // Row-major: protocol is the slowest axis, seed the fastest.
-  EXPECT_EQ(specs[0].protocol, "basic-lead");
-  EXPECT_EQ(specs[0].n, 8);
-  EXPECT_EQ(specs[0].seed, 1u);
-  EXPECT_EQ(specs[1].seed, 2u);
-  EXPECT_EQ(specs[2].n, 16);
-  EXPECT_EQ(specs[6].protocol, "alead-uni");
-  // Empty axes keep the base's values.
-  for (const ScenarioSpec& spec : specs) {
-    EXPECT_EQ(spec.deviation, "basic-single");
-    EXPECT_EQ(spec.coalition.k, 1);
-    EXPECT_EQ(spec.trials, 5u);
-  }
-}
-
 TEST(RunSweep, InvalidScenarioNamesItsIndex) {
   SweepSpec sweep;
   sweep.add(ring_spec("basic-lead", 8, 4));

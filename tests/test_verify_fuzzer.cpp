@@ -87,14 +87,14 @@ TEST(FuzzInvariants, UserTokenGraphRunsOnTheDirectedRingAdjacency) {
   const ScenarioSpec spec = parse_spec(
       "topology=graph protocol=user-token-graph adjacency=directed-ring n=6 trials=4 "
       "seed=3 transcripts=1");
-  EXPECT_EQ(run_spec_invariants(spec, /*check_determinism=*/true), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec), std::nullopt);
 }
 
 TEST(FuzzInvariants, BroadcastProtocolOnRestrictedAdjacencyIsACleanRejection) {
   const ScenarioSpec spec = parse_spec(
       "topology=graph protocol=shamir-lead adjacency=star n=6 trials=2 seed=3");
   bool rejected = false;
-  EXPECT_EQ(run_spec_invariants(spec, true, &rejected), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec, &rejected), std::nullopt);
   EXPECT_TRUE(rejected);
 }
 
@@ -102,7 +102,7 @@ TEST(FuzzInvariants, ThreadedTranscriptCaptureIsACleanRejection) {
   const ScenarioSpec spec = parse_spec(
       "topology=threaded protocol=basic-lead n=4 trials=2 seed=3 transcripts=1");
   bool rejected = false;
-  EXPECT_EQ(run_spec_invariants(spec, true, &rejected), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec, &rejected), std::nullopt);
   EXPECT_TRUE(rejected);
 }
 
@@ -164,14 +164,14 @@ TEST(FuzzRepro, WindowAndKnobFieldsRoundTrip) {
 TEST(FuzzInvariants, WindowedSpecRunsItsWindow) {
   const ScenarioSpec spec = parse_spec(
       "topology=ring protocol=alead-uni n=8 trials=10 seed=11 trial_offset=3 trial_count=4");
-  EXPECT_EQ(run_spec_invariants(spec, /*check_determinism=*/true), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec), std::nullopt);
 }
 
 TEST(FuzzInvariants, BadWindowIsACleanRejection) {
   const ScenarioSpec spec = parse_spec(
       "topology=ring protocol=alead-uni n=8 trials=4 seed=11 trial_offset=9");
   bool rejected = false;
-  EXPECT_EQ(run_spec_invariants(spec, true, &rejected), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec, &rejected), std::nullopt);
   EXPECT_TRUE(rejected);
 }
 
@@ -179,14 +179,14 @@ TEST(FuzzInvariants, OutOfRangeParamLIsACleanRejection) {
   const ScenarioSpec spec = parse_spec(
       "topology=ring protocol=phase-async-lead n=8 trials=2 seed=1 param_l=9");
   bool rejected = false;
-  EXPECT_EQ(run_spec_invariants(spec, true, &rejected), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec, &rejected), std::nullopt);
   EXPECT_TRUE(rejected);
 }
 
 TEST(FuzzInvariants, HoldOnAKnownGoodSpec) {
   const ScenarioSpec spec =
       parse_spec("topology=ring protocol=alead-uni n=8 trials=6 seed=11");
-  EXPECT_EQ(run_spec_invariants(spec, /*check_determinism=*/true), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec), std::nullopt);
 }
 
 TEST(FuzzInvariants, CleanRejectionIsNotAFailure) {
@@ -195,7 +195,7 @@ TEST(FuzzInvariants, CleanRejectionIsNotAFailure) {
   const ScenarioSpec spec =
       parse_spec("topology=ring protocol=shamir-lead n=8 trials=2 seed=1");
   bool rejected = false;
-  EXPECT_EQ(run_spec_invariants(spec, true, &rejected), std::nullopt);
+  EXPECT_EQ(run_spec_invariants(spec, &rejected), std::nullopt);
   EXPECT_TRUE(rejected);
 }
 

@@ -77,8 +77,8 @@ fle::StoreWriter build_writer(const char* argv0, const std::vector<std::string>&
       const fle::verify::ShardRow& row = rows.back();
       if (row.transcripts_elided) {
         throw std::runtime_error(path + ":" + std::to_string(line_number) +
-                                 ": row is transcripts-elided (its blobs travelled the fabric's "
-                                 "dedup channel); build stores from full reports");
+                                 ": row is transcripts-elided (its blobs travel beside it in a "
+                                 "fabric result frame); build stores from full reports");
       }
     }
   }

@@ -17,14 +17,14 @@
 //   fle_verify --list                  print the registered protocols/deviations
 //   fle_verify --dump-transcript '<spec line>' [--out FILE]
 //                                      record the spec's trials and pretty-print
-//                                      every event; --out also writes the binary
-//                                      FLES container (sim/transcript.h)
-//   fle_verify --diff-transcripts a.bin b.bin
-//                                      first-divergence diff of two recorded
-//                                      containers: trial, event index, and both
-//                                      events; exit 1 on divergence.  Accepts
-//                                      FLES containers and content-addressed
-//                                      FLST stores (fle_store) in any mix
+//                                      every event; --out also writes them as a
+//                                      content-addressed FLST store
+//                                      (store/store.h)
+//   fle_verify --diff-transcripts a.flst b.flst
+//                                      first-divergence diff of two FLST stores
+//                                      (--dump-transcript --out or fle_store):
+//                                      trial, event index, and both events;
+//                                      exit 1 on divergence
 //
 // Exit code 0 iff every check passed.
 
@@ -34,7 +34,6 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -89,7 +88,7 @@ int run_repro(const std::string& line) {
   const fle::ScenarioSpec spec = fle::verify::parse_spec(line);
   std::printf("replaying: %s\n", fle::verify::format_spec(spec).c_str());
   print_repro_digest(spec);
-  const auto failure = fle::verify::run_spec_invariants(spec, /*check_determinism=*/true);
+  const auto failure = fle::verify::run_spec_invariants(spec);
   if (failure) {
     std::printf("[FAIL] %s\n", failure->c_str());
     return 1;
@@ -126,8 +125,8 @@ int list_registry() {
 
 /// Records the spec's trials (transcripts forced on, one worker so the
 /// printed order is the execution order) and pretty-prints every event.
-/// --out additionally writes the binary FLES container the
-/// --diff-transcripts mode reads.
+/// --out additionally writes the FLST store the --diff-transcripts mode
+/// reads.
 int run_dump_transcript(const std::string& line, const std::string& out_path) {
   fle::verify::register_fuzz_user_entries();
   fle::ScenarioSpec spec = fle::verify::parse_spec(line);
@@ -148,52 +147,37 @@ int run_dump_transcript(const std::string& line, const std::string& out_path) {
     }
   }
   if (!out_path.empty()) {
-    const std::vector<std::uint8_t> bytes =
-        fle::encode_transcript_set(result.per_trial_transcript);
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "fle_verify: cannot write %s\n", out_path.c_str());
-      return 2;
-    }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    std::printf("wrote %zu byte(s) to %s\n", bytes.size(), out_path.c_str());
+    fle::StoreWriter writer;
+    writer.add_scenario(fle::verify::format_spec(spec), result.per_trial_transcript);
+    writer.write_file(out_path);
+    std::printf("wrote %zu trial(s) to %s\n", result.per_trial_transcript.size(),
+                out_path.c_str());
   }
   return 0;
 }
 
-/// Loads a recorded transcript container: a FLES set (or bare FLET stream)
-/// from --dump-transcript, or a content-addressed FLST store built by
-/// fle_store — detected by magic, so --diff-transcripts compares any mix
-/// of the two formats.
-std::vector<fle::ExecutionTranscript> load_transcript_set(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::invalid_argument("cannot read '" + path + "'");
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+/// Loads every trial of a content-addressed FLST store (--dump-transcript
+/// --out, or fle_store build).
+std::vector<fle::ExecutionTranscript> load_store_transcripts(const std::string& path) {
   try {
-    if (bytes.size() >= 4 && bytes[0] == 'F' && bytes[1] == 'L' && bytes[2] == 'S' &&
-        bytes[3] == 'T') {
-      const fle::StoreReader store = fle::StoreReader::from_bytes(std::move(bytes));
-      std::vector<fle::ExecutionTranscript> transcripts;
-      transcripts.reserve(static_cast<std::size_t>(store.trial_count()));
-      for (std::uint64_t t = 0; t < store.trial_count(); ++t) {
-        transcripts.push_back(store.read_transcript(t));
-      }
-      return transcripts;
+    const fle::StoreReader store = fle::StoreReader::open_file(path);
+    std::vector<fle::ExecutionTranscript> transcripts;
+    transcripts.reserve(static_cast<std::size_t>(store.trial_count()));
+    for (std::uint64_t t = 0; t < store.trial_count(); ++t) {
+      transcripts.push_back(store.read_transcript(t));
     }
-    return fle::decode_transcript_set(bytes);
+    return transcripts;
   } catch (const std::exception& error) {
     throw std::invalid_argument(path + ": " + error.what());
   }
 }
 
-/// Event-for-event comparison of two recorded containers; prints the first
+/// Event-for-event comparison of two recorded stores; prints the first
 /// divergent trial with the event index and BOTH events, so a replay
 /// regression is localized without re-running anything.
 int run_diff_transcripts(const std::string& path_a, const std::string& path_b) {
-  const std::vector<fle::ExecutionTranscript> a = load_transcript_set(path_a);
-  const std::vector<fle::ExecutionTranscript> b = load_transcript_set(path_b);
+  const std::vector<fle::ExecutionTranscript> a = load_store_transcripts(path_a);
+  const std::vector<fle::ExecutionTranscript> b = load_store_transcripts(path_b);
   if (a.size() != b.size()) {
     std::printf("DIFFER: %s records %zu trial(s), %s records %zu\n", path_a.c_str(),
                 a.size(), path_b.c_str(), b.size());
