@@ -170,35 +170,45 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
         if (window.done) return true;  // late duplicate; first answer won
         try {
           verify::ShardRow row = verify::parse_shard_row(frame.result.row);
+          const ScenarioSpec& spec = sweep.scenarios[window.scenario];
           if (row.spec_line != spec_lines[window.scenario] ||
-              row.result.trial_offset != window.offset || row.result.trials != window.count) {
+              row.result.trial_offset != window.offset || row.result.trials != window.count ||
+              row.result.outcomes_recorded != spec.record_outcomes ||
+              row.result.transcripts_recorded != spec.record_transcripts) {
             throw std::invalid_argument("row does not answer the assigned window");
           }
-          const std::vector<std::vector<std::uint8_t>>& blobs = frame.result.blobs;
+          // Transcripts travel one way only: as blobs beside an elided row.
+          const std::span<const std::uint8_t> blobs = frame.result.blobs;
+          if (row.result.transcripts_recorded && !row.transcripts_elided) {
+            throw std::invalid_argument("a transcript row arrives with its transcripts inline");
+          }
           if (!row.transcripts_elided && !blobs.empty()) {
-            throw std::invalid_argument("a row with its transcripts inline carries blobs");
+            throw std::invalid_argument("a row without transcripts carries blobs");
           }
           if (row.transcripts_elided) {
-            if (blobs.size() != row.store_keys.size()) {
-              throw std::invalid_argument(std::to_string(blobs.size()) + " blobs for " +
-                                          std::to_string(row.store_keys.size()) + " trials");
-            }
-            // Decode each blob against the key its row slot claims (keyed
+            // Decode blob t against the key its row slot claims (keyed
             // decode: one hash).  A blob that hashes elsewhere, or is not
             // the canonical encoding of a transcript, makes the row corrupt.
-            row.result.per_trial_transcript.reserve(blobs.size());
-            for (std::size_t t = 0; t < blobs.size(); ++t) {
+            // The walk stops at the row's own trial count, which the
+            // window bounds.
+            std::size_t cursor = 0;
+            row.result.per_trial_transcript.reserve(row.store_keys.size());
+            for (std::size_t t = 0; t < row.store_keys.size(); ++t) {
               try {
                 row.result.per_trial_transcript.push_back(ExecutionTranscript::decode(
-                    blobs[t], *Digest256::from_hex(row.store_keys[t])));
+                    next_blob(blobs, cursor), *Digest256::from_hex(row.store_keys[t])));
               } catch (const std::invalid_argument& error) {
                 throw std::invalid_argument("blob " + std::to_string(t) +
                                             " is refused against store_keys[" +
                                             std::to_string(t) + "]: " + error.what());
               }
             }
+            if (cursor != blobs.size()) {
+              throw std::invalid_argument("blobs remain after the row's " +
+                                          std::to_string(row.store_keys.size()) + " trials");
+            }
             dedup_stats_.keys_offered += row.store_keys.size();
-            dedup_stats_.blobs_shipped += blobs.size();
+            dedup_stats_.blobs_shipped += row.store_keys.size();
             row.transcripts_elided = false;
             row.store_keys.clear();
           }

@@ -12,11 +12,13 @@
 // schedule (tests/test_fabric.cpp asserts this against seeded FaultPlans).
 //
 // A transcript window's kResult carries a transcripts-elided row and every
-// blob in trial order.  The driver decodes blob t against the row's
-// store_keys[t] (one hash per transcript), so a blob in another trial's
-// slot, a blob count that differs from the trials, a plain row that
-// arrives with blobs, or a non-canonical blob that hashes to its key
-// refuses the window, which is re-issued like any protocol error.
+// blob in trial order; that is the only form the driver accepts for it.
+// The driver decodes blob t against the row's store_keys[t] (one hash per
+// transcript), so a blob in another trial's slot, a blob count that
+// differs from the trials, a transcript row with its transcripts inline, a
+// row without transcripts that arrives with blobs, or a non-canonical blob
+// that hashes to its key refuses the window, which is re-issued like any
+// protocol error.
 //
 // Fault tolerance (DESIGN.md §8):
 //  * every dispatched window carries a deadline; a worker that misses it

@@ -111,11 +111,7 @@ std::vector<std::uint8_t> encode_frame(const ResultMsg& message) {
   auto payload = begin_payload(MessageKind::kResult);
   leb128_put(payload, message.window);
   put_string(payload, message.row);
-  leb128_put(payload, message.blobs.size());
-  for (const std::vector<std::uint8_t>& blob : message.blobs) {
-    leb128_put(payload, blob.size());
-    payload.insert(payload.end(), blob.begin(), blob.end());
-  }
+  payload.insert(payload.end(), message.blobs.begin(), message.blobs.end());
   return finish_frame(std::move(payload));
 }
 
@@ -204,22 +200,10 @@ std::optional<FrameParse> try_parse_frame(std::span<const std::uint8_t> buffer) 
       frame.kind = MessageKind::kResult;
       frame.result.window = leb128_get(payload, p);
       frame.result.row = get_string(payload, p, "result.row");
-      // Every blob costs at least its one-byte length, so a count past the
-      // remaining bytes is refused before anything is reserved.
-      const std::uint64_t count = leb128_get(payload, p);
-      if (count > payload.size() - p) {
-        bad("result blob count " + std::to_string(count) + " exceeds the frame");
-      }
-      frame.result.blobs.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t b = 0; b < count; ++b) {
-        const std::uint64_t length = leb128_get(payload, p);
-        if (length > payload.size() - p) {
-          bad("result blob of " + std::to_string(length) + " bytes overruns the frame");
-        }
-        const auto first = payload.begin() + static_cast<std::ptrdiff_t>(p);
-        frame.result.blobs.emplace_back(first, first + static_cast<std::ptrdiff_t>(length));
-        p += static_cast<std::size_t>(length);
-      }
+      // The blob list is the rest of the payload, copied whole: the driver
+      // walks it with next_blob against the row's keys.
+      frame.result.blobs.assign(payload.begin() + static_cast<std::ptrdiff_t>(p), payload.end());
+      p = payload.size();
       break;
     }
     case static_cast<std::uint8_t>(MessageKind::kHeartbeat):
@@ -243,6 +227,23 @@ std::optional<FrameParse> try_parse_frame(std::span<const std::uint8_t> buffer) 
     bad(std::string("trailing bytes after '") + to_string(frame.kind) + "' payload");
   }
   return FrameParse{std::move(frame), consumed};
+}
+
+void append_blob(std::vector<std::uint8_t>& list, std::span<const std::uint8_t> blob) {
+  leb128_put(list, blob.size());
+  list.insert(list.end(), blob.begin(), blob.end());
+}
+
+std::span<const std::uint8_t> next_blob(std::span<const std::uint8_t> list,
+                                        std::size_t& cursor) {
+  if (cursor >= list.size()) bad("blob list ends before this blob");
+  const std::uint64_t length = leb128_get(list, cursor);
+  if (length > list.size() - cursor) {
+    bad("blob of " + std::to_string(length) + " bytes overruns the blob list");
+  }
+  const std::span<const std::uint8_t> blob = list.subspan(cursor, length);
+  cursor += static_cast<std::size_t>(length);
+  return blob;
 }
 
 std::uint64_t build_digest() {

@@ -10,7 +10,8 @@
 // so the driver merges network results through the exact code path the
 // --shard/--merge flow exercises in CI.  A transcript-recording window's
 // row is transcripts-elided: its store_keys column stays, and the same
-// kResult frame carries every trial's FLET blob in binary, in trial order.
+// kResult frame carries every trial's FLET blob in binary, in trial order,
+// as one blob list after the row.
 //
 // Frame layout: one varint payload length, then the payload; payload byte 0
 // is the MessageKind, the rest is kind-specific (varints, and strings as
@@ -87,9 +88,11 @@ struct ResultMsg {
   /// verify/shard.h format_shard_row of the window result; transcripts
   /// elided when the window records them.
   std::string row;
-  /// A transcript window's encoded FLET streams, one per trial in trial
-  /// order; empty for any other window.
-  std::vector<std::vector<std::uint8_t>> blobs;
+  /// A transcript window's blob list: its encoded FLET streams, one per
+  /// trial in trial order, each a varint length and its bytes (append_blob,
+  /// next_blob); empty for any other window.  It fills the frame after the
+  /// row and is parsed as one copy, however many blobs it holds.
+  std::vector<std::uint8_t> blobs;
 };
 
 struct Heartbeat {
@@ -131,6 +134,15 @@ struct FrameParse {
   std::size_t consumed = 0;
 };
 std::optional<FrameParse> try_parse_frame(std::span<const std::uint8_t> buffer);
+
+/// Appends one blob to a ResultMsg blob list.
+void append_blob(std::vector<std::uint8_t>& list, std::span<const std::uint8_t> blob);
+
+/// The blob at `cursor` in a blob list, as a view into it; advances
+/// `cursor` past it.  Throws std::invalid_argument when the list ends at
+/// `cursor` or the blob overruns it.
+std::span<const std::uint8_t> next_blob(std::span<const std::uint8_t> list,
+                                        std::size_t& cursor);
 
 /// The handshake's binary-compatibility fingerprint: a fold over the wire
 /// version and every registered protocol and deviation name (builtin and

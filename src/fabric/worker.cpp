@@ -181,11 +181,11 @@ int run_worker(const WorkerOptions& options) {
         // bytes hashed once: the row's store_keys column and the shipped
         // blobs both come from that one pass.
         const std::vector<ExecutionTranscript>& transcripts = row.result.per_trial_transcript;
-        reply.blobs.reserve(transcripts.size());
         row.store_keys.reserve(transcripts.size());
         for (const ExecutionTranscript& transcript : transcripts) {
-          reply.blobs.push_back(transcript.encode());
-          row.store_keys.push_back(Sha256::of(reply.blobs.back()).hex());
+          const std::vector<std::uint8_t> blob = transcript.encode();
+          row.store_keys.push_back(Sha256::of(blob).hex());
+          append_blob(reply.blobs, blob);
         }
       }
       reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);

@@ -349,25 +349,15 @@ void LaneEngine::unmark_at(TrialHot& hot, std::size_t idx, ProcessorId p) {
 }
 
 std::size_t LaneEngine::pick_index(TrialHot& hot) {
-  switch (scheduler_kind_) {
-    case SchedulerKind::kRoundRobin:
-      break;
-    case SchedulerKind::kRandom:
-      return sched_rng_.below(hot.ready_count);
-    case SchedulerKind::kPriority: {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < hot.ready_count; ++i) {
-        if (priority_[static_cast<std::size_t>(hot.ready[i])] <
-            priority_[static_cast<std::size_t>(hot.ready[best])]) {
-          best = i;
-        }
-      }
-      return best;
+  if (scheduler_kind_ == SchedulerKind::kRandom) return sched_rng_.below(hot.ready_count);
+  std::size_t best = 0;  // kPriority
+  for (std::size_t i = 1; i < hot.ready_count; ++i) {
+    if (priority_[static_cast<std::size_t>(hot.ready[i])] <
+        priority_[static_cast<std::size_t>(hot.ready[best])]) {
+      best = i;
     }
   }
-  // Same wrapping cursor as the scalar engine's fast path.
-  if (hot.rr_cursor >= hot.ready_count) hot.rr_cursor = 0;
-  return hot.rr_cursor++;
+  return best;
 }
 
 void LaneEngine::lane_send(TrialHot& hot, ProcessorId from, Value v) {

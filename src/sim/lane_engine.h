@@ -45,8 +45,10 @@
 // (api/specialize.h) routes them to the scalar RingEngine, where the
 // closed-form layer serves them and runs its audited trials through the
 // oracle.  Lanes serve the same kernels when a closed form cannot apply:
-// under the random and priority schedulers.  The lanes record nothing:
-// every transcript comes from a scalar engine, the oracle.
+// under the random and priority schedulers, and under round-robin for the
+// deviated shapes with no pairing (rushing on basic-lead, basic-single on
+// chang-roberts).  The lanes record nothing: every transcript comes from a
+// scalar engine, the oracle.
 
 #include <cstdint>
 #include <span>

@@ -630,7 +630,7 @@ FuzzReport run_fuzz_campaign(const FuzzOptions& options) {
     ++report.executed;
     if (rejected) ++report.rejected;
     if (!failure) {
-      // Run-level invariants held: every smoke_every-th executed spec also
+      // Run-level invariants held: every kSmokeEvery-th executed spec also
       // gets the distribution smoke (crashes are not the only regression
       // class; a skewed histogram with intact accounting passes everything
       // above).  Distribution failures are reported unshrunk — shrinking

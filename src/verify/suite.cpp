@@ -612,6 +612,29 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
             [rushing, threads] { return check_lane_differential(rushing, threads); });
       }
     }
+    // Round-robin reaches the lanes through the deviated shapes with no
+    // pairing: the rushing coalition on BASIC-LEAD and the lone adversary
+    // on Chang-Roberts.
+    for (const int threads : kLaneWorkers) {
+      ScenarioSpec rushing;
+      rushing.protocol = "basic-lead";
+      rushing.deviation = "rushing";
+      rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
+      rushing.target = 7;
+      rushing.n = 12;
+      rushing.trials = options.exact_trials;
+      rushing.seed = options.seed + 47;
+      cases.emplace_back([rushing, threads] { return check_lane_differential(rushing, threads); });
+
+      ScenarioSpec single;
+      single.protocol = "chang-roberts";
+      single.deviation = "basic-single";
+      single.target = 5;
+      single.n = 12;
+      single.trials = options.exact_trials;
+      single.seed = options.seed + 47;
+      cases.emplace_back([single, threads] { return check_lane_differential(single, threads); });
+    }
     // Honest sync specs have no lane runtime: engine=auto serves them from
     // token-sum on the scalar sync path, which must match the pinned
     // scalar engine on outcomes, messages and rounds.  Each protocol runs

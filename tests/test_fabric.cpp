@@ -13,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -144,16 +145,29 @@ TEST(FabricWire, MalformedFramesThrow) {
                std::invalid_argument);
 }
 
+/// Walks a blob list to its end with next_blob.
+std::vector<std::vector<std::uint8_t>> split_blobs(std::span<const std::uint8_t> list) {
+  std::vector<std::vector<std::uint8_t>> blobs;
+  std::size_t cursor = 0;
+  while (cursor < list.size()) {
+    const std::span<const std::uint8_t> blob = next_blob(list, cursor);
+    blobs.emplace_back(blob.begin(), blob.end());
+  }
+  return blobs;
+}
+
 TEST(FabricWire, ResultBlobsRoundTrip) {
+  const std::vector<std::vector<std::uint8_t>> blobs = {{1, 2, 3}, {}, {0xff}};
   ResultMsg result;
   result.window = 12;
   result.row = "{\"case\": 1}";
-  result.blobs = {{1, 2, 3}, {}, {0xff}};
+  for (const std::vector<std::uint8_t>& blob : blobs) append_blob(result.blobs, blob);
   const Frame shipped = roundtrip(encode_frame(result));
   ASSERT_EQ(shipped.kind, MessageKind::kResult);
   EXPECT_EQ(shipped.result.window, 12u);
   EXPECT_EQ(shipped.result.row, result.row);
   EXPECT_EQ(shipped.result.blobs, result.blobs);
+  EXPECT_EQ(split_blobs(shipped.result.blobs), blobs);
 }
 
 /// A kResult frame for window 1 with row "r", followed by `tail`: the
@@ -168,16 +182,36 @@ std::vector<std::uint8_t> result_frame(const std::vector<std::uint8_t>& tail) {
 }
 
 TEST(FabricWire, TruncatedOrOverrunningBlobListThrows) {
-  EXPECT_EQ(roundtrip(result_frame({1, 2, 0xaa, 0xbb})).result.blobs,
-            (std::vector<std::vector<std::uint8_t>>{{0xaa, 0xbb}}));
-  // A blob count the payload cannot hold is refused before any allocation.
-  EXPECT_THROW(try_parse_frame(result_frame({100})), std::invalid_argument);
-  // A blob whose length overruns the frame.
-  EXPECT_THROW(try_parse_frame(result_frame({1, 9, 0xaa, 0xbb})), std::invalid_argument);
-  // A list cut short: two blobs claimed, the second's length missing.
-  EXPECT_THROW(try_parse_frame(result_frame({2, 1, 0xaa})), std::invalid_argument);
-  // No blob count at all.
-  EXPECT_THROW(try_parse_frame(result_frame({})), std::invalid_argument);
+  const std::vector<std::uint8_t> one = {2, 0xaa, 0xbb};
+  EXPECT_EQ(roundtrip(result_frame(one)).result.blobs, one);
+  std::size_t cursor = 0;
+  EXPECT_EQ(next_blob(one, cursor).size(), 2u);
+  EXPECT_EQ(cursor, one.size());
+  // The list ends where a blob is asked for.
+  EXPECT_THROW(next_blob(one, cursor), std::invalid_argument);
+  // A blob whose length overruns the list.
+  cursor = 0;
+  EXPECT_THROW(next_blob(std::vector<std::uint8_t>{9, 0xaa, 0xbb}, cursor),
+               std::invalid_argument);
+  // A list cut inside a blob's length.
+  cursor = 0;
+  EXPECT_THROW(next_blob(std::vector<std::uint8_t>{0x80}, cursor), std::invalid_argument);
+  // A frame whose row string overruns it carries no list at all.
+  std::vector<std::uint8_t> framed = result_frame({});
+  framed[3] = 9;  // the row claims 9 bytes and has 1
+  EXPECT_THROW(try_parse_frame(framed), std::invalid_argument);
+}
+
+TEST(FabricWire, ManyEmptyBlobsParseAsOneCopyOfTheList) {
+  // A frame of 2^20 zero-length blobs holds one byte per blob.  Its list
+  // parses as one copy of those bytes, not one allocation per blob.
+  const std::vector<std::uint8_t> tail(std::size_t{1} << 20, 0);
+  const Frame frame = roundtrip(result_frame(tail));
+  EXPECT_EQ(frame.result.blobs.size(), tail.size());
+  EXPECT_LE(frame.result.blobs.capacity(), tail.size());
+  std::size_t cursor = 0;
+  EXPECT_TRUE(next_blob(frame.result.blobs, cursor).empty());
+  EXPECT_EQ(cursor, 1u);
 }
 
 TEST(FabricWire, RetiredKindsParseAsUnknown) {
@@ -624,21 +658,27 @@ TEST(FabricDriver, BackoffDeadlineDoublesAndSaturates) {
   }
 }
 
+using Blobs = std::vector<std::vector<std::uint8_t>>;
+
 /// A transcript window answered by a hostile worker: it runs the window
-/// honestly, builds the honest kResult (elided row, one blob per trial,
-/// store_keys hashed from the blobs), lets `tamper` rewrite it, and sends
-/// it.  RemoteExecutor must refuse the window, drop the worker and re-issue
-/// the window to an honest one, so the report still equals the in-process
-/// run and the leaf counters count only the accepted window.
+/// honestly, builds the honest kResult's parts (one blob per trial,
+/// store_keys hashed from the blobs, the elided row's text), lets `tamper`
+/// rewrite them, and sends them as one kResult.  RemoteExecutor must refuse
+/// the window, drop the worker and re-issue the window to an honest one,
+/// so the report still equals the in-process run and the leaf counters
+/// count only the accepted window.  With `transcripts` off the window
+/// records none, and its honest answer carries no blobs.
 void expect_refused_and_reissued(
-    const std::function<void(verify::ShardRow&, ResultMsg&)>& tamper) {
+    const std::function<void(verify::ShardRow&, std::string& row_text, Blobs&)>& tamper,
+    bool transcripts = true) {
   SweepSpec sweep;
   ScenarioSpec spec;
   spec.protocol = "basic-lead";
   spec.n = 5;
   spec.trials = 10;
   spec.seed = 5;
-  spec.record_transcripts = true;
+  spec.record_outcomes = true;
+  spec.record_transcripts = transcripts;
   sweep.add(spec);
   const std::vector<ScenarioResult> local = run_sweep(sweep);
 
@@ -683,14 +723,16 @@ void expect_refused_and_reissued(
     row.case_index = static_cast<std::size_t>(assign->assign.scenario);
     row.spec_line = welcome->welcome.spec_lines.at(row.case_index);
     row.result = run_scenario(window);
+    Blobs blobs;
+    for (const ExecutionTranscript& t : row.result.per_trial_transcript) {
+      blobs.push_back(t.encode());
+      row.store_keys.push_back(Sha256::of(blobs.back()).hex());
+    }
     ResultMsg reply;
     reply.window = assign->assign.window;
-    for (const ExecutionTranscript& t : row.result.per_trial_transcript) {
-      reply.blobs.push_back(t.encode());
-      row.store_keys.push_back(Sha256::of(reply.blobs.back()).hex());
-    }
     reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
-    tamper(row, reply);
+    tamper(row, reply.row, blobs);
+    for (const std::vector<std::uint8_t>& blob : blobs) append_blob(reply.blobs, blob);
     send(encode_frame(reply));
     // Refused: RemoteExecutor drops the hostile worker, so its next read
     // finds the connection closed, not the drain an accepted window ends
@@ -716,40 +758,83 @@ void expect_refused_and_reissued(
   worker.join();
   ASSERT_TRUE(driver_error.empty()) << driver_error;
   EXPECT_EQ(canonical_report(sweep, remote), canonical_report(sweep, local));
-  EXPECT_EQ(executor.dedup_stats().keys_offered, spec.trials);
-  EXPECT_EQ(executor.dedup_stats().blobs_shipped, spec.trials);
+  const std::size_t leaves = transcripts ? spec.trials : 0;
+  EXPECT_EQ(executor.dedup_stats().keys_offered, leaves);
+  EXPECT_EQ(executor.dedup_stats().blobs_shipped, leaves);
 }
 
 TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsStoreKey) {
   // Trial 0 ships as a non-canonical encoding B with Sha256::of(B) in its
   // store_keys slot.  The hash matches, yet B is not a transcript's
   // encoding.
-  expect_refused_and_reissued([](verify::ShardRow& row, ResultMsg& reply) {
-    reply.blobs[0] = overlong_count(reply.blobs[0]);
-    row.store_keys[0] = Sha256::of(reply.blobs[0]).hex();
-    reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);
+  expect_refused_and_reissued([](verify::ShardRow& row, std::string& row_text, Blobs& blobs) {
+    blobs[0] = overlong_count(blobs[0]);
+    row.store_keys[0] = Sha256::of(blobs[0]).hex();
+    row_text = verify::format_shard_row(row, /*elide_transcripts=*/true);
   });
 }
 
 TEST(FabricLoopback, RefusesABlobInAnotherTrialsSlot) {
   // Each blob is checked against its own slot's key, not against its hash.
-  expect_refused_and_reissued([](verify::ShardRow&, ResultMsg& reply) {
-    ASSERT_NE(reply.blobs[0], reply.blobs[1]);
-    std::swap(reply.blobs[0], reply.blobs[1]);
+  expect_refused_and_reissued([](verify::ShardRow&, std::string&, Blobs& blobs) {
+    ASSERT_NE(blobs[0], blobs[1]);
+    std::swap(blobs[0], blobs[1]);
   });
 }
 
 TEST(FabricLoopback, RefusesABlobCountThatDiffersFromTheTrials) {
-  expect_refused_and_reissued([](verify::ShardRow&, ResultMsg& reply) { reply.blobs.pop_back(); });
-  expect_refused_and_reissued(
-      [](verify::ShardRow&, ResultMsg& reply) { reply.blobs.push_back(reply.blobs[0]); });
+  expect_refused_and_reissued([](verify::ShardRow&, std::string&, Blobs& blobs) {
+    blobs.pop_back();
+  });
+  expect_refused_and_reissued([](verify::ShardRow&, std::string&, Blobs& blobs) {
+    blobs.push_back(blobs[0]);
+  });
+  // Many empty blobs: the first is no transcript, and the walk stops there.
+  expect_refused_and_reissued([](verify::ShardRow&, std::string&, Blobs& blobs) {
+    blobs.assign(std::size_t{1} << 16, {});
+  });
 }
 
-TEST(FabricLoopback, RefusesAPlainRowWithBlobs) {
-  // The row carries its transcripts inline, and blobs arrive beside it.
-  expect_refused_and_reissued([](verify::ShardRow& row, ResultMsg& reply) {
-    reply.row = verify::format_shard_row(row);
+TEST(FabricLoopback, RefusesATranscriptRowWithItsTranscriptsInline) {
+  // The row carries its transcripts as hex, with blobs beside it or
+  // without: an elided row with its blobs is the one accepted form.
+  expect_refused_and_reissued([](verify::ShardRow& row, std::string& row_text, Blobs&) {
+    row_text = verify::format_shard_row(row);
   });
+  expect_refused_and_reissued([](verify::ShardRow& row, std::string& row_text, Blobs& blobs) {
+    row_text = verify::format_shard_row(row);
+    blobs.clear();
+  });
+}
+
+TEST(FabricLoopback, RefusesARowThatDropsTheWindowsRecords) {
+  // A transcript window answered by a row that records no transcripts,
+  // with its blobs beside it or without them, or by a row without its
+  // per-trial outcomes.
+  const auto drop_transcripts = [](verify::ShardRow& row, std::string& row_text) {
+    row.result.transcripts_recorded = false;
+    row.result.per_trial_transcript.clear();
+    row.store_keys.clear();
+    row_text = verify::format_shard_row(row);
+  };
+  expect_refused_and_reissued([&](verify::ShardRow& row, std::string& row_text, Blobs&) {
+    drop_transcripts(row, row_text);
+  });
+  expect_refused_and_reissued([&](verify::ShardRow& row, std::string& row_text, Blobs& blobs) {
+    drop_transcripts(row, row_text);
+    blobs.clear();
+  });
+  expect_refused_and_reissued([](verify::ShardRow& row, std::string& row_text, Blobs&) {
+    row.result.outcomes_recorded = false;
+    row.result.per_trial.clear();
+    row_text = verify::format_shard_row(row, /*elide_transcripts=*/true);
+  });
+}
+
+TEST(FabricLoopback, RefusesBlobsBesideARowWithoutTranscripts) {
+  expect_refused_and_reissued(
+      [](verify::ShardRow&, std::string&, Blobs& blobs) { blobs.push_back({0}); },
+      /*transcripts=*/false);
 }
 
 TEST(FabricLoopback, AllWorkersDeadFailsTheSweepLoudly) {

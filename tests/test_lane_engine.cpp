@@ -59,10 +59,12 @@ TEST(LaneEngine, BitIdenticalToScalarAcrossKernelsAndWorkers) {
 }
 
 TEST(LaneEngine, DeviatedKernelsBitIdenticalAcrossWorkers) {
-  // The deviated lane kernels (PR 6): the Claim B.1 lone adversary on
-  // BASIC-LEAD and the Lemma 4.1 rushing coalition on A-LEADuni, across
-  // the same worker counts as the honest kernels, on the lanes under the
-  // priority scheduler.
+  // The deviated lane kernels: the Claim B.1 lone adversary on BASIC-LEAD
+  // and the Lemma 4.1 rushing coalition on A-LEADuni, across the same
+  // worker counts as the honest kernels, on the lanes under the priority
+  // scheduler.  Round-robin reaches the lanes through the deviated shapes
+  // the pairing table leaves out: rushing on BASIC-LEAD and the lone
+  // adversary on Chang-Roberts.
   ScenarioSpec single = ring_spec("basic-lead", 11, SchedulerKind::kPriority);
   single.deviation = "basic-single";
   single.target = 5;
@@ -70,8 +72,15 @@ TEST(LaneEngine, DeviatedKernelsBitIdenticalAcrossWorkers) {
   rushing.deviation = "rushing";
   rushing.coalition = CoalitionSpec::equally_spaced(4, 1);
   rushing.target = 7;
-  for (const ScenarioSpec& spec : {single, rushing}) {
-    ASSERT_TRUE(route_to_lanes(spec)) << spec.deviation;
+  ScenarioSpec rushing_on_basic = ring_spec("basic-lead", 12, SchedulerKind::kRoundRobin);
+  rushing_on_basic.deviation = "rushing";
+  rushing_on_basic.coalition = CoalitionSpec::equally_spaced(4, 1);
+  rushing_on_basic.target = 7;
+  ScenarioSpec single_on_chang = ring_spec("chang-roberts", 11, SchedulerKind::kRoundRobin);
+  single_on_chang.deviation = "basic-single";
+  single_on_chang.target = 5;
+  for (const ScenarioSpec& spec : {single, rushing, rushing_on_basic, single_on_chang}) {
+    ASSERT_TRUE(route_to_lanes(spec)) << verify::format_spec(spec);
     for (const int threads : kWorkers) {
       const auto result = verify::check_lane_differential(spec, threads);
       EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
@@ -99,11 +108,21 @@ TEST(LaneEngine, DeviatedKernelsBitIdenticalUnderDataDependentSchedulers) {
 }
 
 TEST(LaneEngine, BitIdenticalUnderEveryScheduler) {
+  // Honest Chang-Roberts reaches the lanes under the data-dependent
+  // schedulers and its closed form under round-robin; the lone adversary
+  // on it has no pairing and runs on the lanes under all three.
   for (const SchedulerKind scheduler :
        {SchedulerKind::kRoundRobin, SchedulerKind::kRandom, SchedulerKind::kPriority}) {
-    const auto result = verify::check_lane_differential(
-        ring_spec("chang-roberts", 9, scheduler), /*threads=*/2);
-    EXPECT_TRUE(result.passed) << result.detail;
+    const ScenarioSpec honest = ring_spec("chang-roberts", 9, scheduler);
+    EXPECT_EQ(route_to_lanes(honest), scheduler != SchedulerKind::kRoundRobin);
+    ScenarioSpec single = honest;
+    single.deviation = "basic-single";
+    single.target = 4;
+    ASSERT_TRUE(route_to_lanes(single)) << to_string(scheduler);
+    for (const ScenarioSpec& spec : {honest, single}) {
+      const auto result = verify::check_lane_differential(spec, /*threads=*/2);
+      EXPECT_TRUE(result.passed) << result.subject << ": " << result.detail;
+    }
   }
 }
 
