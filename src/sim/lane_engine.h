@@ -171,8 +171,11 @@ class LaneEngine {
   template <typename Kernel, typename Dev>
   [[gnu::noinline]] void run_batch(std::span<const std::uint64_t> seeds,
                                    std::span<TrialStats> out);
+  /// noinline: with run_batch its only caller, GCC 12 inlines it there,
+  /// which doubles run_batch's code and cost ~7% more perfbench lane-ring
+  /// cpu_s (10 alternating pairs, Release, 4-vCPU host).
   template <typename Kernel, typename Dev>
-  void start_trial(std::uint64_t seed, TrialHot& hot);
+  [[gnu::noinline]] void start_trial(std::uint64_t seed, TrialHot& hot);
   template <typename Kernel>
   void dispatch_kernel(std::span<const std::uint64_t> seeds, std::span<TrialStats> out);
 
