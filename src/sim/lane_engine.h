@@ -171,9 +171,10 @@ class LaneEngine {
   template <typename Kernel, typename Dev>
   [[gnu::noinline]] void run_batch(std::span<const std::uint64_t> seeds,
                                    std::span<TrialStats> out);
-  /// noinline: with run_batch its only caller, GCC 12 inlines it there,
-  /// which doubles run_batch's code and cost ~7% more perfbench lane-ring
-  /// cpu_s (10 alternating pairs, Release, 4-vCPU host).
+  /// noinline: run_batch is its only caller, and GCC 12 inlines it there,
+  /// doubling run_batch's code around the delivery loop.  Kept out of
+  /// line, as run_batch is kept out of run_window, the loop keeps its
+  /// measured codegen.
   template <typename Kernel, typename Dev>
   [[gnu::noinline]] void start_trial(std::uint64_t seed, TrialHot& hot);
   template <typename Kernel>
