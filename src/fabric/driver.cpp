@@ -196,7 +196,7 @@ std::vector<ScenarioResult> RemoteExecutor::run_sweep(const SweepSpec& sweep) {
             for (std::size_t t = 0; t < row.store_keys.size(); ++t) {
               try {
                 row.result.per_trial_transcript.push_back(ExecutionTranscript::decode(
-                    next_blob(blobs, cursor), *Digest256::from_hex(row.store_keys[t])));
+                    next_blob(blobs, cursor), row.store_keys[t]));
               } catch (const std::invalid_argument& error) {
                 throw std::invalid_argument("blob " + std::to_string(t) +
                                             " is refused against store_keys[" +

@@ -180,7 +180,7 @@ std::optional<FrameParse> try_parse_frame(std::span<const std::uint8_t> buffer) 
       frame.welcome.build = leb128_get(payload, p);
       frame.welcome.spec_digest = leb128_get(payload, p);
       const std::uint64_t count = leb128_get(payload, p);
-      if (count > payload.size() - p) {
+      if (count > (payload.size() - p) / (1 + kMinSpecLineBytes)) {
         bad("welcome.spec_lines count " + std::to_string(count) + " exceeds the frame");
       }
       frame.welcome.spec_lines.reserve(static_cast<std::size_t>(count));

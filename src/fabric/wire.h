@@ -33,6 +33,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fle::fabric {
@@ -47,6 +48,13 @@ inline constexpr std::uint64_t kWireVersion = 3;
 /// Frames larger than this are a protocol error before any allocation
 /// happens (a corrupt length prefix must not become an OOM).
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
+
+/// The shortest spec line a kWelcome can carry: format_spec always writes
+/// these five keys.  try_parse_frame refuses a spec-line count the frame
+/// cannot hold at this length (each line also takes its length varint)
+/// before it reserves the lines.
+inline constexpr std::size_t kMinSpecLineBytes =
+    std::string_view("topology= protocol= n= trials= seed=").size();
 
 enum class MessageKind : std::uint8_t {
   kHello = 1,      ///< worker → driver: version, build digest, label

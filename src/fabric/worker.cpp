@@ -184,7 +184,7 @@ int run_worker(const WorkerOptions& options) {
         row.store_keys.reserve(transcripts.size());
         for (const ExecutionTranscript& transcript : transcripts) {
           const std::vector<std::uint8_t> blob = transcript.encode();
-          row.store_keys.push_back(Sha256::of(blob).hex());
+          row.store_keys.push_back(Sha256::of(blob));
           append_blob(reply.blobs, blob);
         }
       }

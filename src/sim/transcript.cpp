@@ -1,6 +1,7 @@
 #include "sim/transcript.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace fle {
@@ -10,15 +11,29 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint8_t kMagic[4] = {'F', 'L', 'E', 'T'};
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/// The bytes leb128_put writes for `value`: one per started 7-bit group,
+/// and one for 0.
+std::size_t leb128_size(std::uint64_t value) {
+  return static_cast<std::size_t>(std::bit_width(value | 1) + 6) / 7;
+}
+
+/// Writes the minimal varint at `out` and returns the byte after it.
+std::uint8_t* leb128_write(std::uint8_t* out, std::uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<std::uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
+}
 
 }  // namespace
 
 void leb128_put(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
+  std::uint8_t bytes[kMaxVarintBytes];
+  out.insert(out.end(), bytes, leb128_write(bytes, value));
 }
 
 std::uint64_t leb128_get(std::span<const std::uint8_t> bytes, std::size_t& index) {
@@ -93,15 +108,20 @@ std::vector<std::uint8_t> ExecutionTranscript::encode() const {
   if (mode_ != TranscriptMode::kFull) {
     throw std::logic_error("ExecutionTranscript::encode requires kFull mode");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + events_.size() * 6);
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  leb128_put(out, events_.size());
+  // Sized exactly, then written through a pointer: a blob holds no spare
+  // capacity, and StoreWriter keeps each blob it stores as it is.
+  std::size_t size = sizeof(kMagic) + leb128_size(events_.size()) + events_.size();
   for (const TranscriptEvent& e : events_) {
-    out.push_back(static_cast<std::uint8_t>(e.kind));
-    leb128_put(out, e.a);
-    leb128_put(out, e.b);
-    leb128_put(out, e.c);
+    size += leb128_size(e.a) + leb128_size(e.b) + leb128_size(e.c);
+  }
+  std::vector<std::uint8_t> out(size);
+  std::uint8_t* at = std::copy(std::begin(kMagic), std::end(kMagic), out.data());
+  at = leb128_write(at, events_.size());
+  for (const TranscriptEvent& e : events_) {
+    *at++ = static_cast<std::uint8_t>(e.kind);
+    at = leb128_write(at, e.a);
+    at = leb128_write(at, e.b);
+    at = leb128_write(at, e.c);
   }
   return out;
 }

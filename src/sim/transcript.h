@@ -124,9 +124,10 @@ class ExecutionTranscript {
 
   /// Compact binary encoding (kFull only; throws std::logic_error in digest
   /// mode): a 'F','L','E','T' magic, then per event one kind byte and three
-  /// LEB128 varints.  decode() inverts it exactly: it accepts only the
-  /// bytes encode() writes (minimal varints), so decode(b).encode() == b,
-  /// and round-tripping preserves digest, count and events.
+  /// LEB128 varints, in a vector allocated at exactly its size.  decode()
+  /// inverts it exactly: it accepts only the bytes encode() writes (minimal
+  /// varints), so decode(b).encode() == b, and round-tripping preserves
+  /// digest, count and events.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   static ExecutionTranscript decode(std::span<const std::uint8_t> bytes);
   /// Keyed decode, for bytes that arrive with their content key (a shipped

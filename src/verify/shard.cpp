@@ -2,34 +2,31 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 namespace fle::verify {
 
 namespace {
 
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
+/// Appends `text` with '"', '\' and newline escaped.
+void append_escaped(std::string& out, std::string_view text) {
+  std::size_t from = 0;
+  for (;;) {
+    const std::size_t special = text.find_first_of("\"\\\n", from);
+    if (special == std::string_view::npos) {
+      out.append(text.substr(from));
+      return;
     }
+    out.append(text.substr(from, special - from));
+    out += '\\';
+    out += text[special] == '\n' ? 'n' : text[special];
+    from = special + 1;
   }
-  return out;
 }
 
 std::string render_double(double value) {
@@ -39,26 +36,33 @@ std::string render_double(double value) {
   return buffer;
 }
 
-void append_kv(std::string& out, const char* key, const std::string& quoted_or_raw,
-               bool quoted) {
+/// Appends the separator and `"key": `.
+void append_key(std::string& out, const char* key) {
   if (out.size() > 1) out += ", ";
   out += '"';
   out += key;
   out += "\": ";
-  if (quoted) {
-    out += '"';
-    out += escape(quoted_or_raw);
-    out += '"';
-  } else {
-    out += quoted_or_raw;
-  }
+}
+
+void append_raw(std::string& out, const char* key, std::string_view value) {
+  append_key(out, key);
+  out += value;
+}
+
+void append_quoted(std::string& out, const char* key, std::string_view text) {
+  append_key(out, key);
+  out += '"';
+  append_escaped(out, text);
+  out += '"';
 }
 
 /// Minimal flat-JSON scanner for the rows this module itself writes: one
-/// object, string / number / bool values, no nesting.
+/// object, string / number / bool values, no nesting.  Keys and values are
+/// views into the row; only a string that carries an escape is copied out
+/// (into unescaped_, whose elements a deque never moves).
 class FlatJson {
  public:
-  explicit FlatJson(const std::string& text) {
+  explicit FlatJson(std::string_view text) {
     std::size_t i = 0;
     skip_ws(text, i);
     expect(text, i, '{');
@@ -68,13 +72,13 @@ class FlatJson {
     } else {
       for (;;) {
         skip_ws(text, i);
-        const std::string key = parse_string(text, i);
+        const std::string_view key = parse_string(text, i);
         skip_ws(text, i);
         expect(text, i, ':');
         skip_ws(text, i);
-        if (!values_.emplace(key, parse_value(text, i)).second) {
-          throw bad("duplicate key '" + key + "'");
-        }
+        const std::string_view value = parse_value(text, i);
+        if (find(key) != nullptr) throw bad("duplicate key '" + std::string(key) + "'");
+        values_.emplace_back(key, value);
         skip_ws(text, i);
         if (i >= text.size()) throw bad("truncated row: unterminated object");
         if (text[i] == ',') {
@@ -91,54 +95,62 @@ class FlatJson {
     }
   }
 
-  [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) != 0; }
+  FlatJson(const FlatJson&) = delete;
+  FlatJson& operator=(const FlatJson&) = delete;
 
-  [[nodiscard]] const std::string& str(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) throw bad("missing key '" + key + "'");
-    return it->second;
+  [[nodiscard]] bool has(std::string_view key) const { return find(key) != nullptr; }
+
+  [[nodiscard]] std::string_view str(std::string_view key) const {
+    const std::string_view* value = find(key);
+    if (value == nullptr) throw bad("missing key '" + std::string(key) + "'");
+    return *value;
   }
 
-  [[nodiscard]] std::uint64_t u64(const std::string& key) const {
+  [[nodiscard]] std::uint64_t u64(std::string_view key) const {
     // Strict digits-only: std::stoull would silently wrap "-5" and accept
     // numeric prefixes of garbage ("12abc"), turning a corrupt row into a
     // wrong-but-plausible aggregate instead of an error.
-    const std::string& text = str(key);
-    if (text.empty()) throw bad("key '" + key + "' is empty, expected an unsigned integer");
+    const std::string_view text = str(key);
+    if (text.empty()) {
+      throw bad("key '" + std::string(key) + "' is empty, expected an unsigned integer");
+    }
     std::uint64_t value = 0;
     for (const char c : text) {
       if (c < '0' || c > '9') {
-        throw bad("key '" + key + "' = '" + text + "' is not an unsigned integer");
+        throw bad("key '" + std::string(key) + "' = '" + std::string(text) +
+                  "' is not an unsigned integer");
       }
       const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
       if (value > (UINT64_MAX - digit) / 10) {
-        throw bad("key '" + key + "' = '" + text + "' overflows 64 bits");
+        throw bad("key '" + std::string(key) + "' = '" + std::string(text) +
+                  "' overflows 64 bits");
       }
       value = value * 10 + digit;
     }
     return value;
   }
 
-  [[nodiscard]] double dbl(const std::string& key) const {
-    const std::string& text = str(key);
+  [[nodiscard]] double dbl(std::string_view key) const {
+    const std::string text(str(key));
     std::size_t consumed = 0;
     double value = 0.0;
     try {
       value = std::stod(text, &consumed);
     } catch (const std::logic_error&) {
-      throw bad("key '" + key + "' = '" + text + "' is not a number");
+      throw bad("key '" + std::string(key) + "' = '" + text + "' is not a number");
     }
     if (consumed != text.size()) {
-      throw bad("key '" + key + "' = '" + text + "' has trailing bytes after the number");
+      throw bad("key '" + std::string(key) + "' = '" + text +
+                "' has trailing bytes after the number");
     }
     return value;
   }
 
-  [[nodiscard]] bool boolean(const std::string& key) const {
-    const std::string& text = str(key);
+  [[nodiscard]] bool boolean(std::string_view key) const {
+    const std::string_view text = str(key);
     if (text == "true") return true;
     if (text == "false") return false;
-    throw bad("key '" + key + "' = '" + text + "' is not a boolean");
+    throw bad("key '" + std::string(key) + "' = '" + std::string(text) + "' is not a boolean");
   }
 
  private:
@@ -146,19 +158,36 @@ class FlatJson {
     return std::invalid_argument("shard row: " + what);
   }
 
-  static void skip_ws(const std::string& t, std::size_t& i) {
+  [[nodiscard]] const std::string_view* find(std::string_view key) const {
+    for (const auto& [name, value] : values_) {
+      if (name == key) return &value;
+    }
+    return nullptr;
+  }
+
+  static void skip_ws(std::string_view t, std::size_t& i) {
     while (i < t.size() && (t[i] == ' ' || t[i] == '\t' || t[i] == '\r')) ++i;
   }
 
-  static void expect(const std::string& t, std::size_t& i, char c) {
+  static void expect(std::string_view t, std::size_t& i, char c) {
     if (i >= t.size() || t[i] != c) {
       throw bad(std::string("expected '") + c + "' at offset " + std::to_string(i));
     }
     ++i;
   }
 
-  static std::string parse_string(const std::string& t, std::size_t& i) {
+  std::string_view parse_string(std::string_view t, std::size_t& i) {
     expect(t, i, '"');
+    // Most strings (every hex column) hold no escape: their end is the
+    // next quote, and the string is a view of the row.
+    const std::size_t close = t.find('"', i);
+    if (close != std::string_view::npos) {
+      const std::string_view view = t.substr(i, close - i);
+      if (view.find('\\') == std::string_view::npos) {
+        i = close + 1;
+        return view;
+      }
+    }
     std::string out;
     while (i < t.size() && t[i] != '"') {
       if (t[i] == '\\') {
@@ -183,55 +212,21 @@ class FlatJson {
       }
     }
     expect(t, i, '"');
-    return out;
+    return unescaped_.emplace_back(std::move(out));
   }
 
-  static std::string parse_value(const std::string& t, std::size_t& i) {
+  std::string_view parse_value(std::string_view t, std::size_t& i) {
     if (i >= t.size()) throw bad("missing value");
     if (t[i] == '"') return parse_string(t, i);
-    std::string out;
-    while (i < t.size() && t[i] != ',' && t[i] != '}' && t[i] != ' ') out += t[i++];
-    if (out.empty()) throw bad("empty value");
-    return out;
+    const std::size_t start = i;
+    while (i < t.size() && t[i] != ',' && t[i] != '}' && t[i] != ' ') ++i;
+    if (i == start) throw bad("empty value");
+    return t.substr(start, i - start);
   }
 
-  std::map<std::string, std::string> values_;
+  std::vector<std::pair<std::string_view, std::string_view>> values_;
+  std::deque<std::string> unescaped_;
 };
-
-std::string counts_list(const OutcomeCounter& outcomes) {
-  std::string out;
-  for (int j = 0; j < outcomes.domain(); ++j) {
-    if (j != 0) out += ',';
-    out += std::to_string(outcomes.count(static_cast<Value>(j)));
-  }
-  return out;
-}
-
-std::string per_trial_list(const std::vector<Outcome>& per_trial) {
-  std::string out;
-  for (std::size_t t = 0; t < per_trial.size(); ++t) {
-    if (t != 0) out += ',';
-    out += per_trial[t].failed() ? std::string("F") : std::to_string(per_trial[t].leader());
-  }
-  return out;
-}
-
-constexpr char kHexDigits[] = "0123456789abcdef";
-
-/// Comma-separated hex blobs, one per trial: the transcript's compact
-/// binary encoding (sim/transcript.h), so a merged shard file reproduces
-/// the monolithic capture event for event.
-std::string transcript_list(const std::vector<ExecutionTranscript>& transcripts) {
-  std::string out;
-  for (std::size_t t = 0; t < transcripts.size(); ++t) {
-    if (t != 0) out += ',';
-    for (const std::uint8_t byte : transcripts[t].encode()) {
-      out += kHexDigits[byte >> 4];
-      out += kHexDigits[byte & 0xf];
-    }
-  }
-  return out;
-}
 
 /// Splits a comma-separated list column; an empty column is an empty list.
 std::vector<std::string_view> split_list(std::string_view list) {
@@ -251,21 +246,14 @@ std::vector<std::uint8_t> bytes_from_hex(std::string_view hex) {
   if (hex.size() % 2 != 0) {
     throw std::invalid_argument("shard row: odd-length transcript hex blob");
   }
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(hex.size() / 2);
+  std::vector<std::uint8_t> bytes(hex.size() / 2);
   // Either case is accepted (we emit lowercase, but rows may pass through
   // tools that uppercase hex), and the error names the decoded byte offset
   // so a corrupted row is localizable.
-  const auto nibble = [&hex](std::size_t pos) -> std::uint8_t {
-    const char c = hex[pos];
-    if (c >= '0' && c <= '9') return static_cast<std::uint8_t>(c - '0');
-    if (c >= 'a' && c <= 'f') return static_cast<std::uint8_t>(c - 'a' + 10);
-    if (c >= 'A' && c <= 'F') return static_cast<std::uint8_t>(c - 'A' + 10);
-    throw std::invalid_argument(std::string("shard row: bad transcript hex digit '") + c +
-                                "' at byte " + std::to_string(pos / 2));
-  };
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    bytes.push_back(static_cast<std::uint8_t>((nibble(i) << 4) | nibble(i + 1)));
+  const std::size_t bad = decode_hex(hex, bytes);
+  if (bad != hex.size()) {
+    throw std::invalid_argument(std::string("shard row: bad transcript hex digit '") +
+                                hex[bad] + "' at byte " + std::to_string(bad / 2));
   }
   return bytes;
 }
@@ -316,53 +304,77 @@ ExecutionTranscript transcript_from_hex(std::string_view hex,
                               transcript.content_key().hex() + ")");
 }
 
-/// Comma-separated store keys (sim/digest.h content hashes), one per
-/// recorded trial: the join column between shard rows and the
-/// content-addressed store (src/store/).  `known` holds them already
-/// rendered when it has one per trial; otherwise each is content_key().
-std::string store_key_list(const std::vector<ExecutionTranscript>& transcripts,
-                           const std::vector<std::string>& known) {
-  const bool reuse = known.size() == transcripts.size();
-  std::string out;
-  for (std::size_t t = 0; t < transcripts.size(); ++t) {
-    if (t != 0) out += ',';
-    out += reuse ? known[t] : transcripts[t].content_key().hex();
-  }
-  return out;
-}
-
 std::string format_row(std::size_t case_index, const std::string& spec_line,
                        const ScenarioResult& r, double wall_seconds, bool elide_transcripts,
-                       const std::vector<std::string>& store_keys) {
+                       const std::vector<Digest256>& store_keys) {
   std::string out = "{";
-  append_kv(out, "case", std::to_string(case_index), false);
-  append_kv(out, "spec", spec_line, true);
-  append_kv(out, "n", std::to_string(r.outcomes.domain()), false);
-  append_kv(out, "trials", std::to_string(r.trials), false);
-  append_kv(out, "trial_offset", std::to_string(r.trial_offset), false);
-  append_kv(out, "spec_trials", std::to_string(r.spec_trials), false);
-  append_kv(out, "base_seed", std::to_string(r.base_seed), false);
-  append_kv(out, "fails", std::to_string(r.outcomes.fails()), false);
-  append_kv(out, "counts", counts_list(r.outcomes), true);
-  append_kv(out, "total_messages", std::to_string(r.total_messages), false);
-  append_kv(out, "max_messages", std::to_string(r.max_messages), false);
-  append_kv(out, "total_sync_gap", std::to_string(r.total_sync_gap), false);
-  append_kv(out, "max_sync_gap", std::to_string(r.max_sync_gap), false);
-  append_kv(out, "max_rounds", std::to_string(r.max_rounds), false);
-  append_kv(out, "wall_seconds", render_double(wall_seconds), false);
-  append_kv(out, "protocol_name", r.protocol_name, true);
-  append_kv(out, "deviation_name", r.deviation_name, true);
-  append_kv(out, "recorded", r.outcomes_recorded ? "true" : "false", false);
-  if (r.outcomes_recorded) append_kv(out, "per_trial", per_trial_list(r.per_trial), true);
-  append_kv(out, "transcripts_recorded", r.transcripts_recorded ? "true" : "false", false);
-  if (r.transcripts_recorded) {
-    if (elide_transcripts) {
-      append_kv(out, "transcripts_elided", "true", false);
-      append_kv(out, "store_keys", store_key_list(r.per_trial_transcript, store_keys), true);
-    } else {
-      append_kv(out, "transcripts", transcript_list(r.per_trial_transcript), true);
-      append_kv(out, "store_keys", store_key_list(r.per_trial_transcript, {}), true);
+  append_raw(out, "case", std::to_string(case_index));
+  append_quoted(out, "spec", spec_line);
+  append_raw(out, "n", std::to_string(r.outcomes.domain()));
+  append_raw(out, "trials", std::to_string(r.trials));
+  append_raw(out, "trial_offset", std::to_string(r.trial_offset));
+  append_raw(out, "spec_trials", std::to_string(r.spec_trials));
+  append_raw(out, "base_seed", std::to_string(r.base_seed));
+  append_raw(out, "fails", std::to_string(r.outcomes.fails()));
+  append_key(out, "counts");
+  out += '"';
+  for (int j = 0; j < r.outcomes.domain(); ++j) {
+    if (j != 0) out += ',';
+    out += std::to_string(r.outcomes.count(static_cast<Value>(j)));
+  }
+  out += '"';
+  append_raw(out, "total_messages", std::to_string(r.total_messages));
+  append_raw(out, "max_messages", std::to_string(r.max_messages));
+  append_raw(out, "total_sync_gap", std::to_string(r.total_sync_gap));
+  append_raw(out, "max_sync_gap", std::to_string(r.max_sync_gap));
+  append_raw(out, "max_rounds", std::to_string(r.max_rounds));
+  append_raw(out, "wall_seconds", render_double(wall_seconds));
+  append_quoted(out, "protocol_name", r.protocol_name);
+  append_quoted(out, "deviation_name", r.deviation_name);
+  append_raw(out, "recorded", r.outcomes_recorded ? "true" : "false");
+  if (r.outcomes_recorded) {
+    append_key(out, "per_trial");
+    out += '"';
+    for (std::size_t t = 0; t < r.per_trial.size(); ++t) {
+      if (t != 0) out += ',';
+      if (r.per_trial[t].failed()) {
+        out += 'F';
+      } else {
+        out += std::to_string(r.per_trial[t].leader());
+      }
     }
+    out += '"';
+  }
+  append_raw(out, "transcripts_recorded", r.transcripts_recorded ? "true" : "false");
+  if (r.transcripts_recorded) {
+    const std::vector<ExecutionTranscript>& transcripts = r.per_trial_transcript;
+    if (elide_transcripts) {
+      append_raw(out, "transcripts_elided", "true");
+    } else {
+      // Comma-separated hex blobs, one per trial: the transcript's compact
+      // binary encoding (sim/transcript.h), so a merged shard file
+      // reproduces the monolithic capture event for event.
+      append_key(out, "transcripts");
+      out += '"';
+      for (std::size_t t = 0; t < transcripts.size(); ++t) {
+        if (t != 0) out += ',';
+        append_hex(out, transcripts[t].encode());
+      }
+      out += '"';
+    }
+    // Comma-separated store keys (sim/digest.h content hashes), one per
+    // recorded trial: the join column between shard rows and the
+    // content-addressed store (src/store/).  An elided row takes them from
+    // `store_keys` when it holds one per trial; otherwise each is
+    // content_key().
+    const bool known = elide_transcripts && store_keys.size() == transcripts.size();
+    append_key(out, "store_keys");
+    out += '"';
+    for (std::size_t t = 0; t < transcripts.size(); ++t) {
+      if (t != 0) out += ',';
+      append_hex(out, (known ? store_keys[t] : transcripts[t].content_key()).bytes);
+    }
+    out += '"';
   }
   out += '}';
   return out;
@@ -402,7 +414,7 @@ ShardRow parse_shard_row(const std::string& line) {
   const FlatJson json(line);
   ShardRow row;
   row.case_index = json.u64("case");
-  row.spec_line = json.str("spec");
+  row.spec_line = std::string(json.str("spec"));
 
   const int n = static_cast<int>(json.u64("n"));
   if (n <= 0) throw std::invalid_argument("shard row: n must be positive");
@@ -432,22 +444,22 @@ ShardRow parse_shard_row(const std::string& line) {
   result.max_sync_gap = json.u64("max_sync_gap");
   result.max_rounds = static_cast<int>(json.u64("max_rounds"));
   result.wall_seconds = json.dbl("wall_seconds");
-  result.protocol_name = json.str("protocol_name");
-  result.deviation_name = json.str("deviation_name");
+  result.protocol_name = std::string(json.str("protocol_name"));
+  result.deviation_name = std::string(json.str("deviation_name"));
   result.outcomes_recorded = json.boolean("recorded");
 
   // Parse and cross-check the outcome histogram BEFORE replaying it into
   // the counter: a corrupt cell must fail the parse, not spin the replay
   // loop for up to 2^64 iterations.
-  const std::string& counts = json.str("counts");
+  const std::string_view counts = json.str("counts");
   std::vector<std::uint64_t> cells;
   cells.reserve(static_cast<std::size_t>(n));
   std::size_t start = 0;
   std::size_t counted = 0;
   while (start <= counts.size()) {
     const std::size_t comma = counts.find(',', start);
-    const std::string cell =
-        counts.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+    const std::string cell(counts.substr(
+        start, comma == std::string_view::npos ? std::string_view::npos : comma - start));
     if (cell.empty()) throw std::invalid_argument("shard row: empty counts cell");
     std::uint64_t count = 0;
     try {
@@ -465,7 +477,7 @@ ShardRow parse_shard_row(const std::string& line) {
                                   std::to_string(n));
     }
     cells.push_back(count);
-    if (comma == std::string::npos) break;
+    if (comma == std::string_view::npos) break;
     start = comma + 1;
   }
   if (cells.size() != static_cast<std::size_t>(n)) {
@@ -486,12 +498,12 @@ ShardRow parse_shard_row(const std::string& line) {
   for (std::uint64_t f = 0; f < fails; ++f) result.outcomes.record(Outcome::fail());
 
   if (result.outcomes_recorded) {
-    const std::string& list = json.str("per_trial");
+    const std::string_view list = json.str("per_trial");
     std::size_t pos = 0;
     while (pos <= list.size() && !list.empty()) {
       const std::size_t comma = list.find(',', pos);
-      const std::string cell =
-          list.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+      const std::string cell(list.substr(
+          pos, comma == std::string_view::npos ? std::string_view::npos : comma - pos));
       if (cell == "F") {
         result.per_trial.push_back(Outcome::fail());
       } else {
@@ -502,7 +514,7 @@ ShardRow parse_shard_row(const std::string& line) {
                                       "' is not a leader id");
         }
       }
-      if (comma == std::string::npos) break;
+      if (comma == std::string_view::npos) break;
       pos = comma + 1;
     }
     if (result.per_trial.size() != result.trials) {
@@ -531,7 +543,7 @@ ShardRow parse_shard_row(const std::string& line) {
                                     std::to_string(row.store_keys.size()) + "] = '" +
                                     std::string(key) + "' is not a 64-hex-digit content key");
       }
-      row.store_keys.push_back(digest->hex());  // normalized lowercase
+      row.store_keys.push_back(*digest);
     }
     if (row.store_keys.size() != result.trials) {
       throw std::invalid_argument("shard row: store_keys holds " +

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "api/scenario.h"
+#include "sim/digest.h"
 
 namespace fle::verify {
 
@@ -35,12 +36,12 @@ struct ShardRow {
   /// in binary beside the row) and the row carries their store keys
   /// instead.
   bool transcripts_elided = false;
-  /// Hex content keys (sim/digest.h), one per recorded trial, when elided.
+  /// Content keys (sim/digest.h), one per recorded trial, when elided.
   /// parse_shard_row fills it for elided rows; format_shard_row writes an
   /// elided row's store_keys column from it when it holds one key per
   /// trial (a fabric worker sets it from the blobs it ships), and derives
   /// the keys otherwise.
-  std::vector<std::string> store_keys;
+  std::vector<Digest256> store_keys;
 
   ShardRow() = default;
 };

@@ -16,6 +16,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "fabric/fault.h"
 #include "fabric/wire.h"
 #include "fabric/worker.h"
+#include "verify/fuzzer.h"
 #include "verify/shard.h"
 
 namespace fle::fabric {
@@ -61,6 +63,46 @@ TEST(FabricWire, WelcomeCarriesSpecLines) {
   ASSERT_EQ(frame.kind, MessageKind::kWelcome);
   EXPECT_EQ(frame.welcome.spec_lines, welcome.spec_lines);
   EXPECT_EQ(frame.welcome.spec_digest, welcome.spec_digest);
+}
+
+TEST(FabricWire, ShortestSpecLineIsTheWelcomeMinimum) {
+  // kMinSpecLineBytes counts the five keys format_spec always writes; the
+  // default spec's line carries each of them.
+  const std::string line = verify::format_spec(ScenarioSpec{});
+  std::size_t key_bytes = 0;
+  for (const std::string_view key : {"topology=", " protocol=", " n=", " trials=", " seed="}) {
+    EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
+    key_bytes += key.size();
+  }
+  EXPECT_EQ(key_bytes, kMinSpecLineBytes);
+  EXPECT_GE(line.size(), kMinSpecLineBytes);
+  // A welcome of lines at exactly that length parses.
+  Welcome welcome;
+  welcome.spec_lines.assign(3, std::string(kMinSpecLineBytes, 'x'));
+  EXPECT_EQ(roundtrip(encode_frame(welcome)).welcome.spec_lines, welcome.spec_lines);
+}
+
+TEST(FabricWire, WelcomeRefusesMoreSpecLinesThanTheFrameHolds) {
+  // 2^20 empty lines take a byte each, so the frame holds their bytes, but
+  // not 2^20 lines of the shortest spec: the count is refused before the
+  // parser reserves a string per line.
+  std::vector<std::uint8_t> payload{static_cast<std::uint8_t>(MessageKind::kWelcome)};
+  leb128_put(payload, kWireVersion);
+  leb128_put(payload, 0);  // build
+  leb128_put(payload, 0);  // spec digest
+  const std::size_t lines = std::size_t{1} << 20;
+  leb128_put(payload, lines);
+  payload.resize(payload.size() + lines, 0);
+  std::vector<std::uint8_t> framed;
+  leb128_put(framed, payload.size());
+  framed.insert(framed.end(), payload.begin(), payload.end());
+  try {
+    (void)try_parse_frame(framed);
+    ADD_FAILURE() << "a welcome of 2^20 empty spec lines parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("welcome.spec_lines"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(FabricWire, AssignResultHeartbeatErrorRoundTrip) {
@@ -485,8 +527,31 @@ TEST(ShardHardening, ElidedRowsCarryKeysInsteadOfBlobs) {
   EXPECT_TRUE(parsed.transcripts_elided);
   ASSERT_EQ(parsed.store_keys.size(), row.result.per_trial_transcript.size());
   for (std::size_t t = 0; t < parsed.store_keys.size(); ++t) {
-    EXPECT_EQ(parsed.store_keys[t], row.result.per_trial_transcript[t].content_key().hex());
+    EXPECT_EQ(parsed.store_keys[t], row.result.per_trial_transcript[t].content_key());
   }
+}
+
+TEST(ShardHardening, EscapedStringsRoundTrip) {
+  // Strings that carry a quote, a backslash or a newline are written
+  // escaped and come back unescaped; the row survives a second round trip.
+  verify::ShardRow row = recorded_row();
+  row.spec_line = "topology=ring protocol=\"quoted\" dir=C:\\runs\\ note=two\nlines";
+  row.result.protocol_name = "basic \"lead\"";
+  row.result.deviation_name = "back\\slash\nand newline";
+  const std::string line = verify::format_shard_row(row);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  const verify::ShardRow parsed = verify::parse_shard_row(line);
+  EXPECT_EQ(parsed.spec_line, row.spec_line);
+  EXPECT_EQ(parsed.result.protocol_name, row.result.protocol_name);
+  EXPECT_EQ(parsed.result.deviation_name, row.result.deviation_name);
+  EXPECT_EQ(verify::format_shard_row(parsed), line);
+
+  // An escape other than \", \\ and \n is refused, and so is a backslash
+  // that ends the row.
+  std::string unknown = line;
+  replace_first(unknown, "\\\"quoted", "\\xquoted");
+  expect_parse_error(unknown, "unknown escape '\\x'");
+  expect_parse_error(R"({"case": 0, "spec": "tail\)", "dangling escape");
 }
 
 TEST(ShardHardening, MergeNamesOverlapAndGap) {
@@ -726,7 +791,7 @@ void expect_refused_and_reissued(
     Blobs blobs;
     for (const ExecutionTranscript& t : row.result.per_trial_transcript) {
       blobs.push_back(t.encode());
-      row.store_keys.push_back(Sha256::of(blobs.back()).hex());
+      row.store_keys.push_back(Sha256::of(blobs.back()));
     }
     ResultMsg reply;
     reply.window = assign->assign.window;
@@ -769,7 +834,7 @@ TEST(FabricLoopback, RefusesANonCanonicalBlobThatHashesToItsStoreKey) {
   // encoding.
   expect_refused_and_reissued([](verify::ShardRow& row, std::string& row_text, Blobs& blobs) {
     blobs[0] = overlong_count(blobs[0]);
-    row.store_keys[0] = Sha256::of(blobs[0]).hex();
+    row.store_keys[0] = Sha256::of(blobs[0]);
     row_text = verify::format_shard_row(row, /*elide_transcripts=*/true);
   });
 }

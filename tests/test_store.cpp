@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,6 +48,39 @@ TEST(Sha256, StreamedUpdatesMatchOneShot) {
   }
   EXPECT_EQ(hasher.finish().hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, HardwareBlocksMatchPortable) {
+  const Sha256Blocks hardware = sha256_hardware_blocks();
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "no SHA-extension block function on this CPU or build; only the "
+                    "portable path runs";
+  }
+  std::vector<std::uint8_t> message(1024);
+  for (std::size_t i = 0; i < message.size(); ++i) {
+    message[i] = static_cast<std::uint8_t>(i * 131 + (i >> 8) * 7 + 1);
+  }
+  for (std::size_t length = 0; length <= message.size(); ++length) {
+    const std::span<const std::uint8_t> prefix(message.data(), length);
+    Sha256 portable(sha256_portable_blocks);
+    portable.update(prefix);
+    const Digest256 expected = portable.finish();
+    Sha256 one_shot(hardware);
+    one_shot.update(prefix);
+    ASSERT_EQ(one_shot.finish(), expected) << "length " << length;
+    // The first part stays buffered; the second completes that block and
+    // hands the whole blocks after it over in one call.
+    for (std::size_t split = 1; split < 64 && split <= length; ++split) {
+      Sha256 streamed(hardware);
+      streamed.update(prefix.first(split));
+      streamed.update(prefix.subspan(split));
+      ASSERT_EQ(streamed.finish(), expected) << "length " << length << ", split at " << split;
+    }
+  }
+  // The default-built hasher agrees as well.
+  Sha256 portable(sha256_portable_blocks);
+  portable.update(message);
+  EXPECT_EQ(Sha256::of(message), portable.finish());
 }
 
 TEST(Digest256, HexRoundTripsEitherCase) {

@@ -87,6 +87,35 @@ TEST(Transcript, CodecRoundTripsEveryEventKind) {
   }
 }
 
+TEST(Transcript, EncodeIsExactlySized) {
+  // For each varint width w from 1 to 10 bytes, the smallest and largest
+  // values of that width, in every field of one event.
+  ExecutionTranscript all;
+  for (int width = 1; width <= 10; ++width) {
+    const std::uint64_t smallest = width == 1 ? 0 : std::uint64_t{1} << (7 * (width - 1));
+    const std::uint64_t largest =
+        width == 10 ? ~std::uint64_t{0} : (std::uint64_t{1} << (7 * width)) - 1;
+    for (const std::uint64_t value : {smallest, largest}) {
+      SCOPED_TRACE(value);
+      ExecutionTranscript one;
+      one.delivery(value, value, value);
+      const std::vector<std::uint8_t> bytes = one.encode();
+      // Magic, a one-byte count, the kind byte and three w-byte varints.
+      EXPECT_EQ(bytes.size(), 4u + 1u + 1u + 3u * static_cast<std::size_t>(width));
+      EXPECT_EQ(bytes.size(), bytes.capacity());
+      EXPECT_EQ(ExecutionTranscript::decode(bytes).encode(), bytes);
+      all.turn(value, largest, smallest);
+    }
+  }
+  // Enough events for a two-byte count.
+  for (std::uint64_t i = 0; i < 200; ++i) all.phase(i, i << 50);
+  const std::vector<std::uint8_t> bytes = all.encode();
+  EXPECT_EQ(bytes.size(), bytes.capacity());
+  const ExecutionTranscript decoded = ExecutionTranscript::decode(bytes);
+  EXPECT_TRUE(decoded == all);
+  EXPECT_EQ(decoded.encode(), bytes);
+}
+
 TEST(Transcript, EmptyTranscriptRoundTrips) {
   ExecutionTranscript t;
   const ExecutionTranscript decoded = ExecutionTranscript::decode(t.encode());
