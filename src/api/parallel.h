@@ -42,9 +42,8 @@ using WorkspaceFactory = std::function<std::shared_ptr<void>()>;
 
 /// Cache key for per-thread workspace reuse across scenarios.  `family`
 /// identifies the workspace type (the scenario layer uses 1 = ring,
-/// 2 = graph, 3 = sync, 4 = ring lanes, and 16 + the GraphAdjacency index
-/// for restricted graphs); it must be nonzero on a batch that has a
-/// workspace factory.  Scenarios sharing a key MUST use workspace objects
+/// 2 = graph, 3 = sync, 4 = ring lanes); it must be nonzero on a batch that
+/// has a workspace factory.  Scenarios sharing a key MUST use workspace objects
 /// of the same dynamic type, sized only by `n`.
 struct WorkspaceKey {
   int family = 0;

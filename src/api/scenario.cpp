@@ -64,47 +64,6 @@ std::optional<EngineKind> parse_engine(const std::string& name) {
   return std::nullopt;
 }
 
-const char* to_string(GraphAdjacency adjacency) {
-  switch (adjacency) {
-    case GraphAdjacency::kComplete:
-      return "complete";
-    case GraphAdjacency::kDirectedRing:
-      return "directed-ring";
-    case GraphAdjacency::kStar:
-      return "star";
-  }
-  return "unknown";
-}
-
-std::optional<GraphAdjacency> parse_adjacency(const std::string& name) {
-  if (name == "complete") return GraphAdjacency::kComplete;
-  if (name == "directed-ring") return GraphAdjacency::kDirectedRing;
-  if (name == "star") return GraphAdjacency::kStar;
-  return std::nullopt;
-}
-
-std::vector<std::vector<char>> build_adjacency(GraphAdjacency adjacency, int n) {
-  if (adjacency == GraphAdjacency::kComplete) return {};
-  std::vector<std::vector<char>> matrix(static_cast<std::size_t>(n),
-                                        std::vector<char>(static_cast<std::size_t>(n), 0));
-  switch (adjacency) {
-    case GraphAdjacency::kComplete:
-      break;  // unreachable
-    case GraphAdjacency::kDirectedRing:
-      for (ProcessorId u = 0; u < n; ++u) {
-        matrix[static_cast<std::size_t>(u)][static_cast<std::size_t>(ring_succ(u, n))] = 1;
-      }
-      break;
-    case GraphAdjacency::kStar:
-      for (ProcessorId v = 1; v < n; ++v) {
-        matrix[0][static_cast<std::size_t>(v)] = 1;
-        matrix[static_cast<std::size_t>(v)][0] = 1;
-      }
-      break;
-  }
-  return matrix;
-}
-
 CoalitionSpec CoalitionSpec::consecutive(int k, ProcessorId first) {
   CoalitionSpec spec;
   spec.placement = Placement::kConsecutive;
@@ -303,20 +262,11 @@ struct ScenarioJob {
 };
 
 /// Workspace cache families (api/parallel.h WorkspaceKey); scenarios with
-/// the same (family, n) share cached engines per executor thread.  Graph
-/// scenarios get one family per adjacency shape so a cached engine always
-/// carries the right link matrix without any per-trial comparison.
+/// the same (family, n) share cached engines per executor thread.
 constexpr int kRingFamily = 1;
 constexpr int kGraphFamily = 2;
 constexpr int kSyncFamily = 3;
 constexpr int kLaneFamily = 4;  ///< batched ring lane engine (sim/lane_engine.h)
-constexpr int kGraphFamilyBase = 16;  ///< + GraphAdjacency index for restricted graphs
-
-int graph_family(GraphAdjacency adjacency) {
-  return adjacency == GraphAdjacency::kComplete
-             ? kGraphFamily
-             : kGraphFamilyBase + static_cast<int>(adjacency);
-}
 
 /// Shared reduction: fold the per-trial stats, in trial order, into the
 /// aggregate result.  This is the only place trial data merges, so the
@@ -690,18 +640,14 @@ void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     }
     const std::uint64_t step_limit =
         derived_step_limit(spec.step_limit, protocol->honest_message_bound(spec.n));
-    // The adjacency shape is baked into the workspace family, so a cached
-    // engine here always carries the matrix this scenario needs.
     if (!ws.engine || ws.engine->step_limit() != step_limit ||
         ws.engine->schedule_kind() != schedule) {
       GraphEngineOptions options;
       options.step_limit = step_limit;
       options.schedule = schedule;
-      options.schedule_seed = trial_seed;
-      options.adjacency = build_adjacency(spec.adjacency, spec.n);
-      ws.engine = std::make_unique<GraphEngine>(spec.n, trial_seed, std::move(options));
+      ws.engine = std::make_unique<GraphEngine>(spec.n, trial_seed, options);
     } else {
-      ws.engine->reset(trial_seed, /*schedule_seed=*/trial_seed);
+      ws.engine->reset(trial_seed);
     }
     ws.engine->set_transcript(j->transcript_slot(trial));
     ws.arena.rewind();
@@ -712,7 +658,7 @@ void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     stats.messages = ws.engine->stats().total_sent;
     return stats;
   };
-  job.workspace_key = WorkspaceKey{graph_family(spec.adjacency), spec.n};
+  job.workspace_key = WorkspaceKey{kGraphFamily, spec.n};
   job.make_workspace = workspace_factory<GraphWorkspace>();
 }
 

@@ -75,21 +75,6 @@ enum class EngineKind { kAuto, kScalar };
 const char* to_string(EngineKind kind);
 std::optional<EngineKind> parse_engine(const std::string& name);
 
-/// Adjacency restriction for kGraph scenarios (GraphEngineOptions::
-/// adjacency underneath).  kComplete is the fully-connected default;
-/// kDirectedRing embeds the unidirectional ring (each u may send only to
-/// u+1 mod n); kStar routes everything through processor 0 (bidirectional
-/// spokes).  Protocols that send along absent links throw — a spec pairing
-/// a broadcast protocol with a restricted adjacency is rejected like any
-/// other inconsistent spec.
-enum class GraphAdjacency { kComplete, kDirectedRing, kStar };
-
-const char* to_string(GraphAdjacency adjacency);
-std::optional<GraphAdjacency> parse_adjacency(const std::string& name);
-
-/// The n x n link matrix a GraphAdjacency describes (empty = complete).
-std::vector<std::vector<char>> build_adjacency(GraphAdjacency adjacency, int n);
-
 /// How the deviation's coalition is placed on the ring/network.
 struct CoalitionSpec {
   enum class Placement {
@@ -144,8 +129,6 @@ struct ScenarioSpec {
   /// keyed by global trial index so sharded captures merge like everything
   /// else.  Rejected for kThreaded: the OS schedule is not transcribable.
   bool record_transcripts = false;
-  /// kGraph only: the link structure trials run on (ignored elsewhere).
-  GraphAdjacency adjacency = GraphAdjacency::kComplete;
   /// Engine selection (see EngineKind).
   EngineKind engine = EngineKind::kAuto;
 

@@ -19,11 +19,6 @@ class GraphEngine::Context final : public GraphContext {
     if (to < 0 || to >= engine_->n_ || to == id_) {
       throw std::invalid_argument("invalid destination");
     }
-    if (!engine_->options_.adjacency.empty() &&
-        engine_->options_.adjacency[static_cast<std::size_t>(id_)]
-                                   [static_cast<std::size_t>(to)] == 0) {
-      throw std::invalid_argument("send along a non-existent link");
-    }
     engine_->enqueue(id_, to, std::move(message));
   }
 
@@ -67,11 +62,6 @@ GraphEngine::GraphEngine(int n, std::uint64_t trial_seed, GraphEngineOptions opt
                             4096),
       schedule_rng_(0) {
   if (n_ < 2) throw std::invalid_argument("network needs at least 2 processors");
-  if (!options_.adjacency.empty() &&
-      (options_.adjacency.size() != static_cast<std::size_t>(n_) ||
-       options_.adjacency[0].size() != static_cast<std::size_t>(n_))) {
-    throw std::invalid_argument("adjacency must be n x n");
-  }
   contexts_.reserve(static_cast<std::size_t>(n_));
   for (ProcessorId p = 0; p < n_; ++p) contexts_.emplace_back(*this, p, trial_seed);
   links_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
@@ -81,12 +71,7 @@ GraphEngine::GraphEngine(int n, std::uint64_t trial_seed, GraphEngineOptions opt
 GraphEngine::~GraphEngine() = default;
 
 void GraphEngine::reset(std::uint64_t trial_seed) {
-  reset(trial_seed, options_.schedule_seed);
-}
-
-void GraphEngine::reset(std::uint64_t trial_seed, std::uint64_t schedule_seed) {
   trial_seed_ = trial_seed;
-  options_.schedule_seed = schedule_seed;
   strategies_ = {};
   for (Context& context : contexts_) context.reseed(trial_seed);
   for (auto& link : links_) link.clear();
@@ -99,7 +84,7 @@ void GraphEngine::reset(std::uint64_t trial_seed, std::uint64_t schedule_seed) {
   stats_.total_sent = 0;
   stats_.deliveries = 0;
   stats_.step_limit_hit = false;
-  schedule_rng_ = Xoshiro256(mix64(schedule_seed ^ 0x5ca1'ab1e'0000'0001ull));
+  schedule_rng_ = Xoshiro256(mix64(trial_seed ^ 0x5ca1'ab1e'0000'0001ull));
   rr_cursor_ = 0;
   armed_ = true;
 }
@@ -151,7 +136,7 @@ Outcome GraphEngine::run(std::span<GraphStrategy* const> strategies) {
   if (static_cast<int>(strategies.size()) != n_) {
     throw std::invalid_argument("strategy count must equal network size");
   }
-  if (!armed_) reset(trial_seed_, options_.schedule_seed);
+  if (!armed_) reset(trial_seed_);
   armed_ = false;
   strategies_ = strategies;
 

@@ -30,8 +30,8 @@ using GraphMessage = std::vector<Value>;
 class GraphContext {
  public:
   virtual ~GraphContext() = default;
-  /// Send along the link to `to` (must be a neighbour; fully connected by
-  /// default).  FIFO per link.
+  /// Send along the link to `to` (the network is fully connected).  FIFO
+  /// per link.
   virtual void send(ProcessorId to, GraphMessage message) = 0;
   virtual void terminate(Value output) = 0;
   virtual void abort() = 0;
@@ -64,10 +64,6 @@ enum class LinkScheduleKind { kRoundRobin, kRandom };
 struct GraphEngineOptions {
   std::uint64_t step_limit = 0;  ///< 0 = 16n^2 + 4096
   LinkScheduleKind schedule = LinkScheduleKind::kRoundRobin;
-  std::uint64_t schedule_seed = 0;
-  /// Optional adjacency restriction: adjacency[u][v] != 0 means u may send
-  /// to v.  Empty = fully connected.
-  std::vector<std::vector<char>> adjacency;
 };
 
 struct GraphExecutionStats {
@@ -87,11 +83,8 @@ class GraphEngine {
   GraphEngine& operator=(const GraphEngine&) = delete;
 
   /// Rearms for a fresh execution: clears links/outputs/stats in place and
-  /// reseeds the tapes and the link schedule.  The one-argument form reuses
-  /// the options' schedule_seed; the two-argument form substitutes a new
-  /// one (run_scenario passes the trial seed for both).
+  /// reseeds the tapes and the link schedule, both from `trial_seed`.
   void reset(std::uint64_t trial_seed);
-  void reset(std::uint64_t trial_seed, std::uint64_t schedule_seed);
 
   /// Non-owning profile run; see RingEngine::run.
   Outcome run(std::span<GraphStrategy* const> strategies);

@@ -65,7 +65,7 @@ struct TranscriptEvent {
 
 /// One-line rendering with kind-specific field names — e.g.
 /// "delivery step=3 receiver=1 value=7" — used by fle_verify
-/// --dump-transcript / --diff-transcripts.
+/// --dump-transcript and fle_store cat/diff.
 std::string format_event(const TranscriptEvent& event);
 
 /// The LEB128 varint codec the transcript encoding is built on, exposed so

@@ -417,8 +417,8 @@ ExecutionTranscript StoreReader::read_transcript(std::uint64_t trial) const {
 
 namespace {
 
-/// Event-level diff of the first divergent trial, in the same vocabulary as
-/// fle_verify --diff-transcripts.
+/// Event-level diff of the first divergent trial: the first differing
+/// events, rendered by format_event.
 SyncReport::First leaf_diff(const StoreReader& a, const StoreReader& b,
                             const StoreNodeRef& ra, const StoreNodeRef& rb,
                             std::uint64_t trial) {

@@ -188,7 +188,7 @@ struct SyncReport {
   struct First {
     std::uint64_t trial = 0;
     std::size_t event_index = 0;
-    std::string what;  ///< event-level diff, fle_verify --diff-transcripts style
+    std::string what;  ///< event-level diff: the first differing events (format_event)
   };
   std::optional<First> first;
   std::uint64_t nodes_read_a = 0;

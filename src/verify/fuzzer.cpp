@@ -106,56 +106,13 @@ const T& pick(Xoshiro256& rng, const std::vector<T>& from) {
   return from[static_cast<std::size_t>(rng.below(from.size()))];
 }
 
-/// A user-registered graph protocol that only uses ring-successor links:
-/// processor 0 draws the leader uniformly and circulates it as a token, so
-/// the protocol executes (and elects uniformly, which the smoke expects)
-/// on the complete graph AND on the directed-ring adjacency restriction.
-/// On the star adjacency its first non-hub send is rejected — the clean-
-/// rejection path the fuzzer also wants on the surface.
-class FuzzTokenGraphStrategy final : public GraphStrategy {
- public:
-  FuzzTokenGraphStrategy(ProcessorId id, int n) : id_(id), n_(n) {}
-
-  void on_init(GraphContext& ctx) override {
-    if (id_ == 0) {
-      leader_ = ctx.tape().uniform(static_cast<Value>(n_));
-      ctx.send(ring_succ(id_, n_), GraphMessage{leader_});
-    }
-  }
-
-  void on_receive(GraphContext& ctx, ProcessorId /*from*/, const GraphMessage& m) override {
-    if (done_) return;
-    done_ = true;
-    if (m.empty()) {
-      ctx.abort();
-      return;
-    }
-    if (id_ == 0) {
-      ctx.terminate(leader_);
-      return;
-    }
-    ctx.send(ring_succ(id_, n_), GraphMessage{m[0]});
-    ctx.terminate(m[0]);
-  }
-
- private:
-  ProcessorId id_;
-  int n_;
-  Value leader_ = 0;
-  bool done_ = false;
-};
-
-class FuzzTokenGraphProtocol final : public GraphProtocol {
- public:
-  GraphStrategy* emplace_strategy(StrategyArena& arena, ProcessorId id,
-                                  int n) const override {
-    return arena.emplace<FuzzTokenGraphStrategy>(id, n);
-  }
-  const char* name() const override { return "user-token-graph"; }
-  std::uint64_t honest_message_bound(int n) const override {
-    return 4ull * static_cast<std::uint64_t>(n) + 16;
-  }
-};
+/// Campaign sizes, kept tiny (coverage over depth): n from [2, kMaxN]; a
+/// quarter of ring specs take n from (kMaxN, kMaxRingN] instead — the cheap
+/// engine is the one place the campaign can afford sizes past the
+/// cross-runtime budget; 1 to kMaxTrialsPerSpec trials.
+constexpr int kMaxN = 24;
+constexpr int kMaxRingN = 64;
+constexpr std::uint64_t kMaxTrialsPerSpec = 6;
 
 /// A user-registered deviation whose coalition members play the protocol's
 /// own honest strategy: the negative control for the deviation plumbing
@@ -193,15 +150,6 @@ void register_fuzz_user_entries() {
       ProtocolRegistry::instance().add(std::move(entry));
     }
     {
-      ProtocolEntry entry;
-      entry.name = "user-token-graph";
-      entry.summary = "fuzz surface: ring-successor token walk (runs on restricted graphs)";
-      entry.make_graph = [](const ScenarioSpec&, std::uint64_t) {
-        return std::make_unique<FuzzTokenGraphProtocol>();
-      };
-      ProtocolRegistry::instance().add(std::move(entry));
-    }
-    {
       DeviationEntry entry;
       entry.name = "user-honest-shadow";
       entry.summary = "fuzz surface: coalition members play the honest strategy";
@@ -215,7 +163,7 @@ void register_fuzz_user_entries() {
   });
 }
 
-ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
+ScenarioSpec generate_spec(Xoshiro256& rng) {
   register_builtin_scenarios();
   register_fuzz_user_entries();
   static const std::vector<TopologyKind> kTopologies = {
@@ -229,19 +177,16 @@ ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
   spec.protocol = pick(rng, protocols);
 
   const int max_n = spec.topology == TopologyKind::kThreaded
-                        ? std::min(options.max_n, 12)  // one OS thread per processor
-                        : options.max_n;
+                        ? 12  // one OS thread per processor
+                        : kMaxN;
   spec.n = 2 + static_cast<int>(rng.below(static_cast<std::uint64_t>(max_n - 1)));
-  // The ring family alone also samples past max_n (the deterministic ring
+  // The ring family alone also samples past kMaxN (the deterministic ring
   // engine is cheap enough for big instances at tiny trial counts): a
-  // quarter of ring specs take n from (max_n, max_ring_n].
-  if (spec.topology == TopologyKind::kRing && options.max_ring_n > options.max_n &&
-      rng.below(4) == 0) {
-    spec.n = options.max_n + 1 +
-             static_cast<int>(rng.below(
-                 static_cast<std::uint64_t>(options.max_ring_n - options.max_n)));
+  // quarter of ring specs take n from (kMaxN, kMaxRingN].
+  if (spec.topology == TopologyKind::kRing && rng.below(4) == 0) {
+    spec.n = kMaxN + 1 + static_cast<int>(rng.below(kMaxRingN - kMaxN));
   }
-  spec.trials = 1 + rng.below(options.trials_per_spec);
+  spec.trials = 1 + rng.below(kMaxTrialsPerSpec);
   spec.seed = rng.next();
   spec.target = rng.below(static_cast<std::uint64_t>(spec.n));
   spec.rounds = 2 + static_cast<int>(rng.below(4));
@@ -251,12 +196,6 @@ ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options) {
   // record and have the capture invariants checked (threaded + transcripts
   // is the clean-rejection path).
   spec.record_transcripts = rng.below(4) == 0;
-  // Adjacency-restricted graphs: directed-ring (executes under
-  // user-token-graph), star (broadcast protocols reject mid-run).
-  if (spec.topology == TopologyKind::kGraph && rng.below(3) == 0) {
-    spec.adjacency =
-        rng.below(2) == 0 ? GraphAdjacency::kDirectedRing : GraphAdjacency::kStar;
-  }
   // Bound the phase attacks' preimage search so a fuzzed spec can't stall.
   spec.search_cap = 64ull * static_cast<std::uint64_t>(spec.n);
   if (rng.below(8) == 0) spec.step_limit = 1 + rng.below(64);  // starves some runs: FAILs
@@ -503,12 +442,6 @@ ScenarioSpec shrink_spec(ScenarioSpec spec, const FuzzOracle& oracle) {
         return c;
       },
       [](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
-        if (s.adjacency == GraphAdjacency::kComplete) return std::nullopt;
-        ScenarioSpec c = s;
-        c.adjacency = GraphAdjacency::kComplete;
-        return c;
-      },
-      [](const ScenarioSpec& s) -> std::optional<ScenarioSpec> {
         if (s.step_limit == 0) return std::nullopt;
         ScenarioSpec c = s;
         c.step_limit = 0;
@@ -624,7 +557,7 @@ FuzzReport run_fuzz_campaign(const FuzzOptions& options) {
   Xoshiro256 rng(mix64(options.seed ^ 0xf0225eedull));
   const FuzzOracle oracle = [](const ScenarioSpec& spec) { return run_spec_invariants(spec); };
   for (std::size_t i = 0; i < options.specs; ++i) {
-    const ScenarioSpec spec = generate_spec(rng, options);
+    const ScenarioSpec spec = generate_spec(rng);
     bool rejected = false;
     const std::optional<std::string> failure = run_spec_invariants(spec, &rejected);
     ++report.executed;
@@ -705,9 +638,6 @@ std::string format_spec(const ScenarioSpec& spec) {
   if (spec.record_transcripts != defaults.record_transcripts) {
     out << " transcripts=" << (spec.record_transcripts ? 1 : 0);
   }
-  if (spec.adjacency != defaults.adjacency) {
-    out << " adjacency=" << to_string(spec.adjacency);
-  }
   if (spec.engine != defaults.engine) out << " engine=" << to_string(spec.engine);
   if (spec.protocol_key != defaults.protocol_key) {
     out << " protocol_key=" << spec.protocol_key;
@@ -782,10 +712,6 @@ ScenarioSpec parse_spec(const std::string& line) {
       spec.record_outcomes = parse_flag(key, value);
     } else if (key == "transcripts") {
       spec.record_transcripts = parse_flag(key, value);
-    } else if (key == "adjacency") {
-      const auto adjacency = parse_adjacency(value);
-      if (!adjacency) throw std::invalid_argument("unknown adjacency '" + value + "'");
-      spec.adjacency = *adjacency;
     } else if (key == "engine") {
       const auto engine = parse_engine(value);
       if (!engine) throw std::invalid_argument("unknown engine '" + value + "'");

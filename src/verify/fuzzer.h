@@ -33,15 +33,8 @@
 namespace fle::verify {
 
 struct FuzzOptions {
-  std::uint64_t seed = 1;           ///< campaign seed: same seed, same specs
-  std::size_t specs = 200;          ///< how many specs to generate and run
-  std::size_t trials_per_spec = 6;  ///< kept tiny: coverage over depth
-  int max_n = 24;                   ///< sizes sampled from [2, max_n]
-  /// Ring-family ceiling: a quarter of kRing specs sample n from
-  /// (max_n, max_ring_n] instead — the cheap engine is the one place the
-  /// campaign can afford sizes past the cross-runtime budget.  Takes
-  /// effect only when > max_n.
-  int max_ring_n = 64;
+  std::uint64_t seed = 1;   ///< campaign seed: same seed, same specs
+  std::size_t specs = 200;  ///< how many specs to generate and run
 };
 
 /// One minimized failure.
@@ -60,20 +53,19 @@ struct FuzzReport {
   [[nodiscard]] CheckReport as_report() const;
 };
 
-/// Registers the fuzz campaign's non-builtin registry entries (idempotent):
-/// 'user-basic-lead' (a user-keyed ring protocol), 'user-token-graph' (a
-/// graph protocol that walks the embedded directed ring, so
-/// adjacency-restricted graph scenarios have a protocol that actually
-/// executes on them), and 'user-honest-shadow' (a deviation whose
-/// "adversaries" play the honest strategy — the negative control for the
-/// deviation plumbing).  fle_verify --repro calls this too, so repro lines
-/// naming user entries replay.
+/// Registers the fuzz campaign's two non-builtin registry entries
+/// (idempotent): 'user-basic-lead' (a user-keyed ring protocol) and
+/// 'user-honest-shadow' (a deviation whose "adversaries" play the honest
+/// strategy — the negative control for the deviation plumbing).
+/// fle_verify --repro calls this too, so repro lines naming user entries
+/// replay.
 void register_fuzz_user_entries();
 
 /// Samples one spec from the registries, the fuzz user entries among them
-/// (the user-registration surface is fuzzed like any builtin).
-/// Deterministic in the rng state.
-ScenarioSpec generate_spec(Xoshiro256& rng, const FuzzOptions& options);
+/// (the user-registration surface is fuzzed like any builtin).  Sizes are
+/// kept small: n in [2, 24] (a quarter of ring specs take n in [25, 64]),
+/// at most 6 trials.  Deterministic in the rng state.
+ScenarioSpec generate_spec(Xoshiro256& rng);
 
 /// Runs the invariants against one spec, the determinism contract included
 /// (a spec of two or more trials is rerun at another worker count).

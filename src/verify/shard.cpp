@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
+
+#include "core/parse_number.h"
 
 namespace fle::verify {
 
@@ -78,7 +80,7 @@ class FlatJson {
         skip_ws(text, i);
         const std::string_view value = parse_value(text, i);
         if (find(key) != nullptr) throw bad("duplicate key '" + std::string(key) + "'");
-        values_.emplace_back(key, value);
+        fields_.push_back({key, value});
         skip_ws(text, i);
         if (i >= text.size()) throw bad("truncated row: unterminated object");
         if (text[i] == ',') {
@@ -98,52 +100,51 @@ class FlatJson {
   FlatJson(const FlatJson&) = delete;
   FlatJson& operator=(const FlatJson&) = delete;
 
-  [[nodiscard]] bool has(std::string_view key) const { return find(key) != nullptr; }
+  [[nodiscard]] bool has(std::string_view key) const { return read(key) != nullptr; }
 
   [[nodiscard]] std::string_view str(std::string_view key) const {
-    const std::string_view* value = find(key);
+    const std::string_view* value = read(key);
     if (value == nullptr) throw bad("missing key '" + std::string(key) + "'");
     return *value;
   }
 
+  /// Throws naming the first key no getter has asked for: a row holds
+  /// exactly the keys its writer writes.
+  void refuse_unread() const {
+    for (const Field& field : fields_) {
+      if (!field.read) throw bad("unexpected key '" + std::string(field.key) + "'");
+    }
+  }
+
+  /// Numbers are read over the whole value by core/parse_number.h: no
+  /// sign, no space, no trailing bytes, and nothing out of range.
   [[nodiscard]] std::uint64_t u64(std::string_view key) const {
-    // Strict digits-only: std::stoull would silently wrap "-5" and accept
-    // numeric prefixes of garbage ("12abc"), turning a corrupt row into a
-    // wrong-but-plausible aggregate instead of an error.
     const std::string_view text = str(key);
-    if (text.empty()) {
-      throw bad("key '" + std::string(key) + "' is empty, expected an unsigned integer");
+    const std::optional<std::uint64_t> value = try_parse_int<std::uint64_t>(text);
+    if (!value) {
+      throw bad("key '" + std::string(key) + "' = '" + std::string(text) +
+                "' is not an unsigned 64-bit integer");
     }
-    std::uint64_t value = 0;
-    for (const char c : text) {
-      if (c < '0' || c > '9') {
-        throw bad("key '" + std::string(key) + "' = '" + std::string(text) +
-                  "' is not an unsigned integer");
-      }
-      const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-      if (value > (UINT64_MAX - digit) / 10) {
-        throw bad("key '" + std::string(key) + "' = '" + std::string(text) +
-                  "' overflows 64 bits");
-      }
-      value = value * 10 + digit;
+    return *value;
+  }
+
+  /// An unsigned integer that must also fit an int (n, max_rounds).
+  [[nodiscard]] int int_value(std::string_view key) const {
+    const std::uint64_t value = u64(key);
+    if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      throw bad("key '" + std::string(key) + "' = " + std::to_string(value) +
+                " is outside int");
     }
-    return value;
+    return static_cast<int>(value);
   }
 
   [[nodiscard]] double dbl(std::string_view key) const {
-    const std::string text(str(key));
-    std::size_t consumed = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(text, &consumed);
-    } catch (const std::logic_error&) {
-      throw bad("key '" + std::string(key) + "' = '" + text + "' is not a number");
+    const std::string_view text = str(key);
+    const std::optional<double> value = try_parse_double(text);
+    if (!value) {
+      throw bad("key '" + std::string(key) + "' = '" + std::string(text) + "' is not a number");
     }
-    if (consumed != text.size()) {
-      throw bad("key '" + std::string(key) + "' = '" + text +
-                "' has trailing bytes after the number");
-    }
-    return value;
+    return *value;
   }
 
   [[nodiscard]] bool boolean(std::string_view key) const {
@@ -158,11 +159,24 @@ class FlatJson {
     return std::invalid_argument("shard row: " + what);
   }
 
-  [[nodiscard]] const std::string_view* find(std::string_view key) const {
-    for (const auto& [name, value] : values_) {
-      if (name == key) return &value;
+  struct Field {
+    std::string_view key;
+    std::string_view value;
+    mutable bool read = false;
+  };
+
+  [[nodiscard]] const Field* find(std::string_view key) const {
+    for (const Field& field : fields_) {
+      if (field.key == key) return &field;
     }
     return nullptr;
+  }
+
+  [[nodiscard]] const std::string_view* read(std::string_view key) const {
+    const Field* field = find(key);
+    if (field == nullptr) return nullptr;
+    field->read = true;
+    return &field->value;
   }
 
   static void skip_ws(std::string_view t, std::size_t& i) {
@@ -224,7 +238,7 @@ class FlatJson {
     return t.substr(start, i - start);
   }
 
-  std::vector<std::pair<std::string_view, std::string_view>> values_;
+  std::vector<Field> fields_;
   std::deque<std::string> unescaped_;
 };
 
@@ -258,25 +272,17 @@ std::vector<std::uint8_t> bytes_from_hex(std::string_view hex) {
   return bytes;
 }
 
-/// Decodes trial `trial`'s hex blob.  With a store_keys entry (`key_text`)
-/// the blob is decoded against that key, one hash, and the transcript
-/// carries it.  A refused blob is reported as the transcript's
-/// fault when it does not decode, and as the key's when it decodes but
-/// hashes to another key: the store-key column is derived data, so a
-/// mismatch means the row was stitched from two different captures.
-ExecutionTranscript transcript_from_hex(std::string_view hex,
-                                        std::optional<std::string_view> key_text,
+/// Decodes trial `trial`'s hex blob against its store key (`key_text`):
+/// one hash, and the transcript carries the key.  A refused blob is
+/// reported as the transcript's fault when it does not decode, and as the
+/// key's when it decodes but hashes to another key: the store-key column is
+/// derived data, so a mismatch means the row was stitched from two
+/// different captures.
+ExecutionTranscript transcript_from_hex(std::string_view hex, std::string_view key_text,
                                         std::size_t trial) {
   const auto blob_error = [trial](const std::exception& error) {
     return std::invalid_argument("shard row: transcripts[" + std::to_string(trial) +
                                  "]: " + error.what());
-  };
-  const auto decode_plain = [&blob_error](std::span<const std::uint8_t> bytes) {
-    try {
-      return ExecutionTranscript::decode(bytes);
-    } catch (const std::exception& error) {
-      throw blob_error(error);
-    }
   };
   std::vector<std::uint8_t> bytes;
   try {
@@ -284,13 +290,11 @@ ExecutionTranscript transcript_from_hex(std::string_view hex,
   } catch (const std::exception& error) {
     throw blob_error(error);
   }
-  if (!key_text) return decode_plain(bytes);
   // Keys are emitted lowercase and compared as text, so an uppercased key
   // stays a mismatch.
-  const bool lowercase = std::none_of(key_text->begin(), key_text->end(),
+  const bool lowercase = std::none_of(key_text.begin(), key_text.end(),
                                       [](char c) { return c >= 'A' && c <= 'F'; });
-  const std::optional<Digest256> key =
-      lowercase ? Digest256::from_hex(*key_text) : std::nullopt;
+  const std::optional<Digest256> key = lowercase ? Digest256::from_hex(key_text) : std::nullopt;
   if (key) {
     try {
       return ExecutionTranscript::decode(bytes, *key);
@@ -298,10 +302,15 @@ ExecutionTranscript transcript_from_hex(std::string_view hex,
       // Refused: classified below.
     }
   }
-  const ExecutionTranscript transcript = decode_plain(bytes);
+  std::string actual;
+  try {
+    actual = ExecutionTranscript::decode(bytes).content_key().hex();
+  } catch (const std::exception& error) {
+    throw blob_error(error);
+  }
   throw std::invalid_argument("shard row: store_keys[" + std::to_string(trial) + "] = '" +
-                              std::string(*key_text) + "' does not match the transcript (" +
-                              transcript.content_key().hex() + ")");
+                              std::string(key_text) + "' does not match the transcript (" +
+                              actual + ")");
 }
 
 std::string format_row(std::size_t case_index, const std::string& spec_line,
@@ -416,8 +425,18 @@ ShardRow parse_shard_row(const std::string& line) {
   row.case_index = json.u64("case");
   row.spec_line = std::string(json.str("spec"));
 
-  const int n = static_cast<int>(json.u64("n"));
-  if (n <= 0) throw std::invalid_argument("shard row: n must be positive");
+  // n sizes the outcome counter, so the counts column bounds it before
+  // anything n-sized is built: n cells take at least 2n - 1 bytes.
+  const int n = json.int_value("n");
+  if (n <= 0) throw std::invalid_argument("shard row: key 'n' must be positive");
+  const std::string_view counts = json.str("counts");
+  const std::uint64_t min_counts_bytes = 2 * static_cast<std::uint64_t>(n) - 1;
+  if (counts.size() < min_counts_bytes) {
+    throw std::invalid_argument("shard row: key 'n' = " + std::to_string(n) + " needs " +
+                                std::to_string(min_counts_bytes) +
+                                " bytes of 'counts' or more, which holds " +
+                                std::to_string(counts.size()));
+  }
   ScenarioResult result(n);
   result.trials = json.u64("trials");
   // The counter is rebuilt by replaying `trials` records below; bound the
@@ -442,7 +461,7 @@ ShardRow parse_shard_row(const std::string& line) {
   result.max_messages = json.u64("max_messages");
   result.total_sync_gap = json.u64("total_sync_gap");
   result.max_sync_gap = json.u64("max_sync_gap");
-  result.max_rounds = static_cast<int>(json.u64("max_rounds"));
+  result.max_rounds = json.int_value("max_rounds");
   result.wall_seconds = json.dbl("wall_seconds");
   result.protocol_name = std::string(json.str("protocol_name"));
   result.deviation_name = std::string(json.str("deviation_name"));
@@ -451,38 +470,27 @@ ShardRow parse_shard_row(const std::string& line) {
   // Parse and cross-check the outcome histogram BEFORE replaying it into
   // the counter: a corrupt cell must fail the parse, not spin the replay
   // loop for up to 2^64 iterations.
-  const std::string_view counts = json.str("counts");
+  const std::vector<std::string_view> count_cells = split_list(counts);
+  if (count_cells.size() != static_cast<std::size_t>(n)) {
+    throw std::invalid_argument("shard row: key 'counts' has " +
+                                std::to_string(count_cells.size()) +
+                                " cells, expected n = " + std::to_string(n));
+  }
   std::vector<std::uint64_t> cells;
-  cells.reserve(static_cast<std::size_t>(n));
-  std::size_t start = 0;
-  std::size_t counted = 0;
-  while (start <= counts.size()) {
-    const std::size_t comma = counts.find(',', start);
-    const std::string cell(counts.substr(
-        start, comma == std::string_view::npos ? std::string_view::npos : comma - start));
-    if (cell.empty()) throw std::invalid_argument("shard row: empty counts cell");
-    std::uint64_t count = 0;
-    try {
-      count = std::stoull(cell);
-    } catch (const std::logic_error&) {
-      throw std::invalid_argument("shard row: counts cell '" + cell + "' is not a number");
+  cells.reserve(count_cells.size());
+  std::uint64_t counted = 0;
+  for (const std::string_view cell : count_cells) {
+    const std::optional<std::uint64_t> count = try_parse_int<std::uint64_t>(cell);
+    if (!count) {
+      throw std::invalid_argument("shard row: key 'counts': cell '" + std::string(cell) +
+                                  "' is not an unsigned integer");
     }
-    counted += count;  // each cell is bounded below, so the sum cannot wrap
-    if (count > result.trials || counted > result.trials) {
-      throw std::invalid_argument("shard row: counts exceed trials = " +
+    if (*count > result.trials - counted) {
+      throw std::invalid_argument("shard row: key 'counts' exceeds trials = " +
                                   std::to_string(result.trials));
     }
-    if (cells.size() >= static_cast<std::size_t>(n)) {
-      throw std::invalid_argument("shard row: more counts cells than n = " +
-                                  std::to_string(n));
-    }
-    cells.push_back(count);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  if (cells.size() != static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("shard row: counts has " + std::to_string(cells.size()) +
-                                " cells, expected n = " + std::to_string(n));
+    counted += *count;
+    cells.push_back(*count);
   }
   const std::uint64_t fails = json.u64("fails");
   if (counted + fails != result.trials) {
@@ -498,84 +506,75 @@ ShardRow parse_shard_row(const std::string& line) {
   for (std::uint64_t f = 0; f < fails; ++f) result.outcomes.record(Outcome::fail());
 
   if (result.outcomes_recorded) {
-    const std::string_view list = json.str("per_trial");
-    std::size_t pos = 0;
-    while (pos <= list.size() && !list.empty()) {
-      const std::size_t comma = list.find(',', pos);
-      const std::string cell(list.substr(
-          pos, comma == std::string_view::npos ? std::string_view::npos : comma - pos));
+    // Each recorded outcome is F or a leader below n, and together they
+    // are exactly the histogram above.
+    std::vector<std::uint64_t> histogram(cells.size(), 0);
+    std::uint64_t failed = 0;
+    for (const std::string_view cell : split_list(json.str("per_trial"))) {
       if (cell == "F") {
         result.per_trial.push_back(Outcome::fail());
-      } else {
-        try {
-          result.per_trial.push_back(Outcome::elected(std::stoull(cell)));
-        } catch (const std::logic_error&) {
-          throw std::invalid_argument("shard row: per_trial cell '" + cell +
-                                      "' is not a leader id");
-        }
+        ++failed;
+        continue;
       }
-      if (comma == std::string_view::npos) break;
-      pos = comma + 1;
+      const std::optional<Value> leader = try_parse_int<Value>(cell);
+      if (!leader || *leader >= static_cast<Value>(n)) {
+        throw std::invalid_argument("shard row: key 'per_trial': cell '" + std::string(cell) +
+                                    "' is neither F nor a leader below n = " +
+                                    std::to_string(n));
+      }
+      ++histogram[static_cast<std::size_t>(*leader)];
+      result.per_trial.push_back(Outcome::elected(*leader));
     }
     if (result.per_trial.size() != result.trials) {
       throw std::invalid_argument("shard row: per_trial holds " +
                                   std::to_string(result.per_trial.size()) +
                                   " outcomes, trials = " + std::to_string(result.trials));
     }
+    if (histogram != cells || failed != fails) {
+      throw std::invalid_argument(
+          "shard row: key 'per_trial' records another histogram than 'counts' and 'fails'");
+    }
   }
 
-  // Rows written before the transcript layer simply lack the key: not
-  // recorded.
-  result.transcripts_recorded =
-      json.has("transcripts_recorded") && json.boolean("transcripts_recorded");
+  result.transcripts_recorded = json.boolean("transcripts_recorded");
   row.transcripts_elided =
       json.has("transcripts_elided") && json.boolean("transcripts_elided");
   if (row.transcripts_elided && !result.transcripts_recorded) {
     throw std::invalid_argument("shard row: transcripts_elided without transcripts_recorded");
   }
-  if (row.transcripts_elided) {
-    // The wire form: store keys stand in for the blobs, which travel
-    // beside the row and are decoded against these keys by the receiver.
-    for (const std::string_view key : split_list(json.str("store_keys"))) {
-      const std::optional<Digest256> digest = Digest256::from_hex(key);
-      if (!digest) {
-        throw std::invalid_argument("shard row: store_keys[" +
-                                    std::to_string(row.store_keys.size()) + "] = '" +
-                                    std::string(key) + "' is not a 64-hex-digit content key");
-      }
-      row.store_keys.push_back(*digest);
-    }
-    if (row.store_keys.size() != result.trials) {
-      throw std::invalid_argument("shard row: store_keys holds " +
-                                  std::to_string(row.store_keys.size()) +
+  if (result.transcripts_recorded) {
+    // One store key per trial.  On an elided row the keys stand in for the
+    // blobs, which travel beside the row and are decoded against these keys
+    // by the receiver; otherwise each blob is decoded against its key.
+    const std::vector<std::string_view> keys = split_list(json.str("store_keys"));
+    if (keys.size() != result.trials) {
+      throw std::invalid_argument("shard row: store_keys holds " + std::to_string(keys.size()) +
                                   " keys, trials = " + std::to_string(result.trials));
     }
-  } else if (result.transcripts_recorded) {
-    const std::vector<std::string_view> blobs = split_list(json.str("transcripts"));
-    if (blobs.size() != result.trials) {
-      throw std::invalid_argument("shard row: transcripts holds " +
-                                  std::to_string(blobs.size()) +
-                                  " entries, trials = " + std::to_string(result.trials));
-    }
-    // Rows without the store-key column decode plainly; with it, each
-    // blob is decoded against its key.
-    const bool keyed = json.has("store_keys");
-    const std::vector<std::string_view> keys =
-        keyed ? split_list(json.str("store_keys")) : std::vector<std::string_view>{};
-    result.per_trial_transcript.reserve(blobs.size());
-    for (std::size_t t = 0; t < blobs.size(); ++t) {
-      result.per_trial_transcript.push_back(
-          transcript_from_hex(blobs[t],
-                              t < keys.size() ? std::optional(keys[t]) : std::nullopt, t));
-    }
-    if (keys.size() > blobs.size()) {
-      throw std::invalid_argument("shard row: more store_keys than transcripts");
-    }
-    if (keyed && keys.size() != blobs.size()) {
-      throw std::invalid_argument("shard row: store_keys holds " + std::to_string(keys.size()) +
-                                  " keys, transcripts = " + std::to_string(blobs.size()));
+    if (row.transcripts_elided) {
+      for (const std::string_view key : keys) {
+        const std::optional<Digest256> digest = Digest256::from_hex(key);
+        if (!digest) {
+          throw std::invalid_argument("shard row: store_keys[" +
+                                      std::to_string(row.store_keys.size()) + "] = '" +
+                                      std::string(key) + "' is not a 64-hex-digit content key");
+        }
+        row.store_keys.push_back(*digest);
+      }
+    } else {
+      const std::vector<std::string_view> blobs = split_list(json.str("transcripts"));
+      if (blobs.size() != result.trials) {
+        throw std::invalid_argument("shard row: transcripts holds " +
+                                    std::to_string(blobs.size()) +
+                                    " entries, trials = " + std::to_string(result.trials));
+      }
+      result.per_trial_transcript.reserve(blobs.size());
+      for (std::size_t t = 0; t < blobs.size(); ++t) {
+        result.per_trial_transcript.push_back(transcript_from_hex(blobs[t], keys[t], t));
+      }
     }
   }
+  json.refuse_unread();
 
   result.mean_messages =
       result.trials > 0

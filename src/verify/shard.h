@@ -72,11 +72,12 @@ std::string format_shard_row(const ShardRow& row, bool elide_transcripts = false
 std::string format_canonical_row(std::size_t case_index, const std::string& spec_line,
                                  const ScenarioResult& result);
 
-/// Parses a row previously produced by format_shard_row.  Throws
-/// std::invalid_argument naming the offending key on malformed input.  A
-/// row with a store_keys column decodes each transcript blob against its
-/// key (ExecutionTranscript's keyed decode: one hash per trial), so the
-/// parsed transcripts carry their content keys.
+/// Parses a row previously produced by format_shard_row, and only such a
+/// row (DESIGN.md §6 gives the accepted form).  Throws
+/// std::invalid_argument naming the offending key on malformed input.
+/// Each transcript blob is decoded against its store key
+/// (ExecutionTranscript's keyed decode: one hash per trial), so the parsed
+/// transcripts carry their content keys.
 ShardRow parse_shard_row(const std::string& line);
 
 /// A fully merged case: all shards of one scenario folded together.

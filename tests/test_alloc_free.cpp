@@ -159,7 +159,7 @@ TEST(ZeroAllocation, ReusedGraphTrialSubstrateIsAllocationFree) {
   std::vector<GraphStrategy*> profile;
 
   const auto trial = [&](std::uint64_t seed) {
-    engine.reset(seed, /*schedule_seed=*/seed);
+    engine.reset(seed);
     arena.rewind();
     profile.clear();
     for (ProcessorId p = 0; p < n; ++p) {
@@ -194,7 +194,7 @@ TEST(ZeroAllocation, ShamirLeadTrialAllocatesOnlyPayloadsAndSetup) {
     std::vector<GraphStrategy*> profile;
 
     const auto trial = [&](std::uint64_t seed) {
-      engine.reset(seed, /*schedule_seed=*/seed);
+      engine.reset(seed);
       arena.rewind();
       profile.clear();
       for (ProcessorId p = 0; p < n; ++p) {

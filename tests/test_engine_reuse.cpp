@@ -181,6 +181,50 @@ TEST(EngineReuse, GraphHonestAndAdversarialMatchFresh) {
   check_graph_reuse(shamir, &rushing, n);
 }
 
+TEST(EngineReuse, GraphRandomLinkScheduleReplaysTheScenarioTranscripts) {
+  // The link schedule is seeded from the trial seed alone, so an engine
+  // driven directly, fresh or reused, executes exactly the trials
+  // run_scenario executes under the random link schedule.
+  ScenarioSpec spec;
+  spec.topology = TopologyKind::kGraph;
+  spec.protocol = "shamir-lead";
+  spec.scheduler = SchedulerKind::kRandom;
+  spec.n = 8;
+  spec.trials = kTrials;
+  spec.seed = 5;
+  spec.record_transcripts = true;
+  const ScenarioResult result = run_scenario(spec);
+  ASSERT_EQ(result.per_trial_transcript.size(), spec.trials);
+
+  const ShamirLeadProtocol shamir(spec.n);
+  const GraphDeviation* honest = nullptr;
+  GraphEngineOptions options;
+  options.schedule = LinkScheduleKind::kRandom;
+  GraphEngine reused(spec.n, 1, options);
+  StrategyArena arena;
+  std::vector<GraphStrategy*> profile;
+  for (std::size_t t = 0; t < spec.trials; ++t) {
+    const std::uint64_t trial_seed = scenario_trial_seed(spec.seed, t);
+
+    GraphEngine fresh(spec.n, trial_seed, options);
+    ExecutionTranscript fresh_transcript;
+    fresh.set_transcript(&fresh_transcript);
+    StrategyArena fresh_arena;
+    std::vector<GraphStrategy*> fresh_profile;
+    compose_profile_into(shamir, honest, spec.n, fresh_arena, fresh_profile);
+    (void)fresh.run(std::span<GraphStrategy* const>(fresh_profile));
+    EXPECT_EQ(fresh_transcript, result.per_trial_transcript[t]) << "fresh, trial " << t;
+
+    reused.reset(trial_seed);
+    ExecutionTranscript reused_transcript;
+    reused.set_transcript(&reused_transcript);
+    arena.rewind();
+    compose_profile_into(shamir, honest, spec.n, arena, profile);
+    (void)reused.run(std::span<GraphStrategy* const>(profile));
+    EXPECT_EQ(reused_transcript, result.per_trial_transcript[t]) << "reused, trial " << t;
+  }
+}
+
 // ---- sync ------------------------------------------------------------------
 
 void check_sync_reuse(const SyncProtocol& protocol, const SyncDeviation* deviation, int n) {

@@ -554,6 +554,100 @@ TEST(ShardHardening, EscapedStringsRoundTrip) {
   expect_parse_error(R"({"case": 0, "spec": "tail\)", "dangling escape");
 }
 
+/// `line` with the first cell of list column `key` rewritten by `edit`.
+std::string edit_first_cell(std::string line, const std::string& key,
+                            const std::function<std::string(const std::string&)>& edit) {
+  const std::string open = "\"" + key + "\": \"";
+  const std::size_t start = line.find(open);
+  EXPECT_NE(start, std::string::npos) << key;
+  if (start == std::string::npos) return line;
+  const std::size_t first = start + open.size();
+  const std::size_t end = line.find_first_of(",\"", first);
+  line.replace(first, end - first, edit(line.substr(first, end - first)));
+  return line;
+}
+
+TEST(ShardHardening, ListCellsAreWholeUnsignedIntegers) {
+  // A sign, a space or trailing bytes make a cell no number: neither a
+  // leader id nor a count is read from a prefix or wrapped from "-1".
+  const std::string recorded = verify::format_shard_row(recorded_row());
+  const auto per_trial = [&](const std::function<std::string(const std::string&)>& edit) {
+    expect_parse_error(edit_first_cell(recorded, "per_trial", edit), "'per_trial'");
+  };
+  per_trial([](const std::string&) { return "-1"; });
+  per_trial([](const std::string& cell) { return cell + "abc"; });
+  per_trial([](const std::string& cell) { return "+" + cell; });
+  const std::string row = valid_row();
+  expect_parse_error(edit_first_cell(row, "counts", [](const std::string& cell) {
+                       return cell + "x";
+                     }),
+                     "'counts'");
+  expect_parse_error(edit_first_cell(row, "counts", [](const std::string& cell) {
+                       return " " + cell;
+                     }),
+                     "'counts'");
+}
+
+TEST(ShardHardening, NAndMaxRoundsMustFitInt) {
+  // 2^32 + 4 and 2^32 are no int: they are refused, not truncated to 4 and
+  // 0.
+  std::string n = valid_row();
+  replace_first(n, "\"n\": 4,", "\"n\": 4294967300,");
+  expect_parse_error(n, "'n'");
+  std::string rounds = valid_row();
+  replace_first(rounds, "\"max_rounds\": 0,", "\"max_rounds\": 4294967296,");
+  expect_parse_error(rounds, "'max_rounds'");
+}
+
+TEST(ShardHardening, NIsBoundedByTheCountsColumnBeforeAnythingIsSized) {
+  // n cells take at least 2n - 1 bytes, so a short row claiming a huge n
+  // is refused before an n-sized counter is built (at n = 2^31 - 1 that
+  // counter would take 16 GiB).
+  for (const char* huge : {"20000000", "2147483647"}) {
+    std::string row = valid_row();
+    replace_first(row, "\"n\": 4,", std::string("\"n\": ") + huge + ",");
+    expect_parse_error(row, std::string("'n' = ") + huge + " needs");
+  }
+}
+
+TEST(ShardHardening, PerTrialMustBeTheHistogramsLeaders) {
+  // Every recorded leader is below n, and the recorded outcomes add up to
+  // exactly the counts and fails columns.
+  const std::string line = verify::format_shard_row(recorded_row());
+  expect_parse_error(edit_first_cell(line, "per_trial", [](const std::string&) { return "4"; }),
+                     "'per_trial'");
+  expect_parse_error(edit_first_cell(line, "per_trial",
+                                     [](const std::string& cell) {
+                                       return cell == "F" ? "0" : cell == "0" ? "1" : "0";
+                                     }),
+                     "'per_trial'");
+}
+
+TEST(ShardHardening, TranscriptColumnsAreRequired) {
+  // Every row says whether it recorded transcripts, and every transcript
+  // row carries its store keys: no writer leaves either out.
+  std::string untagged = valid_row();
+  replace_first(untagged, ", \"transcripts_recorded\": false", "");
+  expect_parse_error(untagged, "missing key 'transcripts_recorded'");
+
+  std::string keyless = verify::format_shard_row(recorded_row());
+  const std::string column = ", \"store_keys\": \"";
+  const std::size_t keys = keyless.find(column);
+  ASSERT_NE(keys, std::string::npos);
+  keyless.erase(keys, keyless.find('"', keys + column.size()) + 1 - keys);
+  expect_parse_error(keyless, "missing key 'store_keys'");
+}
+
+TEST(ShardHardening, UnexpectedKeysAreRefused) {
+  std::string row = valid_row();
+  row.insert(row.size() - 1, ", \"extra\": 1");
+  expect_parse_error(row, "unexpected key 'extra'");
+  // per_trial belongs to rows that record outcomes only.
+  std::string unrecorded = verify::format_shard_row(recorded_row());
+  replace_first(unrecorded, "\"recorded\": true", "\"recorded\": false");
+  expect_parse_error(unrecorded, "unexpected key 'per_trial'");
+}
+
 TEST(ShardHardening, MergeNamesOverlapAndGap) {
   ScenarioSpec spec;
   spec.protocol = "basic-lead";

@@ -13,89 +13,55 @@ namespace fle::verify {
 namespace {
 
 TEST(FuzzGenerate, SameSeedSameSpecs) {
-  FuzzOptions options;
   Xoshiro256 a(99);
   Xoshiro256 b(99);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(format_spec(generate_spec(a, options)), format_spec(generate_spec(b, options)));
+    EXPECT_EQ(format_spec(generate_spec(a)), format_spec(generate_spec(b)));
   }
 }
 
 TEST(FuzzGenerate, SpecsStayInsideTheConfiguredBounds) {
-  FuzzOptions options;
-  options.max_n = 10;
-  options.max_ring_n = 10;  // pin the ring-family ceiling to the general one
-  options.trials_per_spec = 4;
+  // The campaign's fixed sizes: n in [2, 64] (past 24 only on the ring,
+  // past 12 never on the threaded runtime), 1 to 6 trials.
   Xoshiro256 rng(3);
   for (int i = 0; i < 200; ++i) {
-    const ScenarioSpec spec = generate_spec(rng, options);
+    const ScenarioSpec spec = generate_spec(rng);
     EXPECT_GE(spec.n, 2);
-    EXPECT_LE(spec.n, 10);
+    EXPECT_LE(spec.n, spec.topology == TopologyKind::kRing       ? 64
+                      : spec.topology == TopologyKind::kThreaded ? 12
+                                                                 : 24);
     EXPECT_GE(spec.trials, 1u);
-    EXPECT_LE(spec.trials, 4u);
+    EXPECT_LE(spec.trials, 6u);
     EXPECT_FALSE(spec.protocol.empty());
   }
 }
 
 TEST(FuzzGenerate, RingFamilySamplesPastTheGeneralCeiling) {
-  // ROADMAP gap: n stayed <= 24 for every family.  With defaults, a
-  // quarter of kRing specs now sample (max_n, max_ring_n]; every other
-  // family stays inside max_n.
-  FuzzOptions options;
+  // A quarter of kRing specs sample n from (24, 64]; every other family
+  // stays inside 24.
   Xoshiro256 rng(7);
   int ring_past_24 = 0;
   for (int i = 0; i < 400; ++i) {
-    const ScenarioSpec spec = generate_spec(rng, options);
-    EXPECT_LE(spec.n, options.max_ring_n);
-    if (spec.topology == TopologyKind::kRing && spec.n > options.max_n) ++ring_past_24;
+    const ScenarioSpec spec = generate_spec(rng);
+    EXPECT_LE(spec.n, 64);
+    if (spec.topology == TopologyKind::kRing && spec.n > 24) ++ring_past_24;
     if (spec.topology != TopologyKind::kRing) {
-      EXPECT_LE(spec.n, options.max_n);
+      EXPECT_LE(spec.n, 24);
     }
   }
   EXPECT_GT(ring_past_24, 10);
 }
 
 TEST(FuzzGenerate, UserRegisteredEntriesAreOnTheSurface) {
-  FuzzOptions options;
   Xoshiro256 rng(11);
   int user_specs = 0;
   for (int i = 0; i < 600; ++i) {
-    const ScenarioSpec spec = generate_spec(rng, options);
+    const ScenarioSpec spec = generate_spec(rng);
     if (spec.protocol.rfind("user-", 0) == 0 || spec.deviation.rfind("user-", 0) == 0) {
       ++user_specs;
     }
   }
   EXPECT_GT(user_specs, 5);
-}
-
-TEST(FuzzGenerate, AdjacencyRestrictedGraphsAreOnTheSurface) {
-  FuzzOptions options;
-  Xoshiro256 rng(13);
-  int restricted = 0;
-  for (int i = 0; i < 600; ++i) {
-    const ScenarioSpec spec = generate_spec(rng, options);
-    if (spec.adjacency != GraphAdjacency::kComplete) {
-      EXPECT_EQ(spec.topology, TopologyKind::kGraph);
-      ++restricted;
-    }
-  }
-  EXPECT_GT(restricted, 5);
-}
-
-TEST(FuzzInvariants, UserTokenGraphRunsOnTheDirectedRingAdjacency) {
-  register_fuzz_user_entries();
-  const ScenarioSpec spec = parse_spec(
-      "topology=graph protocol=user-token-graph adjacency=directed-ring n=6 trials=4 "
-      "seed=3 transcripts=1");
-  EXPECT_EQ(run_spec_invariants(spec), std::nullopt);
-}
-
-TEST(FuzzInvariants, BroadcastProtocolOnRestrictedAdjacencyIsACleanRejection) {
-  const ScenarioSpec spec = parse_spec(
-      "topology=graph protocol=shamir-lead adjacency=star n=6 trials=2 seed=3");
-  bool rejected = false;
-  EXPECT_EQ(run_spec_invariants(spec, &rejected), std::nullopt);
-  EXPECT_TRUE(rejected);
 }
 
 TEST(FuzzInvariants, ThreadedTranscriptCaptureIsACleanRejection) {
@@ -107,10 +73,9 @@ TEST(FuzzInvariants, ThreadedTranscriptCaptureIsACleanRejection) {
 }
 
 TEST(FuzzRepro, FormatParseRoundTrips) {
-  FuzzOptions options;
   Xoshiro256 rng(17);
   for (int i = 0; i < 100; ++i) {
-    const ScenarioSpec spec = generate_spec(rng, options);
+    const ScenarioSpec spec = generate_spec(rng);
     const std::string line = format_spec(spec);
     EXPECT_EQ(format_spec(parse_spec(line)), line) << line;
   }
@@ -137,6 +102,8 @@ TEST(FuzzRepro, ParseRejectsMalformedLines) {
       {"protocol=basic-lead n=8 seed=-1", "'seed'"},
       {"protocol=basic-lead n=8 placement=bernoulli density=0.5x", "'density'"},
       {"protocol=basic-lead n=8 placement=custom members=1,,3", "'members'"},
+      // Graphs are fully connected; there is no link-restriction key.
+      {"topology=graph protocol=shamir-lead n=6 adjacency=star", "'adjacency'"},
   };
   for (const auto& c : malformed) {
     try {

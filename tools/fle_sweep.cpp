@@ -21,7 +21,8 @@
 //
 // Exit code 0 on success; 1 when the sweep fails (a window exhausted its
 // retries, the whole fleet died, or a closed-form audit disagreed with the
-// oracle); 2 on usage errors.
+// oracle); 2 on usage errors and on an unreadable or malformed spec file
+// (the error names the file and line).
 
 #include <cstdio>
 #include <cstdlib>
@@ -143,8 +144,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  fle::SweepSpec sweep;
   try {
-    fle::SweepSpec sweep = load_sweep(spec_path, threads);
+    sweep = load_sweep(spec_path, threads);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "fle_sweep: %s\n", error.what());
+    return 2;
+  }
+  try {
     if (sharded) {
       // The m shard reports together tile each scenario exactly, so
       // `fle_store build` (or fle_verify --merge machinery) folds them back

@@ -15,16 +15,10 @@
 //   fle_verify --repro 'topology=ring protocol=alead-uni n=8 trials=4 seed=9'
 //                                      replay one shrunk fuzz failure
 //   fle_verify --list                  print the registered protocols/deviations
-//   fle_verify --dump-transcript '<spec line>' [--out FILE]
+//   fle_verify --dump-transcript '<spec line>'
 //                                      record the spec's trials and pretty-print
-//                                      every event; --out also writes them as a
-//                                      content-addressed FLST store
-//                                      (store/store.h)
-//   fle_verify --diff-transcripts a.flst b.flst
-//                                      first-divergence diff of two FLST stores
-//                                      (--dump-transcript --out or fle_store):
-//                                      trial, event index, and both events;
-//                                      exit 1 on divergence
+//                                      every event (FLST stores of a sweep's
+//                                      transcripts: fle_sweep, then fle_store)
 //
 // Exit code 0 iff every check passed.
 
@@ -39,7 +33,6 @@
 
 #include "api/registry.h"
 #include "cli_parse.h"
-#include "store/store.h"
 #include "verify/fuzzer.h"
 #include "verify/suite.h"
 
@@ -118,16 +111,14 @@ int list_registry() {
                "          [--threads T] [--no-statistical] [--no-differential]\n"
                "          [--no-fuzz] [--shard I/M] [--out FILE]\n"
                "          [--merge FILE...] [--repro '<spec line>'] [--list]\n"
-               "          [--dump-transcript '<spec line>'] [--diff-transcripts A B]\n",
+               "          [--dump-transcript '<spec line>']\n",
                argv0);
   std::exit(2);
 }
 
 /// Records the spec's trials (transcripts forced on, one worker so the
 /// printed order is the execution order) and pretty-prints every event.
-/// --out additionally writes the FLST store the --diff-transcripts mode
-/// reads.
-int run_dump_transcript(const std::string& line, const std::string& out_path) {
+int run_dump_transcript(const std::string& line) {
   fle::verify::register_fuzz_user_entries();
   fle::ScenarioSpec spec = fle::verify::parse_spec(line);
   spec.record_transcripts = true;
@@ -146,62 +137,6 @@ int run_dump_transcript(const std::string& line, const std::string& out_path) {
       std::printf("  [%4zu] %s\n", e, fle::format_event(events[e]).c_str());
     }
   }
-  if (!out_path.empty()) {
-    fle::StoreWriter writer;
-    writer.add_scenario(fle::verify::format_spec(spec), result.per_trial_transcript);
-    writer.write_file(out_path);
-    std::printf("wrote %zu trial(s) to %s\n", result.per_trial_transcript.size(),
-                out_path.c_str());
-  }
-  return 0;
-}
-
-/// Loads every trial of a content-addressed FLST store (--dump-transcript
-/// --out, or fle_store build).
-std::vector<fle::ExecutionTranscript> load_store_transcripts(const std::string& path) {
-  try {
-    const fle::StoreReader store = fle::StoreReader::open_file(path);
-    std::vector<fle::ExecutionTranscript> transcripts;
-    transcripts.reserve(static_cast<std::size_t>(store.trial_count()));
-    for (std::uint64_t t = 0; t < store.trial_count(); ++t) {
-      transcripts.push_back(store.read_transcript(t));
-    }
-    return transcripts;
-  } catch (const std::exception& error) {
-    throw std::invalid_argument(path + ": " + error.what());
-  }
-}
-
-/// Event-for-event comparison of two recorded stores; prints the first
-/// divergent trial with the event index and BOTH events, so a replay
-/// regression is localized without re-running anything.
-int run_diff_transcripts(const std::string& path_a, const std::string& path_b) {
-  const std::vector<fle::ExecutionTranscript> a = load_store_transcripts(path_a);
-  const std::vector<fle::ExecutionTranscript> b = load_store_transcripts(path_b);
-  if (a.size() != b.size()) {
-    std::printf("DIFFER: %s records %zu trial(s), %s records %zu\n", path_a.c_str(),
-                a.size(), path_b.c_str(), b.size());
-    return 1;
-  }
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    const fle::Replayer replayer(a[t]);
-    const auto divergence = replayer.diff(b[t]);
-    if (!divergence) continue;
-    std::printf("DIFFER at trial %zu, event %zu: %s\n", t, divergence->index,
-                divergence->what.c_str());
-    const auto events_a = a[t].events();
-    const auto events_b = b[t].events();
-    std::printf("  %s: %s\n", path_a.c_str(),
-                divergence->index < events_a.size()
-                    ? fle::format_event(events_a[divergence->index]).c_str()
-                    : "(no event at this index)");
-    std::printf("  %s: %s\n", path_b.c_str(),
-                divergence->index < events_b.size()
-                    ? fle::format_event(events_b[divergence->index]).c_str()
-                    : "(no event at this index)");
-    return 1;
-  }
-  std::printf("identical: %zu trial(s) replay event for event\n", a.size());
   return 0;
 }
 
@@ -281,7 +216,6 @@ int main(int argc, char** argv) {
   fle::verify::ShardSlice slice;
   std::string repro;
   std::string dump_spec;
-  std::vector<std::string> diff_paths;
   std::string out_path;
   std::vector<std::string> merge_files;
   bool quick = false;
@@ -334,9 +268,6 @@ int main(int argc, char** argv) {
       repro = next();
     } else if (arg == "--dump-transcript") {
       dump_spec = next();
-    } else if (arg == "--diff-transcripts") {
-      diff_paths.emplace_back(next());
-      diff_paths.emplace_back(next());
     } else if (arg == "--list") {
       return list_registry();
     } else {
@@ -346,8 +277,10 @@ int main(int argc, char** argv) {
 
   try {
     if (!repro.empty()) return run_repro(repro);
-    if (!dump_spec.empty()) return run_dump_transcript(dump_spec, out_path);
-    if (!diff_paths.empty()) return run_diff_transcripts(diff_paths[0], diff_paths[1]);
+    if (!dump_spec.empty()) {
+      if (!out_path.empty()) usage(argv[0]);  // stores come from fle_sweep + fle_store
+      return run_dump_transcript(dump_spec);
+    }
     if (quick) {
       const auto budgets = fle::verify::quick_suite_options();
       if (!trials_set) options.trials = budgets.trials;
