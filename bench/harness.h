@@ -10,8 +10,8 @@
 // a table of many small and few large scenarios no longer strands cores.
 //
 // A table binary takes no arguments and always runs the whole table:
-// splitting scenarios across processes or hosts is the job of the shard
-// drivers, fle_sweep (--shard i/m, or the fabric) and fle_verify.
+// splitting scenarios across processes or hosts is the fabric's job
+// (fle_sweep with fle_worker processes).
 //
 //   int main(int argc, char** argv) {
 //     bench::Harness h("e01", "...", "...", argc, argv);

@@ -8,7 +8,7 @@ namespace fle {
 
 OutcomeCounter::OutcomeCounter(int n) : n_(n), counts_(static_cast<std::size_t>(n), 0) {}
 
-void OutcomeCounter::record(const Outcome& o) {
+void OutcomeCounter::record(const Outcome& o, std::size_t times) {
   if (!o.failed() && o.leader() >= static_cast<Value>(n_)) {
     // Engines can't produce this (aggregate_outcome maps out-of-range local
     // outputs to FAIL), so it is a caller bug; fail loudly rather than
@@ -18,12 +18,12 @@ void OutcomeCounter::record(const Outcome& o) {
     throw std::out_of_range("OutcomeCounter(n = " + std::to_string(n_) +
                             ") asked to record leader " + std::to_string(o.leader()));
   }
-  ++trials_;
+  trials_ += times;
   if (o.failed()) {
-    ++fails_;
+    fails_ += times;
     return;
   }
-  ++counts_[static_cast<std::size_t>(o.leader())];
+  counts_[static_cast<std::size_t>(o.leader())] += times;
 }
 
 void OutcomeCounter::merge(const OutcomeCounter& other) {

@@ -15,7 +15,8 @@ class OutcomeCounter {
  public:
   explicit OutcomeCounter(int n);
 
-  void record(const Outcome& o);
+  /// Counts `times` executions that ended in `o`.
+  void record(const Outcome& o, std::size_t times = 1);
 
   /// Adds another counter over the same outcome domain (sharded scenario
   /// results, api/scenario.h ScenarioResult::merge).  Throws

@@ -318,13 +318,6 @@ std::uint64_t derived_step_limit(std::uint64_t requested, std::uint64_t honest_b
   return requested != 0 ? requested : honest_bound * 2 + 4096;
 }
 
-void require_n(const ScenarioSpec& spec, int minimum) {
-  if (spec.n < minimum) {
-    throw std::invalid_argument("scenario needs n >= " + std::to_string(minimum) +
-                                " (got " + std::to_string(spec.n) + ")");
-  }
-}
-
 /// Per-worker workspace (DESIGN.md §4): one engine + one strategy arena,
 /// cached per executor thread under (family, n) and reused across every
 /// trial — and, since PR 4, across scenarios of the same shape.  The engine
@@ -404,7 +397,6 @@ Executor::ChunkBody closed_form_chunk_body(ScenarioJob* j, ClosedFormKind closed
 void fill_ring_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
-  require_n(spec, 2);
   if (!protocol_entry->make_ring) {
     throw std::invalid_argument("protocol '" + protocol_entry->name +
                                 "' does not run on the ring topology");
@@ -528,7 +520,6 @@ struct LaneWorkspace {
 void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
-  require_n(spec, 2);
   job.result = ScenarioResult(spec.n);
   const LaneKernelId kernel = *lane_kernel_for(spec.protocol);
 
@@ -583,7 +574,6 @@ void fill_lane_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
 void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                     const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
-  require_n(spec, 2);
   if (!protocol_entry->make_graph) {
     throw std::invalid_argument("protocol '" + protocol_entry->name +
                                 "' does not run on the graph topology");
@@ -665,7 +655,6 @@ void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
 void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
-  require_n(spec, 2);
   if (!protocol_entry->make_sync) {
     throw std::invalid_argument("protocol '" + protocol_entry->name +
                                 "' does not run on the sync topology");
@@ -742,7 +731,6 @@ void fill_sync_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
 void fill_turn_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
                    const DeviationEntry* deviation_entry) {
   const ScenarioSpec& spec = job.spec;
-  require_n(spec, 2);
   if (!protocol_entry->make_game) {
     throw std::invalid_argument("protocol '" + protocol_entry->name +
                                 "' does not run as a turn game (topology '" +
@@ -875,7 +863,7 @@ std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep) {
   std::vector<Executor::Batch> batches;
   batches.reserve(jobs.size());
   for (const auto& job : jobs) batches.push_back(batch_of(*job));
-  Executor::shared().run(std::span<Executor::Batch>(batches), sweep.threads, sweep.chunk);
+  Executor::shared().run(std::span<Executor::Batch>(batches), sweep.threads);
 
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -13,8 +13,9 @@
 // Determinism: each scenario's result is reduced from its own trial slots
 // in trial order, and per-trial seeds depend only on (scenario base seed,
 // global trial index) — so run_sweep(specs)[i] is bit-identical to
-// run_scenario(specs[i]) for every worker count and chunk size (asserted by
-// tests/test_sweep.cpp over the e01–e15 bench specs).
+// run_scenario(specs[i]) for every worker count, and for the chunk size the
+// executor derives from it (asserted by tests/test_sweep.cpp over the
+// e01–e15 bench specs).
 //
 // The in-process executor is run_sweep's only substrate.  The fabric's
 // RemoteExecutor (src/fabric/driver.h) is a separate entry point with the
@@ -31,8 +32,7 @@ namespace fle {
 /// fields are ignored — the sweep's worker count governs the whole batch.
 struct SweepSpec {
   std::vector<ScenarioSpec> scenarios;
-  int threads = 0;        ///< executor workers for the batch (0 = hardware)
-  std::size_t chunk = 0;  ///< trials per work item (0 = automatic)
+  int threads = 0;  ///< executor workers for the batch (0 = hardware)
 
   SweepSpec& add(ScenarioSpec spec) {
     scenarios.push_back(std::move(spec));

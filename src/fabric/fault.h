@@ -1,9 +1,9 @@
 #pragma once
 // Deterministic fault injection for the sweep fabric.  A FaultPlan is a
 // per-worker schedule of misbehaviours keyed by assignment ordinal: "on
-// your 2nd window, die".  Plans are plain text (CLI-friendly, diffable in
-// CI logs) and can be sampled from a seed, so a chaos run is reproducible
-// from its command line alone.
+// your 2nd window, die".  Plans are plain text (fle_worker --fault, and
+// diffable in CI logs), and a test can sample one from a seed: the same
+// (seed, windows, rate) always yields the same plan.
 //
 // Text format, comma-separated actions:
 //
@@ -62,7 +62,7 @@ struct FaultPlan {
   /// Deterministically samples a plan: each of the first `windows`
   /// assignment ordinals independently gets a fault with probability
   /// `rate` (kind and parameter drawn from the seed too).  Same arguments,
-  /// same plan — chaos jobs cite (seed, windows, rate) in their logs.
+  /// same plan, so a test that samples its plans replays them exactly.
   static FaultPlan sample(std::uint64_t seed, std::uint64_t windows, double rate);
 
   bool operator==(const FaultPlan&) const = default;

@@ -4,14 +4,13 @@
 //
 // Everything on the wire is built from the two encodings the repo already
 // has: the §7 LEB128 varint codec (sim/transcript.h leb128_put/leb128_get)
-// frames and encodes every integer field, and the PR 4 shard-row JSONL
-// format (verify/shard.h) is the result payload — a worker's answer for a
-// trial window is literally the row a sharded CLI run would have written,
-// so the driver merges network results through the exact code path the
-// --shard/--merge flow exercises in CI.  A transcript-recording window's
-// row is transcripts-elided: its store_keys column stays, and the same
-// kResult frame carries every trial's FLET blob in binary, in trial order,
-// as one blob list after the row.
+// frames and encodes every integer field, and the shard-row JSONL format
+// (verify/shard.h) is the result payload — a worker's answer for a trial
+// window is one row, which RemoteExecutor parses with parse_shard_row and
+// folds in trial order with ScenarioResult::merge.  A transcript-recording
+// window's row is transcripts-elided: its store_keys column stays, and the
+// same kResult frame carries every trial's FLET blob in binary, in trial
+// order, as one blob list after the row.
 //
 // Frame layout: one varint payload length, then the payload; payload byte 0
 // is the MessageKind, the rest is kind-specific (varints, and strings as

@@ -81,7 +81,7 @@ struct ResilienceOptions {
 /// utility gain for `spec.target` (indicator utility, Lemma 2.4).
 CheckResult check_resilience(const ScenarioSpec& spec, const ResilienceOptions& options = {});
 /// Same verdict on already-run deviated/baseline results (the suite runs
-/// both executions inside one sweep, or merges them from shard files).
+/// both executions inside one sweep).
 CheckResult check_resilience(const ScenarioSpec& spec, const ScenarioResult& deviated,
                              const ScenarioResult& baseline,
                              const ResilienceOptions& options = {});

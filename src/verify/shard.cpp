@@ -398,17 +398,6 @@ ScenarioSpec shard_key_spec(ScenarioSpec spec) {
   return spec;
 }
 
-TrialWindow shard_trial_window(const ScenarioSpec& spec, std::size_t index, std::size_t count) {
-  if (index >= count) {
-    throw std::invalid_argument("shard " + std::to_string(index) + "/" + std::to_string(count) +
-                                ": must satisfy 0 <= index < count");
-  }
-  const TrialWindow window = scenario_trial_window(spec);
-  const std::size_t lo = window.count * index / count;
-  const std::size_t hi = window.count * (index + 1) / count;
-  return {window.first + lo, hi - lo};
-}
-
 std::string format_shard_row(const ShardRow& row, bool elide_transcripts) {
   return format_row(row.case_index, row.spec_line, row.result, row.result.wall_seconds,
                     elide_transcripts, row.store_keys);
@@ -439,14 +428,6 @@ ShardRow parse_shard_row(const std::string& line) {
   }
   ScenarioResult result(n);
   result.trials = json.u64("trials");
-  // The counter is rebuilt by replaying `trials` records below; bound the
-  // work so a corrupt row fails the parse instead of stalling the merge.
-  constexpr std::uint64_t kMaxRowTrials = 100'000'000;
-  if (result.trials > kMaxRowTrials) {
-    throw std::invalid_argument("shard row: trials = " + std::to_string(result.trials) +
-                                " exceeds the per-row limit " +
-                                std::to_string(kMaxRowTrials));
-  }
   result.trial_offset = json.u64("trial_offset");
   result.spec_trials = json.u64("spec_trials");
   if (result.trial_offset > result.spec_trials ||
@@ -467,9 +448,9 @@ ShardRow parse_shard_row(const std::string& line) {
   result.deviation_name = std::string(json.str("deviation_name"));
   result.outcomes_recorded = json.boolean("recorded");
 
-  // Parse and cross-check the outcome histogram BEFORE replaying it into
-  // the counter: a corrupt cell must fail the parse, not spin the replay
-  // loop for up to 2^64 iterations.
+  // Parse and cross-check the outcome histogram before the counter takes
+  // it, one record per cell: the parse costs the row's bytes, whatever
+  // trial count the row claims.
   const std::vector<std::string_view> count_cells = split_list(counts);
   if (count_cells.size() != static_cast<std::size_t>(n)) {
     throw std::invalid_argument("shard row: key 'counts' has " +
@@ -498,12 +479,10 @@ ShardRow parse_shard_row(const std::string& line) {
                                 ") + fails (" + std::to_string(fails) + ") != trials (" +
                                 std::to_string(result.trials) + ")");
   }
-  for (Value leader = 0; leader < static_cast<Value>(n); ++leader) {
-    for (std::uint64_t c = 0; c < cells[static_cast<std::size_t>(leader)]; ++c) {
-      result.outcomes.record(Outcome::elected(leader));
-    }
+  for (std::size_t leader = 0; leader < cells.size(); ++leader) {
+    result.outcomes.record(Outcome::elected(static_cast<Value>(leader)), cells[leader]);
   }
-  for (std::uint64_t f = 0; f < fails; ++f) result.outcomes.record(Outcome::fail());
+  result.outcomes.record(Outcome::fail(), fails);
 
   if (result.outcomes_recorded) {
     // Each recorded outcome is F or a leader below n, and together they

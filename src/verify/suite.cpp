@@ -1,8 +1,6 @@
 #include "verify/suite.h"
 
 #include <algorithm>
-#include <functional>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -14,7 +12,6 @@
 #include "verify/checks.h"
 #include "verify/differential.h"
 #include "verify/fuzzer.h"
-#include "verify/shard.h"
 
 namespace fle::verify {
 
@@ -288,8 +285,7 @@ struct StatGate {
 };
 
 /// The statistical section as data: every scenario execution it needs (run
-/// as one sweep, or sharded by trial window) plus the gates over the
-/// results.
+/// as one sweep) plus the gates over the results.
 struct StatisticalPlan {
   std::vector<ScenarioSpec> specs;
   std::vector<StatGate> gates;
@@ -420,84 +416,8 @@ CheckReport run_statistical_checks(const SuiteOptions& options) {
   return evaluate_plan(plan, run_sweep(sweep));
 }
 
-void run_statistical_shard(const SuiteOptions& options, const ShardSlice& slice,
-                           std::ostream& out) {
-  if (slice.count < 1 || slice.index < 0 || slice.index >= slice.count) {
-    throw std::invalid_argument("ShardSlice must satisfy 0 <= index < count (got " +
-                                std::to_string(slice.index) + "/" +
-                                std::to_string(slice.count) + ")");
-  }
-  const StatisticalPlan plan = build_statistical_plan(options);
-  SweepSpec sweep;
-  sweep.threads = options.threads;
-  std::vector<std::size_t> case_of_scenario;
-  for (std::size_t i = 0; i < plan.specs.size(); ++i) {
-    ScenarioSpec spec = plan.specs[i];
-    const TrialWindow window =
-        shard_trial_window(spec, static_cast<std::size_t>(slice.index),
-                           static_cast<std::size_t>(slice.count));
-    if (window.count == 0) continue;  // fewer trials than shards: nothing here
-    spec.trial_offset = window.first;
-    spec.trial_count = window.count;
-    sweep.add(std::move(spec));
-    case_of_scenario.push_back(i);
-  }
-  const std::vector<ScenarioResult> results = run_sweep(sweep);
-  for (std::size_t s = 0; s < results.size(); ++s) {
-    ShardRow row;
-    row.case_index = case_of_scenario[s];
-    row.spec_line = format_spec(shard_key_spec(plan.specs[case_of_scenario[s]]));
-    row.result = results[s];
-    out << format_shard_row(row) << '\n';
-  }
-}
-
-CheckReport merge_statistical_shards(const SuiteOptions& options,
-                                     const std::vector<std::string>& rows) {
-  const StatisticalPlan plan = build_statistical_plan(options);
-  std::vector<ShardRow> parsed;
-  parsed.reserve(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].empty()) continue;
-    try {
-      parsed.push_back(parse_shard_row(rows[r]));
-    } catch (const std::exception& error) {
-      throw std::invalid_argument("shard input row " + std::to_string(r) + ": " +
-                                  error.what());
-    }
-  }
-  std::map<std::size_t, MergedCase> merged = merge_shard_rows(std::move(parsed));
-
-  std::vector<ScenarioResult> results;
-  results.reserve(plan.specs.size());
-  for (std::size_t i = 0; i < plan.specs.size(); ++i) {
-    const auto it = merged.find(i);
-    if (it == merged.end()) {
-      throw std::invalid_argument("no shard rows for statistical case #" +
-                                  std::to_string(i) + " (" +
-                                  format_spec(shard_key_spec(plan.specs[i])) +
-                                  ") — were all shard files passed to --merge?");
-    }
-    const std::string expected = format_spec(shard_key_spec(plan.specs[i]));
-    if (it->second.spec_line != expected) {
-      throw std::invalid_argument(
-          "statistical case #" + std::to_string(i) + " spec mismatch: shard rows say '" +
-          it->second.spec_line + "' but these options describe '" + expected +
-          "' — shards and merge must run with identical budgets/seed");
-    }
-    results.push_back(std::move(it->second.result));
-  }
-  return evaluate_plan(plan, results);
-}
-
 CheckReport run_differential_checks(const SuiteOptions& options) {
-  return run_differential_checks(options, ShardSlice{});
-}
-
-CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlice& slice) {
-  // The differential cases as thunks, so a shard can run its round-robin
-  // share (case i runs on shard i mod count).
-  std::vector<std::function<CheckResult()>> cases;
+  CheckReport report;
   for (const char* protocol : ring_protocols()) {
     ScenarioSpec spec;
     spec.protocol = protocol;
@@ -505,11 +425,9 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
     spec.trials = options.exact_trials;
     spec.seed = options.seed + 17;
     spec.threads = options.threads;
-    cases.emplace_back([spec] {
-      return check_differential_exact(spec, TopologyKind::kRing, TopologyKind::kThreaded);
-    });
-    cases.emplace_back([spec] { return check_scheduler_invariance(spec); });
-    cases.emplace_back([spec] { return check_trace_determinism(spec, /*traced_trials=*/8); });
+    report.add(check_differential_exact(spec, TopologyKind::kRing, TopologyKind::kThreaded));
+    report.add(check_scheduler_invariance(spec));
+    report.add(check_trace_determinism(spec, /*traced_trials=*/8));
   }
   {
     // Deviated executions must agree across runtimes too (the adversary
@@ -523,10 +441,8 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
     spec.trials = options.exact_trials;
     spec.seed = options.seed + 23;
     spec.threads = options.threads;
-    cases.emplace_back([spec] {
-      return check_differential_exact(spec, TopologyKind::kRing, TopologyKind::kThreaded);
-    });
-    cases.emplace_back([spec] { return check_trace_determinism(spec, /*traced_trials=*/8); });
+    report.add(check_differential_exact(spec, TopologyKind::kRing, TopologyKind::kThreaded));
+    report.add(check_trace_determinism(spec, /*traced_trials=*/8));
   }
   {
     // Statistical reductions: protocols the paper proves uniform must be
@@ -544,21 +460,20 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
     // sum-protocols compute the *same* function of each trial seed and the
     // two histograms coincide exactly, which degenerates the test.
     sync.seed = ring.seed + 104729;
-    cases.emplace_back([ring, sync] { return check_differential_distribution(ring, sync); });
+    report.add(check_differential_distribution(ring, sync));
 
     ScenarioSpec graph = ring;
     graph.topology = TopologyKind::kGraph;
     graph.protocol = "shamir-lead";
     graph.seed = ring.seed + 224737;
-    cases.emplace_back([graph, sync] { return check_differential_distribution(graph, sync); });
+    report.add(check_differential_distribution(graph, sync));
 
     ScenarioSpec chang = ring;
     chang.protocol = "chang-roberts";
     ScenarioSpec peterson = ring;
     peterson.protocol = "peterson";
     peterson.seed = ring.seed + 350377;
-    cases.emplace_back(
-        [chang, peterson] { return check_differential_distribution(chang, peterson); });
+    report.add(check_differential_distribution(chang, peterson));
   }
 
   {
@@ -579,7 +494,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
           spec.trials = options.exact_trials;
           spec.seed = options.seed + 47;
           spec.scheduler = scheduler;
-          cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+          report.add(check_lane_differential(spec, threads));
         }
       }
     }
@@ -596,8 +511,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
         single.trials = options.exact_trials;
         single.seed = options.seed + 47;
         single.scheduler = scheduler;
-        cases.emplace_back(
-            [single, threads] { return check_lane_differential(single, threads); });
+        report.add(check_lane_differential(single, threads));
 
         ScenarioSpec rushing;
         rushing.protocol = "alead-uni";
@@ -608,8 +522,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
         rushing.trials = options.exact_trials;
         rushing.seed = options.seed + 47;
         rushing.scheduler = scheduler;
-        cases.emplace_back(
-            [rushing, threads] { return check_lane_differential(rushing, threads); });
+        report.add(check_lane_differential(rushing, threads));
       }
     }
     // Round-robin reaches the lanes through the deviated shapes with no
@@ -624,7 +537,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
       rushing.n = 12;
       rushing.trials = options.exact_trials;
       rushing.seed = options.seed + 47;
-      cases.emplace_back([rushing, threads] { return check_lane_differential(rushing, threads); });
+      report.add(check_lane_differential(rushing, threads));
 
       ScenarioSpec single;
       single.protocol = "chang-roberts";
@@ -633,7 +546,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
       single.n = 12;
       single.trials = options.exact_trials;
       single.seed = options.seed + 47;
-      cases.emplace_back([single, threads] { return check_lane_differential(single, threads); });
+      report.add(check_lane_differential(single, threads));
     }
     // Honest sync specs have no lane runtime: engine=auto serves them from
     // token-sum on the scalar sync path, which must match the pinned
@@ -653,7 +566,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
           spec.step_limit = static_cast<std::uint64_t>(step_limit);
           spec.trials = options.exact_trials;
           spec.seed = options.seed + 47;
-          cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+          report.add(check_lane_differential(spec, threads));
         }
       }
     }
@@ -670,7 +583,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
         spec.param_l = param_l;
         spec.trials = options.exact_trials;
         spec.seed = options.seed + 47;
-        cases.emplace_back([spec, threads] { return check_lane_differential(spec, threads); });
+        report.add(check_lane_differential(spec, threads));
       }
     }
   }
@@ -685,7 +598,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
     spec.trials = std::min<std::size_t>(options.exact_trials, 64);
     spec.seed = options.seed + 41;
     spec.threads = options.threads;
-    cases.emplace_back([spec] { return check_transcript_replay(spec); });
+    report.add(check_transcript_replay(spec));
   }
   {
     // Deviated executions replay too — one ring attack and one turn-game
@@ -699,7 +612,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
     ring.trials = std::min<std::size_t>(options.exact_trials, 32);
     ring.seed = options.seed + 43;
     ring.threads = options.threads;
-    cases.emplace_back([ring] { return check_transcript_replay(ring); });
+    report.add(check_transcript_replay(ring));
 
     ScenarioSpec baton;
     baton.topology = TopologyKind::kFullInfo;
@@ -711,16 +624,7 @@ CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlic
     baton.trials = std::min<std::size_t>(options.exact_trials, 32);
     baton.seed = options.seed + 47;
     baton.threads = options.threads;
-    cases.emplace_back([baton] { return check_transcript_replay(baton); });
-  }
-
-  CheckReport report;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    if (slice.count > 1 &&
-        static_cast<int>(i % static_cast<std::size_t>(slice.count)) != slice.index) {
-      continue;
-    }
-    report.add(cases[i]());
+    report.add(check_transcript_replay(baton));
   }
   return report;
 }

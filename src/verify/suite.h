@@ -11,17 +11,9 @@
 // The statistical section is data first: build_statistical_plan() lists
 // every scenario execution the section needs, run_statistical_checks()
 // submits them all as ONE sweep (api/sweep.h) so small checks share
-// workers with big ones, and the gates are applied to the results.  The
-// same plan drives sharding: run_statistical_shard() executes only a
-// window of every scenario's trials and emits mergeable JSONL rows
-// (verify/shard.h); merge_statistical_shards() folds the rows back into
-// the monolithic results — bit-identical, because seeds are
-// position-independent — and applies the gates at full budget.
+// workers with big ones, and the gates are applied to the results.
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
-#include <vector>
 
 #include "api/scenario.h"
 #include "verify/verify.h"
@@ -39,35 +31,12 @@ struct SuiteOptions {
   bool run_fuzz = true;
 };
 
-/// Which slice of a sharded run this process executes: statistical
-/// scenarios run trials [index*T/count, (index+1)*T/count), differential
-/// cases and fuzz budgets are distributed round-robin.
-struct ShardSlice {
-  int index = 0;
-  int count = 1;
-};
-
 /// Scales every budget down (~400 trials, 16 fuzz specs) so the suite
 /// finishes in seconds — the tier-2 ctest entry and quick local runs.
 SuiteOptions quick_suite_options();
 
 CheckReport run_statistical_checks(const SuiteOptions& options);
 CheckReport run_differential_checks(const SuiteOptions& options);
-CheckReport run_differential_checks(const SuiteOptions& options, const ShardSlice& slice);
 CheckReport run_conformance_suite(const SuiteOptions& options);
-
-/// Runs shard `slice` of every statistical scenario and writes one
-/// mergeable JSONL row per scenario to `out`.  No gates are applied here —
-/// a shard's window alone has reduced statistical power; gating happens on
-/// the merged full-budget results.
-void run_statistical_shard(const SuiteOptions& options, const ShardSlice& slice,
-                           std::ostream& out);
-
-/// Merges the JSONL rows collected from every shard of `options` (the
-/// same SuiteOptions each shard ran with) and applies the statistical
-/// gates to the merged results.  Throws std::invalid_argument when rows
-/// are missing, overlap, or disagree with the plan the options describe.
-CheckReport merge_statistical_shards(const SuiteOptions& options,
-                                     const std::vector<std::string>& rows);
 
 }  // namespace fle::verify

@@ -11,7 +11,9 @@
 #include <cctype>
 #include <chrono>
 #include <functional>
+#include <latch>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -610,6 +612,33 @@ TEST(ShardHardening, NIsBoundedByTheCountsColumnBeforeAnythingIsSized) {
   }
 }
 
+TEST(ShardHardening, RowsOfAnyTrialCountParseWithTheirCounts) {
+  // The counter takes each counts cell and the fails column as one record,
+  // so no trial count is too large to parse: rows of 2 x 10^8 and 2^40
+  // trials keep their counts and format back to their own bytes.
+  for (const std::uint64_t trials : {std::uint64_t{200'000'000}, std::uint64_t{1} << 40}) {
+    const std::uint64_t leader0 = trials / 2 + 7;
+    const std::uint64_t leader1 = trials - leader0 - 1;  // one FAIL
+    const std::string t = std::to_string(trials);
+    const std::string line =
+        R"({"case": 0, "spec": "topology=ring protocol=basic-lead n=2 trials=)" + t +
+        R"( seed=1", "n": 2, "trials": )" + t + R"(, "trial_offset": 0, "spec_trials": )" + t +
+        R"(, "base_seed": 1, "fails": 1, "counts": ")" + std::to_string(leader0) + "," +
+        std::to_string(leader1) +
+        R"(", "total_messages": 0, "max_messages": 0, "total_sync_gap": 0, )"
+        R"("max_sync_gap": 0, "max_rounds": 0, "wall_seconds": 0, )"
+        R"("protocol_name": "basic-lead", "deviation_name": "", "recorded": false, )"
+        R"("transcripts_recorded": false})";
+    const verify::ShardRow row = verify::parse_shard_row(line);
+    EXPECT_EQ(row.result.trials, trials);
+    EXPECT_EQ(row.result.outcomes.trials(), trials);
+    EXPECT_EQ(row.result.outcomes.count(0), leader0);
+    EXPECT_EQ(row.result.outcomes.count(1), leader1);
+    EXPECT_EQ(row.result.outcomes.fails(), 1u);
+    EXPECT_EQ(verify::format_shard_row(row), line);
+  }
+}
+
 TEST(ShardHardening, PerTrialMustBeTheHistogramsLeaders) {
   // Every recorded leader is below n, and the recorded outcomes add up to
   // exactly the counts and fails columns.
@@ -731,31 +760,42 @@ SweepSpec loopback_sweep() {
 
 /// Runs the sweep on a RemoteExecutor fed by in-process workers (one thread
 /// per FaultPlan) and requires the canonical report to be byte-identical to
-/// the in-process run_sweep.
+/// the in-process run_sweep.  The sweep starts once every worker thread
+/// runs, and the executor is destroyed before the joins: closing its
+/// listening socket is what releases a worker that connected after the
+/// sweep was served, instead of leaving it in the listen backlog until its
+/// read timeout.
 void expect_fabric_matches_local(const std::vector<FaultPlan>& worker_plans,
                                  FabricOptions options) {
   const SweepSpec sweep = loopback_sweep();
   const std::vector<ScenarioResult> local = run_sweep(sweep);
 
-  RemoteExecutor executor(options);
+  auto executor = std::make_unique<RemoteExecutor>(options);
+  std::latch started(static_cast<std::ptrdiff_t>(worker_plans.size()));
   std::vector<std::thread> workers;
   workers.reserve(worker_plans.size());
   for (std::size_t w = 0; w < worker_plans.size(); ++w) {
     WorkerOptions worker;
-    worker.port = executor.port();
+    worker.port = executor->port();
     worker.label = "t";
     worker.label += std::to_string(w);
     worker.faults = worker_plans[w];
     worker.threads = 2;
-    workers.push_back(std::thread([worker] { (void)run_worker(worker); }));
+    workers.push_back(std::thread([worker, &started] {
+      started.count_down();
+      (void)run_worker(worker);
+    }));
   }
+  started.wait();
   std::vector<ScenarioResult> remote;
   try {
-    remote = executor.run_sweep(sweep);
+    remote = executor->run_sweep(sweep);
   } catch (...) {
+    executor.reset();
     for (std::thread& t : workers) t.join();
     throw;
   }
+  executor.reset();
   for (std::thread& t : workers) t.join();
 
   ASSERT_EQ(remote.size(), local.size());

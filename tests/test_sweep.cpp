@@ -185,19 +185,15 @@ TEST(RunSweep, MatchesSerialRunScenarioOnBenchSpecs) {
     serial.push_back(run_scenario(spec));
   }
   for (const int threads : {1, 4, 8}) {
-    for (const std::size_t chunk : {std::size_t{0}, std::size_t{3}}) {
-      SweepSpec sweep;
-      sweep.scenarios = specs;
-      sweep.threads = threads;
-      sweep.chunk = chunk;
-      const std::vector<ScenarioResult> batched = run_sweep(sweep);
-      ASSERT_EQ(batched.size(), serial.size());
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        expect_results_equal(serial[i], batched[i],
-                             "spec " + std::to_string(i) + " (" + specs[i].protocol +
-                                 ") threads=" + std::to_string(threads) +
-                                 " chunk=" + std::to_string(chunk));
-      }
+    SweepSpec sweep;
+    sweep.scenarios = specs;
+    sweep.threads = threads;
+    const std::vector<ScenarioResult> batched = run_sweep(sweep);
+    ASSERT_EQ(batched.size(), serial.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      expect_results_equal(serial[i], batched[i],
+                           "spec " + std::to_string(i) + " (" + specs[i].protocol +
+                               ") threads=" + std::to_string(threads));
     }
   }
 }
@@ -402,35 +398,6 @@ TEST(ShardRows, FormatParseRoundTripsAndMergesToMonolithic) {
   ASSERT_EQ(merged.size(), 1u);
   ASSERT_TRUE(merged.count(4));
   expect_results_equal(whole, merged.at(4).result, "merged rows");
-}
-
-TEST(ShardRows, ShardWindowsTileTheScenario) {
-  // The one shard-window rule fle_sweep --shard and fle_verify --shard
-  // share: fewer trials than shards, exactly one trial per shard, a prime
-  // trial count, and a spec that already carries a window (the slices then
-  // tile that window, not the whole scenario).
-  struct Case {
-    std::size_t trials, offset, count, shards;
-  };
-  for (const Case& c : {Case{3, 0, 0, 8}, Case{8, 0, 0, 8}, Case{10007, 0, 0, 16},
-                        Case{100, 30, 50, 7}}) {
-    ScenarioSpec spec = ring_spec("basic-lead", 8, c.trials);
-    spec.trial_offset = c.offset;
-    spec.trial_count = c.count;
-    const TrialWindow whole = scenario_trial_window(spec);
-    const std::string what = "T=" + std::to_string(whole.count) + " m=" +
-                             std::to_string(c.shards);
-    std::size_t next = whole.first;
-    for (std::size_t i = 0; i < c.shards; ++i) {
-      const TrialWindow slice = verify::shard_trial_window(spec, i, c.shards);
-      EXPECT_EQ(slice.first, next) << what << " shard " << i;
-      EXPECT_LE(slice.count, whole.count / c.shards + 1) << what << " shard " << i;
-      next += slice.count;
-    }
-    EXPECT_EQ(next, whole.first + whole.count) << what;
-  }
-  EXPECT_THROW(verify::shard_trial_window(ring_spec("basic-lead", 8, 10), 4, 4),
-               std::invalid_argument);
 }
 
 TEST(ShardRows, ParseRejectsCorruptCountsWithoutReplaying) {

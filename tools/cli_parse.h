@@ -2,11 +2,11 @@
 // Checked numeric CLI parsing shared by every fle_* tool.
 //
 // The tools used to feed flag values straight into atoi/strtol/strtoull,
-// so `--threads foo` silently became 0 and `--shard 1x/4` half-parsed.
-// Every numeric flag now routes through these helpers: the full argument
-// must parse (no trailing junk), fit the requested range, and a failure
-// names the flag, echoes the offending value and exits with code 2 — the
-// usage-error convention the tools already use for unknown flags.
+// so `--threads foo` silently became 0.  Every numeric flag now routes
+// through these helpers: the full argument must parse (no trailing junk),
+// fit the requested range, and a failure names the flag, echoes the
+// offending value and exits with code 2 — the usage-error convention the
+// tools already use for unknown flags.
 
 #include <cstddef>
 #include <cstdint>
@@ -58,24 +58,6 @@ inline std::uint64_t parse_u64(const char* prog, const char* flag, std::string_v
   return parse_int<std::uint64_t>(prog, flag, text, 0, UINT64_MAX);
 }
 
-/// Checked floating-point flag values (fault rates, densities): the whole
-/// string must parse and the result must land in [min, max].
-inline double parse_double(const char* prog, const char* flag, std::string_view text,
-                           double min_value, double max_value) {
-  const std::optional<double> value = try_parse_double(text);
-  if (!value) {
-    std::fprintf(stderr, "%s: %s: '%.*s' is not a valid number\n", prog, flag,
-                 static_cast<int>(text.size()), text.data());
-    std::exit(2);
-  }
-  if (!(*value >= min_value && *value <= max_value)) {
-    std::fprintf(stderr, "%s: %s: %g is out of range [%g, %g]\n", prog, flag, *value,
-                 min_value, max_value);
-    std::exit(2);
-  }
-  return *value;
-}
-
 /// Named-choice flags ("--engine auto|scalar" and friends): the
 /// value must match one of `choices` exactly; a failure names the flag,
 /// lists the valid spellings and exits 2 like the numeric parsers.
@@ -92,30 +74,6 @@ std::string_view parse_choice(const char* prog, const char* flag, std::string_vi
   }
   std::fprintf(stderr, "\n");
   std::exit(2);
-}
-
-/// An "I/M" shard selector: index I in [0, M), count M >= 1.
-struct ShardArg {
-  int index = 0;
-  int count = 1;
-};
-
-inline ShardArg parse_shard(const char* prog, const char* flag, std::string_view text) {
-  const std::size_t slash = text.find('/');
-  if (slash == std::string_view::npos) {
-    std::fprintf(stderr, "%s: %s: '%.*s' is not of the form I/M\n", prog, flag,
-                 static_cast<int>(text.size()), text.data());
-    std::exit(2);
-  }
-  ShardArg shard;
-  shard.index = parse_int<int>(prog, flag, text.substr(0, slash), 0, 1 << 20);
-  shard.count = parse_int<int>(prog, flag, text.substr(slash + 1), 1, 1 << 20);
-  if (shard.index >= shard.count) {
-    std::fprintf(stderr, "%s: %s: shard index %d must be below the count %d\n", prog, flag,
-                 shard.index, shard.count);
-    std::exit(2);
-  }
-  return shard;
 }
 
 }  // namespace fle::cli

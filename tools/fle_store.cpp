@@ -1,12 +1,9 @@
 // fle_store — the content-addressed transcript store CLI (src/store/).
 //
-//   fle_store build --out sweep.flst rows.jsonl...   build a store from
-//                                      shard-row JSONL (fle_sweep reports,
-//                                      fle_verify --shard output); rows of
-//                                      one scenario merge in trial order,
-//                                      so four shard files and one
-//                                      monolithic file build byte-identical
-//                                      stores
+//   fle_store build --out sweep.flst report.jsonl
+//                                      build a store from one fle_sweep
+//                                      report (--local or fabric: the same
+//                                      bytes, so the same store)
 //   fle_store diff a.flst b.flst       O(diff) sync: equal roots prove
 //                                      equality without reading a tree
 //                                      node; otherwise only divergent
@@ -43,7 +40,7 @@ namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s build --out STORE ROWS.jsonl...\n"
+               "usage: %s build --out STORE REPORT.jsonl\n"
                "       %s diff A B [--max-divergent N]\n"
                "       %s ls STORE\n"
                "       %s cat STORE --trial N\n"
@@ -52,34 +49,29 @@ namespace {
   std::exit(2);
 }
 
-/// Parses every row of every JSONL file and folds the transcript-recording
-/// scenarios into a StoreWriter: rows group by spec line, order by trial
-/// offset, and must tile each scenario — exactly the --merge contract, so
-/// a store built from shard files equals the store built from the
-/// monolithic report.
-fle::StoreWriter build_writer(const char* argv0, const std::vector<std::string>& paths) {
+/// Parses every row of the report and folds the transcript-recording
+/// scenarios into a StoreWriter through merge_shard_rows, which requires
+/// each scenario's rows to cover all of its trials.
+fle::StoreWriter build_writer(const char* argv0, const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::runtime_error("cannot read '" + path + "'");
+  }
   std::vector<fle::verify::ShardRow> rows;
-  for (const std::string& path : paths) {
-    std::ifstream in(path);
-    if (!in) {
-      throw std::runtime_error("cannot read '" + path + "'");
+  std::string line;
+  std::size_t line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    if (line.empty()) continue;
+    try {
+      rows.push_back(fle::verify::parse_shard_row(line));
+    } catch (const std::exception& error) {
+      throw std::runtime_error(path + ":" + std::to_string(line_number) + ": " + error.what());
     }
-    std::string line;
-    std::size_t line_number = 0;
-    while (std::getline(in, line)) {
-      ++line_number;
-      if (line.empty()) continue;
-      try {
-        rows.push_back(fle::verify::parse_shard_row(line));
-      } catch (const std::exception& error) {
-        throw std::runtime_error(path + ":" + std::to_string(line_number) + ": " + error.what());
-      }
-      const fle::verify::ShardRow& row = rows.back();
-      if (row.transcripts_elided) {
-        throw std::runtime_error(path + ":" + std::to_string(line_number) +
-                                 ": row is transcripts-elided (its blobs travel beside it in a "
-                                 "fabric result frame); build stores from full reports");
-      }
+    if (rows.back().transcripts_elided) {
+      throw std::runtime_error(path + ":" + std::to_string(line_number) +
+                               ": row is transcripts-elided (its blobs travel beside it in a "
+                               "fabric result frame); build stores from full reports");
     }
   }
   // Drop rows with nothing to store (scenarios run without transcripts=1)
@@ -110,9 +102,8 @@ fle::StoreWriter build_writer(const char* argv0, const std::vector<std::string>&
   return writer;
 }
 
-int run_build(const char* argv0, const std::string& out_path,
-              const std::vector<std::string>& row_paths) {
-  const fle::StoreWriter writer = build_writer(argv0, row_paths);
+int run_build(const char* argv0, const std::string& out_path, const std::string& report_path) {
+  const fle::StoreWriter writer = build_writer(argv0, report_path);
   writer.write_file(out_path);
   const fle::StoreReader reader = fle::StoreReader::open_file(out_path);
   std::printf("%s: %llu trial(s), %llu unique blob(s), depth %d, root %s\n", out_path.c_str(),
@@ -263,8 +254,8 @@ int main(int argc, char** argv) {
 
   try {
     if (command == "build") {
-      if (out_path.empty() || inputs.empty()) usage(argv[0]);
-      return run_build(argv[0], out_path, inputs);
+      if (out_path.empty() || inputs.size() != 1) usage(argv[0]);
+      return run_build(argv[0], out_path, inputs[0]);
     }
     if (command == "diff") {
       if (inputs.size() != 2) usage(argv[0]);

@@ -14,6 +14,9 @@
 //   for i in 1 2 3 4; do fle_worker --connect 127.0.0.1:$(cat port.txt) & done
 //   wait %1 && cmp mono.jsonl fabric.jsonl
 //
+// The fabric's trial windows are the one way a sweep is split across
+// processes; --local runs it whole.
+//
 // --engine scalar pins every scenario to the scalar oracle engines;
 // --engine auto (each line's default) lets the specializer pick the
 // closed-form layer or the lane engine where a spec qualifies
@@ -37,13 +40,12 @@
 #include "cli_parse.h"
 #include "fabric/driver.h"
 #include "verify/fuzzer.h"
-#include "verify/shard.h"
 
 namespace {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --spec-file FILE [--local [--shard I/M]] [--out FILE]\n"
+               "usage: %s --spec-file FILE [--local] [--out FILE]\n"
                "          [--port N] [--port-file FILE] [--workers N] [--window N]\n"
                "          [--deadline-ms N] [--retries N] [--heartbeat-ms N]\n"
                "          [--grace-ms N] [--threads T]\n"
@@ -85,8 +87,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::string port_file;
   bool local = false;
-  bool sharded = false;
-  fle::cli::ShardArg shard;
   int threads = 0;
   std::optional<fle::EngineKind> engine;
   fle::fabric::FabricOptions options;
@@ -101,9 +101,6 @@ int main(int argc, char** argv) {
       spec_path = next();
     } else if (arg == "--local") {
       local = true;
-    } else if (arg == "--shard") {
-      shard = fle::cli::parse_shard(argv[0], "--shard", next());
-      sharded = true;
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--port") {
@@ -138,11 +135,6 @@ int main(int argc, char** argv) {
     }
   }
   if (spec_path.empty()) usage(argv[0]);
-  if (sharded && !local) {
-    std::fprintf(stderr, "%s: --shard applies to --local runs only "
-                 "(the fabric shards by windows already)\n", argv[0]);
-    return 2;
-  }
 
   fle::SweepSpec sweep;
   try {
@@ -152,22 +144,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    if (sharded) {
-      // The m shard reports together tile each scenario exactly, so
-      // `fle_store build` (or fle_verify --merge machinery) folds them back
-      // into the monolithic run bit for bit.  An empty slice is pinned to
-      // the very end of the scenario so merge contiguity still holds.
-      for (fle::ScenarioSpec& spec : sweep.scenarios) {
-        const fle::TrialWindow slice = fle::verify::shard_trial_window(
-            spec, static_cast<std::size_t>(shard.index), static_cast<std::size_t>(shard.count));
-        spec.trial_offset = slice.count == 0 ? spec.trials : slice.first;
-        spec.trial_count = slice.count;
-      }
-    }
     // Engine overrides apply to the whole sweep AFTER the report snapshot:
-    // the canonical report echoes the workload as the spec file wrote it
-    // (plus any shard window), never the engine that happened to run it,
-    // so the CI's --engine scalar and --engine auto runs cmp byte-identical.
+    // the canonical report echoes the workload as the spec file wrote it,
+    // never the engine that happened to run it, so the CI's --engine scalar
+    // and --engine auto runs cmp byte-identical.
     const fle::SweepSpec report_sweep = sweep;
     for (fle::ScenarioSpec& spec : sweep.scenarios) {
       if (engine) spec.engine = *engine;

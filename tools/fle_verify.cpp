@@ -2,16 +2,8 @@
 //
 //   fle_verify                         full suite at default budgets
 //   fle_verify --quick                 seconds-scale budgets (ctest -L verify)
-//   fle_verify --trials 10000 --fuzz 200   CI budgets
-//   fle_verify --shard 1/4 --out s1.jsonl  run shard 1 of 4: statistical
-//                                      scenarios execute trials [T/4, 2T/4)
-//                                      and emit mergeable JSONL rows;
-//                                      differential cases and the fuzz
-//                                      budget take their round-robin share
-//   fle_verify --merge s0.jsonl s1.jsonl ...
-//                                      merge the shard rows (bit-identical
-//                                      to the monolithic run) and apply the
-//                                      statistical gates at full budget
+//   fle_verify --trials 10000 --exact 10000 --fuzz 200
+//                                      CI budgets
 //   fle_verify --repro 'topology=ring protocol=alead-uni n=8 trials=4 seed=9'
 //                                      replay one shrunk fuzz failure
 //   fle_verify --list                  print the registered protocols/deviations
@@ -25,9 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -109,8 +99,7 @@ int list_registry() {
   std::fprintf(stderr,
                "usage: %s [--quick] [--trials N] [--exact N] [--fuzz N] [--seed S]\n"
                "          [--threads T] [--no-statistical] [--no-differential]\n"
-               "          [--no-fuzz] [--shard I/M] [--out FILE]\n"
-               "          [--merge FILE...] [--repro '<spec line>'] [--list]\n"
+               "          [--no-fuzz] [--repro '<spec line>'] [--list]\n"
                "          [--dump-transcript '<spec line>']\n",
                argv0);
   std::exit(2);
@@ -140,87 +129,13 @@ int run_dump_transcript(const std::string& line) {
   return 0;
 }
 
-/// Parses "i/m" into a slice; prints the offending value and exits 2 on
-/// malformed input (cli_parse.h).
-fle::verify::ShardSlice parse_slice(const char* text, const char* argv0) {
-  const fle::cli::ShardArg shard = fle::cli::parse_shard(argv0, "--shard", text);
-  fle::verify::ShardSlice slice;
-  slice.index = shard.index;
-  slice.count = shard.count;
-  return slice;
-}
-
-int run_shard(const fle::verify::SuiteOptions& options,
-              const fle::verify::ShardSlice& slice, std::string out_path) {
-  if (out_path.empty()) {
-    out_path = "fle_verify_shard_" + std::to_string(slice.index) + "_of_" +
-               std::to_string(slice.count) + ".jsonl";
-  }
-  fle::verify::CheckReport report;
-  if (options.run_statistical) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "fle_verify: cannot write %s\n", out_path.c_str());
-      return 2;
-    }
-    fle::verify::run_statistical_shard(options, slice, out);
-    std::printf("shard %d/%d: statistical rows written to %s (gates apply at --merge)\n",
-                slice.index, slice.count, out_path.c_str());
-  }
-  // Differential cases and the fuzz budget shard round-robin and gate
-  // in-process: they are exact (or self-contained) checks, no merge needed.
-  if (options.run_differential) {
-    report.merge(fle::verify::run_differential_checks(options, slice));
-  }
-  if (options.run_fuzz) {
-    fle::verify::FuzzOptions fuzz;
-    // Fan the campaign: shard i runs its share of the spec budget under a
-    // slice-distinct seed, so m shards together cover m independent spec
-    // streams of the same total size.
-    fuzz.seed = options.seed + static_cast<std::uint64_t>(slice.index) * 1000003ull;
-    fuzz.specs = options.fuzz_specs / static_cast<std::size_t>(slice.count) +
-                 (static_cast<std::size_t>(slice.index) <
-                          options.fuzz_specs % static_cast<std::size_t>(slice.count)
-                      ? 1
-                      : 0);
-    report.merge(fle::verify::run_fuzz_campaign(fuzz).as_report());
-  }
-  print_report(report);
-  return report.all_passed() ? 0 : 1;
-}
-
-int run_merge(const fle::verify::SuiteOptions& options,
-              const std::vector<std::string>& files) {
-  std::vector<std::string> rows;
-  for (const std::string& path : files) {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "fle_verify: cannot read %s\n", path.c_str());
-      return 2;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) rows.push_back(line);
-    }
-  }
-  const fle::verify::CheckReport report =
-      fle::verify::merge_statistical_shards(options, rows);
-  print_report(report);
-  return report.all_passed() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   fle::verify::SuiteOptions options;
-  fle::verify::ShardSlice slice;
   std::string repro;
   std::string dump_spec;
-  std::string out_path;
-  std::vector<std::string> merge_files;
   bool quick = false;
-  bool sharded = false;
-  bool merge = false;
   // Explicit budget flags always win over --quick, whatever the flag order.
   bool trials_set = false;
   bool exact_set = false;
@@ -255,15 +170,6 @@ int main(int argc, char** argv) {
       options.run_differential = false;
     } else if (arg == "--no-fuzz") {
       options.run_fuzz = false;
-    } else if (arg == "--shard") {
-      slice = parse_slice(next(), argv[0]);
-      sharded = true;
-    } else if (arg == "--out") {
-      out_path = next();
-    } else if (arg == "--merge") {
-      merge = true;
-      while (i + 1 < argc && argv[i + 1][0] != '-') merge_files.emplace_back(argv[++i]);
-      if (merge_files.empty()) usage(argv[0]);
     } else if (arg == "--repro") {
       repro = next();
     } else if (arg == "--dump-transcript") {
@@ -277,18 +183,13 @@ int main(int argc, char** argv) {
 
   try {
     if (!repro.empty()) return run_repro(repro);
-    if (!dump_spec.empty()) {
-      if (!out_path.empty()) usage(argv[0]);  // stores come from fle_sweep + fle_store
-      return run_dump_transcript(dump_spec);
-    }
+    if (!dump_spec.empty()) return run_dump_transcript(dump_spec);
     if (quick) {
       const auto budgets = fle::verify::quick_suite_options();
       if (!trials_set) options.trials = budgets.trials;
       if (!exact_set) options.exact_trials = budgets.exact_trials;
       if (!fuzz_set) options.fuzz_specs = budgets.fuzz_specs;
     }
-    if (merge) return run_merge(options, merge_files);
-    if (sharded) return run_shard(options, slice, out_path);
     const fle::verify::CheckReport report = fle::verify::run_conformance_suite(options);
     print_report(report);
     return report.all_passed() ? 0 : 1;

@@ -1,14 +1,13 @@
 // fle_worker — one member of a fle_sweep fleet (DESIGN.md §8).
 //
 //   fle_worker --connect 127.0.0.1:41201 [--threads T] [--label NAME]
-//              [--fault 'kill@2,hang@3:2000'] [--fault-seed S --fault-rate R]
+//              [--fault 'kill@2,hang@3:2000']
 //
 // Connects to the driver, answers assigned trial windows with shard rows,
 // and exits on drain.  --fault schedules deterministic misbehaviour by
-// assignment ordinal (src/fabric/fault.h) for chaos testing; --fault-seed
-// samples a plan instead (reproducible from the command line alone — the
-// sampled plan is printed at startup).  Exit codes are run_worker's: 0
-// clean drain, 3 injected kill, 2 rejected, 1 connection/protocol loss.
+// assignment ordinal (src/fabric/fault.h) for chaos testing.  Exit codes
+// are run_worker's: 0 clean drain, 3 injected kill, 2 rejected, 1
+// connection/protocol loss.
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,8 +24,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --connect HOST:PORT [--threads T] [--label NAME]\n"
-               "          [--fault PLAN] [--fault-seed S] [--fault-rate R]\n"
-               "          [--fault-windows N] [--read-timeout-ms N]\n",
+               "          [--fault PLAN] [--read-timeout-ms N]\n",
                argv0);
   std::exit(2);
 }
@@ -37,10 +35,6 @@ int main(int argc, char** argv) {
   fle::fabric::WorkerOptions options;
   options.exit_on_kill = true;  // a killed process, not a returned function
   bool connected_set = false;
-  std::uint64_t fault_seed = 0;
-  std::uint64_t fault_windows = 8;
-  double fault_rate = 0.25;
-  bool fault_sampled = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -71,14 +65,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "fle_worker: %s\n", error.what());
         return 2;
       }
-    } else if (arg == "--fault-seed") {
-      fault_seed = fle::cli::parse_u64(argv[0], "--fault-seed", next());
-      fault_sampled = true;
-    } else if (arg == "--fault-rate") {
-      fault_rate = fle::cli::parse_double(argv[0], "--fault-rate", next(), 0.0, 1.0);
-    } else if (arg == "--fault-windows") {
-      fault_windows = fle::cli::parse_int<std::uint64_t>(argv[0], "--fault-windows", next(), 0,
-                                                         1u << 30);
     } else if (arg == "--read-timeout-ms") {
       options.read_timeout =
           std::chrono::milliseconds(fle::cli::parse_ms(argv[0], "--read-timeout-ms", next()));
@@ -87,19 +73,5 @@ int main(int argc, char** argv) {
     }
   }
   if (!connected_set) usage(argv[0]);
-
-  if (fault_sampled) {
-    try {
-      options.faults = fle::fabric::FaultPlan::sample(fault_seed, fault_windows, fault_rate);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "fle_worker: %s\n", error.what());
-      return 2;
-    }
-    std::fprintf(stderr, "fle_worker%s%s: sampled fault plan (seed %llu): %s\n",
-                 options.label.empty() ? "" : " ", options.label.c_str(),
-                 static_cast<unsigned long long>(fault_seed),
-                 options.faults.empty() ? "(none)" : options.faults.format().c_str());
-  }
-
   return fle::fabric::run_worker(options);
 }
