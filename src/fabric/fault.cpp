@@ -49,21 +49,6 @@ std::optional<FaultAction> FaultPlan::action_at(std::uint64_t ordinal) const {
   return std::nullopt;
 }
 
-std::string FaultPlan::format() const {
-  std::string out;
-  for (const FaultAction& action : actions) {
-    if (!out.empty()) out += ',';
-    out += to_string(action.kind);
-    out += '@';
-    out += std::to_string(action.window);
-    if (action.millis != 0) {
-      out += ':';
-      out += std::to_string(action.millis);
-    }
-  }
-  return out;
-}
-
 FaultPlan FaultPlan::parse(const std::string& text) {
   FaultPlan plan;
   std::size_t pos = 0;

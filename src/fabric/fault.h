@@ -14,7 +14,8 @@
 //
 //   kill     — exit immediately without replying (worker loss)
 //   hang     — go silent for <millis> (default WorkerOptions::default_hang_ms)
-//              before continuing; the driver's deadline fires first
+//              before continuing; the driver's deadline fires first, and
+//              a driver that hangs up meanwhile ends the hang and the worker
 //   corrupt  — send a garbage frame instead of the result (protocol error)
 //   slow     — run the window, then delay the reply by <millis> (slow link)
 
@@ -50,9 +51,6 @@ struct FaultPlan {
   /// The action scheduled for the given 1-based assignment ordinal, if any.
   /// At most one action fires per ordinal (parse rejects duplicates).
   [[nodiscard]] std::optional<FaultAction> action_at(std::uint64_t ordinal) const;
-
-  /// Renders the plan in the text format above; parse(format(p)) == p.
-  [[nodiscard]] std::string format() const;
 
   /// Parses the text format.  Throws std::invalid_argument naming the
   /// offending token on bad kinds, ordinals, parameters, or duplicate

@@ -1,11 +1,14 @@
 #include "fabric/socket.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
+#include <limits>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <stdexcept>
 #include <sys/socket.h>
 #include <thread>
@@ -115,6 +118,21 @@ void set_read_timeout(int fd, std::chrono::milliseconds timeout) {
   tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
   if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) < 0) {
     fail("setsockopt(SO_RCVTIMEO)");
+  }
+}
+
+bool wait_for_hangup(int fd, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd watch{fd, POLLRDHUP, 0};
+    const int ready = ::poll(&watch, 1,
+                             static_cast<int>(std::clamp<std::int64_t>(
+                                 left.count(), 0, std::numeric_limits<int>::max())));
+    if (ready > 0) return true;
+    if (ready == 0) return false;
+    if (errno != EINTR) fail("poll");
   }
 }
 

@@ -61,6 +61,11 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
 /// Sets SO_RCVTIMEO so blocking reads fail instead of hanging forever.
 void set_read_timeout(int fd, std::chrono::milliseconds timeout);
 
+/// Waits up to `timeout` for the peer to hang up (POLLRDHUP, POLLHUP or
+/// POLLERR) and returns true if it did.  Readable data does not end the
+/// wait, and none is read.
+bool wait_for_hangup(int fd, std::chrono::milliseconds timeout);
+
 /// Writes the whole buffer (blocking fd: loops; non-blocking fd: returns
 /// the number of bytes actually written, which may be short).  Throws on
 /// hard errors; EPIPE/ECONNRESET surface as the exception too — callers

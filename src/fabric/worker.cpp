@@ -135,8 +135,12 @@ int run_worker(const WorkerOptions& options) {
           case FaultKind::kHang:
             log_line(options, "fault: hang " + std::to_string(param.count()) +
                                   "ms at assignment " + std::to_string(assignments));
-            std::this_thread::sleep_for(param);
-            break;  // then answer normally — the driver has moved on
+            // Silent, but watching the socket: a driver that drops us
+            // ends the hang, and we leave as when it vanishes.  Otherwise
+            // answer normally once the hang is over — the driver has
+            // moved on.
+            if (wait_for_hangup(sock.fd(), param)) return 1;
+            break;
           case FaultKind::kCorruptFrame:
             log_line(options, "fault: corrupt frame at assignment " + std::to_string(assignments));
             send_frame(corrupt_frame());
@@ -177,15 +181,13 @@ int run_worker(const WorkerOptions& options) {
       reply.window = assign.window;
       if (row.result.transcripts_recorded) {
         // A transcript window ships its blobs in binary next to a
-        // transcripts-elided row.  Each transcript is encoded once and those
-        // bytes hashed once: the row's store_keys column and the shipped
-        // blobs both come from that one pass.
+        // transcripts-elided row.  Each transcript's held bytes are hashed
+        // once, for the row's store_keys column, and shipped as they are.
         const std::vector<ExecutionTranscript>& transcripts = row.result.per_trial_transcript;
         row.store_keys.reserve(transcripts.size());
         for (const ExecutionTranscript& transcript : transcripts) {
-          const std::vector<std::uint8_t> blob = transcript.encode();
-          row.store_keys.push_back(Sha256::of(blob));
-          append_blob(reply.blobs, blob);
+          row.store_keys.push_back(Sha256::of(transcript.bytes()));
+          append_blob(reply.blobs, transcript.bytes());
         }
       }
       reply.row = verify::format_shard_row(row, /*elide_transcripts=*/true);

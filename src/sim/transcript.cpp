@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
 namespace fle {
 
@@ -11,6 +13,8 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 constexpr std::uint8_t kMagic[4] = {'F', 'L', 'E', 'T'};
+/// What bytes() views before the first record(): the magic and a count of 0.
+constexpr std::uint8_t kEmptyBlob[5] = {'F', 'L', 'E', 'T', 0};
 constexpr std::size_t kMaxVarintBytes = 10;
 
 /// The bytes leb128_put writes for `value`: one per started 7-bit group,
@@ -81,82 +85,35 @@ std::uint64_t transcript_fold(std::span<const std::uint64_t> words) {
   return hash;
 }
 
-void ExecutionTranscript::clear() {
-  events_.clear();
-  digest_ = kFnvOffset;
-  count_ = 0;
-  key_.reset();
-}
+namespace {
 
-void ExecutionTranscript::fold(std::uint64_t word) {
-  digest_ ^= word;
-  digest_ *= kFnvPrime;
-}
-
-void ExecutionTranscript::record(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b,
-                                 std::uint64_t c) {
-  fold(static_cast<std::uint64_t>(kind));
-  fold(a);
-  fold(b);
-  fold(c);
-  ++count_;
-  key_.reset();
-  if (mode_ == TranscriptMode::kFull) events_.push_back(TranscriptEvent{kind, a, b, c});
-}
-
-std::vector<std::uint8_t> ExecutionTranscript::encode() const {
-  if (mode_ != TranscriptMode::kFull) {
-    throw std::logic_error("ExecutionTranscript::encode requires kFull mode");
+/// Folds one event into an FNV-1a digest: kind, then a, b and c.
+std::uint64_t fold_event(std::uint64_t digest, TranscriptEventKind kind, std::uint64_t a,
+                         std::uint64_t b, std::uint64_t c) {
+  for (const std::uint64_t word : {static_cast<std::uint64_t>(kind), a, b, c}) {
+    digest ^= word;
+    digest *= kFnvPrime;
   }
-  // Sized exactly, then written through a pointer: a blob holds no spare
-  // capacity, and StoreWriter keeps each blob it stores as it is.
-  std::size_t size = sizeof(kMagic) + leb128_size(events_.size()) + events_.size();
-  for (const TranscriptEvent& e : events_) {
-    size += leb128_size(e.a) + leb128_size(e.b) + leb128_size(e.c);
-  }
-  std::vector<std::uint8_t> out(size);
-  std::uint8_t* at = std::copy(std::begin(kMagic), std::end(kMagic), out.data());
-  at = leb128_write(at, events_.size());
-  for (const TranscriptEvent& e : events_) {
-    *at++ = static_cast<std::uint8_t>(e.kind);
-    at = leb128_write(at, e.a);
-    at = leb128_write(at, e.b);
-    at = leb128_write(at, e.c);
-  }
-  return out;
+  return digest;
 }
 
-Digest256 ExecutionTranscript::content_key() const {
-  if (key_) return *key_;
-  return Sha256::of(encode());
-}
-
-ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes,
-                                                const Digest256& key) {
-  if (Sha256::of(bytes) != key) {
-    throw std::invalid_argument("ExecutionTranscript::decode: bytes do not hash to the key " +
-                                key.hex());
-  }
-  ExecutionTranscript transcript = decode(bytes);
-  transcript.key_ = key;
-  return transcript;
-}
-
-ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 4 || bytes[0] != kMagic[0] || bytes[1] != kMagic[1] ||
-      bytes[2] != kMagic[2] || bytes[3] != kMagic[3]) {
+/// Walks `bytes` as a FLET blob and calls on_event(kind, a, b, c) per
+/// event.  Throws std::invalid_argument on anything but the canonical form
+/// a kFull transcript holds.  Allocates nothing on success.
+template <typename OnEvent>
+void scan(std::span<const std::uint8_t> bytes, OnEvent&& on_event) {
+  if (bytes.size() < sizeof(kMagic) || !std::equal(std::begin(kMagic), std::end(kMagic),
+                                                   bytes.begin())) {
     throw std::invalid_argument("ExecutionTranscript::decode: bad magic");
   }
-  std::size_t i = 4;
+  std::size_t i = sizeof(kMagic);
   const std::uint64_t count = leb128_get(bytes, i);
   // Each event occupies at least 4 bytes (kind + three 1-byte varints);
-  // reject counts the buffer cannot possibly hold before reserving storage.
+  // reject counts the buffer cannot possibly hold before walking them.
   if (count > (bytes.size() - i) / 4) {
     throw std::invalid_argument("ExecutionTranscript::decode: event count " +
                                 std::to_string(count) + " exceeds the buffer");
   }
-  ExecutionTranscript transcript(TranscriptMode::kFull);
-  transcript.events_.reserve(count);
   for (std::uint64_t e = 0; e < count; ++e) {
     if (i >= bytes.size()) {
       throw std::invalid_argument("ExecutionTranscript::decode: truncated event");
@@ -169,11 +126,100 @@ ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> by
     const std::uint64_t a = leb128_get(bytes, i);
     const std::uint64_t b = leb128_get(bytes, i);
     const std::uint64_t c = leb128_get(bytes, i);
-    transcript.record(static_cast<TranscriptEventKind>(kind_byte), a, b, c);
+    on_event(static_cast<TranscriptEventKind>(kind_byte), a, b, c);
   }
   if (i != bytes.size()) {
     throw std::invalid_argument("ExecutionTranscript::decode: trailing bytes");
   }
+}
+
+}  // namespace
+
+ExecutionTranscript::ExecutionTranscript(std::vector<std::uint8_t> bytes, std::uint64_t count,
+                                         std::uint64_t digest)
+    : mode_(TranscriptMode::kFull), bytes_(std::move(bytes)), digest_(digest), count_(count) {}
+
+void ExecutionTranscript::clear() {
+  bytes_.clear();
+  digest_ = kFnvOffset;
+  count_ = 0;
+  key_.reset();
+}
+
+void ExecutionTranscript::record(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b,
+                                 std::uint64_t c) {
+  digest_ = fold_event(digest_, kind, a, b, c);
+  ++count_;
+  key_.reset();
+  if (mode_ == TranscriptMode::kFull) append(kind, a, b, c);
+}
+
+void ExecutionTranscript::append(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b,
+                                 std::uint64_t c) {
+  if (bytes_.empty()) bytes_.assign(std::begin(kEmptyBlob), std::end(kEmptyBlob));
+  // The count varint after the magic is rewritten in place.  It widens by
+  // a byte when the count reaches 2^7, 2^14, ..., and the events after it
+  // shift right by one, so the blob stays one contiguous canonical form.
+  if (leb128_size(count_) != leb128_size(count_ - 1)) {
+    bytes_.insert(bytes_.begin() + sizeof(kMagic), std::uint8_t{0});
+  }
+  leb128_write(bytes_.data() + sizeof(kMagic), count_);
+  // The event is sized exactly, then written through a pointer.
+  const std::size_t end = bytes_.size();
+  bytes_.resize(end + 1 + leb128_size(a) + leb128_size(b) + leb128_size(c));
+  std::uint8_t* at = bytes_.data() + end;
+  *at++ = static_cast<std::uint8_t>(kind);
+  at = leb128_write(at, a);
+  at = leb128_write(at, b);
+  leb128_write(at, c);
+}
+
+std::vector<TranscriptEvent> ExecutionTranscript::events() const {
+  std::vector<TranscriptEvent> events;
+  if (mode_ != TranscriptMode::kFull) return events;
+  events.reserve(count_);
+  scan(bytes(), [&events](TranscriptEventKind kind, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t c) { events.push_back(TranscriptEvent{kind, a, b, c}); });
+  return events;
+}
+
+std::span<const std::uint8_t> ExecutionTranscript::bytes() const {
+  if (mode_ != TranscriptMode::kFull) {
+    throw std::logic_error("ExecutionTranscript: bytes need kFull mode");
+  }
+  if (bytes_.empty()) return kEmptyBlob;
+  return bytes_;
+}
+
+std::vector<std::uint8_t> ExecutionTranscript::encode() const {
+  const std::span<const std::uint8_t> held = bytes();
+  return {held.begin(), held.end()};
+}
+
+Digest256 ExecutionTranscript::content_key() const {
+  if (key_) return *key_;
+  return Sha256::of(bytes());
+}
+
+ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes) {
+  std::uint64_t count = 0;
+  std::uint64_t digest = kFnvOffset;
+  scan(bytes, [&](TranscriptEventKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    ++count;
+    digest = fold_event(digest, kind, a, b, c);
+  });
+  return ExecutionTranscript(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), count,
+                             digest);
+}
+
+ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes,
+                                                const Digest256& key) {
+  if (Sha256::of(bytes) != key) {
+    throw std::invalid_argument("ExecutionTranscript::decode: bytes do not hash to the key " +
+                                key.hex());
+  }
+  ExecutionTranscript transcript = decode(bytes);
+  transcript.key_ = key;
   return transcript;
 }
 
@@ -199,7 +245,7 @@ std::string format_event(const TranscriptEvent& event) {
 bool operator==(const ExecutionTranscript& a, const ExecutionTranscript& b) {
   if (a.count_ != b.count_ || a.digest_ != b.digest_) return false;
   if (a.mode_ == TranscriptMode::kFull && b.mode_ == TranscriptMode::kFull) {
-    return a.events_ == b.events_;
+    return std::ranges::equal(a.bytes(), b.bytes());
   }
   return true;
 }
@@ -209,8 +255,10 @@ Replayer::Replayer(const ExecutionTranscript& reference) : reference_(&reference
 std::optional<Replayer::Divergence> Replayer::diff(const ExecutionTranscript& replay) const {
   const ExecutionTranscript& ref = *reference_;
   if (ref.mode() == TranscriptMode::kFull && replay.mode() == TranscriptMode::kFull) {
-    const auto a = ref.events();
-    const auto b = replay.events();
+    // Equal bytes are equal events; only a divergence is decoded.
+    if (ref == replay) return std::nullopt;
+    const std::vector<TranscriptEvent> a = ref.events();
+    const std::vector<TranscriptEvent> b = replay.events();
     const std::size_t common = std::min(a.size(), b.size());
     const auto describe = [](const TranscriptEvent& e) {
       return std::string(to_string(e.kind)) + "(" + std::to_string(e.a) + ", " +
@@ -249,8 +297,8 @@ namespace {
 /// divergence is reported at its first step.
 class TranscriptReplayScheduler final : public Scheduler {
  public:
-  explicit TranscriptReplayScheduler(std::span<const TranscriptEvent> events)
-      : events_(events) {}
+  explicit TranscriptReplayScheduler(std::vector<TranscriptEvent> events)
+      : events_(std::move(events)) {}
 
   ProcessorId pick(std::span<const ProcessorId> ready) override {
     while (cursor_ < events_.size() &&
@@ -276,7 +324,7 @@ class TranscriptReplayScheduler final : public Scheduler {
   const char* name() const override { return "transcript-replay"; }
 
  private:
-  std::span<const TranscriptEvent> events_;
+  std::vector<TranscriptEvent> events_;
   std::size_t cursor_ = 0;
 };
 

@@ -20,13 +20,15 @@
 // pointer hook (null = disabled, one predicted branch on the hot path — the
 // ring path stays allocation-free with recording off, test_alloc_free.cpp).
 //
-// Modes: kFull stores the events (and can encode() them into a compact
-// varint binary form — the wire format the fabric ships shard transcripts
-// over); kDigest keeps only a running FNV-1a fold and the event count — the
-// cheap fingerprint the trace-determinism check (verify/differential.h)
-// compares fresh and reused engines by.  Both modes maintain the digest, so
-// a kDigest transcript can always be compared against a kFull one.  The
-// transcript is the only execution fingerprint in the system.
+// Modes: kFull holds the execution as its canonical FLET bytes (below):
+// record() appends each event to them, and they are the record itself, the
+// bytes the fabric ships, a shard row hexes and the store keeps, so no
+// consumer re-encodes a transcript; events() decodes on demand.  kDigest
+// keeps only a running FNV-1a fold and the event count — the cheap
+// fingerprint the trace-determinism check (verify/differential.h) compares
+// fresh and reused engines by.  Both modes maintain the digest, so a kDigest
+// transcript can always be compared against a kFull one.  The transcript is
+// the only execution fingerprint in the system.
 
 #include <cstdint>
 #include <memory>
@@ -95,8 +97,8 @@ class ExecutionTranscript {
   /// state just like the engines it observes.
   void clear();
 
-  /// Appends one event: always folds it into the digest, stores it in kFull
-  /// mode.
+  /// Appends one event: always folds it into the digest, appends its bytes
+  /// in kFull mode.
   void record(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c);
 
   // Typed helpers, one per event kind.
@@ -119,44 +121,59 @@ class ExecutionTranscript {
   [[nodiscard]] std::uint64_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  /// The stored stream; empty in kDigest mode.
-  [[nodiscard]] std::span<const TranscriptEvent> events() const { return events_; }
+  /// The recorded stream, decoded from bytes() on each call; empty in
+  /// kDigest mode.
+  [[nodiscard]] std::vector<TranscriptEvent> events() const;
 
-  /// Compact binary encoding (kFull only; throws std::logic_error in digest
-  /// mode): a 'F','L','E','T' magic, then per event one kind byte and three
-  /// LEB128 varints, in a vector allocated at exactly its size.  decode()
-  /// inverts it exactly: it accepts only the bytes encode() writes (minimal
-  /// varints), so decode(b).encode() == b, and round-tripping preserves
-  /// digest, count and events.
+  /// The held canonical bytes (kFull only; throws std::logic_error in
+  /// digest mode): a 'F','L','E','T' magic, the event count as a LEB128
+  /// varint, then per event one kind byte and three LEB128 varints, every
+  /// varint minimal.  The view is valid until the next record(), clear()
+  /// or assignment.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const;
+  /// A copy of bytes(), allocated at exactly its size.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  /// Accepts exactly the bytes a kFull transcript holds: a scan that
+  /// allocates nothing refuses any other input with std::invalid_argument
+  /// (bad magic, truncation, an overflowing or overlong varint, an unknown
+  /// kind, trailing bytes) and recomputes the digest and count; the
+  /// accepted bytes are then copied in once.  So decode(b).bytes() equals
+  /// b, and round-tripping preserves digest, count and events.
   static ExecutionTranscript decode(std::span<const std::uint8_t> bytes);
   /// Keyed decode, for bytes that arrive with their content key (a shipped
   /// fabric blob, a shard row's store_keys entry): throws
   /// std::invalid_argument unless Sha256::of(bytes) == key, then decodes,
-  /// and the result carries `key`.  Sound because decode round-trips
-  /// exactly: the key of the accepted bytes is the key of the transcript.
+  /// and the result carries `key`.  Sound because decode accepts only the
+  /// canonical bytes: the key of the accepted bytes is the key of the
+  /// transcript.
   static ExecutionTranscript decode(std::span<const std::uint8_t> bytes, const Digest256& key);
 
-  /// SHA-256 of encode() — the content-addressed store key (src/store/).
+  /// SHA-256 of bytes() — the content-addressed store key (src/store/).
   /// The in-loop FNV fold stays the cheap fingerprint; this strengthened
   /// digest is hashed only where a transcript's bytes cross a trust
   /// boundary (the worker's keys for its row, RemoteExecutor's blob check,
-  /// a shard row's store_keys check).  A transcript from keyed decode carries its
-  /// key, and this returns it without hashing; any other transcript is
-  /// encoded and hashed here.  Copies and moves keep the carried key;
-  /// record() and clear() drop it.  A pure read: no cache is filled, so
-  /// it is safe on a shared const object.  kFull only, like encode().
+  /// a shard row's store_keys check).  A transcript from keyed decode
+  /// carries its key, and this returns it without hashing; any other
+  /// transcript's bytes are hashed here.  Copies and moves keep the carried
+  /// key; record() and clear() drop it.  A pure read: no cache is filled,
+  /// so it is safe on a shared const object.  kFull only, like bytes().
   [[nodiscard]] Digest256 content_key() const;
 
   /// Transcripts compare by their common observable: digest and event
-  /// count always, stored events too when both sides carry them.
+  /// count always, their bytes too when both sides hold them.
   friend bool operator==(const ExecutionTranscript& a, const ExecutionTranscript& b);
 
  private:
-  void fold(std::uint64_t word);
+  /// A kFull transcript holding `bytes`, which a scan accepted with this
+  /// count and digest.
+  ExecutionTranscript(std::vector<std::uint8_t> bytes, std::uint64_t count,
+                      std::uint64_t digest);
+  void append(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c);
 
   TranscriptMode mode_;
-  std::vector<TranscriptEvent> events_;
+  /// kFull: the FLET bytes, empty until the first record() (bytes() then
+  /// views the constant empty blob).
+  std::vector<std::uint8_t> bytes_;
   std::uint64_t digest_ = 0xcbf29ce484222325ull;  ///< FNV-1a 64 offset basis
   std::uint64_t count_ = 0;
   std::optional<Digest256> key_;  ///< the content key keyed decode checked
@@ -174,7 +191,8 @@ class ExecutionTranscript {
 ///    schedule (not merely re-run under the same seed).  The scheduler
 ///    throws std::runtime_error the moment the execution requests a
 ///    delivery the recording cannot serve — a turn-order regression caught
-///    at its first divergent step.
+///    at its first divergent step.  It decodes the recording once and
+///    owns those events.
 class Replayer {
  public:
   /// The reference must outlive the replayer.

@@ -57,36 +57,16 @@ int store_depth(std::uint64_t trial_count) {
   return depth;
 }
 
-void StoreWriter::begin_scenario(std::string spec, std::uint64_t trials) {
-  StoreScenario scenario;
-  scenario.spec = std::move(spec);
-  scenario.base = leaf_hashes_.size();
-  scenario.trials = trials;
-  scenarios_.push_back(std::move(scenario));
-}
-
-template <typename MakeBlob>
-void StoreWriter::add_leaf(const Digest256& key, MakeBlob&& make_blob) {
-  auto [it, inserted] = blob_index_.try_emplace(key, blobs_.size());
-  if (inserted) blobs_.push_back(make_blob());
-  logical_blob_bytes_ += blobs_[it->second].size();
-  leaf_hashes_.push_back(key);
-  leaf_blob_index_.push_back(it->second);
-}
-
 void StoreWriter::add_scenario(std::string spec,
                                std::span<const ExecutionTranscript> transcripts) {
-  begin_scenario(std::move(spec), transcripts.size());
+  scenarios_.push_back(StoreScenario{std::move(spec), leaf_hashes_.size(), transcripts.size()});
   for (const ExecutionTranscript& transcript : transcripts) {
-    add_leaf(transcript.content_key(), [&transcript] { return transcript.encode(); });
-  }
-}
-
-void StoreWriter::add_scenario_blobs(std::string spec,
-                                     std::span<const std::vector<std::uint8_t>> blobs) {
-  begin_scenario(std::move(spec), blobs.size());
-  for (const std::vector<std::uint8_t>& blob : blobs) {
-    add_leaf(Sha256::of(blob), [&blob] { return blob; });
+    const Digest256 key = transcript.content_key();
+    const auto [it, inserted] = blob_index_.try_emplace(key, blobs_.size());
+    if (inserted) blobs_.push_back(transcript.encode());
+    logical_blob_bytes_ += blobs_[it->second].size();
+    leaf_hashes_.push_back(key);
+    leaf_blob_index_.push_back(it->second);
   }
 }
 

@@ -91,11 +91,9 @@ class StoreWriter {
  public:
   /// Adds one scenario's transcripts (kFull, trial order).  Each leaf is
   /// keyed by content_key() (a carried key costs no hash), and a
-  /// transcript is encoded only when its blob is new to the store.
+  /// transcript's held bytes are copied, once, only when its blob is new
+  /// to the store.
   void add_scenario(std::string spec, std::span<const ExecutionTranscript> transcripts);
-  /// Same, from already-encoded FLET blobs (the fabric/shard path).
-  void add_scenario_blobs(std::string spec,
-                          std::span<const std::vector<std::uint8_t>> blobs);
 
   /// Assembles the full store image.  Throws std::logic_error when no
   /// trials were added — an empty store has no root to hash.
@@ -107,12 +105,6 @@ class StoreWriter {
   [[nodiscard]] std::uint64_t unique_blobs() const { return blobs_.size(); }
 
  private:
-  void begin_scenario(std::string spec, std::uint64_t trials);
-  /// Appends the next trial's leaf under `key`; make_blob() is called for
-  /// the blob bytes only when no earlier leaf stored that key.
-  template <typename MakeBlob>
-  void add_leaf(const Digest256& key, MakeBlob&& make_blob);
-
   std::vector<StoreScenario> scenarios_;
   std::vector<Digest256> leaf_hashes_;             ///< per global trial
   std::vector<std::vector<std::uint8_t>> blobs_;   ///< unique, first-use order

@@ -254,7 +254,7 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
   // 2. Binary codec round trip: encode/decode must preserve the stream.
   for (std::size_t t = 0; t < redriven; ++t) {
     const ExecutionTranscript& reference = first.per_trial_transcript[t];
-    const ExecutionTranscript decoded = ExecutionTranscript::decode(reference.encode());
+    const ExecutionTranscript decoded = ExecutionTranscript::decode(reference.bytes());
     if (const auto divergence = Replayer(reference).diff(decoded)) {
       return CheckResult::fail("transcript-replay", subject,
                                "trial " + std::to_string(t) +

@@ -360,14 +360,14 @@ std::string format_row(std::size_t case_index, const std::string& spec_line,
     if (elide_transcripts) {
       append_raw(out, "transcripts_elided", "true");
     } else {
-      // Comma-separated hex blobs, one per trial: the transcript's compact
-      // binary encoding (sim/transcript.h), so a merged shard file
-      // reproduces the monolithic capture event for event.
+      // Comma-separated hex blobs, one per trial: the transcript's held
+      // FLET bytes (sim/transcript.h), so a merged shard file reproduces
+      // the monolithic capture event for event.
       append_key(out, "transcripts");
       out += '"';
       for (std::size_t t = 0; t < transcripts.size(); ++t) {
         if (t != 0) out += ',';
-        append_hex(out, transcripts[t].encode());
+        append_hex(out, transcripts[t].bytes());
       }
       out += '"';
     }

@@ -17,8 +17,10 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <sys/socket.h>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "api/sweep.h"
 #include "fabric/driver.h"
 #include "fabric/fault.h"
+#include "fabric/socket.h"
 #include "fabric/wire.h"
 #include "fabric/worker.h"
 #include "verify/fuzzer.h"
@@ -281,12 +284,19 @@ TEST(FabricWire, DigestsAreStableAndOrderSensitive) {
 
 // ---- fault plans ------------------------------------------------------------
 
-TEST(FaultPlan, ParseFormatRoundTrips) {
-  const std::string text = "corrupt@1,kill@2,hang@3:2000,slow@4:250";
-  const FaultPlan plan = FaultPlan::parse(text);
-  ASSERT_EQ(plan.actions.size(), 4u);
-  EXPECT_EQ(plan.format(), text);
-  EXPECT_EQ(FaultPlan::parse(plan.format()), plan);
+TEST(FaultPlan, ParseReadsEachActionsKindOrdinalAndMillis) {
+  // Out of ordinal order on purpose: parse sorts by ordinal.
+  const FaultPlan plan = FaultPlan::parse("slow@4:250,corrupt@1,kill@2,hang@3:2000");
+  const std::vector<FaultAction> expected = {
+      {FaultKind::kCorruptFrame, 1, 0},
+      {FaultKind::kKill, 2, 0},
+      {FaultKind::kHang, 3, 2000},
+      {FaultKind::kSlowLink, 4, 250},
+  };
+  EXPECT_EQ(plan.actions, expected);
+  // A hang without a parameter leaves millis at 0: the worker default.
+  EXPECT_EQ(FaultPlan::parse("hang@7").actions,
+            (std::vector<FaultAction>{{FaultKind::kHang, 7, 0}}));
   EXPECT_TRUE(FaultPlan::parse("").empty());
 }
 
@@ -319,6 +329,37 @@ TEST(FaultPlan, SampleIsDeterministic) {
   const FaultPlan all = FaultPlan::sample(99, 16, 1.0);
   EXPECT_EQ(all.actions.size(), 16u);
   EXPECT_THROW(FaultPlan::sample(1, 4, 1.5), std::invalid_argument);
+}
+
+TEST(FabricSocket, WaitForHangupIgnoresDataAndEndsAtAHangUp) {
+  // A hung worker waits here: heartbeats (readable bytes) must not end the
+  // hang, or it would answer inside its window deadline; the driver
+  // closing the connection must end it at once.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  Socket mine(fds[0]);
+  Socket peer(fds[1]);
+  using Clock = std::chrono::steady_clock;
+  using std::chrono::milliseconds;
+
+  const std::uint8_t beat[3] = {1, 2, 3};
+  send_bytes(peer.fd(), beat, sizeof(beat), /*blocking=*/true);
+  auto start = Clock::now();
+  EXPECT_FALSE(wait_for_hangup(mine.fd(), milliseconds(300)));
+  EXPECT_GE(Clock::now() - start, milliseconds(290));
+  // Nothing was read.
+  std::uint8_t got[4] = {};
+  EXPECT_EQ(::recv(mine.fd(), got, sizeof(got), MSG_DONTWAIT), 3);
+  EXPECT_EQ(got[2], 3);
+
+  send_bytes(peer.fd(), beat, sizeof(beat), /*blocking=*/true);
+  const std::jthread closer([&peer] {
+    std::this_thread::sleep_for(milliseconds(50));
+    peer.close();
+  });
+  start = Clock::now();
+  EXPECT_TRUE(wait_for_hangup(mine.fd(), milliseconds(10000)));
+  EXPECT_LT(Clock::now() - start, milliseconds(5000));
 }
 
 // ---- hardened shard-row ingestion -------------------------------------------
@@ -802,6 +843,23 @@ void expect_fabric_matches_local(const std::vector<FaultPlan>& worker_plans,
   // Byte-identical, transcripts included: the whole acceptance criterion in
   // one string comparison.
   EXPECT_EQ(canonical_report(sweep, remote), canonical_report(sweep, local));
+}
+
+TEST(CanonicalReport, EveryLineParsesAndMergesBackToTheReport) {
+  // One row per scenario, each appended to the report in place: every line
+  // parses on its own, and the merged rows report the same bytes again.
+  const SweepSpec sweep = loopback_sweep();
+  const std::string report = canonical_report(sweep, run_sweep(sweep));
+  std::vector<verify::ShardRow> rows;
+  std::istringstream lines(report);
+  std::string line;
+  while (std::getline(lines, line)) rows.push_back(verify::parse_shard_row(line));
+  ASSERT_EQ(rows.size(), sweep.scenarios.size());
+  std::vector<ScenarioResult> merged;
+  for (auto& [index, merged_case] : verify::merge_shard_rows(std::move(rows))) {
+    merged.push_back(std::move(merged_case.result));
+  }
+  EXPECT_EQ(canonical_report(sweep, merged), report);
 }
 
 TEST(FabricLoopback, CleanRunIsBitIdenticalToLocal) {

@@ -146,6 +146,23 @@ TEST(Store, LeafAndRootHashesMatchThePreimageSpec) {
 
 // ---- round trips and rejection ----------------------------------------------
 
+TEST(Store, TwoScenarioImageIsPinned) {
+  // Recorded from the transcript that kept events and encoded them on
+  // demand: the root hash pins every leaf blob and the tree above them,
+  // the image hash pins the layout and the meta record as well.  Trials
+  // 17-19 of "alpha" and 0-2 of "beta" share blobs.
+  StoreWriter writer;
+  writer.add_scenario("alpha", make_transcripts(20));
+  writer.add_scenario("beta", make_transcripts(5, 17));
+  const std::vector<std::uint8_t> image = writer.finish();
+  EXPECT_EQ(writer.unique_blobs(), 22u);
+  EXPECT_EQ(image.size(), 1473u);
+  EXPECT_EQ(StoreReader::from_bytes(image).root_hash().hex(),
+            "03a7518d837b26644f335339a7da566f622ad7ed649b2d397de724e895482ccc");
+  EXPECT_EQ(Sha256::of(image).hex(),
+            "83999535c12e2e968af9959e0d754879a99641332d01f60535db31aa25d87c9d");
+}
+
 TEST(Store, RoundTripsTranscriptsScenariosAndCounters) {
   const std::vector<ExecutionTranscript> first = make_transcripts(20, 0);
   const std::vector<ExecutionTranscript> second = make_transcripts(7, 100);
@@ -242,16 +259,27 @@ TEST(Store, IdenticalBlobsAreStoredOnce) {
 }
 
 TEST(Store, BlobAndTranscriptPathsBuildIdenticalImages) {
+  // Transcripts decoded from their blobs (as read_transcript and the keyed
+  // fabric and shard paths produce them) build the image the recorded
+  // transcripts build: fle_store tamper rebuilds a store that way.
   const std::vector<ExecutionTranscript> transcripts = make_transcripts(9);
-  std::vector<std::vector<std::uint8_t>> blobs;
-  blobs.reserve(transcripts.size());
-  for (const ExecutionTranscript& t : transcripts) blobs.push_back(t.encode());
+  std::vector<ExecutionTranscript> decoded;
+  std::vector<ExecutionTranscript> keyed;
+  for (const ExecutionTranscript& t : transcripts) {
+    const std::vector<std::uint8_t> blob = t.encode();
+    decoded.push_back(ExecutionTranscript::decode(blob));
+    keyed.push_back(ExecutionTranscript::decode(blob, Sha256::of(blob)));
+  }
 
   StoreWriter from_transcripts;
   from_transcripts.add_scenario("spec", transcripts);
-  StoreWriter from_blobs;
-  from_blobs.add_scenario_blobs("spec", blobs);
-  EXPECT_EQ(from_transcripts.finish(), from_blobs.finish());
+  StoreWriter from_decoded;
+  from_decoded.add_scenario("spec", decoded);
+  StoreWriter from_keyed;
+  from_keyed.add_scenario("spec", keyed);
+  const std::vector<std::uint8_t> image = from_transcripts.finish();
+  EXPECT_EQ(from_decoded.finish(), image);
+  EXPECT_EQ(from_keyed.finish(), image);
 }
 
 TEST(Store, TranscriptsParsedFromAShardRowBuildTheSameImage) {

@@ -6,16 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
 #include "api/scenario.h"
 #include "attacks/deviation.h"
+#include "core/rng.h"
 #include "fullinfo/baton.h"
 #include "fullinfo/turn_game.h"
 #include "protocols/basic_lead.h"
+#include "sim/digest.h"
 #include "sim/engine.h"
 #include "sim/transcript.h"
 #include "verify/shard.h"
@@ -159,6 +166,224 @@ TEST(Transcript, DecodeRejectsMalformedBuffers) {
   // A lone 00 is the minimal encoding of 0.
   index = 0;
   EXPECT_EQ(leb128_get(std::vector<std::uint8_t>{0x00}, index), 0u);
+}
+
+// ---- the canonical bytes, pinned ---------------------------------------------
+
+/// Every event kind, with varint fields of widths 1 (0, 1, 127), 2 (128,
+/// 16383) and 10 (2^64 - 1, 2^63).
+ExecutionTranscript pinned_transcript() {
+  ExecutionTranscript t;
+  t.delivery(0, 1, 127);
+  t.turn(128, 16383, 2);
+  t.phase(3, ~0ull);
+  t.decision(4, true, 1ull << 63);
+  return t;
+}
+
+std::string hex_of(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  append_hex(out, bytes);
+  return out;
+}
+
+TEST(Transcript, CanonicalBytesArePinned) {
+  // Recorded from the transcript that kept events and encoded them on
+  // demand.  A round trip cannot see the bytes drift; these literals can.
+  const ExecutionTranscript t = pinned_transcript();
+  EXPECT_EQ(hex_of(t.bytes()),
+            "464c4554"                          // FLET
+            "04"                                // 4 events
+            "00" "00" "01" "7f"                 // delivery 0 1 127
+            "01" "8001" "ff7f" "02"             // turn 128 16383 2
+            "02" "03" "ffffffffffffffffff01" "00"  // phase 3 2^64-1 0
+            "03" "04" "01" "80808080808080808001");  // decision 4 1 2^63
+  EXPECT_EQ(t.content_key().hex(),
+            "0bda98d3ec165f7fa785c44dfd2e200daa8c82cebcc311a307a4ed34646953d2");
+  EXPECT_EQ(t.digest(), 0x5541574cf103f3b3ull);
+  EXPECT_EQ(t.encode(), std::vector<std::uint8_t>(t.bytes().begin(), t.bytes().end()));
+
+  // 300 events: the count varint took its second byte at the 128th.
+  ExecutionTranscript long_run;
+  for (std::uint64_t i = 0; i < 300; ++i) long_run.delivery(i, i % 7, i * i);
+  ASSERT_EQ(long_run.bytes().size(), 1838u);
+  EXPECT_EQ(hex_of(long_run.bytes().first(6)), "464c4554ac02");
+  EXPECT_EQ(long_run.content_key().hex(),
+            "acad5bb5510d729fe3eede2e6d37ee0a41c95f4bb33e647f2faa73a39d4a126f");
+  EXPECT_EQ(long_run.digest(), 0xae6e467a4bc823dcull);
+
+  // An empty kFull transcript holds the magic and a zero count.
+  EXPECT_EQ(hex_of(ExecutionTranscript().bytes()), "464c455400");
+  EXPECT_THROW((void)ExecutionTranscript(TranscriptMode::kDigest).bytes(), std::logic_error);
+}
+
+TEST(Transcript, HeldBytesStayCanonicalAsTheCountWidens) {
+  // Around each count where the count varint widens (2^7, 2^14), the held
+  // bytes decode to the same transcript and the events read back in order.
+  ExecutionTranscript t;
+  std::uint64_t recorded = 0;
+  for (const std::uint64_t widen : {std::uint64_t{1} << 7, std::uint64_t{1} << 14}) {
+    for (; recorded <= widen + 1; ++recorded) {
+      t.record(static_cast<TranscriptEventKind>(recorded % 4), recorded, recorded >> 3,
+               recorded * 0x9e3779b97f4a7c15ull);
+      if (recorded + 2 < widen) continue;
+      SCOPED_TRACE(recorded + 1);
+      const ExecutionTranscript decoded = ExecutionTranscript::decode(t.bytes());
+      EXPECT_TRUE(decoded == t);
+      EXPECT_EQ(decoded.size(), recorded + 1);
+      EXPECT_EQ(decoded.digest(), t.digest());
+    }
+  }
+  const std::vector<TranscriptEvent> events = t.events();
+  ASSERT_EQ(events.size(), recorded);
+  for (std::uint64_t i = 0; i < recorded; ++i) {
+    EXPECT_EQ(events[i], (TranscriptEvent{static_cast<TranscriptEventKind>(i % 4), i, i >> 3,
+                                          i * 0x9e3779b97f4a7c15ull}));
+  }
+}
+
+// ---- FLET mutation ------------------------------------------------------------
+
+/// Where the varints of a canonical FLET blob start and end: the count,
+/// then three per event; and where each event's kind byte sits.
+struct BlobLayout {
+  std::vector<std::pair<std::size_t, std::size_t>> varints;  ///< [begin, end)
+  std::vector<std::size_t> kinds;
+};
+
+BlobLayout layout_of(std::span<const std::uint8_t> blob) {
+  BlobLayout layout;
+  std::size_t i = 4;
+  const auto varint = [&] {
+    const std::size_t begin = i;
+    (void)leb128_get(blob, i);
+    layout.varints.emplace_back(begin, i);
+  };
+  varint();
+  while (i < blob.size()) {
+    layout.kinds.push_back(i++);
+    for (int field = 0; field < 3; ++field) varint();
+  }
+  return layout;
+}
+
+/// One mutant of `blob` (`other` is a second golden blob, for splices).
+std::vector<std::uint8_t> mutate(const std::vector<std::uint8_t>& blob,
+                                 const std::vector<std::uint8_t>& other, int op,
+                                 std::uint64_t& rng) {
+  std::vector<std::uint8_t> out = blob;
+  const BlobLayout layout = layout_of(blob);
+  switch (op) {
+    case 0: {  // bit flip
+      out[splitmix64(rng) % out.size()] ^= static_cast<std::uint8_t>(1u << (splitmix64(rng) % 8));
+      break;
+    }
+    case 1:  // truncation, to any shorter length
+      out.resize(splitmix64(rng) % out.size());
+      break;
+    case 2: {  // splice: a prefix of one blob, a suffix of the other
+      const std::size_t cut = splitmix64(rng) % (out.size() + 1);
+      const std::size_t from = splitmix64(rng) % (other.size() + 1);
+      out.resize(cut);
+      out.insert(out.end(), other.begin() + static_cast<std::ptrdiff_t>(from), other.end());
+      break;
+    }
+    case 3: {  // count + 1 or count - 1, re-encoded minimally
+      std::size_t index = 4;
+      const std::uint64_t count = leb128_get(blob, index);
+      std::vector<std::uint8_t> head(out.begin(), out.begin() + 4);
+      leb128_put(head, (splitmix64(rng) % 2 == 0 || count == 0) ? count + 1 : count - 1);
+      out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(index));
+      out.insert(out.begin(), head.begin(), head.end());
+      break;
+    }
+    case 4: {  // an overlong varint: 1 to 3 redundant zero groups (past 10 bytes it overflows)
+      const std::size_t end = layout.varints[splitmix64(rng) % layout.varints.size()].second;
+      out[end - 1] |= 0x80;
+      std::vector<std::uint8_t> zeros(1 + splitmix64(rng) % 3, 0x80);
+      zeros.back() = 0x00;
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(end), zeros.begin(), zeros.end());
+      break;
+    }
+    default: {  // an event kind byte from 4 to 255
+      if (layout.kinds.empty()) {
+        out.push_back(static_cast<std::uint8_t>(4 + splitmix64(rng) % 252));
+        break;
+      }
+      out[layout.kinds[splitmix64(rng) % layout.kinds.size()]] =
+          static_cast<std::uint8_t>(4 + splitmix64(rng) % 252);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(TranscriptMutation, EveryMutantIsRefusedOrReproducedExactly) {
+  // Golden blobs: empty, the pinned one, one with a two-byte count, and
+  // captures from the ring and the turn-game runtimes.
+  std::vector<std::vector<std::uint8_t>> golden = {ExecutionTranscript().encode(),
+                                                   pinned_transcript().encode()};
+  ExecutionTranscript long_run;
+  for (std::uint64_t i = 0; i < 200; ++i) long_run.delivery(i, i % 5, i << 40);
+  golden.push_back(long_run.encode());
+  for (const auto& [topology, protocol] :
+       {std::pair<TopologyKind, const char*>{TopologyKind::kRing, "alead-uni"},
+        std::pair<TopologyKind, const char*>{TopologyKind::kTree, "alternating-xor"}}) {
+    ScenarioSpec spec;
+    spec.topology = topology;
+    spec.protocol = protocol;
+    spec.n = 6;
+    spec.trials = 3;
+    spec.seed = 77;
+    spec.record_transcripts = true;
+    for (const ExecutionTranscript& t : run_scenario(spec).per_trial_transcript) {
+      golden.push_back(t.encode());
+    }
+  }
+
+  constexpr int kOps = 6;
+  const char* const kOpNames[kOps] = {"bit flip", "truncation", "splice",
+                                      "count +-1", "overlong varint", "kind 4-255"};
+  std::size_t refused[kOps] = {};
+  std::size_t accepted[kOps] = {};
+  std::uint64_t rng = 0x5eed0f1e7ull;
+  for (int round = 0; round < 600; ++round) {
+    for (std::size_t g = 0; g < golden.size(); ++g) {
+      const int op = static_cast<int>(splitmix64(rng) % kOps);
+      const std::vector<std::uint8_t>& other = golden[splitmix64(rng) % golden.size()];
+      const std::vector<std::uint8_t> mutant = mutate(golden[g], other, op, rng);
+      SCOPED_TRACE(std::string(kOpNames[op]) + " of golden blob " + std::to_string(g) +
+                   ": " + hex_of(mutant));
+      const Digest256 own_key = Sha256::of(mutant);
+      std::optional<ExecutionTranscript> decoded;
+      try {
+        decoded = ExecutionTranscript::decode(mutant);
+      } catch (const std::invalid_argument&) {
+        ++refused[op];
+        // Keyed under its own hash, the mutant is refused all the same.
+        EXPECT_THROW(ExecutionTranscript::decode(mutant, own_key), std::invalid_argument);
+        continue;
+      }
+      ++accepted[op];
+      EXPECT_EQ(decoded->encode(), mutant);
+      EXPECT_EQ(ExecutionTranscript::decode(mutant, own_key).content_key(), own_key);
+      // Recording the decoded events again rebuilds the same transcript:
+      // the scan's count and digest are the ones record() keeps.
+      ExecutionTranscript rebuilt;
+      for (const TranscriptEvent& e : decoded->events()) rebuilt.record(e.kind, e.a, e.b, e.c);
+      EXPECT_TRUE(rebuilt == *decoded);
+      EXPECT_EQ(rebuilt.digest(), decoded->digest());
+      EXPECT_EQ(rebuilt.size(), decoded->size());
+    }
+  }
+  // Truncations, count changes, overlong varints and unknown kinds never
+  // make a canonical blob.
+  for (const int op : {1, 3, 4, 5}) {
+    EXPECT_EQ(accepted[op], 0u) << kOpNames[op];
+    EXPECT_GT(refused[op], 0u) << kOpNames[op];
+  }
+  EXPECT_GT(refused[0] + refused[2], 0u);
+  EXPECT_GT(accepted[0] + accepted[2], 0u);
 }
 
 // ---- record -> replay across the four families ------------------------------

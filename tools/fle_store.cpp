@@ -193,25 +193,22 @@ int run_tamper(const std::string& in_path, const std::string& out_path, std::uin
   }
   fle::StoreWriter writer;
   for (const fle::StoreScenario& scenario : reader.scenarios()) {
-    std::vector<std::vector<std::uint8_t>> blobs;
-    blobs.reserve(static_cast<std::size_t>(scenario.trials));
+    std::vector<fle::ExecutionTranscript> transcripts;
+    transcripts.reserve(static_cast<std::size_t>(scenario.trials));
     for (std::uint64_t t = scenario.base; t < scenario.base + scenario.trials; ++t) {
-      if (t != trial) {
-        blobs.push_back(reader.read_blob(t));
-        continue;
-      }
-      const fle::ExecutionTranscript original = reader.read_transcript(t);
-      const auto events = original.events();
-      fle::ExecutionTranscript tampered;
+      transcripts.push_back(reader.read_transcript(t));
+      if (t != trial) continue;
+      const std::vector<fle::TranscriptEvent> events = transcripts.back().events();
+      fle::ExecutionTranscript& tampered = transcripts.back();
+      tampered.clear();
       for (std::size_t e = 0; e < events.size(); ++e) {
         const fle::TranscriptEvent& event = events[e];
         const std::uint64_t c = e + 1 == events.size() ? event.c + 1 : event.c;
         tampered.record(event.kind, event.a, event.b, c);
       }
       if (events.empty()) tampered.decision(0, false, 0);
-      blobs.push_back(tampered.encode());
     }
-    writer.add_scenario_blobs(scenario.spec, blobs);
+    writer.add_scenario(scenario.spec, transcripts);
   }
   writer.write_file(out_path);
   std::printf("%s: trial %llu tampered, root %s\n", out_path.c_str(),
