@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
     const ScenarioResult& cr = results[per_n * i + 3];
     const ScenarioResult& pet = results[per_n * i + 4];
     std::printf("%6d   %10.0f   %9.0f   %10.0f   %17.1f   %13llu   %7d   %9.1f\n", n,
-                basic_r.mean_messages, alead_r.mean_messages, phase_r.mean_messages,
-                cr.mean_messages, static_cast<unsigned long long>(pet.max_messages), n * n,
+                basic_r.mean_messages(), alead_r.mean_messages(), phase_r.mean_messages(),
+                cr.mean_messages(), static_cast<unsigned long long>(pet.max_messages), n * n,
                 n * std::log2(static_cast<double>(n)));
   }
   h.note("expected shape: fair columns track n^2 (PhaseAsync = 2n^2); classical track n log n");

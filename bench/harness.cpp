@@ -123,10 +123,10 @@ JsonObject scenario_row(const ScenarioSpec& spec, const std::string& label,
                ? result.outcomes.leader_rate(spec.target)
                : 0.0)
       .set("max_bias", result.outcomes.trials() > 0 ? result.outcomes.max_bias() : 0.0)
-      .set("mean_messages", result.mean_messages)
+      .set("mean_messages", result.mean_messages())
       .set("max_messages", result.max_messages)
       .set("max_sync_gap", result.max_sync_gap)
-      .set("mean_sync_gap", result.mean_sync_gap)
+      .set("mean_sync_gap", result.mean_sync_gap())
       .set("max_rounds", result.max_rounds);
   return row;
 }

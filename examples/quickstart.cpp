@@ -34,6 +34,6 @@ int main(int argc, char** argv) {
                 r.outcomes.count(j), r.outcomes.leader_rate(j));
   }
   std::printf("\nFAIL rate: %.4f   max bias: %.4f   mean messages: %.0f (= 2n^2)\n",
-              r.outcomes.fail_rate(), r.outcomes.max_bias(), r.mean_messages);
+              r.outcomes.fail_rate(), r.outcomes.max_bias(), r.mean_messages());
   return 0;
 }

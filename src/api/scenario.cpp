@@ -217,10 +217,6 @@ void ScenarioResult::merge(ScenarioResult other) {
   per_trial_transcript.insert(per_trial_transcript.end(),
                               std::make_move_iterator(other.per_trial_transcript.begin()),
                               std::make_move_iterator(other.per_trial_transcript.end()));
-  if (trials > 0) {
-    mean_messages = static_cast<double>(total_messages) / static_cast<double>(trials);
-    mean_sync_gap = static_cast<double>(total_sync_gap) / static_cast<double>(trials);
-  }
 }
 
 namespace {
@@ -291,12 +287,6 @@ void reduce_job(ScenarioJob& job) {
   result.outcomes_recorded = job.spec.record_outcomes;
   result.transcripts_recorded = job.spec.record_transcripts;
   result.per_trial_transcript = std::move(job.transcripts);
-  if (!job.stats.empty()) {
-    result.mean_messages =
-        static_cast<double>(result.total_messages) / static_cast<double>(result.trials);
-    result.mean_sync_gap =
-        static_cast<double>(result.total_sync_gap) / static_cast<double>(result.trials);
-  }
 }
 
 Executor::Batch batch_of(ScenarioJob& job) {
@@ -582,16 +572,10 @@ void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     throw std::invalid_argument("deviation '" + deviation_entry->name +
                                 "' does not apply to graph protocols");
   }
-  LinkScheduleKind schedule = LinkScheduleKind::kRoundRobin;
-  switch (spec.scheduler) {
-    case SchedulerKind::kRoundRobin:
-      schedule = LinkScheduleKind::kRoundRobin;
-      break;
-    case SchedulerKind::kRandom:
-      schedule = LinkScheduleKind::kRandom;
-      break;
-    case SchedulerKind::kPriority:
-      throw std::invalid_argument("the priority scheduler is ring-only");
+  // Refused here too, before any factory runs, so that a zero-trial spec
+  // (which builds no engine) is refused as well.
+  if (spec.scheduler == SchedulerKind::kPriority) {
+    throw std::invalid_argument("the priority scheduler is ring-only");
   }
 
   job.result = ScenarioResult(spec.n);
@@ -617,9 +601,8 @@ void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
   }
 
   ScenarioJob* j = &job;
-  job.body = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation,
-              schedule](std::size_t trial, std::uint64_t trial_seed,
-                        void* raw) -> TrialStats {
+  job.body = [j, protocol_entry, deviation_entry, shared_protocol, shared_deviation](
+                 std::size_t trial, std::uint64_t trial_seed, void* raw) -> TrialStats {
     const ScenarioSpec& spec = j->spec;
     auto& ws = *static_cast<GraphWorkspace*>(raw);
     std::shared_ptr<const GraphProtocol> protocol = shared_protocol;
@@ -631,10 +614,10 @@ void fill_graph_job(ScenarioJob& job, const ProtocolEntry* protocol_entry,
     const std::uint64_t step_limit =
         derived_step_limit(spec.step_limit, protocol->honest_message_bound(spec.n));
     if (!ws.engine || ws.engine->step_limit() != step_limit ||
-        ws.engine->schedule_kind() != schedule) {
+        ws.engine->schedule_kind() != spec.scheduler) {
       GraphEngineOptions options;
       options.step_limit = step_limit;
-      options.schedule = schedule;
+      options.schedule = spec.scheduler;
       ws.engine = std::make_unique<GraphEngine>(spec.n, trial_seed, options);
     } else {
       ws.engine->reset(trial_seed);

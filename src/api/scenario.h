@@ -164,11 +164,9 @@ struct ScenarioResult {
   std::size_t spec_trials = 0;     ///< the scenario's full trial count
   std::uint64_t base_seed = 0;     ///< the spec's base seed (merge guard)
   std::uint64_t total_messages = 0;  ///< exact sum of sends over trials
-  double mean_messages = 0.0;      ///< total_messages / trials
   std::uint64_t max_messages = 0;
   std::uint64_t total_sync_gap = 0;  ///< exact sum (ring engine only)
   std::uint64_t max_sync_gap = 0;  ///< max over trials (ring engine only)
-  double mean_sync_gap = 0.0;
   int max_rounds = 0;              ///< kSync: max rounds over trials
   double wall_seconds = 0.0;       ///< wall time of the whole batch
   std::string protocol_name;       ///< resolved display name
@@ -183,12 +181,21 @@ struct ScenarioResult {
 
   explicit ScenarioResult(int n) : outcomes(n) {}
 
+  /// total_messages / trials; 0 with no trials.
+  [[nodiscard]] double mean_messages() const {
+    return trials > 0 ? static_cast<double>(total_messages) / static_cast<double>(trials) : 0.0;
+  }
+  /// total_sync_gap / trials; 0 with no trials.
+  [[nodiscard]] double mean_sync_gap() const {
+    return trials > 0 ? static_cast<double>(total_sync_gap) / static_cast<double>(trials) : 0.0;
+  }
+
   /// Folds `other` — the NEXT contiguous shard of the same scenario — into
   /// this result: outcome counts and integer totals add, maxima combine,
-  /// means are recomputed, per-trial outcomes concatenate.  Shards must be
-  /// merged in trial_offset order.  Throws std::invalid_argument naming the
-  /// mismatched field (protocol_name, deviation_name, outcome domain,
-  /// base_seed, spec_trials, trial_offset contiguity, outcomes_recorded).
+  /// per-trial outcomes concatenate.  Shards must be merged in trial_offset
+  /// order.  Throws std::invalid_argument naming the mismatched field
+  /// (protocol_name, deviation_name, outcome domain, base_seed,
+  /// spec_trials, trial_offset contiguity, outcomes_recorded).
   /// Takes `other` by value and moves its transcripts in: pass an rvalue
   /// when the shard is not needed afterwards, and nothing is deep-copied.
   void merge(ScenarioResult other);

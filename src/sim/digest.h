@@ -1,18 +1,17 @@
 #pragma once
-// The strengthened content digest used at the transcript-store boundary.
+// The content digest used at the transcript-store boundary.
 //
-// The in-loop transcript fingerprint stays the order-sensitive 64-bit
-// FNV-1a fold (sim/transcript.h) — one xor+mul per word is what keeps
-// recording allocation- and branch-cheap on the trial hot path.  But the
+// A transcript's canonical FLET bytes are its execution's fingerprint
+// (sim/transcript.h): two transcripts are equal when their bytes are.  The
 // content-addressed store (src/store/) keys deduplicated transcript blobs
-// by hash and folds child hashes into inner-node hashes, where a 64-bit
-// non-cryptographic fold is too weak: a colliding pair of blobs would
-// silently alias two different executions under one store key, and a
-// sync() between two stores would report them identical.  The store
-// boundary therefore uses SHA-256 (the same choice rippled's SHAMap makes
-// for its "rapid synchronization" trees): 256-bit keys make accidental
-// and adversarial collisions equally irrelevant, and the implementation
-// has no external dependency.
+// by a hash of those bytes and folds child hashes into inner-node hashes,
+// where a 64-bit non-cryptographic fold would be too weak: a colliding
+// pair of blobs would silently alias two different executions under one
+// store key, and a sync() between two stores would report them identical.
+// The store boundary therefore uses SHA-256 (the same choice rippled's
+// SHAMap makes for its "rapid synchronization" trees): 256-bit keys make
+// accidental and adversarial collisions equally irrelevant, and the
+// implementation has no external dependency.
 //
 // A transcript is hashed only where its bytes cross a trust boundary (a
 // fabric worker's keys for its row, RemoteExecutor's check of a shipped

@@ -62,6 +62,9 @@ GraphEngine::GraphEngine(int n, std::uint64_t trial_seed, GraphEngineOptions opt
                             4096),
       schedule_rng_(0) {
   if (n_ < 2) throw std::invalid_argument("network needs at least 2 processors");
+  if (options_.schedule == SchedulerKind::kPriority) {
+    throw std::invalid_argument("the priority scheduler is ring-only");
+  }
   contexts_.reserve(static_cast<std::size_t>(n_));
   for (ProcessorId p = 0; p < n_; ++p) contexts_.emplace_back(*this, p, trial_seed);
   links_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
@@ -152,16 +155,9 @@ Outcome GraphEngine::run(std::span<GraphStrategy* const> strategies) {
       stats_.step_limit_hit = true;
       break;
     }
-    std::size_t pick;
-    switch (options_.schedule) {
-      case LinkScheduleKind::kRandom:
-        pick = schedule_rng_.below(ready_.size());
-        break;
-      case LinkScheduleKind::kRoundRobin:
-      default:
-        pick = static_cast<std::size_t>(rr_cursor_++ % ready_.size());
-        break;
-    }
+    const std::size_t pick = options_.schedule == SchedulerKind::kRandom
+                                 ? schedule_rng_.below(ready_.size())
+                                 : static_cast<std::size_t>(rr_cursor_++ % ready_.size());
     deliver(ready_[pick]);
   }
 

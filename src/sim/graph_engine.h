@@ -21,6 +21,7 @@
 #include "core/types.h"
 #include "sim/arena.h"
 #include "sim/inbox.h"
+#include "sim/scheduler.h"
 #include "sim/transcript.h"
 
 namespace fle {
@@ -59,11 +60,11 @@ class GraphProtocol {
   }
 };
 
-enum class LinkScheduleKind { kRoundRobin, kRandom };
-
 struct GraphEngineOptions {
   std::uint64_t step_limit = 0;  ///< 0 = 16n^2 + 4096
-  LinkScheduleKind schedule = LinkScheduleKind::kRoundRobin;
+  /// Round-robin or random over the ready links; the constructor refuses
+  /// kPriority, a ring-only scheduler.
+  SchedulerKind schedule = SchedulerKind::kRoundRobin;
 };
 
 struct GraphExecutionStats {
@@ -97,7 +98,7 @@ class GraphEngine {
   [[nodiscard]] std::uint64_t step_limit() const { return step_limit_; }
   /// The link-schedule family; workspace caches check it before reusing an
   /// engine across scenarios (api/scenario.cpp).
-  [[nodiscard]] LinkScheduleKind schedule_kind() const { return options_.schedule; }
+  [[nodiscard]] SchedulerKind schedule_kind() const { return options_.schedule; }
 
   /// Optional execution transcript (see RingEngine::set_transcript).
   /// Deliveries record (step, link id = from*n + to, payload fold); the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <initializer_list>
 #include <stdexcept>
 #include <utility>
 
@@ -87,19 +86,9 @@ std::uint64_t transcript_fold(std::span<const std::uint64_t> words) {
 
 namespace {
 
-/// Folds one event into an FNV-1a digest: kind, then a, b and c.
-std::uint64_t fold_event(std::uint64_t digest, TranscriptEventKind kind, std::uint64_t a,
-                         std::uint64_t b, std::uint64_t c) {
-  for (const std::uint64_t word : {static_cast<std::uint64_t>(kind), a, b, c}) {
-    digest ^= word;
-    digest *= kFnvPrime;
-  }
-  return digest;
-}
-
 /// Walks `bytes` as a FLET blob and calls on_event(kind, a, b, c) per
 /// event.  Throws std::invalid_argument on anything but the canonical form
-/// a kFull transcript holds.  Allocates nothing on success.
+/// a transcript holds.  Allocates nothing on success.
 template <typename OnEvent>
 void scan(std::span<const std::uint8_t> bytes, OnEvent&& on_event) {
   if (bytes.size() < sizeof(kMagic) || !std::equal(std::begin(kMagic), std::end(kMagic),
@@ -135,27 +124,16 @@ void scan(std::span<const std::uint8_t> bytes, OnEvent&& on_event) {
 
 }  // namespace
 
-ExecutionTranscript::ExecutionTranscript(std::vector<std::uint8_t> bytes, std::uint64_t count,
-                                         std::uint64_t digest)
-    : mode_(TranscriptMode::kFull), bytes_(std::move(bytes)), digest_(digest), count_(count) {}
-
 void ExecutionTranscript::clear() {
   bytes_.clear();
-  digest_ = kFnvOffset;
   count_ = 0;
   key_.reset();
 }
 
 void ExecutionTranscript::record(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b,
                                  std::uint64_t c) {
-  digest_ = fold_event(digest_, kind, a, b, c);
   ++count_;
   key_.reset();
-  if (mode_ == TranscriptMode::kFull) append(kind, a, b, c);
-}
-
-void ExecutionTranscript::append(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b,
-                                 std::uint64_t c) {
   if (bytes_.empty()) bytes_.assign(std::begin(kEmptyBlob), std::end(kEmptyBlob));
   // The count varint after the magic is rewritten in place.  It widens by
   // a byte when the count reaches 2^7, 2^14, ..., and the events after it
@@ -176,7 +154,6 @@ void ExecutionTranscript::append(TranscriptEventKind kind, std::uint64_t a, std:
 
 std::vector<TranscriptEvent> ExecutionTranscript::events() const {
   std::vector<TranscriptEvent> events;
-  if (mode_ != TranscriptMode::kFull) return events;
   events.reserve(count_);
   scan(bytes(), [&events](TranscriptEventKind kind, std::uint64_t a, std::uint64_t b,
                           std::uint64_t c) { events.push_back(TranscriptEvent{kind, a, b, c}); });
@@ -184,9 +161,6 @@ std::vector<TranscriptEvent> ExecutionTranscript::events() const {
 }
 
 std::span<const std::uint8_t> ExecutionTranscript::bytes() const {
-  if (mode_ != TranscriptMode::kFull) {
-    throw std::logic_error("ExecutionTranscript: bytes need kFull mode");
-  }
   if (bytes_.empty()) return kEmptyBlob;
   return bytes_;
 }
@@ -202,14 +176,12 @@ Digest256 ExecutionTranscript::content_key() const {
 }
 
 ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes) {
-  std::uint64_t count = 0;
-  std::uint64_t digest = kFnvOffset;
-  scan(bytes, [&](TranscriptEventKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-    ++count;
-    digest = fold_event(digest, kind, a, b, c);
+  ExecutionTranscript decoded;
+  scan(bytes, [&decoded](TranscriptEventKind, std::uint64_t, std::uint64_t, std::uint64_t) {
+    ++decoded.count_;
   });
-  return ExecutionTranscript(std::vector<std::uint8_t>(bytes.begin(), bytes.end()), count,
-                             digest);
+  decoded.bytes_.assign(bytes.begin(), bytes.end());
+  return decoded;
 }
 
 ExecutionTranscript ExecutionTranscript::decode(std::span<const std::uint8_t> bytes,
@@ -243,51 +215,24 @@ std::string format_event(const TranscriptEvent& event) {
 }
 
 bool operator==(const ExecutionTranscript& a, const ExecutionTranscript& b) {
-  if (a.count_ != b.count_ || a.digest_ != b.digest_) return false;
-  if (a.mode_ == TranscriptMode::kFull && b.mode_ == TranscriptMode::kFull) {
-    return std::ranges::equal(a.bytes(), b.bytes());
-  }
-  return true;
+  return std::ranges::equal(a.bytes(), b.bytes());
 }
 
-Replayer::Replayer(const ExecutionTranscript& reference) : reference_(&reference) {}
-
-std::optional<Replayer::Divergence> Replayer::diff(const ExecutionTranscript& replay) const {
-  const ExecutionTranscript& ref = *reference_;
-  if (ref.mode() == TranscriptMode::kFull && replay.mode() == TranscriptMode::kFull) {
-    // Equal bytes are equal events; only a divergence is decoded.
-    if (ref == replay) return std::nullopt;
-    const std::vector<TranscriptEvent> a = ref.events();
-    const std::vector<TranscriptEvent> b = replay.events();
-    const std::size_t common = std::min(a.size(), b.size());
-    const auto describe = [](const TranscriptEvent& e) {
-      return std::string(to_string(e.kind)) + "(" + std::to_string(e.a) + ", " +
-             std::to_string(e.b) + ", " + std::to_string(e.c) + ")";
-    };
-    for (std::size_t i = 0; i < common; ++i) {
-      if (!(a[i] == b[i])) {
-        return Divergence{i, "event " + std::to_string(i) + ": recorded " + describe(a[i]) +
-                                 " vs replayed " + describe(b[i])};
-      }
-    }
-    if (a.size() != b.size()) {
-      return Divergence{common, "replay has " + std::to_string(b.size()) +
-                                    " events, recording has " + std::to_string(a.size())};
-    }
-    return std::nullopt;
+std::optional<TranscriptDivergence> first_divergence(const ExecutionTranscript& recorded,
+                                                     const ExecutionTranscript& replay) {
+  if (recorded == replay) return std::nullopt;
+  // Decode accepts only canonical bytes, so unequal bytes are unequal
+  // event streams: they differ at an event or one is a prefix.
+  const std::vector<TranscriptEvent> a = recorded.events();
+  const std::vector<TranscriptEvent> b = replay.events();
+  const auto [at_a, at_b] = std::ranges::mismatch(a, b);
+  const auto index = static_cast<std::size_t>(at_a - a.begin());
+  if (at_a != a.end() && at_b != b.end()) {
+    return TranscriptDivergence{index, "event " + std::to_string(index) + ": " +
+                                           format_event(*at_a) + " vs " + format_event(*at_b)};
   }
-  // Digest-mode comparison: the fingerprint is order-sensitive, so equal
-  // (count, digest) is the same equality the event walk would establish.
-  if (ref.size() != replay.size()) {
-    return Divergence{std::min<std::size_t>(ref.size(), replay.size()),
-                      "replay has " + std::to_string(replay.size()) +
-                          " events, recording has " + std::to_string(ref.size())};
-  }
-  if (ref.digest() != replay.digest()) {
-    return Divergence{0, "transcript digests differ (" + std::to_string(ref.digest()) +
-                             " vs " + std::to_string(replay.digest()) + ")"};
-  }
-  return std::nullopt;
+  return TranscriptDivergence{
+      index, std::to_string(a.size()) + " vs " + std::to_string(b.size()) + " events"};
 }
 
 namespace {
@@ -330,11 +275,8 @@ class TranscriptReplayScheduler final : public Scheduler {
 
 }  // namespace
 
-std::unique_ptr<Scheduler> Replayer::ring_schedule() const {
-  if (reference_->mode() != TranscriptMode::kFull) {
-    throw std::invalid_argument("Replayer::ring_schedule needs a kFull recording");
-  }
-  return std::make_unique<TranscriptReplayScheduler>(reference_->events());
+std::unique_ptr<Scheduler> replay_ring_schedule(const ExecutionTranscript& recorded) {
+  return std::make_unique<TranscriptReplayScheduler>(recorded.events());
 }
 
 }  // namespace fle

@@ -14,21 +14,18 @@
 //   kPhase     a = round/phase     b = deliveries     c = 0 (round marker)
 //   kDecision  a = actor           b = aborted (0/1)  c = output value
 //
-// Two executions are THE SAME execution iff their transcripts are equal
-// event for event; every replay check in verify/differential reduces to
+// Two executions are THE SAME execution iff their transcripts hold equal
+// canonical bytes; every replay check in verify/differential reduces to
 // that comparison.  Each runtime records into the stream through a raw
 // pointer hook (null = disabled, one predicted branch on the hot path — the
 // ring path stays allocation-free with recording off, test_alloc_free.cpp).
 //
-// Modes: kFull holds the execution as its canonical FLET bytes (below):
+// A transcript holds the execution as its canonical FLET bytes (below):
 // record() appends each event to them, and they are the record itself, the
 // bytes the fabric ships, a shard row hexes and the store keeps, so no
-// consumer re-encodes a transcript; events() decodes on demand.  kDigest
-// keeps only a running FNV-1a fold and the event count — the cheap
-// fingerprint the trace-determinism check (verify/differential.h) compares
-// fresh and reused engines by.  Both modes maintain the digest, so a kDigest
-// transcript can always be compared against a kFull one.  The transcript is
-// the only execution fingerprint in the system.
+// consumer re-encodes a transcript; events() decodes on demand.  The bytes
+// are also the execution's one fingerprint: == compares them, and
+// content_key() hashes them where they cross a trust boundary.
 
 #include <cstdint>
 #include <memory>
@@ -42,9 +39,10 @@
 
 namespace fle {
 
+/// One value: a transcript always holds its bytes.  The enum stays only
+/// because perfbench/pipeline.cpp constructs a transcript by naming kFull.
 enum class TranscriptMode : std::uint8_t {
-  kFull,    ///< store every event (replayable, encodable)
-  kDigest,  ///< running FNV fold + event count only
+  kFull,  ///< hold the canonical bytes (replayable, encodable)
 };
 
 enum class TranscriptEventKind : std::uint8_t {
@@ -66,8 +64,8 @@ struct TranscriptEvent {
 };
 
 /// One-line rendering with kind-specific field names — e.g.
-/// "delivery step=3 receiver=1 value=7" — used by fle_verify
-/// --dump-transcript and fle_store cat/diff.
+/// "delivery step=3 receiver=1 value=7" — used by first_divergence,
+/// fle_verify --dump-transcript and fle_store cat.
 std::string format_event(const TranscriptEvent& event);
 
 /// The LEB128 varint codec the transcript encoding is built on, exposed so
@@ -87,18 +85,14 @@ std::uint64_t transcript_fold(std::span<const std::uint64_t> words);
 
 class ExecutionTranscript {
  public:
-  explicit ExecutionTranscript(TranscriptMode mode = TranscriptMode::kFull)
-      : mode_(mode) {}
+  explicit ExecutionTranscript(TranscriptMode /*mode*/ = TranscriptMode::kFull) {}
 
-  [[nodiscard]] TranscriptMode mode() const { return mode_; }
-
-  /// Drops all recorded events and restarts the digest.  Storage capacity
-  /// is kept, so a reused transcript reaches an allocation-free steady
-  /// state just like the engines it observes.
+  /// Drops all recorded events.  Storage capacity is kept, so a reused
+  /// transcript reaches an allocation-free steady state just like the
+  /// engines it observes.
   void clear();
 
-  /// Appends one event: always folds it into the digest, appends its bytes
-  /// in kFull mode.
+  /// Appends one event's bytes.
   void record(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c);
 
   // Typed helpers, one per event kind.
@@ -115,30 +109,26 @@ class ExecutionTranscript {
     record(TranscriptEventKind::kDecision, actor, aborted ? 1 : 0, output);
   }
 
-  /// Order-sensitive FNV-1a digest over every recorded event (both modes).
-  [[nodiscard]] std::uint64_t digest() const { return digest_; }
-  /// Events recorded since the last clear() (both modes).
+  /// Events recorded since the last clear().
   [[nodiscard]] std::uint64_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
 
-  /// The recorded stream, decoded from bytes() on each call; empty in
-  /// kDigest mode.
+  /// The recorded stream, decoded from bytes() on each call.
   [[nodiscard]] std::vector<TranscriptEvent> events() const;
 
-  /// The held canonical bytes (kFull only; throws std::logic_error in
-  /// digest mode): a 'F','L','E','T' magic, the event count as a LEB128
-  /// varint, then per event one kind byte and three LEB128 varints, every
-  /// varint minimal.  The view is valid until the next record(), clear()
-  /// or assignment.
+  /// The held canonical bytes: a 'F','L','E','T' magic, the event count
+  /// as a LEB128 varint, then per event one kind byte and three LEB128
+  /// varints, every varint minimal.  The view is valid until the next
+  /// record(), clear() or assignment.
   [[nodiscard]] std::span<const std::uint8_t> bytes() const;
   /// A copy of bytes(), allocated at exactly its size.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// Accepts exactly the bytes a kFull transcript holds: a scan that
-  /// allocates nothing refuses any other input with std::invalid_argument
-  /// (bad magic, truncation, an overflowing or overlong varint, an unknown
-  /// kind, trailing bytes) and recomputes the digest and count; the
-  /// accepted bytes are then copied in once.  So decode(b).bytes() equals
-  /// b, and round-tripping preserves digest, count and events.
+  /// Accepts exactly the bytes a transcript holds: a scan that allocates
+  /// nothing refuses any other input with std::invalid_argument (bad
+  /// magic, truncation, an overflowing or overlong varint, an unknown
+  /// kind, trailing bytes) and counts the events; the accepted bytes are
+  /// then copied in once.  So decode(b).bytes() equals b, and
+  /// round-tripping preserves count and events.
   static ExecutionTranscript decode(std::span<const std::uint8_t> bytes);
   /// Keyed decode, for bytes that arrive with their content key (a shipped
   /// fabric blob, a shard row's store_keys entry): throws
@@ -148,68 +138,46 @@ class ExecutionTranscript {
   /// transcript.
   static ExecutionTranscript decode(std::span<const std::uint8_t> bytes, const Digest256& key);
 
-  /// SHA-256 of bytes() — the content-addressed store key (src/store/).
-  /// The in-loop FNV fold stays the cheap fingerprint; this strengthened
-  /// digest is hashed only where a transcript's bytes cross a trust
-  /// boundary (the worker's keys for its row, RemoteExecutor's blob check,
-  /// a shard row's store_keys check).  A transcript from keyed decode
+  /// SHA-256 of bytes() — the content-addressed store key (src/store/),
+  /// hashed only where a transcript's bytes cross a trust boundary (the
+  /// worker's keys for its row, RemoteExecutor's blob check, a shard row's
+  /// store_keys check).  A transcript from keyed decode
   /// carries its key, and this returns it without hashing; any other
   /// transcript's bytes are hashed here.  Copies and moves keep the carried
   /// key; record() and clear() drop it.  A pure read: no cache is filled,
-  /// so it is safe on a shared const object.  kFull only, like bytes().
+  /// so it is safe on a shared const object.
   [[nodiscard]] Digest256 content_key() const;
 
-  /// Transcripts compare by their common observable: digest and event
-  /// count always, their bytes too when both sides hold them.
+  /// Transcripts compare by their bytes.
   friend bool operator==(const ExecutionTranscript& a, const ExecutionTranscript& b);
 
  private:
-  /// A kFull transcript holding `bytes`, which a scan accepted with this
-  /// count and digest.
-  ExecutionTranscript(std::vector<std::uint8_t> bytes, std::uint64_t count,
-                      std::uint64_t digest);
-  void append(TranscriptEventKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c);
-
-  TranscriptMode mode_;
-  /// kFull: the FLET bytes, empty until the first record() (bytes() then
-  /// views the constant empty blob).
+  /// The FLET bytes, empty until the first record() (bytes() then views
+  /// the constant empty blob).
   std::vector<std::uint8_t> bytes_;
-  std::uint64_t digest_ = 0xcbf29ce484222325ull;  ///< FNV-1a 64 offset basis
   std::uint64_t count_ = 0;
   std::optional<Digest256> key_;  ///< the content key keyed decode checked
 };
 
-/// Re-drives an engine from a recorded transcript and pinpoints
-/// divergence.
-///
-/// Two services:
-///  * diff(replay) — event-for-event comparison of a re-recorded transcript
-///    against the reference; nullopt means the replay IS the recorded
-///    execution.  Works for every runtime (the universal check).
-///  * ring_schedule() — a Scheduler serving exactly the recorded delivery
-///    order, so a ring engine can be literally re-driven from the recorded
-///    schedule (not merely re-run under the same seed).  The scheduler
-///    throws std::runtime_error the moment the execution requests a
-///    delivery the recording cannot serve — a turn-order regression caught
-///    at its first divergent step.  It decodes the recording once and
-///    owns those events.
-class Replayer {
- public:
-  /// The reference must outlive the replayer.
-  explicit Replayer(const ExecutionTranscript& reference);
-
-  struct Divergence {
-    std::size_t index = 0;  ///< first differing event position
-    std::string what;       ///< human-readable description
-  };
-
-  [[nodiscard]] std::optional<Divergence> diff(const ExecutionTranscript& replay) const;
-
-  /// Requires a kFull reference.  Throws std::invalid_argument otherwise.
-  [[nodiscard]] std::unique_ptr<Scheduler> ring_schedule() const;
-
- private:
-  const ExecutionTranscript* reference_;
+/// Where a replay first departs from a recording.
+struct TranscriptDivergence {
+  std::size_t index = 0;  ///< the first differing event, or the shorter length
+  std::string what;       ///< both events (format_event), or both lengths
 };
+
+/// nullopt when `replay` holds `recorded`'s bytes, i.e. is the same
+/// execution.  Otherwise the index of the first differing event with both
+/// events rendered, or, when one stream is a prefix of the other, the
+/// shorter length with both lengths.  Only a divergence is decoded.
+std::optional<TranscriptDivergence> first_divergence(const ExecutionTranscript& recorded,
+                                                     const ExecutionTranscript& replay);
+
+/// A Scheduler serving exactly `recorded`'s delivery order, so a ring
+/// engine can be literally re-driven from the recorded schedule (not
+/// merely re-run under the same seed).  The scheduler throws
+/// std::runtime_error the moment the execution requests a delivery the
+/// recording cannot serve — a turn-order regression caught at its first
+/// divergent step.  It decodes the recording once and owns those events.
+std::unique_ptr<Scheduler> replay_ring_schedule(const ExecutionTranscript& recorded);
 
 }  // namespace fle

@@ -397,34 +397,18 @@ ExecutionTranscript StoreReader::read_transcript(std::uint64_t trial) const {
 
 namespace {
 
-/// Event-level diff of the first divergent trial: the first differing
-/// events, rendered by format_event.
+/// Event-level diff of the first divergent trial (first_divergence).
 SyncReport::First leaf_diff(const StoreReader& a, const StoreReader& b,
                             const StoreNodeRef& ra, const StoreNodeRef& rb,
                             std::uint64_t trial) {
   SyncReport::First first;
   first.trial = trial;
   try {
-    const ExecutionTranscript ta = ExecutionTranscript::decode(a.read_leaf(ra));
-    const ExecutionTranscript tb = ExecutionTranscript::decode(b.read_leaf(rb));
-    const auto ea = ta.events();
-    const auto eb = tb.events();
-    const std::size_t common = std::min(ea.size(), eb.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (!(ea[i] == eb[i])) {
-        first.event_index = i;
-        first.what = "event " + std::to_string(i) + ": " + format_event(ea[i]) + " vs " +
-                     format_event(eb[i]);
-        return first;
-      }
+    if (const auto divergence = first_divergence(ExecutionTranscript::decode(a.read_leaf(ra)),
+                                                 ExecutionTranscript::decode(b.read_leaf(rb)))) {
+      first.event_index = divergence->index;
+      first.what = divergence->what;
     }
-    if (ea.size() != eb.size()) {
-      first.event_index = common;
-      first.what = "store A has " + std::to_string(ea.size()) + " events, store B has " +
-                   std::to_string(eb.size());
-      return first;
-    }
-    first.what = "blobs differ but decoded events are identical";
   } catch (const std::exception& error) {
     first.what = std::string("leaf unreadable: ") + error.what();
   }

@@ -9,9 +9,9 @@
 // rippled uses for "rapid synchronization and compression of differences":
 //
 //   * each leaf is one trial's encoded transcript blob, keyed by its
-//     SHA-256 content hash (sim/digest.h; the in-loop FNV fold stays the
-//     cheap fingerprint, and a transcript that crossed a trust boundary
-//     carries the key hashed there, ExecutionTranscript::content_key);
+//     SHA-256 content hash (sim/digest.h; a transcript that crossed a
+//     trust boundary carries the key hashed there,
+//     ExecutionTranscript::content_key);
 //   * each inner node at level k covers 16^k consecutive trials and hashes
 //     the concatenation of its 16 child hashes (absent child = 32 zero
 //     bytes), so any leaf change bubbles to the root;
@@ -89,7 +89,7 @@ int store_depth(std::uint64_t trial_count);
 /// appended in sweep order; their trials take consecutive global indices.
 class StoreWriter {
  public:
-  /// Adds one scenario's transcripts (kFull, trial order).  Each leaf is
+  /// Adds one scenario's transcripts (trial order).  Each leaf is
   /// keyed by content_key() (a carried key costs no hash), and a
   /// transcript's held bytes are copied, once, only when its blob is new
   /// to the store.
@@ -180,7 +180,7 @@ struct SyncReport {
   struct First {
     std::uint64_t trial = 0;
     std::size_t event_index = 0;
-    std::string what;  ///< event-level diff: the first differing events (format_event)
+    std::string what;  ///< event-level diff (first_divergence)
   };
   std::optional<First> first;
   std::uint64_t nodes_read_a = 0;

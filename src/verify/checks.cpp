@@ -190,7 +190,7 @@ CheckResult check_sync_gap(const ScenarioSpec& spec, const ScenarioResult& resul
   const std::string subject = check_subject(spec);
   const std::string detail = "max sync gap " + std::to_string(result.max_sync_gap) +
                              " vs envelope " + std::to_string(options.max_gap) +
-                             " (mean " + format_double(result.mean_sync_gap) + ")";
+                             " (mean " + format_double(result.mean_sync_gap()) + ")";
   return result.max_sync_gap <= options.max_gap
              ? CheckResult::pass("sync-gap", subject, detail)
              : CheckResult::fail("sync-gap", subject, detail);

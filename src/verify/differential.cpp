@@ -95,17 +95,17 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
   const DeviationEntry* deviation_entry =
       spec.deviation.empty() ? nullptr : &DeviationRegistry::instance().at(spec.deviation);
 
-  // kDigest transcripts attached through set_transcript: the same hook the
-  // scenario layer records through, folded instead of stored.  The fresh
-  // engine's profile is built in a fresh arena every trial; the reused
-  // engine's in one arena rewound per trial, the workspace cadence.
-  ExecutionTranscript fresh_digest(TranscriptMode::kDigest);
-  ExecutionTranscript reused_digest(TranscriptMode::kDigest);
+  // Transcripts attached through set_transcript, the hook the scenario
+  // layer records through, compared byte for byte.  The fresh engine's
+  // profile is built in a fresh arena every trial; the reused engine's in
+  // one arena rewound per trial, the workspace cadence.
+  ExecutionTranscript fresh_trace;
+  ExecutionTranscript reused_trace;
   std::unique_ptr<RingEngine> reused;
   StrategyArena reused_arena;
   std::vector<RingStrategy*> fresh_profile;
   std::vector<RingStrategy*> reused_profile;
-  std::size_t digest_mismatches = 0;
+  std::size_t transcript_mismatches = 0;
   std::size_t outcome_mismatches = 0;
 
   for (std::size_t t = 0; t < traced_trials; ++t) {
@@ -121,8 +121,8 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
     RingEngine fresh(spec.n, trial_seed, std::move(fresh_options));
     StrategyArena fresh_arena;
     compose_profile_into(*protocol, deviation.get(), spec.n, fresh_arena, fresh_profile);
-    fresh_digest.clear();
-    fresh.set_transcript(&fresh_digest);
+    fresh_trace.clear();
+    fresh.set_transcript(&fresh_trace);
     const Outcome fresh_outcome = fresh.run(std::span<RingStrategy* const>(fresh_profile));
 
     if (!reused) {
@@ -130,27 +130,24 @@ CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced
       reused_options.step_limit = step_limit;
       reused_options.scheduler_kind = spec.scheduler;
       reused = std::make_unique<RingEngine>(spec.n, trial_seed, std::move(reused_options));
-      reused->set_transcript(&reused_digest);
+      reused->set_transcript(&reused_trace);
     } else {
       reused->reset(trial_seed);
     }
     reused_arena.rewind();
     compose_profile_into(*protocol, deviation.get(), spec.n, reused_arena, reused_profile);
-    reused_digest.clear();
+    reused_trace.clear();
     const Outcome reused_outcome = reused->run(std::span<RingStrategy* const>(reused_profile));
 
-    digest_mismatches += fresh_digest.digest() != reused_digest.digest() ||
-                                 fresh_digest.size() != reused_digest.size()
-                             ? 1
-                             : 0;
+    transcript_mismatches += fresh_trace == reused_trace ? 0 : 1;
     outcome_mismatches += fresh_outcome != reused_outcome ? 1 : 0;
   }
 
   const std::string subject = check_subject(spec);
-  if (digest_mismatches != 0 || outcome_mismatches != 0) {
+  if (transcript_mismatches != 0 || outcome_mismatches != 0) {
     return CheckResult::fail("trace-determinism", subject,
-                             "fresh vs reused engine: " + std::to_string(digest_mismatches) +
-                                 " digest and " + std::to_string(outcome_mismatches) +
+                             "fresh vs reused engine: " + std::to_string(transcript_mismatches) +
+                                 " transcript and " + std::to_string(outcome_mismatches) +
                                  " outcome mismatches over " +
                                  std::to_string(traced_trials) + " trials");
   }
@@ -175,11 +172,10 @@ std::string redrive_ring_trial(const ScenarioSpec& spec, std::size_t trial,
   std::unique_ptr<Deviation> deviation;
   if (deviation_entry) deviation = deviation_entry->make_ring(*protocol, spec);
 
-  const Replayer replayer(reference);
   ExecutionTranscript replayed;
   EngineOptions options;
   options.step_limit = scenario_ring_step_limit(spec, *protocol);
-  options.scheduler = replayer.ring_schedule();
+  options.scheduler = replay_ring_schedule(reference);
   RingEngine engine(spec.n, trial_seed, std::move(options));
   engine.set_transcript(&replayed);
   StrategyArena arena;
@@ -191,7 +187,7 @@ std::string redrive_ring_trial(const ScenarioSpec& spec, std::size_t trial,
   } catch (const std::runtime_error& error) {
     return "trial " + std::to_string(trial) + ": " + error.what();
   }
-  if (const auto divergence = replayer.diff(replayed)) {
+  if (const auto divergence = first_divergence(reference, replayed)) {
     return "trial " + std::to_string(trial) + " re-drive: " + divergence->what;
   }
   if (outcome != recorded_outcome) {
@@ -242,8 +238,8 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
   // counts, so different engine reuse patterns) are the same execution per
   // trial.
   for (std::size_t t = 0; t < first.per_trial_transcript.size(); ++t) {
-    const Replayer replayer(first.per_trial_transcript[t]);
-    if (const auto divergence = replayer.diff(second.per_trial_transcript[t])) {
+    if (const auto divergence =
+            first_divergence(first.per_trial_transcript[t], second.per_trial_transcript[t])) {
       return CheckResult::fail("transcript-replay", subject,
                                "trial " + std::to_string(t) + " rerun: " + divergence->what);
     }
@@ -255,7 +251,7 @@ CheckResult check_transcript_replay(ScenarioSpec spec, std::size_t redriven_tria
   for (std::size_t t = 0; t < redriven; ++t) {
     const ExecutionTranscript& reference = first.per_trial_transcript[t];
     const ExecutionTranscript decoded = ExecutionTranscript::decode(reference.bytes());
-    if (const auto divergence = Replayer(reference).diff(decoded)) {
+    if (const auto divergence = first_divergence(reference, decoded)) {
       return CheckResult::fail("transcript-replay", subject,
                                "trial " + std::to_string(t) +
                                    " codec round trip: " + divergence->what);

@@ -17,14 +17,14 @@
 //  * check_trace_determinism — exact per-trial trace equivalence for the
 //    deterministic scheduler: a reused engine (reset(trial_seed), the
 //    DESIGN.md §4 fast path) must replay a freshly constructed engine's
-//    execution bit for bit (a kDigest ExecutionTranscript over every
-//    delivery and decision).
+//    execution bit for bit (the two ExecutionTranscripts of every delivery
+//    and decision hold equal bytes).
 //
 //  * check_transcript_replay — the record/replay differential every
 //    runtime gets (DESIGN.md §7), including the turn-game runtimes that
 //    have no second implementation to diff against: per-trial transcripts
 //    from two independent runs must agree event for event; ring recordings
-//    are additionally RE-DRIVEN through Replayer::ring_schedule (the
+//    are additionally RE-DRIVEN through replay_ring_schedule (the
 //    recorded schedule becomes the scheduler) and turn-game recordings are
 //    re-driven through replay_turn_game (the recorded actions become the
 //    moves); the binary codec must round-trip the streams exactly.
@@ -49,8 +49,8 @@ CheckResult check_differential_exact(ScenarioSpec spec, TopologyKind a, Topology
 CheckResult check_scheduler_invariance(ScenarioSpec spec);
 
 /// For the first `traced_trials` trials of the ring spec: fresh engine vs
-/// reused engine (reset between trials) must produce identical delivery
-/// digests and outcomes.  Requires a kRing spec with a built-in scheduler.
+/// reused engine (reset between trials) must produce identical
+/// transcripts and outcomes.  Requires a kRing spec with a built-in scheduler.
 CheckResult check_trace_determinism(const ScenarioSpec& spec, std::size_t traced_trials = 8);
 
 /// Two-sample chi-square homogeneity test over the outcome histograms of

@@ -359,10 +359,10 @@ std::optional<std::string> run_spec_invariants(const ScenarioSpec& spec, bool* r
         return "outcome counts differ across worker counts at leader " + std::to_string(j);
       }
     }
-    if (second->mean_messages != r.mean_messages ||
+    if (second->total_messages != r.total_messages ||
         second->max_messages != r.max_messages ||
         second->max_sync_gap != r.max_sync_gap ||
-        second->mean_sync_gap != r.mean_sync_gap || second->max_rounds != r.max_rounds) {
+        second->total_sync_gap != r.total_sync_gap || second->max_rounds != r.max_rounds) {
       return "message/gap/round stats differ across worker counts";
     }
     if (spec.record_transcripts) {

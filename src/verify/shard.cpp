@@ -554,15 +554,6 @@ ShardRow parse_shard_row(const std::string& line) {
     }
   }
   json.refuse_unread();
-
-  result.mean_messages =
-      result.trials > 0
-          ? static_cast<double>(result.total_messages) / static_cast<double>(result.trials)
-          : 0.0;
-  result.mean_sync_gap =
-      result.trials > 0
-          ? static_cast<double>(result.total_sync_gap) / static_cast<double>(result.trials)
-          : 0.0;
   row.result = std::move(result);
   return row;
 }

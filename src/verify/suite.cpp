@@ -11,7 +11,6 @@
 #include "attacks/coalition.h"
 #include "verify/checks.h"
 #include "verify/differential.h"
-#include "verify/fuzzer.h"
 
 namespace fle::verify {
 
@@ -625,19 +624,6 @@ CheckReport run_differential_checks(const SuiteOptions& options) {
     baton.seed = options.seed + 47;
     baton.threads = options.threads;
     report.add(check_transcript_replay(baton));
-  }
-  return report;
-}
-
-CheckReport run_conformance_suite(const SuiteOptions& options) {
-  CheckReport report;
-  if (options.run_statistical) report.merge(run_statistical_checks(options));
-  if (options.run_differential) report.merge(run_differential_checks(options));
-  if (options.run_fuzz) {
-    FuzzOptions fuzz;
-    fuzz.seed = options.seed;
-    fuzz.specs = options.fuzz_specs;
-    report.merge(run_fuzz_campaign(fuzz).as_report());
   }
   return report;
 }

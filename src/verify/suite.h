@@ -4,8 +4,10 @@
 // checks on its honest profile, the paper's resilience claims get
 // Wilson-bounded gain checks, the proven attacks get lower-bound
 // (attack-floor) checks, the Lemma D.3/D.5 synchronization-gap envelopes
-// are gated, every ring protocol gets differential ring-vs-threaded and
-// scheduler-invariance checks, and a seeded fuzz campaign closes the loop.
+// are gated, and every ring protocol gets differential ring-vs-threaded and
+// scheduler-invariance checks.  fle_verify runs the statistical and
+// differential sections below and then a seeded fuzz campaign
+// (verify/fuzzer.h), timing each section on its own.
 // DESIGN.md §5/§6 map each check to the paper theorem it operationalizes.
 //
 // The statistical section is data first: build_statistical_plan() lists
@@ -26,9 +28,6 @@ struct SuiteOptions {
   std::size_t fuzz_specs = 200;      ///< fuzz campaign size
   std::uint64_t seed = 1;
   int threads = 0;                   ///< workers for the statistical runs
-  bool run_statistical = true;
-  bool run_differential = true;
-  bool run_fuzz = true;
 };
 
 /// Scales every budget down (~400 trials, 16 fuzz specs) so the suite
@@ -37,6 +36,5 @@ SuiteOptions quick_suite_options();
 
 CheckReport run_statistical_checks(const SuiteOptions& options);
 CheckReport run_differential_checks(const SuiteOptions& options);
-CheckReport run_conformance_suite(const SuiteOptions& options);
 
 }  // namespace fle::verify

@@ -1,10 +1,11 @@
 #pragma once
 // Pins a scenario's results to literals: per-trial outcomes, the message and
-// sync-gap aggregates, and a fold of the per-trial transcript digests.  A
+// sync-gap aggregates, and a fold of the per-trial transcripts' events.  A
 // change to pick order, tape draws, steered values or the event stream
 // moves at least one of them.
 
 #include <cstdint>
+#include <initializer_list>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -15,8 +16,21 @@
 
 namespace fle {
 
+/// An order-sensitive FNV-1a fold of a transcript's events (kind, a, b, c
+/// per event), the pins' fingerprint of one execution.
+inline std::uint64_t event_fold(const ExecutionTranscript& t) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const TranscriptEvent& e : t.events()) {
+    for (const std::uint64_t word : {static_cast<std::uint64_t>(e.kind), e.a, e.b, e.c}) {
+      hash ^= word;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
 /// Per-trial outcomes ("F" for FAIL), the message and sync-gap aggregates,
-/// and a mix64 fold of the per-trial transcript digests (every delivery and
+/// and a mix64 fold of the per-trial event_folds (every delivery and
 /// decision, in order; the FNV offset basis when transcripts are off).
 struct ScenarioPin {
   std::string outcomes;
@@ -40,7 +54,7 @@ inline ScenarioPin run_pinned(ScenarioSpec spec, bool transcribe = true) {
     pin.outcomes += o.valid() ? std::to_string(o.leader()) : "F";
   }
   for (const ExecutionTranscript& t : r.per_trial_transcript) {
-    pin.transcripts = mix64(pin.transcripts ^ t.digest());
+    pin.transcripts = mix64(pin.transcripts ^ event_fold(t));
   }
   return pin;
 }

@@ -75,7 +75,7 @@ TEST(ChangRoberts, AverageCaseIsNLogN) {
   const int n = 128;
   const ScenarioResult result = run_scenario(classical_spec("chang-roberts", n, 30));
   ASSERT_EQ(result.outcomes.fails(), 0u);
-  const double avg = result.mean_messages;
+  const double avg = result.mean_messages();
   const double nlogn = n * std::log2(n);
   EXPECT_LT(avg, 2.5 * nlogn);  // ~ n H_n + n for the announcement
   EXPECT_GT(avg, 0.5 * nlogn);

@@ -199,7 +199,7 @@ TEST(EngineReuse, GraphRandomLinkScheduleReplaysTheScenarioTranscripts) {
   const ShamirLeadProtocol shamir(spec.n);
   const GraphDeviation* honest = nullptr;
   GraphEngineOptions options;
-  options.schedule = LinkScheduleKind::kRandom;
+  options.schedule = SchedulerKind::kRandom;
   GraphEngine reused(spec.n, 1, options);
   StrategyArena arena;
   std::vector<GraphStrategy*> profile;
@@ -271,7 +271,7 @@ void expect_identical_counts(const ScenarioResult& a, const ScenarioResult& b, i
   for (Value j = 0; j < static_cast<Value>(domain); ++j) {
     EXPECT_EQ(a.outcomes.count(j), b.outcomes.count(j)) << "leader " << j;
   }
-  EXPECT_DOUBLE_EQ(a.mean_messages, b.mean_messages);
+  EXPECT_DOUBLE_EQ(a.mean_messages(), b.mean_messages());
   EXPECT_EQ(a.max_messages, b.max_messages);
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "api/scenario.h"
 #include "sim/graph_engine.h"
 
 namespace fle {
@@ -106,6 +109,23 @@ TEST(GraphEngine, StepLimitStopsPingPong) {
   GraphStrategy* s[] = {&a, &b};
   EXPECT_TRUE(engine.run(s).failed());
   EXPECT_TRUE(engine.stats().step_limit_hit);
+}
+
+TEST(GraphEngine, PrioritySchedulerIsRefused) {
+  // The priority scheduler is ring-only.  The engine refuses it, and so
+  // does the scenario layer for a spec whose trial window is empty, which
+  // builds no engine.
+  GraphEngineOptions options;
+  options.schedule = SchedulerKind::kPriority;
+  EXPECT_THROW(GraphEngine(4, 1, options), std::invalid_argument);
+  ScenarioSpec spec;
+  spec.topology = TopologyKind::kGraph;
+  spec.protocol = "shamir-lead";
+  spec.scheduler = SchedulerKind::kPriority;
+  spec.n = 6;
+  spec.trials = 4;
+  spec.trial_offset = 4;
+  EXPECT_THROW(run_scenario(spec), std::invalid_argument);
 }
 
 TEST(GraphEngine, MessagesToTerminatedVanish) {

@@ -141,7 +141,7 @@ TEST(RunScenario, HonestRingElectionsSucceed) {
   const auto result = run_scenario(ring_spec("phase-async-lead", 12, 50));
   EXPECT_EQ(result.outcomes.fails(), 0u);
   EXPECT_EQ(result.protocol_name, "PhaseAsyncLead");
-  EXPECT_DOUBLE_EQ(result.mean_messages, 2.0 * 12 * 12);
+  EXPECT_DOUBLE_EQ(result.mean_messages(), 2.0 * 12 * 12);
 }
 
 TEST(RunScenario, PhaseAndSyncReportsMatchTheScalarEngine) {
@@ -253,7 +253,7 @@ TEST(RunScenario, GraphTopologyRunsShamir) {
   spec.trials = 10;
   const auto result = run_scenario(spec);
   EXPECT_EQ(result.outcomes.fails(), 0u);
-  EXPECT_GT(result.mean_messages, 0.0);
+  EXPECT_GT(result.mean_messages(), 0.0);
 }
 
 TEST(RunScenario, SyncTopologyDetectsLateBroadcast) {
@@ -433,7 +433,7 @@ TEST(RunScenario, BasicLeadMessageStatsMatchTheProtocol) {
   auto spec = ring_spec("basic-lead", 10, 20);
   spec.engine = EngineKind::kScalar;
   const auto r = run_scenario(spec);
-  EXPECT_DOUBLE_EQ(r.mean_messages, 100.0);
+  EXPECT_DOUBLE_EQ(r.mean_messages(), 100.0);
   EXPECT_EQ(r.max_messages, 100u);
 }
 
@@ -513,9 +513,9 @@ TEST(ParallelExecutor, OutcomeCountsIdenticalAcross148Threads) {
     EXPECT_EQ(a.outcomes.count(j), b.outcomes.count(j)) << "leader " << j;
     EXPECT_EQ(a.outcomes.count(j), c.outcomes.count(j)) << "leader " << j;
   }
-  EXPECT_DOUBLE_EQ(a.mean_messages, b.mean_messages);
-  EXPECT_DOUBLE_EQ(a.mean_messages, c.mean_messages);
-  EXPECT_DOUBLE_EQ(a.mean_sync_gap, c.mean_sync_gap);
+  EXPECT_DOUBLE_EQ(a.mean_messages(), b.mean_messages());
+  EXPECT_DOUBLE_EQ(a.mean_messages(), c.mean_messages());
+  EXPECT_DOUBLE_EQ(a.mean_sync_gap(), c.mean_sync_gap());
   EXPECT_EQ(a.max_sync_gap, c.max_sync_gap);
 }
 

@@ -45,8 +45,8 @@ void expect_results_equal(const ScenarioResult& a, const ScenarioResult& b,
   EXPECT_EQ(a.max_sync_gap, b.max_sync_gap) << what;
   EXPECT_EQ(a.max_rounds, b.max_rounds) << what;
   // The means derive from integer totals, so even the doubles are exact.
-  EXPECT_EQ(a.mean_messages, b.mean_messages) << what;
-  EXPECT_EQ(a.mean_sync_gap, b.mean_sync_gap) << what;
+  EXPECT_EQ(a.mean_messages(), b.mean_messages()) << what;
+  EXPECT_EQ(a.mean_sync_gap(), b.mean_sync_gap()) << what;
   EXPECT_EQ(a.protocol_name, b.protocol_name) << what;
   EXPECT_EQ(a.deviation_name, b.deviation_name) << what;
   ASSERT_EQ(a.per_trial.size(), b.per_trial.size()) << what;

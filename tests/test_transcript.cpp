@@ -41,22 +41,6 @@ Outcome run_profile(RingEngine& engine, const RingProtocol& protocol,
 
 // ---- the stream itself ------------------------------------------------------
 
-TEST(Transcript, DigestAndFullModesAgree) {
-  ExecutionTranscript full(TranscriptMode::kFull);
-  ExecutionTranscript digest(TranscriptMode::kDigest);
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    full.delivery(i, i % 7, i * 3);
-    digest.delivery(i, i % 7, i * 3);
-  }
-  full.decision(3, false, 5);
-  digest.decision(3, false, 5);
-  EXPECT_EQ(full.digest(), digest.digest());
-  EXPECT_EQ(full.size(), digest.size());
-  EXPECT_TRUE(full == digest);
-  EXPECT_EQ(full.events().size(), 51u);
-  EXPECT_TRUE(digest.events().empty());
-}
-
 TEST(Transcript, OrderSensitivity) {
   ExecutionTranscript a;
   ExecutionTranscript b;
@@ -64,18 +48,60 @@ TEST(Transcript, OrderSensitivity) {
   a.delivery(4, 5, 6);
   b.delivery(4, 5, 6);
   b.delivery(1, 2, 3);
-  EXPECT_NE(a.digest(), b.digest());
   EXPECT_FALSE(a == b);
 }
 
-TEST(Transcript, ClearKeepsCapacityAndRestartsTheDigest) {
+TEST(Transcript, ClearRestartsTheRecording) {
+  ExecutionTranscript fresh;
+  fresh.delivery(1, 2, 3);
   ExecutionTranscript t;
-  t.delivery(1, 2, 3);
-  const std::uint64_t first = t.digest();
+  t.delivery(4, 5, 6);
   t.clear();
   EXPECT_EQ(t.size(), 0u);
+  EXPECT_TRUE(t == ExecutionTranscript());
   t.delivery(1, 2, 3);
-  EXPECT_EQ(t.digest(), first);
+  EXPECT_TRUE(t == fresh);
+}
+
+// ---- first_divergence ---------------------------------------------------------
+
+/// Two deliveries, (0, 1, 7) and (1, 2, 8), then a decision.
+ExecutionTranscript three_events() {
+  ExecutionTranscript t;
+  t.delivery(0, 1, 7);
+  t.delivery(1, 2, 8);
+  t.decision(2, false, 1);
+  return t;
+}
+
+TEST(FirstDivergence, EqualTranscriptsGiveNone) {
+  EXPECT_FALSE(first_divergence(three_events(), three_events()).has_value());
+  EXPECT_FALSE(first_divergence(ExecutionTranscript(), ExecutionTranscript()).has_value());
+}
+
+TEST(FirstDivergence, ADifferingEventGivesItsIndexAndBothEvents) {
+  ExecutionTranscript replay;
+  replay.delivery(0, 1, 7);
+  replay.delivery(1, 3, 8);
+  replay.decision(2, false, 1);
+  const auto divergence = first_divergence(three_events(), replay);
+  ASSERT_TRUE(divergence.has_value());
+  EXPECT_EQ(divergence->index, 1u);
+  EXPECT_EQ(divergence->what,
+            "event 1: delivery step=1 receiver=2 value=8 vs delivery step=1 receiver=3 value=8");
+}
+
+TEST(FirstDivergence, APrefixGivesTheShorterLengthAndBothLengths) {
+  ExecutionTranscript prefix;
+  prefix.delivery(0, 1, 7);
+  const auto longer_recording = first_divergence(three_events(), prefix);
+  ASSERT_TRUE(longer_recording.has_value());
+  EXPECT_EQ(longer_recording->index, 1u);
+  EXPECT_EQ(longer_recording->what, "3 vs 1 events");
+  const auto longer_replay = first_divergence(prefix, three_events());
+  ASSERT_TRUE(longer_replay.has_value());
+  EXPECT_EQ(longer_replay->index, 1u);
+  EXPECT_EQ(longer_replay->what, "1 vs 3 events");
 }
 
 TEST(Transcript, CodecRoundTripsEveryEventKind) {
@@ -87,7 +113,6 @@ TEST(Transcript, CodecRoundTripsEveryEventKind) {
   t.decision(5, true, 0);
   const ExecutionTranscript decoded = ExecutionTranscript::decode(t.encode());
   EXPECT_TRUE(t == decoded);
-  EXPECT_EQ(decoded.digest(), t.digest());
   ASSERT_EQ(decoded.events().size(), t.events().size());
   for (std::size_t i = 0; i < t.events().size(); ++i) {
     EXPECT_TRUE(t.events()[i] == decoded.events()[i]);
@@ -145,7 +170,6 @@ TEST(Transcript, DecodeRejectsMalformedBuffers) {
   std::vector<std::uint8_t> trailing = bytes;
   trailing.push_back(0);
   EXPECT_THROW(ExecutionTranscript::decode(trailing), std::invalid_argument);
-  EXPECT_THROW(ExecutionTranscript(TranscriptMode::kDigest).encode(), std::logic_error);
 
   // Overlong varints (a multi-byte varint whose last byte is 0) decode to
   // the same value as the minimal form but re-encode shorter, so decode
@@ -200,7 +224,6 @@ TEST(Transcript, CanonicalBytesArePinned) {
             "03" "04" "01" "80808080808080808001");  // decision 4 1 2^63
   EXPECT_EQ(t.content_key().hex(),
             "0bda98d3ec165f7fa785c44dfd2e200daa8c82cebcc311a307a4ed34646953d2");
-  EXPECT_EQ(t.digest(), 0x5541574cf103f3b3ull);
   EXPECT_EQ(t.encode(), std::vector<std::uint8_t>(t.bytes().begin(), t.bytes().end()));
 
   // 300 events: the count varint took its second byte at the 128th.
@@ -210,11 +233,9 @@ TEST(Transcript, CanonicalBytesArePinned) {
   EXPECT_EQ(hex_of(long_run.bytes().first(6)), "464c4554ac02");
   EXPECT_EQ(long_run.content_key().hex(),
             "acad5bb5510d729fe3eede2e6d37ee0a41c95f4bb33e647f2faa73a39d4a126f");
-  EXPECT_EQ(long_run.digest(), 0xae6e467a4bc823dcull);
 
-  // An empty kFull transcript holds the magic and a zero count.
+  // An empty transcript holds the magic and a zero count.
   EXPECT_EQ(hex_of(ExecutionTranscript().bytes()), "464c455400");
-  EXPECT_THROW((void)ExecutionTranscript(TranscriptMode::kDigest).bytes(), std::logic_error);
 }
 
 TEST(Transcript, HeldBytesStayCanonicalAsTheCountWidens) {
@@ -231,7 +252,6 @@ TEST(Transcript, HeldBytesStayCanonicalAsTheCountWidens) {
       const ExecutionTranscript decoded = ExecutionTranscript::decode(t.bytes());
       EXPECT_TRUE(decoded == t);
       EXPECT_EQ(decoded.size(), recorded + 1);
-      EXPECT_EQ(decoded.digest(), t.digest());
     }
   }
   const std::vector<TranscriptEvent> events = t.events();
@@ -368,11 +388,10 @@ TEST(TranscriptMutation, EveryMutantIsRefusedOrReproducedExactly) {
       EXPECT_EQ(decoded->encode(), mutant);
       EXPECT_EQ(ExecutionTranscript::decode(mutant, own_key).content_key(), own_key);
       // Recording the decoded events again rebuilds the same transcript:
-      // the scan's count and digest are the ones record() keeps.
+      // the scan's count is the one record() keeps.
       ExecutionTranscript rebuilt;
       for (const TranscriptEvent& e : decoded->events()) rebuilt.record(e.kind, e.a, e.b, e.c);
       EXPECT_TRUE(rebuilt == *decoded);
-      EXPECT_EQ(rebuilt.digest(), decoded->digest());
       EXPECT_EQ(rebuilt.size(), decoded->size());
     }
   }
@@ -448,8 +467,7 @@ TEST(Transcript, KeyedDecodeCarriesItsKey) {
 void expect_equal_transcripts(const ScenarioResult& a, const ScenarioResult& b) {
   ASSERT_EQ(a.per_trial_transcript.size(), b.per_trial_transcript.size());
   for (std::size_t t = 0; t < a.per_trial_transcript.size(); ++t) {
-    const Replayer replayer(a.per_trial_transcript[t]);
-    const auto divergence = replayer.diff(b.per_trial_transcript[t]);
+    const auto divergence = first_divergence(a.per_trial_transcript[t], b.per_trial_transcript[t]);
     EXPECT_FALSE(divergence.has_value())
         << "trial " << t << ": " << (divergence ? divergence->what : "");
   }
@@ -521,7 +539,7 @@ TEST(TranscriptScenario, FreshEngineMatchesTheReusedWorkspaceCapture) {
     ExecutionTranscript transcript;
     fresh.set_transcript(&transcript);
     ASSERT_TRUE(run_profile(fresh, protocol).valid());
-    const auto divergence = Replayer(reused.per_trial_transcript[t]).diff(transcript);
+    const auto divergence = first_divergence(reused.per_trial_transcript[t], transcript);
     EXPECT_FALSE(divergence.has_value())
         << "trial " << t << ": " << (divergence ? divergence->what : "");
   }
@@ -572,15 +590,14 @@ TEST(TranscriptReplay, RingScheduleRedriveReproducesTheExecution) {
   const Outcome original = run_profile(recorder, protocol);
   ASSERT_TRUE(original.valid());
 
-  const Replayer replayer(recorded);
   ExecutionTranscript replayed;
   EngineOptions replay_options;
-  replay_options.scheduler = replayer.ring_schedule();
+  replay_options.scheduler = replay_ring_schedule(recorded);
   RingEngine redriven(n, seed, std::move(replay_options));
   redriven.set_transcript(&replayed);
   const Outcome outcome = run_profile(redriven, protocol);
   EXPECT_EQ(outcome, original);
-  EXPECT_FALSE(replayer.diff(replayed).has_value());
+  EXPECT_FALSE(first_divergence(recorded, replayed).has_value());
 }
 
 TEST(TranscriptReplay, RingRedriveDetectsATamperedSchedule) {
@@ -605,16 +622,15 @@ TEST(TranscriptReplay, RingRedriveDetectsATamperedSchedule) {
   }
   ASSERT_TRUE(flipped);
 
-  const Replayer replayer(tampered);
   ExecutionTranscript replayed;
   EngineOptions options;
-  options.scheduler = replayer.ring_schedule();
+  options.scheduler = replay_ring_schedule(tampered);
   RingEngine redriven(n, 7, std::move(options));
   redriven.set_transcript(&replayed);
   bool diverged = false;
   try {
     run_profile(redriven, protocol);
-    diverged = replayer.diff(replayed).has_value();
+    diverged = first_divergence(tampered, replayed).has_value();
   } catch (const std::runtime_error&) {
     diverged = true;
   }

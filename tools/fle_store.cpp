@@ -169,9 +169,8 @@ int run_cat(const std::string& path, std::uint64_t trial) {
     return 2;
   }
   const fle::ExecutionTranscript transcript = reader.read_transcript(trial);
-  std::printf("trial %llu: key %s, digest %016llx, %llu event(s)\n",
-              static_cast<unsigned long long>(trial), transcript.content_key().hex().c_str(),
-              static_cast<unsigned long long>(transcript.digest()),
+  std::printf("trial %llu: key %s, %llu event(s)\n", static_cast<unsigned long long>(trial),
+              transcript.content_key().hex().c_str(),
               static_cast<unsigned long long>(transcript.size()));
   const auto events = transcript.events();
   for (std::size_t e = 0; e < events.size(); ++e) {

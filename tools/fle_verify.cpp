@@ -1,6 +1,8 @@
 // fle_verify — the conformance gate (DESIGN.md §5/§6).
 //
-//   fle_verify                         full suite at default budgets
+//   fle_verify                         full suite at default budgets; each
+//                                      section's user/system CPU and wall
+//                                      time go to stderr
 //   fle_verify --quick                 seconds-scale budgets (ctest -L verify)
 //   fle_verify --trials 10000 --exact 10000 --fuzz 200
 //                                      CI budgets
@@ -14,15 +16,18 @@
 //
 // Exit code 0 iff every check passed.
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <string>
-#include <vector>
 
 #include "api/registry.h"
 #include "cli_parse.h"
+#include "sim/digest.h"
 #include "verify/fuzzer.h"
 #include "verify/suite.h"
 
@@ -36,32 +41,29 @@ void print_report(const fle::verify::CheckReport& report) {
   std::printf("%zu checks, %zu failed\n", report.results.size(), report.failures());
 }
 
-/// The repro's execution fingerprint: every trial's transcript digest
-/// folded in trial order, so the printed line pins the *executions* the
-/// repro spec produces, not just its parameters — two builds that print
-/// the same digest replayed the same schedules, turn orders and decisions.
-void print_repro_digest(const fle::ScenarioSpec& spec) {
+/// The repro's execution fingerprint: the SHA-256 over every trial's
+/// transcript content key in trial order, so the printed line pins the
+/// *executions* the repro spec produces, not just its parameters — two
+/// builds that print the same key replayed the same schedules, turn orders
+/// and decisions.
+void print_repro_key(const fle::ScenarioSpec& spec) {
   fle::ScenarioSpec recorded = spec;
   recorded.record_transcripts = true;
   recorded.threads = 1;
   try {
     const fle::ScenarioResult result = fle::run_scenario(recorded);
-    std::vector<std::uint64_t> digests;
-    digests.reserve(result.per_trial_transcript.size());
+    fle::Sha256 keys;
     std::uint64_t events = 0;
     for (const fle::ExecutionTranscript& t : result.per_trial_transcript) {
-      digests.push_back(t.digest());
+      keys.update(t.content_key().bytes);
       events += t.size();
     }
-    const std::uint64_t digest =
-        fle::transcript_fold(std::span<const std::uint64_t>(digests));
-    std::printf("transcript digest: %016llx (%zu trials, %llu events)\n",
-                static_cast<unsigned long long>(digest), result.per_trial_transcript.size(),
-                static_cast<unsigned long long>(events));
+    std::printf("transcript key: %s (%zu trials, %llu events)\n", keys.finish().hex().c_str(),
+                result.per_trial_transcript.size(), static_cast<unsigned long long>(events));
   } catch (const std::exception& error) {
     // A spec the API rejects (or a threaded spec, which has no
     // deterministic transcript) still replays its invariants below.
-    std::printf("transcript digest: unavailable (%s)\n", error.what());
+    std::printf("transcript key: unavailable (%s)\n", error.what());
   }
 }
 
@@ -70,7 +72,7 @@ int run_repro(const std::string& line) {
   fle::verify::register_fuzz_user_entries();
   const fle::ScenarioSpec spec = fle::verify::parse_spec(line);
   std::printf("replaying: %s\n", fle::verify::format_spec(spec).c_str());
-  print_repro_digest(spec);
+  print_repro_key(spec);
   const auto failure = fle::verify::run_spec_invariants(spec);
   if (failure) {
     std::printf("[FAIL] %s\n", failure->c_str());
@@ -118,8 +120,8 @@ int run_dump_transcript(const std::string& line) {
               result.trial_offset);
   for (std::size_t t = 0; t < result.per_trial_transcript.size(); ++t) {
     const fle::ExecutionTranscript& transcript = result.per_trial_transcript[t];
-    std::printf("trial %zu: digest %016llx, %llu event(s)\n", result.trial_offset + t,
-                static_cast<unsigned long long>(transcript.digest()),
+    std::printf("trial %zu: key %s, %llu event(s)\n", result.trial_offset + t,
+                transcript.content_key().hex().c_str(),
                 static_cast<unsigned long long>(transcript.size()));
     const auto events = transcript.events();
     for (std::size_t e = 0; e < events.size(); ++e) {
@@ -129,6 +131,31 @@ int run_dump_transcript(const std::string& line) {
   return 0;
 }
 
+/// Runs one conformance section and prints its user and system CPU
+/// (getrusage over the whole process) and wall time to stderr, so stdout
+/// stays the report alone.
+template <typename Section>
+fle::verify::CheckReport timed_section(const char* name, Section&& section) {
+  const auto cpu = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage;
+  };
+  const auto seconds = [](const timeval& from, const timeval& to) {
+    return static_cast<double>(to.tv_sec - from.tv_sec) +
+           1e-6 * static_cast<double>(to.tv_usec - from.tv_usec);
+  };
+  const rusage before = cpu();
+  const auto start = std::chrono::steady_clock::now();
+  fle::verify::CheckReport report = section();
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
+  const rusage after = cpu();
+  std::fprintf(stderr, "fle_verify: %s section: %.1f s user, %.1f s system, %.1f s wall\n",
+               name, seconds(before.ru_utime, after.ru_utime),
+               seconds(before.ru_stime, after.ru_stime), wall.count());
+  return report;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -136,6 +163,9 @@ int main(int argc, char** argv) {
   std::string repro;
   std::string dump_spec;
   bool quick = false;
+  bool run_statistical = true;
+  bool run_differential = true;
+  bool run_fuzz = true;
   // Explicit budget flags always win over --quick, whatever the flag order.
   bool trials_set = false;
   bool exact_set = false;
@@ -165,11 +195,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       options.threads = fle::cli::parse_int<int>(argv[0], "--threads", next(), 0, 4096);
     } else if (arg == "--no-statistical") {
-      options.run_statistical = false;
+      run_statistical = false;
     } else if (arg == "--no-differential") {
-      options.run_differential = false;
+      run_differential = false;
     } else if (arg == "--no-fuzz") {
-      options.run_fuzz = false;
+      run_fuzz = false;
     } else if (arg == "--repro") {
       repro = next();
     } else if (arg == "--dump-transcript") {
@@ -190,7 +220,23 @@ int main(int argc, char** argv) {
       if (!exact_set) options.exact_trials = budgets.exact_trials;
       if (!fuzz_set) options.fuzz_specs = budgets.fuzz_specs;
     }
-    const fle::verify::CheckReport report = fle::verify::run_conformance_suite(options);
+    fle::verify::CheckReport report;
+    if (run_statistical) {
+      report.merge(timed_section("statistical",
+                                 [&] { return fle::verify::run_statistical_checks(options); }));
+    }
+    if (run_differential) {
+      report.merge(timed_section("differential",
+                                 [&] { return fle::verify::run_differential_checks(options); }));
+    }
+    if (run_fuzz) {
+      report.merge(timed_section("fuzz", [&] {
+        fle::verify::FuzzOptions fuzz;
+        fuzz.seed = options.seed;
+        fuzz.specs = options.fuzz_specs;
+        return fle::verify::run_fuzz_campaign(fuzz).as_report();
+      }));
+    }
     print_report(report);
     return report.all_passed() ? 0 : 1;
   } catch (const std::exception& error) {
